@@ -841,9 +841,9 @@ def _utilization_tsv(payload: dict) -> str:
 
 def _local_utilization(args, profile) -> int:
     """``ute-query TRACE --utilization``: busy-time aggregates from the
-    sidecar's utilization hierarchy.  When the sidecar is missing, stale,
-    or predates the hierarchy (format v1), the index is rebuilt in memory
-    — the printed cells never silently fall behind the trace."""
+    sidecar's utilization hierarchy.  When the sidecar is missing, stale
+    or of an older format, the index is rebuilt in memory — the printed
+    cells never silently fall behind the trace."""
     from repro.errors import ReproError
     from repro.query import (
         DEFAULT_TIME_BINS,
@@ -851,6 +851,7 @@ def _local_utilization(args, profile) -> int:
         load_fresh_index,
         open_trace,
     )
+    from repro.query.utilization import utilization_payload
 
     try:
         with open_trace(args.trace, profile, errors=args.errors) as handle:
@@ -873,45 +874,9 @@ def _local_utilization(args, profile) -> int:
         return _usage_error("ute-query", str(exc)) or 2
     w0 = util.t_min if window[0] is None else int(window[0] * tps)
     w1 = util.t_max if window[1] is None else int(window[1] * tps)
-    w1 = max(w1, w0 + 1)
-    shift, lanes = util.query(args.lane, w0, w1, max_bins=args.bins or 512)
-    width = 1 << shift
-    lane_field = "thread" if args.lane == "thread" else "cpu"
-    lanes_out = []
-    for key in sorted(lanes):
-        node, sub = key >> 32, key & 0xFFFFFFFF
-        lanes_out.append({
-            "node": node,
-            lane_field: sub,
-            "cells": [
-                {
-                    "start": t0 / tps,
-                    "end": t1 / tps,
-                    "count": count,
-                    "busy": busy / tps,
-                    "busy_frac": min(busy / width, 1.0),
-                    "dominant": min(states, key=lambda s: (-states[s], s)),
-                }
-                for t0, t1, count, busy, states in lanes[key]
-            ],
-        })
-    names = {}
-    for itype in sorted({c["dominant"] for ln in lanes_out for c in ln["cells"]}):
-        try:
-            names[str(itype)] = profile.record_name(itype)
-        except Exception:
-            names[str(itype)] = f"type-{itype}"
-    payload = {
-        "kind": args.lane,
-        "ticks_per_sec": tps,
-        "window": [w0 / tps, w1 / tps],
-        "bin_seconds": width / tps,
-        "shift": shift,
-        "levels": util.n_levels,
-        "base_shift": util.base_shift,
-        "state_names": names,
-        "lanes": lanes_out,
-    }
+    payload = utilization_payload(
+        util, args.lane, (w0, w1), args.bins or 512, tps, profile.record_name
+    )
     if args.format == "json":
         import json
 

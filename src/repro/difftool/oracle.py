@@ -17,10 +17,10 @@ check                  the two paths compared
                        byte-identical)
 ``dump_vs_query``      ``ute-dump --window`` record selection vs. a
                        ``ute-query`` window over the same range
-``aggregate_vs_exact`` the sidecar's utilization hierarchy (finest-level
-                       busy/count cells and the coarse start bins) vs. a
-                       direct recompute over columnar frame batches on
-                       the same absolute grid
+``aggregate_vs_exact`` the sidecar's utilization hierarchy (busy/count
+                       cells at every level and the coarse start bins)
+                       vs. a brute-force per-record, per-bin recompute
+                       on the same absolute grid
 ``stats_vs_serve``     the in-process ``ute-stats`` path vs. the daemon's
                        ``/api/stats`` (SLOG only; spins an ephemeral
                        server on 127.0.0.1)
@@ -444,10 +444,14 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
 
     Per finest-level cell: the per-state busy durations must equal the
     clipped overlap of every busy record with that bin, and the cell count
-    must equal the number of busy records *starting* in the bin.  The
+    must equal the number of busy records *starting* in the bin.  Every
+    coarser level must be the exact sum of its two children.  The
     published coarse ``bins`` must equal start-bin (count, summed duration)
     sums of **all** records on the same absolute grid.  Any difference
     means an aggregate-driven view would lie about the records below it.
+
+    The recompute is deliberately brute force (per record, per bin) and
+    reads the index only through :meth:`UtilizationIndex.level_cells`.
     """
     from repro.core.records import IntervalType
     from repro.query.indexfile import build_index
@@ -495,29 +499,30 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
                         states = cell[1]
                         states[itype] = states.get(itype, 0) + overlap
                     cells[first][0] += 1
-        for lane_kind, lanes in (("thread", util.thread), ("cpu", util.cpu)):
-            got = {
-                key: {idx: (c[0], dict(c[1])) for idx, c in levels[0].items()}
-                for key, levels in lanes.items()
-            }
-            want = {
-                key: {idx: (c[0], dict(c[1])) for idx, c in cells.items()}
-                for key, cells in exact[lane_kind].items()
-            }
-            if got != want:
+        for lane_kind, want in exact.items():
+            for level in range(util.n_levels):
+                if level:
+                    want = {key: _fold_exact(cells) for key, cells in want.items()}
+                got = util.level_cells(lane_kind, level)
+                want_cells = {
+                    key: {idx: (c[0], c[1]) for idx, c in cells.items()}
+                    for key, cells in want.items()
+                }
+                if got == want_cells:
+                    continue
                 bad = next(
-                    key for key in sorted(set(got) | set(want))
-                    if got.get(key) != want.get(key)
+                    key for key in sorted(set(got) | set(want_cells))
+                    if got.get(key) != want_cells.get(key)
                 )
                 report.add(
                     Finding(
                         "aggregate_vs_exact",
-                        f"{path} lane={lane_kind} key={bad}",
-                        "utilization level-0 cells differ from the exact "
+                        f"{path} lane={lane_kind} key={bad} level={level}",
+                        f"utilization level-{level} cells differ from the exact "
                         "windowed recompute",
                         {
                             "aggregate": repr(got.get(bad)),
-                            "exact": repr(want.get(bad)),
+                            "exact": repr(want_cells.get(bad)),
                         },
                     )
                 )
@@ -535,6 +540,18 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
                     {"aggregate": repr(index.bins), "exact": repr(want_bins)},
                 )
             )
+
+
+def _fold_exact(cells: dict[int, list]) -> dict[int, list]:
+    """One level up, by the definition: a parent bin is the exact sum of
+    its two children (counts add, per-state busy adds)."""
+    out: dict[int, list] = {}
+    for idx, (count, states) in cells.items():
+        parent = out.setdefault(idx >> 1, [0, {}])
+        parent[0] += count
+        for state, busy in states.items():
+            parent[1][state] = parent[1].get(state, 0) + busy
+    return out
 
 
 def _check_adjust_parity(report: OracleReport) -> None:

@@ -23,6 +23,7 @@ horizon becomes the assembled file's preview time range.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -46,17 +47,14 @@ from repro.live.container import (
     meta_path,
     write_manifest,
 )
+from repro.query.columnar import batch_from_records
 from repro.query.indexfile import (
     DEFAULT_TIME_BINS,
-    TYPE_BITMAP_BYTES,
-    FrameSummary,
+    IndexAccumulator,
     TraceIndex,
     index_path_for,
-    thread_key,
-    type_bit_set,
     write_index,
 )
-from repro.query.utilization import UtilizationBuilder
 from repro.utils.slog import SlogFrameEntry, slog_metadata_bytes
 
 
@@ -101,25 +99,18 @@ class _DoublingPreview:
 class _IncrementalIndex:
     """Maintains a ``.uteidx`` for the growing virtual file.
 
-    Frame summaries and posting lists are exact (built from each frame's
-    records at seal time, never by re-decoding).  Coarse time bins and
-    the utilization hierarchy accumulate through
-    :class:`~repro.query.utilization.UtilizationBuilder` on the absolute
-    power-of-two grid, so every snapshot — including the final one — is
-    *identical* to what a post-hoc rebuild of the same bytes produces
-    (docs/FORMAT.md sections 7-8).
+    Each sealed frame is accounted once, from its own records, through the
+    same :class:`~repro.query.indexfile.IndexAccumulator` a batch build
+    uses, so every snapshot — including the final one — is *identical* to
+    what a post-hoc rebuild of the same bytes produces (docs/FORMAT.md
+    sections 7-8).
     """
 
     def __init__(self, meta: bytes, *, n_bins: int = DEFAULT_TIME_BINS) -> None:
-        self.n_bins = n_bins
         self.meta_size = len(meta)
         self._sha = hashlib.sha256(meta)
         self._size = len(meta)
-        self.frames: list[FrameSummary] = []
-        self.postings: dict[int, list[int]] = {}
-        self.t_min: int | None = None
-        self.t_max = 0
-        self._builder = UtilizationBuilder(coarse_bins=n_bins)
+        self._frames = IndexAccumulator(n_bins)
 
     def add_frame(
         self, entry: SlogFrameEntry, records: list[IntervalRecord], blob: bytes
@@ -128,43 +119,13 @@ class _IncrementalIndex:
         offset, ``blob`` the exact bytes appended to ``data``."""
         self._sha.update(blob)
         self._size += len(blob)
-        ordinal = len(self.frames)
-        bits = bytearray(TYPE_BITMAP_BYTES)
-        keys: set[int] = set()
-        for record in records:
-            type_bit_set(bits, record.itype)
-            keys.add(thread_key(record.node, record.thread))
-            self.t_min = record.start if self.t_min is None else min(self.t_min, record.start)
-            self.t_max = max(self.t_max, record.end)
-            self._builder.add(record)
-        sorted_keys = tuple(sorted(keys))
-        self.frames.append(
-            FrameSummary(
-                ordinal, self.meta_size + entry.offset, entry.size,
-                entry.n_records, entry.start_time, entry.end_time,
-                bytes(bits), sorted_keys,
-            )
+        self._frames.add_frame(
+            batch_from_records(records), self.meta_size + entry.offset, entry.size,
+            entry.n_records, entry.start_time, entry.end_time,
         )
-        for key in sorted_keys:
-            self.postings.setdefault(key, []).append(ordinal)
 
     def snapshot(self) -> TraceIndex:
-        t_min = self.t_min if self.t_min is not None else 0
-        t_max = self.t_max
-        built = self._builder.build()
-        return TraceIndex(
-            source_size=self._size,
-            source_sha256=self._sha.copy().digest(),
-            t_min=t_min,
-            t_max=t_max,
-            n_bins=self.n_bins,
-            bins=built.bins,
-            frames=list(self.frames),
-            postings={k: tuple(v) for k, v in self.postings.items()},
-            bin_origin=built.bin_origin,
-            bin_shift=built.bin_shift,
-            utilization=built.utilization,
-        )
+        return self._frames.index(self._size, self._sha.copy().digest())
 
 
 class _LiveWriterBase:
@@ -407,24 +368,11 @@ class LiveSlogWriter(_LiveWriterBase):
         # offsets rebased past the final (larger) metadata section.
         live = self._index.snapshot()
         delta = len(meta) - len(self._meta)
-        final = TraceIndex(
+        final = dataclasses.replace(
+            live,
             source_size=len(meta) + self._data_size,
             source_sha256=digest.digest(),
-            t_min=live.t_min,
-            t_max=live.t_max,
-            n_bins=live.n_bins,
-            bins=live.bins,
-            frames=[
-                FrameSummary(
-                    f.ordinal, f.offset + delta, f.size, f.n_records,
-                    f.start_time, f.end_time, f.type_bits, f.thread_keys,
-                )
-                for f in live.frames
-            ],
-            postings=live.postings,
-            bin_origin=live.bin_origin,
-            bin_shift=live.bin_shift,
-            utilization=live.utilization,
+            frames=[dataclasses.replace(f, offset=f.offset + delta) for f in live.frames],
         )
         write_index(final, index_path_for(self.path))
 

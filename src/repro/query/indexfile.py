@@ -26,15 +26,17 @@ sidecar's, the index is trusted; otherwise the recorded SHA-256 of the
 source content is re-verified — an atomic replace with identical bytes
 keeps the index valid, any content change invalidates it.
 
-Format **version 2** (version 1 sidecars still decode) adds two things:
+Format **version 3** is the only version written or read (an older
+sidecar answers ``stale:version`` and is rebuilt, never parsed):
 
-* the coarse time bins move from a span-relative grid to an **absolute
-  power-of-two grid** (``bin_origin``/``bin_shift``: bin ``b`` covers
+* the coarse time bins live on an **absolute power-of-two grid**
+  (``bin_origin``/``bin_shift``: bin ``b`` covers
   ``[(bin_origin + b) << bin_shift, ...)``), so :func:`extend_index` is
   exact — an extended index is bit-identical to a full rebuild;
 * a **utilization section** (:mod:`repro.query.utilization`): per-thread
   and per-CPU busy/count/state-histogram bins at power-of-two
-  resolutions, the aggregate store behind density-capped views.
+  resolutions, the aggregate store behind density-capped views, written
+  as sorted column arrays.
 """
 
 from __future__ import annotations
@@ -46,22 +48,17 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.atomicio import AtomicFile
 from repro.core.windows import overlaps_window
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch
 from repro.query.trace import TraceHandle
-from repro.query.utilization import (
-    UtilizationBuilder,
-    UtilizationIndex,
-    split_thread_key,
-    thread_key,
-)
+from repro.query.utilization import UtilizationBuilder, UtilizationIndex, lane_keys
 
 MAGIC = b"UTEIDX1\x00"
-FORMAT_VERSION = 2
-#: Versions :meth:`TraceIndex.decode` accepts (v1 lacks the absolute bin
-#: grid and the utilization section; it still plans queries).
-SUPPORTED_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
 
 #: Suffix appended to the trace file's full name (``run.slog.uteidx``).
 SIDECAR_SUFFIX = ".uteidx"
@@ -78,7 +75,7 @@ DEFAULT_TIME_BINS = 64
 _HEADER = struct.Struct("<8sII")          # magic, version, flags
 _SOURCE = struct.Struct("<Q32s")          # source size, sha256
 _SPAN = struct.Struct("<qqIIII")          # t_min, t_max, n_frames, n_bins, n_postings, reserved
-_BINGRID = struct.Struct("<qI")           # v2: bin grid origin, bin grid shift
+_BINGRID = struct.Struct("<qI")           # bin grid origin, bin grid shift
 _FRAME = struct.Struct("<QQQQII")         # offset, size, start, end, n_records, n_thread_keys
 _BIN = struct.Struct("<QQ")               # record count, summed duration
 _POSTING = struct.Struct("<QI")           # thread key, n_frames
@@ -86,10 +83,18 @@ _POSTING = struct.Struct("<QI")           # thread key, n_frames
 _DECODE_ERRORS = (struct.error, IndexError, ValueError, OverflowError)
 
 
-def type_bit_set(bitmap: bytearray, itype: int) -> None:
-    """Mark ``itype`` present (or the overflow bit when out of range)."""
-    bit = itype if 0 <= itype < _OVERFLOW_BIT else _OVERFLOW_BIT
-    bitmap[bit // 8] |= 1 << (bit % 8)
+class IndexVersionError(FormatError):
+    """A well-formed sidecar of another format version (rebuilt, not read)."""
+
+
+def summarize_frame(batch: FrameBatch) -> tuple[bytes, tuple[int, ...]]:
+    """One frame's planner facts: its state-type bitmap (types beyond the
+    bitmap set the overflow bit) and its sorted thread keys."""
+    types = np.unique(batch.itype)
+    present = np.zeros(TYPE_BITMAP_BYTES * 8, dtype=bool)
+    present[np.where((types >= 0) & (types < _OVERFLOW_BIT), types, _OVERFLOW_BIT)] = True
+    keys = np.unique(lane_keys(batch.node, batch.thread))
+    return np.packbits(present, bitorder="little").tobytes(), tuple(keys.tolist())
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,9 @@ class FrameSummary:
 class TraceIndex:
     """A parsed (or freshly built) sidecar index.
 
-    In a version-2 index the coarse ``bins`` live on the absolute grid:
-    bin ``b`` covers ``[(bin_origin + b) << bin_shift, ...)`` ticks, and
-    ``utilization`` carries the per-lane aggregate hierarchy.  A decoded
-    version-1 index has ``bin_origin``/``bin_shift`` of ``None`` (its
-    bins are span-relative) and no utilization."""
+    The coarse ``bins`` live on the absolute grid: bin ``b`` covers
+    ``[(bin_origin + b) << bin_shift, ...)`` ticks, and ``utilization``
+    carries the per-lane aggregate hierarchy."""
 
     source_size: int
     source_sha256: bytes
@@ -138,21 +141,11 @@ class TraceIndex:
     bins: tuple[tuple[int, int], ...]
     frames: list[FrameSummary]
     postings: dict[int, tuple[int, ...]]
-    version: int = FORMAT_VERSION
-    bin_origin: int | None = None
-    bin_shift: int | None = None
+    bin_origin: int = 0
+    bin_shift: int = 0
     utilization: UtilizationIndex | None = None
 
     # -------------------------------------------------------------- queries
-
-    def frames_for_threads(self, keys: list[int]) -> set[int] | None:
-        """Union of the posting lists for exact thread ``keys``; ``None``
-        when a key is unknown to the index (no record anywhere — the
-        caller can prune everything)."""
-        out: set[int] = set()
-        for key in keys:
-            out.update(self.postings.get(key, ()))
-        return out
 
     def frames_for_thread_id(self, thread: int) -> set[int]:
         """Union of posting lists whose key carries ``thread`` on any node."""
@@ -165,7 +158,7 @@ class TraceIndex:
     def summary(self) -> dict:
         """JSON-friendly overview (``ute-query --build-index`` prints it)."""
         out = {
-            "version": self.version,
+            "version": FORMAT_VERSION,
             "frames": len(self.frames),
             "threads": len(self.postings),
             "time_bins": self.n_bins,
@@ -180,63 +173,57 @@ class TraceIndex:
     # ------------------------------------------------------------- encoding
 
     def encode(self) -> bytes:
-        """Serialize; deterministic for a given trace content.  A decoded
-        version-1 index re-encodes in its own layout (byte-preserving);
-        everything freshly built writes version 2."""
+        """Serialize; deterministic for a given trace content."""
         out = bytearray()
-        out += _HEADER.pack(MAGIC, self.version, 0)
+        out += _HEADER.pack(MAGIC, FORMAT_VERSION, 0)
         out += _SOURCE.pack(self.source_size, self.source_sha256)
         out += _SPAN.pack(
             self.t_min, self.t_max, len(self.frames), self.n_bins,
             len(self.postings), 0,
         )
-        if self.version >= 2:
-            out += _BINGRID.pack(self.bin_origin or 0, self.bin_shift or 0)
+        out += _BINGRID.pack(self.bin_origin, self.bin_shift)
         for f in self.frames:
             out += _FRAME.pack(
                 f.offset, f.size, f.start_time, f.end_time,
                 f.n_records, len(f.thread_keys),
             )
             out += f.type_bits
-            for key in f.thread_keys:
-                out += struct.pack("<Q", key)
+            out += struct.pack(f"<{len(f.thread_keys)}Q", *f.thread_keys)
         for count, duration in self.bins:
             out += _BIN.pack(count, duration)
         for key in sorted(self.postings):
             ordinals = self.postings[key]
             out += _POSTING.pack(key, len(ordinals))
             out += struct.pack(f"<{len(ordinals)}I", *ordinals)
-        if self.version >= 2:
-            if self.utilization is not None:
-                out += self.utilization.encode()
-            else:
-                out += UtilizationIndex.encode_absent()
-        out += struct.pack("<I", zlib.crc32(bytes(out)))
+        if self.utilization is not None:
+            out += self.utilization.encode()
+        else:
+            out += UtilizationIndex.encode_absent()
+        out += struct.pack("<I", zlib.crc32(out))
         return bytes(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "TraceIndex":
-        """Parse sidecar bytes; :class:`FormatError` on any damage."""
+        """Parse sidecar bytes; :class:`FormatError` on any damage
+        (:class:`IndexVersionError` for another format version)."""
         try:
             if len(data) < _HEADER.size + 4:
                 raise FormatError("sidecar index truncated")
             magic, version, _flags = _HEADER.unpack_from(data, 0)
             if magic != MAGIC:
                 raise FormatError(f"not a sidecar index (magic {magic!r})")
-            if version not in SUPPORTED_VERSIONS:
-                raise FormatError(f"unsupported index version {version}")
+            if version != FORMAT_VERSION:
+                raise IndexVersionError(f"unsupported index version {version}")
             (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-            if zlib.crc32(data[:-4]) != crc:
+            if zlib.crc32(memoryview(data)[:-4]) != crc:
                 raise FormatError("sidecar index checksum mismatch")
             pos = _HEADER.size
             source_size, sha = _SOURCE.unpack_from(data, pos)
             pos += _SOURCE.size
             t_min, t_max, n_frames, n_bins, n_postings, _ = _SPAN.unpack_from(data, pos)
             pos += _SPAN.size
-            bin_origin = bin_shift = None
-            if version >= 2:
-                bin_origin, bin_shift = _BINGRID.unpack_from(data, pos)
-                pos += _BINGRID.size
+            bin_origin, bin_shift = _BINGRID.unpack_from(data, pos)
+            pos += _BINGRID.size
             frames: list[FrameSummary] = []
             for ordinal in range(n_frames):
                 offset, size, start, end, n_records, n_keys = _FRAME.unpack_from(data, pos)
@@ -261,17 +248,14 @@ class TraceIndex:
                 ordinals = struct.unpack_from(f"<{count}I", data, pos)
                 pos += count * 4
                 postings[key] = ordinals
-            utilization = None
-            if version >= 2:
-                utilization, pos = UtilizationIndex.decode(data, pos)
+            utilization, pos = UtilizationIndex.decode(data, pos, len(data) - 4)
             if pos != len(data) - 4:
                 raise FormatError("sidecar index has trailing bytes")
         except _DECODE_ERRORS as exc:
             raise FormatError(f"corrupt sidecar index ({exc})") from exc
         return cls(
             source_size, sha, t_min, t_max, n_bins, tuple(bins), frames, postings,
-            version=version, bin_origin=bin_origin, bin_shift=bin_shift,
-            utilization=utilization,
+            bin_origin=bin_origin, bin_shift=bin_shift, utilization=utilization,
         )
 
 
@@ -300,6 +284,68 @@ def hash_file(
     return digest.digest()
 
 
+class IndexAccumulator:
+    """Frame-at-a-time index construction: the one accounting path behind
+    :func:`build_index`, :func:`extend_index` (resuming from ``base``) and
+    the live writer's per-epoch snapshots — all three land on the same
+    bytes for the same frames."""
+
+    def __init__(self, n_bins: int = DEFAULT_TIME_BINS, base: "TraceIndex | None" = None) -> None:
+        if n_bins < 1:
+            raise FormatError(f"need at least one time bin, got {n_bins}")
+        self.n_bins = n_bins
+        self.frames: list[FrameSummary] = []
+        self.postings: dict[int, list[int]] = {}
+        self.builder = UtilizationBuilder(coarse_bins=n_bins)
+        if base is not None:
+            self.n_bins = base.n_bins
+            self.frames = list(base.frames)
+            self.postings = {k: list(v) for k, v in base.postings.items()}
+            self.builder = UtilizationBuilder.from_aggregates(
+                base.utilization, base.bin_origin, base.bin_shift, base.bins
+            )
+
+    def add_frame(
+        self, batch: FrameBatch, offset: int, size: int, n_records: int,
+        start_time: int, end_time: int,
+    ) -> None:
+        """Account the next frame (``offset`` is file-absolute)."""
+        bits, keys = summarize_frame(batch)
+        self.builder.add_batch(batch)
+        ordinal = len(self.frames)
+        self.frames.append(
+            FrameSummary(ordinal, offset, size, n_records, start_time, end_time, bits, keys)
+        )
+        for key in keys:
+            self.postings.setdefault(key, []).append(ordinal)
+
+    def index(self, source_size: int, source_sha256: bytes) -> TraceIndex:
+        """The index of the frames so far (the accumulator stays usable)."""
+        built = self.builder.build()
+        return TraceIndex(
+            source_size=source_size,
+            source_sha256=source_sha256,
+            t_min=min((f.start_time for f in self.frames), default=0),
+            t_max=max((f.end_time for f in self.frames), default=0),
+            n_bins=self.n_bins,
+            bins=built.bins,
+            frames=list(self.frames),
+            postings={k: tuple(v) for k, v in self.postings.items()},
+            bin_origin=built.bin_origin,
+            bin_shift=built.bin_shift,
+            utilization=built.utilization,
+        )
+
+    def scan(self, handle: TraceHandle) -> TraceIndex:
+        """Account ``handle``'s frames past those already held; index it."""
+        for frame in handle.frames[len(self.frames):]:
+            self.add_frame(
+                handle.read_frame_batch(frame.ordinal), frame.offset, frame.size,
+                frame.n_records, frame.start_time, frame.end_time,
+            )
+        return self.index(os.stat(handle.path).st_size, hash_file(handle.path))
+
+
 def build_index(handle: TraceHandle, *, n_bins: int = DEFAULT_TIME_BINS) -> TraceIndex:
     """Build the index by one full pass over an open trace.
 
@@ -309,44 +355,7 @@ def build_index(handle: TraceHandle, *, n_bins: int = DEFAULT_TIME_BINS) -> Trac
     absolute power-of-two grid (``bin_origin``/``bin_shift``) and the
     per-lane utilization hierarchy is accumulated in the same pass.
     """
-    if n_bins < 1:
-        raise FormatError(f"need at least one time bin, got {n_bins}")
-    frames = handle.frames
-    t_min = min((f.start_time for f in frames), default=0)
-    t_max = max((f.end_time for f in frames), default=0)
-    builder = UtilizationBuilder(coarse_bins=n_bins)
-    summaries: list[FrameSummary] = []
-    postings: dict[int, list[int]] = {}
-    for frame in frames:
-        bits = bytearray(TYPE_BITMAP_BYTES)
-        keys: set[int] = set()
-        for record in handle.read_frame(frame.ordinal):
-            type_bit_set(bits, record.itype)
-            keys.add(thread_key(record.node, record.thread))
-            builder.add(record)
-        sorted_keys = tuple(sorted(keys))
-        summaries.append(
-            FrameSummary(
-                frame.ordinal, frame.offset, frame.size, frame.n_records,
-                frame.start_time, frame.end_time, bytes(bits), sorted_keys,
-            )
-        )
-        for key in sorted_keys:
-            postings.setdefault(key, []).append(frame.ordinal)
-    built = builder.build()
-    return TraceIndex(
-        source_size=os.stat(handle.path).st_size,
-        source_sha256=hash_file(handle.path),
-        t_min=t_min,
-        t_max=t_max,
-        n_bins=n_bins,
-        bins=built.bins,
-        frames=summaries,
-        postings={k: tuple(v) for k, v in postings.items()},
-        bin_origin=built.bin_origin,
-        bin_shift=built.bin_shift,
-        utilization=built.utilization,
-    )
+    return IndexAccumulator(n_bins).scan(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +386,9 @@ def load_fresh_index(
     """The sidecar index of ``source`` if it exists and is fresh.
 
     Returns ``(index, "fresh")`` or ``(None, reason)`` with reason one of
-    ``missing``, ``corrupt:...``, ``stale:size``, ``stale:content`` — the
-    planner treats every ``None`` as "fall back to full scan".
+    ``missing``, ``corrupt:...``, ``stale:version`` (an older format:
+    rebuilt, not read), ``stale:size``, ``stale:content`` — the planner
+    treats every ``None`` as "fall back to full scan".
     """
     source = Path(source)
     sidecar = index_path_for(source) if sidecar is None else Path(sidecar)
@@ -386,6 +396,8 @@ def load_fresh_index(
         return None, "missing"
     try:
         index = load_index(sidecar)
+    except IndexVersionError:
+        return None, "stale:version"
     except (FormatError, OSError) as exc:
         return None, f"corrupt:{exc}"
     try:
@@ -444,16 +456,12 @@ def extend_index(handle: TraceHandle, base: TraceIndex) -> TraceIndex:
     and utilization cells live on an absolute power-of-two grid, the
     base's aggregates are re-seeded at their persisted shifts, tail
     records accumulate on the same grid, and the extended index equals a
-    full rebuild bit for bit.  A version-1 base (no grid, no
-    utilization section) cannot be extended exactly and raises
-    :class:`FormatError`, sending the caller down the rebuild path."""
+    full rebuild bit for bit."""
     frames = handle.frames
     if len(base.frames) > len(frames):
         raise FormatError("index prefix has more frames than the trace")
-    if base.utilization is None or base.bin_origin is None or base.bin_shift is None:
-        raise FormatError(
-            "index predates the utilization section; rebuild required"
-        )
+    if base.utilization is None:
+        raise FormatError("index has no utilization section; rebuild required")
     for have, want in zip(base.frames, frames):
         if (
             have.offset != want.offset
@@ -465,46 +473,4 @@ def extend_index(handle: TraceHandle, base: TraceIndex) -> TraceIndex:
             raise FormatError(
                 f"frame {want.ordinal} diverges from the index prefix"
             )
-    n_bins = base.n_bins
-    tail = frames[len(base.frames) :]
-    if base.frames:
-        t_min = min([base.t_min, *(f.start_time for f in tail)])
-        t_max = max([base.t_max, *(f.end_time for f in tail)])
-    else:
-        t_min = min((f.start_time for f in tail), default=0)
-        t_max = max((f.end_time for f in tail), default=0)
-    builder = UtilizationBuilder.from_aggregates(
-        base.utilization, base.bin_origin, base.bin_shift, base.bins,
-    )
-    summaries = list(base.frames)
-    postings: dict[int, list[int]] = {k: list(v) for k, v in base.postings.items()}
-    for frame in tail:
-        bits = bytearray(TYPE_BITMAP_BYTES)
-        keys: set[int] = set()
-        for record in handle.read_frame(frame.ordinal):
-            type_bit_set(bits, record.itype)
-            keys.add(thread_key(record.node, record.thread))
-            builder.add(record)
-        sorted_keys = tuple(sorted(keys))
-        summaries.append(
-            FrameSummary(
-                frame.ordinal, frame.offset, frame.size, frame.n_records,
-                frame.start_time, frame.end_time, bytes(bits), sorted_keys,
-            )
-        )
-        for key in sorted_keys:
-            postings.setdefault(key, []).append(frame.ordinal)
-    built = builder.build()
-    return TraceIndex(
-        source_size=os.stat(handle.path).st_size,
-        source_sha256=hash_file(handle.path),
-        t_min=t_min,
-        t_max=t_max,
-        n_bins=n_bins,
-        bins=built.bins,
-        frames=summaries,
-        postings={k: tuple(v) for k, v in postings.items()},
-        bin_origin=built.bin_origin,
-        bin_shift=built.bin_shift,
-        utilization=built.utilization,
-    )
+    return IndexAccumulator(base=base).scan(handle)

@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.query.indexfile import TraceIndex, thread_key
+from repro.query.indexfile import TraceIndex
 from repro.query.model import Query
 from repro.query.trace import TraceFrame
+from repro.query.utilization import thread_key
 
 #: Plan modes, from cheapest to most expensive.
 MODE_INDEXED = "indexed"

@@ -3,11 +3,11 @@
 The frame display is O(frame), but a *wide* window — the whole run of a
 multi-GB trace — still touches every record it covers.  This module is
 the aggregate layer that breaks that dependency: per-thread (and
-per-CPU) utilization bins at power-of-two resolutions, so a view over
-any window answers from O(pixels · levels) dictionary lookups instead of
-record decodes (Traveler's sparse utilization lists, with the
-drill-down-below-a-density-threshold discipline of aggregate-driven
-visualization).
+per-CPU) utilization bins at power-of-two resolutions, held as flat
+columns sorted by (lane, bin, state), so a view over any window answers
+from one masked pass over a bin column instead of record decodes
+(Traveler's sparse utilization lists, with the drill-down-below-a-
+density-threshold discipline of aggregate-driven visualization).
 
 Every bin lives on an **absolute power-of-two grid**: at shift ``k`` a
 bin covers ``[i << k, (i + 1) << k)`` ticks and a timestamp ``t`` falls
@@ -17,7 +17,7 @@ which buys three properties the span-relative grids of earlier formats
 could not offer:
 
 * **determinism** — the finest shift and the level count are pure
-  functions of the record span, never of arrival order;
+  functions of the record multiset, never of arrival order or chunking;
 * **exact extension** — extending an index over appended frames folds
   the old bins onto the (possibly coarser) new grid and lands on
   *bit-identical* bytes to a full rebuild;
@@ -41,10 +41,15 @@ included) on the same absolute grid, which is what makes
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.records import IntervalRecord, IntervalType
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch, batch_from_records
 
 __all__ = [
     "DEFAULT_BASE_BINS",
@@ -53,10 +58,12 @@ __all__ = [
     "UtilizationIndex",
     "cpu_key",
     "dominant_state",
+    "lane_keys",
     "levels_for_span",
     "shift_for_span",
     "split_thread_key",
     "thread_key",
+    "utilization_payload",
 ]
 
 #: Target number of occupied bins at the finest level: the finest shift is
@@ -68,13 +75,17 @@ DEFAULT_BASE_BINS = 4096
 MAX_LEVELS = 48
 
 _UTIL_HEADER = struct.Struct("<IIqqII")  # base_shift, n_levels, t_min, t_max, n_thread, n_cpu
-_LANE = struct.Struct("<QI")             # lane key, n_cells of level 0 (levels follow)
-_LEVEL = struct.Struct("<I")             # n_cells of one level
-_CELL = struct.Struct("<qIH")            # bin index, record count, n_states
-_STATE = struct.Struct("<IQ")            # interval type, busy ticks
+_LEVEL_HEADER = struct.Struct("<II")     # n_cells, n_state_rows (before each level's columns)
+
+#: Most cells a remembered whole-level answer may hold (about 10 MB of
+#: Python objects per lane kind).
+_KEEP_CELLS = 1 << 15
 
 #: One occupied bin: (records starting here, {interval type: busy ticks}).
 Cell = tuple[int, dict[int, int]]
+
+#: Aggregation rows: parallel (lane, bin, state, count, busy) arrays.
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def thread_key(node: int, thread: int) -> int:
@@ -93,12 +104,19 @@ def cpu_key(node: int, cpu: int) -> int:
     return ((node & 0xFFFFFFFF) << 32) | (cpu & 0xFFFFFFFF)
 
 
-def shift_for_span(t_min: int, t_max: int, cap: int) -> int:
-    """The smallest shift whose grid covers ``[t_min, t_max]`` in at most
-    ``cap`` bins — deterministic in the span alone, and monotone: a wider
-    span can only yield an equal or larger shift (the extension-exactness
-    invariant)."""
-    k = 0
+def lane_keys(node: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """:func:`thread_key` / :func:`cpu_key` over whole columns (uint64)."""
+    return ((node & 0xFFFFFFFF).astype(np.uint64) << np.uint64(32)) | (
+        sub & 0xFFFFFFFF
+    ).astype(np.uint64)
+
+
+def shift_for_span(t_min: int, t_max: int, cap: int, start: int = 0) -> int:
+    """The smallest shift ``>= start`` whose grid covers ``[t_min, t_max]``
+    in at most ``cap`` bins — deterministic in the span alone, and
+    monotone: a wider span can only yield an equal or larger shift (the
+    extension-exactness invariant)."""
+    k = start
     while (t_max >> k) - (t_min >> k) + 1 > cap:
         k += 1
     return k
@@ -119,57 +137,174 @@ def levels_for_span(t_min: int, t_max: int, base_shift: int) -> int:
 def dominant_state(states: dict[int, int]) -> int:
     """The state with the largest busy share (smallest type id on ties,
     so the answer is deterministic)."""
+    if len(states) == 1:
+        (state,) = states
+        return state
     return min(states, key=lambda s: (-states[s], s))
 
 
-def _fold_cells(cells: dict[int, Cell]) -> dict[int, Cell]:
-    """Merge sibling bins into their parents (one shift step, exact)."""
-    out: dict[int, Cell] = {}
-    for idx, (count, states) in cells.items():
-        parent = idx >> 1
-        prior = out.get(parent)
-        if prior is None:
-            out[parent] = (count, dict(states))
-        else:
-            merged = prior[1]
-            for state, busy in states.items():
-                merged[state] = merged.get(state, 0) + busy
-            out[parent] = (prior[0] + count, merged)
+def _starts(*columns: np.ndarray) -> np.ndarray:
+    """Positions where any of the (sorted, parallel) columns changes — the
+    first row of every group."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for col in columns:
+        first[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(first)
+
+
+def _aggregate(rows: _Rows) -> _Rows:
+    """Sort rows by (lane, bin, state) and sum duplicates (exact)."""
+    lane, bins, state, count, busy = rows
+    if not len(lane):
+        return rows
+    order = np.lexsort((state, bins, lane))
+    lane, bins, state = lane[order], bins[order], state[order]
+    starts = _starts(lane, bins, state)
+    return (
+        lane[starts], bins[starts], state[starts],
+        np.add.reduceat(count[order], starts),
+        np.add.reduceat(busy[order], starts),
+    )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(len(out))
     return out
 
 
-def _fold_cells_to(cells: dict[int, Cell], steps: int) -> dict[int, Cell]:
-    out = {idx: (count, dict(states)) for idx, (count, states) in cells.items()}
-    for _ in range(steps):
-        out = _fold_cells(out)
-    return out
+class Level(NamedTuple):
+    """One resolution of one lane kind, cells sorted by (lane, bin).
+
+    Lane ``i`` of the owning table holds cells ``offsets[i] ..
+    offsets[i + 1]``; cell ``c`` holds state rows ``state_off[c] ..
+    state_off[c + 1]`` (sorted by state) whose busy ticks sum to
+    ``totals[c]``.  All int64."""
+
+    offsets: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
+    state_off: np.ndarray
+    states: np.ndarray
+    busy: np.ndarray
+
+    @classmethod
+    def of(cls, offsets, bins, counts, state_off, states, busy) -> "Level":
+        totals = np.add.reduceat(busy, state_off[:-1])
+        return cls(offsets, bins, counts, totals, state_off, states, busy)
+
+    def cells(self, sel: np.ndarray, k: int) -> list[tuple[int, int, int, int, dict[int, int]]]:
+        """The cells at (sorted) positions ``sel`` as ``(bin << k, (bin + 1)
+        << k, count, busy, {state: busy})`` tuples."""
+        bins = self.bins[sel]
+        first = self.state_off[sel]
+        n_states = self.state_off[sel + 1] - first
+        totals = self.totals[sel].tolist()
+        # Python objects are the whole cost here: every cell first gets the
+        # cheap single-state literal, then the multi-state ones are redone
+        # from one iterator over their gathered state rows.
+        states = [{s: t} for s, t in zip(self.states[first].tolist(), totals)]
+        many = np.flatnonzero(n_states > 1)
+        rows = _ranges(first[many], n_states[many])
+        pairs = zip(self.states[rows].tolist(), self.busy[rows].tolist())
+        for i, n in zip(many.tolist(), n_states[many].tolist()):
+            states[i] = dict(islice(pairs, n))
+        return list(zip(
+            (bins << k).tolist(), ((bins + 1) << k).tolist(),
+            self.counts[sel].tolist(), totals, states,
+        ))
 
 
-@dataclass
+class LaneTable(NamedTuple):
+    """One lane kind: sorted uint64 lane keys and a :class:`Level` per
+    resolution (every lane has at least one cell at every level)."""
+
+    keys: np.ndarray
+    levels: tuple[Level, ...]
+
+
+def _level_of(rows: _Rows) -> tuple[np.ndarray, Level]:
+    """Aggregated rows -> (lane keys, two-tier level)."""
+    lane, bins, state, count, busy = rows
+    starts = _starts(lane, bins)
+    keys, first = np.unique(lane[starts], return_index=True)
+    return keys, Level.of(
+        np.append(first, len(starts)), bins[starts],
+        np.add.reduceat(count, starts), np.append(starts, len(lane)), state, busy,
+    )
+
+
+def _rows_of(keys: np.ndarray, level: Level) -> _Rows:
+    """A level back as aggregation rows (each cell's record count rides
+    on its first state row)."""
+    n_states = np.diff(level.state_off)
+    count = np.zeros(len(level.states), np.int64)
+    count[level.state_off[:-1]] = level.counts
+    return (
+        np.repeat(np.repeat(keys, np.diff(level.offsets)), n_states),
+        np.repeat(level.bins, n_states), level.states, count, level.busy,
+    )
+
+
+def _narrow(values: np.ndarray, dtype: str) -> bytes:
+    out = values.astype(dtype)
+    if (out != values).any():
+        raise FormatError(f"utilization value does not fit the sidecar's {dtype} column")
+    return out.tobytes()
+
+
+def _take(
+    data, pos: int, end: int, dtype: str, n: int, as_type=np.int64
+) -> tuple[np.ndarray, int]:
+    """``n`` little-endian values at ``pos`` (bounds-checked), widened so
+    later arithmetic cannot wrap."""
+    stop = pos + n * np.dtype(dtype).itemsize
+    if stop > end:
+        raise FormatError("utilization section overruns the sidecar")
+    return np.frombuffer(data, dtype, n, pos).astype(as_type), stop
+
+
+def _increasing_within(values: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether ``values`` strictly increase inside every ``offsets`` group."""
+    step = np.diff(values) > 0
+    step[offsets[1:-1] - 1] = True
+    return bool(step.all())
+
+
+@dataclass(eq=False)
 class UtilizationIndex:
-    """The persisted hierarchy: per-lane sparse bins at every level.
+    """The persisted hierarchy: per lane kind and level, sorted columns.
 
-    ``thread`` maps :func:`thread_key` lanes, ``cpu`` maps
-    :func:`cpu_key` lanes; each lane holds ``n_levels`` sparse bin maps,
-    level ``L`` at shift ``base_shift + L``.  ``t_min``/``t_max`` are the
-    extremes over *all* records (the builder's span — what extension
-    needs to reproduce the grid exactly)."""
+    ``thread`` holds :func:`thread_key` lanes, ``cpu`` holds
+    :func:`cpu_key` lanes; level ``L`` sits at shift ``base_shift + L``.
+    ``t_min``/``t_max`` are the extremes over *all* records (the
+    builder's span — what extension needs to reproduce the grid
+    exactly)."""
 
     base_shift: int
     n_levels: int
     t_min: int
     t_max: int
-    thread: dict[int, list[dict[int, Cell]]]
-    cpu: dict[int, list[dict[int, Cell]]]
+    thread: LaneTable
+    cpu: LaneTable
+    #: Per kind, the last whole-level answer: ``(level, cells)``.
+    _whole: dict = field(default_factory=dict, repr=False)
 
     # -------------------------------------------------------------- queries
 
-    def lanes(self, kind: str) -> dict[int, list[dict[int, Cell]]]:
+    def _table(self, kind: str) -> LaneTable:
         if kind == "thread":
             return self.thread
         if kind == "cpu":
             return self.cpu
         raise FormatError(f"unknown lane kind {kind!r}; pick 'thread' or 'cpu'")
+
+    def lanes(self, kind: str) -> list[int]:
+        """The sorted lane keys of one kind."""
+        return self._table(kind).keys.tolist()
 
     def level_for(self, t0: int, t1: int, max_bins: int) -> int:
         """The finest level whose bin count over ``[t0, t1]`` fits
@@ -186,109 +321,210 @@ class UtilizationIndex:
         """Aggregate cells over a window, at the finest level that fits.
 
         Returns ``(shift, {lane_key: [(bin_t0, bin_t1, count, busy,
-        states), ...]})`` — pure dictionary lookups, no trace IO.  The
-        window is clamped to the indexed span."""
-        lanes = self.lanes(kind)
+        states), ...]})`` — one masked pass over the level's bin column,
+        no trace IO.  The window is clamped to the indexed span.  The
+        ``states`` dicts may be shared between answers: read, never edit."""
+        table = self._table(kind)
         t0 = max(t0, self.t_min)
         t1 = min(max(t1, t0), self.t_max)
-        level = self.level_for(t0, t1, max_bins)
-        k = self.base_shift + level
-        b0, b1 = t0 >> k, t1 >> k
-        out: dict[int, list[tuple[int, int, int, int, dict[int, int]]]] = {}
-        for key in sorted(lanes):
-            cells = lanes[key][level]
-            picked = []
-            for idx in range(b0, b1 + 1):
-                cell = cells.get(idx)
-                if cell is None:
-                    continue
-                count, states = cell
-                picked.append(
-                    (idx << k, (idx + 1) << k, count, sum(states.values()), states)
-                )
-            if picked:
-                out[key] = picked
-        return k, out
+        li = self.level_for(t0, t1, max_bins)
+        k = self.base_shift + li
+        level = table.levels[li]
+        sel = np.flatnonzero((level.bins >= t0 >> k) & (level.bins <= t1 >> k))
+        if len(sel) < len(level.bins) or len(sel) > _KEEP_CELLS:
+            cells = level.cells(sel, k)
+        else:
+            # A window over the whole level — the whole-run view every
+            # viewer opens with — is asked again and again: keep the last
+            # such answer per kind.
+            kept = self._whole.get(kind)
+            if kept is None or kept[0] != li:
+                kept = self._whole[kind] = (li, level.cells(sel, k))
+            cells = kept[1]
+        return k, self._by_lane(table.keys, level, sel, cells)
+
+    @staticmethod
+    def _by_lane(keys: np.ndarray, level: Level, sel: np.ndarray, cells: list) -> dict:
+        """Split the cells at positions ``sel`` into ``{lane_key: cells}``
+        (lanes in key order, lanes without a cell left out)."""
+        cuts = np.searchsorted(sel, level.offsets).tolist()
+        return {
+            key: cells[lo:hi]
+            for key, lo, hi in zip(keys.tolist(), cuts, cuts[1:]) if lo < hi
+        }
+
+    def level_cells(self, kind: str, level: int) -> dict[int, dict[int, Cell]]:
+        """Every cell of one level as ``{lane_key: {bin: (count, {state:
+        busy})}}`` — the read accessor checks and tests compare through."""
+        table = self._table(kind)
+        lv = table.levels[level]
+        sel = np.arange(len(lv.bins))
+        cells = [(c[0], (c[2], c[4])) for c in lv.cells(sel, 0)]
+        return {
+            key: dict(lane) for key, lane in self._by_lane(table.keys, lv, sel, cells).items()
+        }
 
     def summary(self) -> dict:
         return {
             "base_shift": self.base_shift,
             "levels": self.n_levels,
-            "thread_lanes": len(self.thread),
-            "cpu_lanes": len(self.cpu),
+            "thread_lanes": len(self.thread.keys),
+            "cpu_lanes": len(self.cpu.keys),
             "time_range": [self.t_min, self.t_max],
         }
 
     # ------------------------------------------------------------- encoding
 
     def encode(self) -> bytes:
-        """Serialize the hierarchy section (deterministic: lanes sorted by
-        key, cells by bin index, states by type)."""
-        out = bytearray()
-        out += _UTIL_HEADER.pack(
+        """Serialize the hierarchy section: per kind the lane keys, then
+        per level a header and six columns (docs/FORMAT.md section 7).
+        Deterministic — the columns are already in canonical order."""
+        parts = [_UTIL_HEADER.pack(
             self.base_shift, self.n_levels, self.t_min, self.t_max,
-            len(self.thread), len(self.cpu),
-        )
-        for lanes in (self.thread, self.cpu):
-            for key in sorted(lanes):
-                levels = lanes[key]
-                out += _LANE.pack(key, len(levels[0]))
-                for li, cells in enumerate(levels):
-                    if li:
-                        out += _LEVEL.pack(len(cells))
-                    for idx in sorted(cells):
-                        count, states = cells[idx]
-                        out += _CELL.pack(idx, count, len(states))
-                        for state in sorted(states):
-                            out += _STATE.pack(state, states[state])
-        return bytes(out)
+            len(self.thread.keys), len(self.cpu.keys),
+        )]
+        for table in (self.thread, self.cpu):
+            parts.append(table.keys.astype("<u8").tobytes())
+            for li, level in enumerate(table.levels):
+                origin = self.t_min >> (self.base_shift + li)
+                parts += [
+                    _LEVEL_HEADER.pack(len(level.bins), len(level.states)),
+                    _narrow(np.diff(level.offsets), "<u4"),
+                    _narrow(level.bins - origin, "<u4"),
+                    _narrow(level.counts, "<u4"),
+                    _narrow(np.diff(level.state_off), "<u2"),
+                    _narrow(level.states, "<u4"),
+                    _narrow(level.busy, "<u8"),
+                ]
+        return b"".join(parts)
 
     @classmethod
-    def decode(cls, data: bytes, pos: int) -> tuple["UtilizationIndex | None", int]:
-        """Parse one hierarchy section starting at ``pos``.  A zero-level
-        header means "no utilization recorded" and decodes to ``None``."""
+    def decode(
+        cls, data: bytes, pos: int, end: int | None = None
+    ) -> tuple["UtilizationIndex | None", int]:
+        """Parse one hierarchy section in ``data[pos:end]``, enforcing
+        every invariant :meth:`query` relies on (sorted lanes, bins and
+        states; counts that add up; values inside the span).  A
+        zero-level header means "no utilization recorded" and decodes to
+        ``None``."""
+        end = len(data) if end is None else end
+        if pos + _UTIL_HEADER.size > end:
+            raise FormatError("utilization section truncated")
         base_shift, n_levels, t_min, t_max, n_thread, n_cpu = _UTIL_HEADER.unpack_from(
             data, pos
         )
         pos += _UTIL_HEADER.size
         if n_levels == 0:
             return None, pos
-        if n_levels > MAX_LEVELS:
-            raise FormatError(f"utilization section claims {n_levels} levels")
-
-        def read_lanes(n: int) -> dict[int, list[dict[int, Cell]]]:
-            nonlocal pos
-            lanes: dict[int, list[dict[int, Cell]]] = {}
-            for _ in range(n):
-                key, n_cells = _LANE.unpack_from(data, pos)
-                pos += _LANE.size
-                levels: list[dict[int, Cell]] = []
-                for li in range(n_levels):
-                    if li:
-                        (n_cells,) = _LEVEL.unpack_from(data, pos)
-                        pos += _LEVEL.size
-                    cells: dict[int, Cell] = {}
-                    for _ in range(n_cells):
-                        idx, count, n_states = _CELL.unpack_from(data, pos)
-                        pos += _CELL.size
-                        states: dict[int, int] = {}
-                        for _ in range(n_states):
-                            state, busy = _STATE.unpack_from(data, pos)
-                            pos += _STATE.size
-                            states[state] = busy
-                        cells[idx] = (count, states)
-                    levels.append(cells)
-                lanes[key] = levels
-            return lanes
-
-        thread = read_lanes(n_thread)
-        cpu = read_lanes(n_cpu)
-        return cls(base_shift, n_levels, t_min, t_max, thread, cpu), pos
+        if (
+            t_min > t_max
+            or base_shift + n_levels > 63
+            or n_levels != levels_for_span(t_min, t_max, base_shift)
+        ):
+            raise FormatError(
+                f"utilization section claims {n_levels} levels from shift "
+                f"{base_shift} over [{t_min}, {t_max}]"
+            )
+        tables = []
+        for n_lanes in (n_thread, n_cpu):
+            keys, pos = _take(data, pos, end, "<u8", n_lanes, np.uint64)
+            if n_lanes > 1 and not (keys[1:] > keys[:-1]).all():
+                raise FormatError("utilization lane keys are not sorted")
+            levels = []
+            for li in range(n_levels):
+                k = base_shift + li
+                origin = t_min >> k
+                header, pos = _take(data, pos, end, "<u4", 2)
+                n_cells, n_rows = header.tolist()
+                per_lane, pos = _take(data, pos, end, "<u4", n_lanes)
+                bins, pos = _take(data, pos, end, "<u4", n_cells)
+                counts, pos = _take(data, pos, end, "<u4", n_cells)
+                n_states, pos = _take(data, pos, end, "<u2", n_cells)
+                states, pos = _take(data, pos, end, "<u4", n_rows)
+                busy, pos = _take(data, pos, end, "<u8", n_rows)
+                offsets = np.concatenate(([0], np.cumsum(per_lane)))
+                state_off = np.concatenate(([0], np.cumsum(n_states)))
+                if (
+                    offsets[-1] != n_cells
+                    or state_off[-1] != n_rows
+                    or (n_lanes and per_lane.min() == 0)
+                    or (n_cells and n_states.min() == 0)
+                ):
+                    raise FormatError(
+                        f"utilization level {li} counts disagree with its tables"
+                    )
+                if n_cells and (
+                    int(bins.max()) > (t_max >> k) - origin
+                    or not _increasing_within(bins, offsets)
+                    or not _increasing_within(states, state_off)
+                    or busy.min() <= 0
+                ):
+                    raise FormatError(
+                        f"utilization level {li} cells are unsorted or out of range"
+                    )
+                levels.append(
+                    Level.of(offsets, bins + origin, counts, state_off, states, busy)
+                )
+            tables.append(LaneTable(keys, tuple(levels)))
+        return cls(base_shift, n_levels, t_min, t_max, *tables), pos
 
     @staticmethod
     def encode_absent() -> bytes:
         """The section bytes for an index without utilization data."""
         return _UTIL_HEADER.pack(0, 0, 0, 0, 0, 0)
+
+
+def utilization_payload(
+    util: UtilizationIndex,
+    kind: str,
+    window: tuple[int, int],
+    max_bins: int,
+    ticks_per_sec: float,
+    record_name,
+) -> dict:
+    """The ``/api/utilization`` / ``ute-query --utilization`` answer: raw
+    cells over a tick ``window`` with seconds, busy fraction and dominant
+    state per cell."""
+    tps = ticks_per_sec
+    w0, w1 = window
+    w1 = max(w1, w0 + 1)
+    shift, lanes = util.query(kind, w0, w1, max_bins)
+    width = 1 << shift
+    lanes_out = []
+    for key, cells in lanes.items():
+        node, sub = split_thread_key(key)
+        lanes_out.append({
+            "node": node,
+            ("thread" if kind == "thread" else "cpu"): sub,
+            "cells": [
+                {
+                    "start": bin_t0 / tps,
+                    "end": bin_t1 / tps,
+                    "count": count,
+                    "busy": busy / tps,
+                    "busy_frac": min(busy / width, 1.0),
+                    "dominant": dominant_state(states),
+                }
+                for bin_t0, bin_t1, count, busy, states in cells
+            ],
+        })
+    names = {}
+    for itype in sorted({c["dominant"] for lane in lanes_out for c in lane["cells"]}):
+        try:
+            names[str(itype)] = record_name(itype)
+        except Exception:
+            names[str(itype)] = f"type-{itype}"
+    return {
+        "kind": kind,
+        "ticks_per_sec": tps,
+        "window": [w0 / tps, w1 / tps],
+        "bin_seconds": width / tps,
+        "shift": shift,
+        "levels": util.n_levels,
+        "base_shift": util.base_shift,
+        "state_names": names,
+        "lanes": lanes_out,
+    }
 
 
 @dataclass(frozen=True)
@@ -303,204 +539,41 @@ class BuiltAggregates:
 
 
 #: Ceiling on the bins a single record may span at the accumulation
-#: shift.  Without it, a long record arriving while the occupied range —
-#: and therefore the shift — is still small costs O(duration/width) bin
-#: writes, which makes streaming accumulation quadratic-ish on regular
-#: traces.  With it, accumulation is O(_RECORD_BINS) per record and the
-#: finest published level is at worst ``longest_record / span`` * cap /
-#: _RECORD_BINS coarser than the range-optimal shift.  Like the range
+#: shift.  Without it, a long record arriving while the span — and
+#: therefore the shift — is still small costs O(duration/width) rows,
+#: which makes streaming accumulation quadratic-ish on regular traces.
+#: With it, accumulation is O(_RECORD_BINS) per record and the finest
+#: published level is at worst ``longest_record / span`` * cap /
+#: _RECORD_BINS coarser than the span-optimal shift.  Like the span
 #: rule, this constraint is a function of the record multiset only, so
 #: the final shift stays independent of arrival order — the property the
 #: extend-vs-rebuild byte-exactness proof rests on.
 _RECORD_BINS = 64
 
+#: Records :meth:`UtilizationBuilder.add` buffers before they flush
+#: through :meth:`UtilizationBuilder.add_batch`.
+_ADD_BUFFER = 4096
 
-class _LaneAccum:
-    """Per-lane busy accumulation at one (growing) shift.
+#: Loose (not yet aggregated) rows are folded into the aggregated chunk
+#: once they number this many and twice the aggregated rows — amortized
+#: O(n log n), memory a small multiple of level 0.
+_COMPACT_ROWS = 1 << 16
 
-    Folds every lane one shift step whenever the occupied global bin
-    range outgrows ``cap`` or one record would span more than
-    :data:`_RECORD_BINS` bins — the final shift is the smallest
-    satisfying both over all records, independent of arrival order."""
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.shift = 0
-        self.lanes: dict[int, dict[int, list]] = {}
-        self._lo: int | None = None
-        self._hi = 0
-
-    def ensure(self, lo_t: int, hi_t: int) -> None:
-        while True:
-            k = self.shift
-            lo, hi = lo_t >> k, hi_t >> k
-            record_ok = hi - lo + 1 <= _RECORD_BINS
-            if self._lo is not None:
-                lo, hi = min(lo, self._lo), max(hi, self._hi)
-            if record_ok and hi - lo + 1 <= self.cap:
-                self._lo, self._hi = lo, hi
-                return
-            for key, cells in self.lanes.items():
-                folded: dict[int, list] = {}
-                for idx, cell in cells.items():
-                    prior = folded.get(idx >> 1)
-                    if prior is None:
-                        folded[idx >> 1] = cell
-                    else:
-                        prior[0] += cell[0]
-                        states = prior[1]
-                        for state, busy in cell[1].items():
-                            states[state] = states.get(state, 0) + busy
-                self.lanes[key] = folded
-            self.shift += 1
-            if self._lo is not None:
-                self._lo >>= 1
-                self._hi >>= 1
-
-    def add(self, key: int, record: IntervalRecord) -> None:
-        k = self.shift
-        itype = record.itype
-        start, end = record.start, record.end
-        cells = self.lanes.setdefault(key, {})
-        first = start >> k
-        last = (end - 1) >> k
-        if first == last:
-            cell = cells.get(first)
-            if cell is None:
-                cells[first] = [1, {itype: end - start}]
-            else:
-                cell[0] += 1
-                states = cell[1]
-                states[itype] = states.get(itype, 0) + (end - start)
-            return
-        # Interior bins are fully covered; only the edge bins are partial.
-        width = 1 << k
-        overlap = ((first + 1) << k) - start
-        count = 1
-        for idx in range(first, last + 1):
-            cell = cells.get(idx)
-            if cell is None:
-                cells[idx] = [count, {itype: overlap}]
-            else:
-                cell[0] += count
-                states = cell[1]
-                states[itype] = states.get(itype, 0) + overlap
-            count = 0
-            overlap = width if idx + 1 < last else end - (last << k)
-
-    def seed(self, key: int, cells: dict[int, Cell]) -> None:
-        mut = {idx: [count, dict(states)] for idx, (count, states) in cells.items()}
-        self.lanes[key] = mut
-        for idx in mut:
-            lo = idx if self._lo is None else min(idx, self._lo)
-            hi = idx if self._lo is None else max(idx, self._hi)
-            self._lo, self._hi = lo, hi
-
-    def frozen(self, target_shift: int) -> dict[int, dict[int, Cell]]:
-        """Copies of every lane folded up to ``target_shift``."""
-        steps = target_shift - self.shift
-        if steps < 0:
-            raise FormatError(
-                f"accumulated shift {self.shift} exceeds target {target_shift}"
-            )
-        return {
-            key: _fold_cells_to(
-                {idx: (c[0], c[1]) for idx, c in cells.items()}, steps
-            )
-            for key, cells in self.lanes.items()
-        }
-
-
-class _StartAccum:
-    """The coarse-bin accumulator: (count, summed duration) keyed by the
-    bin containing each record's *start* — every record included, exactly
-    the semantics the v1 sidecar's ``bins`` array had, now on the
-    absolute grid so folds (and therefore extension) are exact."""
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        self.shift = 0
-        self.cells: dict[int, list] = {}
-        self._lo: int | None = None
-        self._hi = 0
-
-    def ensure(self, t: int) -> None:
-        while True:
-            k = self.shift
-            lo = hi = t >> k
-            if self._lo is not None:
-                lo, hi = min(lo, self._lo), max(hi, self._hi)
-            if hi - lo + 1 <= self.cap:
-                self._lo, self._hi = lo, hi
-                return
-            folded: dict[int, list] = {}
-            for idx, cell in self.cells.items():
-                prior = folded.get(idx >> 1)
-                if prior is None:
-                    folded[idx >> 1] = cell
-                else:
-                    prior[0] += cell[0]
-                    prior[1] += cell[1]
-            self.cells = folded
-            self.shift += 1
-            if self._lo is not None:
-                self._lo >>= 1
-                self._hi >>= 1
-
-    def add(self, start: int, duration: int) -> None:
-        cell = self.cells.get(start >> self.shift)
-        if cell is None:
-            self.cells[start >> self.shift] = [1, duration]
-        else:
-            cell[0] += 1
-            cell[1] += duration
-
-    def seed(self, origin: int, shift: int, bins) -> None:
-        self.shift = shift
-        for i, (count, duration) in enumerate(bins):
-            if not count and not duration:
-                continue
-            self.cells[origin + i] = [count, duration]
-            lo = origin + i if self._lo is None else min(origin + i, self._lo)
-            hi = origin + i if self._lo is None else max(origin + i, self._hi)
-            self._lo, self._hi = lo, hi
-
-    def grid(
-        self, t_min: int, t_max: int, n_bins: int
-    ) -> tuple[int, int, tuple[tuple[int, int], ...]]:
-        """Fold (a copy) onto the published grid: ``n_bins`` entries from
-        ``t_min >> shift``, shift the smallest that fits the span."""
-        shift = shift_for_span(t_min, t_max, n_bins)
-        steps = shift - self.shift
-        if steps < 0:
-            raise FormatError(
-                f"coarse shift {self.shift} exceeds grid shift {shift}"
-            )
-        cells = {idx: list(cell) for idx, cell in self.cells.items()}
-        for _ in range(steps):
-            folded: dict[int, list] = {}
-            for idx, cell in cells.items():
-                prior = folded.get(idx >> 1)
-                if prior is None:
-                    folded[idx >> 1] = cell
-                else:
-                    prior[0] += cell[0]
-                    prior[1] += cell[1]
-            cells = folded
-        origin = t_min >> shift
-        bins = tuple(
-            tuple(cells.get(origin + i, (0, 0))) for i in range(n_bins)
-        )
-        return origin, shift, bins
+_NO_ROWS: _Rows = (np.zeros(0, np.uint64), *(np.zeros(0, np.int64) for _ in range(4)))
 
 
 class UtilizationBuilder:
-    """Streams records into the exact absolute-grid aggregates.
+    """Accumulates frame batches into the exact absolute-grid aggregates.
 
     Used identically by :func:`~repro.query.indexfile.build_index` (full
     pass), :func:`~repro.query.indexfile.extend_index` (seeded from the
-    base index, tail records appended), and the live writer's incremental
-    index (records as frames seal) — all three land on the same bytes.
+    base index, tail frames appended), and the live writer's incremental
+    index (frames as they seal) — all three land on the same bytes.
+
+    Rows accumulate at ``shift``: the smallest shift at which the span
+    fits ``base_bins`` bins and no busy record covers more than
+    :data:`_RECORD_BINS` bins.  It only ever grows, and when it does the
+    held rows fold onto the coarser grid (``bin >> steps``, exact).
     """
 
     def __init__(self, *, base_bins: int = DEFAULT_BASE_BINS, coarse_bins: int = 64) -> None:
@@ -512,25 +585,104 @@ class UtilizationBuilder:
         self.coarse_bins = coarse_bins
         self.t_min: int | None = None
         self.t_max = 0
-        self._threads = _LaneAccum(base_bins)
-        self._cpus = _LaneAccum(base_bins)
-        self._coarse = _StartAccum(coarse_bins)
+        self.shift = 0
+        #: Row chunks at ``shift``, thread lanes then CPU lanes; chunk 0 is
+        #: aggregated unless ``_loose`` says otherwise.
+        self._rows: tuple[list[_Rows], list[_Rows]] = ([_NO_ROWS], [_NO_ROWS])
+        self._loose = 0
+        self._coarse_origin = 0
+        self._coarse_shift = 0
+        self._coarse = np.zeros((2, coarse_bins), np.int64)  # counts, durations
+        self._buffer: list[IntervalRecord] = []
 
     def add(self, record: IntervalRecord) -> None:
-        """Account one record (any order; grids are absolute)."""
-        self.t_min = (
-            record.start if self.t_min is None else min(self.t_min, record.start)
-        )
-        self.t_max = max(self.t_max, record.end)
-        self._coarse.ensure(record.start)
-        self._coarse.add(record.start, record.duration)
-        if record.duration <= 0 or record.itype == IntervalType.CLOCKPAIR:
+        """Account one record (any order; grids are absolute).  Buffered:
+        records reach the aggregates through :meth:`add_batch`."""
+        self._buffer.append(record)
+        if len(self._buffer) >= _ADD_BUFFER:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._buffer:
+            buffered, self._buffer = self._buffer, []
+            self.add_batch(batch_from_records(buffered))
+
+    def add_batch(self, batch: FrameBatch) -> None:
+        """Account one frame's records (any order, any chunking)."""
+        self._flush()
+        if not batch.n:
             return
-        hi = record.end - 1
-        self._threads.ensure(record.start, hi)
-        self._threads.add(thread_key(record.node, record.thread), record)
-        self._cpus.ensure(record.start, hi)
-        self._cpus.add(cpu_key(record.node, record.cpu), record)
+        first = int(batch.start.min())
+        self.t_min = first if self.t_min is None else min(self.t_min, first)
+        self.t_max = max(self.t_max, int(batch.end.max()))
+        self._add_coarse(batch.start, batch.dura)
+        cols = (batch.start, batch.end, batch.node, batch.thread, batch.cpu, batch.itype)
+        busy = (batch.dura > 0) & (batch.itype != int(IntervalType.CLOCKPAIR))
+        if not busy.all():
+            cols = tuple(col[busy] for col in cols)
+        start, end, node, thread, cpu, itype = cols
+        k = shift_for_span(self.t_min, self.t_max, self.base_bins, self.shift)
+        wide_lo, wide_hi = start, end - 1
+        while True:
+            wide = (wide_hi >> k) - (wide_lo >> k) >= _RECORD_BINS
+            if not wide.any():
+                break
+            wide_lo, wide_hi = wide_lo[wide], wide_hi[wide]
+            k += 1
+        self._grow(k)
+        if not len(start):
+            return
+        # One row per (record, covered bin): interior bins are fully
+        # covered, the edge bins clipped.
+        lo_bin = start >> k
+        n_bins = ((end - 1) >> k) - lo_bin + 1
+        bins = _ranges(lo_bin, n_bins)
+        lo_tick = bins << k
+        overlap = np.minimum(np.repeat(end, n_bins), lo_tick + (1 << k))
+        overlap -= np.maximum(np.repeat(start, n_bins), lo_tick)
+        count = (bins == np.repeat(lo_bin, n_bins)).astype(np.int64)
+        state = np.repeat(itype, n_bins)
+        for chunks, sub in zip(self._rows, (thread, cpu)):
+            lane = np.repeat(lane_keys(node, sub), n_bins)
+            chunks.append((lane, bins, state, count, overlap))
+        self._loose += len(bins)
+        if self._loose >= max(_COMPACT_ROWS, 2 * len(self._rows[0][0][0])):
+            self._compact()
+
+    def _grow(self, shift: int) -> None:
+        steps = shift - self.shift
+        if steps:
+            for chunks in self._rows:
+                chunks[:] = [
+                    (lane, bins >> steps, state, count, busy)
+                    for lane, bins, state, count, busy in chunks
+                ]
+            self._loose = sum(len(rows[0]) for rows in self._rows[0])
+            self.shift = shift
+
+    def _compact(self) -> None:
+        """Fold every held chunk into one aggregated chunk per kind."""
+        if self._loose:
+            for chunks in self._rows:
+                chunks[:] = [_aggregate(tuple(map(np.concatenate, zip(*chunks))))]
+            self._loose = 0
+
+    def _add_coarse(self, start: np.ndarray, dura: np.ndarray) -> None:
+        shift = shift_for_span(
+            self.t_min, self.t_max, self.coarse_bins, self._coarse_shift
+        )
+        origin = self.t_min >> shift
+        if (origin, shift) != (self._coarse_origin, self._coarse_shift):
+            old = self._coarse
+            held = np.flatnonzero(old.any(axis=0))
+            moved = ((held + self._coarse_origin) >> (shift - self._coarse_shift)) - origin
+            self._coarse = np.zeros_like(old)
+            for new_row, old_row in zip(self._coarse, old):
+                np.add.at(new_row, moved, old_row[held])
+            self._coarse_origin, self._coarse_shift = origin, shift
+        idx = (start >> shift) - origin
+        np.add.at(self._coarse[0], idx, 1)
+        np.add.at(self._coarse[1], idx, dura)
 
     @classmethod
     def from_aggregates(
@@ -544,47 +696,38 @@ class UtilizationBuilder:
     ) -> "UtilizationBuilder":
         """Resume accumulation from a decoded index — the extension path.
 
-        Seeds the lane accumulators from the hierarchy's finest level and
-        the coarse accumulator from the published grid; both are exact
-        representations at their shifts, so appended records continue
-        folding exactly where a rebuild would."""
+        Seeds the rows from the hierarchy's finest level and the coarse
+        bins from the published grid; both are exact representations at
+        their shifts, so appended frames continue folding exactly where a
+        rebuild would."""
         builder = cls(base_bins=base_bins, coarse_bins=len(bins))
         if sum(count for count, _ in bins) == 0:
             return builder
         builder.t_min, builder.t_max = base.t_min, base.t_max
-        for accum, lanes in ((builder._threads, base.thread), (builder._cpus, base.cpu)):
-            accum.shift = base.base_shift
-            for key in lanes:
-                accum.seed(key, lanes[key][0])
-        builder._coarse.seed(bin_origin, bin_shift, bins)
+        builder.shift = base.base_shift
+        for chunks, table in zip(builder._rows, (base.thread, base.cpu)):
+            chunks[:] = [_rows_of(table.keys, table.levels[0])]
+        builder._coarse_origin, builder._coarse_shift = bin_origin, bin_shift
+        builder._coarse = np.array(bins, np.int64).T.copy()
         return builder
 
     def build(self) -> BuiltAggregates:
         """Freeze the accumulated state onto the deterministic grids (the
         builder stays usable — live snapshots call this per epoch)."""
+        self._flush()
+        self._compact()
         t_min = 0 if self.t_min is None else self.t_min
         t_max = max(self.t_max, t_min)
-        base_shift = max(
-            shift_for_span(t_min, t_max, self.base_bins),
-            self._threads.shift,
-            self._cpus.shift,
-        )
-        n_levels = levels_for_span(t_min, t_max, base_shift)
-        thread = self._levels(self._threads, base_shift, n_levels)
-        cpu = self._levels(self._cpus, base_shift, n_levels)
-        origin, shift, bins = self._coarse.grid(t_min, t_max, self.coarse_bins)
-        util = UtilizationIndex(base_shift, n_levels, t_min, t_max, thread, cpu)
-        return BuiltAggregates(util, origin, shift, bins)
-
-    @staticmethod
-    def _levels(
-        accum: _LaneAccum, base_shift: int, n_levels: int
-    ) -> dict[int, list[dict[int, Cell]]]:
-        finest = accum.frozen(base_shift)
-        out: dict[int, list[dict[int, Cell]]] = {}
-        for key, cells in finest.items():
-            levels = [cells]
+        n_levels = levels_for_span(t_min, t_max, self.shift)
+        tables = []
+        for (rows,) in self._rows:
+            keys, level = _level_of(rows)
+            levels = [level]
             for _ in range(1, n_levels):
-                levels.append(_fold_cells(levels[-1]))
-            out[key] = levels
-        return out
+                lane, bins, state, count, busy = rows
+                rows = _aggregate((lane, bins >> 1, state, count, busy))
+                levels.append(_level_of(rows)[1])
+            tables.append(LaneTable(keys, tuple(levels)))
+        util = UtilizationIndex(self.shift, n_levels, t_min, t_max, *tables)
+        bins = tuple(zip(*self._coarse.tolist()))
+        return BuiltAggregates(util, self._coarse_origin, self._coarse_shift, bins)

@@ -33,6 +33,7 @@ from repro.query.indexfile import load_fresh_index
 from repro.query.model import Query
 from repro.query.planner import MODE_INDEXED, plan_query
 from repro.query.trace import TraceHandle
+from repro.query.utilization import utilization_payload
 from repro.utils.stats import generate_tables
 from repro.viz.arrows import match_arrows
 from repro.viz.interactive import view_payload
@@ -248,55 +249,13 @@ class TraceSession:
                 return None
             tps = self.handle.ticks_per_sec
             if window is not None:
-                w0, w1 = int(window[0] * tps), int(window[1] * tps)
+                ticks = int(window[0] * tps), int(window[1] * tps)
             else:
-                w0, w1 = util.t_min, util.t_max
-            w1 = max(w1, w0 + 1)
-            shift, lanes = util.query(kind, w0, w1, max_bins)
-            width = 1 << shift
-            record_name = self.viewer.slog.profile.record_name
-            lanes_out = []
-            for key, cells in lanes.items():
-                node, sub = key >> 32, key & 0xFFFFFFFF
-                lanes_out.append(
-                    {
-                        "node": node,
-                        ("thread" if kind == "thread" else "cpu"): sub,
-                        "cells": [
-                            {
-                                "start": bin_t0 / tps,
-                                "end": bin_t1 / tps,
-                                "count": count,
-                                "busy": busy / tps,
-                                "busy_frac": min(busy / width, 1.0),
-                                "dominant": min(
-                                    states, key=lambda s: (-states[s], s)
-                                ),
-                            }
-                            for bin_t0, bin_t1, count, busy, states in cells
-                        ],
-                    }
-                )
-            dominant_types = sorted(
-                {c["dominant"] for lane in lanes_out for c in lane["cells"]}
+                ticks = util.t_min, util.t_max
+            return utilization_payload(
+                util, kind, ticks, max_bins, tps,
+                self.viewer.slog.profile.record_name,
             )
-            names = {}
-            for itype in dominant_types:
-                try:
-                    names[str(itype)] = record_name(itype)
-                except Exception:
-                    names[str(itype)] = f"type-{itype}"
-            return {
-                "kind": kind,
-                "ticks_per_sec": tps,
-                "window": [w0 / tps, w1 / tps],
-                "bin_seconds": width / tps,
-                "shift": shift,
-                "levels": util.n_levels,
-                "base_shift": util.base_shift,
-                "state_names": names,
-                "lanes": lanes_out,
-            }
 
     def stats_tables(
         self,

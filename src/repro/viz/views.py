@@ -358,7 +358,7 @@ def utilization_view(
     (node, cpu)); ``window`` restricts the time range (defaults to the
     indexed span) and ``max_bins`` caps the level resolution so the
     lookup stays O(pixels) at any zoom."""
-    from repro.query.utilization import split_thread_key
+    from repro.query.utilization import dominant_state, split_thread_key
 
     t0, t1 = window if window is not None else (util.t_min, util.t_max)
     t1 = max(t1, t0 + 1)
@@ -386,10 +386,7 @@ def utilization_view(
         # (state changes) rather than its pixel width.
         run = None  # [start, end, state, count, bucket, busy]
         for bin_t0, bin_t1, count, busy, states in lanes.get(key, []):
-            if len(states) == 1:
-                (state,) = states
-            else:
-                state = min(states, key=lambda s: (-states[s], s))
+            state = dominant_state(states)
             if state not in names:
                 names[state] = name_of(state)
             lo, hi = max(bin_t0, t0), min(bin_t1, t1)

@@ -348,6 +348,41 @@ class TestLiveIndex:
         writer.abort()
 
 
+    def test_every_snapshot_equals_a_post_hoc_rebuild(self, tmp_path):
+        """The incremental index is not an approximation: each epoch's
+        aggregates are the ones a fresh builder computes from the published
+        records, and the final sidecar is ``build_index`` of the finished
+        file, byte for byte."""
+        from repro.query import build_index, index_path_for, open_trace
+        from repro.query.columnar import batch_from_records
+        from repro.query.utilization import UtilizationBuilder
+
+        path = tmp_path / "run.slog"
+        writer = live_writer(path)
+        t = 0
+        for batch in range(4):
+            for i in range(30):
+                # Growing durations: the grid's shift rises across epochs.
+                dura = 5 + (batch * 30 + i) * 7
+                writer.write(running(t, dura))
+                t += dura + 3
+            writer.publish(seal=True)
+            index = load_index(index_path(writer.live_dir))
+            reader = LiveReader(path)
+            rebuilt = UtilizationBuilder(coarse_bins=index.n_bins)
+            for entry in reader.frames:
+                rebuilt.add_batch(batch_from_records(reader.read_frame(entry)))
+            reader.close()
+            built = rebuilt.build()
+            assert index.utilization.encode() == built.utilization.encode()
+            assert (index.bin_origin, index.bin_shift, index.bins) == (
+                built.bin_origin, built.bin_shift, built.bins,
+            )
+        final = writer.close()
+        with open_trace(final, PROFILE) as handle:
+            assert index_path_for(final).read_bytes() == build_index(handle).encode()
+
+
 class TestFollowReader:
     def test_follow_across_epochs_exactly_once(self, tmp_path):
         path = tmp_path / "run.slog"

@@ -13,6 +13,9 @@ import contextlib
 import io
 import json
 import os
+import random
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,255 @@ class TestIndexFile:
     def test_index_path_for(self):
         assert index_path_for("d/run.slog").name == "run.slog.uteidx"
         assert index_path_for("d/run.ute").name == "run.ute.uteidx"
+
+
+# ---------------------------------------------------------------------------
+# Sidecar damage: every malformed v3 file is a FormatError, never a NumPy
+# exception and never a wrong answer.
+
+
+def sidecar_sections(data: bytes) -> list[tuple[str, int, int]]:
+    """Walk a version-3 sidecar by the layout in docs/FORMAT.md section 7:
+    ``(name, start, end)`` of every section, in file order."""
+    out: list[tuple[str, int, int]] = []
+    pos = 0
+
+    def take(name: str, size: int) -> None:
+        nonlocal pos
+        out.append((name, pos, pos + size))
+        pos += size
+
+    take("header", 16)
+    take("source", 40)
+    _, _, n_frames, n_bins, n_postings, _ = struct.unpack_from("<qqIIII", data, pos)
+    take("span", 32)
+    take("bingrid", 12)
+    for i in range(n_frames):
+        (n_keys,) = struct.unpack_from("<I", data, pos + 36)
+        take(f"frame{i}", 40 + 32 + 8 * n_keys)
+    take("bins", 16 * n_bins)
+    for i in range(n_postings):
+        (n,) = struct.unpack_from("<I", data, pos + 8)
+        take(f"posting{i}", 12 + 4 * n)
+    _, n_levels, _, _, n_thread, n_cpu = struct.unpack_from("<IIqqII", data, pos)
+    take("util.header", 32)
+    for kind, n_lanes in (("thread", n_thread), ("cpu", n_cpu)):
+        take(f"{kind}.keys", 8 * n_lanes)
+        for li in range(n_levels):
+            n_cells, n_rows = struct.unpack_from("<II", data, pos)
+            take(f"{kind}.{li}.header", 8)
+            take(f"{kind}.{li}.lane_cells", 4 * n_lanes)
+            take(f"{kind}.{li}.bins", 4 * n_cells)
+            take(f"{kind}.{li}.counts", 4 * n_cells)
+            take(f"{kind}.{li}.n_states", 2 * n_cells)
+            take(f"{kind}.{li}.states", 4 * n_rows)
+            take(f"{kind}.{li}.busy", 8 * n_rows)
+    take("crc", 4)
+    assert pos == len(data)
+    return out
+
+
+def resealed(body: bytes) -> bytes:
+    """``body`` (a sidecar minus its trailer) under a valid CRC."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def patched(data: bytes, name: str, fmt: str, change, *, at: int = 0) -> bytes:
+    """``data`` with the ``fmt`` value(s) at byte ``at`` of section ``name``
+    replaced by ``change(*values)`` and the CRC repaired."""
+    start = next(s for n, s, _ in sidecar_sections(data) if n == name) + at
+    values = change(*struct.unpack_from(fmt, data, start))
+    body = bytearray(data[:-4])
+    struct.pack_into(fmt, body, start, *values)
+    return resealed(bytes(body))
+
+
+#: CRC-repaired tampering the decoder's own checks must catch.
+TAMPERINGS = {
+    "unsorted_bins": lambda d: patched(d, "thread.0.bins", "<II", lambda a, b: (b, a)),
+    "unsorted_states": lambda d: patched(
+        d, "thread.0.states", "<II", lambda a, b: (b, a),
+        at=4 * first_multi_state_row(d),
+    ),
+    "unsorted_lane_keys": lambda d: patched(
+        d, "thread.keys", "<QQ", lambda a, b: (b, a)
+    ),
+    "n_states_disagree": lambda d: patched(
+        d, "thread.0.n_states", "<H", lambda n: (n + 1,)
+    ),
+    "lane_cells_disagree": lambda d: patched(
+        d, "cpu.1.lane_cells", "<I", lambda n: (n + 1,)
+    ),
+    "empty_lane": lambda d: patched(
+        d, "thread.0.lane_cells", "<II", lambda a, b: (0, a + b)
+    ),
+    "zero_busy": lambda d: patched(d, "cpu.0.busy", "<Q", lambda b: (0,)),
+    "busy_beyond_int64": lambda d: patched(d, "cpu.0.busy", "<Q", lambda b: (1 << 63,)),
+    "bin_outside_span": lambda d: patched(
+        d, "thread.2.bins", "<I", lambda b: (0xFFFFFFF0,)
+    ),
+    "cells_overflow_file": lambda d: patched(
+        d, "thread.0.header", "<II", lambda c, r: (0xFFFFFFF0, r)
+    ),
+    "rows_overflow_file": lambda d: patched(
+        d, "cpu.0.header", "<II", lambda c, r: (c, 0x7FFFFFFF)
+    ),
+    "lanes_overflow_file": lambda d: patched(
+        d, "util.header", "<IIqqII", lambda s, n, a, b, t, c: (s, n, a, b, 0xFFFFFFF0, c)
+    ),
+    "levels_disagree_with_span": lambda d: patched(
+        d, "util.header", "<IIqqII", lambda s, n, a, b, t, c: (s, n - 1, a, b, t, c)
+    ),
+    "shift_beyond_int64": lambda d: patched(
+        d, "util.header", "<IIqqII", lambda s, n, a, b, t, c: (70, n, a, b, t, c)
+    ),
+    "frame_keys_overflow_file": lambda d: patched(
+        d, "frame0", "<I", lambda n: (0x7FFFFFFF,), at=36
+    ),
+}
+
+
+def first_multi_state_row(data: bytes) -> int:
+    """Row index of the first thread level-0 cell holding two states."""
+    sections = {n: (s, e) for n, s, e in sidecar_sections(data)}
+    start, end = sections["thread.0.n_states"]
+    row = 0
+    for (n,) in struct.iter_unpack("<H", data[start:end]):
+        if n > 1:
+            return row
+        row += n
+    raise AssertionError("fixture has no multi-state cell")
+
+
+def mixed_records(n=240):
+    """Like ``_records`` but long enough to overlap: markers run inside
+    running intervals, so cells hold several states and lanes many bins."""
+    out = []
+    for i in range(n):
+        itype = MARKER if i % 5 == 0 else RUNNING
+        extra = {"markerId": 1} if itype == MARKER else {}
+        out.append(
+            IntervalRecord(
+                itype, BeBits.COMPLETE, i * 100_000, 650_000, i % 3, i % 2, i % 2, extra
+            )
+        )
+    return out
+
+
+class TestSidecarDamage:
+    QUERY = Query(threads=(ThreadSel(None, 1),), t0=2_000_000, t1=9_000_000)
+
+    @pytest.fixture()
+    def trace(self, tmp_path):
+        path = make_ivl(tmp_path / "mixed.ute", mixed_records())
+        with open_trace(path, PROFILE) as handle:
+            write_index(build_index(handle), index_path_for(path))
+        return path
+
+    def assert_falls_back(self, trace, data):
+        """The damaged bytes are refused as ``corrupt:`` and the query
+        answers what the full scan answers."""
+        with pytest.raises(FormatError):
+            TraceIndex.decode(data)
+        index_path_for(trace).write_bytes(data)
+        index, reason = load_fresh_index(trace)
+        assert index is None and reason.startswith("corrupt:")
+        damaged = run_query(trace, self.QUERY, profile=PROFILE)
+        plain = run_query(trace, self.QUERY, profile=PROFILE, index=False)
+        assert damaged.plan.mode == MODE_FULL_SCAN
+        assert damaged.rows == plain.rows and len(plain.rows) > 0
+
+    def test_layout_walk_covers_the_file(self, trace):
+        data = index_path_for(trace).read_bytes()
+        names = [name for name, _, _ in sidecar_sections(data)]
+        assert names[:4] == ["header", "source", "span", "bingrid"]
+        assert "thread.0.busy" in names and names[-1] == "crc"
+        assert first_multi_state_row(data) >= 0
+
+    def test_truncation_at_every_section_boundary(self, trace):
+        data = index_path_for(trace).read_bytes()
+        cuts = sorted({start for _, start, _ in sidecar_sections(data)} - {0})
+        assert len(cuts) > 100
+        assert cuts[-1] == len(data) - 4  # resealing that one restores the file
+        for cut in cuts:
+            with pytest.raises(FormatError):
+                TraceIndex.decode(data[:cut])
+            if cut != cuts[-1]:
+                with pytest.raises(FormatError):
+                    TraceIndex.decode(resealed(data[:cut]))
+        for cut in (cuts[3], cuts[len(cuts) // 2], cuts[-2]):
+            self.assert_falls_back(trace, data[:cut])
+            self.assert_falls_back(trace, resealed(data[:cut]))
+
+    def test_every_bit_flip_is_rejected(self, trace):
+        data = index_path_for(trace).read_bytes()
+        rng = random.Random(12)
+        for _ in range(300):
+            flipped = bytearray(data)
+            flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            with pytest.raises(FormatError):
+                TraceIndex.decode(bytes(flipped))
+        self.assert_falls_back(trace, bytes(flipped))
+
+    def test_crc_repaired_bit_flips_decode_or_raise_format_error(self, trace):
+        """With the checksum repaired a flip may land on a value no check
+        can know is wrong (a busy total); what it may never do is escape as
+        anything but :class:`FormatError` or break a later query."""
+        data = index_path_for(trace).read_bytes()
+        rng = random.Random(34)
+        refused = 0
+        for _ in range(400):
+            body = bytearray(data[:-4])
+            body[rng.randrange(len(body))] ^= 1 << rng.randrange(8)
+            try:
+                index = TraceIndex.decode(resealed(bytes(body)))
+            except FormatError:
+                refused += 1
+                continue
+            util = index.utilization
+            if util is not None:
+                for kind in ("thread", "cpu"):
+                    util.query(kind, util.t_min, util.t_max, 64)
+                    util.level_cells(kind, util.n_levels - 1)
+        assert refused > 0
+
+    @pytest.mark.parametrize("name", sorted(TAMPERINGS))
+    def test_crc_repaired_tampering_is_refused(self, trace, name):
+        data = index_path_for(trace).read_bytes()
+        tampered = TAMPERINGS[name](data)
+        assert tampered != data and zlib.crc32(tampered[:-4]) == struct.unpack(
+            "<I", tampered[-4:]
+        )[0]
+        self.assert_falls_back(trace, tampered)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_versions_are_stale_not_read(self, trace, version):
+        """A v1/v2-shaped file (valid magic and checksum, an older version
+        word) is never parsed: it reports ``stale:version`` and the
+        planner scans."""
+        data = index_path_for(trace).read_bytes()
+        body = bytearray(data[:-4])
+        struct.pack_into("<I", body, 8, version)
+        index_path_for(trace).write_bytes(resealed(bytes(body)))
+        index, reason = load_fresh_index(trace)
+        assert index is None and reason == "stale:version"
+        stale = run_query(trace, self.QUERY, profile=PROFILE)
+        plain = run_query(trace, self.QUERY, profile=PROFILE, index=False)
+        assert stale.plan.mode == MODE_FULL_SCAN and stale.rows == plain.rows
+
+    def test_registry_rebuilds_an_older_version(self, trace):
+        from repro.repository import Repository
+
+        sidecar = index_path_for(trace)
+        good = sidecar.read_bytes()
+        body = bytearray(good[:-4])
+        struct.pack_into("<I", body, 8, 2)
+        sidecar.write_bytes(resealed(bytes(body)))
+        repo = Repository(None, build_indexes=True)
+        dataset = repo.attach("old", trace)
+        repo._build_index(dataset)
+        assert dataset.index_status == "ready" and dataset.index_extended is False
+        assert sidecar.read_bytes() == good
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,18 @@ import contextlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import standard_profile
 from repro.core.fields import MASK_ALL_MERGED
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
-from repro.query import build_index, index_path_for, open_trace, write_index
+from repro.query import TraceIndex, build_index, index_path_for, open_trace, write_index
+from repro.query.columnar import batch_from_records
 from repro.query.utilization import (
     UtilizationBuilder,
     UtilizationIndex,
@@ -47,6 +51,52 @@ def build(records, **kwargs):
     for r in records:
         builder.add(r)
     return builder.build()
+
+
+def level0(util, kind="thread"):
+    """``{lane: {bin: (count, {state: busy})}}`` at the finest level."""
+    return util.level_cells(kind, 0)
+
+
+def brute_force_levels(records, base_shift, n_levels, key_of):
+    """Every level's cells by the definition: per record, per bin, clipped
+    overlap at the finest level; each parent the sum of its two children."""
+    cells: dict = {}
+    for r in records:
+        if r.duration <= 0 or r.itype == IntervalType.CLOCKPAIR:
+            continue
+        lane = cells.setdefault(key_of(r), {})
+        first, last = r.start >> base_shift, (r.end - 1) >> base_shift
+        for idx in range(first, last + 1):
+            lo = idx << base_shift
+            overlap = min(r.end, lo + (1 << base_shift)) - max(r.start, lo)
+            cell = lane.setdefault(idx, [0, {}])
+            cell[1][int(r.itype)] = cell[1].get(int(r.itype), 0) + overlap
+        lane[first][0] += 1
+    levels = [cells]
+    for _ in range(1, n_levels):
+        folded: dict = {}
+        for key, lane in levels[-1].items():
+            up = folded.setdefault(key, {})
+            for idx, (count, states) in lane.items():
+                parent = up.setdefault(idx >> 1, [0, {}])
+                parent[0] += count
+                for state, busy in states.items():
+                    parent[1][state] = parent[1].get(state, 0) + busy
+        levels.append(folded)
+    return [
+        {key: {idx: (c[0], c[1]) for idx, c in lane.items()} for key, lane in lv.items()}
+        for lv in levels
+    ]
+
+
+def sidecar_bytes(built):
+    """The aggregates as a whole (source-less) sidecar's bytes."""
+    util = built.utilization
+    return TraceIndex(
+        0, b"\0" * 32, util.t_min, util.t_max, len(built.bins), built.bins, [], {},
+        bin_origin=built.bin_origin, bin_shift=built.bin_shift, utilization=util,
+    ).encode()
 
 
 def make_slog(path, records, *, threads=2, frame_bytes=512):
@@ -117,34 +167,29 @@ class TestBuilderExactness:
         for r in records:
             key = thread_key(r.node, r.thread)
             want[key] = want.get(key, 0) + r.duration
-        for key, levels in util.thread.items():
-            got = sum(
-                sum(states.values()) for _, states in levels[0].values()
-            )
+        for key, cells in level0(util).items():
+            got = sum(sum(states.values()) for _, states in cells.values())
             assert got == want[key]
 
     def test_counts_attribute_each_record_once(self):
         records = sample_records()
         util = build(records).utilization
         total = sum(
-            count for levels in util.thread.values()
-            for count, _ in levels[0].values()
+            count for cells in level0(util).values() for count, _ in cells.values()
         )
         assert total == len(records)
 
     def test_every_level_folds_exactly_from_the_one_below(self):
-        util = build(sample_records()).utilization
-        for levels in list(util.thread.values()) + list(util.cpu.values()):
-            for li in range(1, util.n_levels):
-                folded = {}
-                for idx, (count, states) in levels[li - 1].items():
-                    prior = folded.setdefault(idx >> 1, [0, {}])
-                    prior[0] += count
-                    for s, busy in states.items():
-                        prior[1][s] = prior[1].get(s, 0) + busy
-                assert levels[li] == {
-                    idx: (c, st) for idx, (c, st) in folded.items()
-                }
+        records = sample_records()
+        util = build(records).utilization
+        assert util.n_levels > 3
+        for kind, key_of in (
+            ("thread", lambda r: thread_key(r.node, r.thread)),
+            ("cpu", lambda r: cpu_key(r.node, r.cpu)),
+        ):
+            want = brute_force_levels(records, util.base_shift, util.n_levels, key_of)
+            for li in range(util.n_levels):
+                assert util.level_cells(kind, li) == want[li]
 
     def test_zero_duration_and_clockpairs_skip_busy_lanes(self):
         records = [
@@ -155,8 +200,8 @@ class TestBuilderExactness:
         built = build(records)
         util = built.utilization
         busy = sum(
-            sum(states.values()) for levels in util.thread.values()
-            for _, states in levels[0].values()
+            sum(states.values()) for cells in level0(util).values()
+            for _, states in cells.values()
         )
         assert busy == 500
         # ...but the coarse grid counts every record by its start bin.
@@ -169,6 +214,123 @@ class TestBuilderExactness:
         a, b = build(records), build(shuffled)
         assert a.utilization.encode() == b.utilization.encode()
         assert a.bins == b.bins
+
+
+record_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3_000_000),
+        st.sampled_from([0, 1, 7, 300, 5_000, 120_000, 900_000]),
+        st.sampled_from([0, 1, 0x7FFFFFFF]), st.integers(0, 1), st.integers(0, 3),
+        st.sampled_from(
+            [int(IntervalType.RUNNING), int(MARKER), int(IntervalType.CLOCKPAIR), 7]
+        ),
+    ),
+    max_size=60,
+)
+grids = st.sampled_from([(4096, 64), (64, 8)])
+
+
+def from_rows(rows):
+    return [
+        rec(start, dura, node=node, cpu=cpu, thread=thread, itype=itype)
+        for start, dura, node, cpu, thread, itype in rows
+    ]
+
+
+class TestChunkingAndOrder:
+    """One accumulation path: however the same records arrive — any order,
+    any chunking, through ``add`` or ``add_batch``, with snapshots in
+    between — the sidecar bytes are the same and the cells are the
+    brute-force ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_rows, grids, st.randoms(use_true_random=False))
+    def test_any_chunking_and_order_is_byte_identical(self, rows, grid, rng):
+        from unittest import mock
+
+        from repro.query import utilization
+
+        records = from_rows(rows)
+        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
+        reference = UtilizationBuilder(**kwargs)
+        reference.add_batch(batch_from_records(records))
+        want = sidecar_bytes(reference.build())
+
+        shuffled = list(records)
+        rng.shuffle(shuffled)
+        # Tiny thresholds so buffer flushes and compactions happen mid-stream.
+        with mock.patch.object(utilization, "_COMPACT_ROWS", 16), \
+                mock.patch.object(utilization, "_ADD_BUFFER", 5):
+            builder = UtilizationBuilder(**kwargs)
+            while shuffled:
+                n = rng.randint(1, 9)
+                chunk, shuffled = shuffled[:n], shuffled[n:]
+                if rng.random() < 0.5:
+                    for r in chunk:
+                        builder.add(r)
+                else:
+                    builder.add_batch(batch_from_records(chunk))
+                if rng.random() < 0.25:
+                    builder.build()
+            built = builder.build()
+        assert sidecar_bytes(built) == want
+
+        util = built.utilization
+        for kind, key_of in (
+            ("thread", lambda r: thread_key(r.node, r.thread)),
+            ("cpu", lambda r: cpu_key(r.node, r.cpu)),
+        ):
+            exact = brute_force_levels(records, util.base_shift, util.n_levels, key_of)
+            for li in range(util.n_levels):
+                assert util.level_cells(kind, li) == exact[li]
+        coarse = [[0, 0] for _ in built.bins]
+        for r in records:
+            cell = coarse[(r.start >> built.bin_shift) - built.bin_origin]
+            cell[0] += 1
+            cell[1] += r.duration
+        assert [list(b) for b in built.bins] == coarse
+
+    @settings(max_examples=40, deadline=None)
+    @given(record_rows, grids, st.integers(0, 60))
+    def test_resuming_from_decoded_aggregates_equals_a_rebuild(self, rows, grid, cut):
+        records = from_rows(rows)
+        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
+        full = sidecar_bytes(build(records, **kwargs))
+        base = TraceIndex.decode(sidecar_bytes(build(records[:cut], **kwargs)))
+        resumed = UtilizationBuilder.from_aggregates(
+            base.utilization, base.bin_origin, base.bin_shift, base.bins,
+            base_bins=grid[0],
+        )
+        resumed.add_batch(batch_from_records(records[cut:]))
+        assert sidecar_bytes(resumed.build()) == full
+
+
+class TestGoldenQueries:
+    def test_query_answers_match_the_dict_implementation(self, corpus):
+        """``query()`` over the golden corpus, pinned to what the
+        dict-of-dict implementation it replaced returned (dumped at commit
+        63e2fdc: windows, shift, and every cell of every lane)."""
+        golden = json.loads(
+            (Path(corpus.root) / "utilization_golden.json").read_text()
+        )
+        assert sorted(golden) == ["good.slog", "good.ute"]
+        for name, cases in golden.items():
+            with open_trace(corpus.path(name), PROFILE) as handle:
+                util = build_index(handle).utilization
+            for case in cases:
+                shift, lanes = util.query(
+                    case["kind"], case["t0"], case["t1"], case["max_bins"]
+                )
+                assert shift == case["shift"]
+                got = {
+                    str(key): [
+                        [b0, b1, count, busy, {str(s): v for s, v in states.items()}]
+                        for b0, b1, count, busy, states in cells
+                    ]
+                    for key, cells in lanes.items()
+                }
+                assert got == case["lanes"]
+                assert list(got) == sorted(got, key=int)
 
 
 class TestEncoding:
@@ -213,6 +375,24 @@ class TestQuery:
         for cells in lanes.values():
             assert cells[0][0] >= (util.t_min >> shift) << shift
 
+    def test_repeated_whole_run_queries_match_a_fresh_index(self):
+        # Whole-level answers are remembered per kind; whatever was asked
+        # before, every answer equals a never-queried index's.
+        records = sample_records()
+        util = build(records).utilization
+        mid = (util.t_min + util.t_max) // 2
+        asks = [
+            (util.t_min, util.t_max, 16), (util.t_min, util.t_max, 16),
+            (util.t_min, util.t_max, 64), (mid, mid + 500, 16),
+            (util.t_min, util.t_max, 16), (util.t_min, util.t_max, 1 << 20),
+        ]
+        for t0, t1, max_bins in asks:
+            for kind in ("thread", "cpu"):
+                fresh = build(records).utilization
+                assert util.query(kind, t0, t1, max_bins) == fresh.query(
+                    kind, t0, t1, max_bins
+                )
+
     def test_unknown_lane_kind_raises(self):
         from repro.errors import FormatError
 
@@ -243,8 +423,8 @@ class TestSidecarIntegration:
             index = build_index(handle)
         util = index.utilization
         busy = sum(
-            sum(states.values()) for levels in util.thread.values()
-            for _, states in levels[0].values()
+            sum(states.values()) for cells in level0(util).values()
+            for _, states in cells.values()
         )
         assert busy == sum(r.duration for r in records)
 
