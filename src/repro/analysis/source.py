@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.records import IntervalRecord, IntervalType
-from repro.query.engine import planned_records, resolve_index, window_to_ticks
+from repro.query.columnar import planned_batch_records
+from repro.query.engine import resolve_index, window_to_ticks
 from repro.query.model import Query, ThreadSel
 from repro.query.planner import QueryPlan, plan_query
 from repro.query.trace import open_trace
@@ -53,7 +54,7 @@ def load_records(
         plan = plan_query(query, handle.frames, loaded, index_reason=reason)
         records = [
             r
-            for r in planned_records(handle, query, plan)
+            for r in planned_batch_records(handle, query, plan)
             if not (drop_clockpairs and r.itype == IntervalType.CLOCKPAIR)
         ]
         return records, plan

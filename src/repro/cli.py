@@ -755,7 +755,7 @@ def main_profile(argv: list[str] | None = None) -> int:
         Query,
         open_trace,
         plan_query,
-        planned_records,
+        planned_batch_records,
         resolve_index,
         window_to_ticks,
     )
@@ -774,7 +774,7 @@ def main_profile(argv: list[str] | None = None) -> int:
             t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
             query = Query(t0=t0, t1=t1)
             plan = plan_query(query, handle.frames, loaded, index_reason=reason)
-            records.extend(planned_records(handle, query, plan))
+            records.extend(planned_batch_records(handle, query, plan))
     rows = call_profile(
         records, profile, markers=markers, include_running=args.include_running
     )

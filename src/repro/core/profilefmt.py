@@ -133,25 +133,22 @@ class Profile:
             out += self.specs[itype].encode()
         return bytes(out)
 
-    def write(self, path: str | Path) -> Path:
-        """Write the profile file crash-safely; returns its path."""
-        from repro.core.atomicio import atomic_write_bytes
-
+    def to_bytes(self) -> bytes:
+        """The profile file's exact bytes: magic, CRC32 of the body, body.
+        SLOG files and live containers embed this same framing."""
         body = self._body_bytes()
-        return atomic_write_bytes(
-            path, MAGIC + struct.pack("<I", zlib.crc32(body)) + body
-        )
+        return MAGIC + struct.pack("<I", zlib.crc32(body)) + body
 
     @classmethod
-    def read(cls, path: str | Path) -> "Profile":
-        """Read and validate a profile file."""
-        data = Path(path).read_bytes()
+    def from_bytes(cls, data: bytes, context: str = "profile") -> "Profile":
+        """Decode and validate :meth:`to_bytes` output; ``context`` names
+        the source in error messages."""
         if data[:8] != MAGIC:
-            raise FormatError(f"{path}: not a profile file")
+            raise FormatError(f"{context}: not a profile file")
         (version,) = struct.unpack_from("<I", data, 8)
         body = data[12:]
         if zlib.crc32(body) != version:
-            raise FormatError(f"{path}: profile checksum mismatch")
+            raise FormatError(f"{context}: profile checksum mismatch")
         offset = 0
         record_names, offset = _read_names(body, offset)
         field_names, offset = _read_names(body, offset)
@@ -163,8 +160,19 @@ class Profile:
             specs[spec.record_type] = spec
         profile = cls(record_names, field_names, specs)
         if profile.version_id != version:  # pragma: no cover - crc covers this
-            raise ProfileMismatchError(f"{path}: version id mismatch after decode")
+            raise ProfileMismatchError(f"{context}: version id mismatch after decode")
         return profile
+
+    def write(self, path: str | Path) -> Path:
+        """Write the profile file crash-safely; returns its path."""
+        from repro.core.atomicio import atomic_write_bytes
+
+        return atomic_write_bytes(path, self.to_bytes())
+
+    @classmethod
+    def read(cls, path: str | Path) -> "Profile":
+        """Read and validate a profile file."""
+        return cls.from_bytes(Path(path).read_bytes(), str(path))
 
     def check_version(self, version_id: int, context: str = "") -> None:
         """Raise :class:`ProfileMismatchError` unless ``version_id`` matches."""

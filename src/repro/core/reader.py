@@ -28,41 +28,32 @@ callers must treat them as read-only.
 from __future__ import annotations
 
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.bytesource import ByteSource, open_source
+from repro.core.bytesource import ByteSource
 from repro.core.frames import NO_DIRECTORY, FrameDirectory, FrameEntry, aggregate_totals
+from repro.core.framestore import DEFAULT_FRAME_CACHE, FrameStore
 from repro.core.profilefmt import Profile
 from repro.core.records import IntervalRecord, skip_record, unpack_type_word, decode_length
-from repro.core.salvage import (
-    SalvageReport,
-    check_error_mode,
-    salvage_frame_records,
-    salvage_stats,
-)
+from repro.core.salvage import DECODE_ERRORS as _DECODE_ERRORS
 from repro.core.threadtable import ThreadTable
 from repro.core.windows import overlaps_window
 from repro.core.writer import IntervalFileHeader, decode_marker_table, decode_node_table
 from repro.errors import FormatError
-
-#: Low-level exceptions a corrupted byte stream can surface; readers
-#: translate them into FormatError so callers see one failure type.
-_DECODE_ERRORS = (struct.error, IndexError, ValueError, OverflowError, UnicodeDecodeError)
-
-#: Default number of decoded frames the reader keeps (LRU).
-DEFAULT_FRAME_CACHE = 16
 
 #: Nominal byte length charged to the salvage report for a damaged frame
 #: directory — its true extent is unknowable once the header lies.
 _DIR_NOMINAL = 24
 
 
-class IntervalReader:
-    """Random- and sequential-access reader for one interval file."""
+class IntervalReader(FrameStore):
+    """Random- and sequential-access reader for one interval file.
+
+    Header, tables and frame directories are parsed here; fetching,
+    decoding and caching frames is inherited from
+    :class:`~repro.core.framestore.FrameStore`."""
 
     def __init__(
         self,
@@ -74,30 +65,15 @@ class IntervalReader:
         cache_frames: int = DEFAULT_FRAME_CACHE,
         errors: str = "strict",
     ) -> None:
-        self.path = Path(path)
-        self._salvage_mode = check_error_mode(errors)
-        self.salvage: SalvageReport | None = (
-            SalvageReport(path=self.path) if self._salvage_mode else None
+        super().__init__(
+            path, source=source, mode=mode, cache_frames=cache_frames, errors=errors
         )
-        self.source = source if source is not None else open_source(self.path, mode)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self._frame_cache: OrderedDict[tuple[int, int], list[IntervalRecord]] = OrderedDict()
-        # Columnar batches cache separately: a query session tends to stick
-        # with one executor, so the two caches rarely both fill.
-        self._batch_cache: OrderedDict[tuple[int, int], object] = OrderedDict()
         # Parsed frame-directory chain, filled by the first complete strict
         # walk.  Interval files are immutable once written (live appends go
         # through their own container protocol), so re-decoding the chain on
         # every find_frame would make random access O(directories) instead of
         # the O(1)-per-lookup the frame directory exists to provide.
         self._dir_chain: list[FrameDirectory] | None = None
-        self._cache_frames = max(0, cache_frames)
-        # Serializes frame reads: the LRU mutation (move_to_end + eviction)
-        # and the byte source's internal chunk cache are not safe under
-        # concurrent readers sharing one instance (the serving daemon does).
-        self._cache_lock = threading.Lock()
         if len(self.source) < IntervalFileHeader.size():
             raise FormatError(f"{self.path}: truncated interval file")
         try:
@@ -122,28 +98,10 @@ class IntervalReader:
         except _DECODE_ERRORS as exc:
             raise FormatError(f"{self.path}: corrupt header section ({exc})") from exc
         self.profile = profile
+        self.field_mask = self.header.field_mask
+        self.ticks_per_sec = self.header.ticks_per_sec
         if profile is not None:
             profile.check_version(self.header.profile_version, str(self.path))
-
-    def close(self) -> None:
-        """Release the underlying byte source and drop the frame cache."""
-        self._frame_cache.clear()
-        self._batch_cache.clear()
-        self.source.close()
-
-    def __enter__(self) -> "IntervalReader":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def _require_profile(self) -> Profile:
-        if self.profile is None:
-            raise FormatError(
-                f"{self.path}: decoding records requires a profile "
-                "(pass one to IntervalReader or use read_profile)"
-            )
-        return self.profile
 
     # ------------------------------------------------------------ directories
 
@@ -165,7 +123,7 @@ class IntervalReader:
         *back-link* (``prev_offset``) points at a directory it already
         trusts — the doubly linked list means every genuine successor
         carries that exact byte pattern — and resumes the chain there."""
-        if self._salvage_mode:
+        if self.salvage is not None:
             # Salvage walks never cache: resync decisions and the report's
             # skip accounting are per-walk side effects.
             yield from self._salvage_directories()
@@ -293,126 +251,11 @@ class IntervalReader:
                 return None
         return None
 
+    def frame_entries(self) -> list[FrameEntry]:
+        """All frame entries as a list (the name SlogFile shares)."""
+        return list(self.frames())
+
     # ---------------------------------------------------------------- records
-
-    def read_frame(self, frame: FrameEntry) -> list[IntervalRecord]:
-        """Decode every record of one frame (LRU-cached by frame identity).
-
-        Cache hits return a fresh list sharing the previously decoded
-        record objects — treat them as read-only.  Thread-safe: readers
-        shared across threads (the serving daemon) serialize on an
-        internal lock."""
-        key = (frame.offset, frame.size)
-        with self._cache_lock:
-            cached = self._frame_cache.get(key)
-            if cached is not None:
-                self._frame_cache.move_to_end(key)
-                self.cache_hits += 1
-                return list(cached)
-            self.cache_misses += 1
-            records = self._decode_frame(frame)
-            if self._cache_frames:
-                self._frame_cache[key] = records
-                while len(self._frame_cache) > self._cache_frames:
-                    self._frame_cache.popitem(last=False)
-                    self.cache_evictions += 1
-            return list(records)
-
-    def stats(self) -> dict[str, int]:
-        """Cache and IO accounting in the shared stats shape:
-        ``{"hits", "misses", "evictions", "fetch_count", "bytes_fetched"}``,
-        extended with the salvage counters (zero in strict mode)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            **self.source.stats(),
-            **salvage_stats(self.salvage),
-        }
-
-    def read_frame_batch(self, frame: FrameEntry):
-        """Decode one frame into a columnar :class:`~repro.query.columnar.
-        FrameBatch` (LRU-cached separately from record-object frames).
-
-        Strict mode decodes straight from a zero-copy byte-source view; in
-        salvage mode the resynchronizing record decoder runs first and the
-        batch mirrors its output, so both executors see identical salvaged
-        records.  Cache hits/misses share the reader's counters."""
-        from repro.query.columnar import batch_from_records, decode_frame_batch
-
-        key = (frame.offset, frame.size)
-        with self._cache_lock:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                self._batch_cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-            if self._salvage_mode:
-                batch = batch_from_records(self._decode_frame(frame))
-            else:
-                profile = self._require_profile()
-                view = self.source.view(frame.offset, frame.size)
-                try:
-                    size_read = len(view)
-                    try:
-                        batch = decode_frame_batch(view, profile, self.header.field_mask)
-                    except _DECODE_ERRORS as exc:
-                        raise FormatError(
-                            f"{self.path}: corrupt record in frame at offset "
-                            f"{frame.offset} ({exc})"
-                        ) from exc
-                finally:
-                    view.release()
-                if batch.n != frame.n_records or size_read != frame.size:
-                    raise FormatError(
-                        f"frame at {frame.offset}: decoded {batch.n} records, "
-                        f"entry says {frame.n_records}"
-                    )
-            if self._cache_frames:
-                self._batch_cache[key] = batch
-                while len(self._batch_cache) > self._cache_frames:
-                    self._batch_cache.popitem(last=False)
-                    self.cache_evictions += 1
-            return batch
-
-    def _decode_frame(self, frame: FrameEntry) -> list[IntervalRecord]:
-        profile = self._require_profile()
-        blob = self.source.fetch(frame.offset, frame.size)
-        if self._salvage_mode:
-            assert self.salvage is not None
-            records = salvage_frame_records(
-                blob,
-                profile,
-                self.header.field_mask,
-                base_offset=frame.offset,
-                report=self.salvage,
-                expected_records=frame.n_records,
-                expected_size=frame.size,
-                time_span=(frame.start_time, frame.end_time),
-            )
-            if not records and frame.n_records:
-                self.salvage.frames_quarantined += 1
-            return records
-        records = []
-        pos = 0
-        end = len(blob)
-        while pos < end:
-            try:
-                record, pos = IntervalRecord.decode(
-                    blob, pos, profile, self.header.field_mask
-                )
-            except _DECODE_ERRORS as exc:
-                raise FormatError(
-                    f"{self.path}: corrupt record at offset {frame.offset + pos} ({exc})"
-                ) from exc
-            records.append(record)
-        if len(records) != frame.n_records or len(blob) != frame.size:
-            raise FormatError(
-                f"frame at {frame.offset}: decoded {len(records)} records, "
-                f"entry says {frame.n_records}"
-            )
-        return records
 
     def intervals(self) -> Iterator[IntervalRecord]:
         """All records in file order (ascending end time)."""

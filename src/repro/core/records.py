@@ -108,6 +108,14 @@ class IntervalRecord:
         """End time: start plus duration."""
         return self.start + self.duration
 
+    @property
+    def fits_int64(self) -> bool:
+        """Whether start, duration and end all lie in ``[0, 2**63)`` — the
+        range the columnar batches (int64 columns) and the frame
+        directories can carry.  A record outside it is damage: strict
+        reads refuse its frame, salvage reads drop it."""
+        return 0 <= self.start and 0 <= self.duration and self.end < (1 << 63)
+
     def get(self, name: str) -> Any:
         """Read any field by profile name (common fields included)."""
         common = {

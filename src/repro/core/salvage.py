@@ -138,7 +138,8 @@ def salvage_stats(report: SalvageReport | None) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Frame-payload salvage: shared by IntervalReader and SlogFile.
+# Frame-payload salvage: called from one place, the frame store
+# (repro.core.framestore), on behalf of every frame-indexed reader.
 
 
 def salvage_frame_records(
@@ -158,7 +159,9 @@ def salvage_frame_records(
     for the next *plausible* record boundary — an offset where a record
     decodes in full, its end time does not precede the last good record's
     (timestamp monotonicity), and, when the frame's index entry supplied a
-    ``time_span``, the record lies inside it.  Damage is accounted to
+    ``time_span``, the record lies inside it.  A record that decodes but
+    whose time range leaves ``[0, 2**63)`` (:attr:`IntervalRecord.fits_int64`)
+    is dropped and counted in ``records_dropped``.  Damage is accounted to
     ``report``; the function never raises for corrupt payload bytes.
     """
     from repro.core.records import IntervalRecord
@@ -167,6 +170,7 @@ def salvage_frame_records(
     pos = 0
     end = len(blob)
     last_end: int | None = None
+    unusable = 0
     if expected_size is not None and end < expected_size:
         report.skip(
             base_offset + end, expected_size - end, "frame truncated by end of file"
@@ -178,9 +182,14 @@ def salvage_frame_records(
             record = None
             nxt = pos
         if record is not None:
+            pos = nxt
+            if not record.fits_int64:
+                # Well-formed bytes, unusable times: a declared loss, not a
+                # resync (the next record starts where this one ends).
+                unusable += 1
+                continue
             records.append(record)
             last_end = record.end if last_end is None else max(last_end, record.end)
-            pos = nxt
             continue
         resync = _resync_record(blob, pos + 1, profile, mask, last_end, time_span)
         if resync is None:
@@ -188,8 +197,9 @@ def salvage_frame_records(
             break
         report.skip(base_offset + pos, resync - pos, "corrupt record")
         pos = resync
-    if expected_records is not None and len(records) < expected_records:
-        report.records_dropped += expected_records - len(records)
+    # The directory's count is the better measure of loss when it is known
+    # (it also covers records the resync scan never saw).
+    report.records_dropped += max(unusable, (expected_records or 0) - len(records))
     return records
 
 

@@ -207,36 +207,22 @@ def load_comparable(
 
         with RawTraceReader(path, errors=errors) as reader:
             return kind, [(_raw_fields(e), False) for e in reader]
-    if kind == "interval":
-        from repro.core.profilefmt import standard_profile
-        from repro.core.reader import IntervalReader
-        from repro.core.records import BeBits
+    from repro.core.records import BeBits
+    from repro.query.trace import open_trace
 
-        # Interval files carry no per-frame pseudo count (that is SLOG
-        # metadata), but the merge's injected continuation records are
-        # structurally recognizable: zero-duration CONTINUATION bebits.
-        reader = IntervalReader(path, profile or standard_profile(), errors=errors)
-        try:
-            return kind, [
-                (
-                    _interval_fields(r),
-                    r.bebits is BeBits.CONTINUATION and r.duration == 0,
-                )
-                for r in reader.intervals()
-            ]
-        finally:
-            reader.close()
-    from repro.utils.slog import SlogFile
-
-    slog = SlogFile(path, errors=errors)
-    try:
-        out: list[tuple[dict[str, Any], bool]] = []
-        for entry in slog.frames:
-            for i, record in enumerate(slog.read_frame(entry)):
-                out.append((_interval_fields(record), i < entry.n_pseudo))
-        return kind, out
-    finally:
-        slog.close()
+    # SLOG frame entries count their leading pseudo records.  Interval files
+    # carry no such count, but the merge's injected continuation records
+    # are structurally recognizable: zero-duration CONTINUATION bebits.
+    out: list[tuple[dict[str, Any], bool]] = []
+    with open_trace(path, profile, errors=errors) as handle:
+        for frame in handle.frames:
+            for i, record in enumerate(handle.read_frame(frame.ordinal)):
+                if kind == "slog":
+                    pseudo = i < frame.n_pseudo
+                else:
+                    pseudo = record.bebits is BeBits.CONTINUATION and record.duration == 0
+                out.append((_interval_fields(record), pseudo))
+    return kind, out
 
 
 # ------------------------------------------------------------------ diffing

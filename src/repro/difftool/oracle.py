@@ -11,8 +11,13 @@ check                  the two paths compared
                        input (raw / interval / SLOG)
 ``indexed_vs_full``    the query engine with a freshly built index vs. the
                        forced full scan, over a canonical query set
+``decode_parity``      the frame store (columnar batch decode, records
+                       materialised from the batch) vs. the uncached
+                       per-record reference decoder, on every frame:
+                       record values, ``extra`` key order, batch columns
 ``columnar_vs_record`` the batched columnar executor vs. the
-                       record-at-a-time reference executor, over the same
+                       record-at-a-time reference executor (which decodes
+                       through the reference decoder), over the same
                        canonical query set (rows and rendered TSV must be
                        byte-identical)
 ``dump_vs_query``      ``ute-dump --window`` record selection vs. a
@@ -224,6 +229,54 @@ def _check_indexed_vs_full(report: OracleReport, path: Path, profile) -> None:
             )
 
 
+_CORE_COLUMNS = ("start", "dura", "end", "node", "cpu", "thread", "type", "bebits")
+
+
+def _decode_mismatch(want: list, got: list, batch) -> str | None:
+    """How one frame's store output differs from the reference decoder's
+    records (``None`` when it does not)."""
+    from repro.query.model import record_value
+
+    if len(got) != len(want) or batch.n != len(want):
+        return (
+            f"reference decoded {len(want)} records, store {len(got)}, "
+            f"batch {batch.n}"
+        )
+    for i, (a, b) in enumerate(zip(want, got)):
+        if a != b:
+            return f"record {i}: reference {a!r}, store {b!r}"
+        if list(a.extra) != list(b.extra):
+            return (
+                f"record {i}: extra key order {list(b.extra)}, "
+                f"reference {list(a.extra)}"
+            )
+    extras = dict.fromkeys(key for r in want for key in r.extra)
+    for name in (*_CORE_COLUMNS, *extras):
+        if batch.column_values(name) != [record_value(r, name) for r in want]:
+            return f"batch column {name!r} differs from the reference records"
+    return None
+
+
+def _check_decode_parity(report: OracleReport, path: Path, profile) -> None:
+    """Everything the frame store hands out must equal what the reference
+    decoder reads from the same bytes — the store's batch decode is the
+    only decode product paths use, so this is the check under all others."""
+    from repro.query.trace import open_trace
+
+    report.checks.append("decode_parity")
+    with open_trace(path, profile) as handle:
+        for frame in handle.frames:
+            problem = _decode_mismatch(
+                handle.reference_frame(frame.ordinal),
+                handle.read_frame(frame.ordinal),
+                handle.read_frame_batch(frame.ordinal),
+            )
+            if problem is not None:
+                report.add(
+                    Finding("decode_parity", f"{path} frame {frame.ordinal}", problem)
+                )
+
+
 def _check_columnar_vs_record(report: OracleReport, path: Path, profile) -> None:
     """The batched columnar executor must return exactly the record
     executor's rows — and render the identical TSV — for every canonical
@@ -276,46 +329,21 @@ def _dump_window_records(path: Path, profile, window) -> list[dict[str, Any]]:
     """The records ``ute-dump --window`` selects, as comparable field maps
     (the dump path's own frame selection + record predicate, unformatted)."""
     from repro.difftool.differ import _interval_fields
-    from repro.utils.dump import _in_window, _select_frames, _window_ticks
+    from repro.query.trace import open_reader
+    from repro.utils.dump import selected_records
 
-    kind = sniff_kind(path)
-    if kind == "interval":
-        from repro.core.profilefmt import standard_profile
-        from repro.core.reader import IntervalReader
-
-        reader = IntervalReader(path, profile or standard_profile())
-        ticks = _window_ticks(window, reader.header.ticks_per_sec)
-        frames = _select_frames(reader.frames(), None, ticks, path)
-        try:
-            return [
-                _interval_fields(r)
-                for entry in frames
-                for r in reader.read_frame(entry)
-                if _in_window(r, ticks)
-            ]
-        finally:
-            reader.close()
-    from repro.utils.slog import SlogFile
-
-    slog = SlogFile(path)
-    try:
-        ticks = _window_ticks(window, slog.ticks_per_sec)
-        frames = _select_frames(slog.frames, None, ticks, path)
-        return [
-            _interval_fields(r)
-            for entry in frames
-            for r in slog.read_frame(entry)
-            if _in_window(r, ticks)
-        ]
-    finally:
-        slog.close()
+    reader, _kind = open_reader(path, profile)
+    with reader:
+        _, records = selected_records(reader, None, window, path)
+        return [_interval_fields(r) for r in records]
 
 
 def _check_dump_vs_query(report: OracleReport, path: Path, profile) -> None:
     """The dump path's windowed record selection must equal the query
     engine's for the same window."""
     from repro.difftool.differ import _interval_fields
-    from repro.query.engine import planned_records, window_to_ticks
+    from repro.query.columnar import planned_batch_records
+    from repro.query.engine import window_to_ticks
     from repro.query.model import Query
     from repro.query.planner import plan_query
     from repro.query.trace import open_trace
@@ -329,7 +357,9 @@ def _check_dump_vs_query(report: OracleReport, path: Path, profile) -> None:
         t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
         query = Query(t0=t0, t1=t1)
         plan = plan_query(query, handle.frames, None, index_reason="oracle")
-        query_rows = [_interval_fields(r) for r in planned_records(handle, query, plan)]
+        query_rows = [
+            _interval_fields(r) for r in planned_batch_records(handle, query, plan)
+        ]
     config = DiffConfig()
     diff = DiffReport(
         f"{path}[dump]", f"{path}[query]", report.kind, report.kind, config
@@ -616,6 +646,7 @@ def run_oracle(
     _check_strict_vs_salvage(report, path, profile)
     if kind in ("interval", "slog"):
         _check_indexed_vs_full(report, path, profile)
+        _check_decode_parity(report, path, profile)
         _check_columnar_vs_record(report, path, profile)
         _check_dump_vs_query(report, path, profile)
         _check_aggregate_vs_exact(report, path, profile)

@@ -206,7 +206,9 @@ class FollowReader:
         self._cache_frames = cache_frames
         self._errors = errors
         self._live: LiveReader | None = None
-        self._final_handle = None
+        #: Frame-ordinal view of whatever is being followed: the live
+        #: reader while the container exists, the finished file afterwards.
+        self._handle = None
         self._consumed_frames = 0
         self._consumed_records = 0  # non-pseudo records handed out
         self._skip_in_frame = 0  # mid-frame resume point after a switchover
@@ -234,7 +236,7 @@ class FollowReader:
     def reader(self):
         """The underlying reader (a :class:`LiveReader` while live, the
         finished file's handle afterwards)."""
-        return self._live if self._live is not None else self._final_handle
+        return self._live if self._live is not None else self._handle
 
     def poll(self) -> FollowEvent | None:
         """Non-blocking: the next batch of new records, or None."""
@@ -275,12 +277,10 @@ class FollowReader:
                 return
 
     def close(self) -> None:
-        if self._live is not None:
-            self._live.close()
-            self._live = None
-        if self._final_handle is not None:
-            self._final_handle.close()
-            self._final_handle = None
+        if self._handle is not None:
+            self._handle.close()  # closes the live reader it wraps, if any
+            self._handle = None
+        self._live = None
         self._done = True
 
     def __enter__(self) -> "FollowReader":
@@ -292,12 +292,15 @@ class FollowReader:
     # ------------------------------------------------------------ internals
 
     def _try_open(self) -> bool:
+        from repro.query.trace import TraceHandle
+
         live_dir = live_dir_for(self.path)
         if epoch_path(live_dir).exists():
             try:
                 self._live = LiveReader(
                     self.path, cache_frames=self._cache_frames, errors=self._errors
                 )
+                self._handle = TraceHandle(self.path, self._live, "slog")
                 return True
             except (FormatError, OSError):
                 # Lost a race with finalization; fall through to the file.
@@ -311,35 +314,21 @@ class FollowReader:
     def _open_final(self) -> None:
         from repro.query.trace import open_trace
 
-        self._final_handle = open_trace(
+        self._handle = open_trace(
             self.path, errors=self._errors, cache_frames=self._cache_frames
         )
 
     def _poll_live(self) -> FollowEvent | None:
         assert self._live is not None
-        self._live.refresh()
-        frames = self._live.frames
-        if len(frames) > self._consumed_frames:
-            new = frames[self._consumed_frames :]
-            records: list[IntervalRecord] = []
-            n_pseudo = 0
-            for entry in new:
-                records.extend(self._live.read_frame(entry))
-                n_pseudo += entry.n_pseudo
-            self._consumed_frames = len(frames)
-            self._consumed_records += len(records) - n_pseudo
-            self._last_seq = self._live.seq
-            return FollowEvent(
-                "epoch", self._live.seq, records,
-                n_new_frames=len(new), total_frames=len(frames),
-                n_pseudo=n_pseudo,
-            )
-        if self._live.finalized:
+        if self._live.refresh():
+            self._handle.refresh_entries()
+        event = self._consume(self._live.seq)
+        if event is None and self._live.finalized:
             self._done = True
             return FollowEvent(
-                "final", self._live.seq, total_frames=len(frames),
+                "final", self._live.seq, total_frames=len(self._handle.frames)
             )
-        return None
+        return event
 
     def _switch_to_final(self) -> None:
         """The container vanished mid-follow: resume inside the assembled
@@ -353,11 +342,10 @@ class FollowReader:
         self._live.close()
         self._live = None
         self._open_final()
-        handle = self._final_handle
         if flavor == FLAVOR_INTERVAL:
             skip = self._consumed_records
             self._consumed_frames = 0
-            for frame in handle.frames:
+            for frame in self._handle.frames:
                 if skip < frame.n_records:
                     break
                 skip -= frame.n_records
@@ -371,29 +359,36 @@ class FollowReader:
             self._skip_in_frame = skip
 
     def _poll_final(self) -> FollowEvent | None:
-        handle = self._final_handle
-        assert handle is not None
         seq = self._last_seq + 1
-        if len(handle.frames) > self._consumed_frames:
-            records: list[IntervalRecord] = []
-            n_pseudo = 0
-            new = handle.frames[self._consumed_frames :]
-            for frame in new:
-                batch = handle.read_frame(frame.ordinal)
-                pseudo = frame.n_pseudo
-                if self._skip_in_frame:
-                    batch = batch[self._skip_in_frame :]
-                    pseudo = max(0, pseudo - self._skip_in_frame)
-                    self._skip_in_frame = 0
-                records.extend(batch)
-                n_pseudo += pseudo
-            self._consumed_frames = len(handle.frames)
-            self._consumed_records += len(records) - n_pseudo
-            self._last_seq = seq
-            return FollowEvent(
-                "epoch", seq, records,
-                n_new_frames=len(new), total_frames=len(handle.frames),
-                n_pseudo=n_pseudo,
-            )
-        self._done = True
-        return FollowEvent("final", seq, total_frames=len(handle.frames))
+        event = self._consume(seq)
+        if event is None:
+            self._done = True
+            return FollowEvent("final", seq, total_frames=len(self._handle.frames))
+        return event
+
+    def _consume(self, seq: int) -> FollowEvent | None:
+        """An ``"epoch"`` event over the frames not handed out yet (``None``
+        when there are none) — the one read loop of both phases."""
+        handle = self._handle
+        new = handle.frames[self._consumed_frames :]
+        if not new:
+            return None
+        records: list[IntervalRecord] = []
+        n_pseudo = 0
+        for frame in new:
+            batch = handle.read_frame(frame.ordinal)
+            pseudo = frame.n_pseudo
+            if self._skip_in_frame:  # mid-frame resume after a switchover
+                batch = batch[self._skip_in_frame :]
+                pseudo = max(0, pseudo - self._skip_in_frame)
+                self._skip_in_frame = 0
+            records.extend(batch)
+            n_pseudo += pseudo
+        self._consumed_frames = len(handle.frames)
+        self._consumed_records += len(records) - n_pseudo
+        self._last_seq = seq
+        return FollowEvent(
+            "epoch", seq, records,
+            n_new_frames=len(new), total_frames=len(handle.frames),
+            n_pseudo=n_pseudo,
+        )

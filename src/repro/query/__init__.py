@@ -32,7 +32,6 @@ from repro.query.engine import (
     ExecStats,
     QueryResult,
     execute,
-    planned_records,
     resolve_index,
     run_query,
     window_to_ticks,
@@ -88,7 +87,6 @@ __all__ = [
     "open_trace",
     "plan_query",
     "planned_batch_records",
-    "planned_records",
     "resolve_index",
     "run_query",
     "split_thread_key",

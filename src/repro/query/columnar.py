@@ -124,11 +124,16 @@ class FrameBatch:
         self.thread = np.zeros(n, np.int64)
         self.itype = np.zeros(n, np.int64)
         self.bebits = np.zeros(n, np.int64)
-        #: field name -> [(positions, values), ...] chunks, one per decode group
-        self._extras: dict[str, list[tuple[Any, Any]]] = {}
+        #: (field name, positions, values) chunks in decode order: group by
+        #: group, and inside a group in the type's profile field order —
+        #: which is the key order of each materialised ``extra`` dict.
+        self._extras: list[tuple[str, Any, Any]] = []
         self._extra_cache: dict[str, list] = {}
         self._value_cache: dict[str, list] = {}
         self._records: list[IntervalRecord] | None = None
+
+    def __len__(self) -> int:
+        return self.n
 
     # -------------------------------------------------------------- columns
 
@@ -152,13 +157,10 @@ class FrameBatch:
                 col = [r.extra.get(name) for r in self._records]
             else:
                 col = [None] * self.n
-                for positions, values in self._extras.get(name, ()):
-                    if isinstance(values, np.ndarray):
-                        values = values.tolist()
-                    if isinstance(positions, np.ndarray):
-                        positions = positions.tolist()
-                    for i, v in zip(positions, values):
-                        col[i] = v
+                for chunk_name, positions, values in self._extras:
+                    if chunk_name == name:
+                        for i, v in zip(_as_list(positions), _as_list(values)):
+                            col[i] = v
             self._extra_cache[name] = col
         return col
 
@@ -206,14 +208,9 @@ class FrameBatch:
         if self._records is not None:
             return list(self._records)
         extras: list[dict[str, Any]] = [{} for _ in range(self.n)]
-        for name, chunks in self._extras.items():
-            for positions, values in chunks:
-                if isinstance(values, np.ndarray):
-                    values = values.tolist()
-                if isinstance(positions, np.ndarray):
-                    positions = positions.tolist()
-                for i, v in zip(positions, values):
-                    extras[i][name] = v
+        for name, positions, values in self._extras:
+            for i, v in zip(_as_list(positions), _as_list(values)):
+                extras[i][name] = v
         starts = self.start.tolist()
         duras = self.dura.tolist()
         nodes = self.node.tolist()
@@ -232,17 +229,17 @@ class FrameBatch:
     def records_at(self, positions: Sequence[int] | np.ndarray) -> list[IntervalRecord]:
         """Records at the given frame positions (e.g. a match mask's
         ``nonzero`` indices)."""
-        if isinstance(positions, np.ndarray):
-            positions = positions.tolist()
-        if self._records is not None:
-            return [self._records[i] for i in positions]
-        records = self.to_records()
-        return [records[i] for i in positions]
+        records = self._records if self._records is not None else self.to_records()
+        return [records[i] for i in _as_list(positions)]
 
     # ------------------------------------------------------------ internals
 
     def _add_extra(self, name: str, positions, values) -> None:
-        self._extras.setdefault(name, []).append((positions, values))
+        self._extras.append((name, positions, values))
+
+
+def _as_list(values):
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def batch_from_records(records: Sequence[IntervalRecord]) -> FrameBatch:
@@ -343,7 +340,8 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
     batch owns all of its arrays either way.  Raises
     :class:`~repro.errors.FormatError` on the same structural damage the
     record decoder rejects (truncated records, length mismatches, masks
-    that strip core fields).
+    that strip core fields) and ``OverflowError`` when a record's time
+    range leaves ``[0, 2**63)``.
     """
     if profile is None:
         raise FormatError("decoding records requires a profile")
@@ -397,6 +395,10 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
                     idx = np.arange(n, dtype=np.intp)
                 _decode_group_slow(batch, fallback_blob, profile, mask, idx, prefixes)
         batch.end = batch.start + batch.dura
+        # u64 wire fields past 2**63 (or a sum past it) wrap negative in the
+        # int64 columns; refuse them instead of answering with wrong times.
+        if int((batch.start | batch.dura | batch.end).min()) < 0:
+            raise OverflowError("a record's start + duration does not fit int64")
         return batch
     finally:
         # Drop every export of the caller's view before returning, so a
@@ -407,9 +409,9 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
 
 
 def planned_batch_records(handle, query, plan) -> Iterator[IntervalRecord]:
-    """Batched twin of :func:`repro.query.engine.planned_records`: records
-    of the planned frames passing the query's predicates, materialized from
-    columnar batches (one vectorized predicate pass per frame)."""
+    """Records of the planned frames that pass the query's predicates,
+    materialized from columnar batches (one vectorized predicate pass per
+    frame) — the record stream of every product path that wants objects."""
     for ordinal in plan.frames:
         batch = handle.read_frame_batch(ordinal)
         mask = batch.match(query)

@@ -4,18 +4,20 @@
 sidecar index when one exists, plan, scan only the planned frames, push
 the query's predicates down onto each decoded record, and return rows (or
 grouped aggregates) plus the plan and the exact bytes-read accounting from
-the byte source.  :func:`execute` and :func:`planned_records` are the
-lower-level pieces the serving daemon and the stats/analysis integrations
-reuse over an already-open handle.
+the byte source.  :func:`execute` and
+:func:`~repro.query.columnar.planned_batch_records` are the lower-level
+pieces the serving daemon and the stats/analysis integrations reuse over
+an already-open handle.
 
 Two executors produce the same rows from the same plan:
 
 * ``"columnar"`` (the default) decodes each planned frame into a
   :class:`~repro.query.columnar.FrameBatch` of parallel arrays and runs
   predicates, projections, and group-by/aggregates vectorized;
-* ``"record"`` is the original record-at-a-time loop, kept as the parity
-  reference — ``ute-oracle`` cross-checks the two on every canonical
-  query.
+* ``"record"`` is the parity reference: a record-at-a-time loop over
+  frames decoded by the uncached reference decoder, sharing nothing with
+  the batch decode or the frame cache — ``ute-oracle`` cross-checks the
+  two on every canonical query.
 
 Result discipline: rows come back in file order (frame order, record
 order within a frame) and grouped output is sorted by group key — so two
@@ -114,16 +116,6 @@ class QueryResult:
         }
 
 
-def planned_records(
-    handle: TraceHandle, query: Query, plan: QueryPlan
-) -> Iterator[IntervalRecord]:
-    """Records of the planned frames that pass the query's predicates."""
-    for ordinal in plan.frames:
-        for record in handle.read_frame(ordinal):
-            if query.matches(record):
-                yield record
-
-
 def execute(
     handle: TraceHandle,
     query: Query,
@@ -150,34 +142,41 @@ def execute(
 # ------------------------------------------------------------------ record
 
 
+def reference_scan(
+    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None = None
+) -> Iterator[IntervalRecord]:
+    """The record executor's scan: every planned frame decoded one record
+    at a time by the uncached reference decoder
+    (:meth:`TraceHandle.reference_frame`, never a batch), predicates applied
+    per record.  Independent of the columnar path by construction — which
+    is what makes ``columnar_vs_record`` a check and not a tautology."""
+    for ordinal in plan.frames:
+        if stats is not None:
+            stats.frames_scanned += 1
+        for record in handle.reference_frame(ordinal):
+            if query.matches(record):
+                yield record
+
+
 def _execute_record(
     handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
 ) -> list[tuple]:
     """The record-at-a-time reference executor."""
+    records = reference_scan(handle, query, plan, stats)
     if query.grouped:
         groups: dict[tuple, dict] = {}
-        for ordinal in plan.frames:
-            if stats is not None:
-                stats.frames_scanned += 1
-            for record in handle.read_frame(ordinal):
-                if not query.matches(record):
-                    continue
-                key = tuple(record_value(record, name) for name in query.group_by)
-                state = groups.get(key)
-                if state is None:
-                    state = groups[key] = new_accumulator(query.aggregates)
-                accumulate(state, query.aggregates, record)
+        for record in records:
+            key = tuple(record_value(record, name) for name in query.group_by)
+            state = groups.get(key)
+            if state is None:
+                state = groups[key] = new_accumulator(query.aggregates)
+            accumulate(state, query.aggregates, record)
         return _grouped_rows(groups, query)
     rows: list[tuple] = []
-    for ordinal in plan.frames:
-        if stats is not None:
-            stats.frames_scanned += 1
-        for record in handle.read_frame(ordinal):
-            if not query.matches(record):
-                continue
-            rows.append(tuple(record_value(record, name) for name in query.columns))
-            if query.limit is not None and len(rows) >= query.limit:
-                return rows
+    for record in records:
+        rows.append(tuple(record_value(record, name) for name in query.columns))
+        if query.limit is not None and len(rows) >= query.limit:
+            break
     return rows
 
 
@@ -194,30 +193,34 @@ def _grouped_rows(groups: dict[tuple, dict], query: Query) -> list[tuple]:
     return rows[: query.limit] if query.limit is not None else rows
 
 
-def _matched_positions(batch, mask: np.ndarray) -> range | list[int] | None:
-    """Positions selected by a predicate mask (``None`` when empty)."""
-    if mask.all():
-        return range(batch.n)
-    if not mask.any():
-        return None
-    return np.nonzero(mask)[0].tolist()
-
-
-def _columnar_raw(
+def _matched_batches(
     handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
-) -> list[tuple]:
-    rows: list[tuple] = []
+) -> Iterator[tuple[Any, np.ndarray]]:
+    """The columnar scan: each planned frame's batch with its predicate
+    mask (one vectorized pass), frames without a match skipped."""
     for ordinal in plan.frames:
         if stats is not None:
             stats.frames_scanned += 1
         batch = handle.read_frame_batch(ordinal)
         if batch.n == 0:
             continue
-        positions = _matched_positions(batch, batch.match(query))
-        if positions is None:
-            continue
+        mask = batch.match(query)
+        if mask.any():
+            yield batch, mask
+
+
+def _positions(batch, mask: np.ndarray) -> range | list[int]:
+    """Positions selected by a (non-empty) predicate mask."""
+    return range(batch.n) if mask.all() else np.nonzero(mask)[0].tolist()
+
+
+def _columnar_raw(
+    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
+) -> list[tuple]:
+    rows: list[tuple] = []
+    for batch, mask in _matched_batches(handle, query, plan, stats):
         cols = [batch.column_values(name) for name in query.columns]
-        for i in positions:
+        for i in _positions(batch, mask):
             rows.append(tuple(col[i] for col in cols))
             if query.limit is not None and len(rows) >= query.limit:
                 return rows
@@ -340,21 +343,13 @@ def _columnar_grouped_fast(
                 chunks.clear()
         buffered = 0
 
-    for ordinal in plan.frames:
-        if stats is not None:
-            stats.frames_scanned += 1
-        batch = handle.read_frame_batch(ordinal)
-        if batch.n == 0:
-            continue
-        mask = batch.match(query)
+    for batch, mask in _matched_batches(handle, query, plan, stats):
         if mask.all():
             sel = slice(None)
             matched = batch.n
-        elif mask.any():
+        else:
             sel = mask
             matched = int(mask.sum())
-        else:
-            continue
         for chunks, name in zip(key_chunks, query.group_by):
             chunks.append(batch.core_array(name)[sel])
         for chunks, (_, source) in zip(val_chunks, fns):
@@ -374,21 +369,13 @@ def _columnar_grouped_slow(
     field: group over Python value columns, still one decoded batch and one
     vectorized predicate pass per frame."""
     groups: dict[tuple, dict] = {}
-    for ordinal in plan.frames:
-        if stats is not None:
-            stats.frames_scanned += 1
-        batch = handle.read_frame_batch(ordinal)
-        if batch.n == 0:
-            continue
-        positions = _matched_positions(batch, batch.match(query))
-        if positions is None:
-            continue
+    for batch, mask in _matched_batches(handle, query, plan, stats):
         keycols = [batch.column_values(name) for name in query.group_by]
         aggcols = [
             batch.column_values(agg.source) if agg.source is not None else None
             for agg in query.aggregates
         ]
-        for i in positions:
+        for i in _positions(batch, mask):
             key = tuple(col[i] for col in keycols)
             state = groups.get(key)
             if state is None:
@@ -457,10 +444,11 @@ def run_query(
     ``io`` in the result is the byte-source fetch delta across the scan
     itself (directories and header tables are read at open, before the
     snapshot), so it measures exactly what the plan chose to decode.
-    ``frames_decoded`` is the cache-miss delta — frames the executor really
-    decoded, not what the plan promised (cache hits and limit
-    short-circuits decode fewer); ``frames_scanned`` counts frames the
-    executor visited before any short-circuit.
+    ``frames_decoded`` is the frame store's miss delta — frames the
+    executor really decoded, not what the plan promised (cache hits and
+    limit short-circuits decode fewer; the ``record`` executor never
+    caches, so it decodes every frame it visits); ``frames_scanned`` counts
+    frames the executor visited before any short-circuit.
     """
     loaded, reason = resolve_index(path, index)
     with open_trace(path, profile, errors=errors, mode=mode) as handle:

@@ -3,9 +3,10 @@
 The query engine and the index builder work frame by frame: enumerate the
 frame directory, decode chosen frames, account the bytes read.  Interval
 files (:class:`~repro.core.reader.IntervalReader`) and SLOG files
-(:class:`~repro.utils.slog.SlogFile`) both support exactly that, with
-slightly different surfaces; :class:`TraceHandle` papers over the
-difference so everything above it is format-agnostic.
+(:class:`~repro.utils.slog.SlogFile`) both support exactly that through
+the :class:`~repro.core.framestore.FrameStore` surface they inherit;
+:class:`TraceHandle` adds frame ordinals on top so everything above it is
+format-agnostic.
 """
 
 from __future__ import annotations
@@ -44,83 +45,59 @@ class TraceFrame:
 
 
 class TraceHandle:
-    """One open trace file presented as an ordered list of frames."""
+    """One open trace file presented as an ordered list of frames.
+
+    ``kind`` (``"interval"`` or ``"slog"``) is kept for callers that need
+    to know the format (pseudo-record recognition); nothing here branches
+    on it — both readers expose the same surface."""
 
     def __init__(self, path: str | Path, reader, kind: str) -> None:
         self.path = Path(path)
         self.kind = kind
         self._reader = reader
-        if kind == "interval":
-            entries = list(reader.frames())
-            self.ticks_per_sec = reader.header.ticks_per_sec
-        else:
-            entries = list(reader.frames)
-            self.ticks_per_sec = reader.ticks_per_sec
-        self.frames = [
-            TraceFrame(
-                i, e.offset, e.size, e.n_records, e.start_time, e.end_time,
-                getattr(e, "n_pseudo", 0),
-            )
-            for i, e in enumerate(entries)
-        ]
-        self._entries = entries
+        self.ticks_per_sec = reader.ticks_per_sec
         self.thread_table = reader.thread_table
         self.markers = reader.markers
+        #: Node table: node id -> CPU count.
+        self.node_cpus = reader.node_cpus
+        #: What decodes this file's records: profile and field-selection mask.
+        self.profile = reader.profile
+        self.field_mask = reader.field_mask
+        #: The byte source (for fetch accounting).
+        self.source = reader.source
+        self.refresh_entries()
 
     def refresh_entries(self) -> None:
-        """Re-snapshot the reader's frame directory.  A live reader's
+        """(Re-)snapshot the reader's frame directory.  A live reader's
         frame list only ever grows (monotonic epochs), so existing
         ordinals keep naming the same frames."""
-        if self.kind == "interval":
-            entries = list(self._reader.frames())
-        else:
-            entries = list(self._reader.frames)
+        self._entries = self._reader.frame_entries()
         self.frames = [
             TraceFrame(
                 i, e.offset, e.size, e.n_records, e.start_time, e.end_time,
                 getattr(e, "n_pseudo", 0),
             )
-            for i, e in enumerate(entries)
+            for i, e in enumerate(self._entries)
         ]
-        self._entries = entries
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def profile(self):
-        """The description profile decoding this file's records."""
-        if self.kind == "interval":
-            return self._reader.profile
-        return self._reader.profile
-
-    @property
-    def source(self):
-        """The underlying byte source (for fetch accounting)."""
-        return self._reader.source
-
-    @property
-    def field_mask(self) -> int:
-        """The file's field-selection mask."""
-        if self.kind == "interval":
-            return self._reader.header.field_mask
-        return self._reader.field_mask
-
-    @property
-    def node_cpus(self):
-        """The node table: node id -> CPU count."""
-        return self._reader.node_cpus
-
     def read_frame(self, ordinal: int) -> list[IntervalRecord]:
-        """Decode frame ``ordinal`` (LRU-cached by the underlying reader)."""
+        """Frame ``ordinal`` as record objects (cached by the reader)."""
         return self._reader.read_frame(self._entries[ordinal])
 
     def read_frame_batch(self, ordinal: int):
-        """Decode frame ``ordinal`` into a columnar
-        :class:`~repro.query.columnar.FrameBatch` (LRU-cached)."""
+        """Frame ``ordinal`` as a columnar
+        :class:`~repro.query.columnar.FrameBatch` (cached by the reader)."""
         return self._reader.read_frame_batch(self._entries[ordinal])
 
+    def reference_frame(self, ordinal: int) -> list[IntervalRecord]:
+        """Frame ``ordinal`` through the uncached reference decoder — for
+        the ``record`` executor, the oracle and tests only."""
+        return self._reader.reference_frame(self._entries[ordinal])
+
     def stats(self) -> dict[str, int]:
-        """The underlying reader's cache/IO accounting (shared shape)."""
+        """The reader's cache/IO accounting (shared shape)."""
         return self._reader.stats()
 
     def close(self) -> None:
@@ -147,6 +124,23 @@ def trace_kind(path: str | Path) -> str:
     )
 
 
+def open_reader(path: str | Path, profile=None, **kwargs):
+    """Open an interval or SLOG file with its own reader; returns
+    ``(reader, kind)``.  Interval files need a profile to decode records
+    (``None`` selects the standard profile); SLOG files embed theirs, so
+    ``profile`` is ignored.  ``kwargs`` (``mode``, ``errors``,
+    ``cache_frames``) go to the reader."""
+    kind = trace_kind(path)
+    if kind == "interval":
+        from repro.core.profilefmt import standard_profile
+        from repro.core.reader import IntervalReader
+
+        return IntervalReader(path, profile or standard_profile(), **kwargs), kind
+    from repro.utils.slog import SlogFile
+
+    return SlogFile(path, **kwargs), kind
+
+
 def open_trace(
     path: str | Path,
     profile=None,
@@ -155,23 +149,8 @@ def open_trace(
     errors: str = "strict",
     cache_frames: int | None = None,
 ) -> TraceHandle:
-    """Open an interval or SLOG file as a :class:`TraceHandle`.
-
-    Interval files need a profile to decode records; ``None`` selects the
-    standard profile.  SLOG files embed theirs, so ``profile`` is ignored.
-    """
-    kind = trace_kind(path)
-    if kind == "interval":
-        from repro.core.profilefmt import standard_profile
-        from repro.core.reader import IntervalReader
-
-        kwargs = {} if cache_frames is None else {"cache_frames": cache_frames}
-        reader = IntervalReader(
-            path, profile or standard_profile(), mode=mode, errors=errors, **kwargs
-        )
-    else:
-        from repro.utils.slog import SlogFile
-
-        kwargs = {} if cache_frames is None else {"cache_frames": cache_frames}
-        reader = SlogFile(path, mode=mode, errors=errors, **kwargs)
+    """Open an interval or SLOG file as a :class:`TraceHandle`
+    (see :func:`open_reader` for ``profile``)."""
+    kwargs = {} if cache_frames is None else {"cache_frames": cache_frames}
+    reader, kind = open_reader(path, profile, mode=mode, errors=errors, **kwargs)
     return TraceHandle(path, reader, kind)

@@ -14,8 +14,8 @@ daemon shares across requests.  The pieces:
   that died between publishing its data and publishing the manifest).
 
 * **Lazy sessions, LRU-evicted under one global memory budget.**  A
-  dataset's ``TraceSession`` opens on first use.  The per-reader frame
-  cache accounting (``SlogFile.resident_bytes``) is aggregated across all
+  dataset's ``TraceSession`` opens on first use.  The per-file frame
+  store accounting (``FrameStore.resident_bytes``) is aggregated across all
   open sessions; when the total exceeds ``budget_bytes``, whole
   least-recently-used sessions are evicted (their cached frames count as
   cache evictions in the aggregate stats the metrics endpoint exports),
@@ -70,19 +70,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
 #: Session-stats keys folded into the retirement tally on eviction.
 _STAT_KEYS = ("hits", "misses", "evictions", "fetch_count", "bytes_fetched")
-
-
-class _Governor:
-    """The pair of budget hooks a :class:`Repository` hands each reader:
-    ``reserve(nbytes)`` before decoding a frame into the cache (makes room
-    so resident + pending stays under the budget), ``commit(nbytes)`` once
-    the insert has landed (or failed)."""
-
-    __slots__ = ("reserve", "commit")
-
-    def __init__(self, reserve, commit) -> None:
-        self.reserve = reserve
-        self.commit = commit
 
 
 class RepositoryError(ReproError):
@@ -342,7 +329,7 @@ class Repository:
             dataset.index_done.set()
             self._datasets[name] = dataset
             self._sessions[name] = session
-            self._install_governor(session)
+            session.reader.governor = self
             return dataset
 
     # ------------------------------------------------------- session pool
@@ -376,7 +363,7 @@ class Repository:
                 session = TraceSession(
                     dataset.path, cache_frames=self.cache_frames, dataset=name
                 )
-                self._install_governor(session)
+                session.reader.governor = self
                 self._sessions[name] = session
             session.scavenged = False
             self._sessions.move_to_end(name)
@@ -439,7 +426,7 @@ class Repository:
             before = session.resident_bytes()
             if before == 0:
                 continue
-            session.shrink_cache(max(0, target - (total - before)))
+            session.reader.shrink_cache(max(0, target - (total - before)))
             after = session.resident_bytes()
             total += after - before
             if after == 0:
@@ -447,21 +434,18 @@ class Repository:
                 # next request boundary closes it (LRU session eviction).
                 session.scavenged = True
 
-    def _reserve(self, nbytes: int) -> None:
-        """Admission governor entry: a reader is about to cache ``nbytes``
-        more; make room so resident + pending stays within the budget."""
+    def reserve(self, nbytes: int) -> None:
+        """Admission governor entry (every session's reader calls it
+        before a lookup adds ``nbytes`` to its cache): make room so
+        resident + pending stays within the budget."""
         with self._lock:
             self._pending += nbytes
             self._shrink_to(max(0, self.budget_bytes - self._pending))
 
-    def _commit(self, nbytes: int) -> None:
+    def commit(self, nbytes: int) -> None:
+        """Governor exit: the reserved insert has landed (or failed)."""
         with self._lock:
             self._pending = max(0, self._pending - nbytes)
-
-    def _install_governor(self, session) -> None:
-        """Point the session's reader at the shared budget governor."""
-        slog = session.viewer.slog
-        slog.cache_governor = _Governor(self._reserve, self._commit)
 
     def _evict(self, name: str) -> None:
         """Close one session, folding its counters into the retirement
@@ -472,7 +456,7 @@ class Repository:
         stats = session.stats()
         for key in _STAT_KEYS:
             self._retired[key] += stats.get(key, 0)
-        self._retired["evictions"] += session.cached_frames()
+        self._retired["evictions"] += session.reader.cached_frames()
         self._retired_index["scanned"] += session.index_frames_scanned
         self._retired_index["pruned"] += session.index_frames_pruned
         self._retired_index["fallbacks"] += session.index_fallbacks

@@ -3,9 +3,9 @@
 A :class:`TraceSession` owns the :class:`~repro.viz.jumpshot.Jumpshot`
 viewer (and through it the SlogFile, byte source, and frame cache) that
 every request of the daemon shares.  A read lock serializes byte-source
-fetches — the reader-level frame-cache lock makes concurrent decodes
-sound, the session lock additionally keeps multi-step operations (build a
-view over a frame's records) consistent.
+fetches — the frame store's lock makes concurrent decodes sound, the
+session lock additionally keeps multi-step operations (build a view over a
+frame's records) consistent.
 
 The session also computes the ETag base: ``mtime_ns-size`` of the SLOG
 file, combined per resource with a frame id or view kind, yields strong
@@ -22,13 +22,9 @@ from typing import Any
 
 from repro.core.records import IntervalRecord, IntervalType
 from repro.errors import FormatError
+from repro.query.columnar import planned_batch_records
 from repro.query.engine import execute as execute_query
-from repro.query.engine import (
-    ExecStats,
-    format_value,
-    planned_records,
-    window_to_ticks,
-)
+from repro.query.engine import ExecStats, format_value, window_to_ticks
 from repro.query.indexfile import load_fresh_index
 from repro.query.model import Query
 from repro.query.planner import MODE_INDEXED, plan_query
@@ -48,7 +44,7 @@ class FrameDecodeError(FormatError):
     """One frame of a served SLOG failed strict decode.
 
     Carries the frame index and a salvage probe of the damaged frame
-    (:meth:`~repro.utils.slog.SlogFile.salvage_frame` output, as a dict),
+    (:meth:`~repro.core.framestore.FrameStore.salvage_frame` output, as a dict),
     so the daemon can answer with a structured per-frame error payload —
     and keep serving every other frame — instead of failing the file."""
 
@@ -96,13 +92,7 @@ class TraceSession:
             self.handle = TraceHandle(self.path, reader, "slog")
             self.index, self.index_reason = self._load_live_index()
         else:
-            stat = os.stat(self.path)
-            self.etag_base = f"{self._etag_prefix}{stat.st_mtime_ns}-{stat.st_size}"
-            self.viewer = Jumpshot(self.path, cache_frames=cache_frames)
-            # The query layer's view of the same SlogFile: shares the byte
-            # source and frame cache, adds the frame list the planner prunes.
-            self.handle = TraceHandle(self.path, self.viewer.slog, "slog")
-            self.index, self.index_reason = load_fresh_index(self.path)
+            self._open_file()
         # Planner accounting, scraped by /metrics.
         self.index_frames_scanned = 0
         self.index_frames_pruned = 0
@@ -273,7 +263,7 @@ class TraceSession:
             before = self.handle.stats()
             records = (
                 r
-                for r in planned_records(self.handle, query, plan)
+                for r in planned_batch_records(self.handle, query, plan)
                 if r.itype != IntervalType.CLOCKPAIR
             )
             tables = generate_tables(
@@ -367,7 +357,7 @@ class TraceSession:
     def stats(self) -> dict[str, int]:
         """The SLOG file's cache/IO accounting (``/metrics`` reads this)."""
         with self.lock:
-            return self.viewer.stats()
+            return self.reader.stats()
 
     def frame_count(self) -> int:
         """Number of frames in the file."""
@@ -376,17 +366,16 @@ class TraceSession:
     # --------------------------------------------------- memory accounting
     # The repository's global budget aggregates these across sessions.
 
+    @property
+    def reader(self):
+        """The reader behind the viewer and the query handle — the session's
+        :class:`~repro.core.framestore.FrameStore`, where the repository
+        installs its governor."""
+        return self.viewer.slog
+
     def resident_bytes(self) -> int:
         """Encoded bytes of the frames this session holds decoded."""
-        return self.viewer.slog.resident_bytes()
-
-    def cached_frames(self) -> int:
-        """Cache entries this session currently holds."""
-        return self.viewer.slog.cached_frames()
-
-    def shrink_cache(self, max_bytes: int) -> int:
-        """Drop LRU cached frames until at most ``max_bytes`` resident."""
-        return self.viewer.slog.shrink_cache(max_bytes)
+        return self.reader.resident_bytes()
 
     def reload_index(self) -> None:
         """Re-probe the sidecar index (a background build just published
@@ -469,17 +458,22 @@ class TraceSession:
         live view already covered every frame; the swap only moves the
         byte source and re-arms the mtime/size ETag discipline."""
         old = self.viewer
-        governor = getattr(old.slog, "cache_governor", None)
-        stat = os.stat(self.path)
+        governor = self.reader.governor
+        self._open_file()
+        self.reader.governor = governor
         self.live = False
         self.epoch_seq += 1  # finalization is itself an observable step
+        old.close()
+
+    def _open_file(self) -> None:
+        """Open (or re-open) the session over the ordinary file."""
+        stat = os.stat(self.path)
         self.etag_base = f"{self._etag_prefix}{stat.st_mtime_ns}-{stat.st_size}"
         self.viewer = Jumpshot(self.path, cache_frames=self._cache_frames)
-        if governor is not None:
-            self.viewer.slog.cache_governor = governor
+        # The query layer's view of the same SlogFile: shares the byte
+        # source and frame store, adds the frame list the planner prunes.
         self.handle = TraceHandle(self.path, self.viewer.slog, "slog")
         self.index, self.index_reason = load_fresh_index(self.path)
-        old.close()
 
     # ------------------------------------------------------------ internals
 

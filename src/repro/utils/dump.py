@@ -79,10 +79,35 @@ def _in_window(record: IntervalRecord, window_ticks) -> bool:
     return overlaps_window(record.start, record.end, t0, t1)
 
 
-def _window_ticks(window, ticks_per_sec: float):
-    if window is None:
-        return None
-    return window_to_ticks(window, ticks_per_sec)
+def selected_records(
+    reader, frame: int | None, window, path
+) -> tuple[int, Iterator[IntervalRecord]]:
+    """The dump path's own selection over an open interval or SLOG reader:
+    (number of frames chosen through the directory, the records of those
+    frames that overlap ``window``).  ``ute-oracle`` compares exactly this
+    against the query engine."""
+    ticks = None if window is None else window_to_ticks(window, reader.ticks_per_sec)
+    frames = _select_frames(reader.frame_entries(), frame, ticks, path)
+
+    def records() -> Iterator[IntervalRecord]:
+        for entry in frames:
+            for record in reader.read_frame(entry):
+                if _in_window(record, ticks):
+                    yield record
+
+    return len(frames), records()
+
+
+def _record_lines(reader, profile, path, limit, frame, window) -> Iterator[str]:
+    """The record part of an interval or SLOG dump."""
+    n_frames, records = selected_records(reader, frame, window, path)
+    if frame is not None or window is not None:
+        yield f"# selection: {n_frames} frame(s)"
+    for emitted, record in enumerate(records):
+        if limit is not None and emitted >= limit:
+            yield f"# ... truncated at {limit} records"
+            return
+        yield format_record(record, profile)
 
 
 def dump_interval(
@@ -122,20 +147,7 @@ def dump_interval(
         yield f"# nodes: " + ", ".join(
             f"n{n}:{c}cpus" for n, c in sorted(reader.node_cpus.items())
         )
-    ticks = _window_ticks(window, header.ticks_per_sec)
-    frames = _select_frames(reader.frames(), frame, ticks, path)
-    if frame is not None or window is not None:
-        yield f"# selection: {len(frames)} frame(s)"
-    emitted = 0
-    for entry in frames:
-        for record in reader.read_frame(entry):
-            if not _in_window(record, ticks):
-                continue
-            if limit is not None and emitted >= limit:
-                yield f"# ... truncated at {limit} records"
-                return
-            yield format_record(record, profile)
-            emitted += 1
+    yield from _record_lines(reader, profile, path, limit, frame, window)
 
 
 def dump_slog(
@@ -163,20 +175,7 @@ def dump_slog(
             f"{entry.n_records} records ({entry.n_pseudo} pseudo) "
             f"@{entry.offset}+{entry.size}"
         )
-    ticks = _window_ticks(window, slog.ticks_per_sec)
-    frames = _select_frames(slog.frames, frame, ticks, path)
-    if frame is not None or window is not None:
-        yield f"# selection: {len(frames)} frame(s)"
-    emitted = 0
-    for entry in frames:
-        for record in slog.read_frame(entry):
-            if not _in_window(record, ticks):
-                continue
-            if limit is not None and emitted >= limit:
-                yield f"# ... truncated at {limit} records"
-                return
-            yield format_record(record, slog.profile)
-            emitted += 1
+    yield from _record_lines(slog, slog.profile, path, limit, frame, window)
 
 
 def dump_any(

@@ -24,24 +24,17 @@ from __future__ import annotations
 import io
 import shutil
 import struct
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.atomicio import AtomicFile, temp_path_for
-from repro.core.bytesource import ByteSource, open_source
+from repro.core.bytesource import ByteSource
+from repro.core.framestore import DEFAULT_FRAME_CACHE, FrameStore
 from repro.core.profilefmt import Profile
-from repro.core.reader import DEFAULT_FRAME_CACHE
 from repro.core.records import IntervalRecord
-from repro.core.salvage import (
-    SalvageReport,
-    check_error_mode,
-    salvage_frame_records,
-    salvage_stats,
-)
+from repro.core.salvage import DECODE_ERRORS
 from repro.core.threadtable import ThreadTable
 from repro.core.writer import (
     decode_marker_table,
@@ -58,14 +51,7 @@ _INITIAL_WINDOW = 64 * 1024
 
 #: Exceptions that mean "the metadata did not fit the current window" on a
 #: valid file, or "corrupt" once the window covers the whole file.
-_PARSE_ERRORS = (
-    struct.error,
-    IndexError,
-    ValueError,
-    OverflowError,
-    UnicodeDecodeError,
-    FormatError,
-)
+_PARSE_ERRORS = DECODE_ERRORS + (FormatError,)
 
 _FRAME_ENTRY = struct.Struct("<QQQQII")  # start, end, offset, size, n_records, n_pseudo
 
@@ -281,7 +267,7 @@ def slog_metadata_bytes(
     """
     out = bytearray()
     out += MAGIC
-    profile_blob = _profile_blob(profile)
+    profile_blob = profile.to_bytes()
     out += struct.pack("<I", len(profile_blob)) + profile_blob
     table_blob = thread_table.encode()
     out += struct.pack("<I", len(thread_table)) + table_blob
@@ -304,25 +290,18 @@ def slog_metadata_bytes(
     return bytes(out)
 
 
-def _profile_blob(profile: Profile) -> bytes:
-    """The profile serialized exactly as its standalone file."""
-    import zlib
-
-    body = profile._body_bytes()
-    return b"UTEPROF1" + struct.pack("<I", zlib.crc32(body)) + body
-
-
-class SlogFile:
+class SlogFile(FrameStore):
     """Reader for SLOG files: preview, frame index, and frame records.
 
     Bytes come from a bounded-memory :class:`ByteSource`.  The metadata
     (tables, preview, frame index) is parsed from a window at the head of
     the file that starts at ``_INITIAL_WINDOW`` and grows geometrically
     until the metadata fits, so a valid file costs O(metadata) memory no
-    matter how large its frame data is.  Frame reads fetch exactly one
-    frame and are cached in a small LRU keyed by (offset, size) —
-    Jumpshot's scroll-back pattern revisits neighbouring frames
-    constantly, and a hit skips both the fetch and the decode.
+    matter how large its frame data is.  Frame reads are inherited from
+    :class:`~repro.core.framestore.FrameStore`: exactly one frame is
+    fetched, and decoded frames sit in a small LRU keyed by
+    (offset, size) — Jumpshot's scroll-back pattern revisits neighbouring
+    frames constantly, and a hit skips both the fetch and the decode.
     """
 
     def __init__(
@@ -334,29 +313,9 @@ class SlogFile:
         cache_frames: int = DEFAULT_FRAME_CACHE,
         errors: str = "strict",
     ) -> None:
-        self.path = Path(path)
-        self._salvage_mode = check_error_mode(errors)
-        self.salvage: SalvageReport | None = (
-            SalvageReport(path=self.path) if self._salvage_mode else None
+        super().__init__(
+            path, source=source, mode=mode, cache_frames=cache_frames, errors=errors
         )
-        self.source: ByteSource = source if source is not None else open_source(self.path, mode)
-        self._cache_frames = max(0, cache_frames)
-        self._frame_cache: OrderedDict[tuple[int, int], list[IntervalRecord]] = OrderedDict()
-        # Columnar batches cache separately from record-object frames.
-        self._batch_cache: OrderedDict[tuple[int, int], object] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        # Optional admission governor (set by a Repository sharing one
-        # memory budget across readers): reserve(nbytes) is called before
-        # a cache miss decodes, commit(nbytes) after the insert settles.
-        # Never invoked while _cache_lock is held — the governor may take
-        # other readers' cache locks to make room.
-        self.cache_governor = None
-        # Serializes frame reads so one SlogFile can back many concurrent
-        # server requests: both the LRU mutation and the byte source's
-        # chunk cache need exclusion.
-        self._cache_lock = threading.Lock()
         head = self.source.fetch(0, 8)
         if head != MAGIC:
             raise FormatError(f"{self.path}: not a SLOG file")
@@ -373,23 +332,11 @@ class SlogFile:
                     ) from exc
                 window = min(window * 4, len(self.source))
 
-    def close(self) -> None:
-        """Release the underlying byte source and drop cached frames."""
-        self._frame_cache.clear()
-        self._batch_cache.clear()
-        self.source.close()
-
-    def __enter__(self) -> "SlogFile":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     def _parse(self, data: bytes) -> None:
         pos = 8
         (plen,) = struct.unpack_from("<I", data, pos)
         pos += 4
-        self.profile = _profile_from_blob(data[pos : pos + plen])
+        self.profile = Profile.from_bytes(data[pos : pos + plen], str(self.path))
         pos += plen
         (n_threads,) = struct.unpack_from("<I", data, pos)
         pos += 4
@@ -428,227 +375,9 @@ class SlogFile:
                 return frame
         return None
 
-    def read_frame(self, frame: SlogFrameEntry) -> list[IntervalRecord]:
-        """Decode one frame's records (pseudo-intervals included).
-
-        Results are LRU-cached; a cached frame is returned as a fresh list
-        but the record objects are shared, so treat them as read-only.
-        Thread-safe: concurrent callers sharing this file serialize on an
-        internal lock."""
-        key = (frame.offset, frame.size)
-        with self._cache_lock:
-            cached = self._frame_cache.get(key)
-            if cached is not None:
-                self._frame_cache.move_to_end(key)
-                self.cache_hits += 1
-                return list(cached)
-        governor = self.cache_governor if self._cache_frames else None
-        if governor is not None:
-            governor.reserve(frame.size)
-        try:
-            with self._cache_lock:
-                cached = self._frame_cache.get(key)
-                if cached is not None:  # raced with another decoder
-                    self._frame_cache.move_to_end(key)
-                    self.cache_hits += 1
-                    return list(cached)
-                self.cache_misses += 1
-                records = self._decode_frame(frame)
-                if self._cache_frames:
-                    self._frame_cache[key] = records
-                    while len(self._frame_cache) > self._cache_frames:
-                        self._frame_cache.popitem(last=False)
-                        self.cache_evictions += 1
-                return list(records)
-        finally:
-            if governor is not None:
-                governor.commit(frame.size)
-
-    def stats(self) -> dict[str, int]:
-        """Cache and IO accounting in the shared stats shape:
-        ``{"hits", "misses", "evictions", "fetch_count", "bytes_fetched"}``,
-        extended with ``resident_bytes`` (see :meth:`resident_bytes`) and
-        the salvage counters (zero in strict mode)."""
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "evictions": self.cache_evictions,
-            "resident_bytes": self.resident_bytes(),
-            **self.source.stats(),
-            **salvage_stats(self.salvage),
-        }
-
-    def resident_bytes(self) -> int:
-        """Encoded bytes of the frames currently cached (record + batch
-        caches).  Cache keys are ``(offset, size)``, so the resident
-        footprint falls straight out of them — this is the number a
-        multi-session memory budget aggregates."""
-        with self._cache_lock:
-            return sum(k[1] for k in self._frame_cache) + sum(
-                k[1] for k in self._batch_cache
-            )
-
-    def cached_frames(self) -> int:
-        """Entries currently held across both frame caches."""
-        with self._cache_lock:
-            return len(self._frame_cache) + len(self._batch_cache)
-
-    def shrink_cache(self, max_bytes: int) -> int:
-        """Evict least-recently-used cached frames until the resident
-        footprint is at most ``max_bytes``; returns the number of entries
-        dropped.  Each drop counts as a cache eviction."""
-        dropped = 0
-        with self._cache_lock:
-            resident = sum(k[1] for k in self._frame_cache) + sum(
-                k[1] for k in self._batch_cache
-            )
-            while resident > max_bytes and (self._frame_cache or self._batch_cache):
-                # Evict from whichever cache holds the older entry; with no
-                # cross-cache timestamps, alternate by preferring the record
-                # cache (the batch cache backs the hot columnar path).
-                cache = self._frame_cache if self._frame_cache else self._batch_cache
-                key, _ = cache.popitem(last=False)
-                resident -= key[1]
-                self.cache_evictions += 1
-                dropped += 1
-        return dropped
-
-    def read_frame_batch(self, frame: SlogFrameEntry):
-        """Decode one frame into a columnar :class:`~repro.query.columnar.
-        FrameBatch` (LRU-cached separately from record-object frames).
-
-        Strict mode decodes straight from a zero-copy byte-source view; in
-        salvage mode the resynchronizing record decoder runs first and the
-        batch mirrors its output.  Cache hits/misses share the reader's
-        counters."""
-        from repro.query.columnar import batch_from_records, decode_frame_batch
-
-        key = (frame.offset, frame.size)
-        with self._cache_lock:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                self._batch_cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-        governor = self.cache_governor if self._cache_frames else None
-        if governor is not None:
-            governor.reserve(frame.size)
-        try:
-            return self._read_frame_batch_miss(frame, key)
-        finally:
-            if governor is not None:
-                governor.commit(frame.size)
-
-    def _read_frame_batch_miss(self, frame: SlogFrameEntry, key: tuple[int, int]):
-        from repro.query.columnar import batch_from_records, decode_frame_batch
-
-        with self._cache_lock:
-            cached = self._batch_cache.get(key)
-            if cached is not None:  # raced with another decoder
-                self._batch_cache.move_to_end(key)
-                self.cache_hits += 1
-                return cached
-            self.cache_misses += 1
-            if self._salvage_mode:
-                batch = batch_from_records(self._decode_frame(frame))
-            else:
-                view = self.source.view(frame.offset, frame.size)
-                try:
-                    size_read = len(view)
-                    if size_read != frame.size:
-                        raise FormatError(
-                            f"{self.path}: SLOG frame at {frame.offset} runs "
-                            "past end of file"
-                        )
-                    try:
-                        batch = decode_frame_batch(view, self.profile, self.field_mask)
-                    except (struct.error, IndexError, ValueError, OverflowError) as exc:
-                        raise FormatError(
-                            f"{self.path}: corrupt SLOG record in frame at "
-                            f"offset {frame.offset} ({exc})"
-                        ) from exc
-                finally:
-                    view.release()
-                if batch.n != frame.n_records:
-                    raise FormatError(
-                        f"SLOG frame at {frame.offset}: {batch.n} records, "
-                        f"index says {frame.n_records}"
-                    )
-            if self._cache_frames:
-                self._batch_cache[key] = batch
-                while len(self._batch_cache) > self._cache_frames:
-                    self._batch_cache.popitem(last=False)
-                    self.cache_evictions += 1
-            return batch
-
-    def salvage_frame(
-        self, frame: SlogFrameEntry
-    ) -> tuple[list[IntervalRecord], SalvageReport]:
-        """Probe one frame in salvage fashion regardless of the reader's
-        configured mode, into a *fresh* report.
-
-        The serving daemon uses this after a strict decode fails, to build
-        the structured error payload (what exactly is damaged, how many
-        records survive) without flipping the whole reader into salvage
-        mode or polluting its counters.  Thread-safe; does not touch the
-        frame cache."""
-        report = SalvageReport(path=self.path)
-        with self._cache_lock:
-            blob = self.source.fetch(frame.offset, frame.size)
-        records = salvage_frame_records(
-            blob,
-            self.profile,
-            self.field_mask,
-            base_offset=frame.offset,
-            report=report,
-            expected_records=frame.n_records,
-            expected_size=frame.size,
-            time_span=(frame.start_time, frame.end_time),
-        )
-        if not records and frame.n_records:
-            report.frames_quarantined += 1
-        return records, report
-
-    def _decode_frame(self, frame: SlogFrameEntry) -> list[IntervalRecord]:
-        blob = self.source.fetch(frame.offset, frame.size)
-        if self._salvage_mode:
-            assert self.salvage is not None
-            records = salvage_frame_records(
-                blob,
-                self.profile,
-                self.field_mask,
-                base_offset=frame.offset,
-                report=self.salvage,
-                expected_records=frame.n_records,
-                expected_size=frame.size,
-                time_span=(frame.start_time, frame.end_time),
-            )
-            if not records and frame.n_records:
-                self.salvage.frames_quarantined += 1
-            return records
-        if len(blob) != frame.size:
-            raise FormatError(
-                f"{self.path}: SLOG frame at {frame.offset} runs past end of file"
-            )
-        records = []
-        pos = 0
-        while pos < len(blob):
-            try:
-                record, pos = IntervalRecord.decode(
-                    blob, pos, self.profile, self.field_mask
-                )
-            except (struct.error, IndexError, ValueError, OverflowError) as exc:
-                raise FormatError(
-                    f"{self.path}: corrupt SLOG record at offset "
-                    f"{frame.offset + pos} ({exc})"
-                ) from exc
-            records.append(record)
-        if len(records) != frame.n_records:
-            raise FormatError(
-                f"SLOG frame at {frame.offset}: {len(records)} records, "
-                f"index says {frame.n_records}"
-            )
-        return records
+    def frame_entries(self) -> list[SlogFrameEntry]:
+        """All frame entries as a list (the name IntervalReader shares)."""
+        return list(self.frames)
 
     def records(self) -> list[IntervalRecord]:
         """Every record in the file, frame by frame."""
@@ -664,19 +393,6 @@ class SlogFile:
             return [], np.zeros((self.preview_bins, 0))
         matrix = np.stack([self.preview[i] for i in itypes], axis=1) / self.ticks_per_sec
         return itypes, matrix
-
-
-def _profile_from_blob(blob: bytes) -> Profile:
-    """Reconstruct a Profile from its embedded serialized form."""
-    import tempfile
-
-    with tempfile.NamedTemporaryFile(suffix=".ute", delete=False) as fh:
-        fh.write(blob)
-        temp = fh.name
-    try:
-        return Profile.read(temp)
-    finally:
-        Path(temp).unlink(missing_ok=True)
 
 
 def slog_from_interval_file(

@@ -206,7 +206,7 @@ def interval_records(
     from repro.query.columnar import planned_batch_records
     from repro.query.engine import (
         EXECUTORS,
-        planned_records,
+        reference_scan,
         resolve_index,
         window_to_ticks,
     )
@@ -216,7 +216,7 @@ def interval_records(
 
     if executor not in EXECUTORS:
         raise StatsError(f"unknown executor {executor!r}; pick one of {EXECUTORS}")
-    record_stream = planned_records if executor == "record" else planned_batch_records
+    record_stream = reference_scan if executor == "record" else planned_batch_records
     for path in paths:
         loaded, reason = resolve_index(path, index)
         with open_trace(path, profile) as handle:

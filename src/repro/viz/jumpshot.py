@@ -275,10 +275,6 @@ class Jumpshot:
             ticks_per_sec=self.slog.ticks_per_sec,
         )
 
-    def stats(self) -> dict[str, int]:
-        """The underlying SLOG file's cache/IO accounting (shared shape)."""
-        return self.slog.stats()
-
     # ------------------------------------------------------------ internals
 
     def _cpus_per_node(self) -> dict[int, int]:

@@ -192,23 +192,35 @@ class TestHonestAccounting:
 # Batch decode parity with the record decoder.
 
 
+def _key_orders(records):
+    return [list(r.extra) for r in records]
+
+
 class TestBatchDecode:
+    """The store's one decode (columnar batch, records materialised from
+    it) against the uncached per-record reference decoder."""
+
     def test_batch_matches_read_frame(self, ivl):
         with open_trace(ivl, PROFILE) as handle:
             for frame in handle.frames:
-                records = handle.read_frame(frame.ordinal)
+                records = handle.reference_frame(frame.ordinal)
                 batch = handle.read_frame_batch(frame.ordinal)
                 assert batch.n == len(records)
                 assert batch.to_records() == records
+                assert _key_orders(batch.to_records()) == _key_orders(records)
+                assert handle.read_frame(frame.ordinal) == records
 
-    @pytest.mark.parametrize("name", ["good.ute", "good.slog"])
+    @pytest.mark.parametrize("name", ["good.ute", "good.slog", "interop/golden.ute"])
     def test_batch_matches_read_frame_corpus(self, corpus, name):
         with open_trace(corpus.path(name), PROFILE) as handle:
             for frame in handle.frames:
-                assert (
-                    handle.read_frame_batch(frame.ordinal).to_records()
-                    == handle.read_frame(frame.ordinal)
-                )
+                records = handle.reference_frame(frame.ordinal)
+                for got in (
+                    handle.read_frame_batch(frame.ordinal).to_records(),
+                    handle.read_frame(frame.ordinal),
+                ):
+                    assert got == records
+                    assert _key_orders(got) == _key_orders(records)
 
     def test_batch_from_records_roundtrip(self):
         records = _records(24)
@@ -232,6 +244,9 @@ class TestBatchDecode:
 
     @pytest.mark.parametrize("name,profile_kind", SALVAGEABLE)
     def test_salvage_batches_mirror_salvage_records(self, corpus, name, profile_kind):
+        """Salvage-mode batches and records against the resynchronizing
+        decoder run directly over the same bytes (fresh report)."""
+        from repro.core.salvage import SalvageReport, salvage_frame_records
         from tests.conftest import DATA_DIR
 
         profile = (
@@ -241,10 +256,21 @@ class TestBatchDecode:
         )
         with open_trace(corpus.path(name), profile, errors="salvage") as handle:
             for frame in handle.frames:
-                assert (
-                    handle.read_frame_batch(frame.ordinal).to_records()
-                    == handle.read_frame(frame.ordinal)
+                want = salvage_frame_records(
+                    handle.source.fetch(frame.offset, frame.size),
+                    profile,
+                    handle.field_mask,
+                    base_offset=frame.offset,
+                    report=SalvageReport(),
+                    expected_records=frame.n_records,
+                    expected_size=frame.size,
+                    time_span=(frame.start_time, frame.end_time),
                 )
+                batch = handle.read_frame_batch(frame.ordinal)
+                assert batch.to_records() == want
+                assert handle.read_frame(frame.ordinal) == want
+                assert batch.column_values("start") == [r.start for r in want]
+                assert batch.column_values("end") == [r.end for r in want]
 
 
 # ---------------------------------------------------------------------------

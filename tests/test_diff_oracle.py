@@ -36,11 +36,12 @@ class TestOracleOverCorpus:
         assert "strict_vs_salvage" in report.checks
         assert "adjust_parity" in report.checks
 
-    def test_slog_runs_all_eight_checks(self, corpus):
+    def test_slog_runs_all_nine_checks(self, corpus):
         report = run_oracle(corpus.path("good.slog"), PROFILE)
         assert report.checks == [
             "strict_vs_salvage",
             "indexed_vs_full",
+            "decode_parity",
             "columnar_vs_record",
             "dump_vs_query",
             "aggregate_vs_exact",

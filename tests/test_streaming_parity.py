@@ -77,7 +77,11 @@ def test_streaming_reader_matches_memory_reader(workdir, raw):
     records = build_records(raw)
     path = write_interval_file(workdir, records)
     with IntervalReader(path, PROFILE, mode="memory") as baseline:
-        want_records = list(baseline.intervals())
+        # The baseline is the per-record reference decoder, so this is not
+        # the store's batch decode compared with itself.
+        want_records = [
+            r for f in baseline.frames() for r in baseline.reference_frame(f)
+        ]
         want_dirs = [
             (d.offset, d.prev_offset, d.next_offset, tuple(d.frames))
             for d in baseline.directories()
@@ -129,7 +133,9 @@ def test_slog_streaming_parity(workdir):
         writer.write(record)
     writer.close()
     with SlogFile(path, mode="memory") as baseline:
-        want = baseline.records()
+        want = [
+            r for f in baseline.frames for r in baseline.reference_frame(f)
+        ]
         want_frames = list(baseline.frames)
         _, want_matrix = baseline.preview_matrix()
     assert want == records
@@ -154,22 +160,24 @@ def test_frame_cache_hits_skip_fetches(workdir):
         again = reader.read_frame(frames[0])
         assert again == first
         assert reader.source.fetch_count == 0  # served from cache
-        assert reader.cache_hits == 1
+        assert reader.stats()["hits"] == 1
 
         # Eviction: touch more frames than the cache holds, then re-read.
         small = IntervalReader(path, PROFILE, mode="file", cache_frames=2)
         for frame in frames:
             small.read_frame(frame)
         small.read_frame(frames[0])
-        assert small.cache_misses == len(frames) + 1  # frames[0] was evicted
+        assert small.stats()["misses"] == len(frames) + 1  # frames[0] was evicted
+        assert small.stats()["evictions"] == len(frames) - 1
         small.close()
 
         # cache_frames=0 disables caching entirely.
         uncached = IntervalReader(path, PROFILE, mode="file", cache_frames=0)
         uncached.read_frame(frames[0])
         uncached.read_frame(frames[0])
-        assert uncached.cache_hits == 0
-        assert uncached.cache_misses == 2
+        stats = uncached.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 2)
+        assert (stats["evictions"], stats["resident_bytes"]) == (0, 0)
         uncached.close()
 
 
