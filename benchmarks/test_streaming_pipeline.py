@@ -9,7 +9,7 @@ nodes:
   machines with >= 4 CPUs; the determinism assertions always apply);
 * frame display cost — fetch accounting proves one frame's display reads
   O(frame) bytes, not O(file);
-* streaming vs in-memory merge — byte-identical merged output.
+* streaming merge — byte-identical merged output across runs.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def test_frame_display_reads_o_frame_bytes(big_traces):
     )
 
 
-def test_streaming_merge_matches_in_memory(big_traces):
+def test_streaming_merge_is_deterministic(big_traces):
     tmp = big_traces["tmp"]
     out = tmp / "serial"
     if not (out / "node0.ute").exists():
@@ -136,6 +136,6 @@ def test_streaming_merge_matches_in_memory(big_traces):
     t0 = time.perf_counter()
     merge_interval_files(inputs, tmp / "m-stream.ute", profile)
     t_merge = time.perf_counter() - t0
-    merge_interval_files(inputs, tmp / "m-jobs.ute", profile, jobs=4)
-    assert (tmp / "m-stream.ute").read_bytes() == (tmp / "m-jobs.ute").read_bytes()
-    report(f"  merge ({len(inputs)} files): {t_merge:.2f}s, jobs output identical")
+    merge_interval_files(inputs, tmp / "m-again.ute", profile)
+    assert (tmp / "m-stream.ute").read_bytes() == (tmp / "m-again.ute").read_bytes()
+    report(f"  merge ({len(inputs)} files): {t_merge:.2f}s, re-run output identical")

@@ -361,10 +361,6 @@ def _merge_args(prog: str) -> argparse.ArgumentParser:
         choices=[None, "mpi", "user", "system"],
         help="merge only this thread category",
     )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="scan input files in N parallel processes",
-    )
     return parser
 
 
@@ -387,7 +383,6 @@ def _run_merge(args, slog_path):
         frame_bytes=args.frame_bytes,
         slog_path=slog_path,
         thread_types=types,
-        jobs=args.jobs,
     )
 
 

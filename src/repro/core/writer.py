@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.atomicio import AtomicFile
+from repro.core.framebuilder import FrameSink, SealedFrame
 from repro.core.frames import NO_DIRECTORY, FrameDirectory, FrameEntry
+from repro.core.magic import INTERVAL_MAGIC as MAGIC
 from repro.core.profilefmt import Profile
-from repro.core.records import IntervalRecord
 from repro.core.threadtable import ThreadTable
 from repro.errors import FormatError
 
-MAGIC = b"UTEIVL1\x00"
 HEADER_VERSION = 1
 _HEADER = struct.Struct("<8sIHHIIIQQd")
 # magic, profile_version, header_version, pad, n_threads, n_markers,
@@ -112,12 +112,15 @@ def decode_marker_table(data: bytes, offset: int, count: int) -> tuple[dict[int,
     return markers, offset
 
 
-class IntervalFileWriter:
-    """Streams interval records into a framed, directory-indexed file.
+class IntervalFileWriter(FrameSink):
+    """Sinks sealed frames into a framed, directory-indexed file.
 
-    Records must be appended in ascending **end time** order (start +
-    duration), the invariant paper section 3.1 states for interval files;
-    the writer enforces it.
+    :meth:`write` feeds records through the sink's
+    :class:`~repro.core.framebuilder.FrameBuilder` (ascending **end time**
+    order enforced there, the invariant paper section 3.1 states for
+    interval files); :meth:`add_frame` takes frames some other builder
+    cut.  The writer itself only groups frames into directories and
+    back-patches the directory chain.
     """
 
     def __init__(
@@ -133,24 +136,14 @@ class IntervalFileWriter:
         frames_per_dir: int = 8,
         ticks_per_sec: float = 1e9,
     ) -> None:
-        if frame_bytes < 256:
-            raise FormatError(f"frame size too small: {frame_bytes}")
         if frames_per_dir < 1:
             raise FormatError("need at least one frame per directory")
-        self.path = Path(path)
-        self.profile = profile
-        self.thread_table = thread_table
-        self.markers = dict(markers or {})
-        self.node_cpus = dict(node_cpus or {})
-        self.field_mask = field_mask
-        self.frame_bytes = frame_bytes
+        super().__init__(
+            path, profile, thread_table, markers=markers, node_cpus=node_cpus,
+            field_mask=field_mask, frame_bytes=frame_bytes,
+            ticks_per_sec=ticks_per_sec, continuations=False,
+        )
         self.frames_per_dir = frames_per_dir
-        self.records_written = 0
-        # Accounting mirrors of the readers' fetch counters: payload bytes
-        # and frames emitted, so pipeline tests can balance both ends.
-        self.bytes_written = 0
-        self.frames_written = 0
-        self._last_end: int | None = None
 
         # Bytes stage in a temp sibling and replace the final name only in
         # close() — a crash mid-write never leaves a half-written .ute that
@@ -177,58 +170,17 @@ class IntervalFileWriter:
         self._fh.write(node_blob)
         self._next_write_offset = first_dir
         self._prev_dir_offset = NO_DIRECTORY
-        # Current frame accumulation.
-        self._frame_buf = bytearray()
-        self._frame_records = 0
-        self._frame_start: int | None = None
-        self._frame_end: int | None = None
-        # Finished frames awaiting their directory: (blob, n, start, end).
+        # Sunk frames awaiting their directory: (blob, n, start, end).
         self._pending: list[tuple[bytes, int, int, int]] = []
-        self._closed = False
 
     # ------------------------------------------------------------------ API
-
-    def write(self, record: IntervalRecord) -> None:
-        """Append one record (ascending end-time order enforced)."""
-        if self._closed:
-            raise FormatError("interval writer already closed")
-        end = record.end
-        if self._last_end is not None and end < self._last_end:
-            raise FormatError(
-                f"records out of end-time order: {end} after {self._last_end}"
-            )
-        self._last_end = end
-        blob = record.encode(self.profile, self.field_mask)
-        self._frame_buf += blob
-        self._frame_records += 1
-        self._frame_start = (
-            record.start if self._frame_start is None else min(self._frame_start, record.start)
-        )
-        self._frame_end = end if self._frame_end is None else max(self._frame_end, end)
-        self.records_written += 1
-        self.bytes_written += len(blob)
-        if len(self._frame_buf) >= self.frame_bytes:
-            self._finish_frame()
-
-    @property
-    def frame_fill(self) -> int:
-        """Bytes accumulated in the current (unfinished) frame.  Zero means
-        the next write starts a fresh frame — the merge utility uses this to
-        lead new frames with pseudo-interval records."""
-        return len(self._frame_buf)
-
-    def frame_boundary(self) -> None:
-        """Force the current frame to close (used by the merge utility when
-        it wants to lead the next frame with pseudo-intervals)."""
-        if self._frame_records:
-            self._finish_frame()
 
     def close(self) -> Path:
         """Flush everything, finalize the directory chain, and atomically
         publish the file at its final name."""
         if self._closed:
             return self.path
-        self._finish_frame()
+        self._seal_open_frame()
         if self._pending or self._prev_dir_offset == NO_DIRECTORY:
             # Final (possibly partial or empty) directory.
             self._flush_directory()
@@ -244,29 +196,12 @@ class IntervalFileWriter:
         self._closed = True
         self._fh.abort()
 
-    def __enter__(self) -> "IntervalFileWriter":
-        return self
-
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
-
     # ------------------------------------------------------------ internals
 
-    def _finish_frame(self) -> None:
-        if not self._frame_records:
-            return
-        assert self._frame_start is not None and self._frame_end is not None
+    def _sink(self, frame: SealedFrame) -> None:
         self._pending.append(
-            (bytes(self._frame_buf), self._frame_records, self._frame_start, self._frame_end)
+            (frame.blob, frame.n_records, frame.start_time, frame.end_time)
         )
-        self.frames_written += 1
-        self._frame_buf = bytearray()
-        self._frame_records = 0
-        self._frame_start = None
-        self._frame_end = None
         if len(self._pending) >= self.frames_per_dir:
             self._flush_directory()
 

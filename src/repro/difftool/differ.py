@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.core.magic import sniff_kind
 from repro.errors import FormatError
 
 #: Fields the timestamp slack applies to, per artifact family.
@@ -145,24 +146,6 @@ class DiffReport:
 
 
 # ---------------------------------------------------------------- loading
-
-_RAW_MAGIC = b"UTERAW1\x00"
-_IVL_MAGIC = b"UTEIVL1\x00"
-_SLOG_MAGIC = b"UTESLOG1"
-
-
-def sniff_kind(path: str | Path) -> str:
-    """``"raw"`` / ``"interval"`` / ``"slog"`` from the magic bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-    if magic == _RAW_MAGIC:
-        return "raw"
-    if magic == _IVL_MAGIC:
-        return "interval"
-    if magic == _SLOG_MAGIC:
-        return "slog"
-    raise FormatError(f"{path}: unrecognized magic {magic!r}")
-
 
 def _interval_fields(record) -> dict[str, Any]:
     fields = {

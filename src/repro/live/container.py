@@ -33,10 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.atomicio import atomic_write_bytes
-from repro.core.profilefmt import Profile
-from repro.core.threadtable import ThreadTable
 from repro.errors import FormatError
-from repro.utils.slog import _FRAME_ENTRY, SlogFrameEntry, slog_metadata_bytes
+from repro.utils.slog import _FRAME_ENTRY, SlogFrameEntry
 
 EPOCH_MAGIC = b"UTELIVE1"
 EPOCH_VERSION = 1
@@ -212,31 +210,3 @@ def read_manifest(live_dir: str | Path) -> EpochManifest:
 def write_manifest(live_dir: str | Path, manifest: EpochManifest) -> Path:
     """Atomically publish ``manifest`` as the container's epoch."""
     return atomic_write_bytes(epoch_path(live_dir), manifest.encode())
-
-
-def encode_live_meta(
-    profile: Profile,
-    thread_table: ThreadTable,
-    *,
-    markers: dict[int, str],
-    node_cpus: dict[int, int],
-    field_mask: int,
-    ticks_per_sec: float,
-    preview_bins: int,
-) -> bytes:
-    """The container's once-written ``meta`` member: a SLOG metadata
-    section with an empty preview and a zero-frame index, so any reader
-    of ``meta + data[:published]`` starts from a valid SLOG parse and the
-    epoch manifest supplies the rest."""
-    return slog_metadata_bytes(
-        profile,
-        thread_table,
-        markers=markers,
-        node_cpus=node_cpus,
-        field_mask=field_mask,
-        ticks_per_sec=ticks_per_sec,
-        time_range=(0, 1),
-        preview_bins=preview_bins,
-        counters={},
-        frames=[],
-    )

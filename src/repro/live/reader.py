@@ -33,7 +33,6 @@ from repro.core.reader import DEFAULT_FRAME_CACHE
 from repro.core.records import IntervalRecord
 from repro.errors import FormatError
 from repro.live.container import (
-    FLAVOR_INTERVAL,
     EpochManifest,
     data_path,
     epoch_path,
@@ -210,8 +209,6 @@ class FollowReader:
         #: reader while the container exists, the finished file afterwards.
         self._handle = None
         self._consumed_frames = 0
-        self._consumed_records = 0  # non-pseudo records handed out
-        self._skip_in_frame = 0  # mid-frame resume point after a switchover
         self._last_seq = -1
         self._done = False
         deadline = time.monotonic() + connect_timeout
@@ -332,31 +329,18 @@ class FollowReader:
 
     def _switch_to_final(self) -> None:
         """The container vanished mid-follow: resume inside the assembled
-        file.  SLOG assembly preserves frames one-to-one, so the frame
-        ordinal carries over; an interval assembly re-frames (possibly on
-        different boundaries) and strips pseudo-records, so the resume
-        point is the non-pseudo record count — which may land mid-frame,
-        in which case the leading records of that frame are skipped."""
+        file.  Assembly preserves frames one-to-one in both flavors, so
+        the frame ordinal carries over."""
         assert self._live is not None
-        flavor = self._live.manifest.flavor
         self._live.close()
         self._live = None
         self._open_final()
-        if flavor == FLAVOR_INTERVAL:
-            skip = self._consumed_records
-            self._consumed_frames = 0
-            for frame in self._handle.frames:
-                if skip < frame.n_records:
-                    break
-                skip -= frame.n_records
-                self._consumed_frames += 1
-            else:
-                if skip:
-                    raise FormatError(
-                        f"{self.path}: finished file is shorter than the "
-                        f"followed stream ({skip} records past its end)"
-                    )
-            self._skip_in_frame = skip
+        if len(self._handle.frames) < self._consumed_frames:
+            raise FormatError(
+                f"{self.path}: finished file is shorter than the followed "
+                f"stream ({len(self._handle.frames)} frames, "
+                f"{self._consumed_frames} already handed out)"
+            )
 
     def _poll_final(self) -> FollowEvent | None:
         seq = self._last_seq + 1
@@ -376,16 +360,9 @@ class FollowReader:
         records: list[IntervalRecord] = []
         n_pseudo = 0
         for frame in new:
-            batch = handle.read_frame(frame.ordinal)
-            pseudo = frame.n_pseudo
-            if self._skip_in_frame:  # mid-frame resume after a switchover
-                batch = batch[self._skip_in_frame :]
-                pseudo = max(0, pseudo - self._skip_in_frame)
-                self._skip_in_frame = 0
-            records.extend(batch)
-            n_pseudo += pseudo
+            records.extend(handle.read_frame(frame.ordinal))
+            n_pseudo += frame.n_pseudo
         self._consumed_frames = len(handle.frames)
-        self._consumed_records += len(records) - n_pseudo
         self._last_seq = seq
         return FollowEvent(
             "epoch", seq, records,

@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.magic import sniff_kind
 from repro.core.records import IntervalRecord
 from repro.core.windows import overlaps_window
 from repro.errors import FormatError
 
 #: Magic prefixes of the two frame-indexed formats.
-_INTERVAL_MAGIC = b"UTEIVL1\x00"
-_SLOG_MAGIC = b"UTESLOG1"
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,13 @@ class TraceHandle:
 
 def trace_kind(path: str | Path) -> str:
     """``"interval"`` or ``"slog"``, sniffed from the magic bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-    if magic == _INTERVAL_MAGIC:
-        return "interval"
-    if magic == _SLOG_MAGIC:
-        return "slog"
-    raise FormatError(
-        f"{path}: not a frame-indexed trace file (magic {magic!r}); "
-        "queries need an interval (.ute) or SLOG (.slog) file"
-    )
+    kind = sniff_kind(path)
+    if kind == "raw":
+        raise FormatError(
+            f"{path}: raw traces have no frame index; "
+            "queries need an interval (.ute) or SLOG (.slog) file"
+        )
+    return kind
 
 
 def open_reader(path: str | Path, profile=None, **kwargs):

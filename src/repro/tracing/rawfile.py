@@ -13,10 +13,10 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.core.atomicio import AtomicFile
+from repro.core.magic import RAW_MAGIC as MAGIC
 from repro.errors import TraceError
 from repro.tracing.events import RawEvent
 
-MAGIC = b"UTERAW1\x00"
 _HEADER = struct.Struct("<8sHHHHQd")  # magic, version, node, n_cpus, pad, base_local_ts, tick_ns
 FORMAT_VERSION = 1
 

@@ -5,7 +5,8 @@
   end pieces, synthesizes Running states, re-assigns globally unique marker
   identifiers, and writes per-node interval files.
 * :mod:`repro.utils.avltree` — the balanced tree (keyed by interval end
-  time) the merge utility sorts its per-file cursors with.
+  time) the paper's merge describes; the merge-structure ablation's
+  reference (the merge itself runs ``heapq`` on the same keys).
 * :mod:`repro.utils.merge` — the merge utility: aligns per-node files by
   their first global-clock records, adjusts local timestamps for drift,
   k-way merges records in end-time order, injects zero-duration continuation

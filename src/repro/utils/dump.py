@@ -12,6 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
+from repro.core.magic import sniff_kind
 from repro.core.profilefmt import Profile
 from repro.core.reader import IntervalReader
 from repro.core.records import IntervalRecord
@@ -187,19 +188,17 @@ def dump_any(
     window: tuple[float | None, float | None] | None = None,
 ) -> Iterator[str]:
     """Dispatch on the file's magic bytes."""
-    magic = Path(path).open("rb").read(8)
-    if magic == b"UTERAW1\x00":
+    kind = sniff_kind(path)
+    if kind == "raw":
         if frame is not None or window is not None:
             raise FormatError(
                 f"{path}: raw trace files have no frame directory; "
                 "--frame/--window need an interval or SLOG file"
             )
         yield from dump_raw(path, limit=limit)
-    elif magic == b"UTEIVL1\x00":
+    elif kind == "interval":
         yield from dump_interval(
             path, profile, limit=limit, frame=frame, window=window
         )
-    elif magic == b"UTESLOG1":
-        yield from dump_slog(path, limit=limit, frame=frame, window=window)
     else:
-        raise FormatError(f"{path}: unrecognized magic {magic!r}")
+        yield from dump_slog(path, limit=limit, frame=frame, window=window)

@@ -9,19 +9,21 @@ Merges per-node interval files into a single merged interval file:
    start and duration are rescaled.  The original local start survives in
    the merged file's ``localStart`` field (present only under the merged
    field-selection mask — the profile mechanism built for exactly this).
-3. **K-way merge** — a balanced (AVL) tree holds one cursor per input file,
-   sorted by adjusted end time; the minimum is popped, written, and the
-   cursor re-inserted at its next record.
-4. **Pseudo-intervals** — each new frame is led by zero-duration
+3. **K-way merge** — a heap (``heapq.merge``) holds the next record of each
+   input file, keyed by adjusted end time; the minimum is popped, written,
+   and replaced by that file's next record.
+4. **Pseudo-intervals** — one :class:`~repro.core.framebuilder.FrameBuilder`
+   cuts the merged stream into frames, each new one led by zero-duration
    continuation records for every state open at that point, so a tool that
    jumps into the middle of the file still sees the enclosing nested states.
 
-Optionally tees the merged stream into a SLOG file for Jumpshot.
+Each sealed frame goes to the interval file and, when asked for, to a SLOG
+file for Jumpshot — the same bytes, built once.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -33,13 +35,13 @@ from repro.clocksync.adjust import (
 )
 from repro.clocksync.ratio import ClockPair
 from repro.core.fields import MASK_ALL_MERGED
+from repro.core.framebuilder import FrameBuilder
 from repro.core.profilefmt import Profile
 from repro.core.reader import IntervalReader
-from repro.core.records import BeBits, IntervalRecord, IntervalType
+from repro.core.records import IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadTable
 from repro.core.writer import IntervalFileWriter
 from repro.errors import MergeError
-from repro.utils.avltree import AVLTree
 
 
 @dataclass
@@ -100,96 +102,26 @@ def _adjusted_stream(
         )
 
 
-class _MergeCursor:
-    """Streaming cursor over one input file's adjusted, filtered records.
+def _keyed_stream(
+    index: int, path: Path, reader: IntervalReader, adjustment, keep: set[int] | None
+) -> Iterator[tuple[tuple[int, int, int], IntervalRecord]]:
+    """One input file's adjusted records, restricted to the logical thread
+    ids in ``keep`` (None keeps all), each under its merge key.
 
-    One cursor per input file feeds the k-way merge; records flow straight
-    from the reader's byte source through clock adjustment to the writer,
-    so the merge never materializes a whole file.  Each cursor binds its own
-    thread-selection set (an earlier version filtered through a generator
-    expression whose free variable was rebound every loop iteration, so all
-    files silently used the *last* file's selection).
-
-    Sort keys are ``(adjusted end, file index, record ordinal)`` — fully
-    ordered, so records with equal adjusted end times merge in a
-    deterministic order that no longer depends on AVL insertion timing.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        path: Path,
-        reader: IntervalReader,
-        adjustment,
-        keep: set[int] | None,
-    ) -> None:
-        self.index = index
-        self.path = path
-        self.reader = reader
-        self.ordinal = 0
-        self._keep = keep
-        self._stream = _adjusted_stream(reader, adjustment)
-
-    def next_record(self) -> IntervalRecord | None:
-        """The next selected record, or None at end of stream."""
-        for record in self._stream:
-            if self._keep is None or record.thread in self._keep:
-                self.ordinal += 1
-                return record
-        return None
-
-    def key(self, record: IntervalRecord) -> tuple[int, int, int]:
-        """Deterministic total-order merge key for ``record`` (which must be
-        the record :meth:`next_record` just returned)."""
-        return (record.end, self.index, self.ordinal)
-
-    def close(self) -> None:
-        self.reader.close()
-
-
-def _clock_pairs_worker(task: tuple[Path, Profile]) -> list[ClockPair]:
-    """Pool worker for the pass-1 clock-pair scan of one input file."""
-    path, profile = task
-    with IntervalReader(path, profile) as reader:
-        return collect_clock_pairs(reader)
-
-
-class _OpenStateTracker:
-    """Tracks interrupted states still open in the merged stream, for
-    pseudo-interval injection."""
-
-    def __init__(self) -> None:
-        self._open: dict[tuple, IntervalRecord] = {}
-
-    @staticmethod
-    def _key(record: IntervalRecord) -> tuple:
-        marker = record.extra.get("markerId", 0) if record.itype == IntervalType.MARKER else 0
-        return (record.node, record.thread, record.itype, marker)
-
-    def observe(self, record: IntervalRecord) -> None:
-        if record.bebits is BeBits.BEGIN:
-            self._open[self._key(record)] = record
-        elif record.bebits is BeBits.END:
-            self._open.pop(self._key(record), None)
-
-    def pseudo_records(self, at_time: int) -> list[IntervalRecord]:
-        """Zero-duration continuation records for every open state."""
-        out = []
-        for record in self._open.values():
-            out.append(
-                IntervalRecord(
-                    record.itype,
-                    BeBits.CONTINUATION,
-                    at_time,
-                    0,
-                    record.node,
-                    record.cpu,
-                    record.thread,
-                    dict(record.extra),
-                )
-            )
-        out.sort(key=lambda r: (r.node, r.thread, r.itype))
-        return out
+    Keys are ``(adjusted end, file index, record ordinal)`` — unique and
+    fully ordered, so records with equal adjusted end times merge in a
+    deterministic order and the records themselves never compare.  Records
+    flow straight from the reader's byte source through clock adjustment,
+    so the merge never materializes a whole file."""
+    ordinal = 0
+    last_end = 0
+    for record in _adjusted_stream(reader, adjustment):
+        if keep is None or record.thread in keep:
+            if record.end < last_end:
+                raise MergeError(f"{path}: records out of end-time order after adjustment")
+            last_end = record.end
+            ordinal += 1
+            yield (last_end, index, ordinal), record
 
 
 def merge_interval_files(
@@ -203,17 +135,12 @@ def merge_interval_files(
     slog_path: str | Path | None = None,
     preview_bins: int = 50,
     thread_types: set[int] | None = None,
-    jobs: int = 1,
 ) -> MergeResult:
     """Merge per-node interval files into one; optionally emit SLOG too.
 
     ``thread_types`` restricts merging to specific thread categories (the
     thread-table partitioning's purpose: "a way to choose specific threads
     for merging"); None merges everything.
-
-    ``jobs > 1`` fans the pass-1 clock-pair scans (a full record walk per
-    input file) out across a process pool; the k-way merge itself stays in
-    this process and is unchanged by ``jobs``.
     """
     paths = [Path(p) for p in paths]
     if not paths:
@@ -227,22 +154,15 @@ def merge_interval_files(
     readers = [IntervalReader(p, profile) for p in paths]
 
     # Pass 1: clock pairs, adjustments, merged tables, global time range.
-    if jobs > 1 and len(paths) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        with ctx.Pool(min(jobs, len(paths))) as pool:
-            all_pairs = pool.map(_clock_pairs_worker, [(p, profile) for p in paths])
-    else:
-        all_pairs = [collect_clock_pairs(reader) for reader in readers]
     adjustments = []
     merged_table = ThreadTable()
     merged_markers: dict[int, str] = {}
     merged_nodes: dict[int, int] = {}
     selected: list[set[int] | None] = []
-    for reader, pairs in zip(readers, all_pairs):
+    for reader in readers:
         for node, cpus in reader.node_cpus.items():
             merged_nodes[node] = max(merged_nodes.get(node, 0), cpus)
-        adjustments.append(_build_adjustment(pairs, sync_mode))
+        adjustments.append(_build_adjustment(collect_clock_pairs(reader), sync_mode))
         keep: set[int] | None = None
         if thread_types is not None:
             keep = {
@@ -263,15 +183,12 @@ def merge_interval_files(
                 )
             merged_markers[marker_id] = text
 
-    # Pass 2: k-way merge over streaming cursors via the balanced tree.
-    tree = AVLTree()
-    cursors = []
-    for i, (path, reader, adjustment) in enumerate(zip(paths, readers, adjustments)):
-        cursor = _MergeCursor(i, path, reader, adjustment, selected[i])
-        cursors.append(cursor)
-        first = cursor.next_record()
-        if first is not None:
-            tree.insert(cursor.key(first), (i, first))
+    merged = heapq.merge(
+        *(
+            _keyed_stream(i, path, reader, adjustment, selected[i])
+            for i, (path, reader, adjustment) in enumerate(zip(paths, readers, adjustments))
+        )
+    )
 
     slog_writer = None
     if slog_path is not None:
@@ -294,10 +211,11 @@ def merge_interval_files(
             preview_bins=preview_bins,
         )
 
-    tracker = _OpenStateTracker()
+    # Pass 2: one builder cuts the k-way merged stream into frames; every
+    # sealed frame goes to both outputs.
+    builder = FrameBuilder(profile, MASK_ALL_MERGED, frame_bytes, continuations=True)
     pseudo_count = 0
     records_out = 0
-    last_end = 0
     try:
         with IntervalFileWriter(
             out_path,
@@ -309,27 +227,12 @@ def merge_interval_files(
             frame_bytes=frame_bytes,
             frames_per_dir=frames_per_dir,
         ) as writer:
-            while tree:
-                _, (i, record) = tree.pop_min()
-                if writer.frame_fill == 0 and records_out > 0:
-                    for pseudo in tracker.pseudo_records(last_end):
-                        writer.write(pseudo)
-                        if slog_writer is not None:
-                            slog_writer.write(pseudo, pseudo=True)
-                        pseudo_count += 1
-                writer.write(record)
+            for frame in builder.frames(record for _, record in merged):
+                pseudo_count += frame.n_pseudo
+                records_out += frame.n_records - frame.n_pseudo
+                writer.add_frame(frame)
                 if slog_writer is not None:
-                    slog_writer.write(record)
-                tracker.observe(record)
-                records_out += 1
-                last_end = record.end
-                nxt = cursors[i].next_record()
-                if nxt is not None:
-                    if nxt.end < record.end:
-                        raise MergeError(
-                            f"{paths[i]}: records out of end-time order after adjustment"
-                        )
-                    tree.insert(cursors[i].key(nxt), (i, nxt))
+                    slog_writer.add_frame(frame)
     except BaseException:
         # The interval writer's context already aborted itself; the SLOG
         # writer is not context-managed here, so discard it explicitly —
@@ -338,8 +241,8 @@ def merge_interval_files(
             slog_writer.abort()
         raise
 
-    for cursor in cursors:
-        cursor.close()
+    for reader in readers:
+        reader.close()
     final_slog = None
     if slog_writer is not None:
         final_slog = slog_writer.close()

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.magic import sniff_kind
 from repro.core.profilefmt import Profile
 from repro.core.records import BeBits
 from repro.core.salvage import SalvageReport
@@ -31,31 +32,6 @@ from repro.utils.validate import (
     ValidationReport,
     validate_interval_file,
 )
-
-#: Magic prefixes of the recoverable file kinds.
-_KINDS = (
-    (b"UTEIVL1\x00", "interval"),
-    (b"UTESLOG1", "slog"),
-    (b"UTERAW1\x00", "raw"),
-)
-
-
-def sniff_kind(path: str | Path) -> str:
-    """``"interval"``, ``"slog"``, or ``"raw"`` from the file's magic."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(8)
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read ({exc})") from exc
-    for magic, kind in _KINDS:
-        if head == magic:
-            return kind
-    raise FormatError(
-        f"{path}: not a recoverable trace file (magic {head!r}); "
-        "expected an interval (.ute), SLOG (.slog), or raw trace file"
-    )
-
 
 def default_output_path(input_path: str | Path) -> Path:
     """Where ``ute-recover`` writes when no ``-o`` is given:

@@ -21,8 +21,8 @@ describing profile is embedded, so a SLOG file is fully self-contained.
 
 from __future__ import annotations
 
+import hashlib
 import io
-import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +31,9 @@ import numpy as np
 
 from repro.core.atomicio import AtomicFile, temp_path_for
 from repro.core.bytesource import ByteSource
+from repro.core.framebuilder import FrameBuilder, FrameSink, SealedFrame
 from repro.core.framestore import DEFAULT_FRAME_CACHE, FrameStore
+from repro.core.magic import SLOG_MAGIC as MAGIC
 from repro.core.profilefmt import Profile
 from repro.core.records import IntervalRecord
 from repro.core.salvage import DECODE_ERRORS
@@ -43,8 +45,6 @@ from repro.core.writer import (
     encode_node_table,
 )
 from repro.errors import FormatError
-
-MAGIC = b"UTESLOG1"
 
 #: First metadata window fetched by the streaming reader; grown on demand.
 _INITIAL_WINDOW = 64 * 1024
@@ -72,13 +72,49 @@ class SlogFrameEntry:
         return self.start_time <= t <= self.end_time
 
 
-class SlogWriter:
-    """Builds a SLOG file from an end-time-ordered record stream.
+class PreviewBins:
+    """Per-state preview counters: each record's duration allocated
+    proportionally to ``bins`` equal time bins over ``[t0, t1)``."""
 
-    Maintains the preview state counters while records stream through, and
-    closes frames at the configured byte size.  Call :meth:`write` with
-    ``pseudo=True`` for pseudo-interval records so they are counted
-    separately and excluded from the preview accumulation.
+    def __init__(self, bins: int, t0: int, t1: int) -> None:
+        if bins < 1:
+            raise FormatError("need at least one preview bin")
+        if t1 <= t0:
+            raise FormatError(f"bad preview time range {(t0, t1)}")
+        self.bins = bins
+        self.t0 = t0
+        self.t1 = t1
+        #: itype -> per-bin accumulated duration (ticks).
+        self.counters: dict[int, np.ndarray] = {}
+
+    def add(self, record: IntervalRecord) -> None:
+        """Allocate one record's duration to the bins it overlaps."""
+        counters = self.counters.get(record.itype)
+        if counters is None:
+            counters = np.zeros(self.bins, dtype=np.float64)
+            self.counters[record.itype] = counters
+        t0 = self.t0
+        lo = max(record.start, t0)
+        hi = min(record.end, self.t1)
+        if hi <= lo:
+            return
+        width = (self.t1 - t0) / self.bins
+        first = int((lo - t0) / width)
+        last = min(int((hi - t0) / width), self.bins - 1)
+        for b in range(first, last + 1):
+            bin_lo = t0 + b * width
+            counters[b] += max(0.0, min(hi, bin_lo + width) - max(lo, bin_lo))
+
+
+class SlogWriter(FrameSink):
+    """Sinks sealed frames into a SLOG file.
+
+    :meth:`write` feeds records through the sink's
+    :class:`~repro.core.framebuilder.FrameBuilder` (set ``pseudo`` for
+    pseudo-interval records so they are counted separately and kept out
+    of the preview); :meth:`add_frame` takes frames some other builder
+    cut.  The writer itself keeps the preview counters, the frame index
+    and the spilled frame bytes.
     """
 
     def __init__(
@@ -95,81 +131,39 @@ class SlogWriter:
         preview_bins: int = 50,
         ticks_per_sec: float = 1e9,
     ) -> None:
-        if preview_bins < 1:
-            raise FormatError("need at least one preview bin")
-        t0, t1 = time_range
-        if t1 <= t0:
-            raise FormatError(f"bad preview time range {time_range}")
-        self.path = Path(path)
-        self.profile = profile
-        self.thread_table = thread_table
-        self.markers = dict(markers or {})
-        self.node_cpus = dict(node_cpus or {})
-        self.field_mask = field_mask
-        self.frame_bytes = frame_bytes
-        self.time_range = (t0, t1)
+        super().__init__(
+            path, profile, thread_table, markers=markers, node_cpus=node_cpus,
+            field_mask=field_mask, frame_bytes=frame_bytes,
+            ticks_per_sec=ticks_per_sec, continuations=False,
+        )
+        self.time_range = (time_range[0], time_range[1])
         self.preview_bins = preview_bins
-        self.ticks_per_sec = ticks_per_sec
-        self._bin_width = (t1 - t0) / preview_bins
-        # Preview counters: itype -> per-bin accumulated duration (ticks).
-        self._counters: dict[int, np.ndarray] = {}
-        # Finished frames spill to a sidecar file as they close, so the
+        self._preview = PreviewBins(preview_bins, *time_range)
+        # Sunk frames spill to a sidecar file as they arrive, so the
         # writer holds one open frame plus the (small) index — O(frame)
-        # memory however large the trace.  Index: (start, end, size, n,
-        # n_pseudo) per frame.  The spill is named like the other writers'
-        # temp siblings, so a crash leaves only recognizably-ignorable
-        # artifacts behind.
-        self._frames: list[tuple[int, int, int, int, int]] = []
+        # memory however large the trace.  The spill is named like the
+        # other writers' temp siblings, so a crash leaves only
+        # recognizably-ignorable artifacts behind.
+        self._frames: list[SlogFrameEntry] = []
         self._spill_path = temp_path_for(self.path.with_name(self.path.name + ".frames"))
         self._spill: io.BufferedWriter | None = open(self._spill_path, "wb")
-        self._buf = bytearray()
-        self._buf_records = 0
-        self._buf_pseudo = 0
-        self._buf_start: int | None = None
-        self._buf_end = 0
-        self.records_written = 0
-        self._closed = False
 
     # ------------------------------------------------------------------ API
 
-    def write(self, record: IntervalRecord, *, pseudo: bool = False) -> None:
-        """Append one record; set ``pseudo`` for pseudo-interval records."""
-        if self._closed:
-            raise FormatError("SLOG writer already closed")
-        if not pseudo:
-            self._accumulate_preview(record)
-        blob = record.encode(self.profile, self.field_mask)
-        self._buf += blob
-        self._buf_records += 1
-        self._buf_pseudo += int(pseudo)
-        self._buf_start = (
-            record.start if self._buf_start is None else min(self._buf_start, record.start)
-        )
-        self._buf_end = max(self._buf_end, record.end)
-        self.records_written += 1
-        if len(self._buf) >= self.frame_bytes:
-            self._finish_frame()
-
     def close(self) -> Path:
-        """Finalize frames, assemble the complete file, return its path.
-
-        The metadata and frame index are written first, then the spilled
-        frame bytes are streamed across in chunks — the whole file is never
-        materialized in memory.  Assembly happens in a temp sibling that
-        atomically replaces the final name, so a crash mid-assembly leaves
-        the destination untouched."""
+        """Finalize frames, assemble the complete file, return its path."""
         if self._closed:
             return self.path
-        self._finish_frame()
+        self._seal_open_frame()
         self._closed = True
         assert self._spill is not None
         self._spill.close()
         self._spill = None
         try:
-            with AtomicFile(self.path) as out:
-                out.write(self._metadata_bytes())
-                with open(self._spill_path, "rb") as frames:
-                    shutil.copyfileobj(frames, out)
+            meta = slog_metadata_bytes(
+                self, self.time_range, self._preview.counters, self._frames
+            )
+            assemble_slog(self.path, meta, self._spill_path)
         finally:
             self._spill_path.unlink(missing_ok=True)
         return self.path
@@ -185,108 +179,81 @@ class SlogWriter:
             self._spill = None
         self._spill_path.unlink(missing_ok=True)
 
-    def __enter__(self) -> "SlogWriter":
-        return self
-
-    def __exit__(self, exc_type: object, *exc: object) -> None:
-        if exc_type is not None:
-            self.abort()
-        else:
-            self.close()
-
     # ------------------------------------------------------------ internals
 
-    def _accumulate_preview(self, record: IntervalRecord) -> None:
-        """Proportionally allocate a record's duration to the time bins."""
-        counters = self._counters.get(record.itype)
-        if counters is None:
-            counters = np.zeros(self.preview_bins, dtype=np.float64)
-            self._counters[record.itype] = counters
-        t0, t1 = self.time_range
-        lo = max(record.start, t0)
-        hi = min(record.end, t1)
-        if hi <= lo:
-            return
-        first = int((lo - t0) / self._bin_width)
-        last = min(int((hi - t0) / self._bin_width), self.preview_bins - 1)
-        for b in range(first, last + 1):
-            bin_lo = t0 + b * self._bin_width
-            bin_hi = bin_lo + self._bin_width
-            counters[b] += max(0.0, min(hi, bin_hi) - max(lo, bin_lo))
+    def _sink(self, frame: SealedFrame) -> None:
+        assert self._spill is not None
+        for record in frame.real:
+            self._preview.add(record)
+        self._frames.append(frame_entry(frame, self._spill.tell()))
+        self._spill.write(frame.blob)
 
-    def _finish_frame(self) -> None:
-        if not self._buf_records:
-            return
-        assert self._buf_start is not None and self._spill is not None
-        self._spill.write(self._buf)
-        self._frames.append(
-            (self._buf_start, self._buf_end, len(self._buf), self._buf_records, self._buf_pseudo)
-        )
-        self._buf = bytearray()
-        self._buf_records = 0
-        self._buf_pseudo = 0
-        self._buf_start = None
-        self._buf_end = 0
 
-    def _metadata_bytes(self) -> bytes:
-        """Everything before the frame data: tables, preview, frame index."""
-        return slog_metadata_bytes(
-            self.profile,
-            self.thread_table,
-            markers=self.markers,
-            node_cpus=self.node_cpus,
-            field_mask=self.field_mask,
-            ticks_per_sec=self.ticks_per_sec,
-            time_range=self.time_range,
-            preview_bins=self.preview_bins,
-            counters=self._counters,
-            frames=self._frames,
-        )
+def assemble_slog(path: Path, meta: bytes, frames_path: Path) -> bytes:
+    """Write ``meta`` followed by the frame bytes stored at ``frames_path``
+    to ``path``; returns the finished file's SHA-256.
+
+    The frame bytes stream across in blocks — the whole file is never
+    materialized in memory — into a temp sibling that atomically replaces
+    the final name, so a crash mid-assembly leaves the destination
+    untouched."""
+    digest = hashlib.sha256(meta)
+    with AtomicFile(path) as out:
+        out.write(meta)
+        with open(frames_path, "rb") as frames:
+            while block := frames.read(1 << 20):
+                digest.update(block)
+                out.write(block)
+    return digest.digest()
+
+
+def frame_entry(frame: SealedFrame, offset: int) -> SlogFrameEntry:
+    """The frame-index entry of ``frame`` stored at ``offset``."""
+    return SlogFrameEntry(
+        frame.start_time, frame.end_time, offset, len(frame.blob),
+        frame.n_records, frame.n_pseudo,
+    )
 
 
 def slog_metadata_bytes(
-    profile: Profile,
-    thread_table: ThreadTable,
-    *,
-    markers: dict[int, str],
-    node_cpus: dict[int, int],
-    field_mask: int,
-    ticks_per_sec: float,
+    sink: FrameSink,
     time_range: tuple[int, int],
-    preview_bins: int,
     counters: dict[int, np.ndarray],
-    frames: list[tuple[int, int, int, int, int]],
+    frames: list[SlogFrameEntry],
 ) -> bytes:
-    """A SLOG file's metadata section: tables, preview, frame index.
+    """A SLOG file's metadata section: the tables of ``sink`` (a SLOG or
+    live writer, ``preview_bins`` included), the preview ``counters`` over
+    ``time_range``, and the frame index.
 
-    ``frames`` holds ``(start, end, size, n_records, n_pseudo)`` per frame
-    in file order; frame-index offsets are computed so the frame data
-    follows the metadata contiguously.  Shared by :class:`SlogWriter` and
-    the live container, whose growing files carry a zero-frame metadata
-    prefix in exactly this encoding.
+    ``frames`` are in file order; their own offsets are ignored and
+    recomputed so the frame data follows the metadata contiguously.  The
+    live container's once-written ``meta`` member is this encoding with an
+    empty preview and a zero-frame index.
     """
     out = bytearray()
     out += MAGIC
-    profile_blob = profile.to_bytes()
+    profile_blob = sink.profile.to_bytes()
     out += struct.pack("<I", len(profile_blob)) + profile_blob
-    table_blob = thread_table.encode()
-    out += struct.pack("<I", len(thread_table)) + table_blob
-    marker_blob = encode_marker_table(markers)
-    out += struct.pack("<I", len(markers)) + marker_blob
-    node_blob = encode_node_table(node_cpus)
-    out += struct.pack("<I", len(node_cpus)) + node_blob
-    out += struct.pack("<QdQQ", field_mask, ticks_per_sec, *time_range)
+    table_blob = sink.thread_table.encode()
+    out += struct.pack("<I", len(sink.thread_table)) + table_blob
+    marker_blob = encode_marker_table(sink.markers)
+    out += struct.pack("<I", len(sink.markers)) + marker_blob
+    node_blob = encode_node_table(sink.node_cpus)
+    out += struct.pack("<I", len(sink.node_cpus)) + node_blob
+    out += struct.pack("<QdQQ", sink.field_mask, sink.ticks_per_sec, *time_range)
     # Preview.
-    out += struct.pack("<II", preview_bins, len(counters))
+    out += struct.pack("<II", sink.preview_bins, len(counters))
     for itype in sorted(counters):
         out += struct.pack("<I", itype)
         out += np.asarray(counters[itype], dtype=np.float64).tobytes()
     # Frame index; frame data follows at data_start in spill order.
     out += struct.pack("<I", len(frames))
     offset = len(out) + len(frames) * _FRAME_ENTRY.size
-    for start, end, size, n, n_pseudo in frames:
-        out += _FRAME_ENTRY.pack(start, end, offset, size, n, n_pseudo)
-        offset += size
+    for f in frames:
+        out += _FRAME_ENTRY.pack(
+            f.start_time, f.end_time, offset, f.size, f.n_records, f.n_pseudo
+        )
+        offset += f.size
     return bytes(out)
 
 
@@ -406,10 +373,10 @@ def slog_from_interval_file(
     """Build a SLOG file from an already-merged interval file."""
     from repro.core.reader import IntervalReader
     from repro.core.records import IntervalType
-    from repro.utils.merge import _OpenStateTracker
 
     with IntervalReader(merged_path, profile) as reader:
         _, _, t_end = reader.totals()
+        mask = reader.header.field_mask
         # The writer context aborts on exception: a failure mid-build (a
         # corrupt merged file, a full disk) leaves no half-written SLOG.
         with SlogWriter(
@@ -418,22 +385,13 @@ def slog_from_interval_file(
             reader.thread_table,
             markers=reader.markers,
             node_cpus=reader.node_cpus,
-            field_mask=reader.header.field_mask,
+            field_mask=mask,
             frame_bytes=frame_bytes,
             time_range=(0, max(t_end, 1)),
             preview_bins=preview_bins,
         ) as writer:
-            tracker = _OpenStateTracker()
-            last_end = 0
-            started = False
-            for record in reader.intervals():
-                if record.itype == IntervalType.CLOCKPAIR:
-                    continue
-                if started and writer._buf_records == 0:
-                    for pseudo in tracker.pseudo_records(last_end):
-                        writer.write(pseudo, pseudo=True)
-                writer.write(record)
-                tracker.observe(record)
-                last_end = record.end
-                started = True
+            builder = FrameBuilder(profile, mask, frame_bytes, continuations=True)
+            stream = (r for r in reader.intervals() if r.itype != IntervalType.CLOCKPAIR)
+            for frame in builder.frames(stream):
+                writer.add_frame(frame)
             return writer.close()

@@ -35,7 +35,6 @@ def live_replay_run(
     publish_interval_s: float = 0.1,
     frame_bytes: int = 8 * 1024,
     flavor: str = "slog",
-    jobs: int = 1,
 ) -> Path:
     """Replay a traced run through the live pipeline (``ute-trace
     --live``): convert the raw files, merge them, then feed the merged
@@ -52,11 +51,9 @@ def live_replay_run(
     work.mkdir(parents=True, exist_ok=True)
     from repro.core.profilefmt import Profile
 
-    converted = convert_traces(run.raw_paths, work, jobs=jobs)
+    converted = convert_traces(run.raw_paths, work)
     profile = Profile.read(converted.profile_path)
-    merged = merge_interval_files(
-        converted.interval_paths, work / "merged.ute", profile, jobs=jobs
-    )
+    merged = merge_interval_files(converted.interval_paths, work / "merged.ute", profile)
     return replay_live(
         merged.merged_path,
         out_path,

@@ -146,16 +146,16 @@ class TestKilledWriters:
 
         def child():
             calls = {"n": 0}
-            original = IntervalFileWriter.write
+            original = IntervalFileWriter.add_frame
 
-            def crashing(self, record):
+            def crashing(self, frame):
                 calls["n"] += 1
-                if calls["n"] == 10:
+                if calls["n"] == 3:
                     os._exit(3)  # die mid-merge, output half-written
-                return original(self, record)
+                return original(self, frame)
 
-            IntervalFileWriter.write = crashing
-            merge_interval_files(inputs, merged, PROFILE)
+            IntervalFileWriter.add_frame = crashing
+            merge_interval_files(inputs, merged, PROFILE, frame_bytes=256)
             os._exit(0)  # not reached
 
         assert _run_in_child(child) == 3

@@ -1,0 +1,196 @@
+"""The frame builder: the one place a frame is cut, ordered and led.
+
+Property tests compare :class:`~repro.core.framebuilder.FrameBuilder`
+against a brute-force recount (reference decoder over the concatenated
+blobs, open states replayed from the start of the stream for every frame);
+the rest pins the order check and the one-encode-per-record contract of the
+merge's SLOG tee.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import IntervalFileWriter, standard_profile
+from repro.core.fields import MASK_ALL_MERGED, MASK_ALL_PER_NODE
+from repro.core.framebuilder import FrameBuilder
+from repro.core.records import BeBits, IntervalRecord, IntervalType
+from repro.core.threadtable import ThreadEntry, ThreadTable
+from repro.errors import FormatError
+from repro.utils.merge import merge_interval_files
+
+PROFILE = standard_profile()
+MASK = MASK_ALL_MERGED
+SEND = IntervalType.for_mpi_fn(0)
+
+
+def decode_all(blob):
+    """Every record of ``blob`` through the reference decoder."""
+    out, pos = [], 0
+    while pos < len(blob):
+        record, pos = IntervalRecord.decode(blob, pos, PROFILE, MASK)
+        out.append(record)
+    return out
+
+
+def norm(records):
+    return decode_all(b"".join(r.encode(PROFILE, MASK) for r in records))
+
+
+def open_states(records):
+    """Brute force: the states a stream leaves open, in first-opened
+    order, keyed like the validator keys bebits balance."""
+    opened = {}
+    for r in records:
+        marker = r.extra.get("markerId", 0) if r.itype == IntervalType.MARKER else 0
+        key = (r.node, r.thread, r.itype, marker)
+        if r.bebits is BeBits.BEGIN:
+            opened[key] = r
+        elif r.bebits is BeBits.END:
+            opened.pop(key, None)
+    return list(opened.values())
+
+
+@st.composite
+def streams(draw):
+    """An end-ordered stream over three lanes: complete Running pieces and
+    BEGIN/END pieces of MPI and marker states."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    records = []
+    for _ in range(n):
+        node = draw(st.integers(0, 1))
+        thread = draw(st.integers(0, 1)) if node == 0 else 0
+        start = draw(st.integers(0, 50_000))
+        dura = draw(st.integers(0, 2_000))
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            rec = IntervalRecord(SEND, BeBits.BEGIN, start, dura, node, 0, thread)
+        elif kind == 1:
+            rec = IntervalRecord(SEND, BeBits.END, start, dura, node, 0, thread)
+        elif kind == 2:
+            bebits = draw(st.sampled_from([BeBits.BEGIN, BeBits.END]))
+            marker = draw(st.integers(1, 2))
+            rec = IntervalRecord(
+                IntervalType.MARKER, bebits, start, dura, node, 0, thread,
+                {"markerId": marker},
+            )
+        else:
+            rec = IntervalRecord(
+                IntervalType.RUNNING, BeBits.COMPLETE, start, dura, node, 0, thread
+            )
+        records.append(rec)
+    records.sort(key=lambda r: r.end)
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams(), st.integers(min_value=256, max_value=2048), st.booleans())
+def test_frames_equal_a_brute_force_recount(records, frame_bytes, continuations):
+    builder = FrameBuilder(PROFILE, MASK, frame_bytes, continuations=continuations)
+    frames = list(builder.frames(records))
+    assert builder.n_records == 0 and builder.seal() is None
+
+    # The concatenated blobs decode to the input plus the pseudo-records.
+    decoded = decode_all(b"".join(f.blob for f in frames))
+    assert decoded == norm([r for f in frames for r in f.records])
+    assert norm([r for f in frames for r in f.real]) == norm(records)
+
+    seen = []  # real records of earlier frames
+    for i, frame in enumerate(frames):
+        in_frame = decode_all(frame.blob)
+        assert frame.n_records == len(in_frame) == len(frame.records)
+        assert frame.start_time == min(r.start for r in in_frame)
+        assert frame.end_time == max(r.end for r in in_frame)
+        # Each frame after the first starts with exactly one continuation
+        # per state open at the previous frame's end.
+        lead = sorted(
+            open_states(seen) if continuations and i else [],
+            key=lambda r: (r.node, r.thread, r.itype),
+        )
+        assert frame.n_pseudo == len(lead)
+        for pseudo, state in zip(in_frame, lead):
+            assert pseudo.bebits is BeBits.CONTINUATION and pseudo.duration == 0
+            assert pseudo.start == frames[i - 1].end_time
+            assert (pseudo.itype, pseudo.node, pseudo.thread) == (
+                state.itype, state.node, state.thread,
+            )
+            assert pseudo.extra.get("markerId") == norm([state])[0].extra.get("markerId")
+        assert norm(frame.real) == in_frame[len(lead):]
+        # Cut at the first record that reaches frame_bytes — a lead is
+        # never cut, so a frame may be just its lead plus one record.
+        if i < len(frames) - 1:
+            assert len(frame.blob) >= frame_bytes
+            last = len(frame.records[-1].encode(PROFILE, MASK))
+            assert len(frame.blob) - last < frame_bytes or len(in_frame) == len(lead) + 1
+        seen.extend(frame.real)
+
+
+def running(start, dura):
+    return IntervalRecord(IntervalType.RUNNING, BeBits.COMPLETE, start, dura, 0, 0, 0)
+
+
+def test_out_of_order_add_raises_and_leaves_the_frame_untouched():
+    builder = FrameBuilder(PROFILE, MASK, 4096, continuations=True)
+    good = [running(0, 10), running(5, 20)]
+    for r in good:
+        assert builder.add(r) is None
+    with pytest.raises(FormatError, match="end-time order: 24 after 25"):
+        builder.add(running(4, 20))
+    assert builder.n_records == 2
+    builder.add(running(30, 1))  # the watermark did not move either
+    frame = builder.seal()
+    assert decode_all(frame.blob) == norm(good + [running(30, 1)])
+
+
+def test_explicit_pseudo_is_counted_but_neither_led_nor_tracked():
+    builder = FrameBuilder(PROFILE, MASK, 256, continuations=True)
+    begin = IntervalRecord(SEND, BeBits.BEGIN, 0, 1, 0, 0, 0)
+    cont = IntervalRecord(SEND, BeBits.CONTINUATION, 1, 0, 0, 0, 0)
+    assert builder.add(begin) is None
+    assert builder.add(cont, pseudo=True) is None
+    frame = builder.seal()
+    assert (frame.n_records, frame.n_pseudo) == (2, 1)
+    assert list(frame.real) == [begin]
+    # A caller's pseudo-record opening a frame does not trigger the lead;
+    # the next real record finds the frame non-empty.
+    builder.add(cont, pseudo=True)
+    builder.add(running(1, 1))
+    assert builder.seal().n_pseudo == 1
+
+
+def test_frame_size_floor():
+    with pytest.raises(FormatError, match="frame size too small"):
+        FrameBuilder(PROFILE, MASK, 255, continuations=False)
+
+
+def test_merge_with_slog_tee_encodes_each_written_record_once(tmp_path, monkeypatch):
+    inputs = []
+    for node in range(2):
+        path = tmp_path / f"n{node}.ute"
+        table = ThreadTable([ThreadEntry(0, 1, 1, node, 0, 0, "t")])
+        with IntervalFileWriter(
+            path, PROFILE, table, field_mask=MASK_ALL_PER_NODE, frame_bytes=512
+        ) as writer:
+            writer.write(IntervalRecord(SEND, BeBits.BEGIN, 0, 5, node, 0, 0))
+            for i in range(60):
+                writer.write(
+                    IntervalRecord(
+                        IntervalType.RUNNING, BeBits.COMPLETE, 10 + i * 100, 50, node, 0, 0
+                    )
+                )
+        inputs.append(path)
+
+    calls = {"n": 0}
+    original = IntervalRecord.encode
+
+    def counting(self, profile, mask):
+        calls["n"] += 1
+        return original(self, profile, mask)
+
+    monkeypatch.setattr(IntervalRecord, "encode", counting)
+    result = merge_interval_files(
+        inputs, tmp_path / "m.ute", PROFILE, slog_path=tmp_path / "m.slog",
+        frame_bytes=512,
+    )
+    assert result.pseudo_records > 0
+    assert calls["n"] == result.records_out + result.pseudo_records

@@ -190,17 +190,6 @@ class TestFramesAndDirectories:
         assert first == 0
         assert last == 122 * 10 + 7
 
-    def test_frame_boundary_forces_split(self, tmp_path):
-        path = tmp_path / "fb.ute"
-        with IntervalFileWriter(
-            path, PROFILE, simple_table(), field_mask=MASK, frame_bytes=10**6
-        ) as w:
-            w.write(running(0, 5))
-            w.frame_boundary()
-            w.write(running(10, 5))
-        reader = IntervalReader(path, PROFILE)
-        assert len(list(reader.frames())) == 2
-
 
 class TestProfileChecking:
     def test_wrong_profile_rejected(self, tmp_path):

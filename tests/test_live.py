@@ -234,6 +234,32 @@ class TestLiveSlogWriter:
         assert reason == "fresh"
         assert len(index.frames) == len(SlogFile(path).frames)
 
+    @pytest.mark.parametrize("bins", [1, 2, 5, 13, 50])
+    def test_preview_conserves_duration_for_any_bin_count(self, tmp_path, bins):
+        """Folding the doubling horizon used to need an even bin count: 13
+        bins raised on the first fold, 1 bin zeroed the only counter."""
+        from repro.utils.slog import SlogWriter
+
+        records = [running(i * 7, 1 + i % 5) for i in range(120)]
+        path = tmp_path / "run.slog"
+        with live_writer(path, preview_bins=bins) as writer:
+            for r in records:
+                writer.write(r)
+        with SlogFile(path) as live:
+            horizon = live.time_range
+            live_total = sum(arr.sum() for arr in live.preview.values())
+            assert live.preview_bins == bins
+        with SlogWriter(
+            tmp_path / "batch.slog", PROFILE, table(), field_mask=MASK_ALL_MERGED,
+            time_range=horizon, preview_bins=bins,
+        ) as batch:
+            for r in records:
+                batch.write(r)
+        with SlogFile(tmp_path / "batch.slog") as batch:
+            batch_total = sum(arr.sum() for arr in batch.preview.values())
+        assert live_total == pytest.approx(sum(r.duration for r in records))
+        assert live_total == pytest.approx(batch_total)
+
     def test_context_manager_aborts_on_error(self, tmp_path):
         path = tmp_path / "run.slog"
         with pytest.raises(RuntimeError):
@@ -494,22 +520,6 @@ class TestLiveIntervalWriter:
                 writer.publish(seal=True)
         final = writer.close()
         assert not live_dir_for(path).exists()
-        from repro.core.reader import IntervalReader
-
-        with IntervalReader(final, PROFILE) as reader:
-            assert list(reader.intervals()) == norm(records)
-
-    def test_auto_pseudo_stripped_at_assembly(self, tmp_path):
-        path = tmp_path / "run.ute"
-        writer = LiveIntervalWriter(
-            path, PROFILE, table(), field_mask=MASK_ALL_MERGED,
-            frame_bytes=256, auto_pseudo=True,
-        )
-        # Long-running interval forces open state across frame seals.
-        records = [running(i * 10, 5) for i in range(30)]
-        for r in records:
-            writer.write(r)
-        final = writer.close()
         from repro.core.reader import IntervalReader
 
         with IntervalReader(final, PROFILE) as reader:

@@ -49,7 +49,7 @@ class TestSniffing:
     def test_unknown_magic(self, tmp_path):
         junk = tmp_path / "junk.ute"
         junk.write_bytes(b"NOTATRACE")
-        with pytest.raises(FormatError, match="not a recoverable trace file"):
+        with pytest.raises(FormatError, match="unrecognized magic"):
             sniff_kind(junk)
 
     def test_default_output_path(self):
@@ -105,6 +105,38 @@ class TestGoldenCorpusRecovery:
         with IntervalReader(out, PROFILE) as reader:
             recovered = [repr(r) for r in reader.intervals()]
         assert recovered and all(r in original for r in recovered)
+
+    def test_out_of_order_slog_degrades_through_the_invariant_checker(self, tmp_path):
+        """A SLOG whose bytes hold a record ending before its predecessor
+        (no writer produces one; damage can) loses that record as
+        ``records_rejected`` — the recovery writer's own order check is
+        never reached."""
+        from repro.core.fields import MASK_ALL_MERGED
+        from repro.core.records import BeBits, IntervalRecord, IntervalType
+        from repro.core.threadtable import ThreadEntry, ThreadTable
+        from repro.utils.slog import SlogFrameEntry, SlogWriter, slog_metadata_bytes
+
+        records = [
+            IntervalRecord(IntervalType.RUNNING, BeBits.COMPLETE, start, 10, 0, 0, 0)
+            for start in (0, 500, 0, 520)
+        ]
+        blob = b"".join(r.encode(PROFILE, MASK_ALL_MERGED) for r in records)
+        tables = SlogWriter(
+            tmp_path / "tables.slog", PROFILE,
+            ThreadTable([ThreadEntry(0, 1, 1, 0, 0, 0, "t")]),
+            node_cpus={0: 1}, field_mask=MASK_ALL_MERGED, preview_bins=4,
+        )
+        meta = slog_metadata_bytes(
+            tables, (0, 600), {}, [SlogFrameEntry(0, 530, 0, len(blob), len(records), 0)]
+        )
+        tables.abort()
+        damaged = tmp_path / "unordered.slog"
+        damaged.write_bytes(meta + blob)
+        report = recover_file(damaged, tmp_path / "out.slog")
+        assert report.ok, report.summary()
+        assert (report.records_in, report.records_out, report.records_rejected) == (4, 3, 1)
+        with SlogFile(report.output_path) as slog:
+            assert [r.start for r in slog.records()] == [0, 500, 520]
 
     def test_interval_recovery_requires_a_profile(self, corpus, tmp_path):
         with pytest.raises(FormatError, match="profile"):

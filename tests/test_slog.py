@@ -159,6 +159,19 @@ class TestValidation:
         with pytest.raises(FormatError):
             writer.write(running(0, 1))
 
+    def test_out_of_order_record_rejected(self, tmp_path):
+        """The SLOG writer used to be the one writer that accepted a record
+        ending before its predecessor."""
+        path = tmp_path / "o.slog"
+        writer = SlogWriter(
+            path, PROFILE, table(), field_mask=MASK_ALL_MERGED, time_range=(0, 600)
+        )
+        writer.write(running(500, 10))
+        with pytest.raises(FormatError, match="end-time order: 10 after 510"):
+            writer.write(running(0, 10))
+        writer.abort()
+        assert not path.exists()
+
 
 def test_slog_from_interval_file(tmp_path):
     """The standalone converter produces an equivalent SLOG."""
