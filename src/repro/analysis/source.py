@@ -3,11 +3,11 @@
 The analyses in this package (:func:`~repro.analysis.blocking.call_profile`,
 :func:`~repro.analysis.utilization.thread_utilization`, ...) take record
 iterables, so they compose with any source; this module is the source that
-knows about the sidecar index.  :func:`load_records` opens an interval or
-SLOG file, plans the scan against a fresh ``.uteidx`` when one exists (full
-scan otherwise), and returns only the records the predicates admit — one
-thread's blocking profile over a 2% window no longer decodes the other
-98% of the file.
+knows about the sidecar index.  :func:`load_records` is a caller of the
+one :func:`~repro.query.scan.open_scan`: the scan is planned against a fresh
+``.uteidx`` when one exists (full scan otherwise) and returns only the
+records the predicates admit — with a sidecar, one thread's blocking profile
+over a 2% window no longer decodes the other 98% of the file.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.records import IntervalRecord, IntervalType
-from repro.query.columnar import planned_batch_records
-from repro.query.engine import resolve_index, window_to_ticks
 from repro.query.model import Query, ThreadSel
-from repro.query.planner import QueryPlan, plan_query
-from repro.query.trace import open_trace
+from repro.query.planner import QueryPlan
+from repro.query.scan import open_scan
 
 
 def load_records(
@@ -41,20 +39,17 @@ def load_records(
     the other predicates follow :class:`~repro.query.model.Query`.  The
     plan says how many frames the scan touched versus pruned.
     """
-    loaded, reason = resolve_index(path, index)
-    with open_trace(path, profile, errors=errors) as handle:
-        t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-        query = Query(
-            t0=t0,
-            t1=t1,
-            threads=tuple(threads or ()),
-            nodes=frozenset(nodes or ()),
-            types=frozenset(types or ()),
-        )
-        plan = plan_query(query, handle.frames, loaded, index_reason=reason)
+    query = Query(
+        threads=tuple(threads or ()),
+        nodes=frozenset(nodes or ()),
+        types=frozenset(types or ()),
+    )
+    with open_scan(
+        path, profile, query, window=window, index=index, errors=errors
+    ) as s:
         records = [
             r
-            for r in planned_batch_records(handle, query, plan)
+            for r in s.records()
             if not (drop_clockpairs and r.itype == IntervalType.CLOCKPAIR)
         ]
-        return records, plan
+        return records, s.plan

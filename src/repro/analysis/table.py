@@ -2,9 +2,10 @@
 
 Analyses that walk record objects pay per record; the columnar query layer
 (:mod:`repro.query.columnar`) already decodes frames into parallel arrays,
-so this module exposes them directly.  :func:`load_table` opens a trace,
-prunes the scan through the ``.uteidx`` sidecar (the same planner every
-query uses), and concatenates the matching frames' batches into one
+so this module exposes them directly.  :func:`load_table` opens a trace
+through the one :func:`~repro.query.scan.open_scan` (pruned by the
+``.uteidx`` sidecar when a fresh one exists) and concatenates the matching
+frames' batches into one
 :class:`TraceTable` — int64 core columns over the whole selection.
 
 The table follows the filter/slice idiom of dataframe-centric trace tools
@@ -23,11 +24,11 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.core.records import IntervalType
+from repro.core.windows import window_to_ticks
 from repro.errors import FormatError
-from repro.query.engine import resolve_index, window_to_ticks
 from repro.query.model import Query, ThreadSel
-from repro.query.planner import QueryPlan, plan_query
-from repro.query.trace import open_trace
+from repro.query.planner import QueryPlan
+from repro.query.scan import open_scan
 
 __all__ = ["TraceTable", "load_table"]
 
@@ -135,32 +136,25 @@ def load_table(
     """Load one trace file's matching records as a :class:`TraceTable`.
 
     The predicate surface mirrors :func:`repro.analysis.source.load_records`
-    (``window`` in seconds), and the scan is pruned the same way — through
-    a fresh sidecar index when one exists, the frame directory otherwise —
-    so a table over a 2% window decodes O(window) frames, not the file.
+    (``window`` in seconds), and the scan is pruned the same way: with a
+    fresh sidecar index a table over a 2% window decodes O(window) frames;
+    without one every frame is decoded and only the records are filtered.
     Frames decode as columnar batches; record objects are never built.
     """
-    loaded, reason = resolve_index(path, index)
-    with open_trace(path, profile, errors=errors) as handle:
-        t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-        query = Query(
-            t0=t0,
-            t1=t1,
-            threads=tuple(threads or ()),
-            nodes=frozenset(nodes or ()),
-            types=frozenset(types or ()),
-        )
-        plan = plan_query(query, handle.frames, loaded, index_reason=reason)
+    query = Query(
+        threads=tuple(threads or ()),
+        nodes=frozenset(nodes or ()),
+        types=frozenset(types or ()),
+    )
+    with open_scan(
+        path, profile, query, window=window, index=index, errors=errors
+    ) as s:
         parts: dict[str, list[np.ndarray]] = {name: [] for name in TABLE_COLUMNS}
-        for ordinal in plan.frames:
-            batch = handle.read_frame_batch(ordinal)
-            if batch.n == 0:
-                continue
-            mask = batch.match(query)
+        for batch, mask in s.batches():
             if drop_clockpairs:
-                mask &= batch.itype != IntervalType.CLOCKPAIR
-            if not mask.any():
-                continue
+                mask = mask & (batch.itype != IntervalType.CLOCKPAIR)
+                if not mask.any():
+                    continue
             for name in TABLE_COLUMNS:
                 parts[name].append(batch.core_array(name)[mask])
         columns = {
@@ -169,4 +163,4 @@ def load_table(
             )
             for name, chunks in parts.items()
         }
-        return TraceTable(columns, handle.ticks_per_sec, plan)
+        return TraceTable(columns, s.handle.ticks_per_sec, s.plan)

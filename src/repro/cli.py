@@ -30,19 +30,49 @@ ute-tail       live trace (TRACE.live/ container or a ute-serve /follow
 Each ``main_*`` function doubles as a console-script entry point and a
 library helper (pass ``argv`` explicitly in tests).
 
-Every entry point validates its input paths up front: a missing or
-unreadable file produces a one-line ``prog: error: ...`` on stderr and
-exit status 2, never a traceback.
+Every entry point validates its input paths up front, and runs under one
+guard (:func:`_entry`): a missing or unreadable file, a file that is not a
+trace, a malformed option value — any :class:`~repro.errors.ReproError` or
+``OSError`` — produces a one-line ``prog: error: ...`` on stderr and exit
+status 2, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import os
 import sys
 from pathlib import Path
 
 from repro.core.profilefmt import Profile, standard_profile
+from repro.core.windows import parse_window
+from repro.errors import ReproError
+
+
+class _Usage(ReproError):
+    """A command-line mistake the argument parser cannot see."""
+
+
+def _entry(prog: str):
+    """The guard every ``main_*`` runs under: an uncaught
+    :class:`ReproError` (a :class:`_Usage`, a file that is not a trace, a
+    bad window …) or ``OSError`` becomes ``prog: error: <message>`` on
+    stderr and exit status 2."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def main(argv: list[str] | None = None) -> int:
+            try:
+                return body(argv)
+            except (ReproError, OSError) as exc:
+                print(f"{prog}: error: {exc}", file=sys.stderr)
+                return 2
+
+        return main
+
+    return wrap
 
 
 def _profile_for(args) -> Profile:
@@ -51,56 +81,39 @@ def _profile_for(args) -> Profile:
     return standard_profile()
 
 
-def _input_error(paths) -> str | None:
-    """The first problem that would make an input path unreadable."""
+def _check_inputs(*paths) -> None:
+    """Refuse the first input path that is not a readable, non-empty file
+    (``None`` entries — options not given — are skipped)."""
     for name in paths:
+        if name is None:
+            continue
         path = Path(name)
         if path.is_dir():
-            return f"input path is a directory: {name}"
+            raise _Usage(f"input path is a directory: {name}")
         if not path.exists():
-            return f"input file not found: {name}"
+            raise _Usage(f"input file not found: {name}")
         if not os.access(path, os.R_OK):
-            return f"input file not readable: {name}"
+            raise _Usage(f"input file not readable: {name}")
         if path.stat().st_size == 0:
-            return f"input file is empty: {name}"
-    return None
+            raise _Usage(f"input file is empty: {name}")
 
 
-def _output_error(out) -> str | None:
-    """Why writing ``out`` would fail: its nearest existing ancestor must
-    be a writable directory (missing intermediate dirs are auto-created)."""
+def _check_output(out) -> None:
+    """Refuse an output path that cannot be written: its nearest existing
+    ancestor must be a writable directory (missing intermediate dirs are
+    auto-created)."""
     probe = Path(out).absolute().parent
     while not probe.exists() and probe.parent != probe:
         probe = probe.parent
     if not probe.is_dir():
-        return f"output location is not a directory: {probe}"
+        raise _Usage(f"output location is not a directory: {probe}")
     if not os.access(probe, os.W_OK):
-        return f"output directory not writable: {probe}"
-    return None
+        raise _Usage(f"output directory not writable: {probe}")
 
 
-def _usage_error(prog: str, message: str | None) -> int | None:
-    """Print a one-line error and return exit status 2 (None when fine)."""
-    if message is None:
-        return None
-    print(f"{prog}: error: {message}", file=sys.stderr)
-    return 2
-
-
-def _parse_window(text: str) -> tuple[float | None, float | None]:
-    """Parse a ``T0:T1`` time window in seconds; either side may be empty
-    to leave it open (``:2.5``, ``1.0:``)."""
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad window {text!r}; expected T0:T1 in seconds")
-    try:
-        t0 = float(lo) if lo.strip() else None
-        t1 = float(hi) if hi.strip() else None
-    except ValueError:
-        raise ValueError(f"bad window {text!r}; expected T0:T1 in seconds") from None
-    if t0 is not None and t1 is not None and t1 < t0:
-        raise ValueError(f"empty window {text!r}")
-    return t0, t1
+def _window_arg(args) -> tuple[float | None, float | None] | None:
+    """The optional ``--window T0:T1`` (seconds)."""
+    return parse_window(args.window) if args.window else None
 
 
 def _resolve_type(text: str, profile: Profile) -> int:
@@ -113,9 +126,10 @@ def _resolve_type(text: str, profile: Profile) -> int:
     for itype in profile.record_types():
         if profile.record_name(itype).lower() == wanted:
             return itype
-    raise ValueError(f"unknown interval type {text!r}")
+    raise _Usage(f"unknown interval type {text!r}")
 
 
+@_entry("ute-trace")
 def main_trace(argv: list[str] | None = None) -> int:
     """Run a built-in workload under tracing."""
     parser = argparse.ArgumentParser(
@@ -150,12 +164,9 @@ def main_trace(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.live is not None:
-        if (code := _usage_error("ute-trace", _output_error(args.live))) is not None:
-            return code
+        _check_output(args.live)
         if Path(args.live).exists():
-            return _usage_error(
-                "ute-trace", f"--live target already exists: {args.live}"
-            ) or 2
+            raise _Usage(f"--live target already exists: {args.live}")
 
     from repro.workloads import (
         run_flash,
@@ -257,6 +268,7 @@ def _convert_import(args) -> int:
     return 0
 
 
+@_entry("ute-convert")
 def main_convert(argv: list[str] | None = None) -> int:
     """Convert raw trace files into interval files, or translate one trace
     to/from a foreign format (``--to`` / ``--from``)."""
@@ -298,40 +310,25 @@ def main_convert(argv: list[str] | None = None) -> int:
     parser.add_argument("--profile", default=None, help="profile file (default: standard)")
     args = parser.parse_args(argv)
 
-    prog = "ute-convert"
     if args.to_fmt and args.from_fmt:
-        return _usage_error(prog, "--to and --from are mutually exclusive")
-    if (code := _usage_error(prog, _input_error(args.raw))) is not None:
-        return code
-    from repro.errors import ReproError
-
+        raise _Usage("--to and --from are mutually exclusive")
+    _check_inputs(*args.raw)
     if args.to_fmt or args.from_fmt:
         if len(args.raw) != 1:
-            return _usage_error(
-                prog, "--to/--from converts exactly one input file"
-            )
+            raise _Usage("--to/--from converts exactly one input file")
         if args.out is None:
-            return _usage_error(
-                prog, "--to/--from needs an explicit -o OUTPUT file"
-            )
-        if (code := _usage_error(prog, _output_error(args.out))) is not None:
-            return code
-        try:
-            if args.to_fmt:
-                return _convert_export(args)
-            return _convert_import(args)
-        except ReproError as exc:
-            return _usage_error(prog, str(exc))
+            raise _Usage("--to/--from needs an explicit -o OUTPUT file")
+        _check_output(args.out)
+        if args.to_fmt:
+            return _convert_export(args)
+        return _convert_import(args)
 
     from repro.utils.convert import convert_traces
 
-    try:
-        result = convert_traces(
-            args.raw, args.out or "intervals",
-            frame_bytes=args.frame_bytes, jobs=args.jobs,
-        )
-    except ReproError as exc:
-        return _usage_error(prog, str(exc))
+    result = convert_traces(
+        args.raw, args.out or "intervals",
+        frame_bytes=args.frame_bytes, jobs=args.jobs,
+    )
     for path in result.interval_paths:
         print(path)
     print(
@@ -420,14 +417,13 @@ def _check_merge_inputs(parser: argparse.ArgumentParser, args) -> None:
     args.intervals = intervals
 
 
+@_entry("ute-merge")
 def main_merge(argv: list[str] | None = None) -> int:
     """Merge interval files (no SLOG)."""
     parser = _merge_args("ute-merge")
     args = parser.parse_args(argv)
     _check_merge_inputs(parser, args)
-    inputs = [*args.intervals, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("ute-merge", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(*args.intervals, args.profile)
     result = _run_merge(args, None)
     print(result.merged_path)
     print(
@@ -438,61 +434,59 @@ def main_merge(argv: list[str] | None = None) -> int:
     return 0
 
 
+@_entry("slogmerge")
 def main_slogmerge(argv: list[str] | None = None) -> int:
     """Merge interval files and also emit SLOG (the slogmerge of Table 1)."""
     parser = _merge_args("slogmerge")
     parser.add_argument("--slog", default="out.slog")
     args = parser.parse_args(argv)
     _check_merge_inputs(parser, args)
-    inputs = [*args.intervals, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("slogmerge", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(*args.intervals, args.profile)
     result = _run_merge(args, args.slog)
     print(result.merged_path)
     print(result.slog_path)
     return 0
 
 
-def _remote_stats(args) -> int:
-    """``ute-stats --server URL [--dataset NAME]``: run the table program
-    through a ute-serve repository's ``/api/.../stats`` endpoint."""
+def _remote(args, call):
+    """``--server URL [--dataset NAME]``: run ``call(client)`` against a
+    ute-serve repository and return its 200/304 response; an unreachable
+    server or an error status is a usage error carrying the server's own
+    message."""
     from repro.serve.client import ServeClient
 
-    if not args.program:
-        return _usage_error(
-            "ute-stats", "--server requires --program (a statlang table file)"
-        ) or 2
-    if args.intervals:
-        return _usage_error(
-            "ute-stats", "local interval files cannot be combined with --server"
-        ) or 2
-    if args.svg:
-        return _usage_error("ute-stats", "--svg is not available with --server") or 2
-    try:
-        program = Path(args.program).read_text()
-    except OSError as exc:
-        return _usage_error("ute-stats", str(exc)) or 2
     client = ServeClient(args.server, dataset=args.dataset, retries=2)
     try:
-        response = client.stats(
-            program,
-            format="json" if args.json else "tsv",
-            window=args.window,
-        )
+        response = call(client)
     except OSError as exc:
-        return _usage_error("ute-stats", f"server unreachable: {exc}") or 2
+        raise _Usage(f"server unreachable: {exc}") from None
     if response.status not in (200, 304):
         detail = response.text.strip()
         try:
             detail = response.json().get("error", detail)
-        except Exception:
-            pass
-        return _usage_error(
-            "ute-stats", f"server returned {response.status}: {detail}"
-        ) or 2
-    if args.json:
-        import json
+        except (ValueError, AttributeError):
+            pass  # a plain-text error body: shown as is
+        raise _Usage(f"server returned {response.status}: {detail}")
+    return response
 
+
+def _remote_stats(args) -> int:
+    """``ute-stats --server``: run the table program through the
+    repository's ``/api/.../stats`` endpoint."""
+    if not args.program:
+        raise _Usage("--server requires --program (a statlang table file)")
+    if args.intervals:
+        raise _Usage("local interval files cannot be combined with --server")
+    if args.svg:
+        raise _Usage("--svg is not available with --server")
+    program = Path(args.program).read_text()
+    response = _remote(
+        args,
+        lambda client: client.stats(
+            program, format="json" if args.json else "tsv", window=args.window
+        ),
+    )
+    if args.json:
         print(json.dumps(response.json(), indent=2))
     else:
         sys.stdout.write(response.text)
@@ -501,6 +495,7 @@ def _remote_stats(args) -> int:
     return 0
 
 
+@_entry("ute-stats")
 def main_stats(argv: list[str] | None = None) -> int:
     """Generate statistics tables from interval files."""
     parser = argparse.ArgumentParser(
@@ -534,18 +529,9 @@ def main_stats(argv: list[str] | None = None) -> int:
     if args.server is not None:
         return _remote_stats(args)
     if not args.intervals:
-        return _usage_error(
-            "ute-stats", "at least one interval file is required (or --server)"
-        ) or 2
-    inputs = [
-        *args.intervals,
-        *([args.program] if args.program else []),
-        *([args.profile] if args.profile else []),
-    ]
-    if (code := _usage_error("ute-stats", _input_error(inputs))) is not None:
-        return code
+        raise _Usage("at least one interval file is required (or --server)")
+    _check_inputs(*args.intervals, args.program, args.profile)
 
-    from repro.errors import StatsError
     from repro.utils.stats import (
         generate_tables,
         interval_records,
@@ -553,17 +539,11 @@ def main_stats(argv: list[str] | None = None) -> int:
         source_metadata,
     )
 
-    try:
-        window = _parse_window(args.window) if args.window else None
-    except ValueError as exc:
-        return _usage_error("ute-stats", str(exc)) or 2
+    window = _window_arg(args)
     profile = _profile_for(args)
     # The files' own tick rate and thread tables — the same inputs the
     # serving daemon uses, so ute-stats and /api/stats give one answer.
-    try:
-        ticks_per_sec, thread_table = source_metadata(args.intervals, profile)
-    except StatsError as exc:
-        return _usage_error("ute-stats", str(exc)) or 2
+    ticks_per_sec, thread_table = source_metadata(args.intervals, profile)
     io_log: dict[str, dict] = {}
     records = list(
         interval_records(
@@ -587,8 +567,6 @@ def main_stats(argv: list[str] | None = None) -> int:
             thread_table=thread_table,
         )
     if args.json:
-        import json
-
         doc = {
             "files": list(args.intervals),
             "window": list(window) if window else None,
@@ -633,6 +611,7 @@ def _render_stats_svg(table, out: Path, profile) -> None:
         print(f"(skipping SVG for {table.name}: {exc})", file=sys.stderr)
 
 
+@_entry("ute-validate")
 def main_validate(argv: list[str] | None = None) -> int:
     """Validate interval files' structural invariants."""
     parser = argparse.ArgumentParser(
@@ -641,9 +620,7 @@ def main_validate(argv: list[str] | None = None) -> int:
     parser.add_argument("intervals", nargs="+")
     parser.add_argument("--profile", default=None)
     args = parser.parse_args(argv)
-    inputs = [*args.intervals, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("ute-validate", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(*args.intervals, args.profile)
 
     from repro.utils.validate import validate_files
 
@@ -653,6 +630,7 @@ def main_validate(argv: list[str] | None = None) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+@_entry("ute-recover")
 def main_recover(argv: list[str] | None = None) -> int:
     """Rewrite a damaged trace file into a clean, validated one."""
     parser = argparse.ArgumentParser(
@@ -678,33 +656,25 @@ def main_recover(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="print the report as JSON"
     )
     args = parser.parse_args(argv)
-    inputs = [args.input, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("ute-recover", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(args.input, args.profile)
 
-    from repro.errors import ReproError
     from repro.utils.recover import default_output_path, recover_file, sniff_kind
 
     out = args.out if args.out is not None else default_output_path(args.input)
-    if (code := _usage_error("ute-recover", _output_error(out))) is not None:
-        return code
-    try:
-        kind = sniff_kind(args.input)
-        profile = _profile_for(args) if kind == "interval" else None
-        report = recover_file(
-            args.input, out, profile=profile, frame_bytes=args.frame_bytes
-        )
-    except ReproError as exc:
-        return _usage_error("ute-recover", str(exc)) or 2
+    _check_output(out)
+    kind = sniff_kind(args.input)
+    profile = _profile_for(args) if kind == "interval" else None
+    report = recover_file(
+        args.input, out, profile=profile, frame_bytes=args.frame_bytes
+    )
     if args.json:
-        import json
-
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.summary())
     return 0 if report.ok else 1
 
 
+@_entry("ute-preview")
 def main_preview(argv: list[str] | None = None) -> int:
     """Render the whole-run preview from a SLOG file."""
     parser = argparse.ArgumentParser(
@@ -714,10 +684,8 @@ def main_preview(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--out", default="preview.svg")
     parser.add_argument("--threshold", type=float, default=0.05)
     args = parser.parse_args(argv)
-    if (code := _usage_error("ute-preview", _input_error([args.slog]))) is not None:
-        return code
-    if (code := _usage_error("ute-preview", _output_error(args.out))) is not None:
-        return code
+    _check_inputs(args.slog)
+    _check_output(args.out)
 
     from repro.viz.jumpshot import Jumpshot
 
@@ -728,6 +696,7 @@ def main_preview(argv: list[str] | None = None) -> int:
     return 0
 
 
+@_entry("ute-profile")
 def main_profile(argv: list[str] | None = None) -> int:
     """Print the blocking call profile of interval files."""
     parser = argparse.ArgumentParser(
@@ -741,35 +710,19 @@ def main_profile(argv: list[str] | None = None) -> int:
                         help="profile only this window (seconds); frames "
                         "outside it are pruned via the sidecar index")
     args = parser.parse_args(argv)
-    inputs = [*args.intervals, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("ute-profile", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(*args.intervals, args.profile)
 
     from repro.analysis.blocking import call_profile, format_call_profile
-    from repro.query import (
-        Query,
-        open_trace,
-        plan_query,
-        planned_batch_records,
-        resolve_index,
-        window_to_ticks,
-    )
+    from repro.query import open_scan
 
-    try:
-        window = _parse_window(args.window) if args.window else None
-    except ValueError as exc:
-        return _usage_error("ute-profile", str(exc)) or 2
+    window = _window_arg(args)
     profile = _profile_for(args)
     records = []
     markers: dict[int, str] = {}
     for path in args.intervals:
-        loaded, reason = resolve_index(path, "auto")
-        with open_trace(path, profile) as handle:
-            markers.update(handle.markers)
-            t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-            query = Query(t0=t0, t1=t1)
-            plan = plan_query(query, handle.frames, loaded, index_reason=reason)
-            records.extend(planned_batch_records(handle, query, plan))
+        with open_scan(path, profile, window=window) as s:
+            markers.update(s.handle.markers)
+            records.extend(s.records())
     rows = call_profile(
         records, profile, markers=markers, include_running=args.include_running
     )
@@ -777,6 +730,7 @@ def main_profile(argv: list[str] | None = None) -> int:
     return 0
 
 
+@_entry("ute-dump")
 def main_dump(argv: list[str] | None = None) -> int:
     """Dump any trace artifact (raw/interval/SLOG) as text."""
     parser = argparse.ArgumentParser(
@@ -791,26 +745,17 @@ def main_dump(argv: list[str] | None = None) -> int:
     parser.add_argument("--window", default=None, metavar="T0:T1",
                         help="dump only frames overlapping this window (seconds)")
     args = parser.parse_args(argv)
-    inputs = [*args.files, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("ute-dump", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(*args.files, args.profile)
 
-    from repro.errors import ReproError
     from repro.utils.dump import dump_any
 
-    try:
-        window = _parse_window(args.window) if args.window else None
-    except ValueError as exc:
-        return _usage_error("ute-dump", str(exc)) or 2
+    window = _window_arg(args)
     profile = _profile_for(args)
     for path in args.files:
-        try:
-            for line in dump_any(
-                path, profile, limit=args.limit, frame=args.frame, window=window
-            ):
-                print(line)
-        except ReproError as exc:
-            return _usage_error("ute-dump", str(exc)) or 2
+        for line in dump_any(
+            path, profile, limit=args.limit, frame=args.frame, window=window
+        ):
+            print(line)
     return 0
 
 
@@ -834,167 +779,124 @@ def _utilization_tsv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _local_utilization(args, profile) -> int:
+def _print_payload(args, payload: dict, to_tsv) -> None:
+    """A query or utilization payload on stdout as ``--format`` asks."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        sys.stdout.write(to_tsv(payload))
+
+
+def _index_arg(args):
+    """``--no-index`` / ``--index PATH`` as the query API's ``index``."""
+    return False if args.no_index else (args.index or "auto")
+
+
+def _local_utilization(args, profile) -> dict:
     """``ute-query TRACE --utilization``: busy-time aggregates from the
     sidecar's utilization hierarchy.  When the sidecar is missing, stale
     or of an older format, the index is rebuilt in memory — the printed
     cells never silently fall behind the trace."""
-    from repro.errors import ReproError
+    from repro.core.windows import window_to_ticks
+    from repro.query import DEFAULT_TIME_BINS, build_index, open_trace, resolve_index
+    from repro.query.utilization import utilization_payload
+
+    with open_trace(args.trace, profile, errors=args.errors) as handle:
+        index, _reason = resolve_index(args.trace, _index_arg(args))
+        if index is None or index.utilization is None:
+            index = build_index(handle, n_bins=DEFAULT_TIME_BINS)
+        tps = handle.ticks_per_sec
+    util = index.utilization
+    if util is None:
+        raise _Usage("trace holds no records to aggregate")
+    t0, t1 = window_to_ticks(_window_arg(args), tps)
+    window = (util.t_min if t0 is None else t0, util.t_max if t1 is None else t1)
+    return utilization_payload(
+        util, args.lane, window, args.bins or 512, tps, profile.record_name
+    )
+
+
+def _build_index(args, profile) -> int:
+    """``ute-query TRACE --build-index``: write the ``.uteidx`` sidecar."""
     from repro.query import (
         DEFAULT_TIME_BINS,
         build_index,
-        load_fresh_index,
+        index_path_for,
         open_trace,
+        write_index,
     )
-    from repro.query.utilization import utilization_payload
 
-    try:
-        with open_trace(args.trace, profile, errors=args.errors) as handle:
-            index = None
-            if not args.no_index:
-                index, _reason = load_fresh_index(
-                    args.trace, Path(args.index) if args.index else None
-                )
-            if index is None or index.utilization is None:
-                index = build_index(handle, n_bins=DEFAULT_TIME_BINS)
-            tps = handle.ticks_per_sec
-    except ReproError as exc:
-        return _usage_error("ute-query", str(exc)) or 2
-    util = index.utilization
-    if util is None:
-        return _usage_error("ute-query", "trace holds no records to aggregate") or 2
-    try:
-        window = _parse_window(args.window) if args.window else (None, None)
-    except ValueError as exc:
-        return _usage_error("ute-query", str(exc)) or 2
-    w0 = util.t_min if window[0] is None else int(window[0] * tps)
-    w1 = util.t_max if window[1] is None else int(window[1] * tps)
-    payload = utilization_payload(
-        util, args.lane, (w0, w1), args.bins or 512, tps, profile.record_name
+    sidecar = Path(args.index) if args.index else index_path_for(args.trace)
+    _check_output(sidecar)
+    with open_trace(args.trace, profile, errors=args.errors) as handle:
+        index = build_index(handle, n_bins=args.bins or DEFAULT_TIME_BINS)
+    write_index(index, sidecar)
+    print(sidecar)
+    info = index.summary()
+    print(
+        f"indexed {info['frames']} frames, {info['threads']} threads, "
+        f"{info['records']} records over {info['time_bins']} bins",
+        file=sys.stderr,
     )
-    if args.format == "json":
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        sys.stdout.write(_utilization_tsv(payload))
     return 0
 
 
-def _remote_query(args) -> int:
-    """``ute-query --server URL [--dataset NAME]``: run the query against a
-    ute-serve repository over HTTP, reusing the server's TSV/JSON
-    rendering."""
-    from repro.serve.client import ServeClient
-    from repro.serve.session import TraceSession
+def _query_params(args, profile) -> dict[str, str]:
+    """The query of ``ute-query``'s flags in its text form — what
+    :meth:`Query.from_params` reads locally and ``/api/query`` reads
+    remotely.  State types given by name resolve through the profile."""
+    fields = {
+        "thread": ",".join(args.thread),
+        "node": ",".join(map(str, args.node)),
+        "type": ",".join(str(_resolve_type(t, profile)) for t in args.types),
+        "select": args.select,
+        "group_by": args.group_by,
+        "agg": ",".join(args.agg),
+        "limit": None if args.limit is None else str(args.limit),
+    }
+    return {name: text for name, text in fields.items() if text}
 
-    local_only = []
-    if args.build_index:
-        local_only.append("--build-index")
-    if args.no_index:
-        local_only.append("--no-index")
-    if args.index:
-        local_only.append("--index")
-    if args.errors != "strict":
-        local_only.append("--errors")
-    if args.trace:
-        local_only.append("a local trace file")
+
+def _remote_query(args) -> dict:
+    """``ute-query --server``: the ``/api/.../query`` (or, with
+    ``--utilization``, ``/api/.../utilization``) JSON payload."""
+    local_only = [
+        name for name, given in (
+            ("--build-index", args.build_index), ("--no-index", args.no_index),
+            ("--index", args.index), ("--errors", args.errors != "strict"),
+            ("a local trace file", args.trace),
+        ) if given
+    ]
     if local_only:
-        return _usage_error(
-            "ute-query", f"{', '.join(local_only)} cannot be combined with --server"
-        ) or 2
+        raise _Usage(f"{', '.join(local_only)} cannot be combined with --server")
+    params = {"window": args.window} if args.window else {}
     if args.utilization:
-        params = {"lane": args.lane}
-        if args.window:
-            params["window"] = args.window
+        params["lane"] = args.lane
         if args.bins:
             params["bins"] = str(args.bins)
-        client = ServeClient(args.server, dataset=args.dataset, retries=2)
-        try:
-            response = client.utilization(params)
-        except OSError as exc:
-            return _usage_error("ute-query", f"server unreachable: {exc}") or 2
-        if response.status not in (200, 304):
-            detail = response.text.strip()
-            try:
-                detail = response.json().get("error", detail)
-            except Exception:
-                pass
-            return _usage_error(
-                "ute-query", f"server returned {response.status}: {detail}"
-            ) or 2
-        if args.format == "json":
-            import json
-
-            print(json.dumps(response.json(), indent=2))
-        else:
-            sys.stdout.write(_utilization_tsv(response.json()))
-        return 0
-    profile = _profile_for(args)
-    try:
-        types = [_resolve_type(t, profile) for t in args.types]
-    except Exception as exc:
-        return _usage_error("ute-query", str(exc)) or 2
-    params: dict[str, str] = {}
-    if args.window:
-        params["window"] = args.window
-    if args.thread:
-        params["thread"] = ",".join(args.thread)
-    if args.node:
-        params["node"] = ",".join(str(n) for n in args.node)
-    if types:
-        params["type"] = ",".join(str(t) for t in types)
-    if args.select:
-        params["select"] = args.select
-    if args.group_by:
-        params["group_by"] = args.group_by
-    if args.agg:
-        params["agg"] = ",".join(args.agg)
-    if args.limit is not None:
-        params["limit"] = str(args.limit)
+        return _remote(args, lambda client: client.utilization(params)).json()
+    params.update(_query_params(args, _profile_for(args)))
     params["executor"] = args.executor
-    # --explain needs the plan, which only the JSON payload carries; the
-    # TSV rendering then happens client-side through the same helper the
-    # server uses.
-    want_payload = args.explain or args.format == "json"
-    params["format"] = "json" if want_payload else "tsv"
-    client = ServeClient(args.server, dataset=args.dataset, retries=2)
-    try:
-        response = client.query(params)
-    except OSError as exc:
-        return _usage_error("ute-query", f"server unreachable: {exc}") or 2
-    if response.status not in (200, 304):
-        detail = response.text.strip()
-        try:
-            detail = response.json().get("error", detail)
-        except Exception:
-            pass
-        return _usage_error(
-            "ute-query", f"server returned {response.status}: {detail}"
-        ) or 2
-    if args.format == "json":
-        import json
-
-        print(json.dumps(response.json(), indent=2))
-    elif want_payload:
-        sys.stdout.write(TraceSession.query_tsv(response.json()))
-    else:
-        sys.stdout.write(response.text)
-    if args.explain:
-        payload = response.json()
-        plan, io = payload["plan"], payload["io"]
-        print(
-            f"plan: {plan.get('mode')} ({plan.get('reason')}); decoded "
-            f"{io.get('frames_decoded')}/{plan.get('frames_total')} frames "
-            f"({payload.get('executor')} executor); "
-            f"read {io.get('bytes_read')} bytes in {io.get('fetches')} fetches",
-            file=sys.stderr,
-        )
-        for step in plan.get("steps", []):
-            print(f"plan:   {step['step']} -> {step['remaining']}", file=sys.stderr)
-    return 0
+    params["format"] = "json"
+    return _remote(args, lambda client: client.query(params)).json()
 
 
+def _print_explain(payload: dict) -> None:
+    """``--explain``: the frame plan and IO accounting of a query payload
+    (:meth:`QueryResult.to_payload`, or the server's JSON) on stderr."""
+    plan, io = payload["plan"], payload["io"]
+    print(
+        f"plan: {plan['mode']} ({plan['reason']}); decoded "
+        f"{io['frames_decoded']}/{plan['frames_total']} frames "
+        f"({payload['executor']} executor); "
+        f"read {io['bytes_read']} bytes in {io['fetches']} fetches",
+        file=sys.stderr,
+    )
+    for step in plan["steps"]:
+        print(f"plan:   {step['step']} -> {step['remaining']}", file=sys.stderr)
+
+
+@_entry("ute-query")
 def main_query(argv: list[str] | None = None) -> int:
     """Query a trace file through the sidecar index (or build the index)."""
     parser = argparse.ArgumentParser(
@@ -1057,106 +959,40 @@ def main_query(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.server is not None:
-        return _remote_query(args)
-    if args.trace is None:
-        return _usage_error("ute-query", "a trace file is required (or --server)") or 2
-    inputs = [args.trace, *([args.profile] if args.profile else [])]
-    if args.index and not args.build_index:
-        inputs.append(args.index)
-    if (code := _usage_error("ute-query", _input_error(inputs))) is not None:
-        return code
-
-    from repro.errors import ReproError
-    from repro.query import (
-        DEFAULT_TIME_BINS,
-        Aggregate,
-        Query,
-        ThreadSel,
-        build_index,
-        index_path_for,
-        open_trace,
-        run_query,
-        write_index,
-    )
-    from repro.query.model import CORE_COLUMNS
-
-    profile = _profile_for(args)
-    if args.utilization:
-        if args.build_index:
-            return _usage_error(
-                "ute-query", "--utilization cannot be combined with --build-index"
-            ) or 2
-        return _local_utilization(args, profile)
-    sidecar = Path(args.index) if args.index else index_path_for(args.trace)
-
-    if args.build_index:
-        if (code := _usage_error("ute-query", _output_error(sidecar))) is not None:
-            return code
-        try:
-            with open_trace(args.trace, profile, errors=args.errors) as handle:
-                index = build_index(handle, n_bins=args.bins or DEFAULT_TIME_BINS)
-            write_index(index, sidecar)
-        except ReproError as exc:
-            return _usage_error("ute-query", str(exc)) or 2
-        print(sidecar)
-        info = index.summary()
-        print(
-            f"indexed {info['frames']} frames, {info['threads']} threads, "
-            f"{info['records']} records over {info['time_bins']} bins",
-            file=sys.stderr,
-        )
-        return 0
-
-    try:
-        window = _parse_window(args.window) if args.window else None
-        query = Query(
-            threads=tuple(ThreadSel.parse(t) for t in args.thread),
-            nodes=frozenset(args.node),
-            types=frozenset(_resolve_type(t, profile) for t in args.types),
-            columns=(
-                tuple(c.strip() for c in args.select.split(",") if c.strip())
-                if args.select
-                else CORE_COLUMNS
-            ),
-            group_by=(
-                tuple(c.strip() for c in args.group_by.split(",") if c.strip())
-                if args.group_by
-                else ()
-            ),
-            aggregates=tuple(Aggregate.parse(a) for a in args.agg),
-            limit=args.limit,
-        )
-    except (ReproError, ValueError) as exc:
-        return _usage_error("ute-query", str(exc)) or 2
-    index_arg: object = False if args.no_index else (args.index or "auto")
-    try:
-        result = run_query(
-            args.trace, query,
-            profile=profile, index=index_arg, errors=args.errors, window=window,
-            executor=args.executor,
-        )
-    except ReproError as exc:
-        return _usage_error("ute-query", str(exc)) or 2
-    if args.format == "json":
-        import json
-
-        print(json.dumps(result.to_payload(), indent=2))
+        payload = _remote_query(args)
     else:
-        sys.stdout.write(result.to_tsv())
-    if args.explain:
-        plan = result.plan
-        print(
-            f"plan: {plan.mode} ({plan.reason}); decoded "
-            f"{result.io['frames_decoded']}/{plan.total_frames} frames "
-            f"({result.executor} executor); "
-            f"read {result.io['bytes_read']} bytes in {result.io['fetches']} fetches",
-            file=sys.stderr,
+        if args.trace is None:
+            raise _Usage("a trace file is required (or --server)")
+        _check_inputs(
+            args.trace, args.profile, None if args.build_index else args.index
         )
-        for step in plan.steps:
-            print(f"plan:   {step}", file=sys.stderr)
+        profile = _profile_for(args)
+        if args.build_index:
+            if args.utilization:
+                raise _Usage("--utilization cannot be combined with --build-index")
+            return _build_index(args, profile)
+        if args.utilization:
+            payload = _local_utilization(args, profile)
+        else:
+            from repro.query import Query, run_query
+
+            payload = run_query(
+                args.trace, Query.from_params(_query_params(args, profile)),
+                profile=profile, index=_index_arg(args), errors=args.errors,
+                window=_window_arg(args), executor=args.executor,
+            ).to_payload()
+    if args.utilization:
+        _print_payload(args, payload, _utilization_tsv)
+        return 0
+    from repro.query.engine import rows_tsv
+
+    _print_payload(args, payload, lambda p: rows_tsv(p["columns"], p["rows"]))
+    if args.explain:
+        _print_explain(payload)
     return 0
 
 
+@_entry("ute-report")
 def main_report(argv: list[str] | None = None) -> int:
     """Build a standalone HTML analysis report from a SLOG file."""
     parser = argparse.ArgumentParser(
@@ -1170,10 +1006,8 @@ def main_report(argv: list[str] | None = None) -> int:
         help="comma-separated view kinds to include",
     )
     args = parser.parse_args(argv)
-    if (code := _usage_error("ute-report", _input_error([args.slog]))) is not None:
-        return code
-    if (code := _usage_error("ute-report", _output_error(args.out))) is not None:
-        return code
+    _check_inputs(args.slog)
+    _check_output(args.out)
 
     from repro.viz.report import build_run_report
 
@@ -1185,6 +1019,7 @@ def main_report(argv: list[str] | None = None) -> int:
     return 0
 
 
+@_entry("ute-view")
 def main_view(argv: list[str] | None = None) -> int:
     """Render a time-space diagram from a SLOG file."""
     parser = argparse.ArgumentParser(
@@ -1211,11 +1046,9 @@ def main_view(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--columns", type=int, default=100)
     args = parser.parse_args(argv)
-    if (code := _usage_error("ute-view", _input_error([args.slog]))) is not None:
-        return code
+    _check_inputs(args.slog)
     if not args.ansi:
-        if (code := _usage_error("ute-view", _output_error(args.out))) is not None:
-            return code
+        _check_output(args.out)
 
     from repro.viz.ansi import render_view_ansi
     from repro.viz.jumpshot import Jumpshot
@@ -1261,12 +1094,13 @@ def _parse_size(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise ValueError(f"bad size {text!r}; expected BYTES[K|M|G]") from None
+        raise _Usage(f"bad size {text!r}; expected BYTES[K|M|G]") from None
     if value < 0:
-        raise ValueError("size must be non-negative")
+        raise _Usage("size must be non-negative")
     return value * scale
 
 
+@_entry("ute-serve")
 def main_serve(argv: list[str] | None = None) -> int:
     """Serve SLOG datasets over HTTP: API + lazy interactive viewer."""
     parser = argparse.ArgumentParser(
@@ -1309,39 +1143,32 @@ def main_serve(argv: list[str] | None = None) -> int:
                         help="suppress per-request access logs")
     args = parser.parse_args(argv)
     if (args.slog is None) == (args.repository is None):
-        return _usage_error(
-            "ute-serve", "pass exactly one of a SLOG file or --repository ROOT"
-        ) or 2
+        raise _Usage("pass exactly one of a SLOG file or --repository ROOT")
     if args.slog is not None:
         from repro.live import has_live_container
 
         # A not-yet-assembled live trace (its .live/ container exists) is
         # servable: the follow endpoints stream it as it grows.
         if not (not Path(args.slog).exists() and has_live_container(args.slog)):
-            if (code := _usage_error("ute-serve", _input_error([args.slog]))) is not None:
-                return code
+            from repro.utils.slog import SlogFile
+
+            _check_inputs(args.slog)
+            # Sessions open lazily: refuse a file that is not a SLOG here,
+            # not with an error per request.
+            SlogFile(args.slog).close()
 
     overrides: dict[str, float] = {}
     for item in args.quota_overrides:
         tenant, sep, rps = item.partition("=")
         if not sep or not tenant:
-            return _usage_error(
-                "ute-serve", f"bad --quota {item!r}; expected TENANT=RPS"
-            ) or 2
+            raise _Usage(f"bad --quota {item!r}; expected TENANT=RPS")
         try:
             overrides[tenant] = float(rps)
         except ValueError:
-            return _usage_error(
-                "ute-serve", f"bad --quota rate {rps!r}; expected a number"
-            ) or 2
-    try:
-        budget = (
-            _parse_size(args.memory_budget)
-            if args.memory_budget is not None
-            else None
-        )
-    except ValueError as exc:
-        return _usage_error("ute-serve", str(exc)) or 2
+            raise _Usage(f"bad --quota rate {rps!r}; expected a number") from None
+    budget = (
+        _parse_size(args.memory_budget) if args.memory_budget is not None else None
+    )
 
     import logging
 
@@ -1371,6 +1198,7 @@ def main_serve(argv: list[str] | None = None) -> int:
         serve_file(args.slog, config)
     return 0
 
+@_entry("ute-tail")
 def main_tail(argv: list[str] | None = None) -> int:
     """Follow a growing (live) trace, epoch by epoch."""
     parser = argparse.ArgumentParser(
@@ -1418,19 +1246,13 @@ def main_tail(argv: list[str] | None = None) -> int:
                         help="suppress per-epoch lines")
     args = parser.parse_args(argv)
     if (args.trace is None) and (args.server is None):
-        return _usage_error("ute-tail", "pass a trace path or --server URL") or 2
+        raise _Usage("pass a trace path or --server URL")
     if args.trace is not None and args.server is not None:
-        return _usage_error(
-            "ute-tail", "pass either a trace path or --server URL, not both"
-        ) or 2
+        raise _Usage("pass either a trace path or --server URL, not both")
     if args.out is not None:
         if args.server is not None:
-            return _usage_error(
-                "ute-tail", "--out needs filesystem mode (SSE events carry "
-                "no records)"
-            ) or 2
-        if (code := _usage_error("ute-tail", _output_error(args.out))) is not None:
-            return code
+            raise _Usage("--out needs filesystem mode (SSE events carry no records)")
+        _check_output(args.out)
     if args.server is not None:
         return _tail_server(args)
     return _tail_follow(args)
@@ -1466,23 +1288,19 @@ def _tail_server(args) -> int:
                 print(f"ute-tail: {event.data.get('error')}", file=sys.stderr)
                 return 1
     except OSError as exc:
-        return _usage_error("ute-tail", f"cannot follow {args.server}: {exc}") or 2
+        raise _Usage(f"cannot follow {args.server}: {exc}") from None
     return 0
 
 
 def _tail_follow(args) -> int:
     """``ute-tail TRACE``: follow the live container on the filesystem."""
     from repro.core.records import BeBits
-    from repro.errors import FormatError
     from repro.live import FollowReader
 
-    try:
-        follower = FollowReader(
-            args.trace, poll_interval=args.poll, errors=args.errors,
-            connect_timeout=args.connect_timeout,
-        )
-    except FormatError as exc:
-        return _usage_error("ute-tail", str(exc)) or 2
+    follower = FollowReader(
+        args.trace, poll_interval=args.poll, errors=args.errors,
+        connect_timeout=args.connect_timeout,
+    )
     writer = None
     total_records = 0
     try:
@@ -1541,6 +1359,7 @@ def _tail_writer(out, follower):
     )
 
 
+@_entry("ute-diff")
 def main_diff(argv: list[str] | None = None) -> int:
     """Semantically diff two trace artifacts record by record."""
     parser = argparse.ArgumentParser(
@@ -1577,14 +1396,9 @@ def main_diff(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     args = parser.parse_args(argv)
-    if (code := _usage_error(
-        "ute-diff", _input_error([args.file_a, args.file_b,
-                                  *([args.profile] if args.profile else [])])
-    )) is not None:
-        return code
+    _check_inputs(args.file_a, args.file_b, args.profile)
 
     from repro.difftool.differ import DiffConfig, diff_traces
-    from repro.errors import ReproError
 
     profile = _profile_for(args)
     try:
@@ -1606,23 +1420,19 @@ def main_diff(argv: list[str] | None = None) -> int:
             canonical_order=args.canonical_order,
         )
     except ValueError as exc:
-        return _usage_error("ute-diff", str(exc)) or 2
-    try:
-        report = diff_traces(
-            args.file_a, args.file_b, config, profile=profile,
-            errors="salvage" if args.salvage else "strict",
-        )
-    except ReproError as exc:
-        return _usage_error("ute-diff", str(exc)) or 2
+        raise _Usage(str(exc)) from None
+    report = diff_traces(
+        args.file_a, args.file_b, config, profile=profile,
+        errors="salvage" if args.salvage else "strict",
+    )
     if args.json:
-        import json
-
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.summary())
     return 0 if report.identical else 1
 
 
+@_entry("ute-oracle")
 def main_oracle(argv: list[str] | None = None) -> int:
     """Run the pipeline oracle: every equivalent read-path pair must agree."""
     parser = argparse.ArgumentParser(
@@ -1640,24 +1450,16 @@ def main_oracle(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="print all reports as JSON")
     args = parser.parse_args(argv)
-    inputs = [*args.files, *([args.profile] if args.profile else [])]
-    if (code := _usage_error("ute-oracle", _input_error(inputs))) is not None:
-        return code
+    _check_inputs(*args.files, args.profile)
 
     from repro.difftool.oracle import run_oracle
-    from repro.errors import ReproError
 
     profile = _profile_for(args)
-    reports = []
-    for path in args.files:
-        try:
-            reports.append(run_oracle(path, profile, serve=not args.no_serve))
-        except ReproError as exc:
-            return _usage_error("ute-oracle", str(exc)) or 2
+    reports = [
+        run_oracle(path, profile, serve=not args.no_serve) for path in args.files
+    ]
     findings = sum(len(r.findings) for r in reports)
     if args.json:
-        import json
-
         print(json.dumps([r.as_dict() for r in reports], indent=2))
     else:
         for report in reports:

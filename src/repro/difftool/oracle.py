@@ -203,8 +203,8 @@ def _canonical_queries(path: Path, profile) -> list:
 
 def _check_indexed_vs_full(report: OracleReport, path: Path, profile) -> None:
     """A fresh in-memory index must never change query results."""
-    from repro.query.engine import run_query
     from repro.query.indexfile import build_index
+    from repro.query.scan import run_query
     from repro.query.trace import open_trace
 
     report.checks.append("indexed_vs_full")
@@ -281,7 +281,7 @@ def _check_columnar_vs_record(report: OracleReport, path: Path, profile) -> None
     """The batched columnar executor must return exactly the record
     executor's rows — and render the identical TSV — for every canonical
     query."""
-    from repro.query.engine import run_query
+    from repro.query.scan import run_query
 
     report.checks.append("columnar_vs_record")
     for i, query in enumerate(_canonical_queries(path, profile)):
@@ -342,24 +342,16 @@ def _check_dump_vs_query(report: OracleReport, path: Path, profile) -> None:
     """The dump path's windowed record selection must equal the query
     engine's for the same window."""
     from repro.difftool.differ import _interval_fields
-    from repro.query.columnar import planned_batch_records
-    from repro.query.engine import window_to_ticks
-    from repro.query.model import Query
-    from repro.query.planner import plan_query
-    from repro.query.trace import open_trace
+    from repro.query.scan import open_scan
 
     report.checks.append("dump_vs_query")
     window = _window_for(path, profile)
     if window is None:
         return
     dump_rows = _dump_window_records(path, profile, window)
-    with open_trace(path, profile) as handle:
-        t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-        query = Query(t0=t0, t1=t1)
-        plan = plan_query(query, handle.frames, None, index_reason="oracle")
-        query_rows = [
-            _interval_fields(r) for r in planned_batch_records(handle, query, plan)
-        ]
+    # index=None: the forced full scan, whatever sidecar sits next to the file.
+    with open_scan(path, profile, window=window, index=None) as s:
+        query_rows = [_interval_fields(r) for r in s.records()]
     config = DiffConfig()
     diff = DiffReport(
         f"{path}[dump]", f"{path}[query]", report.kind, report.kind, config

@@ -17,8 +17,10 @@ record-at-a-time or as columnar batches (:mod:`repro.query.columnar`);
 the batched executor is the default and the record executor is kept as
 the parity reference cross-checked by ``ute-oracle``.
 
-``ute-query`` is the CLI face; ``ute-stats``, ``ute-serve`` (``/api/query``)
-and :mod:`repro.analysis` reuse the same planner to prune their scans.
+``ute-query`` is the CLI face; it, ``ute-stats``, ``ute-profile``,
+``ute-serve`` (``/api/query``, ``/api/stats``) and :mod:`repro.analysis`
+all read through one :class:`~repro.query.scan.Scan`
+(:mod:`repro.query.scan`): resolve the index, open, plan, run, account.
 """
 
 from repro.query.columnar import (
@@ -27,15 +29,8 @@ from repro.query.columnar import (
     decode_frame_batch,
     planned_batch_records,
 )
-from repro.query.engine import (
-    EXECUTORS,
-    ExecStats,
-    QueryResult,
-    execute,
-    resolve_index,
-    run_query,
-    window_to_ticks,
-)
+from repro.core.windows import window_to_ticks
+from repro.query.engine import EXECUTORS, ExecStats, QueryResult, execute
 from repro.query.indexfile import (
     DEFAULT_TIME_BINS,
     SIDECAR_SUFFIX,
@@ -49,6 +44,7 @@ from repro.query.indexfile import (
 )
 from repro.query.model import Aggregate, Query, ThreadSel
 from repro.query.planner import MODE_FULL_SCAN, MODE_INDEXED, QueryPlan, plan_query
+from repro.query.scan import Scan, open_scan, resolve_index, run_query
 from repro.query.trace import TraceHandle, open_trace, trace_kind
 from repro.query.utilization import (
     UtilizationBuilder,
@@ -71,6 +67,7 @@ __all__ = [
     "QueryPlan",
     "QueryResult",
     "SIDECAR_SUFFIX",
+    "Scan",
     "ThreadSel",
     "TraceHandle",
     "TraceIndex",
@@ -84,6 +81,7 @@ __all__ = [
     "index_path_for",
     "load_fresh_index",
     "load_index",
+    "open_scan",
     "open_trace",
     "plan_query",
     "planned_batch_records",

@@ -1,13 +1,10 @@
 """The query executor: pruned frame scans with predicate pushdown.
 
-:func:`run_query` is the one-call API — open the file, load a fresh
-sidecar index when one exists, plan, scan only the planned frames, push
-the query's predicates down onto each decoded record, and return rows (or
-grouped aggregates) plus the plan and the exact bytes-read accounting from
-the byte source.  :func:`execute` and
-:func:`~repro.query.columnar.planned_batch_records` are the lower-level
-pieces the serving daemon and the stats/analysis integrations reuse over
-an already-open handle.
+:func:`execute` runs one planned query over an open handle: it decodes only
+the planned frames, pushes the query's predicates down onto each decoded
+record, and returns rows (or grouped aggregates).  Resolving the index,
+opening, planning and IO accounting around it are :mod:`repro.query.scan`'s
+job — :func:`~repro.query.scan.run_query` is the one-call API.
 
 Two executors produce the same rows from the same plan:
 
@@ -27,18 +24,14 @@ output, indexed or not, whichever executor ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
 
 from repro.core.records import IntervalRecord
-from repro.core.windows import window_to_ticks as _window_to_ticks
 from repro.errors import FormatError
-from repro.query.indexfile import TraceIndex, load_fresh_index
 from repro.query.model import (
-    Aggregate,
     Query,
     accumulate,
     accumulate_value,
@@ -46,11 +39,17 @@ from repro.query.model import (
     new_accumulator,
     record_value,
 )
-from repro.query.planner import QueryPlan, plan_query
-from repro.query.trace import TraceHandle, open_trace
+from repro.query.planner import QueryPlan
+from repro.query.trace import TraceHandle
 
 #: Recognized ``executor`` arguments across the query API.
 EXECUTORS = ("columnar", "record")
+
+
+def check_executor(executor: str) -> None:
+    """Refuse an ``executor`` argument that names no executor."""
+    if executor not in EXECUTORS:
+        raise FormatError(f"unknown executor {executor!r}; pick one of {EXECUTORS}")
 
 #: Core columns the columnar executor can group/aggregate without touching
 #: Python values (always-present int64 arrays on every batch).
@@ -66,6 +65,15 @@ def format_value(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)
+
+
+def rows_tsv(columns, rows) -> str:
+    """Result rows as TSV: a header line, then one line per row — the one
+    renderer behind :meth:`QueryResult.to_tsv`, ``/api/query?format=tsv``
+    and a remote ``ute-query`` holding only the JSON payload."""
+    lines = ["\t".join(columns)]
+    lines.extend("\t".join(format_value(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _sort_key(group: tuple) -> tuple:
@@ -98,10 +106,7 @@ class QueryResult:
 
     def to_tsv(self) -> str:
         """Header line plus one tab-separated line per row."""
-        lines = ["\t".join(self.columns)]
-        for row in self.rows:
-            lines.append("\t".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return rows_tsv(self.columns, self.rows)
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-friendly form (``ute-query --format json``, ``/api/query``)."""
@@ -130,10 +135,7 @@ def execute(
     identical rows.  ``stats``, when given, receives what actually
     happened (frames scanned before any limit short-circuit).
     """
-    if executor not in EXECUTORS:
-        raise FormatError(
-            f"unknown executor {executor!r}; pick one of {EXECUTORS}"
-        )
+    check_executor(executor)
     if executor == "record":
         return _execute_record(handle, query, plan, stats)
     return _execute_columnar(handle, query, plan, stats)
@@ -193,8 +195,8 @@ def _grouped_rows(groups: dict[tuple, dict], query: Query) -> list[tuple]:
     return rows[: query.limit] if query.limit is not None else rows
 
 
-def _matched_batches(
-    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
+def matched_batches(
+    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None = None
 ) -> Iterator[tuple[Any, np.ndarray]]:
     """The columnar scan: each planned frame's batch with its predicate
     mask (one vectorized pass), frames without a match skipped."""
@@ -218,7 +220,7 @@ def _columnar_raw(
     handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
 ) -> list[tuple]:
     rows: list[tuple] = []
-    for batch, mask in _matched_batches(handle, query, plan, stats):
+    for batch, mask in matched_batches(handle, query, plan, stats):
         cols = [batch.column_values(name) for name in query.columns]
         for i in _positions(batch, mask):
             rows.append(tuple(col[i] for col in cols))
@@ -343,7 +345,7 @@ def _columnar_grouped_fast(
                 chunks.clear()
         buffered = 0
 
-    for batch, mask in _matched_batches(handle, query, plan, stats):
+    for batch, mask in matched_batches(handle, query, plan, stats):
         if mask.all():
             sel = slice(None)
             matched = batch.n
@@ -369,7 +371,7 @@ def _columnar_grouped_slow(
     field: group over Python value columns, still one decoded batch and one
     vectorized predicate pass per frame."""
     groups: dict[tuple, dict] = {}
-    for batch, mask in _matched_batches(handle, query, plan, stats):
+    for batch, mask in matched_batches(handle, query, plan, stats):
         keycols = [batch.column_values(name) for name in query.group_by]
         aggcols = [
             batch.column_values(agg.source) if agg.source is not None else None
@@ -401,78 +403,3 @@ def _execute_columnar(
     if all_core:
         return _columnar_grouped_fast(handle, query, plan, stats)
     return _columnar_grouped_slow(handle, query, plan, stats)
-
-
-def resolve_index(
-    path: str | Path, index: Any
-) -> tuple[TraceIndex | None, str]:
-    """Normalize the ``index`` argument accepted across the query API.
-
-    * ``"auto"`` — load the sidecar next to ``path`` if it exists and is
-      fresh (the default everywhere);
-    * ``None`` / ``False`` — ignore any sidecar: force the full scan;
-    * a :class:`TraceIndex` — use it as-is (caller vouches for freshness);
-    * a path — load that specific sidecar, still freshness-checked.
-    """
-    if index is None or index is False:
-        return None, "disabled"
-    if isinstance(index, TraceIndex):
-        return index, "fresh"
-    if index == "auto":
-        return load_fresh_index(path)
-    return load_fresh_index(path, index)
-
-
-def run_query(
-    path: str | Path,
-    query: Query,
-    *,
-    profile=None,
-    index: Any = "auto",
-    errors: str = "strict",
-    mode: str = "auto",
-    executor: str = "columnar",
-    window: tuple[float | None, float | None] | None = None,
-) -> QueryResult:
-    """Open, plan, and execute one query; the one-call API.
-
-    ``window`` is an optional (t0, t1) in **seconds**; it is converted with
-    the file's own ``ticks_per_sec`` and overrides the query's tick bounds —
-    the convenience the CLI and server need, since they see seconds but the
-    file's tick rate only exists after open.
-
-    ``io`` in the result is the byte-source fetch delta across the scan
-    itself (directories and header tables are read at open, before the
-    snapshot), so it measures exactly what the plan chose to decode.
-    ``frames_decoded`` is the frame store's miss delta — frames the
-    executor really decoded, not what the plan promised (cache hits and
-    limit short-circuits decode fewer; the ``record`` executor never
-    caches, so it decodes every frame it visits); ``frames_scanned`` counts
-    frames the executor visited before any short-circuit.
-    """
-    loaded, reason = resolve_index(path, index)
-    with open_trace(path, profile, errors=errors, mode=mode) as handle:
-        if window is not None:
-            t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-            query = replace(query, t0=t0, t1=t1)
-        plan = plan_query(query, handle.frames, loaded, index_reason=reason)
-        before = handle.stats()
-        exec_stats = ExecStats()
-        rows = execute(handle, query, plan, executor=executor, stats=exec_stats)
-        after = handle.stats()
-        io = {
-            "bytes_read": after["bytes_fetched"] - before["bytes_fetched"],
-            "fetches": after["fetch_count"] - before["fetch_count"],
-            "cache_hits": after["hits"] - before["hits"],
-            "frames_decoded": after["misses"] - before["misses"],
-            "frames_scanned": exec_stats.frames_scanned,
-        }
-        return QueryResult(
-            query.output_columns(), rows, plan, io,
-            handle.ticks_per_sec, str(path), executor,
-        )
-
-
-# Re-exported here for the query layer's callers; the one definition lives
-# in core so every read path converts seconds the same way.
-window_to_ticks = _window_to_ticks

@@ -47,6 +47,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -172,8 +173,12 @@ class TraceIndex:
 
     # ------------------------------------------------------------- encoding
 
-    def encode(self) -> bytes:
-        """Serialize; deterministic for a given trace content."""
+    def encode_chunks(self) -> Iterator[bytes]:
+        """The serialized sidecar piece by piece, CRC32 trailer last;
+        deterministic for a given trace content.  The utilization columns
+        are encoded one at a time as they are pulled, so a writer never
+        holds a second copy of the whole sidecar (tens of MB on wide
+        traces) next to the index itself."""
         out = bytearray()
         out += _HEADER.pack(MAGIC, FORMAT_VERSION, 0)
         out += _SOURCE.pack(self.source_size, self.source_sha256)
@@ -195,12 +200,19 @@ class TraceIndex:
             ordinals = self.postings[key]
             out += _POSTING.pack(key, len(ordinals))
             out += struct.pack(f"<{len(ordinals)}I", *ordinals)
-        if self.utilization is not None:
-            out += self.utilization.encode()
-        else:
+        if self.utilization is None:
             out += UtilizationIndex.encode_absent()
-        out += struct.pack("<I", zlib.crc32(out))
-        return bytes(out)
+        crc = zlib.crc32(out)
+        yield bytes(out)
+        if self.utilization is not None:
+            for chunk in self.utilization.encode_chunks():
+                crc = zlib.crc32(chunk, crc)
+                yield chunk
+        yield struct.pack("<I", crc)
+
+    def encode(self) -> bytes:
+        """:meth:`encode_chunks` as one ``bytes``."""
+        return b"".join(self.encode_chunks())
 
     @classmethod
     def decode(cls, data: bytes) -> "TraceIndex":
@@ -371,7 +383,8 @@ def index_path_for(path: str | Path) -> Path:
 def write_index(index: TraceIndex, sidecar: str | Path) -> Path:
     """Publish the sidecar crash-safely (temp sibling + atomic replace)."""
     with AtomicFile(sidecar) as fh:
-        fh.write(index.encode())
+        for chunk in index.encode_chunks():
+            fh.write(chunk)
     return Path(sidecar)
 
 

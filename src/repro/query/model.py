@@ -15,8 +15,8 @@ the query, so the engine never guesses units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.core.windows import overlaps_window
 from repro.errors import FormatError
@@ -52,6 +52,10 @@ class ThreadSel:
     def matches(self, node: int, thread: int) -> bool:
         return self.thread == thread and (self.node is None or self.node == node)
 
+    def __str__(self) -> str:
+        """The text :meth:`parse` reads back."""
+        return str(self.thread) if self.node is None else f"{self.node}:{self.thread}"
+
 
 @dataclass(frozen=True)
 class Aggregate:
@@ -80,6 +84,24 @@ class Aggregate:
         if not source:
             raise FormatError(f"aggregate {fn!r} needs a field: {fn}:FIELD")
         return cls(fn, source, f"{fn}({source})")
+
+    def __str__(self) -> str:
+        """The text :meth:`parse` reads back (the label is derived)."""
+        return self.fn if self.source is None else f"{self.fn}:{self.source}"
+
+
+def _items(params: Mapping[str, str], name: str) -> list[str]:
+    """The comma-separated items of one text parameter (blanks dropped)."""
+    return [p.strip() for p in params.get(name, "").split(",") if p.strip()]
+
+
+def _ints(params: Mapping[str, str], name: str) -> list[int]:
+    try:
+        return [int(p, 0) for p in _items(params, name)]
+    except ValueError:
+        raise FormatError(
+            f"query parameter {name!r} must be integers, got {params[name]!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -114,6 +136,48 @@ class Query:
             raise FormatError("aggregates require group_by fields")
         if self.limit is not None and self.limit < 0:
             raise FormatError(f"negative limit {self.limit}")
+
+    # ------------------------------------------------------------ text form
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, str]) -> "Query":
+        """Build a query from its text form — the ``/api/query`` parameters,
+        which ``ute-query`` also fills from its flags: ``thread``, ``node``,
+        ``type``, ``select``, ``group_by`` and ``agg`` are comma-separated
+        lists, ``limit`` an integer; absent or blank means the default.
+        The time window is not part of it: it travels in seconds
+        (:func:`~repro.core.windows.parse_window`) and becomes ticks only
+        once the file's tick rate is known.  Other keys are ignored."""
+        limit = params.get("limit", "").strip()
+        try:
+            limit = int(limit) if limit else None
+        except ValueError:
+            raise FormatError(
+                f"limit must be an integer, got {params['limit']!r}"
+            ) from None
+        return cls(
+            threads=tuple(ThreadSel.parse(p) for p in _items(params, "thread")),
+            nodes=frozenset(_ints(params, "node")),
+            types=frozenset(_ints(params, "type")),
+            columns=tuple(_items(params, "select")) or CORE_COLUMNS,
+            group_by=tuple(_items(params, "group_by")),
+            aggregates=tuple(Aggregate.parse(p) for p in _items(params, "agg")),
+            limit=limit,
+        )
+
+    def to_params(self) -> dict[str, str]:
+        """The text form :meth:`from_params` reads back (defaults omitted;
+        the tick window is not carried, see there)."""
+        lists = {
+            "thread": self.threads,
+            "node": sorted(self.nodes),
+            "type": sorted(self.types),
+            "select": () if self.columns == CORE_COLUMNS else self.columns,
+            "group_by": self.group_by,
+            "agg": self.aggregates,
+            "limit": () if self.limit is None else (self.limit,),
+        }
+        return {k: ",".join(map(str, v)) for k, v in lists.items() if v}
 
     # ----------------------------------------------------------- predicates
 
@@ -152,10 +216,7 @@ class Query:
         """JSON-friendly summary (the ``query`` half of an explain)."""
         return {
             "window": [self.t0, self.t1] if self.windowed else None,
-            "threads": [
-                f"{s.node}:{s.thread}" if s.node is not None else str(s.thread)
-                for s in self.threads
-            ],
+            "threads": [str(s) for s in self.threads],
             "nodes": sorted(self.nodes),
             "types": sorted(self.types),
             "columns": list(self.output_columns()),

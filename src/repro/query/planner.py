@@ -10,7 +10,7 @@ cost, never results.
 Pruning steps (each intersects the survivor set):
 
 1. **Time window** — drop frames whose [start, end] range misses the
-   window (this works from the frame directory alone, no sidecar needed);
+   window (the ranges are the frame directory's, copied into the sidecar);
 2. **Thread posting lists** — for exact (node, thread) selectors, union
    the posting lists and intersect; a bare thread id unions every posting
    key carrying that id;

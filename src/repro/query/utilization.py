@@ -43,7 +43,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -375,28 +375,30 @@ class UtilizationIndex:
 
     # ------------------------------------------------------------- encoding
 
-    def encode(self) -> bytes:
+    def encode_chunks(self) -> Iterator[bytes]:
         """Serialize the hierarchy section: per kind the lane keys, then
-        per level a header and six columns (docs/FORMAT.md section 7).
-        Deterministic — the columns are already in canonical order."""
-        parts = [_UTIL_HEADER.pack(
+        per level a header and six columns (docs/FORMAT.md section 7),
+        one chunk each, encoded as it is pulled.  Deterministic — the
+        columns are already in canonical order."""
+        yield _UTIL_HEADER.pack(
             self.base_shift, self.n_levels, self.t_min, self.t_max,
             len(self.thread.keys), len(self.cpu.keys),
-        )]
+        )
         for table in (self.thread, self.cpu):
-            parts.append(table.keys.astype("<u8").tobytes())
+            yield table.keys.astype("<u8").tobytes()
             for li, level in enumerate(table.levels):
                 origin = self.t_min >> (self.base_shift + li)
-                parts += [
-                    _LEVEL_HEADER.pack(len(level.bins), len(level.states)),
-                    _narrow(np.diff(level.offsets), "<u4"),
-                    _narrow(level.bins - origin, "<u4"),
-                    _narrow(level.counts, "<u4"),
-                    _narrow(np.diff(level.state_off), "<u2"),
-                    _narrow(level.states, "<u4"),
-                    _narrow(level.busy, "<u8"),
-                ]
-        return b"".join(parts)
+                yield _LEVEL_HEADER.pack(len(level.bins), len(level.states))
+                yield _narrow(np.diff(level.offsets), "<u4")
+                yield _narrow(level.bins - origin, "<u4")
+                yield _narrow(level.counts, "<u4")
+                yield _narrow(np.diff(level.state_off), "<u2")
+                yield _narrow(level.states, "<u4")
+                yield _narrow(level.busy, "<u8")
+
+    def encode(self) -> bytes:
+        """:meth:`encode_chunks` as one ``bytes``."""
+        return b"".join(self.encode_chunks())
 
     @classmethod
     def decode(

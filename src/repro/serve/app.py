@@ -71,7 +71,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro.core.windows import parse_window
 from repro.errors import FormatError, StatsError
+from repro.query.engine import check_executor, rows_tsv
+from repro.query.model import Query
 from repro.repository import (
     ANONYMOUS,
     DEFAULT_BUDGET_BYTES,
@@ -783,7 +786,7 @@ class TraceServer:
         width = self.config.svg_width
         if "width" in request.query:
             width = max(200, min(self._int_seg(request.query["width"], "width"), 4000))
-        window = self._parse_window_param(request)
+        window = self._window(request)
         if window is not None:
             t0, t1 = window
             if t0 is None or t1 is None:
@@ -811,7 +814,7 @@ class TraceServer:
         lane = request.query.get("lane", "thread")
         if lane not in ("thread", "cpu"):
             raise _HttpError(400, f"unknown lane {lane!r}; pick 'thread' or 'cpu'")
-        window = self._parse_window_param(request)
+        window = self._window(request)
         if window is not None and (window[0] is None or window[1] is None):
             raise _HttpError(400, "utilization window needs both bounds: T0:T1")
         bins = 512
@@ -828,26 +831,14 @@ class TraceServer:
         response.headers = {"X-UTE-Bytes-Read": "0"}
         return response
 
-    def _parse_window_param(
-        self, request: Request
-    ) -> tuple[float | None, float | None] | None:
+    @staticmethod
+    def _window(request: Request) -> tuple[float | None, float | None] | None:
         """The optional ``window=T0:T1`` query parameter (seconds)."""
         text = request.query.get("window", "")
-        if not text.strip():
-            return None
-        lo, sep, hi = text.partition(":")
-        if not sep:
-            raise _HttpError(400, f"bad window {text!r}; expected T0:T1 in seconds")
         try:
-            t0 = float(lo) if lo.strip() else None
-            t1 = float(hi) if hi.strip() else None
-        except ValueError:
-            raise _HttpError(
-                400, f"bad window {text!r}; expected T0:T1 in seconds"
-            ) from None
-        if t0 is not None and t1 is not None and t1 < t0:
-            raise _HttpError(400, f"empty window {text!r}")
-        return t0, t1
+            return parse_window(text) if text.strip() else None
+        except FormatError as exc:
+            raise _HttpError(400, str(exc)) from None
 
     def _h_stats(self, request: Request) -> Response:
         program = request.query.get("table", "")
@@ -856,7 +847,7 @@ class TraceServer:
         fmt = request.query.get("format", "tsv")
         if fmt not in ("tsv", "json"):
             raise _HttpError(400, f"unknown format {fmt!r}; pick 'tsv' or 'json'")
-        window = self._parse_window_param(request)
+        window = self._window(request)
         tables, plan, io = request.session.stats_tables(program, window=window)
         extra = {"X-UTE-Bytes-Read": str(io["bytes_read"])}
         if fmt == "json":
@@ -874,7 +865,8 @@ class TraceServer:
                     for t in tables
                 ],
                 "plan": plan,
-                "io": io,
+                # The three keys this route has always published.
+                "io": {k: io[k] for k in ("bytes_read", "fetches", "cache_hits")},
             })
             response.headers = extra
             return response
@@ -886,71 +878,31 @@ class TraceServer:
     def _h_query(self, request: Request) -> Response:
         query, window, executor, fmt = self._parse_query_spec(request)
         payload = request.session.query_payload(query, window=window, executor=executor)
-        extra = {"X-UTE-Bytes-Read": str(payload["io"]["bytes_read"])}
         if fmt == "tsv":
             response = Response.text(
-                request.session.query_tsv(payload),
+                rows_tsv(payload["columns"], payload["rows"]),
                 content_type="text/tab-separated-values",
             )
         else:
             response = Response.json(payload)
-        response.headers = extra
+        response.headers = {"X-UTE-Bytes-Read": str(payload["io"]["bytes_read"])}
         return response
 
     def _parse_query_spec(self, request: Request):
         """The /query (and /follow/query) parameter surface: returns
-        (query, window, executor, format)."""
-        from repro.query.model import CORE_COLUMNS, Aggregate, Query, ThreadSel
-
+        (query, window, executor, format).  The query fields are
+        :meth:`Query.from_params`'s; a malformed one is a 400."""
         q = request.query
         fmt = q.get("format", "json")
         if fmt not in ("tsv", "json"):
             raise _HttpError(400, f"unknown format {fmt!r}; pick 'tsv' or 'json'")
-        from repro.query.engine import EXECUTORS
-
         executor = q.get("executor", "columnar")
-        if executor not in EXECUTORS:
-            raise _HttpError(
-                400, f"unknown executor {executor!r}; pick one of {EXECUTORS}"
-            )
-        window = self._parse_window_param(request)
-
-        def ints(name: str) -> list[int]:
-            raw = [p for p in q.get(name, "").split(",") if p.strip()]
-            try:
-                return [int(p, 0) for p in raw]
-            except ValueError:
-                raise _HttpError(
-                    400, f"query parameter {name!r} must be integers, got {q[name]!r}"
-                ) from None
-
-        limit = None
-        if q.get("limit", "").strip():
-            limit = self._int_seg(q["limit"], "limit")
         try:
-            columns = tuple(
-                c.strip() for c in q.get("select", "").split(",") if c.strip()
-            )
-            query = Query(
-                threads=tuple(
-                    ThreadSel.parse(p)
-                    for p in q.get("thread", "").split(",")
-                    if p.strip()
-                ),
-                nodes=frozenset(ints("node")),
-                types=frozenset(ints("type")),
-                columns=columns or CORE_COLUMNS,
-                group_by=tuple(
-                    c.strip() for c in q.get("group_by", "").split(",") if c.strip()
-                ),
-                aggregates=tuple(
-                    Aggregate.parse(p) for p in q.get("agg", "").split(",") if p.strip()
-                ),
-                limit=limit,
-            )
+            check_executor(executor)
+            query = Query.from_params(q)
         except FormatError as exc:
             raise _HttpError(400, str(exc)) from None
-        return query, window, executor, fmt
+        return query, self._window(request), executor, fmt
 
     # ------------------------------------------------------- follow handlers
 

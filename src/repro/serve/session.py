@@ -1,11 +1,12 @@
 """The shared trace session: one SLOG file serving many requests.
 
-A :class:`TraceSession` owns the :class:`~repro.viz.jumpshot.Jumpshot`
-viewer (and through it the SlogFile, byte source, and frame cache) that
-every request of the daemon shares.  A read lock serializes byte-source
-fetches — the frame store's lock makes concurrent decodes sound, the
-session lock additionally keeps multi-step operations (build a view over a
-frame's records) consistent.
+A :class:`TraceSession` owns one reader (a SlogFile or live reader: byte
+source and frame cache) plus the :class:`~repro.viz.jumpshot.Jumpshot`
+viewer and the query layer's :class:`~repro.query.trace.TraceHandle` built
+over it, shared by every request of the daemon.  A read lock serializes
+byte-source fetches — the frame store's lock makes concurrent decodes
+sound, the session lock additionally keeps multi-step operations (build a
+view over a frame's records) consistent.
 
 The session also computes the ETag base: ``mtime_ns-size`` of the SLOG
 file, combined per resource with a frame id or view kind, yields strong
@@ -16,20 +17,19 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
 from repro.core.records import IntervalRecord, IntervalType
+from repro.core.windows import window_to_ticks
 from repro.errors import FormatError
-from repro.query.columnar import planned_batch_records
-from repro.query.engine import execute as execute_query
-from repro.query.engine import ExecStats, format_value, window_to_ticks
 from repro.query.indexfile import load_fresh_index
 from repro.query.model import Query
-from repro.query.planner import MODE_INDEXED, plan_query
+from repro.query.planner import MODE_INDEXED
+from repro.query.scan import Scan, io_delta, scan
 from repro.query.trace import TraceHandle
 from repro.query.utilization import utilization_payload
+from repro.utils.slog import SlogFile
 from repro.utils.stats import generate_tables
 from repro.viz.arrows import match_arrows
 from repro.viz.interactive import view_payload
@@ -85,11 +85,9 @@ class TraceSession:
         if self.live:
             from repro.live import LiveReader
 
-            reader = LiveReader(self.path, cache_frames=cache_frames)
-            self.epoch_seq = reader.seq
-            self.etag_base = f"{self._etag_prefix}live-{reader.seq}"
-            self.viewer = Jumpshot(self.path, slog=reader)
-            self.handle = TraceHandle(self.path, reader, "slog")
+            self._attach(LiveReader(self.path, cache_frames=cache_frames))
+            self.epoch_seq = self.reader.seq
+            self.etag_base = f"{self._etag_prefix}live-{self.reader.seq}"
             self.index, self.index_reason = self._load_live_index()
         else:
             self._open_file()
@@ -117,7 +115,7 @@ class TraceSession:
     def preview_payload(self) -> dict[str, Any]:
         """State-counter bins plus interesting ranges (``/api/preview``)."""
         with self.lock:
-            slog = self.viewer.slog
+            slog = self.reader
             itypes, matrix = slog.preview_matrix()
             t0, t1 = slog.time_range
             return {
@@ -143,7 +141,7 @@ class TraceSession:
             frames = self.viewer.frame_index()
             return {
                 "file": self.path.name,
-                "ticks_per_sec": self.viewer.slog.ticks_per_sec,
+                "ticks_per_sec": self.reader.ticks_per_sec,
                 "count": len(frames),
                 "frames": frames,
             }
@@ -157,7 +155,7 @@ class TraceSession:
         with self.lock:
             frame = self.viewer.frame_entry(index)
             records = self._frame_records_or_degrade(index, frame)
-            slog = self.viewer.slog
+            slog = self.reader
             payload: dict[str, Any] = {
                 "index": index,
                 "start": frame.start_time / slog.ticks_per_sec,
@@ -180,7 +178,7 @@ class TraceSession:
         with self.lock:
             frame = self.viewer.frame_entry(index)
             records = self._frame_records_or_degrade(index, frame)
-            tps = self.viewer.slog.ticks_per_sec
+            tps = self.reader.ticks_per_sec
             return {
                 "index": index,
                 "arrows": [
@@ -203,11 +201,11 @@ class TraceSession:
         it (``/api/view/{kind}?t=...``).  Dense frames answer from the
         sidecar's utilization hierarchy when it is available."""
         with self.lock:
-            before = self.handle.stats()
+            before = self.reader.stats()
             svg = self.viewer.view_svg_at(
                 t_seconds, kind=kind, width=width, index=self.index
             )
-            return svg, self._io_delta(before)
+            return svg, io_delta(before, self.reader.stats())
 
     def view_svg_window(
         self, kind: str, t0_seconds: float, t1_seconds: float, *, width: int = 1100
@@ -217,11 +215,11 @@ class TraceSession:
         threshold the utilization hierarchy answers without frame IO;
         below it every overlapping frame decodes (exact drill-down)."""
         with self.lock:
-            before = self.handle.stats()
+            before = self.reader.stats()
             svg = self.viewer.view_svg_window(
                 t0_seconds, t1_seconds, kind=kind, width=width, index=self.index
             )
-            return svg, self._io_delta(before)
+            return svg, io_delta(before, self.reader.stats())
 
     def utilization_payload(
         self,
@@ -237,14 +235,12 @@ class TraceSession:
             util = getattr(index, "utilization", None)
             if util is None:
                 return None
-            tps = self.handle.ticks_per_sec
-            if window is not None:
-                ticks = int(window[0] * tps), int(window[1] * tps)
-            else:
-                ticks = util.t_min, util.t_max
+            tps = self.reader.ticks_per_sec
+            ticks = (
+                window_to_ticks(window, tps) if window else (util.t_min, util.t_max)
+            )
             return utilization_payload(
-                util, kind, ticks, max_bins, tps,
-                self.viewer.slog.profile.record_name,
+                util, kind, ticks, max_bins, tps, self.reader.profile.record_name
             )
 
     def stats_tables(
@@ -256,23 +252,15 @@ class TraceSession:
         the sidecar index when a ``window`` (seconds) is given.  Returns
         (tables, plan description, io delta)."""
         with self.lock:
-            slog = self.viewer.slog
-            t0, t1 = window_to_ticks(window, slog.ticks_per_sec)
-            query = Query(t0=t0, t1=t1)
-            plan = self._plan(query)
-            before = self.handle.stats()
-            records = (
-                r
-                for r in planned_batch_records(self.handle, query, plan)
-                if r.itype != IntervalType.CLOCKPAIR
-            )
+            s = self._scan(window=window)
+            records = (r for r in s.records() if r.itype != IntervalType.CLOCKPAIR)
             tables = generate_tables(
                 records,
                 program,
-                ticks_per_sec=slog.ticks_per_sec,
-                thread_table=slog.thread_table,
+                ticks_per_sec=self.reader.ticks_per_sec,
+                thread_table=self.reader.thread_table,
             )
-            return tables, plan.describe(), self._io_delta(before)
+            return tables, s.plan.describe(), s.io()
 
     def query_payload(
         self,
@@ -285,33 +273,13 @@ class TraceSession:
         ``window`` is in seconds (converted with the file's tick rate and
         overriding the query's tick bounds); ``executor`` picks the decode
         strategy (see :data:`repro.query.engine.EXECUTORS`).  The payload
-        carries the rows, the frame plan, and the exact bytes-read delta of
-        this query — ``frames_decoded`` is the cache-miss delta and
-        ``frames_scanned`` is what the executor actually visited.
+        is :meth:`~repro.query.engine.QueryResult.to_payload`: the rows,
+        the frame plan, and the scan's IO delta
+        (:mod:`repro.query.scan`) for exactly this query.
         """
         with self.lock:
-            handle = self.handle
-            if window is not None:
-                t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-                query = replace(query, t0=t0, t1=t1)
-            plan = self._plan(query)
-            before = handle.stats()
-            exec_stats = ExecStats()
-            rows = execute_query(
-                handle, query, plan, executor=executor, stats=exec_stats
-            )
-            io = self._io_delta(before)
-            io["frames_decoded"] = handle.stats()["misses"] - before["misses"]
-            io["frames_scanned"] = exec_stats.frames_scanned
-            return {
-                "file": self.path.name,
-                "ticks_per_sec": handle.ticks_per_sec,
-                "columns": list(query.output_columns()),
-                "rows": [list(row) for row in rows],
-                "plan": plan.describe(),
-                "io": io,
-                "executor": executor,
-            }
+            s = self._scan(query, window=window, executor=executor)
+            return s.result(file=self.path.name).to_payload()
 
     def export_chrome_chunks(self):
         """The trace as Chrome trace-event JSON, one byte chunk at a time
@@ -324,35 +292,19 @@ class TraceSession:
         name = self.dataset or self.path.name
         return iter_chrome_chunks(self.handle, source_name=name, lock=self.lock)
 
-    @staticmethod
-    def query_tsv(payload: dict[str, Any]) -> str:
-        """Render a :meth:`query_payload` result as TSV (header + rows)."""
-        lines = ["\t".join(payload["columns"])]
-        for row in payload["rows"]:
-            lines.append("\t".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
-
-    def _plan(self, query: Query):
-        """Plan one query against the session index, keeping the counters
-        the metrics endpoint scrapes."""
-        plan = plan_query(
-            query, self.handle.frames, self.index, index_reason=self.index_reason
+    def _scan(self, query: Query = Query(), **kwargs) -> Scan:
+        """Plan one scan over the shared handle against the session index,
+        keeping the counters the metrics endpoint scrapes.  Lock held by
+        caller."""
+        s = scan(
+            self.handle, query, index=self.index,
+            index_reason=self.index_reason, **kwargs,
         )
-        self.index_frames_scanned += len(plan.frames)
-        self.index_frames_pruned += plan.frames_pruned
-        if plan.mode != MODE_INDEXED:
+        self.index_frames_scanned += len(s.plan.frames)
+        self.index_frames_pruned += s.plan.frames_pruned
+        if s.plan.mode != MODE_INDEXED:
             self.index_fallbacks += 1
-        return plan
-
-    def _io_delta(self, before: dict[str, int]) -> dict[str, int]:
-        """Byte-source/cache accounting since ``before`` (same keys the
-        query CLI reports)."""
-        after = self.handle.stats()
-        return {
-            "bytes_read": after["bytes_fetched"] - before["bytes_fetched"],
-            "fetches": after["fetch_count"] - before["fetch_count"],
-            "cache_hits": after["hits"] - before["hits"],
-        }
+        return s
 
     def stats(self) -> dict[str, int]:
         """The SLOG file's cache/IO accounting (``/metrics`` reads this)."""
@@ -361,17 +313,10 @@ class TraceSession:
 
     def frame_count(self) -> int:
         """Number of frames in the file."""
-        return len(self.viewer.slog.frames)
+        return len(self.reader.frames)
 
     # --------------------------------------------------- memory accounting
     # The repository's global budget aggregates these across sessions.
-
-    @property
-    def reader(self):
-        """The reader behind the viewer and the query handle — the session's
-        :class:`~repro.core.framestore.FrameStore`, where the repository
-        installs its governor."""
-        return self.viewer.slog
 
     def resident_bytes(self) -> int:
         """Encoded bytes of the frames this session holds decoded."""
@@ -401,7 +346,7 @@ class TraceSession:
         with self.lock:
             if not self.live:
                 return False
-            reader = self.viewer.slog
+            reader = self.reader
             changed = reader.refresh()
             if changed:
                 self.epoch_seq = reader.seq
@@ -419,7 +364,7 @@ class TraceSession:
         frame count, and whether the trace is finished."""
         with self.lock:
             if self.live:
-                reader = self.viewer.slog
+                reader = self.reader
                 return {
                     "live": True,
                     "seq": reader.seq,
@@ -439,7 +384,7 @@ class TraceSession:
         from repro.live.container import index_path
         from repro.query.indexfile import load_index
 
-        reader = self.viewer.slog
+        reader = self.reader
         try:
             index = load_index(index_path(reader.live_dir))
         except (FormatError, OSError):
@@ -469,11 +414,18 @@ class TraceSession:
         """Open (or re-open) the session over the ordinary file."""
         stat = os.stat(self.path)
         self.etag_base = f"{self._etag_prefix}{stat.st_mtime_ns}-{stat.st_size}"
-        self.viewer = Jumpshot(self.path, cache_frames=self._cache_frames)
-        # The query layer's view of the same SlogFile: shares the byte
-        # source and frame store, adds the frame list the planner prunes.
-        self.handle = TraceHandle(self.path, self.viewer.slog, "slog")
+        self._attach(SlogFile(self.path, cache_frames=self._cache_frames))
         self.index, self.index_reason = load_fresh_index(self.path)
+
+    def _attach(self, reader) -> None:
+        """Make ``reader`` the session's one reader — its
+        :class:`~repro.core.framestore.FrameStore`, where the repository
+        installs its governor — and build the two objects over it: the
+        viewer, and the query layer's handle (same byte source and frame
+        store, plus the frame list the planner prunes)."""
+        self.reader = reader
+        self.viewer = Jumpshot(self.path, slog=reader)
+        self.handle = TraceHandle(self.path, reader, "slog")
 
     # ------------------------------------------------------------ internals
 
@@ -484,7 +436,7 @@ class TraceSession:
         try:
             return self.viewer.frame_records(frame)
         except FormatError as exc:
-            _records, probe = self.viewer.slog.salvage_frame(frame)
+            _records, probe = self.reader.salvage_frame(frame)
             raise FrameDecodeError(index, str(exc), probe.as_dict()) from exc
 
     @staticmethod

@@ -191,9 +191,10 @@ def interval_records(
 ) -> Iterator[IntervalRecord]:
     """Stream records from several interval files (clock pairs dropped).
 
-    ``window`` is (t0, t1) in seconds; when set, frames outside it are
-    pruned — through the sidecar index when a fresh one exists, the frame
-    directory otherwise — and records are filtered to the window.
+    ``window`` is (t0, t1) in seconds; when set, records are filtered to
+    it, and frames outside it are pruned when a fresh sidecar index sits
+    next to the file (without one every frame is decoded — the frame
+    directory alone never prunes).
     ``executor`` picks how frames decode (see
     :data:`repro.query.engine.EXECUTORS`); both yield identical records.
     Pass a dict as ``io_log`` to collect **per-file** read accounting:
@@ -203,37 +204,21 @@ def interval_records(
     one's.  ``frames_decoded`` there is the cache-miss delta: frames the
     scan really decoded, not what the plan listed.
     """
-    from repro.query.columnar import planned_batch_records
-    from repro.query.engine import (
-        EXECUTORS,
-        reference_scan,
-        resolve_index,
-        window_to_ticks,
-    )
-    from repro.query.model import Query
-    from repro.query.planner import plan_query
-    from repro.query.trace import open_trace
+    from repro.query.scan import open_scan
 
-    if executor not in EXECUTORS:
-        raise StatsError(f"unknown executor {executor!r}; pick one of {EXECUTORS}")
-    record_stream = reference_scan if executor == "record" else planned_batch_records
     for path in paths:
-        loaded, reason = resolve_index(path, index)
-        with open_trace(path, profile) as handle:
-            t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
-            query = Query(t0=t0, t1=t1)
-            plan = plan_query(query, handle.frames, loaded, index_reason=reason)
-            before = handle.stats()
-            for record in record_stream(handle, query, plan):
+        with open_scan(
+            path, profile, window=window, index=index, executor=executor
+        ) as s:
+            for record in s.records():
                 if record.itype != IntervalType.CLOCKPAIR:
                     yield record
             if io_log is not None:
-                after = handle.stats()
                 io_log[str(path)] = {
-                    **after,
-                    "plan": plan.mode,
-                    "frames_total": plan.total_frames,
-                    "frames_decoded": after["misses"] - before["misses"],
+                    **s.handle.stats(),
+                    "plan": s.plan.mode,
+                    "frames_total": s.plan.total_frames,
+                    "frames_decoded": s.io()["frames_decoded"],
                 }
 
 

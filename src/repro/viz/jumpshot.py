@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.core.reader import DEFAULT_FRAME_CACHE
 from repro.core.records import IntervalRecord
+from repro.core.windows import seconds_to_ticks, window_to_ticks
 from repro.errors import FormatError
 from repro.utils.slog import SlogFile, SlogFrameEntry
 from repro.viz.arrows import match_arrows
@@ -109,7 +110,7 @@ class Jumpshot:
 
     def locate(self, t_seconds: float) -> SlogFrameEntry:
         """Find the frame containing an instant (seconds), via the index."""
-        t = int(t_seconds * self.slog.ticks_per_sec)
+        t = seconds_to_ticks(t_seconds, self.slog.ticks_per_sec)
         frame = self.slog.find_frame(t)
         if frame is None:
             raise FormatError(f"no frame contains t={t_seconds}s")
@@ -233,8 +234,7 @@ class Jumpshot:
         Below the density threshold this decodes every overlapping frame
         (exact drill-down); above it — any wide window of a big trace —
         the utilization hierarchy answers without touching the data."""
-        tps = self.slog.ticks_per_sec
-        w0, w1 = int(t0_seconds * tps), int(t1_seconds * tps)
+        w0, w1 = window_to_ticks((t0_seconds, t1_seconds), self.slog.ticks_per_sec)
         if w1 <= w0:
             raise FormatError(f"empty window {t0_seconds}..{t1_seconds}s")
         frames = [

@@ -45,15 +45,18 @@ class TestStatsProgram:
         tsv = (out / "custom.tsv").read_text()
         assert tsv.startswith("node\tpieces")
 
-    def test_bad_program_raises_stats_error(self, traced, tmp_path):
+    def test_bad_program_raises_stats_error(self, traced, tmp_path, capsys):
+        """The StatsError reaches the user as the CLI's one-line error."""
         from repro import cli
-        from repro.errors import StatsError
 
         _, intervals = traced
         program = tmp_path / "bad.stats"
         program.write_text("table x=(")
-        with pytest.raises(StatsError):
-            cli.main_stats([*intervals, "--program", str(program), "-o", str(tmp_path / "s")])
+        argv = [*intervals, "--program", str(program), "-o", str(tmp_path / "s")]
+        assert cli.main_stats(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ute-stats: error: unexpected end of program")
+        assert len(err.splitlines()) == 1
 
 
 class TestMergeModes:
@@ -100,6 +103,92 @@ class TestArgumentErrors:
 
         with pytest.raises(SystemExit):
             cli.main_merge(["a.ute", "--sync", "vibes"])
+
+
+#: Every console script with the arguments that lead it to one input path
+#: (``{}``).  ``ute-trace`` reads no file; its one path is the ``--live``
+#: target, refused when it already exists.
+ENTRY_POINTS = {
+    "ute-trace": ("main_trace", ["synthetic", "--live", "{}"]),
+    "ute-convert": ("main_convert", ["{}"]),
+    "ute-merge": ("main_merge", ["{}"]),
+    "slogmerge": ("main_slogmerge", ["{}"]),
+    "ute-stats": ("main_stats", ["{}"]),
+    "ute-validate": ("main_validate", ["{}"]),
+    "ute-recover": ("main_recover", ["{}"]),
+    "ute-preview": ("main_preview", ["{}"]),
+    "ute-profile": ("main_profile", ["{}"]),
+    "ute-dump": ("main_dump", ["{}"]),
+    "ute-query": ("main_query", ["{}"]),
+    "ute-report": ("main_report", ["{}"]),
+    "ute-view": ("main_view", ["{}"]),
+    "ute-serve": ("main_serve", ["{}", "-p", "0"]),
+    "ute-tail": ("main_tail", ["{}", "--connect-timeout", "0.1"]),
+    "ute-diff": ("main_diff", ["{}", "{}"]),
+    "ute-oracle": ("main_oracle", ["{}", "--no-serve"]),
+}
+
+
+class TestNeverATraceback:
+    """cli.py's promise: input that is not a trace is a one-line
+    ``prog: error:`` and exit status 2 from every entry point."""
+
+    @pytest.fixture()
+    def bad_inputs(self, tmp_path, corpus):
+        import random
+
+        paths = {
+            "random bytes": tmp_path / "junk",
+            "truncated interval header": tmp_path / "trunc.ute",
+            "truncated slog header": tmp_path / "trunc.slog",
+            "a directory": tmp_path / "adir",
+            "a missing path": tmp_path / "missing",
+        }
+        paths["random bytes"].write_bytes(random.Random(15).randbytes(4096))
+        for name, good in (("interval", "good.ute"), ("slog", "good.slog")):
+            paths[f"truncated {name} header"].write_bytes(
+                corpus.path(good).read_bytes()[:40]
+            )
+        paths["a directory"].mkdir()
+        return paths
+
+    def test_console_scripts_are_all_covered(self):
+        import tomllib
+        from pathlib import Path
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert {
+            name: target.split(":")[1] for name, target in scripts.items()
+        } == {name: main for name, (main, _) in ENTRY_POINTS.items()}
+        assert len(ENTRY_POINTS) == 17
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "random bytes", "truncated interval header", "truncated slog header",
+            "a directory", "a missing path",
+        ],
+    )
+    @pytest.mark.parametrize("prog", sorted(ENTRY_POINTS))
+    def test_bad_input(self, prog, bad, bad_inputs, tmp_path, capsys, monkeypatch):
+        from repro import cli
+
+        monkeypatch.chdir(tmp_path)  # default outputs land here
+        main, argv = ENTRY_POINTS[prog]
+        path = bad_inputs[bad]
+        if prog == "ute-trace" and bad == "a missing path":
+            path = bad_inputs["random bytes"] / "child"  # parent is no directory
+        code = getattr(cli, main)([a.format(path) for a in argv])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if prog == "ute-validate" and bad not in ("a directory", "a missing path"):
+            # Judging a file is the validator's job: its verdict, status 1.
+            assert code == 1 and "INVALID" in captured.out and not captured.err
+            return
+        assert code == 2
+        assert captured.err.startswith(f"{prog}: error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestTraceKnobs:

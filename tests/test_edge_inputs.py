@@ -21,7 +21,7 @@ from repro.core.reader import IntervalReader
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.core.writer import IntervalFileWriter
 from repro.difftool import diff_traces, run_oracle
-from repro.query.engine import run_query
+from repro.query import run_query
 from repro.query.model import Query
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.utils.dump import dump_interval, dump_slog

@@ -17,7 +17,7 @@ from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.reader import IntervalReader
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.core.writer import IntervalFileWriter
-from repro.query.engine import run_query
+from repro.query import run_query
 from repro.query.model import Query
 from repro.utils import dump as dump_mod
 from repro.utils.dump import dump_interval
@@ -98,10 +98,12 @@ class TestUnification:
     """The call sites share one implementation — not four copies of it."""
 
     def test_query_engine_reexports_core(self):
+        import repro.query
         from repro.core import windows as core_windows
-        from repro.query import engine
+        from repro.query import scan
 
-        assert engine.window_to_ticks is core_windows.window_to_ticks
+        assert repro.query.window_to_ticks is core_windows.window_to_ticks
+        assert scan.window_to_ticks is core_windows.window_to_ticks
 
     def test_dump_predicate_delegates(self):
         record = IntervalRecord(
