@@ -22,6 +22,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.clocksync.ratio import (
     ClockPair,
     filter_outliers,
@@ -49,6 +51,12 @@ class ClockAdjustment:
     def adjust(self, local_ts: int) -> int:
         """Map a local timestamp to global time."""
         return self.origin_global + round(self.ratio * (local_ts - self.origin_local))
+
+    def adjust_array(self, local_ts: np.ndarray) -> np.ndarray:
+        """:meth:`adjust` over an int64 column, tick for tick (``np.rint``
+        rounds half to even, as ``round`` does)."""
+        scaled = np.rint(self.ratio * (local_ts - self.origin_local))
+        return self.origin_global + scaled.astype(np.int64)
 
     def adjust_duration(self, duration: int, *, at_local_ts: int | None = None) -> int:
         """Rescale a duration into global time units.
@@ -83,6 +91,16 @@ class PiecewiseAdjustment:
         i = self._segment_of(local_ts)
         anchor = self.pairs[i]
         return anchor.global_ts + round(self.slopes[i] * (local_ts - anchor.local_ts))
+
+    def adjust_array(self, local_ts: np.ndarray) -> np.ndarray:
+        """:meth:`adjust` over an int64 column, tick for tick."""
+        locals_ = np.array(self._locals, dtype=np.int64)
+        i = np.clip(
+            np.searchsorted(locals_, local_ts, side="right") - 1, 0, len(self.slopes) - 1
+        )
+        scaled = np.rint(np.array(self.slopes)[i] * (local_ts - locals_[i]))
+        globals_ = np.array([p.global_ts for p in self.pairs], dtype=np.int64)
+        return globals_[i] + scaled.astype(np.int64)
 
     def adjust_duration(self, duration: int, *, at_local_ts: int) -> int:
         """Rescale a duration using the slope in effect at ``at_local_ts``.

@@ -9,6 +9,7 @@ every simulation run bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -88,6 +89,13 @@ class Engine:
         # Count of queued non-daemon events; when it hits zero only daemon
         # activity remains and run() stops.
         self._live = 0
+        self._system_tids = itertools.count(1000)
+
+    def next_system_tid(self) -> int:
+        """A system thread id unique on the machine this engine drives.
+        Per engine, not per process: a run's thread table does not depend
+        on what was simulated before it."""
+        return next(self._system_tids)
 
     def schedule(
         self, delay_ns: int, fn: Callable[..., None], *args: Any, daemon: bool = False

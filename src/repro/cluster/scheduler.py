@@ -17,7 +17,6 @@ processors.  Threads are generator coroutines (see
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from enum import Enum
 from typing import Any, Callable
@@ -28,8 +27,6 @@ from repro.errors import SimulationError
 
 #: Default scheduling quantum: 10 ms, the classic AIX timeslice.
 DEFAULT_QUANTUM_NS = 10_000_000
-
-_system_tid_counter = itertools.count(1000)
 
 
 class ThreadCategory(str, Enum):
@@ -80,6 +77,7 @@ class SimThread:
         self,
         gen: ThreadBody,
         *,
+        system_tid: int,
         node_id: int,
         logical_tid: int,
         pid: int,
@@ -87,7 +85,7 @@ class SimThread:
         name: str,
         category: ThreadCategory,
     ) -> None:
-        self.system_tid = next(_system_tid_counter)
+        self.system_tid = system_tid
         self.logical_tid = logical_tid
         self.pid = pid
         self.mpi_task = mpi_task
@@ -169,6 +167,7 @@ class NodeScheduler:
         gen = body(*args)
         thread = SimThread(
             gen,
+            system_tid=self.engine.next_system_tid(),
             node_id=self.node_id,
             logical_tid=len(self.threads),
             pid=pid,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from repro.core.profilefmt import Profile
 from repro.core.records import BeBits, IntervalRecord, IntervalType
@@ -27,22 +27,28 @@ class SealedFrame:
     """A finished frame: the exact bytes a container appends, and what its
     index entry records.
 
-    ``records`` (file order, pseudo-records included) and ``real`` (the
-    non-pseudo ones, which previews count) are what the blob encodes; both
-    are empty on a frame rebuilt from stored bytes, which only a sink that
-    needs neither may be handed."""
+    ``batch`` holds the records the blob encodes as a
+    :class:`~repro.query.columnar.FrameBatch` (file order, pseudo-records
+    included) and ``real`` marks the non-pseudo rows, which previews
+    count; both are None on a frame rebuilt from stored bytes, which only
+    a sink that needs neither may be handed."""
 
     blob: bytes
     n_records: int
     n_pseudo: int
     start_time: int
     end_time: int
-    records: Sequence[IntervalRecord] = ()
-    real: Sequence[IntervalRecord] = ()
+    batch: Any = None
+    real: Any = None
 
 
 class FrameBuilder:
     """Encodes an end-time-ordered record stream into sealed frames.
+
+    Records arrive one at a time (:meth:`add`) or as columns
+    (:meth:`add_batch`); both routes fill the same open frame, share the
+    lead code and end in the same :meth:`seal`, and a stream cut either
+    way yields the same frames.
 
     With ``continuations`` on, the builder tracks interrupted states (a
     ``BEGIN`` piece not yet matched by its ``END``) and leads every frame
@@ -61,17 +67,21 @@ class FrameBuilder:
         self.field_mask = field_mask
         self.frame_bytes = frame_bytes
         # Open states by (node, thread, type, marker id); None: no leads.
-        self._open: dict[tuple, IntervalRecord] | None = {} if continuations else None
+        self._open: dict[tuple, Any] | None = {} if continuations else None
         self._last_end: int | None = None
         self._buf = bytearray()
+        # The open frame's rows: batches, and the records added since the
+        # last one (a batch of their own once something follows them).
+        self._parts: list = []
         self._records: list[IntervalRecord] = []
-        self._real: list[IntervalRecord] = []
+        self._n = 0
+        self._pseudo: list[int] = []
         self._start = 0
 
     @property
     def n_records(self) -> int:
         """Records in the open (unsealed) frame, pseudo-records included."""
-        return len(self._records)
+        return self._n
 
     def add(self, record: IntervalRecord, pseudo: bool = False) -> SealedFrame | None:
         """Append one record; the sealed frame when it filled one.
@@ -85,18 +95,73 @@ class FrameBuilder:
         if last is not None and end < last:
             raise FormatError(f"records out of end-time order: {end} after {last}")
         if self._open is not None and not pseudo:
-            if last is not None and not self._records:
-                for lead in self._continuations(last):
-                    self._append(lead, True)
-            if record.bebits is BeBits.BEGIN:
-                self._open[_state_key(record)] = record
-            elif record.bebits is BeBits.END:
-                self._open.pop(_state_key(record), None)
+            if not self._n:
+                self._lead()
+            if record.bebits is BeBits.BEGIN or record.bebits is BeBits.END:
+                self._track(record)
         self._append(record, pseudo)
         self._last_end = end
         if len(self._buf) >= self.frame_bytes:
             return self.seal()
         return None
+
+    def add_batch(self, batch) -> list[SealedFrame]:
+        """Append a batch of records (none of them pseudo); the frames it
+        filled.  The rows are encoded in one pass and cut where record by
+        record :meth:`add` would have cut them.  A row ending before its
+        predecessor raises :class:`FormatError` before any row is taken."""
+        import numpy as np
+
+        from repro.query.columnar import encode_frame_batch
+
+        n = batch.n
+        if not n:
+            return []
+        ends = batch.end
+        floor = ends[0] if self._last_end is None else self._last_end
+        early = np.nonzero(np.diff(ends, prepend=floor) < 0)[0]
+        if len(early):
+            i = int(early[0])
+            last = int(ends[i - 1]) if i else self._last_end
+            raise FormatError(f"records out of end-time order: {int(ends[i])} after {last}")
+        blob, sizes = encode_frame_batch(batch, self.profile, self.field_mask)
+        data = memoryview(blob)
+        filled = np.cumsum(sizes)
+        # Only BEGIN/END rows move the open-state table.
+        edges: list[tuple[int, tuple, tuple | None]] = []
+        if self._open is not None:
+            rows = np.nonzero(
+                (batch.bebits == int(BeBits.BEGIN)) | (batch.bebits == int(BeBits.END))
+            )[0]
+            if len(rows):
+                edges = _edges(batch, rows)
+        frames: list[SealedFrame] = []
+        row = taken = at = 0  # next row, its byte offset, next edge
+        while row < n:
+            self._lead()
+            # The first row that brings the frame to frame_bytes seals it.
+            room = self.frame_bytes - len(self._buf)
+            cut = max(int(np.searchsorted(filled, taken + room)), row)
+            stop = min(cut + 1, n)
+            while at < len(edges) and edges[at][0] < stop:
+                _row, key, opened = edges[at]
+                if opened is not None:
+                    self._open[key] = opened
+                else:
+                    self._open.pop(key, None)
+                at += 1
+            self._flush_records()
+            self._parts.append(batch.rows(row, stop))
+            first = int(batch.start[row:stop].min())
+            if not self._n or first < self._start:
+                self._start = first
+            self._n += stop - row
+            self._buf += data[taken : int(filled[stop - 1])]
+            self._last_end = int(ends[stop - 1])
+            row, taken = stop, int(filled[stop - 1])
+            if cut < n:
+                frames.append(self.seal())
+        return frames
 
     def frames(self, records: Iterable[IntervalRecord]) -> Iterator[SealedFrame]:
         """Every frame of the stream ``records``, the final partial one
@@ -109,35 +174,82 @@ class FrameBuilder:
         if frame is not None:
             yield frame
 
+    def batch_frames(self, batches: Iterable) -> Iterator[SealedFrame]:
+        """:meth:`frames` for a stream that arrives as batches."""
+        for batch in batches:
+            yield from self.add_batch(batch)
+        frame = self.seal()
+        if frame is not None:
+            yield frame
+
     def seal(self) -> SealedFrame | None:
         """Close the open frame, however full; None when it is empty."""
-        if not self._records:
+        import numpy as np
+
+        from repro.query.columnar import concat_batches
+
+        if not self._n:
             return None
         assert self._last_end is not None
+        self._flush_records()
+        real = np.ones(self._n, dtype=bool)
+        real[self._pseudo] = False
         frame = SealedFrame(
             bytes(self._buf),
-            len(self._records),
-            len(self._records) - len(self._real),
+            self._n,
+            len(self._pseudo),
             self._start,
             self._last_end,
-            self._records,
-            self._real,
+            concat_batches(self._parts),
+            real,
         )
         self._buf = bytearray()
-        self._records = []
-        self._real = []
+        self._parts = []
+        self._n = 0
+        self._pseudo = []
         return frame
+
+    def _lead(self) -> None:
+        """Open a frame after the first with its continuation lead."""
+        if self._open and not self._n and self._last_end is not None:
+            for lead in self._continuations(self._last_end):
+                self._append(lead, True)
+
+    def _track(self, record: IntervalRecord) -> None:
+        """Move the open-state table over one BEGIN or END piece."""
+        assert self._open is not None
+        if record.bebits is BeBits.BEGIN:
+            self._open[_state_key(record)] = record
+        else:
+            self._open.pop(_state_key(record), None)
 
     def _append(self, record: IntervalRecord, pseudo: bool) -> None:
         self._buf += record.encode(self.profile, self.field_mask)
-        if not self._records or record.start < self._start:
+        if not self._n or record.start < self._start:
             self._start = record.start
+        if pseudo:
+            self._pseudo.append(self._n)
         self._records.append(record)
-        if not pseudo:
-            self._real.append(record)
+        self._n += 1
+
+    def _flush_records(self) -> None:
+        if self._records:
+            from repro.query.columnar import batch_from_records
+
+            self._parts.append(batch_from_records(self._records))
+            self._records = []
 
     def _continuations(self, at_time: int) -> list[IntervalRecord]:
         assert self._open is not None
+        # States opened by batch rows are still (batch, row) references.
+        pending: dict[int, tuple[Any, list]] = {}
+        for key, opened in self._open.items():
+            if not isinstance(opened, IntervalRecord):
+                pending.setdefault(id(opened[0]), (opened[0], []))[1].append((key, opened[1]))
+        for batch, refs in pending.values():
+            records = batch.take([row for _, row in refs]).to_records()
+            for (key, _), record in zip(refs, records):
+                self._open[key] = record
         out = [
             IntervalRecord(
                 r.itype, BeBits.CONTINUATION, at_time, 0, r.node, r.cpu, r.thread,
@@ -147,6 +259,26 @@ class FrameBuilder:
         ]
         out.sort(key=lambda r: (r.node, r.thread, r.itype))
         return out
+
+
+def _edges(batch, rows) -> list[tuple[int, tuple, tuple | None]]:
+    """``(row, state key, what the row opens)`` for the BEGIN/END ``rows``
+    of ``batch``: a ``(batch, row)`` reference for a BEGIN (the record is
+    only built if the state is still open at a cut), None for an END."""
+    edges = batch.take(rows)
+    itypes = edges.itype.tolist()
+    markers = [0] * edges.n
+    if IntervalType.MARKER in itypes:
+        markers = [
+            (marker or 0) if itype == IntervalType.MARKER else 0
+            for itype, marker in zip(itypes, edges.extra_column("markerId"))
+        ]
+    begins = (edges.bebits == int(BeBits.BEGIN)).tolist()
+    keys = zip(edges.node.tolist(), edges.thread.tolist(), itypes, markers)
+    return [
+        (row, key, (edges, i) if begins[i] else None)
+        for i, (row, key) in enumerate(zip(rows.tolist(), keys))
+    ]
 
 
 def _state_key(record: IntervalRecord) -> tuple:
@@ -201,6 +333,14 @@ class FrameSink:
             raise FormatError(f"{self.path}: writer already closed")
         frame = self._builder.add(record, pseudo)
         if frame is not None:
+            self.add_frame(frame)
+
+    def write_batch(self, batch) -> None:
+        """Append a batch of records (ascending end-time order enforced,
+        none of them pseudo)."""
+        if self._closed:
+            raise FormatError(f"{self.path}: writer already closed")
+        for frame in self._builder.add_batch(batch):
             self.add_frame(frame)
 
     def add_frame(self, frame: SealedFrame) -> None:

@@ -77,6 +77,8 @@ class Profile:
         # (itype, mask) -> present fields; encode/decode hit this per record,
         # so recomputing the mask filter would dominate conversion time.
         self._fields_cache: dict[tuple[int, int], list[FieldSpec]] = {}
+        # (itype, mask) -> compiled RecordLayout (repro.core.layout).
+        self._layouts: dict[tuple[int, int], object] = {}
 
     # --------------------------------------------------------------- lookup
 

@@ -20,6 +20,7 @@ from enum import IntEnum
 from typing import Any
 
 from repro.core.fields import FieldSpec
+from repro.core.layout import encode_length, layout_for
 from repro.core.profilefmt import Profile, RecordSpec
 from repro.errors import FormatError
 
@@ -143,7 +144,29 @@ class IntervalRecord:
     # ------------------------------------------------------------- encoding
 
     def encode(self, profile: Profile, mask: int) -> bytes:
-        """Serialize against ``profile`` with field-selection ``mask``."""
+        """Serialize against ``profile`` with field-selection ``mask``:
+        one pack through the type's compiled layout, or the per-field loop
+        for a type with vector/char fields."""
+        layout = layout_for(profile, self.itype, mask)
+        if not layout.fixed:
+            return self.encode_fields(profile, mask)
+        attrs = (
+            (self.itype << 2) | self.bebits, self.start, self.duration,
+            self.node, self.cpu, self.thread,
+        )
+        extra = self.extra
+        return layout.struct.pack(
+            layout.prefix,
+            *[
+                attrs[slot] if slot >= 0 else extra.get(name, default)
+                for slot, name, default in layout.slots
+            ],
+        )
+
+    def encode_fields(self, profile: Profile, mask: int) -> bytes:
+        """:meth:`encode` by the per-field loop: the only encoder of types
+        with vector/char fields, and the reference the compiled layouts are
+        checked against."""
         body = bytearray()
         for fs in profile.fields_for(self.itype, mask):
             name = profile.field_names[fs.name_index]
@@ -221,18 +244,6 @@ class IntervalRecord:
             ),
             end,
         )
-
-
-def encode_length(body_len: int) -> bytes:
-    """The record length prefix: 1 byte, escaping to 2 extra bytes when the
-    body exceeds 255 bytes (a zero first byte marks the escape)."""
-    if body_len < 0:
-        raise FormatError("negative record length")
-    if 0 < body_len < 256:
-        return bytes((body_len,))
-    if body_len <= 0xFFFF:
-        return b"\x00" + struct.pack("<H", body_len)
-    raise FormatError(f"record too large: {body_len} bytes")
 
 
 def decode_length(data: bytes, offset: int) -> tuple[int, int]:

@@ -14,7 +14,9 @@ check                  the two paths compared
 ``decode_parity``      the frame store (columnar batch decode, records
                        materialised from the batch) vs. the uncached
                        per-record reference decoder, on every frame:
-                       record values, ``extra`` key order, batch columns
+                       record values, ``extra`` key order, batch columns —
+                       and back: the batch re-encoded by the columnar
+                       encoder vs. the frame's stored bytes
 ``columnar_vs_record`` the batched columnar executor vs. the
                        record-at-a-time reference executor (which decodes
                        through the reference decoder), over the same
@@ -257,19 +259,44 @@ def _decode_mismatch(want: list, got: list, batch) -> str | None:
     return None
 
 
+def _reencode_mismatch(stored: bytes, batch, profile, mask: int) -> str | None:
+    """How ``batch`` re-encoded differs from the frame bytes it was decoded
+    from (``None`` when it does not): the first differing record."""
+    from repro.query.columnar import encode_frame_batch
+
+    blob, sizes = encode_frame_batch(batch, profile, mask)
+    if blob == stored:
+        return None
+    at = 0
+    for i, size in enumerate(sizes.tolist()):
+        if blob[at : at + size] != stored[at : at + size]:
+            return (
+                f"record {i}: re-encoded as {blob[at : at + size].hex()}, "
+                f"stored {stored[at : at + size].hex()}"
+            )
+        at += size
+    return f"re-encoded to {len(blob)} bytes, the frame stores {len(stored)}"
+
+
 def _check_decode_parity(report: OracleReport, path: Path, profile) -> None:
     """Everything the frame store hands out must equal what the reference
     decoder reads from the same bytes — the store's batch decode is the
-    only decode product paths use, so this is the check under all others."""
+    only decode product paths use, so this is the check under all others —
+    and must encode back to those bytes: the columnar encoder is the
+    decoder's inverse, and what convert and slogmerge write through."""
     from repro.query.trace import open_trace
 
     report.checks.append("decode_parity")
     with open_trace(path, profile) as handle:
         for frame in handle.frames:
+            batch = handle.read_frame_batch(frame.ordinal)
             problem = _decode_mismatch(
                 handle.reference_frame(frame.ordinal),
                 handle.read_frame(frame.ordinal),
-                handle.read_frame_batch(frame.ordinal),
+                batch,
+            ) or _reencode_mismatch(
+                handle.source.fetch(frame.offset, frame.size),
+                batch, handle.profile, handle.field_mask,
             )
             if problem is not None:
                 report.add(

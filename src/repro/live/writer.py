@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.atomicio import AtomicFile
 from repro.core.framebuilder import FrameSink, SealedFrame
 from repro.core.profilefmt import Profile
-from repro.core.records import IntervalRecord
 from repro.core.threadtable import ThreadTable
 from repro.errors import FormatError
 from repro.live.container import (
@@ -48,7 +47,6 @@ from repro.live.container import (
     meta_path,
     write_manifest,
 )
-from repro.query.columnar import batch_from_records
 from repro.query.indexfile import (
     DEFAULT_TIME_BINS,
     IndexAccumulator,
@@ -71,8 +69,22 @@ class _DoublingPreview(PreviewBins):
     def __init__(self, bins: int) -> None:
         super().__init__(bins, 0, 1)
 
-    def add(self, record: IntervalRecord) -> None:
-        while self.t1 < record.end:
+    def _add(self, itype: int, start: int, end: int) -> None:
+        self._reach(end)
+        super()._add(itype, start, end)
+
+    def add_columns(self, itype: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
+        """Rows in ascending end order (a frame's are), so the bins fold
+        between exactly the rows they would fold between one by one."""
+        at = 0
+        while at < len(end):
+            self._reach(int(end[at]))
+            stop = max(int(np.searchsorted(end, self.t1, side="right")), at + 1)
+            super().add_columns(itype[at:stop], start[at:stop], end[at:stop])
+            at = stop
+
+    def _reach(self, end: int) -> None:
+        while self.t1 < end:
             # New bin b covers old bins 2b and 2b+1 (the latter lies past
             # the old horizon when the bin count is odd).
             half = (self.bins + 1) // 2
@@ -82,7 +94,6 @@ class _DoublingPreview(PreviewBins):
                 arr[:half] = folded
                 arr[half:] = 0.0
             self.t1 *= 2
-        super().add(record)
 
     def snapshot(self) -> dict[int, np.ndarray]:
         return {itype: arr.copy() for itype, arr in self.counters.items()}
@@ -104,15 +115,14 @@ class _IncrementalIndex:
         self._size = len(meta)
         self._frames = IndexAccumulator(n_bins)
 
-    def add_frame(
-        self, entry: SlogFrameEntry, records: list[IntervalRecord], blob: bytes
-    ) -> None:
+    def add_frame(self, entry: SlogFrameEntry, batch, blob: bytes) -> None:
         """Account one sealed frame: ``entry`` carries the data-relative
-        offset, ``blob`` the exact bytes appended to ``data``."""
+        offset, ``batch`` the frame's records, ``blob`` the exact bytes
+        appended to ``data``."""
         self._sha.update(blob)
         self._size += len(blob)
         self._frames.add_frame(
-            batch_from_records(records), self.meta_size + entry.offset, entry.size,
+            batch, self.meta_size + entry.offset, entry.size,
             entry.n_records, entry.start_time, entry.end_time,
         )
 
@@ -241,12 +251,11 @@ class _LiveWriterBase(FrameSink):
     # ------------------------------------------------------------ internals
 
     def _sink(self, frame: SealedFrame) -> None:
-        for record in frame.real:
-            self._preview.add(record)
+        self._preview.add_frame(frame)
         entry = frame_entry(frame, self._data_size)
         self._data_fh.write(frame.blob)
         self._data_size += entry.size
-        self._index.add_frame(entry, frame.records, frame.blob)
+        self._index.add_frame(entry, frame.batch, frame.blob)
         self._sealed.append(entry)
 
     def _assemble(self) -> None:

@@ -28,6 +28,16 @@ vectorized predicate masks (:meth:`FrameBatch.match`), int64 core columns
 (:meth:`FrameBatch.column_values`), and reconstruction of the equivalent
 :class:`~repro.core.records.IntervalRecord` objects
 (:meth:`FrameBatch.to_records`) for consumers that still want records.
+
+The write path runs the same machinery backwards.  A batch is also what
+``convert`` and ``slogmerge`` hand the frame builder — rows are selected,
+reordered and joined as columns (:meth:`FrameBatch.take`,
+:meth:`FrameBatch.rows`, :func:`concat_batches`) — and
+:func:`encode_frame_batch` is the inverse of :func:`decode_frame_batch`:
+group by type, fill one packed array per fixed-layout type through the
+same :class:`~repro.core.layout.RecordLayout` the decoder views bodies
+through, scatter the encoded records to their offsets; vector/char types
+take the per-record loop, the split the decoder makes.
 """
 
 from __future__ import annotations
@@ -36,98 +46,44 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.fields import DataType
+from repro.core.layout import CORE_WIRE, RecordLayout, layout_for
 from repro.core.records import BeBits, IntervalRecord
 from repro.errors import FormatError
 
 __all__ = [
     "FrameBatch",
     "batch_from_records",
+    "batch_from_rows",
+    "concat_batches",
     "decode_frame_batch",
+    "encode_frame_batch",
     "planned_batch_records",
 ]
 
-#: Core field names of the wire format (always present, never null).
-_CORE_WIRE = ("start", "dura", "node", "cpu", "thread")
-
-#: numpy kind letter per field data type (char/vector fields have none).
-_NP_KIND = {DataType.UINT: "u", DataType.INT: "i", DataType.FLOAT: "f"}
-
-
-class _TypeLayout:
-    """Memoized per-(profile, itype, mask) decode plan for one record type."""
-
-    __slots__ = ("fixed", "size", "dtype", "names", "extra_names", "missing_core")
-
-    def __init__(self, specs, field_names) -> None:
-        names: list[str] = []
-        formats: list[str] = []
-        offsets: list[int] = []
-        pos = 0
-        self.fixed = True
-        for fs in specs:
-            if fs.vector or fs.dtype == DataType.CHAR:
-                self.fixed = False
-                break
-            names.append(field_names[fs.name_index])
-            formats.append(f"<{_NP_KIND[fs.dtype]}{fs.elem_len}")
-            offsets.append(pos)
-            pos += fs.elem_len
-        if self.fixed and len(set(names)) != len(names):
-            self.fixed = False  # duplicate names cannot form a structured dtype
-        if self.fixed:
-            self.size = pos
-            self.dtype = np.dtype(
-                {"names": names, "formats": formats, "offsets": offsets, "itemsize": pos}
-            )
-            self.names = tuple(names)
-            self.extra_names = tuple(
-                n for n in names if n != "rectype" and n not in _CORE_WIRE
-            )
-            self.missing_core = tuple(n for n in _CORE_WIRE if n not in names)
-        else:
-            self.size = 0
-            self.dtype = None
-            self.names = ()
-            self.extra_names = ()
-            self.missing_core = ()
-
-
-def _layout_for(profile, itype: int, mask: int) -> _TypeLayout:
-    cache = getattr(profile, "_columnar_layouts", None)
-    if cache is None:
-        cache = {}
-        profile._columnar_layouts = cache
-    key = (itype, mask)
-    layout = cache.get(key)
-    if layout is None:
-        layout = _TypeLayout(profile.fields_for(itype, mask), profile.field_names)
-        cache[key] = layout
-    return layout
+#: The int64 columns every batch carries.
+_COLUMNS = ("start", "dura", "end", "node", "cpu", "thread", "itype", "bebits")
 
 
 class FrameBatch:
-    """One frame's records as parallel arrays (plus lazy extras)."""
+    """One frame's records as parallel arrays (plus lazy extras).
+
+    The type-specific fields sit in *groups*: ``(positions, names, values)``
+    with ``values[name]`` aligned to ``positions`` — the ascending rows the
+    group covers, or ``None`` for a group holding one value per row of the
+    batch.  The decoder leaves one group per record type (``values`` is the
+    type's structured array); a record's ``extra`` dict takes its keys
+    group by group, and inside a group in ``names`` order."""
 
     __slots__ = (
         "n", "start", "dura", "end", "node", "cpu", "thread", "itype", "bebits",
-        "_extras", "_extra_cache", "_value_cache", "_records",
+        "_groups", "_extra_cache", "_value_cache", "_records",
     )
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, columns: dict[str, np.ndarray] | None = None) -> None:
         self.n = n
-        self.start = np.zeros(n, np.int64)
-        self.dura = np.zeros(n, np.int64)
-        self.end = np.zeros(n, np.int64)
-        self.node = np.zeros(n, np.int64)
-        self.cpu = np.zeros(n, np.int64)
-        self.thread = np.zeros(n, np.int64)
-        self.itype = np.zeros(n, np.int64)
-        self.bebits = np.zeros(n, np.int64)
-        #: (field name, positions, values) chunks in decode order: group by
-        #: group, and inside a group in the type's profile field order —
-        #: which is the key order of each materialised ``extra`` dict.
-        self._extras: list[tuple[str, Any, Any]] = []
+        for name in _COLUMNS:
+            setattr(self, name, np.zeros(n, np.int64) if columns is None else columns[name])
+        self._groups: list[tuple[Any, tuple[str, ...], Any]] = []
         self._extra_cache: dict[str, list] = {}
         self._value_cache: dict[str, list] = {}
         self._records: list[IntervalRecord] | None = None
@@ -157,9 +113,9 @@ class FrameBatch:
                 col = [r.extra.get(name) for r in self._records]
             else:
                 col = [None] * self.n
-                for chunk_name, positions, values in self._extras:
-                    if chunk_name == name:
-                        for i, v in zip(_as_list(positions), _as_list(values)):
+                for positions, names, values in self._groups:
+                    if name in names:
+                        for i, v in zip(self._rows_of(positions), _as_list(values[name])):
                             col[i] = v
             self._extra_cache[name] = col
         return col
@@ -208,9 +164,11 @@ class FrameBatch:
         if self._records is not None:
             return list(self._records)
         extras: list[dict[str, Any]] = [{} for _ in range(self.n)]
-        for name, positions, values in self._extras:
-            for i, v in zip(_as_list(positions), _as_list(values)):
-                extras[i][name] = v
+        for positions, names, values in self._groups:
+            rows = self._rows_of(positions)
+            for name in names:
+                for i, v in zip(rows, _as_list(values[name])):
+                    extras[i][name] = v
         starts = self.start.tolist()
         duras = self.dura.tolist()
         nodes = self.node.tolist()
@@ -232,14 +190,159 @@ class FrameBatch:
         records = self._records if self._records is not None else self.to_records()
         return [records[i] for i in _as_list(positions)]
 
+    # ---------------------------------------------------------- write path
+
+    def add_column(self, name: str, values: np.ndarray) -> None:
+        """Give every row the extra field ``name`` (one value per row)."""
+        self._groups.append((None, (name,), {name: values}))
+
+    def retimed(self, start: np.ndarray, end: np.ndarray) -> "FrameBatch":
+        """The same rows on another clock: new ``start``/``end`` columns
+        (``dura`` follows), every other column and the extras shared."""
+        columns = {c: getattr(self, c) for c in _COLUMNS}
+        columns.update(start=start, end=end, dura=end - start)
+        out = FrameBatch(self.n, columns)
+        out._groups = list(_groups_of(self))
+        return out
+
+    def rows(self, start: int, stop: int) -> "FrameBatch":
+        """The contiguous rows ``[start, stop)`` as a batch (array views)."""
+        out = FrameBatch(stop - start, {c: getattr(self, c)[start:stop] for c in _COLUMNS})
+        if self._records is not None:
+            out._records = self._records[start:stop]
+            return out
+        for positions, names, values in self._groups:
+            if positions is None:
+                out._groups.append((None, names, _select(values, slice(start, stop))))
+                continue
+            lo, hi = np.searchsorted(positions, (start, stop)).tolist()
+            if lo < hi:
+                out._groups.append(
+                    (np.asarray(positions[lo:hi]) - start, names, _select(values, slice(lo, hi)))
+                )
+        return out
+
+    def where(self, mask: np.ndarray) -> "FrameBatch":
+        """The rows ``mask`` marks, in order (this batch when it marks all)."""
+        return self if mask.all() else self.take(np.nonzero(mask)[0])
+
+    def take(self, rows: np.ndarray) -> "FrameBatch":
+        """The (distinct) rows ``rows``, in that order, as a batch."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = FrameBatch(len(rows), {c: getattr(self, c)[rows] for c in _COLUMNS})
+        if self._records is not None:
+            out._records = [self._records[i] for i in rows.tolist()]
+            return out
+        moved = np.full(self.n, -1, dtype=np.intp)
+        moved[rows] = np.arange(len(rows), dtype=np.intp)
+        for positions, names, values in self._groups:
+            if positions is None:
+                out._groups.append((None, names, _select(values, rows)))
+                continue
+            at = moved[positions]
+            keep = np.nonzero(at >= 0)[0]
+            if len(keep):
+                # Groups keep their rows ascending, whatever order was asked.
+                keep = keep[np.argsort(at[keep], kind="stable")]
+                out._groups.append((at[keep], names, _select(values, keep)))
+        return out
+
     # ------------------------------------------------------------ internals
 
-    def _add_extra(self, name: str, positions, values) -> None:
-        self._extras.append((name, positions, values))
+    def _rows_of(self, positions) -> Any:
+        return range(self.n) if positions is None else _as_list(positions)
 
 
 def _as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _select(values, sel):
+    """Group values at ``sel`` (a slice or an index array)."""
+    if isinstance(values, np.ndarray):
+        return values[sel]
+    if isinstance(sel, slice):
+        return {name: column[sel] for name, column in values.items()}
+    return {
+        name: column[sel] if isinstance(column, np.ndarray)
+        else [column[i] for i in sel.tolist()]
+        for name, column in values.items()
+    }
+
+
+def concat_batches(parts: Sequence[FrameBatch]) -> FrameBatch:
+    """The rows of ``parts``, one after the other, as one batch.  Groups
+    of one record type holding the same structured dtype (the type read
+    under one mask) join into one group, so a type still lines up with one
+    group."""
+    parts = [p for p in parts if p.n] or list(parts[:1])
+    if len(parts) == 1:
+        return parts[0]
+    out = FrameBatch(
+        sum(p.n for p in parts),
+        {c: np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS},
+    )
+    if all(p._records is not None for p in parts):
+        out._records = [r for p in parts for r in p._records]
+        return out
+    groups = [_groups_of(p) for p in parts]
+    per_row = _join_per_row(
+        [[(names, values) for at, names, values in gs if at is None] for gs in groups]
+    )
+    typed: dict[tuple[int, np.dtype], tuple[tuple[str, ...], list, list]] = {}
+    rest: list[tuple[Any, tuple[str, ...], Any]] = []
+    offset = 0
+    for part, gs in zip(parts, groups):
+        for positions, names, values in gs:
+            if positions is None:
+                if per_row is not None:
+                    continue
+                positions = np.arange(part.n, dtype=np.intp)
+            key = (int(part.itype[positions[0]]), getattr(values, "dtype", None))
+            positions = np.asarray(positions, dtype=np.intp) + offset
+            if isinstance(values, np.ndarray):
+                _, at, arrays = typed.setdefault(key, (names, [], []))
+                at.append(positions)
+                arrays.append(values)
+            else:
+                rest.append((positions, names, values))
+        offset += part.n
+    out._groups = [
+        (np.concatenate(at), names, np.concatenate(arrays))
+        for names, at, arrays in typed.values()
+    ] + rest + (per_row or [])
+    return out
+
+
+def _join_per_row(per_part: list[list[tuple]]) -> list | None:
+    """The parts' per-row groups (``(names, values)`` each) joined end to
+    end; None unless every part carries the same ones in the same dtypes."""
+    first = per_part[0]
+    if any([names for names, _ in other] != [names for names, _ in first]
+           for other in per_part[1:]):
+        return None
+    joined = []
+    for j, (names, _) in enumerate(first):
+        columns = {}
+        for name in names:
+            pieces = [np.asarray(part[j][1][name]) for part in per_part]
+            if any(piece.dtype != pieces[0].dtype for piece in pieces):
+                return None
+            columns[name] = np.concatenate(pieces)
+        joined.append((None, names, columns))
+    return joined
+
+
+def _groups_of(batch: FrameBatch) -> list:
+    """A batch's extra groups; a batch over record objects yields one
+    group per record (the form the per-record decode leaves)."""
+    if batch._records is None:
+        return batch._groups
+    return [
+        ([i], tuple(r.extra), {name: [value] for name, value in r.extra.items()})
+        for i, r in enumerate(batch._records)
+        if r.extra
+    ]
 
 
 def batch_from_records(records: Sequence[IntervalRecord]) -> FrameBatch:
@@ -249,15 +352,73 @@ def batch_from_records(records: Sequence[IntervalRecord]) -> FrameBatch:
     n = len(records)
     batch = FrameBatch(n)
     if n:
-        batch.start = np.fromiter((r.start for r in records), np.int64, count=n)
-        batch.dura = np.fromiter((r.duration for r in records), np.int64, count=n)
+        batch.start, batch.dura, batch.end = _time_columns(records)
         batch.node = np.fromiter((r.node for r in records), np.int64, count=n)
         batch.cpu = np.fromiter((r.cpu for r in records), np.int64, count=n)
         batch.thread = np.fromiter((r.thread for r in records), np.int64, count=n)
         batch.itype = np.fromiter((r.itype for r in records), np.int64, count=n)
         batch.bebits = np.fromiter((int(r.bebits) for r in records), np.int64, count=n)
-        batch.end = batch.start + batch.dura
     batch._records = list(records)
+    return batch
+
+
+def _time_columns(records: Sequence[IntervalRecord]) -> tuple[np.ndarray, ...]:
+    """``(start, dura, end)`` of ``records``.  Readers never hand out a
+    record whose times leave int64, but a writer may be asked to write one
+    (damage reproduced on purpose): the frame it seals then carries exact
+    Python ints in object columns, for its sinks only."""
+    start = [r.start for r in records]
+    dura = [r.duration for r in records]
+    try:
+        columns = np.array(start, dtype=np.int64), np.array(dura, dtype=np.int64)
+        end = columns[0] + columns[1]
+        if ((end < columns[0]) == (columns[1] < 0)).all():  # no wrap-around
+            return *columns, end
+    except OverflowError:
+        pass
+    columns = np.array(start, dtype=object), np.array(dura, dtype=object)
+    return *columns, columns[0] + columns[1]
+
+
+def batch_from_rows(rows: dict[int, list[tuple]], profile, mask: int) -> FrameBatch:
+    """A batch over plain rows, type by type: ``rows[itype]`` lists
+    ``(bebits, start, dura, node, cpu, thread, extra)`` tuples.
+
+    A fixed-layout type's extras become one group of columns in the wire
+    dtypes of its layout under ``mask`` (a field a row's ``extra`` lacks
+    reads as zero, as it would encode); a type with vector/char fields
+    keeps each row's ``extra`` as it is."""
+    batch = FrameBatch(sum(len(of_type) for of_type in rows.values()))
+    at = 0
+    for itype, of_type in rows.items():
+        if not of_type:
+            continue
+        stop = at + len(of_type)
+        *core, extras = zip(*of_type)
+        for name, column in zip(("bebits", "start", "dura", "node", "cpu", "thread"), core):
+            getattr(batch, name)[at:stop] = column
+        batch.itype[at:stop] = itype
+        layout = layout_for(profile, itype, mask)
+        if not layout.fixed:
+            batch._groups.extend(
+                ([at + i], tuple(extra), {name: [value] for name, value in extra.items()})
+                for i, extra in enumerate(extras)
+                if extra
+            )
+        elif layout.extra_names:
+            values = {}
+            for slot, name, default in layout.slots:
+                if slot < 0:
+                    column = [extra.get(name, default) for extra in extras]
+                    try:
+                        values[name] = np.array(column, dtype=layout.dtype[name])
+                    except (OverflowError, TypeError, ValueError):
+                        values[name] = column  # encodes (and fails) record by record
+            batch._groups.append(
+                (np.arange(at, stop, dtype=np.intp), layout.extra_names, values)
+            )
+        at = stop
+    batch.end = batch.start + batch.dura
     return batch
 
 
@@ -289,7 +450,7 @@ def _scan_record_frames(blob) -> tuple[list[int], list[int], list[int]]:
     return prefixes, bodies, lengths
 
 
-def _scatter_fixed(batch: FrameBatch, layout: _TypeLayout, itype: int,
+def _scatter_fixed(batch: FrameBatch, layout: RecordLayout, itype: int,
                    idx: np.ndarray | None, arr: np.ndarray) -> None:
     """Write one fixed-layout type group's decoded fields into the batch;
     ``idx is None`` means the group is the whole frame (no scatter)."""
@@ -304,7 +465,6 @@ def _scatter_fixed(batch: FrameBatch, layout: _TypeLayout, itype: int,
         batch.node = arr["node"].astype(np.int64)
         batch.cpu = arr["cpu"].astype(np.int64)
         batch.thread = arr["thread"].astype(np.int64)
-        positions: Any = range(batch.n)
     else:
         # Assignment into the int64 columns casts in one pass.
         batch.start[idx] = arr["start"]
@@ -312,9 +472,8 @@ def _scatter_fixed(batch: FrameBatch, layout: _TypeLayout, itype: int,
         batch.node[idx] = arr["node"]
         batch.cpu[idx] = arr["cpu"]
         batch.thread[idx] = arr["thread"]
-        positions = idx
-    for name in layout.extra_names:
-        batch._add_extra(name, positions, arr[name])
+    if layout.extra_names:
+        batch._groups.append((idx, layout.extra_names, arr))
 
 
 def _decode_group_slow(batch: FrameBatch, blob: bytes, profile, mask: int,
@@ -329,8 +488,21 @@ def _decode_group_slow(batch: FrameBatch, blob: bytes, profile, mask: int,
         batch.node[i] = record.node
         batch.cpu[i] = record.cpu
         batch.thread[i] = record.thread
-        for name, value in record.extra.items():
-            batch._add_extra(name, [i], [value])
+        if record.extra:
+            batch._groups.append(
+                ([i], tuple(record.extra), {k: [v] for k, v in record.extra.items()})
+            )
+
+
+def _distinct_types(itype: np.ndarray) -> list[int]:
+    """The interval types present, ascending.  Bincount is much cheaper
+    than ``np.unique`` for the small type ids the formats use."""
+    if int(itype.max()) < 4096:
+        try:
+            return np.nonzero(np.bincount(itype))[0].tolist()
+        except ValueError:  # a negative id (only a writer can be handed one)
+            pass
+    return np.unique(itype).tolist()
 
 
 def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
@@ -365,18 +537,12 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
         batch.itype = (tw >> np.uint32(2)).astype(np.int64)
         batch.bebits = (tw & np.uint32(3)).astype(np.int64)
         fallback_blob: bytes | None = data if isinstance(data, bytes) else None
-        # Distinct types via bincount — much cheaper than np.unique for the
-        # small type ids the formats use (falls back above 4096).
-        max_itype = int(batch.itype.max())
-        if max_itype < 4096:
-            distinct = np.nonzero(np.bincount(batch.itype))[0].tolist()
-        else:
-            distinct = np.unique(batch.itype).tolist()
+        distinct = _distinct_types(batch.itype)
         for itype in distinct:
             whole = len(distinct) == 1
             idx = None if whole else np.nonzero(batch.itype == itype)[0]
             sizes = size_arr if whole else size_arr[idx]
-            layout = _layout_for(profile, itype, mask)
+            layout = layout_for(profile, itype, mask)
             if layout.fixed and bool(np.all(sizes == layout.size)):
                 size = layout.size
                 body_off = off if whole else off[idx]
@@ -406,6 +572,130 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
         buf = None
         if mv is not data:
             mv.release()
+
+
+def encode_frame_batch(batch: FrameBatch, profile, mask: int) -> tuple[bytes, np.ndarray]:
+    """Encode a batch's records, in row order, against ``profile`` under
+    ``mask``: ``(the bytes, each record's encoded size)`` — the inverse of
+    :func:`decode_frame_batch`, and byte for byte what
+    :meth:`IntervalRecord.encode` writes one record at a time.
+
+    Every fixed-layout type is filled into one packed array and scattered
+    to its records' offsets; a type with vector/char fields, rows whose
+    extras do not sit in one group per type, and any value its wire field
+    cannot hold go through the per-record encoder, so the errors are that
+    encoder's (``struct.error``/``OverflowError`` for an out-of-range
+    value — never a wrapped one)."""
+    n = batch.n
+    if batch._records is not None or n == 0:
+        blobs = [r.encode(profile, mask) for r in batch._records or ()]
+        return b"".join(blobs), np.fromiter(map(len, blobs), np.int64, count=n)
+    distinct = _distinct_types(batch.itype)
+    rows_of = {
+        t: None if len(distinct) == 1 else np.nonzero(batch.itype == t)[0] for t in distinct
+    }
+    # A type's own group covers exactly its rows; rows of any other
+    # positioned group can only be encoded one by one.
+    first_row = {0 if idx is None else int(idx[0]): t for t, idx in rows_of.items()}
+    own: dict[int, Any] = {}
+    per_row = []
+    loose = np.zeros(n, dtype=bool)
+    for positions, names, values in batch._groups:
+        if positions is None:
+            per_row.append((names, values))
+            continue
+        itype = first_row.get(int(positions[0]))
+        idx = rows_of.get(itype)
+        if (
+            itype is not None and itype not in own and _is_columns(names, values)
+            and (np.array_equal(positions, idx) if idx is not None else len(positions) == n)
+        ):
+            own[itype] = (names, values)
+        else:
+            loose[positions] = True
+    # Whole-column extremes screen the attribute fields without a reduction
+    # per type; a type whose rows might not fit is checked on its own rows.
+    attrs = {name: getattr(batch, name) for name in CORE_WIRE}
+    attrs["rectype"] = (batch.itype << 2) | batch.bebits
+    span = {name: (int(col.min()), int(col.max())) for name, col in attrs.items()}
+    sizes = np.empty(n, dtype=np.int64)
+    blocks: list[tuple[np.ndarray | None, np.ndarray]] = []
+    singles: list[tuple[int, bytes]] = []
+    for itype, idx in rows_of.items():
+        layout = layout_for(profile, itype, mask)
+        block = None
+        if layout.fixed and not (loose.any() if idx is None else loose[idx].any()):
+            block = _encode_fixed(layout, idx, n, attrs, span, own.get(itype), per_row)
+        if block is None:
+            rows = np.arange(n, dtype=np.intp) if idx is None else idx
+            for i, record in zip(rows.tolist(), batch.take(rows).to_records()):
+                blob = record.encode(profile, mask)
+                singles.append((i, blob))
+                sizes[i] = len(blob)
+        else:
+            blocks.append((idx, block))
+            sizes[idx if idx is not None else slice(None)] = block.shape[1]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    for idx, block in blocks:
+        at = starts if idx is None else starts[idx]
+        out[at[:, None] + np.arange(block.shape[1], dtype=np.int64)] = block
+    for i, blob in singles:
+        out[starts[i] : ends[i]] = np.frombuffer(blob, dtype=np.uint8)
+    return out.tobytes(), sizes
+
+
+def _encode_fixed(layout: RecordLayout, idx, n: int, attrs, span, own,
+                  per_row) -> np.ndarray | None:
+    """One fixed-layout type's rows (``idx``; None: all ``n``) as a
+    ``(rows, encoded size)`` uint8 block, length prefix included; None when
+    some value does not fit its wire field exactly (the caller then encodes
+    those rows one by one)."""
+    arr = np.zeros(n if idx is None else len(idx), dtype=layout.wire_dtype)
+    for name in layout.names:
+        bounds = None
+        if name in attrs:
+            values = attrs[name] if idx is None else attrs[name][idx]
+            bounds = span[name]
+        elif own is not None and name in own[0]:
+            values = own[1][name]
+        else:
+            values = next((v[name] for names, v in per_row if name in names), None)
+            if values is None:
+                continue  # absent from the rows' extras: the zero default
+            if idx is not None:
+                values = values[idx]
+        target = arr.dtype[name]
+        if not (_holds(target, values, bounds) or bounds and _holds(target, values, None)):
+            return None
+        arr[name] = values
+    block = arr.view(np.uint8).reshape(len(arr), arr.dtype.itemsize)
+    block[:, : len(layout.prefix)] = np.frombuffer(layout.prefix, dtype=np.uint8)
+    return block
+
+
+def _is_columns(names, values) -> bool:
+    """Whether a group's values are arrays (one structured array, or one
+    array per name) rather than lists of Python values."""
+    return isinstance(values, np.ndarray) or all(
+        isinstance(values[name], np.ndarray) for name in names
+    )
+
+
+def _holds(target: np.dtype, values: np.ndarray, bounds: tuple[int, int] | None) -> bool:
+    """Whether every value is exactly representable in wire field
+    ``target`` (``bounds``: the values' known min and max)."""
+    if values.dtype == target:
+        return True
+    if target.kind not in "iu" or values.dtype.kind not in "iu":
+        return False
+    if bounds is None:
+        if not len(values):
+            return True
+        bounds = (int(values.min()), int(values.max()))
+    info = np.iinfo(target)
+    return info.min <= bounds[0] and bounds[1] <= info.max
 
 
 def planned_batch_records(handle, query, plan) -> Iterator[IntervalRecord]:

@@ -141,13 +141,16 @@ class RawTraceWriter:
 #: Smallest possible encoded record: hookword + event header + text length.
 _MIN_RECORD = 4 + 16 + 2
 
+_HOOKWORD = struct.Struct("<I")
+
 
 class RawTraceReader:
     """Reads a raw trace file back into :class:`RawEvent` objects.
 
     The reader is streaming: bytes come from a bounded-memory
-    :class:`~repro.core.bytesource.ByteSource` (mmap or buffered file) and
-    only one record is materialized at a time, so peak memory is O(record)
+    :class:`~repro.core.bytesource.ByteSource` (mmap or buffered file),
+    one window of :attr:`WINDOW_BYTES` at a time, and only one record is
+    materialized at a time, so peak memory is O(window + record)
     regardless of trace size.
 
     A trace whose final record is cut short — a crash mid-write, or a
@@ -162,6 +165,10 @@ class RawTraceReader:
     it stepped over in :attr:`salvage` (a
     :class:`~repro.core.salvage.SalvageReport`).
     """
+
+    #: Bytes the strict record walk fetches at a time (a record longer
+    #: than this gets a window of its own).
+    WINDOW_BYTES = 64 * 1024
 
     def __init__(
         self,
@@ -207,20 +214,30 @@ class RawTraceReader:
         In salvage mode the scan never raises for damaged bytes: it yields
         only records that decode in full and steps over everything else,
         accounting the damage to :attr:`salvage`."""
-        from repro.errors import FormatError
-        from repro.tracing.hooks import decode_hookword
-
         if self._salvage_mode:
             yield from self._scan_salvage()
             return
-        offset = self._start
+        for hook_id, offset, record_len, _window, _at in self._walk():
+            yield hook_id, offset, record_len
+
+    def _walk(self) -> Iterator[tuple[int, int, int, bytes, int]]:
+        """The strict record walk over a sliding window of the source:
+        ``(hook_id, offset, record_len, window, position in window)`` per
+        record, the whole record inside ``window``.  One fetch per
+        :attr:`WINDOW_BYTES`, not per record."""
+        from repro.errors import FormatError
+        from repro.tracing.hooks import decode_hookword
+
+        offset = base = self._start
         end = len(self.source)
+        window = b""
         while offset < end:
-            word_bytes = self.source.fetch(offset, 4)
-            if len(word_bytes) < 4:
-                raise FormatError(f"{self.path}: truncated event at offset {offset}")
-            (word,) = struct.unpack("<I", word_bytes)
-            hook_id, record_len = decode_hookword(word)
+            at = offset - base
+            if at + 4 > len(window):
+                window, base, at = self.source.fetch(offset, self.WINDOW_BYTES), offset, 0
+                if len(window) < 4:
+                    raise FormatError(f"{self.path}: truncated event at offset {offset}")
+            hook_id, record_len = decode_hookword(_HOOKWORD.unpack_from(window, at)[0])
             if record_len < _MIN_RECORD:
                 raise TraceError(
                     f"{self.path}: corrupt event at offset {offset} "
@@ -228,7 +245,10 @@ class RawTraceReader:
                 )
             if offset + record_len > end:
                 raise FormatError(f"{self.path}: truncated event at offset {offset}")
-            yield hook_id, offset, record_len
+            if at + record_len > len(window):  # straddles the window's end
+                size = max(self.WINDOW_BYTES, record_len)
+                window, base, at = self.source.fetch(offset, size), offset, 0
+            yield hook_id, offset, record_len, window, at
             offset += record_len
 
     def _plausible_event(
@@ -305,8 +325,18 @@ class RawTraceReader:
         return event
 
     def __iter__(self) -> Iterator[RawEvent]:
-        for _hook, offset, record_len in self.scan():
-            yield self.event_at(offset, record_len)
+        if self._salvage_mode:
+            for _hook, offset, record_len in self._scan_salvage():
+                yield self.event_at(offset, record_len)
+            return
+        for _hook, offset, record_len, window, at in self._walk():
+            try:
+                event, _ = RawEvent.decode(window, at)
+            except (TraceError, struct.error, IndexError, ValueError):
+                # Decoded on its own the record fails too, with the error
+                # that names its place in the file.
+                event = self.event_at(offset, record_len)
+            yield event
 
     def events(self) -> list[RawEvent]:
         """All events in file order."""

@@ -6,7 +6,7 @@
   identifiers, and writes per-node interval files.
 * :mod:`repro.utils.avltree` — the balanced tree (keyed by interval end
   time) the paper's merge describes; the merge-structure ablation's
-  reference (the merge itself runs ``heapq`` on the same keys).
+  reference (the merge itself sorts frame batches on the same keys).
 * :mod:`repro.utils.merge` — the merge utility: aligns per-node files by
   their first global-clock records, adjusts local timestamps for drift,
   k-way merges records in end-time order, injects zero-duration continuation

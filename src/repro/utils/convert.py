@@ -29,13 +29,16 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.fields import MASK_ALL_PER_NODE
 from repro.core.profilefmt import Profile, standard_profile
-from repro.core.records import BeBits, IntervalRecord, IntervalType
+from repro.core.records import BeBits, IntervalType
 from repro.core.threadtable import MAX_THREADS_PER_NODE, ThreadEntry, ThreadTable
 from repro.core.writer import IntervalFileWriter
 from repro.errors import TraceError
 from repro.mpi.pmpi import as_signed
+from repro.query.columnar import batch_from_rows
 from repro.tracing.hooks import (
     HookId,
     MPI_FN_NAMES,
@@ -293,7 +296,9 @@ def convert_one(
     tid_to_logical: dict[int, int] = {}
     local_markers: dict[int, int] = {}  # this file's local id -> global id
     used_markers: dict[int, str] = {}
-    out: list[IntervalRecord] = []
+    # Converted records as plain rows per interval type:
+    # (bebits, start, dura, node, cpu, thread, extra).
+    rows: dict[int, list[tuple]] = {}
     events = 0
     last_ts = 0
 
@@ -331,6 +336,8 @@ def convert_one(
         emit_pieces(ts, st)
 
     def emit_pieces(ts: _ThreadState, st: _OpenState) -> None:
+        of_type = rows.setdefault(st.itype, [])
+        thread = logical_of(ts.system_tid)
         n = len(st.pieces)
         for i, (start, end, cpu) in enumerate(st.pieces):
             if n == 1:
@@ -341,18 +348,8 @@ def convert_one(
                 bebits = BeBits.END
             else:
                 bebits = BeBits.CONTINUATION
-            out.append(
-                IntervalRecord(
-                    st.itype,
-                    bebits,
-                    start,
-                    end - start,
-                    node_id,
-                    cpu,
-                    logical_of(ts.system_tid),
-                    dict(st.extra),
-                )
-            )
+            # The state is closed: its pieces can share its extra fields.
+            of_type.append((bebits, start, end - start, node_id, cpu, thread, st.extra))
 
     for event in reader:
         events += 1
@@ -361,11 +358,8 @@ def convert_one(
         hook = event.hook_id
 
         if hook == HookId.GLOBAL_CLOCK:
-            out.append(
-                IntervalRecord(
-                    IntervalType.CLOCKPAIR, BeBits.COMPLETE, t, 0, node_id, 0, 0,
-                    {"globalTs": event.args[0]},
-                )
+            rows.setdefault(IntervalType.CLOCKPAIR, []).append(
+                (BeBits.COMPLETE, t, 0, node_id, 0, 0, {"globalTs": event.args[0]})
             )
             continue
         if hook == HookId.THREAD_INFO:
@@ -531,7 +525,9 @@ def convert_one(
             st = ts.stack.pop()
             close_state(ts, st, last_ts)
 
-    out.sort(key=lambda r: (r.end, r.start, r.thread, r.itype))
+    batch = batch_from_rows(rows, profile, MASK_ALL_PER_NODE)
+    # Stable, so rows equal in every key keep the order they were emitted in.
+    batch = batch.take(np.lexsort((batch.itype, batch.thread, batch.start, batch.end)))
     with IntervalFileWriter(
         out_path,
         profile,
@@ -542,9 +538,8 @@ def convert_one(
         frame_bytes=frame_bytes,
         frames_per_dir=frames_per_dir,
     ) as writer:
-        for record in out:
-            writer.write(record)
-    return events, len(out)
+        writer.write_batch(batch)
+    return events, batch.n
 
 
 def _push_state(ts: _ThreadState, t: int, cpu: int, itype: int, extra: dict, close_state) -> None:

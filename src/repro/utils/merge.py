@@ -9,9 +9,12 @@ Merges per-node interval files into a single merged interval file:
    start and duration are rescaled.  The original local start survives in
    the merged file's ``localStart`` field (present only under the merged
    field-selection mask — the profile mechanism built for exactly this).
-3. **K-way merge** — a heap (``heapq.merge``) holds the next record of each
-   input file, keyed by adjusted end time; the minimum is popped, written,
-   and replaced by that file's next record.
+3. **K-way merge** — by columns, a frame at a time: each input holds one
+   decoded frame batch (clock-adjusted, clock pairs removed); everything
+   strictly below the smallest "last loaded end" among the inputs still
+   being read is emitted in ``(adjusted end, file index, record ordinal)``
+   order, that input is refilled, and so on — the total order a heap over
+   the next record of each file yields, with memory O(inputs x frame).
 4. **Pseudo-intervals** — one :class:`~repro.core.framebuilder.FrameBuilder`
    cuts the merged stream into frames, each new one led by zero-duration
    continuation records for every state open at that point, so a tool that
@@ -23,10 +26,11 @@ file for Jumpshot — the same bytes, built once.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from repro.clocksync.adjust import (
     ClockAdjustment,
@@ -38,10 +42,11 @@ from repro.core.fields import MASK_ALL_MERGED
 from repro.core.framebuilder import FrameBuilder
 from repro.core.profilefmt import Profile
 from repro.core.reader import IntervalReader
-from repro.core.records import IntervalRecord, IntervalType
+from repro.core.records import IntervalType
 from repro.core.threadtable import ThreadTable
 from repro.core.writer import IntervalFileWriter
 from repro.errors import MergeError
+from repro.query.columnar import FrameBatch, concat_batches
 
 
 @dataclass
@@ -60,9 +65,16 @@ def collect_clock_pairs(reader: IntervalReader) -> list[ClockPair]:
     """The (global, local) pairs a convert pass embedded as GlobalClock
     records."""
     pairs = []
-    for record in reader.intervals():
-        if record.itype == IntervalType.CLOCKPAIR:
-            pairs.append(ClockPair(global_ts=record.extra["globalTs"], local_ts=record.start))
+    for frame in reader.frames():
+        batch = reader.read_frame_batch(frame)
+        clocks = batch.where(batch.itype == IntervalType.CLOCKPAIR)
+        if clocks.n:
+            pairs.extend(
+                ClockPair(global_ts=global_ts, local_ts=local_ts)
+                for global_ts, local_ts in zip(
+                    clocks.extra_column("globalTs"), clocks.start.tolist()
+                )
+            )
     return pairs
 
 
@@ -75,53 +87,89 @@ def _build_adjustment(pairs: list[ClockPair], mode: str):
     return ClockAdjustment(0, 0, 1.0)
 
 
-def _adjusted_stream(
-    reader: IntervalReader, adjustment
-) -> Iterator[IntervalRecord]:
-    """Records of one file, clock-adjusted, clock pairs removed."""
-    for record in reader.intervals():
-        if record.itype == IntervalType.CLOCKPAIR:
-            continue
-        extra = dict(record.extra)
-        extra["localStart"] = record.start
-        start = adjustment.adjust(record.start)
-        # Anchor the duration at the adjusted end rather than rounding
-        # R * D independently: adjusted end times then inherit the input's
-        # end-time ordering exactly (independent rounding can flip the
-        # order of records whose ends differ by a tick).
-        duration = adjustment.adjust(record.end) - start
-        yield IntervalRecord(
-            record.itype,
-            record.bebits,
-            start,
-            duration,
-            record.node,
-            record.cpu,
-            record.thread,
-            extra,
-        )
+class _Input:
+    """One input file's rows on the way into the merge: clock-adjusted,
+    clock pairs removed, restricted to the logical thread ids in ``keep``
+    (None keeps all).  ``held`` is what has been read and not yet merged —
+    the tail of one frame, or that plus the next frame."""
+
+    def __init__(self, path: Path, reader: IntervalReader, adjustment,
+                 keep: set[int] | None) -> None:
+        self.path = path
+        self.reader = reader
+        self.adjustment = adjustment
+        self.keep = None if keep is None else np.fromiter(keep, np.int64, count=len(keep))
+        self.frames = iter(reader.frames())
+        self.held: FrameBatch | None = None
+        self.last_end = 0
+        self.exhausted = False
+
+    def refill(self) -> None:
+        """Hold the next frame that has rows to merge as well."""
+        for frame in self.frames:
+            batch = self.reader.read_frame_batch(frame)
+            wanted = batch.itype != IntervalType.CLOCKPAIR
+            if self.keep is not None:
+                wanted &= np.isin(batch.thread, self.keep)
+            batch = batch.where(wanted)
+            if not batch.n:
+                continue
+            # Anchor the duration at the adjusted end rather than rounding
+            # R * D independently: adjusted end times then inherit the
+            # input's end-time ordering exactly (independent rounding can
+            # flip the order of records whose ends differ by a tick).
+            adjusted = batch.retimed(
+                self.adjustment.adjust_array(batch.start),
+                self.adjustment.adjust_array(batch.end),
+            )
+            adjusted.add_column("localStart", batch.start)
+            if (np.diff(adjusted.end, prepend=self.last_end) < 0).any():
+                raise MergeError(
+                    f"{self.path}: records out of end-time order after adjustment"
+                )
+            self.last_end = int(adjusted.end[-1])
+            self.held = (
+                adjusted if self.held is None else concat_batches([self.held, adjusted])
+            )
+            return
+        self.exhausted = True
 
 
-def _keyed_stream(
-    index: int, path: Path, reader: IntervalReader, adjustment, keep: set[int] | None
-) -> Iterator[tuple[tuple[int, int, int], IntervalRecord]]:
-    """One input file's adjusted records, restricted to the logical thread
-    ids in ``keep`` (None keeps all), each under its merge key.
+def _merged_batches(inputs: list[_Input]) -> Iterator[FrameBatch]:
+    """The inputs' rows in ``(adjusted end, file index, record ordinal)``
+    order, in batches.
 
-    Keys are ``(adjusted end, file index, record ordinal)`` — unique and
-    fully ordered, so records with equal adjusted end times merge in a
-    deterministic order and the records themselves never compare.  Records
-    flow straight from the reader's byte source through clock adjustment,
-    so the merge never materializes a whole file."""
-    ordinal = 0
-    last_end = 0
-    for record in _adjusted_stream(reader, adjustment):
-        if keep is None or record.thread in keep:
-            if record.end < last_end:
-                raise MergeError(f"{path}: records out of end-time order after adjustment")
-            last_end = record.end
-            ordinal += 1
-            yield (last_end, index, ordinal), record
+    A row can be emitted once no input can still produce a smaller key:
+    every row an input has yet to load ends at or after the last end it
+    loaded, so everything strictly below the smallest such end is final.
+    Held rows are joined in file order, each file's in record order, so a
+    stable sort on the end column alone breaks ties by file index, then
+    ordinal."""
+    for source in inputs:
+        source.refill()
+    while True:
+        reading = [source for source in inputs if not source.exhausted]
+        lowest = min(reading, key=lambda source: source.last_end, default=None)
+        ready = []
+        for source in inputs:
+            held = source.held
+            if held is None:
+                continue
+            stop = held.n if lowest is None else int(
+                np.searchsorted(held.end, lowest.last_end, side="left")
+            )
+            if stop == held.n:
+                ready.append(held)
+                source.held = None
+            elif stop:
+                ready.append(held.rows(0, stop))
+                source.held = held.rows(stop, held.n)
+        if ready:
+            batch = concat_batches(ready)
+            yield batch.take(np.argsort(batch.end, kind="stable"))
+        if lowest is None:
+            return
+        lowest.refill()
 
 
 def merge_interval_files(
@@ -183,12 +231,10 @@ def merge_interval_files(
                 )
             merged_markers[marker_id] = text
 
-    merged = heapq.merge(
-        *(
-            _keyed_stream(i, path, reader, adjustment, selected[i])
-            for i, (path, reader, adjustment) in enumerate(zip(paths, readers, adjustments))
-        )
-    )
+    inputs = [
+        _Input(path, reader, adjustment, keep)
+        for path, reader, adjustment, keep in zip(paths, readers, adjustments, selected)
+    ]
 
     slog_writer = None
     if slog_path is not None:
@@ -227,7 +273,7 @@ def merge_interval_files(
             frame_bytes=frame_bytes,
             frames_per_dir=frames_per_dir,
         ) as writer:
-            for frame in builder.frames(record for _, record in merged):
+            for frame in builder.batch_frames(_merged_batches(inputs)):
                 pseudo_count += frame.n_pseudo
                 records_out += frame.n_records - frame.n_pseudo
                 writer.add_frame(frame)

@@ -89,13 +89,13 @@ class PreviewBins:
 
     def add(self, record: IntervalRecord) -> None:
         """Allocate one record's duration to the bins it overlaps."""
-        counters = self.counters.get(record.itype)
-        if counters is None:
-            counters = np.zeros(self.bins, dtype=np.float64)
-            self.counters[record.itype] = counters
+        self._add(record.itype, record.start, record.end)
+
+    def _add(self, itype: int, start: int, end: int) -> None:
+        counters = self._counters_of(itype)
         t0 = self.t0
-        lo = max(record.start, t0)
-        hi = min(record.end, self.t1)
+        lo = max(start, t0)
+        hi = min(end, self.t1)
         if hi <= lo:
             return
         width = (self.t1 - t0) / self.bins
@@ -104,6 +104,53 @@ class PreviewBins:
         for b in range(first, last + 1):
             bin_lo = t0 + b * width
             counters[b] += max(0.0, min(hi, bin_lo + width) - max(lo, bin_lo))
+
+    def add_frame(self, frame: SealedFrame) -> None:
+        """:meth:`add` for every non-pseudo record of a sealed frame."""
+        batch, real = frame.batch, frame.real
+        self.add_columns(batch.itype[real], batch.start[real], batch.end[real])
+
+    def add_columns(self, itype: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
+        """:meth:`add` for every row of the columns, to the same float64
+        sums: each (record, bin) share is the same expression in the same
+        precision, and ``np.add.at`` adds them in record-then-bin order."""
+        t0, t1 = self.t0, self.t1
+        if not 0 <= t0 <= t1 <= 1 << 53:
+            # Past 2**53 ticks int -> float64 rounds, and Python compares
+            # an int with a float exactly where numpy compares the rounded
+            # value: only the record loop is the record loop there.
+            for row in zip(itype.tolist(), start.tolist(), end.tolist()):
+                self._add(*row)
+            return
+        types = np.unique(itype).tolist()
+        for t in types:
+            self._counters_of(t)  # a type with no time in range still gets its row
+        lo = np.maximum(start, t0)
+        hi = np.minimum(end, t1)
+        rows = np.nonzero(hi > lo)[0]
+        if not len(rows):
+            return
+        itype, lo, hi = itype[rows], lo[rows], hi[rows]
+        width = (t1 - t0) / self.bins
+        first = ((lo - t0) / width).astype(np.int64)
+        last = np.minimum(((hi - t0) / width).astype(np.int64), self.bins - 1)
+        count = last - first + 1
+        # One entry per (record, bin), records in order, bins ascending.
+        row = np.repeat(np.arange(len(rows)), count)
+        bins = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count) + first[row]
+        bin_lo = t0 + bins * width
+        share = np.maximum(
+            0.0, np.minimum(hi[row], bin_lo + width) - np.maximum(lo[row], bin_lo)
+        )
+        for t in types:
+            of_type = itype[row] == t
+            np.add.at(self.counters[t], bins[of_type], share[of_type])
+
+    def _counters_of(self, itype: int) -> np.ndarray:
+        counters = self.counters.get(itype)
+        if counters is None:
+            counters = self.counters[itype] = np.zeros(self.bins, dtype=np.float64)
+        return counters
 
 
 class SlogWriter(FrameSink):
@@ -183,8 +230,7 @@ class SlogWriter(FrameSink):
 
     def _sink(self, frame: SealedFrame) -> None:
         assert self._spill is not None
-        for record in frame.real:
-            self._preview.add(record)
+        self._preview.add_frame(frame)
         self._frames.append(frame_entry(frame, self._spill.tell()))
         self._spill.write(frame.blob)
 
@@ -362,6 +408,15 @@ class SlogFile(FrameStore):
         return itypes, matrix
 
 
+def _without_clock_pairs(reader):
+    """The frame batches of an interval file, clock-pair rows removed."""
+    from repro.core.records import IntervalType
+
+    for frame in reader.frames():
+        batch = reader.read_frame_batch(frame)
+        yield batch.where(batch.itype != IntervalType.CLOCKPAIR)
+
+
 def slog_from_interval_file(
     merged_path: str | Path,
     profile: Profile,
@@ -372,7 +427,6 @@ def slog_from_interval_file(
 ) -> Path:
     """Build a SLOG file from an already-merged interval file."""
     from repro.core.reader import IntervalReader
-    from repro.core.records import IntervalType
 
     with IntervalReader(merged_path, profile) as reader:
         _, _, t_end = reader.totals()
@@ -391,7 +445,6 @@ def slog_from_interval_file(
             preview_bins=preview_bins,
         ) as writer:
             builder = FrameBuilder(profile, mask, frame_bytes, continuations=True)
-            stream = (r for r in reader.intervals() if r.itype != IntervalType.CLOCKPAIR)
-            for frame in builder.frames(stream):
+            for frame in builder.batch_frames(_without_clock_pairs(reader)):
                 writer.add_frame(frame)
             return writer.close()

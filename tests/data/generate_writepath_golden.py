@@ -11,9 +11,7 @@ fixed synthetic run at four frame sizes and hashed.
 ``tests/test_writepath_golden.py`` rebuilds the artifacts with the current
 code and requires the same bytes.  Only public entry points are used, so
 the same script runs on either side of that change.  Run it to regenerate
-the JSON only when a format change is intended — and always as a script:
-the simulator numbers system threads from a process-wide counter, so the
-raw traces are only reproducible from a fresh interpreter.
+the JSON only when a format change is intended.
 
 Not pinned (``RECUT``): the merge-family artifacts at ``frame_bytes=256``.
 This run holds up to 16 states open, so a continuation lead (~1 KB) is

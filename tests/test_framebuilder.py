@@ -17,6 +17,7 @@ from repro.core.framebuilder import FrameBuilder
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
+from repro.query import columnar
 from repro.utils.merge import merge_interval_files
 
 PROFILE = standard_profile()
@@ -35,6 +36,16 @@ def decode_all(blob):
 
 def norm(records):
     return decode_all(b"".join(r.encode(PROFILE, MASK) for r in records))
+
+
+def records_of(frame):
+    """A sealed frame's records, pseudo-records included."""
+    return frame.batch.to_records()
+
+
+def real_of(frame):
+    """A sealed frame's non-pseudo records."""
+    return [r for r, real in zip(frame.batch.to_records(), frame.real.tolist()) if real]
 
 
 def open_states(records):
@@ -92,13 +103,13 @@ def test_frames_equal_a_brute_force_recount(records, frame_bytes, continuations)
 
     # The concatenated blobs decode to the input plus the pseudo-records.
     decoded = decode_all(b"".join(f.blob for f in frames))
-    assert decoded == norm([r for f in frames for r in f.records])
-    assert norm([r for f in frames for r in f.real]) == norm(records)
+    assert decoded == norm([r for f in frames for r in records_of(f)])
+    assert norm([r for f in frames for r in real_of(f)]) == norm(records)
 
     seen = []  # real records of earlier frames
     for i, frame in enumerate(frames):
         in_frame = decode_all(frame.blob)
-        assert frame.n_records == len(in_frame) == len(frame.records)
+        assert frame.n_records == len(in_frame) == frame.batch.n
         assert frame.start_time == min(r.start for r in in_frame)
         assert frame.end_time == max(r.end for r in in_frame)
         # Each frame after the first starts with exactly one continuation
@@ -115,14 +126,14 @@ def test_frames_equal_a_brute_force_recount(records, frame_bytes, continuations)
                 state.itype, state.node, state.thread,
             )
             assert pseudo.extra.get("markerId") == norm([state])[0].extra.get("markerId")
-        assert norm(frame.real) == in_frame[len(lead):]
+        assert norm(real_of(frame)) == in_frame[len(lead):]
         # Cut at the first record that reaches frame_bytes — a lead is
         # never cut, so a frame may be just its lead plus one record.
         if i < len(frames) - 1:
             assert len(frame.blob) >= frame_bytes
-            last = len(frame.records[-1].encode(PROFILE, MASK))
+            last = len(records_of(frame)[-1].encode(PROFILE, MASK))
             assert len(frame.blob) - last < frame_bytes or len(in_frame) == len(lead) + 1
-        seen.extend(frame.real)
+        seen.extend(real_of(frame))
 
 
 def running(start, dura):
@@ -150,7 +161,7 @@ def test_explicit_pseudo_is_counted_but_neither_led_nor_tracked():
     assert builder.add(cont, pseudo=True) is None
     frame = builder.seal()
     assert (frame.n_records, frame.n_pseudo) == (2, 1)
-    assert list(frame.real) == [begin]
+    assert real_of(frame) == [begin]
     # A caller's pseudo-record opening a frame does not trigger the lead;
     # the next real record finds the frame non-empty.
     builder.add(cont, pseudo=True)
@@ -180,17 +191,25 @@ def test_merge_with_slog_tee_encodes_each_written_record_once(tmp_path, monkeypa
                 )
         inputs.append(path)
 
-    calls = {"n": 0}
-    original = IntervalRecord.encode
+    # One encode per written record, whichever route it takes: the merged
+    # rows as columns, the continuation leads one at a time.
+    calls = {"records": 0, "rows": 0}
+    encode_record = IntervalRecord.encode
+    encode_batch = columnar.encode_frame_batch
 
-    def counting(self, profile, mask):
-        calls["n"] += 1
-        return original(self, profile, mask)
+    def counting_record(self, profile, mask):
+        calls["records"] += 1
+        return encode_record(self, profile, mask)
 
-    monkeypatch.setattr(IntervalRecord, "encode", counting)
+    def counting_batch(batch, profile, mask):
+        calls["rows"] += batch.n
+        return encode_batch(batch, profile, mask)
+
+    monkeypatch.setattr(IntervalRecord, "encode", counting_record)
+    monkeypatch.setattr(columnar, "encode_frame_batch", counting_batch)
     result = merge_interval_files(
         inputs, tmp_path / "m.ute", PROFILE, slog_path=tmp_path / "m.slog",
         frame_bytes=512,
     )
     assert result.pseudo_records > 0
-    assert calls["n"] == result.records_out + result.pseudo_records
+    assert calls == {"records": result.pseudo_records, "rows": result.records_out}

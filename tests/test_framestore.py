@@ -403,6 +403,33 @@ class TestExtraKeyOrder:
         assert "extra key order" in _decode_mismatch(want, got, batch)
         assert "reference decoded" in _decode_mismatch(want, got[:-1], batch)
 
+    def test_decode_parity_catches_a_layout_that_encodes_another_width(self):
+        """The re-encode half of the check: one extra field's width flipped
+        in a copied layout is named at the first record it touches."""
+        import dataclasses
+
+        from repro.core.layout import RecordLayout, layout_for
+        from repro.core.profilefmt import Profile
+        from repro.difftool.oracle import _reencode_mismatch
+        from repro.query.columnar import decode_frame_batch
+
+        records = _records(10)
+        stored = b"".join(r.encode(PROFILE, MASK) for r in records)
+        batch = decode_frame_batch(stored, PROFILE, MASK)
+        assert _reencode_mismatch(stored, batch, PROFILE, MASK) is None
+
+        keyed = next(i for i, r in enumerate(records) if "markerId" in r.extra)
+        itype = records[keyed].itype
+        tampered = Profile.from_bytes(PROFILE.to_bytes())  # its own layout cache
+        specs = [
+            dataclasses.replace(fs, elem_len=2) if tampered.field_name(fs) == "markerId" else fs
+            for fs in tampered.fields_for(itype, MASK)
+        ]
+        tampered._layouts[itype, MASK] = RecordLayout(specs, tampered.field_names)
+        assert layout_for(tampered, itype, MASK).size == layout_for(PROFILE, itype, MASK).size - 2
+        problem = _reencode_mismatch(stored, batch, tampered, MASK)
+        assert problem is not None and problem.startswith(f"record {keyed}: re-encoded as ")
+
     @pytest.mark.parametrize("name", ["good.ute", "good.slog", "interop/golden.ute"])
     def test_oracle_runs_decode_parity_with_zero_findings(self, name):
         report = run_oracle(DATA_DIR / name, PROFILE, serve=False)

@@ -132,3 +132,106 @@ def test_global_clock_event_payload():
     assert ev.hook_id == HookId.GLOBAL_CLOCK
     assert ev.local_ts == 1_000_018
     assert ev.args == (1_000_000,)
+
+
+# ---------------------------------------------------------- the window walk
+
+
+def _record_at_a_time(reader):
+    """The walk the reader used to make — one fetch for the hookword, one
+    for the body, per event — as ``(events, error)``."""
+    import struct
+
+    from repro.errors import FormatError
+    from repro.tracing.hooks import decode_hookword
+
+    events, offset, end = [], RawFileHeader.size(), len(reader.source)
+    try:
+        while offset < end:
+            word = reader.source.fetch(offset, 4)
+            if len(word) < 4:
+                raise FormatError(f"{reader.path}: truncated event at offset {offset}")
+            _hook, record_len = decode_hookword(struct.unpack("<I", word)[0])
+            if record_len < 22:
+                raise TraceError(
+                    f"{reader.path}: corrupt event at offset {offset} "
+                    f"(record length {record_len})"
+                )
+            if offset + record_len > end:
+                raise FormatError(f"{reader.path}: truncated event at offset {offset}")
+            events.append(reader.event_at(offset, record_len))
+            offset += record_len
+    except (TraceError, FormatError) as exc:
+        return events, (type(exc), str(exc))
+    return events, None
+
+
+def _walked(reader):
+    from repro.errors import FormatError
+
+    events = []
+    try:
+        for event in reader:
+            events.append(event)
+    except (TraceError, FormatError) as exc:
+        return events, (type(exc), str(exc))
+    return events, None
+
+
+def _window_sizes(path):
+    """Window sizes that put the boundary before record 10 just before, on
+    and just after the first window's edge (and split its hookword), plus
+    one smaller than any record and the default."""
+    with RawTraceReader(path) as reader:
+        boundary = [offset for _hook, offset, _len in reader.scan()][10]
+    first = boundary - RawFileHeader.size()
+    return [4, first - 3, first, first + 2, first + 4, first + 9, RawTraceReader.WINDOW_BYTES]
+
+
+@pytest.mark.parametrize("name", ["good.raw", "trunc.raw", "midflip.raw"])
+def test_window_walk_is_the_record_at_a_time_walk(corpus, monkeypatch, name):
+    path = corpus.path(name)
+    with RawTraceReader(path) as reader:
+        want = _record_at_a_time(reader)
+    assert want[0]
+    assert (want[1] is None) == (name == "good.raw")
+    for window in _window_sizes(corpus.path("good.raw")):
+        monkeypatch.setattr(RawTraceReader, "WINDOW_BYTES", window)
+        with RawTraceReader(path) as reader:
+            assert _walked(reader) == want, window
+            if want[1] is None:
+                scanned = list(reader.scan())
+                assert len(reader) == len(scanned) == len(want[0])
+                assert [reader.event_at(off, n) for _, off, n in scanned] == want[0]
+            else:
+                with pytest.raises(want[1][0]) as raised:
+                    len(reader)
+                assert str(raised.value) == want[1][1]
+
+
+@pytest.mark.parametrize("name", ["good.raw", "trunc.raw", "midflip.raw"])
+def test_salvage_walk_does_not_depend_on_the_window(corpus, monkeypatch, name):
+    path = corpus.path(name)
+    seen = []
+    for window in _window_sizes(corpus.path("good.raw")):
+        monkeypatch.setattr(RawTraceReader, "WINDOW_BYTES", window)
+        with RawTraceReader(path, errors="salvage") as reader:
+            events = list(reader)
+            seen.append((events, reader.salvage.records_dropped, reader.salvage.bytes_skipped))
+    assert all(s == seen[0] for s in seen)
+    assert len(seen[0][0]) == corpus.manifest[name].get("recovered_records", 51)
+
+
+def test_a_record_longer_than_the_window_gets_its_own(tmp_path, monkeypatch):
+    path = tmp_path / "long.raw"
+    events = [
+        dispatch_event(10, 1, 0),
+        RawEvent(HookId.MARKER_DEFINE, 20, 1, 0, (1,), "x" * 300),
+        dispatch_event(30, 1, 0),
+    ]
+    with RawTraceWriter(path, RawFileHeader(0, 1, 0)) as writer:
+        for event in events:
+            writer.write(event)
+    monkeypatch.setattr(RawTraceReader, "WINDOW_BYTES", 64)
+    with RawTraceReader(path) as reader:
+        assert list(reader) == events

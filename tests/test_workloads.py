@@ -143,3 +143,15 @@ class TestSynthetic:
                 for e in RawTraceReader(pb)
             ]
             assert ea == eb
+
+
+def test_two_runs_in_one_process_write_the_same_raw_traces(tmp_path):
+    """System thread ids are numbered per cluster, so a run's thread table
+    (and every byte downstream of it) does not depend on what was
+    simulated earlier in the process."""
+    config = SyntheticConfig(rounds=5)
+    first = run_synthetic(tmp_path / "a", config)
+    second = run_synthetic(tmp_path / "b", config)
+    assert len(first.raw_paths) == len(second.raw_paths) > 1
+    for a, b in zip(first.raw_paths, second.raw_paths):
+        assert a.read_bytes() == b.read_bytes()

@@ -11,14 +11,10 @@ the live seals — are pinned by structure instead.
 
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core import IntervalFileWriter, IntervalReader
 from repro.core.profilefmt import Profile
 from repro.core.records import BeBits
@@ -38,16 +34,11 @@ _SPEC.loader.exec_module(golden)
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
-    """``(work dir, digests)`` of a generator run in a fresh interpreter
-    (system thread ids come from a process-wide counter, so an in-process
-    run would depend on which tests ran before)."""
+    """``(work dir, digests)`` of a generator run (in process: a cluster
+    numbers its own threads, so the run does not depend on what ran
+    before it)."""
     work = tmp_path_factory.mktemp("writepath")
-    src = Path(repro.__file__).resolve().parents[1]
-    subprocess.run(
-        [sys.executable, golden.__file__, str(work / "digests.json"), str(work)],
-        check=True, env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    return work, json.loads((work / "digests.json").read_text())
+    return work, golden.build_digests(work)
 
 
 def test_every_golden_digest_is_reproduced(built):
