@@ -7,8 +7,10 @@ are sorted by end time" (paper section 3.1).  This is that tree: keys are
 removes the earliest-ending interval and the cursor is re-inserted at its
 next record's key.
 
-Also reused by the ablation bench comparing tree-based merging against a
-linear scan.
+It lives beside its one user, ``test_ablation_merge_tree.py`` (which
+measures it against the heap and a linear scan): the production merge
+sorts frame batches on the same keys and does not ship a tree.
+``tests/test_avltree.py`` keeps it correct.
 """
 
 from __future__ import annotations

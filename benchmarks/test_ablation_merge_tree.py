@@ -13,8 +13,8 @@ calls the design "extremely scalable".)
 
 Production (``repro.utils.merge``) uses the heap: the same O(log k) on the
 same ``(end, file index, ordinal)`` keys, at the lower constant this table
-shows.  ``repro.utils.avltree`` stays as the reference this ablation
-measures it against.
+shows.  ``benchmarks/avltree.py`` (beside this file; the product does not
+ship it) is the reference this ablation measures it against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import heapq
 import time
 
 from benchmarks.conftest import report
-from repro.utils.avltree import AVLTree
+from benchmarks.avltree import AVLTree
 
 
 def make_streams(k: int, per_stream: int) -> list[list[int]]:

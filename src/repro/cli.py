@@ -111,9 +111,40 @@ def _check_output(out) -> None:
         raise _Usage(f"output directory not writable: {probe}")
 
 
+def _add_window(parser: argparse.ArgumentParser, help: str) -> None:
+    """``--window T0:T1``, read back with :func:`_window_arg`."""
+    parser.add_argument("--window", default=None, metavar="T0:T1", help=help)
+
+
 def _window_arg(args) -> tuple[float | None, float | None] | None:
     """The optional ``--window T0:T1`` (seconds)."""
     return parse_window(args.window) if args.window else None
+
+
+def _add_server(
+    parser: argparse.ArgumentParser,
+    server_help: str,
+    dataset_help: str = "dataset name on the server (default: the "
+    "server's default dataset)",
+) -> None:
+    """``--server URL`` + ``--dataset NAME``: the remote mode."""
+    parser.add_argument("--server", default=None, metavar="URL", help=server_help)
+    parser.add_argument("--dataset", default=None, metavar="NAME", help=dataset_help)
+
+
+def _add_executor(parser: argparse.ArgumentParser, note: str = "") -> None:
+    """``--executor``, with what one command has to add to its help."""
+    parser.add_argument(
+        "--executor", default="columnar", choices=("columnar", "record"),
+        help="frame decode strategy: columnar batches (default) or the "
+        "record-at-a-time reference path" + note,
+    )
+
+
+def _print_report(args, doc, summary: str) -> None:
+    """The ``--json`` tail of the report tools: the document as indented
+    JSON, else the text summary."""
+    print(json.dumps(doc, indent=2) if args.json else summary)
 
 
 def _resolve_type(text: str, profile: Profile) -> int:
@@ -503,23 +534,14 @@ def main_stats(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("intervals", nargs="*")
     parser.add_argument("--program", default=None, help="table program file")
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="run the table program on a ute-serve "
-                        "repository instead of local files")
-    parser.add_argument("--dataset", default=None, metavar="NAME",
-                        help="dataset name on the server (default: the "
-                        "server's default dataset)")
+    _add_server(parser, "run the table program on a ute-serve repository "
+                "instead of local files")
     parser.add_argument("--profile", default=None)
     parser.add_argument("-o", "--out", default="stats", help="output directory")
     parser.add_argument("--svg", action="store_true", help="also render SVG viewers")
-    parser.add_argument("--window", default=None, metavar="T0:T1",
-                        help="only records overlapping this window (seconds); "
-                        "frames outside it are pruned via the sidecar index")
-    parser.add_argument(
-        "--executor", default="columnar", choices=("columnar", "record"),
-        help="frame decode strategy: columnar batches (default) or the "
-        "record-at-a-time reference path",
-    )
+    _add_window(parser, "only records overlapping this window (seconds); "
+                "frames outside it are pruned via the sidecar index")
+    _add_executor(parser)
     parser.add_argument(
         "--json", action="store_true",
         help="print tables plus per-file read accounting as JSON on stdout "
@@ -667,10 +689,7 @@ def main_recover(argv: list[str] | None = None) -> int:
     report = recover_file(
         args.input, out, profile=profile, frame_bytes=args.frame_bytes
     )
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(report.summary())
+    _print_report(args, report.as_dict(), report.summary())
     return 0 if report.ok else 1
 
 
@@ -706,9 +725,8 @@ def main_profile(argv: list[str] | None = None) -> int:
     parser.add_argument("intervals", nargs="+")
     parser.add_argument("--profile", default=None)
     parser.add_argument("--include-running", action="store_true")
-    parser.add_argument("--window", default=None, metavar="T0:T1",
-                        help="profile only this window (seconds); frames "
-                        "outside it are pruned via the sidecar index")
+    _add_window(parser, "profile only this window (seconds); frames outside "
+                "it are pruned via the sidecar index")
     args = parser.parse_args(argv)
     _check_inputs(*args.intervals, args.profile)
 
@@ -742,8 +760,7 @@ def main_dump(argv: list[str] | None = None) -> int:
                         help="max records per file")
     parser.add_argument("--frame", type=int, default=None,
                         help="dump only this frame ordinal (seeks, no full decode)")
-    parser.add_argument("--window", default=None, metavar="T0:T1",
-                        help="dump only frames overlapping this window (seconds)")
+    _add_window(parser, "dump only frames overlapping this window (seconds)")
     args = parser.parse_args(argv)
     _check_inputs(*args.files, args.profile)
 
@@ -908,12 +925,8 @@ def main_query(argv: list[str] | None = None) -> int:
     parser.add_argument("trace", nargs="?", default=None,
                         help="interval (.ute) or SLOG (.slog) file "
                         "(omit with --server)")
-    parser.add_argument("--server", default=None, metavar="URL",
-                        help="run the query against a running ute-serve "
-                        "repository instead of a local file")
-    parser.add_argument("--dataset", default=None, metavar="NAME",
-                        help="dataset name on the server (default: the "
-                        "server's default dataset)")
+    _add_server(parser, "run the query against a running ute-serve "
+                "repository instead of a local file")
     parser.add_argument("--profile", default=None, help="profile file for .ute inputs")
     parser.add_argument(
         "--build-index", action="store_true",
@@ -925,8 +938,7 @@ def main_query(argv: list[str] | None = None) -> int:
                         help="sidecar path (default: <trace>.uteidx)")
     parser.add_argument("--no-index", action="store_true",
                         help="ignore any sidecar; force the full scan")
-    parser.add_argument("--window", default=None, metavar="T0:T1",
-                        help="time window in seconds (either side may be empty)")
+    _add_window(parser, "time window in seconds (either side may be empty)")
     parser.add_argument("--thread", action="append", default=[],
                         metavar="[NODE:]TID", help="thread predicate (repeatable)")
     parser.add_argument("--node", action="append", default=[], type=int,
@@ -952,11 +964,7 @@ def main_query(argv: list[str] | None = None) -> int:
     parser.add_argument("--explain", action="store_true",
                         help="print the frame plan and IO accounting on stderr")
     parser.add_argument("--errors", default="strict", choices=["strict", "salvage"])
-    parser.add_argument(
-        "--executor", default="columnar", choices=("columnar", "record"),
-        help="frame decode strategy: columnar batches (default) or the "
-        "record-at-a-time reference path (ute-oracle checks their parity)",
-    )
+    _add_executor(parser, " (ute-oracle checks their parity)")
     args = parser.parse_args(argv)
     if args.server is not None:
         payload = _remote_query(args)
@@ -1172,8 +1180,8 @@ def main_serve(argv: list[str] | None = None) -> int:
 
     import logging
 
-    from repro.repository import DEFAULT_BUDGET_BYTES
-    from repro.serve.app import ServerConfig, serve_file, serve_repository
+    from repro.repository import DEFAULT_BUDGET_BYTES, DEFAULT_DATASET
+    from repro.serve.app import ServerConfig, serve
 
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
@@ -1192,11 +1200,13 @@ def main_serve(argv: list[str] | None = None) -> int:
         quota_overrides=overrides,
         default_dataset=args.default_dataset,
     )
-    if args.repository is not None:
-        serve_repository(args.repository, config)
-    else:
-        serve_file(args.slog, config)
+    repository = config.repository(args.repository)
+    if args.slog is not None:
+        # One file is a root-less repository holding one dataset.
+        repository.attach(DEFAULT_DATASET, args.slog)
+    serve(repository, config)
     return 0
+
 
 @_entry("ute-tail")
 def main_tail(argv: list[str] | None = None) -> int:
@@ -1214,13 +1224,9 @@ def main_tail(argv: list[str] | None = None) -> int:
         help="the trace's final path; its .live/ container is tailed while "
         "it grows (omit with --server)",
     )
-    parser.add_argument(
-        "--server", default=None, metavar="URL",
-        help="follow a ute-serve instance over Server-Sent Events",
-    )
-    parser.add_argument(
-        "--dataset", default=None, metavar="NAME",
-        help="dataset to follow on --server (default: the server's default)",
+    _add_server(
+        parser, "follow a ute-serve instance over Server-Sent Events",
+        "dataset to follow on --server (default: the server's default)",
     )
     parser.add_argument("--poll", type=float, default=0.05, metavar="S",
                         help="poll interval (seconds)")
@@ -1294,7 +1300,6 @@ def _tail_server(args) -> int:
 
 def _tail_follow(args) -> int:
     """``ute-tail TRACE``: follow the live container on the filesystem."""
-    from repro.core.records import BeBits
     from repro.live import FollowReader
 
     follower = FollowReader(
@@ -1311,10 +1316,7 @@ def _tail_follow(args) -> int:
                         writer = _tail_writer(args.out, follower)
                     kept = 0
                     for record in event.records:
-                        if (
-                            record.bebits is BeBits.CONTINUATION
-                            and record.duration == 0
-                        ):
+                        if record.is_pseudo:
                             continue
                         if writer is not None:
                             writer.write(record)
@@ -1425,10 +1427,7 @@ def main_diff(argv: list[str] | None = None) -> int:
         args.file_a, args.file_b, config, profile=profile,
         errors="salvage" if args.salvage else "strict",
     )
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(report.summary())
+    _print_report(args, report.as_dict(), report.summary())
     return 0 if report.identical else 1
 
 
@@ -1459,10 +1458,11 @@ def main_oracle(argv: list[str] | None = None) -> int:
         run_oracle(path, profile, serve=not args.no_serve) for path in args.files
     ]
     findings = sum(len(r.findings) for r in reports)
-    if args.json:
-        print(json.dumps([r.as_dict() for r in reports], indent=2))
-    else:
-        for report in reports:
-            print(report.summary())
-        print(f"{len(reports)} file(s), {findings} finding(s)")
+    _print_report(
+        args, [r.as_dict() for r in reports],
+        "\n".join([
+            *(r.summary() for r in reports),
+            f"{len(reports)} file(s), {findings} finding(s)",
+        ]),
+    )
     return 0 if findings == 0 else 1

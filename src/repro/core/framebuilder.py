@@ -27,9 +27,11 @@ class SealedFrame:
     """A finished frame: the exact bytes a container appends, and what its
     index entry records.
 
-    ``batch`` holds the records the blob encodes as a
+    ``n_pseudo`` is the length of the frame's *leading* pseudo run — what
+    every reader slices off as ``[:n_pseudo]``.  ``batch`` holds the
+    records the blob encodes as a
     :class:`~repro.query.columnar.FrameBatch` (file order, pseudo-records
-    included) and ``real`` marks the non-pseudo rows, which previews
+    included) and ``real`` marks the rows after that run, which previews
     count; both are None on a frame rebuilt from stored bytes, which only
     a sink that needs neither may be handed."""
 
@@ -75,7 +77,7 @@ class FrameBuilder:
         self._parts: list = []
         self._records: list[IntervalRecord] = []
         self._n = 0
-        self._pseudo: list[int] = []
+        self._pseudo = 0  # length of the open frame's leading pseudo run
         self._start = 0
 
     @property
@@ -86,10 +88,13 @@ class FrameBuilder:
     def add(self, record: IntervalRecord, pseudo: bool = False) -> SealedFrame | None:
         """Append one record; the sealed frame when it filled one.
 
-        ``pseudo`` marks a caller-supplied pseudo-interval: counted in the
-        frame's ``n_pseudo``, excluded from ``real``, and neither led nor
-        tracked.  A record ending before its predecessor raises
-        :class:`FormatError` and leaves the open frame as it was."""
+        ``pseudo`` marks a caller-supplied pseudo-interval: neither led nor
+        tracked, and counted in the frame's ``n_pseudo`` while it extends
+        the frame's leading pseudo run — one that follows a real record is
+        stored like any other record (it stays recognisable by structure,
+        :attr:`IntervalRecord.is_pseudo`).  A record ending before its
+        predecessor raises :class:`FormatError` and leaves the open frame
+        as it was."""
         end = record.end
         last = self._last_end
         if last is not None and end < last:
@@ -192,21 +197,19 @@ class FrameBuilder:
             return None
         assert self._last_end is not None
         self._flush_records()
-        real = np.ones(self._n, dtype=bool)
-        real[self._pseudo] = False
         frame = SealedFrame(
             bytes(self._buf),
             self._n,
-            len(self._pseudo),
+            self._pseudo,
             self._start,
             self._last_end,
             concat_batches(self._parts),
-            real,
+            np.arange(self._n) >= self._pseudo,
         )
         self._buf = bytearray()
         self._parts = []
         self._n = 0
-        self._pseudo = []
+        self._pseudo = 0
         return frame
 
     def _lead(self) -> None:
@@ -227,8 +230,8 @@ class FrameBuilder:
         self._buf += record.encode(self.profile, self.field_mask)
         if not self._n or record.start < self._start:
             self._start = record.start
-        if pseudo:
-            self._pseudo.append(self._n)
+        if pseudo and self._pseudo == self._n:
+            self._pseudo += 1
         self._records.append(record)
         self._n += 1
 

@@ -110,6 +110,13 @@ class IntervalRecord:
         return self.start + self.duration
 
     @property
+    def is_pseudo(self) -> bool:
+        """Whether this is a pseudo-interval by structure: a zero-duration
+        ``CONTINUATION`` piece, which is what a frame's continuation lead
+        consists of and nothing else produces."""
+        return self.bebits is BeBits.CONTINUATION and self.duration == 0
+
+    @property
     def fits_int64(self) -> bool:
         """Whether start, duration and end all lie in ``[0, 2**63)`` — the
         range the columnar batches (int64 columns) and the frame

@@ -13,9 +13,8 @@ record streams in file order with configurable tolerance:
 * **thread-key remapping** — side A's thread ids translated before
   comparison, for artifacts whose thread tables were renumbered;
 * **type drops / pseudo drops** — record classes excluded before pairing
-  (clock pairs that merge strips; continuation pseudo-records, flagged by
-  ``n_pseudo`` in SLOG frames and recognized structurally — zero-duration
-  CONTINUATION bebits — in merged interval files).
+  (clock pairs that merge strips; continuation pseudo-records, recognized
+  structurally — zero-duration CONTINUATION bebits — in both formats).
 
 The report is machine-readable (:meth:`DiffReport.as_dict`): first
 divergence, per-field divergence histogram, and max numeric deltas.
@@ -190,21 +189,15 @@ def load_comparable(
 
         with RawTraceReader(path, errors=errors) as reader:
             return kind, [(_raw_fields(e), False) for e in reader]
-    from repro.core.records import BeBits
     from repro.query.trace import open_trace
 
-    # SLOG frame entries count their leading pseudo records.  Interval files
-    # carry no such count, but the merge's injected continuation records
-    # are structurally recognizable: zero-duration CONTINUATION bebits.
+    # One rule for both formats: pseudo-records are recognized by structure
+    # (``IntervalRecord.is_pseudo``), wherever a re-cut left them in a frame.
     out: list[tuple[dict[str, Any], bool]] = []
     with open_trace(path, profile, errors=errors) as handle:
         for frame in handle.frames:
-            for i, record in enumerate(handle.read_frame(frame.ordinal)):
-                if kind == "slog":
-                    pseudo = i < frame.n_pseudo
-                else:
-                    pseudo = record.bebits is BeBits.CONTINUATION and record.duration == 0
-                out.append((_interval_fields(record), pseudo))
+            for record in handle.read_frame(frame.ordinal):
+                out.append((_interval_fields(record), record.is_pseudo))
     return kind, out
 
 

@@ -80,15 +80,6 @@ def _category(itype: int) -> str:
     return "state"
 
 
-def _is_pseudo(kind: str, index: int, n_pseudo: int, record: IntervalRecord) -> bool:
-    """The differ's pseudo-record rule, applied at export time: SLOG frames
-    flag their leading pseudo count, merged interval files are recognized
-    structurally (zero-duration CONTINUATION)."""
-    if kind == "slog":
-        return index < n_pseudo
-    return record.bebits is BeBits.CONTINUATION and record.duration == 0
-
-
 class _FlowTracker:
     """Incremental message-arrow matching (same pairing rules as
     :func:`repro.viz.arrows.match_arrows`), keeping only the per-seqno
@@ -239,8 +230,8 @@ def iter_chrome_chunks(
         else:
             records = handle.read_frame(frame.ordinal)
         parts = []
-        for i, record in enumerate(records):
-            if _is_pseudo(handle.kind, i, frame.n_pseudo, record):
+        for record in records:
+            if record.is_pseudo:
                 continue
             flows.observe(record)
             event = _x_event(record, profile, markers, ticks_per_sec)

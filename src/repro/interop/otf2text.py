@@ -49,7 +49,6 @@ from repro.core.threadtable import (
 )
 from repro.core.writer import IntervalFileWriter
 from repro.errors import FormatError
-from repro.interop.chrome import _is_pseudo
 
 # ------------------------------------------------------------------ lines
 
@@ -189,8 +188,8 @@ def iter_otf2_chunks(
         else:
             records = handle.read_frame(frame.ordinal)
         lines = []
-        for i, record in enumerate(records):
-            if _is_pseudo(handle.kind, i, frame.n_pseudo, record):
+        for record in records:
+            if record.is_pseudo:
                 continue
             loc = _loc_id(record.node, record.thread)
             if record.itype == IntervalType.MARKER:

@@ -68,8 +68,21 @@ INDEX_FAILED = "failed"      # build raised; dataset still serves full scans
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,99}$")
 
-#: Session-stats keys folded into the retirement tally on eviction.
+#: Frame-store counters of a session (``session.stats()`` keys).
 _STAT_KEYS = ("hits", "misses", "evictions", "fetch_count", "bytes_fetched")
+
+
+def _session_counters(session) -> dict[str, int]:
+    """One session's monotone counters — the frame store's cache/IO
+    accounting plus the planner's — which :meth:`Repository.metrics` sums
+    over the pool and eviction folds into the retirement tally."""
+    stats = session.stats()
+    return {
+        **{key: stats.get(key, 0) for key in _STAT_KEYS},
+        "index_scanned": session.index_frames_scanned,
+        "index_pruned": session.index_frames_pruned,
+        "index_fallbacks": session.index_fallbacks,
+    }
 
 
 class RepositoryError(ReproError):
@@ -155,8 +168,9 @@ class Repository:
         #: Bytes reserved by decodes that have not landed in a cache yet.
         self._pending = 0
         # Counters of evicted sessions, so aggregates never run backwards.
-        self._retired = {key: 0 for key in _STAT_KEYS}
-        self._retired_index = {"scanned": 0, "pruned": 0, "fallbacks": 0}
+        self._retired = dict.fromkeys(
+            (*_STAT_KEYS, "index_scanned", "index_pruned", "index_fallbacks"), 0
+        )
         self.sessions_evicted = 0
         self.index_builds_ok = 0
         self.index_builds_failed = 0
@@ -164,20 +178,6 @@ class Repository:
             self._load_root()
 
     # ------------------------------------------------------------ registry
-
-    @classmethod
-    def single(
-        cls,
-        path: str | Path,
-        *,
-        budget_bytes: int = DEFAULT_BUDGET_BYTES,
-        cache_frames: int | None = None,
-    ) -> "Repository":
-        """A root-less repository serving exactly one attached file under
-        the default dataset name — the classic ``ute-serve run.slog``."""
-        repo = cls(None, budget_bytes=budget_bytes, cache_frames=cache_frames)
-        repo.attach(DEFAULT_DATASET, path)
-        return repo
 
     def attach(self, name: str, path: str | Path) -> Dataset:
         """Register a dataset that references ``path`` in place — nothing
@@ -309,29 +309,6 @@ class Repository:
         dataset.index_done.wait(timeout)
         return dataset.index_status
 
-    def adopt(self, name: str, session) -> Dataset:
-        """Attach a dataset backed by an already-open session (embedding
-        servers that built their own :class:`TraceSession`)."""
-        check_dataset_name(name)
-        with self._lock:
-            if name in self._datasets:
-                raise DatasetExists(f"dataset {name!r} already exists")
-            dataset = Dataset(
-                name=name,
-                path=Path(session.path),
-                bytes=_trace_bytes(Path(session.path)),
-                created=_now_iso(),
-                managed=False,
-                index_status=(
-                    INDEX_READY if session.index is not None else INDEX_NONE
-                ),
-            )
-            dataset.index_done.set()
-            self._datasets[name] = dataset
-            self._sessions[name] = session
-            session.reader.governor = self
-            return dataset
-
     # ------------------------------------------------------- session pool
     #
     # Budget mechanics, in two layers:
@@ -453,13 +430,9 @@ class Repository:
         evictions — that is what "the budget evicted this session" means
         in the exported metrics.  Lock held by caller."""
         session = self._sessions.pop(name)
-        stats = session.stats()
-        for key in _STAT_KEYS:
-            self._retired[key] += stats.get(key, 0)
+        for key, value in _session_counters(session).items():
+            self._retired[key] += value
         self._retired["evictions"] += session.reader.cached_frames()
-        self._retired_index["scanned"] += session.index_frames_scanned
-        self._retired_index["pruned"] += session.index_frames_pruned
-        self._retired_index["fallbacks"] += session.index_fallbacks
         session.close()
         self.sessions_evicted += 1
 
@@ -478,60 +451,42 @@ class Repository:
         with self._lock:
             return sum(s.resident_bytes() for s in self._sessions.values())
 
-    def aggregate_stats(self) -> dict[str, int]:
-        """Cache/IO counters summed over open sessions plus everything
-        retired by session eviction (monotonic; ``/metrics`` reads this)."""
+    def metrics(self) -> dict[str, Any]:
+        """Everything ``/metrics`` exports about the repository, as one
+        snapshot built in one pass under one lock acquisition: the live
+        sessions' counters summed onto the retirement tally (so they stay
+        monotone over session evictions), the pool gauges, and resident
+        bytes in total and per open dataset."""
         with self._lock:
-            out = dict(self._retired)
-            out["resident_bytes"] = 0
-            for session in self._sessions.values():
-                stats = session.stats()
-                for key in _STAT_KEYS:
-                    out[key] += stats.get(key, 0)
-                out["resident_bytes"] += stats.get("resident_bytes", 0)
-            return out
-
-    def index_counters(self) -> dict[str, int]:
-        """Planner accounting aggregated the same way."""
-        with self._lock:
-            out = dict(self._retired_index)
-            for session in self._sessions.values():
-                out["scanned"] += session.index_frames_scanned
-                out["pruned"] += session.index_frames_pruned
-                out["fallbacks"] += session.index_fallbacks
-            return out
-
-    def frames_open(self) -> int:
-        """Frames across open sessions (the ``ute_serve_frames`` gauge)."""
-        with self._lock:
-            return sum(s.frame_count() for s in self._sessions.values())
-
-    def any_index_loaded(self) -> bool:
-        """Whether any session has its index loaded — or, for datasets not
-        yet opened (sessions are lazy), a fresh sidecar ready to load."""
-        with self._lock:
-            return any(
-                s.index is not None for s in self._sessions.values()
-            ) or any(
-                d.index_status == INDEX_READY and d.name not in self._sessions
-                for d in self._datasets.values()
+            out: dict[str, Any] = {**self._retired, "frames": 0}
+            resident = {}
+            for name, session in self._sessions.items():
+                for key, value in _session_counters(session).items():
+                    out[key] += value
+                out["frames"] += session.frame_count()
+                resident[name] = session.resident_bytes()
+            out.update(
+                resident_bytes=sum(resident.values()),
+                dataset_resident_bytes=resident,
+                budget_bytes=self.budget_bytes,
+                datasets=len(self._datasets),
+                sessions_open=len(self._sessions),
+                sessions_evicted=self.sessions_evicted,
+                # An open session has its index loaded — or, sessions being
+                # lazy, an unopened dataset has a fresh sidecar to load.
+                index_loaded=int(
+                    any(s.index is not None for s in self._sessions.values())
+                    or any(
+                        d.index_status == INDEX_READY and d.name not in self._sessions
+                        for d in self._datasets.values()
+                    )
+                ),
+                index_builds_pending=sum(
+                    d.index_status in (INDEX_PENDING, INDEX_BUILDING)
+                    for d in self._datasets.values()
+                ),
             )
-
-    def per_dataset_resident(self) -> dict[str, int]:
-        """Resident bytes per open dataset (labelled gauge)."""
-        with self._lock:
-            return {
-                name: session.resident_bytes()
-                for name, session in self._sessions.items()
-            }
-
-    def builds_pending(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for d in self._datasets.values()
-                if d.index_status in (INDEX_PENDING, INDEX_BUILDING)
-            )
+            return out
 
     # ---------------------------------------------------------- internals
 

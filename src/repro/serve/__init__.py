@@ -18,8 +18,7 @@ from repro.serve.app import (
     ServerConfig,
     ServerThread,
     TraceServer,
-    serve_file,
-    serve_repository,
+    serve,
 )
 from repro.serve.client import ServeClient
 from repro.serve.session import TraceSession
@@ -29,8 +28,7 @@ __all__ = [
     "ServerConfig",
     "ServerThread",
     "TraceServer",
-    "serve_file",
-    "serve_repository",
+    "serve",
     "ServeClient",
     "TraceSession",
 ]

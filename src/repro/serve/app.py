@@ -1,24 +1,27 @@
 """The concurrent trace-serving daemon (``ute-serve``).
 
 A dependency-free asyncio HTTP/1.1 server exposing the Jumpshot workflow
-as an API over a :class:`~repro.repository.Repository` of SLOG datasets:
+as an API over a :class:`~repro.repository.Repository` of SLOG datasets
+(one row per entry of :data:`ROUTES`; ``tests/test_serve_surface.py``
+holds this table and ``docs/SERVING.md`` to it):
 
 ==================================  ========================================
 endpoint                            returns
 ==================================  ========================================
-``GET /``                           viewer for the default dataset, or the
-                                    landing page when none exists
+``GET /metrics``                    Prometheus-style counters
 ``GET /datasets``                   landing page listing every dataset
-``GET /d/{ds}/``                    the interactive viewer for one dataset
 ``GET /api/datasets``               the dataset listing (JSON)
 ``POST /api/datasets?name=N``       register the request body as dataset N
                                     (201; 409 duplicate; 400 invalid)
+``GET /d/{ds}``                     the interactive viewer for one dataset
 ``GET /api/d/{ds}/preview``         state-counter bins + interesting ranges
 ``GET /api/d/{ds}/frames``          the frame directory
 ``GET /api/d/{ds}/frame/{i}``       one frame's decoded records (JSON);
                                     ``?view=kind`` adds a view payload
-``GET /api/d/{ds}/view/{kind}?t=S`` the frame display at instant S as SVG
 ``GET /api/d/{ds}/arrows/{i}``      matched message arrows of frame ``i``
+``GET /api/d/{ds}/view/{kind}?t=S`` the frame display at instant S as SVG
+``GET /api/d/{ds}/utilization``     aggregate busy-time cells from the
+                                    sidecar hierarchy, zero trace IO
 ``GET /api/d/{ds}/stats?table=...`` a statlang table run server-side;
                                     ``?window=T0:T1`` prunes via the index
 ``GET /api/d/{ds}/query``           an indexed query with plan + IO stats
@@ -34,9 +37,10 @@ endpoint                            returns
 ``GET /api/d/{ds}/follow/poll``     long-poll fallback: block until the
                                     epoch advances past ``?since=SEQ``
                                     (per-epoch ETags; 304 on no change)
-``GET /api/*``                      the same API, aliased to the default
-                                    dataset (single-trace compatibility)
-``GET /metrics``                    Prometheus-style counters
+``GET /`` and ``GET /api/*``        a prefix rewrite onto the default
+                                    dataset: ``/d/{default}`` and
+                                    ``/api/d/{default}/*`` (the single-file
+                                    server is a one-dataset repository)
 ==================================  ========================================
 
 Design points (the paper's scalability story, applied to serving):
@@ -55,7 +59,7 @@ Design points (the paper's scalability story, applied to serving):
 * **Strict input handling** — request line/header limits, bounded upload
   bodies on the one POST route, path-traversal rejection.
 * **Observability** — structured access logs and a ``/metrics`` endpoint
-  aggregating per-reader fetch accounting across the whole repository.
+  rendering one repository snapshot per scrape.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.core.windows import parse_window
 from repro.errors import FormatError, StatsError
@@ -78,6 +82,7 @@ from repro.query.model import Query
 from repro.repository import (
     ANONYMOUS,
     DEFAULT_BUDGET_BYTES,
+    DEFAULT_DATASET,
     DatasetExists,
     Repository,
     RepositoryError,
@@ -102,11 +107,6 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
-
-#: Sentinel dataset used by :meth:`TraceServer._route` for the legacy
-#: un-prefixed ``/api/*`` routes: resolve to the repository's default
-#: dataset at dispatch time.
-_DEFAULT_ALIAS = ""
 
 #: Tenant request header examined by the quota layer.
 TENANT_HEADER = "x-ute-tenant"
@@ -145,9 +145,19 @@ class ServerConfig:
     quota_burst: int = 8
     #: Per-tenant quota overrides, tenant name -> requests/second.
     quota_overrides: dict[str, float] = field(default_factory=dict)
-    #: Dataset the legacy un-prefixed API routes alias to (None = pick
-    #: "default", else the alphabetically first dataset).
+    #: Dataset ``/`` and the un-prefixed ``/api/*`` routes rewrite to (None
+    #: = pick "default", else the alphabetically first dataset).
     default_dataset: str | None = None
+
+    def repository(self, root: str | Path | None = None) -> Repository:
+        """The repository these knobs describe: the registry rooted at
+        ``root``, or (None) a root-less one that files are attached to."""
+        return Repository(
+            root,
+            budget_bytes=self.memory_budget_bytes,
+            cache_frames=self.cache_frames,
+            default_dataset=self.default_dataset,
+        )
 
 
 class _HttpError(Exception):
@@ -178,45 +188,199 @@ class Response:
     body: bytes = b""
     content_type: str = "application/json"
     headers: dict[str, str] | None = None
-    #: Incremental body: an iterator of byte chunks sent with chunked
-    #: transfer coding instead of ``body``.  The writer consumes it on the
-    #: executor (chunk production may decode frames) and always closes it,
-    #: so a generator's ``finally`` is the place to pin resources.
-    stream: Iterator[bytes] | None = field(default=None, repr=False)
+    #: Incremental body, sent with chunked transfer coding instead of
+    #: ``body``.
+    stream: "_Stream | None" = field(default=None, repr=False)
 
     @classmethod
-    def json(cls, payload: Any, status: int = 200) -> "Response":
-        return cls(status, json.dumps(payload).encode(), "application/json")
+    def json(
+        cls, payload: Any, status: int = 200, headers: dict[str, str] | None = None
+    ) -> "Response":
+        return cls(status, json.dumps(payload).encode(), "application/json", headers)
 
     @classmethod
-    def text(cls, text: str, status: int = 200, content_type: str = "text/plain") -> "Response":
-        return cls(status, text.encode(), content_type + "; charset=utf-8")
+    def text(
+        cls,
+        text: str,
+        status: int = 200,
+        content_type: str = "text/plain",
+        headers: dict[str, str] | None = None,
+    ) -> "Response":
+        return cls(status, text.encode(), content_type + "; charset=utf-8", headers)
+
+
+class _Stream:
+    """An incremental response body: byte chunks the writer pulls on the
+    executor (producing one may decode frames).
+
+    An empty chunk means "nothing to say yet": the writer waits ``idle``
+    seconds on the event loop — not on a worker — before it pulls again.
+    Dispatch arms ``release`` with the dataset unpin, which runs exactly
+    once: on exhaustion, on error, or on close, even a close before the
+    first chunk was pulled (a HEAD request)."""
+
+    def __init__(self, chunks: Iterator[bytes], idle: float = 0.0) -> None:
+        self._chunks = chunks
+        self.idle = idle
+        self.release: Callable[[], None] | None = None
+        self._done = False
+
+    def __next__(self) -> bytes:
+        try:
+            return next(self._chunks)
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        if self._done:
+            return
+        self._done = True
+        try:
+            self._chunks.close()
+        finally:
+            if self.release is not None:
+                self.release()
+
+
+#: ``Route.params`` of a route whose validator covers every query parameter.
+ALL_PARAMS = ("*",)
+
+
+class Route(NamedTuple):
+    """One row of the serving surface.  Routing, the request label, the
+    ETag and the 404 are all read off :data:`ROUTES`."""
+
+    #: The path, and the ``route`` label of metrics and access logs:
+    #: literal segments plus the placeholders of :data:`_PLACEHOLDERS`.
+    pattern: str
+    #: Handler method *name*, looked up on the server at dispatch.
+    handler: str
+    #: Query parameters the ETag covers (besides the path); None for a
+    #: route without a dispatch-level validator — pages, listings, and the
+    #: follow routes, which validate per epoch themselves.
+    params: tuple[str, ...] | None = None
+    #: Handler arguments the row fixes, ahead of the path's own.
+    args: tuple = ()
+
+
+ROUTES = (
+    Route("/metrics", "_h_metrics"),
+    Route("/datasets", "_h_landing"),
+    Route("/api/datasets", "_h_datasets"),
+    Route("/d/{ds}", "_h_viewer"),
+    Route("/api/d/{ds}/preview", "_h_preview", ()),
+    Route("/api/d/{ds}/frames", "_h_frames", ()),
+    Route("/api/d/{ds}/frame/{i}", "_h_frame", ("view",)),
+    Route("/api/d/{ds}/arrows/{i}", "_h_arrows", ()),
+    Route("/api/d/{ds}/view/{kind}", "_h_view", ("t", "window", "width")),
+    Route("/api/d/{ds}/utilization", "_h_utilization", ("lane", "window", "bins")),
+    Route("/api/d/{ds}/stats", "_h_stats", ("table", "format", "window")),
+    Route("/api/d/{ds}/query", "_h_query", ALL_PARAMS),
+    Route("/api/d/{ds}/export/chrome", "_h_export_chrome", ()),
+    Route("/api/d/{ds}/follow/preview", "_h_follow", None, ("preview",)),
+    Route("/api/d/{ds}/follow/query", "_h_follow", None, ("query",)),
+    Route("/api/d/{ds}/follow/poll", "_h_follow_poll"),
+)
+
+
+def _int_seg(text: str, what: str = "frame index") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _HttpError(400, f"{what} must be an integer, got {text!r}") from None
+
+
+#: Pattern segments that match any text, and what a handler receives for
+#: them (``{ds}`` is the dataset dispatch pins, not a handler argument).
+_PLACEHOLDERS = {"{ds}": str, "{i}": _int_seg, "{kind}": str}
+
+
+_SEGMENTS = [(route, route.pattern.strip("/").split("/")) for route in ROUTES]
+
+
+def match_route(segs: list[str]) -> tuple[Route, str | None, list] | None:
+    """The one table matcher: the row ``segs`` spell, the dataset they
+    name (None on a repository-level route) and the handler arguments;
+    None when no row matches."""
+    for route, want in _SEGMENTS:
+        if len(want) != len(segs) or any(
+            w != s and w not in _PLACEHOLDERS for w, s in zip(want, segs)
+        ):
+            continue
+        found = {w: s for w, s in zip(want, segs) if w in _PLACEHOLDERS}
+        dataset = found.pop("{ds}", None)
+        args = [_PLACEHOLDERS[w](s) for w, s in found.items()]
+        return route, dataset, [*route.args, *args]
+    return None
+
+
+def resource_tag(route: Route, args: list, query: dict[str, str]) -> str:
+    """The resource half of a request's ETag — the one recipe: the row's
+    name plus a digest of what selects the representation (the path
+    arguments and the query parameters the row declares)."""
+    keys = sorted(query) if route.params is ALL_PARAMS else route.params
+    chosen = [*map(str, args), *(f"{k}={query.get(k, '')}" for k in keys)]
+    digest = hashlib.sha1("\x00".join(chosen).encode()).hexdigest()[:16]
+    return f"{route.handler[3:]}-{digest}"
+
+
+def not_modified(request: Request, etag: str) -> Response | None:
+    """The one ``If-None-Match`` reading: the 304 when the header names
+    ``etag`` (alone, in a list, or as ``*``), else None."""
+    candidates = request.headers.get("if-none-match", "")
+    if candidates.strip() == "*" or etag in [c.strip() for c in candidates.split(",")]:
+        return Response(304, b"", "application/json", {"ETag": etag})
+    return None
+
+
+#: The repository-backed gauges: (family, help, key of the
+#: :meth:`Repository.metrics` snapshot one scrape takes).  The
+#: ``frame_cache`` names predate the frame store and are kept on purpose:
+#: ``BENCHMARK.json``'s ``repository.resident_peak_bytes`` reads them.
+REPOSITORY_GAUGES = (
+    ("ute_serve_frame_cache_hits_total", "Shared frame-cache hits.", "hits"),
+    ("ute_serve_frame_cache_misses_total", "Shared frame-cache misses.", "misses"),
+    ("ute_serve_frame_cache_evictions_total",
+     "Frames evicted from the shared LRU frame caches (budget shrinks and "
+     "session evictions included).", "evictions"),
+    ("ute_serve_frame_cache_resident_bytes",
+     "Aggregate encoded bytes resident across all open sessions.", "resident_bytes"),
+    ("ute_serve_memory_budget_bytes", "Configured global frame-cache budget.",
+     "budget_bytes"),
+    ("ute_serve_dataset_resident_bytes",
+     "Encoded bytes resident in one open dataset session's caches.",
+     "dataset_resident_bytes"),
+    ("ute_serve_datasets", "Datasets registered in the repository.", "datasets"),
+    ("ute_serve_sessions_open", "Dataset sessions currently open.", "sessions_open"),
+    ("ute_serve_sessions_evicted_total",
+     "Sessions closed by the global memory budget.", "sessions_evicted"),
+    ("ute_serve_index_loaded",
+     "Whether any open session has a fresh .uteidx sidecar (1/0).", "index_loaded"),
+    ("ute_serve_index_builds_pending",
+     "Background .uteidx builds scheduled or running.", "index_builds_pending"),
+    ("ute_serve_index_frames_scanned_total",
+     "Frames the planner selected for decoding across all queries.", "index_scanned"),
+    ("ute_serve_index_frames_pruned_total",
+     "Frames the planner pruned without decoding across all queries.", "index_pruned"),
+    ("ute_serve_index_fallback_total",
+     "Planned scans that fell back to full scan (no usable index).", "index_fallbacks"),
+    ("ute_serve_bytes_fetched_total", "Bytes fetched from the SLOG byte source.",
+     "bytes_fetched"),
+    ("ute_serve_fetches_total", "Fetch calls against the SLOG byte source.",
+     "fetch_count"),
+    ("ute_serve_frames", "Frames across the open dataset sessions.", "frames"),
+)
 
 
 class TraceServer:
-    """The asyncio server over a :class:`~repro.repository.Repository`.
-
-    A bare :class:`TraceSession` is also accepted (embedding
-    compatibility): it becomes the sole, default dataset of a root-less
-    repository."""
+    """The asyncio server over a :class:`~repro.repository.Repository`."""
 
     def __init__(
-        self,
-        target: "Repository | TraceSession",
-        config: ServerConfig | None = None,
+        self, repository: Repository, config: ServerConfig | None = None
     ) -> None:
-        from repro.repository import DEFAULT_DATASET
-
         self.config = config or ServerConfig()
-        if isinstance(target, Repository):
-            self.repository = target
-        else:
-            self.repository = Repository(
-                None,
-                budget_bytes=self.config.memory_budget_bytes,
-                cache_frames=self.config.cache_frames,
-            )
-            self.repository.adopt(DEFAULT_DATASET, target)
+        self.repository = repository
         self.quotas = TenantQuotas(
             default_rps=self.config.quota_rps,
             burst=self.config.quota_burst,
@@ -261,93 +425,11 @@ class TraceServer:
             "ute_serve_inflight_requests", "Requests currently executing.",
             lambda: self._active,
         )
-        repo = self.repository
-        stats = repo.aggregate_stats  # sampled at scrape time
-        self.registry.gauge(
-            "ute_serve_frame_cache_hits_total", "Shared frame-cache hits.",
-            lambda: stats()["hits"],
-        )
-        self.registry.gauge(
-            "ute_serve_frame_cache_misses_total", "Shared frame-cache misses.",
-            lambda: stats()["misses"],
-        )
-        self.registry.gauge(
-            "ute_serve_frame_cache_evictions_total",
-            "Frames evicted from the shared LRU frame caches (budget "
-            "shrinks and session evictions included).",
-            lambda: stats()["evictions"],
-        )
-        self.registry.gauge(
-            "ute_serve_frame_cache_resident_bytes",
-            "Aggregate encoded bytes resident across all open sessions.",
-            repo.resident_bytes,
-        )
-        self.registry.gauge(
-            "ute_serve_memory_budget_bytes",
-            "Configured global frame-cache budget.",
-            lambda: repo.budget_bytes,
-        )
-        self.registry.labelled_gauge(
-            "ute_serve_dataset_resident_bytes",
-            "Encoded bytes resident in one open dataset session's caches.",
-            "dataset", repo.per_dataset_resident,
-        )
-        self.registry.gauge(
-            "ute_serve_datasets", "Datasets registered in the repository.",
-            lambda: len(repo.names()),
-        )
-        self.registry.gauge(
-            "ute_serve_sessions_open", "Dataset sessions currently open.",
-            lambda: len(repo.open_sessions()),
-        )
-        self.registry.gauge(
-            "ute_serve_sessions_evicted_total",
-            "Sessions closed by the global memory budget.",
-            lambda: repo.sessions_evicted,
-        )
-        self.registry.gauge(
-            "ute_serve_index_loaded",
-            "Whether any open session has a fresh .uteidx sidecar (1/0).",
-            lambda: 1 if repo.any_index_loaded() else 0,
-        )
-        self.registry.gauge(
-            "ute_serve_index_builds_pending",
-            "Background .uteidx builds scheduled or running.",
-            repo.builds_pending,
-        )
-        self.registry.gauge(
-            "ute_serve_index_frames_scanned_total",
-            "Frames the planner selected for decoding across all queries.",
-            lambda: repo.index_counters()["scanned"],
-        )
-        self.registry.gauge(
-            "ute_serve_index_frames_pruned_total",
-            "Frames the planner pruned without decoding across all queries.",
-            lambda: repo.index_counters()["pruned"],
-        )
-        self.registry.gauge(
-            "ute_serve_index_fallback_total",
-            "Planned scans that fell back to full scan (no usable index).",
-            lambda: repo.index_counters()["fallbacks"],
-        )
-        self.registry.gauge(
-            "ute_serve_bytes_fetched_total", "Bytes fetched from the SLOG byte source.",
-            lambda: stats()["bytes_fetched"],
-        )
-        self.registry.gauge(
-            "ute_serve_fetches_total", "Fetch calls against the SLOG byte source.",
-            lambda: stats()["fetch_count"],
-        )
-        self.registry.gauge(
-            "ute_serve_frames", "Frames across the open dataset sessions.",
-            repo.frames_open,
-        )
-
-    @property
-    def session(self) -> TraceSession | None:
-        """The default dataset's session (single-trace embedding API)."""
-        name = self.repository.default
-        return self.repository.session(name) if name else None
+        #: The repository snapshot of the scrape being rendered.
+        self._sample: dict[str, Any] = {}
+        self._scrape_lock = threading.Lock()
+        for name, help_text, key in REPOSITORY_GAUGES:
+            self.registry.gauge(name, help_text, lambda key=key: self._sample[key])
 
     # ------------------------------------------------------------ lifecycle
 
@@ -389,11 +471,12 @@ class TraceServer:
             request = await asyncio.wait_for(self._read_request(reader), timeout=10.0)
             route, response = await self._dispatch(request)
         except _HttpError as exc:
-            response = Response.text(exc.message + "\n", exc.status)
-            response.headers = dict(exc.headers)
+            response = Response.text(exc.message + "\n", exc.status, headers=exc.headers)
         except asyncio.TimeoutError:
             response = Response.text("request header timeout\n", 408)
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
+            # The client went away, or the server is stopping (which
+            # cancels connection tasks): end quietly, there is no reader.
             writer.close()
             return
         except Exception:  # pragma: no cover - defensive
@@ -408,7 +491,7 @@ class TraceServer:
         try:
             head_only = request is not None and request.method == "HEAD"
             await self._write_response(writer, response, head_only=head_only)
-        except ConnectionError:
+        except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             writer.close()
@@ -494,10 +577,8 @@ class TraceServer:
         return path, query
 
     async def _dispatch(self, request: Request) -> tuple[str, Response]:
-        route, handler, etag_tag, dataset = self._route(request)
-        if handler is None:
-            raise _HttpError(404, f"no such resource: {request.path}")
-        if request.method == "POST" and route != "/api/datasets":
+        route, dataset, args = self._route(request)
+        if request.method == "POST" and route.pattern != "/api/datasets":
             raise _HttpError(
                 405, "POST is only accepted on /api/datasets",
                 {"Allow": "GET, HEAD"},
@@ -522,40 +603,37 @@ class TraceServer:
                 {"Retry-After": str(self.config.retry_after)},
             )
         if dataset is not None:
-            if dataset == _DEFAULT_ALIAS:
-                dataset = self.repository.default
-                if dataset is None:
-                    raise _HttpError(404, "no datasets registered")
             try:
                 request.session = self.repository.acquire(dataset)
             except RepositoryError as exc:
                 raise _HttpError(404, str(exc)) from None
             request.dataset = dataset
-            if getattr(request.session, "live", False):
+        try:
+            if dataset is not None:
                 # Hot-reload a live dataset to the latest published epoch
                 # before the ETag is computed, so validators advance with
-                # the writer (cheap: one small manifest read).
+                # the writer (one small manifest read; nothing to do for a
+                # finished file).
                 try:
                     request.session.maybe_refresh()
                 except FormatError as exc:
                     raise _HttpError(
                         409, f"live container protocol violation: {exc}"
                     ) from None
-        try:
-            etag = request.session.etag(etag_tag) if etag_tag else None
-            if etag is not None:
-                candidates = request.headers.get("if-none-match", "")
-                if candidates.strip() == "*" or etag in [
-                    c.strip() for c in candidates.split(",")
-                ]:
-                    response = Response(304, b"", "application/json")
-                    response.headers = {"ETag": etag}
-                    return route, response
+            etag = None
+            if route.params is not None:
+                etag = request.session.etag(resource_tag(route, args, request.query))
+                unchanged = not_modified(request, etag)
+                if unchanged is not None:
+                    return route.pattern, unchanged
             self._active += 1
             try:
                 loop = asyncio.get_running_loop()
                 response = await asyncio.wait_for(
-                    loop.run_in_executor(None, self._run_handler, handler, request),
+                    loop.run_in_executor(
+                        None, self._run_handler, getattr(self, route.handler),
+                        request, args,
+                    ),
                     timeout=self.config.request_timeout,
                 )
             except asyncio.TimeoutError:
@@ -563,15 +641,10 @@ class TraceServer:
             finally:
                 self._active -= 1
             if response.stream is not None and request.session is not None:
-                # Streaming responses read the session while the body goes
-                # out: hand the pin to the stream wrapper, which releases
-                # exactly once when the writer exhausts or closes it (a
-                # plain generator would skip its finally if closed before
-                # the first chunk — e.g. a HEAD request).
-                dataset = request.dataset
-                response.stream = _SessionStream(
-                    response.stream, lambda: self.repository.release(dataset)
-                )
+                # A streaming response reads the session while the body
+                # goes out: the pin moves to the stream, which lets go of
+                # it when the writer exhausts or closes it.
+                response.stream.release = lambda: self.repository.release(dataset)
                 request.session = None
         finally:
             if request.session is not None:
@@ -581,11 +654,13 @@ class TraceServer:
         if etag is not None and response.status == 200:
             response.headers = {**(response.headers or {}), "ETag": etag,
                                 "Cache-Control": "no-cache"}
-        return route, response
+        return route.pattern, response
 
-    def _run_handler(self, handler: Callable[[Request], Response], request: Request) -> Response:
+    def _run_handler(
+        self, handler: Callable[..., Response], request: Request, args: list
+    ) -> Response:
         try:
-            return handler(request)
+            return handler(request, *args)
         except FrameDecodeError as exc:
             # One frame is damaged: degrade that frame only.  The payload
             # carries the salvage probe so clients can show what survives;
@@ -597,114 +672,31 @@ class TraceServer:
         except (FormatError, StatsError) as exc:
             return Response.json({"error": str(exc)}, 400)
 
-    def _route(
-        self, request: Request
-    ) -> tuple[str, Callable[[Request], Response] | None, str | None, str | None]:
-        """(metrics route label, handler, ETag tag, dataset) for one
-        request.  ``dataset`` is None for repository-level routes, the
-        ``_DEFAULT_ALIAS`` sentinel for legacy un-prefixed API routes
-        (resolved to the default dataset at dispatch), or a dataset name."""
+    def _route(self, request: Request) -> tuple[Route, str | None, list]:
+        """The table row, dataset and handler arguments of one request.
+
+        The single-file server is a one-dataset repository: ``/`` and the
+        un-prefixed ``/api/X`` are a prefix rewrite onto the default
+        dataset (``/d/{default}``, ``/api/d/{default}/X``) ahead of the
+        table, so they are routed, validated, labelled and logged as the
+        route they rewrite to."""
         segs = [s for s in request.path.split("/") if s]
-        if not segs:
-            return "/", self._h_index, None, None
-        if segs == ["metrics"]:
-            return "/metrics", self._h_metrics, None, None
-        if segs == ["datasets"]:
-            return "/datasets", self._h_landing, None, None
-        if segs == ["api", "datasets"]:
-            return "/api/datasets", self._h_datasets, None, None
-        if segs[0] == "d" and len(segs) == 2:
-            return "/d/{ds}", self._h_viewer, None, segs[1]
-        if segs[0] == "api" and len(segs) >= 3 and segs[1] == "d":
-            sub, handler, tag = self._route_api(request, segs[3:])
-            if handler is None:
-                return request.path, None, None, None
-            return "/api/d/{ds}" + sub, handler, tag, segs[2]
-        if segs[0] == "api":
-            sub, handler, tag = self._route_api(request, segs[1:])
-            if handler is None:
-                return request.path, None, None, None
-            return "/api" + sub, handler, tag, _DEFAULT_ALIAS
-        return request.path, None, None, None
-
-    def _route_api(
-        self, request: Request, segs: list[str]
-    ) -> tuple[str, Callable[[Request], Response] | None, str | None]:
-        """The per-dataset API surface, shared by the ``/api/d/{ds}/*``
-        routes and their legacy un-prefixed aliases."""
-        if segs == ["preview"]:
-            return "/preview", self._h_preview, "preview"
-        if segs == ["frames"]:
-            return "/frames", self._h_frames, "frames"
-        if len(segs) == 2 and segs[0] == "frame":
-            index = self._int_seg(segs[1], "frame index")
-            view = request.query.get("view", "")
-            tag = f"frame-{index}" + (f"-{view}" if view else "")
-            return "/frame/{i}", lambda r: self._h_frame(r, index), tag
-        if len(segs) == 2 and segs[0] == "arrows":
-            index = self._int_seg(segs[1], "frame index")
-            return "/arrows/{i}", lambda r: self._h_arrows(r, index), f"arrows-{index}"
-        if len(segs) == 2 and segs[0] == "view":
-            kind = segs[1]
-            tag = "view-" + hashlib.sha1(
-                f"{kind}?t={request.query.get('t', '')}"
-                f"&window={request.query.get('window', '')}"
-                f"&w={request.query.get('width', '')}"
-                .encode()
-            ).hexdigest()[:16]
-            return "/view/{kind}", lambda r: self._h_view(r, kind), tag
-        if segs == ["utilization"]:
-            tag = "util-" + hashlib.sha1(
-                "\x00".join(
-                    request.query.get(k, "") for k in ("lane", "window", "bins")
-                ).encode()
-            ).hexdigest()[:16]
-            return "/utilization", self._h_utilization, tag
-        if segs == ["stats"]:
-            tag = "stats-" + hashlib.sha1(
-                "\x00".join(
-                    request.query.get(k, "") for k in ("table", "format", "window")
-                ).encode()
-            ).hexdigest()[:16]
-            return "/stats", self._h_stats, tag
-        if segs == ["query"]:
-            tag = "query-" + hashlib.sha1(
-                "\x00".join(
-                    f"{k}={v}" for k, v in sorted(request.query.items())
-                ).encode()
-            ).hexdigest()[:16]
-            return "/query", self._h_query, tag
-        if segs == ["export", "chrome"]:
-            return "/export/chrome", self._h_export_chrome, "export-chrome"
-        # Follow endpoints manage their own freshness (SSE streams and the
-        # long-poll's per-epoch ETag), so no dispatch-level ETag tag.
-        if segs == ["follow", "preview"]:
-            return "/follow/preview", self._h_follow_preview, None
-        if segs == ["follow", "query"]:
-            return "/follow/query", self._h_follow_query, None
-        if segs == ["follow", "poll"]:
-            return "/follow/poll", self._h_follow_poll, None
-        return "", None, None
-
-    @staticmethod
-    def _int_seg(text: str, what: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise _HttpError(400, f"{what} must be an integer, got {text!r}") from None
+        if not segs or (segs[:1] == ["api"] and segs[1:2] not in (["d"], ["datasets"])):
+            default = self.repository.default
+            if default is not None:
+                segs[1:1] = ["d", default]
+            elif segs:
+                raise _HttpError(404, "no datasets registered")
+            else:
+                segs = ["datasets"]
+        found = match_route(segs)
+        if found is None:
+            raise _HttpError(404, f"no such resource: {request.path}")
+        return found
 
     # -------------------------------------------------------------- handlers
     # Run on executor threads; per-dataset handlers read the session that
     # dispatch resolved and pinned onto the request.
-
-    def _h_index(self, request: Request) -> Response:
-        """``/``: the default dataset's viewer (single-trace
-        compatibility), or the landing page when nothing is registered."""
-        name = self.repository.default
-        if name is None:
-            return self._h_landing(request)
-        title = f"{self.repository.get(name).path.name} — ute-serve"
-        return Response.text(server_page(title, VIEW_KINDS), content_type="text/html")
 
     def _h_landing(self, request: Request) -> Response:
         return Response.text(
@@ -713,9 +705,8 @@ class TraceServer:
         )
 
     def _h_viewer(self, request: Request) -> Response:
-        title = f"{request.dataset} — ute-serve"
         page = server_page(
-            title, VIEW_KINDS, api_base=f"/api/d/{request.dataset}"
+            f"{request.dataset} — ute-serve", VIEW_KINDS, f"/api/d/{request.dataset}"
         )
         return Response.text(page, content_type="text/html")
 
@@ -754,9 +745,11 @@ class TraceServer:
         )
 
     def _h_metrics(self, request: Request) -> Response:
-        return Response.text(
-            self.registry.render(), content_type="text/plain; version=0.0.4"
-        )
+        with self._scrape_lock:
+            # One repository snapshot per scrape; every table gauge reads it.
+            self._sample = self.repository.metrics()
+            text = self.registry.render()
+        return Response.text(text, content_type="text/plain; version=0.0.4")
 
     def _h_preview(self, request: Request) -> Response:
         return Response.json(request.session.preview_payload())
@@ -775,9 +768,7 @@ class TraceServer:
         """``/export/chrome``: the dataset as Chrome trace-event JSON,
         streamed incrementally (chunked) so the whole trace is never
         materialized server-side."""
-        response = Response(200, b"", "application/json")
-        response.stream = request.session.export_chrome_chunks()
-        return response
+        return Response(stream=_Stream(request.session.export_chrome_chunks()))
 
     def _h_view(self, request: Request, kind: str) -> Response:
         """``/view/{kind}?t=`` renders the frame containing an instant;
@@ -785,7 +776,7 @@ class TraceServer:
         (aggregate-driven above the density threshold)."""
         width = self.config.svg_width
         if "width" in request.query:
-            width = max(200, min(self._int_seg(request.query["width"], "width"), 4000))
+            width = max(200, min(_int_seg(request.query["width"], "width"), 4000))
         window = self._window(request)
         if window is not None:
             t0, t1 = window
@@ -803,9 +794,7 @@ class TraceServer:
             except ValueError:
                 raise _HttpError(400, f"bad instant {request.query['t']!r}") from None
             svg, io = request.session.view_svg(kind, t_seconds, width=width)
-        response = Response.text(svg, content_type="image/svg+xml")
-        response.headers = {"X-UTE-Bytes-Read": str(io["bytes_read"])}
-        return response
+        return Response.text(svg, content_type="image/svg+xml", headers=_bytes_read(io))
 
     def _h_utilization(self, request: Request) -> Response:
         """``/utilization``: raw aggregate cells over a window — answered
@@ -819,7 +808,7 @@ class TraceServer:
             raise _HttpError(400, "utilization window needs both bounds: T0:T1")
         bins = 512
         if "bins" in request.query:
-            bins = max(1, min(self._int_seg(request.query["bins"], "bins"), 8192))
+            bins = max(1, min(_int_seg(request.query["bins"], "bins"), 8192))
         payload = request.session.utilization_payload(
             lane, window=window, max_bins=bins
         )
@@ -827,9 +816,7 @@ class TraceServer:
             raise _HttpError(
                 404, "no utilization hierarchy indexed for this dataset yet"
             )
-        response = Response.json(payload)
-        response.headers = {"X-UTE-Bytes-Read": "0"}
-        return response
+        return Response.json(payload, headers={"X-UTE-Bytes-Read": "0"})
 
     @staticmethod
     def _window(request: Request) -> tuple[float | None, float | None] | None:
@@ -849,44 +836,39 @@ class TraceServer:
             raise _HttpError(400, f"unknown format {fmt!r}; pick 'tsv' or 'json'")
         window = self._window(request)
         tables, plan, io = request.session.stats_tables(program, window=window)
-        extra = {"X-UTE-Bytes-Read": str(io["bytes_read"])}
-        if fmt == "json":
-            response = Response.json({
-                "tables": [
-                    {
-                        "name": t.name,
-                        "x_labels": list(t.x_labels),
-                        "y_labels": list(t.y_labels),
-                        "rows": [
-                            list(key) + list(values)
-                            for key, values in sorted(t.rows.items())
-                        ],
-                    }
-                    for t in tables
-                ],
-                "plan": plan,
-                # The three keys this route has always published.
-                "io": {k: io[k] for k in ("bytes_read", "fetches", "cache_hits")},
-            })
-            response.headers = extra
-            return response
-        text = "\n".join(f"# table {t.name}\n{t.to_tsv()}" for t in tables)
-        response = Response.text(text, content_type="text/tab-separated-values")
-        response.headers = extra
-        return response
+        if fmt == "tsv":
+            text = "\n".join(f"# table {t.name}\n{t.to_tsv()}" for t in tables)
+            return Response.text(
+                text, content_type="text/tab-separated-values", headers=_bytes_read(io)
+            )
+        return Response.json({
+            "tables": [
+                {
+                    "name": t.name,
+                    "x_labels": list(t.x_labels),
+                    "y_labels": list(t.y_labels),
+                    "rows": [
+                        list(key) + list(values)
+                        for key, values in sorted(t.rows.items())
+                    ],
+                }
+                for t in tables
+            ],
+            "plan": plan,
+            # The three keys this route has always published.
+            "io": {k: io[k] for k in ("bytes_read", "fetches", "cache_hits")},
+        }, headers=_bytes_read(io))
 
     def _h_query(self, request: Request) -> Response:
         query, window, executor, fmt = self._parse_query_spec(request)
         payload = request.session.query_payload(query, window=window, executor=executor)
         if fmt == "tsv":
-            response = Response.text(
+            return Response.text(
                 rows_tsv(payload["columns"], payload["rows"]),
                 content_type="text/tab-separated-values",
+                headers=_bytes_read(payload["io"]),
             )
-        else:
-            response = Response.json(payload)
-        response.headers = {"X-UTE-Bytes-Read": str(payload["io"]["bytes_read"])}
-        return response
+        return Response.json(payload, headers=_bytes_read(payload["io"]))
 
     def _parse_query_spec(self, request: Request):
         """The /query (and /follow/query) parameter surface: returns
@@ -906,21 +888,20 @@ class TraceServer:
 
     # ------------------------------------------------------- follow handlers
 
-    def _h_follow_preview(self, request: Request) -> Response:
-        """``/follow/preview``: SSE, one preview payload per epoch."""
-        return self._follow_sse(request, mode="preview")
-
-    def _h_follow_query(self, request: Request) -> Response:
-        """``/follow/query``: SSE, one query result per epoch."""
-        return self._follow_sse(request, mode="query")
-
-    def _follow_sse(self, request: Request, *, mode: str) -> Response:
+    def _h_follow(self, request: Request, mode: str) -> Response:
+        """``/follow/preview`` and ``/follow/query``: Server-Sent Events,
+        one preview payload or query result per published epoch."""
         session = request.session
         dataset = request.dataset
         since = self._follow_since(request)
         poll = _clampf(request.query.get("poll", "0.1"), 0.02, 2.0, "poll")
         max_s = _clampf(request.query.get("max_s", "3600"), 0.1, 86400.0, "max_s")
-        spec = self._parse_query_spec(request) if mode == "query" else None
+        answer = session.preview_payload
+        if mode == "query":
+            query, window, executor, _fmt = self._parse_query_spec(request)
+
+            def answer():
+                return session.query_payload(query, window=window, executor=executor)
 
         def gen() -> Iterator[bytes]:
             with self._follow_lock:
@@ -937,19 +918,12 @@ class TraceServer:
                         state = session.follow_state()
                         if state["seq"] > last:
                             last = state["seq"]
-                            if mode == "preview":
-                                payload = session.preview_payload()
-                            else:
-                                query, window, executor, _fmt = spec
-                                payload = session.query_payload(
-                                    query, window=window, executor=executor
-                                )
                             body = {
                                 "seq": last,
                                 "live": state["live"],
                                 "finalized": state["finalized"],
                                 "frames": state["frames"],
-                                mode: payload,
+                                mode: answer(),
                             }
                             self.m_follow.inc(dataset=dataset, kind="epoch")
                             yield _sse_event("epoch", last, body)
@@ -968,15 +942,18 @@ class TraceServer:
                         self.m_follow.inc(dataset=dataset, kind="timeout")
                         yield _sse_event("timeout", last, {"seq": last})
                         return
-                    time.sleep(poll)
+                    # Nothing to say: give the worker back.  The writer
+                    # waits ``poll`` seconds on the loop and asks again.
+                    yield b""
             finally:
                 with self._follow_lock:
                     self._follow_active -= 1
 
-        response = Response(200, b"", "text/event-stream")
-        response.stream = gen()
-        response.headers = {"Cache-Control": "no-cache", "X-Accel-Buffering": "no"}
-        return response
+        return Response(
+            200, b"", "text/event-stream",
+            {"Cache-Control": "no-cache", "X-Accel-Buffering": "no"},
+            _Stream(gen(), poll),
+        )
 
     def _h_follow_poll(self, request: Request) -> Response:
         """``/follow/poll``: the long-poll fallback.  Blocks until the
@@ -999,14 +976,10 @@ class TraceServer:
                 break
             time.sleep(0.05)
         etag = session.etag(f"follow-{state['seq']}")
-        candidates = request.headers.get("if-none-match", "")
-        if etag in [c.strip() for c in candidates.split(",")]:
-            response = Response(304, b"", "application/json")
-            response.headers = {"ETag": etag}
-            return response
-        response = Response.json({**state, "changed": state["seq"] > since})
-        response.headers = {"ETag": etag, "Cache-Control": "no-cache"}
-        return response
+        return not_modified(request, etag) or Response.json(
+            {**state, "changed": state["seq"] > since},
+            headers={"ETag": etag, "Cache-Control": "no-cache"},
+        )
 
     def _follow_since(self, request: Request) -> int:
         """The resume point: ``?since=SEQ`` or the SSE ``Last-Event-ID``
@@ -1050,29 +1023,33 @@ class TraceServer:
             await self._write_chunked(writer, response.stream)
             return
         if response.stream is not None:
-            # HEAD or 304 never consumes the body: close the generator so
+            # HEAD or 304 never consumes the body: close the stream so
             # whatever it pins (the dataset session) is let go now.
-            _close_stream(response.stream)
+            response.stream.close()
         if not head_only and response.status != 304:
             writer.write(response.body)
         await writer.drain()
 
-    async def _write_chunked(
-        self, writer: asyncio.StreamWriter, stream: Iterator[bytes]
-    ) -> None:
+    async def _write_chunked(self, writer: asyncio.StreamWriter, stream: _Stream) -> None:
         """Send a stream as chunked transfer coding, pulling each chunk on
-        the executor (producing one may decode frames).  A mid-stream
-        producer error truncates the chunked body without the terminating
-        chunk, so clients can tell a partial payload from a complete one."""
+        the executor and sitting out its idle spells on the loop.  A
+        mid-stream producer error truncates the chunked body without the
+        terminating chunk, so clients can tell a partial payload from a
+        complete one."""
         loop = asyncio.get_running_loop()
+        pull = None
         try:
             while True:
-                chunk = await loop.run_in_executor(None, next, stream, None)
+                pull = loop.run_in_executor(None, next, stream, None)
+                # Shielded: a cancelled connection must not lose track of
+                # a pull that is still running on its worker.
+                chunk = await asyncio.shield(pull)
                 if chunk is None:
                     writer.write(b"0\r\n\r\n")
                     await writer.drain()
                     return
                 if not chunk:
+                    await asyncio.sleep(stream.idle)
                     continue
                 writer.write(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
                 await writer.drain()
@@ -1081,7 +1058,16 @@ class TraceServer:
         except Exception:
             log.exception("streaming response aborted mid-body")
         finally:
-            _close_stream(stream)
+            if pull is not None and not pull.done():
+                # Cancelled mid-pull (server stop): a generator cannot be
+                # closed while it executes, so let the pull return first.
+                await asyncio.gather(pull, return_exceptions=True)
+            stream.close()
+
+
+def _bytes_read(io: dict[str, int]) -> dict[str, str]:
+    """The header that reports the trace IO behind one response."""
+    return {"X-UTE-Bytes-Read": str(io["bytes_read"])}
 
 
 def _sse_event(event: str, seq: int, payload: Any) -> bytes:
@@ -1100,70 +1086,14 @@ def _clampf(raw: str, lo: float, hi: float, what: str) -> float:
     return max(lo, min(value, hi))
 
 
-def _close_stream(stream: Iterator[bytes]) -> None:
-    close = getattr(stream, "close", None)
-    if close is not None:
-        close()
-
-
-class _SessionStream:
-    """A byte-chunk iterator that runs a release callback exactly once —
-    on exhaustion, on error, or on close, even a close before the first
-    chunk was pulled."""
-
-    def __init__(self, stream: Iterator[bytes], release: Callable[[], None]) -> None:
-        self._stream = stream
-        self._release = release
-        self._done = False
-
-    def __iter__(self) -> "_SessionStream":
-        return self
-
-    def __next__(self) -> bytes:
-        try:
-            return next(self._stream)
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if self._done:
-            return
-        self._done = True
-        try:
-            _close_stream(self._stream)
-        finally:
-            self._release()
-
-
 # ---------------------------------------------------------------------------
 # Embedding helpers.
 
 
-def repository_for_config(
-    target: "str | Path | Repository", config: ServerConfig, *, root: bool = False
-) -> Repository:
-    """Build the repository a server will front, honouring the config's
-    budget/cache/default-dataset knobs.  ``target`` is an existing
-    repository (returned as-is), a repository root directory (``root=
-    True``), or a single SLOG file."""
-    if isinstance(target, Repository):
-        return target
-    if root:
-        return Repository(
-            target,
-            budget_bytes=config.memory_budget_bytes,
-            cache_frames=config.cache_frames,
-            default_dataset=config.default_dataset,
-        )
-    return Repository.single(
-        target,
-        budget_bytes=config.memory_budget_bytes,
-        cache_frames=config.cache_frames,
-    )
-
-
-def _serve_blocking(repository: Repository, config: ServerConfig) -> None:
+def serve(repository: Repository, config: ServerConfig | None = None) -> None:
+    """Serve ``repository`` until interrupted, then close it (the CLI's
+    one entry: a single file is a repository with one attached dataset)."""
+    config = config or ServerConfig()
     server = TraceServer(repository, config)
 
     async def _run() -> None:
@@ -1177,24 +1107,6 @@ def _serve_blocking(repository: Repository, config: ServerConfig) -> None:
         pass
     finally:
         repository.close()
-
-
-def serve_file(
-    slog_path: str | Path, config: ServerConfig | None = None
-) -> None:
-    """Open a SLOG file and serve it until interrupted (the CLI's
-    single-trace mode)."""
-    config = config or ServerConfig()
-    _serve_blocking(repository_for_config(slog_path, config), config)
-
-
-def serve_repository(
-    root: str | Path, config: ServerConfig | None = None
-) -> None:
-    """Open (or create) a dataset registry rooted at ``root`` and serve it
-    until interrupted (the CLI's ``--repository`` mode)."""
-    config = config or ServerConfig()
-    _serve_blocking(repository_for_config(root, config, root=True), config)
 
 
 class ServerThread:
@@ -1213,7 +1125,10 @@ class ServerThread:
         config: ServerConfig | None = None,
     ) -> None:
         self.config = config or ServerConfig(port=0)
-        self.repository = repository_for_config(target, self.config)
+        if not isinstance(target, Repository):
+            path, target = target, self.config.repository()
+            target.attach(DEFAULT_DATASET, path)
+        self.repository = target
         self.server = TraceServer(self.repository, self.config)
         self.port: int | None = None
         self._loop = asyncio.new_event_loop()
@@ -1252,7 +1167,8 @@ class ServerThread:
     @property
     def session(self) -> TraceSession | None:
         """The default dataset's session (single-trace compatibility)."""
-        return self.server.session
+        name = self.repository.default
+        return self.repository.session(name) if name else None
 
     @property
     def base_url(self) -> str:

@@ -1,11 +1,12 @@
-"""The daemon's interactive viewer page (``GET /``).
+"""The daemon's interactive viewer page (``GET /d/{ds}/``; ``GET /`` for
+the default dataset).
 
 Unlike :mod:`repro.viz.interactive`, which embeds the whole run's view
 data in one standalone file, this page boots empty and fetches everything
-lazily from the API: the preview strip from ``/api/preview``, the frame
-directory from ``/api/frames``, and — only when the user selects an
-instant — one frame's pre-built view payload from
-``/api/frame/{i}?view={kind}``.  Display cost therefore stays O(frame)
+lazily from the dataset's API: the preview strip from ``.../preview``,
+the frame directory from ``.../frames``, and — only when the user selects
+an instant — one frame's pre-built view payload from
+``.../frame/{i}?view={kind}``.  Display cost therefore stays O(frame)
 in the browser exactly as it does in the reader, and the browser's HTTP
 cache plus the server's ETags make revisiting a frame free.
 
@@ -19,13 +20,9 @@ from xml.sax.saxutils import escape
 from repro.viz.interactive import PAGE_CSS
 
 
-def server_page(
-    title: str, view_kinds: tuple[str, ...], api_base: str = "/api"
-) -> str:
-    """The viewer page HTML for one served SLOG file.
-
-    ``api_base`` roots every lazy fetch — ``/api`` for the single-trace
-    default dataset, ``/api/d/<name>`` for a repository dataset."""
+def server_page(title: str, view_kinds: tuple[str, ...], api_base: str) -> str:
+    """The viewer page HTML for one served dataset; ``api_base``
+    (``/api/d/<name>``) roots every lazy fetch."""
     options = "".join(
         f'<option value="{escape(k)}">{escape(k)}</option>' for k in view_kinds
     )

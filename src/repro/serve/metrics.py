@@ -2,7 +2,7 @@
 
 A tiny exposition-format implementation: counters with fixed label names,
 one latency histogram, and callback gauges that sample live values (the
-shared session's ``stats()`` dict) at scrape time.  Rendering follows the
+repository's ``metrics()`` snapshot) at scrape time.  Rendering follows the
 text format::
 
     # HELP ute_serve_requests_total Requests handled.
@@ -15,7 +15,7 @@ Only what ``/metrics`` needs — not a general client library.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 #: Latency buckets (seconds) for the request histogram.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
@@ -128,41 +128,24 @@ class Histogram:
 
 
 class Gauge:
-    """A gauge whose value is sampled from a callback at scrape time."""
+    """A gauge sampled from a callback at scrape time.  The callback
+    returns a number, or — for a family broken down per dataset — a
+    ``{dataset: number}`` dict, rendered one sample per key."""
 
-    def __init__(self, name: str, help_text: str, fn: Callable[[], float]) -> None:
+    def __init__(self, name: str, help_text: str, fn: Callable[[], Any]) -> None:
         self.name = name
         self.help_text = help_text
-        self.fn = fn
-
-    def render(self) -> Iterable[str]:
-        yield f"# HELP {self.name} {self.help_text}"
-        yield f"# TYPE {self.name} gauge"
-        yield f"{self.name} {_fmt(float(self.fn()))}"
-
-
-class LabelledGauge:
-    """A gauge family sampled from one callback returning ``{label value:
-    number}`` at scrape time (e.g. resident cache bytes per dataset)."""
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelname: str,
-        fn: Callable[[], dict[str, float]],
-    ) -> None:
-        self.name = name
-        self.help_text = help_text
-        self.labelname = labelname
         self.fn = fn
 
     def render(self) -> Iterable[str]:
         yield f"# HELP {self.name} {self.help_text}"
         yield f"# TYPE {self.name} gauge"
         sample = self.fn()
+        if not isinstance(sample, dict):
+            yield f"{self.name} {_fmt(float(sample))}"
+            return
         for key in sorted(sample):
-            labels = _labels_text((self.labelname,), (str(key),))
+            labels = _labels_text(("dataset",), (str(key),))
             yield f"{self.name}{labels} {_fmt(float(sample[key]))}"
 
 
@@ -170,7 +153,7 @@ class Registry:
     """An ordered collection of metrics, rendered as one text document."""
 
     def __init__(self) -> None:
-        self._metrics: list[Counter | Histogram | Gauge | LabelledGauge] = []
+        self._metrics: list[Counter | Histogram | Gauge] = []
 
     def counter(self, name: str, help_text: str, labelnames: tuple[str, ...] = ()) -> Counter:
         metric = Counter(name, help_text, labelnames)
@@ -184,19 +167,8 @@ class Registry:
         self._metrics.append(metric)
         return metric
 
-    def gauge(self, name: str, help_text: str, fn: Callable[[], float]) -> Gauge:
+    def gauge(self, name: str, help_text: str, fn: Callable[[], Any]) -> Gauge:
         metric = Gauge(name, help_text, fn)
-        self._metrics.append(metric)
-        return metric
-
-    def labelled_gauge(
-        self,
-        name: str,
-        help_text: str,
-        labelname: str,
-        fn: Callable[[], dict[str, float]],
-    ) -> LabelledGauge:
-        metric = LabelledGauge(name, help_text, labelname, fn)
         self._metrics.append(metric)
         return metric
 

@@ -4,9 +4,6 @@
   in raw trace files, splits interrupted calls into begin / continuation /
   end pieces, synthesizes Running states, re-assigns globally unique marker
   identifiers, and writes per-node interval files.
-* :mod:`repro.utils.avltree` — the balanced tree (keyed by interval end
-  time) the paper's merge describes; the merge-structure ablation's
-  reference (the merge itself sorts frame batches on the same keys).
 * :mod:`repro.utils.merge` — the merge utility: aligns per-node files by
   their first global-clock records, adjusts local timestamps for drift,
   k-way merges records in end-time order, injects zero-duration continuation
@@ -20,7 +17,6 @@
   behind ``ute-recover``.
 """
 
-from repro.utils.avltree import AVLTree
 from repro.utils.convert import ConvertResult, convert_traces, convert_one
 from repro.utils.merge import MergeResult, merge_interval_files
 from repro.utils.recover import RecoveryReport, recover_file
@@ -29,7 +25,6 @@ from repro.utils.statlang import TableProgram, parse_program
 from repro.utils.stats import StatsTable, generate_tables, predefined_tables
 
 __all__ = [
-    "AVLTree",
     "ConvertResult",
     "convert_traces",
     "convert_one",

@@ -24,7 +24,6 @@ from typing import Any
 
 from repro.core.magic import sniff_kind
 from repro.core.profilefmt import Profile
-from repro.core.records import BeBits
 from repro.core.salvage import SalvageReport
 from repro.errors import FormatError
 from repro.utils.validate import (
@@ -192,10 +191,7 @@ def _recover_slog(input_path: Path, out: Path, frame_bytes: int) -> RecoveryRepo
                         report.records_rejected += 1
                         continue
                     checker.accept(record)
-                    # SLOG does not flag pseudo records on the wire; the
-                    # zero-duration-continuation convention identifies them.
-                    pseudo = record.bebits is BeBits.CONTINUATION and record.duration == 0
-                    writer.write(record, pseudo=pseudo)
+                    writer.write(record, pseudo=record.is_pseudo)
                     report.records_out += 1
             writer.close()
     _verify_slog(out, report)

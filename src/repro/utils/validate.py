@@ -166,13 +166,11 @@ class RecordInvariantChecker:
         elif record.bebits is BeBits.END:
             if not self.open_states.get(key):
                 errors.append(f"end without begin for state {key}")
+        elif record.is_pseudo:
+            if not self.open_states.get(key):
+                warnings.append(f"pseudo-interval for state {key} that is not open")
         elif record.bebits is BeBits.CONTINUATION:
-            if record.duration == 0:
-                if not self.open_states.get(key):
-                    warnings.append(
-                        f"pseudo-interval for state {key} that is not open"
-                    )
-            elif not self.open_states.get(key):
+            if not self.open_states.get(key):
                 errors.append(f"orphan continuation for state {key}")
         return errors, warnings
 
@@ -184,7 +182,7 @@ class RecordInvariantChecker:
             self.open_states[key] = 1
         elif record.bebits is BeBits.END:
             self.open_states[key] = 0
-        elif record.bebits is BeBits.CONTINUATION and record.duration == 0:
+        elif record.is_pseudo:
             self.pseudo_records += 1
 
     def leftover_open(self) -> list[tuple]:

@@ -1,4 +1,5 @@
-"""Tests for the AVL tree used by the merge utility."""
+"""Tests for the AVL tree the merge-structure ablation measures
+(``benchmarks/avltree.py``; the merge itself sorts frame batches)."""
 
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.avltree import AVLTree
+from benchmarks.avltree import AVLTree
 
 
 def test_empty_tree():

@@ -160,13 +160,18 @@ def test_explicit_pseudo_is_counted_but_neither_led_nor_tracked():
     assert builder.add(begin) is None
     assert builder.add(cont, pseudo=True) is None
     frame = builder.seal()
-    assert (frame.n_records, frame.n_pseudo) == (2, 1)
-    assert real_of(frame) == [begin]
-    # A caller's pseudo-record opening a frame does not trigger the lead;
-    # the next real record finds the frame non-empty.
+    # n_pseudo is the leading run readers slice off as [:n_pseudo]: a
+    # pseudo-record behind a real one is stored, not counted.
+    assert (frame.n_records, frame.n_pseudo) == (2, 0)
+    assert real_of(frame) == [begin, cont]
+    # A caller's pseudo-record opening a frame is counted and does not
+    # trigger the lead; the next real record finds the frame non-empty.
     builder.add(cont, pseudo=True)
     builder.add(running(1, 1))
-    assert builder.seal().n_pseudo == 1
+    builder.add(IntervalRecord(SEND, BeBits.CONTINUATION, 2, 0, 0, 0, 0), pseudo=True)
+    frame = builder.seal()
+    assert (frame.n_records, frame.n_pseudo) == (3, 1)
+    assert frame.real.tolist() == [False, True, True]
 
 
 def test_frame_size_floor():

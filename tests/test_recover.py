@@ -175,3 +175,44 @@ class TestRecoverCli:
         code = main_recover([str(tmp_path / "absent.ute")])
         assert code == 2
         assert "ute-recover" in capsys.readouterr().err
+
+
+class TestRecutKeepsPseudoLabels:
+    """``ute-recover --frame-bytes`` re-cuts a SLOG: source pseudo-records
+    that led a 2 KiB frame land mid-frame in a larger one.  ``n_pseudo``
+    is the frame's *leading* pseudo run — what ``/api/frame``, the
+    exporters and ``FollowReader`` slice off — so a re-cut must never make
+    that slice cover a real record."""
+
+    @pytest.fixture(scope="class")
+    def source(self, tmp_path_factory):
+        from repro.utils.convert import convert_traces
+        from repro.utils.merge import merge_interval_files
+        from repro.workloads import run_sppm
+
+        tmp = tmp_path_factory.mktemp("recut")
+        run = run_sppm(tmp / "raw")
+        conv = convert_traces(run.raw_paths, tmp / "ivl")
+        merge_interval_files(
+            conv.interval_paths, tmp / "merged.ute", PROFILE,
+            slog_path=tmp / "run.slog", frame_bytes=2048,
+        )
+        with SlogFile(tmp / "run.slog") as slog:
+            assert sum(f.n_pseudo for f in slog.frames) > 50
+        return tmp / "run.slog"
+
+    @pytest.mark.parametrize("frame_bytes", [2048, 8192, 32768])
+    def test_no_real_record_is_labelled_pseudo(self, source, tmp_path, frame_bytes):
+        from repro.difftool.differ import DiffConfig, diff_traces
+
+        out = tmp_path / "recut.slog"
+        assert main_recover(
+            [str(source), "-o", str(out), "--frame-bytes", str(frame_bytes)]
+        ) == 0
+        with SlogFile(out) as slog:
+            for frame in slog.frames:
+                lead = slog.read_frame(frame)[: frame.n_pseudo]
+                assert all(r.is_pseudo for r in lead), frame
+        assert diff_traces(source, out, config=DiffConfig()).identical
+        masked = diff_traces(source, out, config=DiffConfig(ignore_pseudo=True))
+        assert masked.identical, masked.summary()

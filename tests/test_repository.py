@@ -278,19 +278,26 @@ class TestSessionBudget:
         # Survivors are the most recently used.
         survivors = repo.open_sessions()
         assert survivors == names[len(names) - len(survivors):]
-        stats = repo.aggregate_stats()
+        stats = repo.metrics()
         assert stats["misses"] == frames  # every frame decoded once
         assert stats["evictions"] > 0  # evicted sessions published theirs
+        assert stats["sessions_evicted"] == repo.sessions_evicted
+        assert stats["sessions_open"] == len(survivors)
+        assert stats["resident_bytes"] == repo.resident_bytes()
+        assert sum(stats["dataset_resident_bytes"].values()) == stats["resident_bytes"]
         # Monotonic: folding retired counters means re-opening an evicted
         # dataset never makes an aggregate go backwards.
-        before = repo.aggregate_stats()
+        before = repo.metrics()
         session = repo.acquire("d0")  # was evicted; re-opens on demand
         try:
             session.frame_payload(0)
         finally:
             repo.release("d0")
-        after = repo.aggregate_stats()
-        for key in ("hits", "misses", "evictions", "fetch_count", "bytes_fetched"):
+        after = repo.metrics()
+        for key in (
+            "hits", "misses", "evictions", "fetch_count", "bytes_fetched",
+            "index_scanned", "index_pruned", "index_fallbacks",
+        ):
             assert after[key] >= before[key], key
         repo.close()
 
@@ -504,7 +511,8 @@ class TestRouteAliasing:
         _, client = served
         root_page = client.request("/")
         assert root_page.status == 200
-        assert 'const API = "/api"' in root_page.text
+        assert root_page.body == client.request(f"/d/{DEFAULT_DATASET}/").body
+        assert f'const API = "/api/d/{DEFAULT_DATASET}"' in root_page.text
         scoped = client.request("/d/other/")
         assert scoped.status == 200
         assert 'const API = "/api/d/other"' in scoped.text
@@ -525,7 +533,7 @@ class TestIndexBuilds:
         # The session sees the index whether the build finished before or
         # after it opened (reload_index covers the latter).
         assert repo.session("a").index is not None
-        assert repo.any_index_loaded()
+        assert repo.metrics()["index_loaded"] == 1
         info = {d["name"]: d for d in repo.info()}
         assert info["a"]["index"] == INDEX_READY
         repo.close()
@@ -563,7 +571,7 @@ class TestIndexBuilds:
         reopened = Repository(root, build_indexes=True)
         # No rebuild needed: the fresh sidecar is adopted immediately.
         assert reopened.get("a").index_status == INDEX_READY
-        assert reopened.builds_pending() == 0
+        assert reopened.metrics()["index_builds_pending"] == 0
         reopened.close()
 
 

@@ -178,8 +178,10 @@ class TestEndpoints:
         response = client.request("/")
         assert response.status == 200
         assert response.headers["content-type"].startswith("text/html")
-        assert 'const API = "/api"' in response.text
+        # `/` is the default dataset's viewer: the page `/d/default/` serves.
+        assert 'const API = "/api/d/default"' in response.text
         assert "<canvas" in response.text
+        assert response.body == client.request("/d/default/").body
 
     def test_metrics(self, served):
         _, client = served

@@ -7,6 +7,8 @@ per-epoch ETags, and hot-swap to the finished file when the writer
 closes — all without the session leaving the pool.
 """
 
+import logging
+import os
 import threading
 import time
 import urllib.error
@@ -90,6 +92,21 @@ class TestLiveSessions:
         assert state["finalized"] and not state["live"]
         rows = client.query({"type": str(int(IntervalType.RUNNING))}).json()
         assert len(rows["rows"]) == 20
+
+
+    def test_protocol_violation_is_409_and_unpins(self, live_served):
+        from repro.errors import FormatError
+
+        srv, client, _writer = live_served
+
+        def violated():
+            raise FormatError("epoch sequence went backwards")
+
+        srv.repository.session("run").maybe_refresh = violated
+        response = client.request("/api/d/run/frames")
+        assert response.status == 409
+        assert "epoch sequence went backwards" in response.text
+        assert srv.repository._refs == {}
 
 
 class TestFollowPoll:
@@ -213,6 +230,102 @@ class TestFollowSse:
         metrics = client.metrics()
         assert 'ute_serve_follow_events_total{dataset="run",kind="epoch"}' in metrics
         assert 'ute_serve_follow_events_total{dataset="run",kind="final"}' in metrics
+
+
+def open_follower(srv, query):
+    """An SSE follower that has read the stream's opening comment."""
+    resp = urllib.request.urlopen(
+        f"{srv.base_url}/api/d/run/follow/preview?{query}", timeout=10
+    )
+    assert resp.readline().startswith(b": ute-serve follow stream")
+    return resp
+
+
+class TestIdleFollowersAreFree:
+    def test_frames_unaffected_by_idle_followers(self, live_served):
+        """Idle followers wait on the event loop, not on executor workers:
+        twice the default executor's worker count of them (the writer is
+        stalled, nothing to stream) must not delay an ordinary request."""
+        srv, client, _writer = live_served
+        n = 2 * (os.cpu_count() + 4)
+        followers = [open_follower(srv, "since=1&poll=0.05&max_s=4") for _ in range(n)]
+        try:
+            deadline = time.monotonic() + 5
+            while srv.server._follow_active < n and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.metric_value("ute_serve_follow_streams") == n
+            plain = ServeClient(srv.base_url, dataset="run", use_etags=False)
+            for _ in range(10):
+                t0 = time.monotonic()
+                assert plain.frames()["count"] >= 1
+                assert time.monotonic() - t0 < 1.0
+            # Every stream ends with its own timeout event; the gauge drains.
+            for resp in followers:
+                assert b"event: timeout" in resp.read()
+        finally:
+            for resp in followers:
+                resp.close()
+        deadline = time.monotonic() + 5
+        while srv.server._follow_active and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert client.metric_value("ute_serve_follow_streams") == 0
+
+
+class TestStopWithOpenStreams:
+    def test_no_traceback_no_leaked_pin(self, tmp_path, caplog):
+        """Stopping the server cancels connection tasks whose stream may be
+        mid-pull on a worker: the pull is waited for, then the stream is
+        closed — no "generator already executing", every pin released."""
+        path = tmp_path / "run.slog"
+        writer = LiveSlogWriter(
+            path, PROFILE, table(), field_mask=MASK_ALL_MERGED, frame_bytes=512,
+        )
+        for i in range(20):
+            writer.write(running(i * 10, 5))
+        writer.publish(seal=True)
+        repo = Repository(None)
+        repo.attach("run", path)
+        pins = {"acquire": 0, "release": 0}
+        acquire, release = repo.acquire, repo.release
+
+        def counted_acquire(name):
+            pins["acquire"] += 1
+            return acquire(name)
+
+        def counted_release(name):
+            pins["release"] += 1
+            return release(name)
+
+        repo.acquire, repo.release = counted_acquire, counted_release
+        try:
+            with caplog.at_level(logging.DEBUG):
+                with ServerThread(repo, ServerConfig(port=0)) as srv:
+                    # Slow pulls: a cancel is all but certain to land on one.
+                    session = repo.session("run")
+                    follow_state = session.follow_state
+
+                    def slow_follow_state():
+                        time.sleep(0.2)
+                        return follow_state()
+
+                    session.follow_state = slow_follow_state
+                    followers = [
+                        open_follower(srv, "since=1&poll=0.02") for _ in range(2)
+                    ]
+                    deadline = time.monotonic() + 5
+                    while srv.server._follow_active < 2 and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert srv.server._follow_active == 2
+                    time.sleep(0.1)
+                    server = srv.server
+                for resp in followers:
+                    resp.close()
+            assert "Traceback" not in caplog.text
+            assert "generator already executing" not in caplog.text
+            assert server._follow_active == 0
+            assert pins["acquire"] == pins["release"] > 0
+        finally:
+            writer.abort()
 
 
 class TestClientRetryBudget:

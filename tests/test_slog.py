@@ -123,6 +123,25 @@ class TestPreview:
             path, PROFILE, table(), field_mask=MASK_ALL_MERGED,
             time_range=(0, 100), preview_bins=5,
         )
+        writer.write(
+            IntervalRecord(IntervalType.MARKER, BeBits.CONTINUATION, 0, 0, 0, 0, 0,
+                           {"markerId": 1}),
+            pseudo=True,
+        )
+        writer.write(running(0, 50))
+        writer.close()
+        slog = SlogFile(path)
+        assert IntervalType.MARKER not in slog.preview
+        assert slog.frames[0].n_pseudo == 1
+
+    def test_pseudo_behind_a_real_record_is_an_ordinary_record(self, tmp_path):
+        """n_pseudo is the leading run readers slice off; a later pseudo is
+        stored uncounted and (zero duration) adds no preview time."""
+        path = tmp_path / "j2.slog"
+        writer = SlogWriter(
+            path, PROFILE, table(), field_mask=MASK_ALL_MERGED,
+            time_range=(0, 100), preview_bins=5,
+        )
         writer.write(running(0, 50))
         writer.write(
             IntervalRecord(IntervalType.MARKER, BeBits.CONTINUATION, 50, 0, 0, 0, 0,
@@ -131,8 +150,9 @@ class TestPreview:
         )
         writer.close()
         slog = SlogFile(path)
-        assert IntervalType.MARKER not in slog.preview
-        assert slog.frames[0].n_pseudo == 1
+        assert (slog.frames[0].n_records, slog.frames[0].n_pseudo) == (2, 0)
+        assert slog.read_frame(slog.frames[0])[1].is_pseudo
+        assert slog.preview[IntervalType.MARKER].sum() == 0
 
     def test_preview_matrix_in_seconds(self, tmp_path):
         records = [running(0, 10**9)]  # one second
