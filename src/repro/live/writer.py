@@ -179,6 +179,8 @@ class _LiveWriterBase(FrameSink):
         self._sealed: list[SlogFrameEntry] = []
         self._data_size = 0
         self._seq = 0
+        #: The index snapshot the last epoch published.
+        self._published: TraceIndex | None = None
         self.epochs_published = 0
         # Epoch 0: zero frames, so readers can attach before data exists.
         self.publish()
@@ -220,7 +222,8 @@ class _LiveWriterBase(FrameSink):
             preview=self._preview.snapshot(),
             frames=tuple(self._sealed),
         )
-        write_index(self._index.snapshot(), index_path(self.live_dir))
+        self._published = self._index.snapshot()
+        write_index(self._published, index_path(self.live_dir))
         write_manifest(self.live_dir, manifest)
         self._seq += 1
         self.epochs_published += 1
@@ -275,9 +278,10 @@ class LiveSlogWriter(_LiveWriterBase):
             self, (0, self._preview.t1), self._preview.counters, self._sealed
         )
         digest = assemble_slog(self.path, meta, data_path(self.live_dir))
-        # The incremental index carries over: same frames and postings,
-        # offsets rebased past the final (larger) metadata section.
-        live = self._index.snapshot()
+        # The index the final epoch just published carries over (no frame
+        # sealed since): same frames and postings, offsets rebased past the
+        # final (larger) metadata section.
+        live = self._published
         delta = len(meta) - len(self._meta)
         final = dataclasses.replace(
             live,

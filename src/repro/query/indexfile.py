@@ -6,11 +6,13 @@ per-frame facts the planner needs to prune on every other predicate:
 
 * a **state-type bitmap** (256 bits) — which interval types occur in the
   frame, with an overflow bit for types beyond the bitmap's range;
-* the **thread-key set** — every (node, thread) pair that has a record in
-  the frame (node sets are derived from these);
 * global **posting lists** — per thread key, the sorted frame ordinals
   containing it, so a single-thread query intersects one list instead of
   testing every frame;
+* the **thread-key set** of every frame — each (node, thread) pair that
+  has a record in it (node sets are derived from these).  It is the
+  posting lists transposed, so only the postings are stored and the
+  per-frame sets are rebuilt on load;
 * **coarse time-binned aggregates** — record counts and summed durations
   in fixed bins over the run, for instant order-of-magnitude answers.
 
@@ -26,7 +28,7 @@ sidecar's, the index is trusted; otherwise the recorded SHA-256 of the
 source content is re-verified — an atomic replace with identical bytes
 keeps the index valid, any content change invalidates it.
 
-Format **version 3** is the only version written or read (an older
+Format **version 4** is the only version written or read (an older
 sidecar answers ``stale:version`` and is rebuilt, never parsed):
 
 * the coarse time bins live on an **absolute power-of-two grid**
@@ -34,9 +36,10 @@ sidecar answers ``stale:version`` and is rebuilt, never parsed):
   ``[(bin_origin + b) << bin_shift, ...)``), so :func:`extend_index` is
   exact — an extended index is bit-identical to a full rebuild;
 * a **utilization section** (:mod:`repro.query.utilization`): per-thread
-  and per-CPU busy/count/state-histogram bins at power-of-two
-  resolutions, the aggregate store behind density-capped views, written
-  as sorted column arrays.
+  and per-CPU busy/count/state-histogram bins, the aggregate store behind
+  density-capped views.  Only the finest resolution is written, as
+  run-length-coded sorted columns; the coarser power-of-two resolutions
+  are its exact folds, derived on first use.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from repro.query.trace import TraceHandle
 from repro.query.utilization import UtilizationBuilder, UtilizationIndex, lane_keys
 
 MAGIC = b"UTEIDX1\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Suffix appended to the trace file's full name (``run.slog.uteidx``).
 SIDECAR_SUFFIX = ".uteidx"
@@ -77,7 +80,7 @@ _HEADER = struct.Struct("<8sII")          # magic, version, flags
 _SOURCE = struct.Struct("<Q32s")          # source size, sha256
 _SPAN = struct.Struct("<qqIIII")          # t_min, t_max, n_frames, n_bins, n_postings, reserved
 _BINGRID = struct.Struct("<qI")           # bin grid origin, bin grid shift
-_FRAME = struct.Struct("<QQQQII")         # offset, size, start, end, n_records, n_thread_keys
+_FRAME = struct.Struct("<QQQQI")          # offset, size, start, end, n_records
 _BIN = struct.Struct("<QQ")               # record count, summed duration
 _POSTING = struct.Struct("<QI")           # thread key, n_frames
 
@@ -177,8 +180,8 @@ class TraceIndex:
         """The serialized sidecar piece by piece, CRC32 trailer last;
         deterministic for a given trace content.  The utilization columns
         are encoded one at a time as they are pulled, so a writer never
-        holds a second copy of the whole sidecar (tens of MB on wide
-        traces) next to the index itself."""
+        holds a second copy of the whole sidecar next to the index
+        itself."""
         out = bytearray()
         out += _HEADER.pack(MAGIC, FORMAT_VERSION, 0)
         out += _SOURCE.pack(self.source_size, self.source_sha256)
@@ -188,12 +191,8 @@ class TraceIndex:
         )
         out += _BINGRID.pack(self.bin_origin, self.bin_shift)
         for f in self.frames:
-            out += _FRAME.pack(
-                f.offset, f.size, f.start_time, f.end_time,
-                f.n_records, len(f.thread_keys),
-            )
+            out += _FRAME.pack(f.offset, f.size, f.start_time, f.end_time, f.n_records)
             out += f.type_bits
-            out += struct.pack(f"<{len(f.thread_keys)}Q", *f.thread_keys)
         for count, duration in self.bins:
             out += _BIN.pack(count, duration)
         for key in sorted(self.postings):
@@ -236,30 +235,40 @@ class TraceIndex:
             pos += _SPAN.size
             bin_origin, bin_shift = _BINGRID.unpack_from(data, pos)
             pos += _BINGRID.size
-            frames: list[FrameSummary] = []
-            for ordinal in range(n_frames):
-                offset, size, start, end, n_records, n_keys = _FRAME.unpack_from(data, pos)
+            facts = []
+            for _ in range(n_frames):
+                offset, size, start, end, n_records = _FRAME.unpack_from(data, pos)
                 pos += _FRAME.size
                 bits = bytes(data[pos : pos + TYPE_BITMAP_BYTES])
                 if len(bits) != TYPE_BITMAP_BYTES:
                     raise FormatError("sidecar index truncated in type bitmap")
                 pos += TYPE_BITMAP_BYTES
-                keys = struct.unpack_from(f"<{n_keys}Q", data, pos)
-                pos += n_keys * 8
-                frames.append(
-                    FrameSummary(ordinal, offset, size, n_records, start, end, bits, keys)
-                )
+                facts.append((offset, size, n_records, start, end, bits))
             bins = []
             for _ in range(n_bins):
                 bins.append(_BIN.unpack_from(data, pos))
                 pos += _BIN.size
+            # The per-frame key sets are the postings transposed: walking
+            # the keys in their (ascending) file order leaves every frame's
+            # keys sorted, which is how the accumulator builds them.
             postings: dict[int, tuple[int, ...]] = {}
+            keys_of: list[list[int]] = [[] for _ in facts]
+            last_key = -1
             for _ in range(n_postings):
                 key, count = _POSTING.unpack_from(data, pos)
                 pos += _POSTING.size
                 ordinals = struct.unpack_from(f"<{count}I", data, pos)
                 pos += count * 4
+                if key <= last_key or any(a >= b for a, b in zip(ordinals, ordinals[1:])):
+                    raise FormatError("sidecar index posting lists are not sorted")
+                last_key = key
                 postings[key] = ordinals
+                for ordinal in ordinals:
+                    keys_of[ordinal].append(key)
+            frames = [
+                FrameSummary(ordinal, *fact, tuple(keys))
+                for ordinal, (fact, keys) in enumerate(zip(facts, keys_of))
+            ]
             utilization, pos = UtilizationIndex.decode(data, pos, len(data) - 4)
             if pos != len(data) - 4:
                 raise FormatError("sidecar index has trailing bytes")
@@ -393,17 +402,12 @@ def load_index(sidecar: str | Path) -> TraceIndex:
     return TraceIndex.decode(Path(sidecar).read_bytes())
 
 
-def load_fresh_index(
-    source: str | Path, sidecar: str | Path | None = None
+def _load_judged(
+    source: Path, sidecar: str | Path | None, *, accept_prefix: bool
 ) -> tuple[TraceIndex | None, str]:
-    """The sidecar index of ``source`` if it exists and is fresh.
-
-    Returns ``(index, "fresh")`` or ``(None, reason)`` with reason one of
-    ``missing``, ``corrupt:...``, ``stale:version`` (an older format:
-    rebuilt, not read), ``stale:size``, ``stale:content`` — the planner
-    treats every ``None`` as "fall back to full scan".
-    """
-    source = Path(source)
+    """Decode ``source``'s sidecar once and judge it against the file:
+    the one size / mtime / hash decision behind :func:`load_fresh_index`
+    and :func:`load_index_for_extension`."""
     sidecar = index_path_for(source) if sidecar is None else Path(sidecar)
     if not sidecar.exists():
         return None, "missing"
@@ -419,13 +423,30 @@ def load_fresh_index(
     except OSError as exc:
         return None, f"stale:{exc}"
     if src_stat.st_size != index.source_size:
-        return None, "stale:size"
+        if not accept_prefix or src_stat.st_size < index.source_size:
+            return None, "stale:size"
+        if hash_file(source, limit=index.source_size) != index.source_sha256:
+            return None, "stale:content"
+        return index, "prefix"
     if src_stat.st_mtime_ns > side_stat.st_mtime_ns:
         # The trace was replaced after the index was built; only identical
         # content (e.g. an atomic rewrite of the same bytes) keeps it valid.
         if hash_file(source) != index.source_sha256:
             return None, "stale:content"
     return index, "fresh"
+
+
+def load_fresh_index(
+    source: str | Path, sidecar: str | Path | None = None
+) -> tuple[TraceIndex | None, str]:
+    """The sidecar index of ``source`` if it exists and is fresh.
+
+    Returns ``(index, "fresh")`` or ``(None, reason)`` with reason one of
+    ``missing``, ``corrupt:...``, ``stale:version`` (an older format:
+    rebuilt, not read), ``stale:size``, ``stale:content`` — the planner
+    treats every ``None`` as "fall back to full scan".
+    """
+    return _load_judged(Path(source), sidecar, accept_prefix=False)
 
 
 def load_index_for_extension(
@@ -440,23 +461,9 @@ def load_index_for_extension(
     A prefix index is *not* usable for planning (its posting lists know
     nothing about the tail frames, so pruning on it would silently drop
     tail records); it is only a valid base for :func:`extend_index`.
-    That is why this check lives beside, not inside,
-    :func:`load_fresh_index`."""
-    source = Path(source)
-    sidecar = index_path_for(source) if sidecar is None else Path(sidecar)
-    index, reason = load_fresh_index(source, sidecar)
-    if index is not None or reason != "stale:size":
-        return index, reason
-    try:
-        index = load_index(sidecar)
-        size = os.stat(source).st_size
-    except (FormatError, OSError) as exc:
-        return None, f"corrupt:{exc}"
-    if size < index.source_size:
-        return None, "stale:size"
-    if hash_file(source, limit=index.source_size) != index.source_sha256:
-        return None, "stale:content"
-    return index, "prefix"
+    That is why this verdict is asked for by name, never handed to a
+    caller of :func:`load_fresh_index`."""
+    return _load_judged(Path(source), sidecar, accept_prefix=True)
 
 
 def extend_index(handle: TraceHandle, base: TraceIndex) -> TraceIndex:

@@ -29,8 +29,12 @@ the bin), and a **per-state busy histogram** (clipped overlap of every
 record against the bin, keyed by interval type); total busy duration is
 the histogram sum and the dominant state is its argmax.  Clock pairs and
 zero-duration pseudo-pieces are excluded, mirroring what the piece views
-draw.  All levels are persisted (a geometric sum, at most twice the
-finest level) so any zoom is a direct lookup.
+draw.  Only the **finest level** is built, held densely and persisted
+(run-length coded, docs/FORMAT.md section 7); every coarser level is its
+exact fold, computed once on first use and kept — sibling sums are
+associative, so a level folded straight from any finer one equals the
+level-by-level chain bit for bit, and "levels that disagree with each
+other" is not a state the index or its file can be in.
 
 The same builder also accumulates the sidecar's **coarse time bins**
 (count + summed duration, attributed by record start, every record
@@ -75,7 +79,12 @@ DEFAULT_BASE_BINS = 4096
 MAX_LEVELS = 48
 
 _UTIL_HEADER = struct.Struct("<IIqqII")  # base_shift, n_levels, t_min, t_max, n_thread, n_cpu
-_LEVEL_HEADER = struct.Struct("<II")     # n_cells, n_state_rows (before each level's columns)
+_LEVEL_HEADER = struct.Struct("<II")     # n_cells, n_state_rows (before a table's level-0 columns)
+_RUNS_HEADER = struct.Struct("<IBB")     # n_runs, dtype code of the values, of the lengths
+
+#: Run-coded arrays are narrowed to the smallest of these that holds their
+#: maximum; the one-byte dtype code is the position here.
+_RUN_DTYPES = ("<u1", "<u2", "<u4", "<u8")
 
 #: Most cells a remembered whole-level answer may hold (about 10 MB of
 #: Python objects per lane kind).
@@ -153,19 +162,23 @@ def _starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _aggregate(rows: _Rows) -> _Rows:
-    """Sort rows by (lane, bin, state) and sum duplicates (exact)."""
+def _sum_runs(rows: _Rows) -> _Rows:
+    """Sum every run of neighbouring rows that share (lane, bin, state)."""
     lane, bins, state, count, busy = rows
-    if not len(lane):
-        return rows
-    order = np.lexsort((state, bins, lane))
-    lane, bins, state = lane[order], bins[order], state[order]
     starts = _starts(lane, bins, state)
     return (
         lane[starts], bins[starts], state[starts],
-        np.add.reduceat(count[order], starts),
-        np.add.reduceat(busy[order], starts),
+        np.add.reduceat(count, starts), np.add.reduceat(busy, starts),
     )
+
+
+def _aggregate(rows: _Rows) -> _Rows:
+    """Sort rows by (lane, bin, state) and sum duplicates (exact)."""
+    lane, bins, state, _, _ = rows
+    if not len(lane):
+        return rows
+    order = np.lexsort((state, bins, lane))
+    return _sum_runs(tuple(column[order] for column in rows))
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -218,20 +231,13 @@ class Level(NamedTuple):
         ))
 
 
-class LaneTable(NamedTuple):
-    """One lane kind: sorted uint64 lane keys and a :class:`Level` per
-    resolution (every lane has at least one cell at every level)."""
-
-    keys: np.ndarray
-    levels: tuple[Level, ...]
-
-
 def _level_of(rows: _Rows) -> tuple[np.ndarray, Level]:
     """Aggregated rows -> (lane keys, two-tier level)."""
     lane, bins, state, count, busy = rows
     starts = _starts(lane, bins)
-    keys, first = np.unique(lane[starts], return_index=True)
-    return keys, Level.of(
+    cell_lane = lane[starts]
+    first = _starts(cell_lane)
+    return cell_lane[first], Level.of(
         np.append(first, len(starts)), bins[starts],
         np.add.reduceat(count, starts), np.append(starts, len(lane)), state, busy,
     )
@@ -247,6 +253,44 @@ def _rows_of(keys: np.ndarray, level: Level) -> _Rows:
         np.repeat(np.repeat(keys, np.diff(level.offsets)), n_states),
         np.repeat(level.bins, n_states), level.states, count, level.busy,
     )
+
+
+class Levels:
+    """Every resolution of one lane kind, as a sequence of :class:`Level`.
+
+    Only the finest is given; ``levels[li]`` is its exact fold by ``li``
+    halvings — one :func:`_aggregate` pass over the nearest finer level
+    already held, kept for the next caller.  A level is stored only once
+    it is complete, so readers racing to the same one at worst both fold
+    it and either result (they are equal) stays."""
+
+    def __init__(self, keys: np.ndarray, finest: Level, n_levels: int) -> None:
+        self._keys = keys
+        self._held: list[Level | None] = [finest] + [None] * (n_levels - 1)
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def __getitem__(self, li: int) -> Level:
+        level = self._held[li]
+        if level is None:
+            li = range(len(self._held))[li]
+            src = max(i for i in range(li) if self._held[i] is not None)
+            lane, bins, state, count, busy = _rows_of(self._keys, self._held[src])
+            # The cells of one long record are neighbours that now share a
+            # bin: summing those first leaves the sort a fraction of the rows.
+            rows = _sum_runs((lane, bins >> (li - src), state, count, busy))
+            _, level = _level_of(_aggregate(rows))
+            self._held[li] = level
+        return level
+
+
+class LaneTable(NamedTuple):
+    """One lane kind: sorted uint64 lane keys and its :class:`Levels`
+    (every lane has at least one cell at every level)."""
+
+    keys: np.ndarray
+    levels: Levels
 
 
 def _narrow(values: np.ndarray, dtype: str) -> bytes:
@@ -267,6 +311,41 @@ def _take(
     return np.frombuffer(data, dtype, n, pos).astype(as_type), stop
 
 
+def _encode_runs(values: np.ndarray) -> bytes:
+    """One run-coded column: ``n_runs`` and two dtype codes, then every
+    run's value, then every run's length — the one codec behind all five
+    level-0 columns.  A record spanning fifteen bins is fifteen cells that
+    differ only at the edges, so each column is mostly long runs."""
+    starts = _starts(values)
+    parts = (values[starts], np.diff(starts, append=len(values)))
+    tops = [int(part.max(initial=0)) for part in parts]
+    codes = [
+        next(code for code in range(len(_RUN_DTYPES)) if top < 1 << (8 << code))
+        for top in tops
+    ]
+    return _RUNS_HEADER.pack(len(starts), *codes) + b"".join(
+        _narrow(part, _RUN_DTYPES[code]) for part, code in zip(parts, codes)
+    )
+
+
+def _decode_runs(data, pos: int, end: int, n: int) -> tuple[np.ndarray, int]:
+    """The ``n`` int64 values of the run-coded column at ``pos``.  Nothing
+    is expanded before the run lengths are known to add up to ``n``."""
+    if pos + _RUNS_HEADER.size > end:
+        raise FormatError("utilization section overruns the sidecar")
+    n_runs, *codes = _RUNS_HEADER.unpack_from(data, pos)
+    if max(codes) >= len(_RUN_DTYPES):
+        raise FormatError(f"utilization run column has unknown dtype code {max(codes)}")
+    pos += _RUNS_HEADER.size
+    values, pos = _take(data, pos, end, _RUN_DTYPES[codes[0]], n_runs, np.uint64)
+    lengths, pos = _take(data, pos, end, _RUN_DTYPES[codes[1]], n_runs, np.uint64)
+    if n_runs and (lengths.min() == 0 or lengths.max() > n) or int(lengths.sum()) != n:
+        raise FormatError(f"utilization run lengths do not add up to {n} values")
+    if n_runs and values.max() > np.iinfo(np.int64).max:
+        raise FormatError("utilization value does not fit int64")
+    return np.repeat(values.astype(np.int64), lengths.astype(np.int64)), pos
+
+
 def _increasing_within(values: np.ndarray, offsets: np.ndarray) -> bool:
     """Whether ``values`` strictly increase inside every ``offsets`` group."""
     step = np.diff(values) > 0
@@ -276,7 +355,8 @@ def _increasing_within(values: np.ndarray, offsets: np.ndarray) -> bool:
 
 @dataclass(eq=False)
 class UtilizationIndex:
-    """The persisted hierarchy: per lane kind and level, sorted columns.
+    """The hierarchy: per lane kind, sorted columns at the finest level
+    (the one that is built and persisted) and its folds on demand.
 
     ``thread`` holds :func:`thread_key` lanes, ``cpu`` holds
     :func:`cpu_key` lanes; level ``L`` sits at shift ``base_shift + L``.
@@ -376,25 +456,32 @@ class UtilizationIndex:
     # ------------------------------------------------------------- encoding
 
     def encode_chunks(self) -> Iterator[bytes]:
-        """Serialize the hierarchy section: per kind the lane keys, then
-        per level a header and six columns (docs/FORMAT.md section 7),
-        one chunk each, encoded as it is pulled.  Deterministic — the
-        columns are already in canonical order."""
+        """Serialize the hierarchy section: per kind the lane keys, the
+        cells of each lane, then level 0's five columns run-coded
+        (docs/FORMAT.md section 7), one chunk each, encoded as it is
+        pulled.  Deterministic — the columns are already in canonical
+        order, and no coarser level is written: each is a function of
+        this one."""
         yield _UTIL_HEADER.pack(
             self.base_shift, self.n_levels, self.t_min, self.t_max,
             len(self.thread.keys), len(self.cpu.keys),
         )
+        origin = self.t_min >> self.base_shift
         for table in (self.thread, self.cpu):
+            level = table.levels[0]
+            first = level.offsets[:-1]
+            # A lane's first cell is stored relative to the span, the rest
+            # relative to the cell before (>= 1: bins strictly increase).
+            deltas = np.diff(level.bins, prepend=origin)
+            deltas[first] = level.bins[first] - origin
             yield table.keys.astype("<u8").tobytes()
-            for li, level in enumerate(table.levels):
-                origin = self.t_min >> (self.base_shift + li)
-                yield _LEVEL_HEADER.pack(len(level.bins), len(level.states))
-                yield _narrow(np.diff(level.offsets), "<u4")
-                yield _narrow(level.bins - origin, "<u4")
-                yield _narrow(level.counts, "<u4")
-                yield _narrow(np.diff(level.state_off), "<u2")
-                yield _narrow(level.states, "<u4")
-                yield _narrow(level.busy, "<u8")
+            yield _LEVEL_HEADER.pack(len(level.bins), len(level.states))
+            yield _narrow(np.diff(level.offsets), "<u4")
+            yield _encode_runs(deltas)
+            yield _encode_runs(level.counts)
+            yield _encode_runs(np.diff(level.state_off))
+            yield _encode_runs(level.states)
+            yield _encode_runs(level.busy)
 
     def encode(self) -> bytes:
         """:meth:`encode_chunks` as one ``bytes``."""
@@ -406,9 +493,9 @@ class UtilizationIndex:
     ) -> tuple["UtilizationIndex | None", int]:
         """Parse one hierarchy section in ``data[pos:end]``, enforcing
         every invariant :meth:`query` relies on (sorted lanes, bins and
-        states; counts that add up; values inside the span).  A
-        zero-level header means "no utilization recorded" and decodes to
-        ``None``."""
+        states; counts and run lengths that add up; values inside the
+        span).  A zero-level header means "no utilization recorded" and
+        decodes to ``None``."""
         end = len(data) if end is None else end
         if pos + _UTIL_HEADER.size > end:
             raise FormatError("utilization section truncated")
@@ -427,47 +514,45 @@ class UtilizationIndex:
                 f"utilization section claims {n_levels} levels from shift "
                 f"{base_shift} over [{t_min}, {t_max}]"
             )
+        origin = t_min >> base_shift
+        top = (t_max >> base_shift) - origin
         tables = []
         for n_lanes in (n_thread, n_cpu):
             keys, pos = _take(data, pos, end, "<u8", n_lanes, np.uint64)
             if n_lanes > 1 and not (keys[1:] > keys[:-1]).all():
                 raise FormatError("utilization lane keys are not sorted")
-            levels = []
-            for li in range(n_levels):
-                k = base_shift + li
-                origin = t_min >> k
-                header, pos = _take(data, pos, end, "<u4", 2)
-                n_cells, n_rows = header.tolist()
-                per_lane, pos = _take(data, pos, end, "<u4", n_lanes)
-                bins, pos = _take(data, pos, end, "<u4", n_cells)
-                counts, pos = _take(data, pos, end, "<u4", n_cells)
-                n_states, pos = _take(data, pos, end, "<u2", n_cells)
-                states, pos = _take(data, pos, end, "<u4", n_rows)
-                busy, pos = _take(data, pos, end, "<u8", n_rows)
-                offsets = np.concatenate(([0], np.cumsum(per_lane)))
-                state_off = np.concatenate(([0], np.cumsum(n_states)))
-                if (
-                    offsets[-1] != n_cells
-                    or state_off[-1] != n_rows
-                    or (n_lanes and per_lane.min() == 0)
-                    or (n_cells and n_states.min() == 0)
-                ):
-                    raise FormatError(
-                        f"utilization level {li} counts disagree with its tables"
-                    )
-                if n_cells and (
-                    int(bins.max()) > (t_max >> k) - origin
-                    or not _increasing_within(bins, offsets)
-                    or not _increasing_within(states, state_off)
-                    or busy.min() <= 0
-                ):
-                    raise FormatError(
-                        f"utilization level {li} cells are unsorted or out of range"
-                    )
-                levels.append(
-                    Level.of(offsets, bins + origin, counts, state_off, states, busy)
-                )
-            tables.append(LaneTable(keys, tuple(levels)))
+            header, pos = _take(data, pos, end, "<u4", 2)
+            n_cells, n_rows = header.tolist()
+            per_lane, pos = _take(data, pos, end, "<u4", n_lanes)
+            offsets = np.concatenate(([0], np.cumsum(per_lane)))
+            if offsets[-1] != n_cells or (n_lanes and per_lane.min() == 0):
+                raise FormatError("utilization lane cell counts disagree with the table")
+            deltas, pos = _decode_runs(data, pos, end, n_cells)
+            counts, pos = _decode_runs(data, pos, end, n_cells)
+            n_states, pos = _decode_runs(data, pos, end, n_cells)
+            bounded = not n_cells or 0 < n_states.min() <= n_states.max() <= n_rows
+            state_off = np.concatenate(([0], np.cumsum(n_states)))
+            if not bounded or state_off[-1] != n_rows:
+                raise FormatError("utilization state counts disagree with the table")
+            states, pos = _decode_runs(data, pos, end, n_rows)
+            busy, pos = _decode_runs(data, pos, end, n_rows)
+            # Per-lane running sums of the deltas.  With every delta at most
+            # ``top``, the first bin past the span (or past int64, which
+            # wraps negative) is seen before any later one can wrap back.
+            bins = np.cumsum(deltas)
+            first = offsets[:-1]
+            bins -= np.repeat(bins[first] - deltas[first], per_lane)
+            if n_cells and (
+                deltas.max() > top
+                or bins.min() < 0
+                or bins.max() > top
+                or not _increasing_within(bins, offsets)
+                or not _increasing_within(states, state_off)
+                or busy.min() <= 0
+            ):
+                raise FormatError("utilization cells are unsorted or out of range")
+            finest = Level.of(offsets, bins + origin, counts, state_off, states, busy)
+            tables.append(LaneTable(keys, Levels(keys, finest, n_levels)))
         return cls(base_shift, n_levels, t_min, t_max, *tables), pos
 
     @staticmethod
@@ -723,13 +808,8 @@ class UtilizationBuilder:
         n_levels = levels_for_span(t_min, t_max, self.shift)
         tables = []
         for (rows,) in self._rows:
-            keys, level = _level_of(rows)
-            levels = [level]
-            for _ in range(1, n_levels):
-                lane, bins, state, count, busy = rows
-                rows = _aggregate((lane, bins >> 1, state, count, busy))
-                levels.append(_level_of(rows)[1])
-            tables.append(LaneTable(keys, tuple(levels)))
+            keys, finest = _level_of(rows)
+            tables.append(LaneTable(keys, Levels(keys, finest, n_levels)))
         util = UtilizationIndex(self.shift, n_levels, t_min, t_max, *tables)
         bins = tuple(zip(*self._coarse.tolist()))
         return BuiltAggregates(util, self._coarse_origin, self._coarse_shift, bins)

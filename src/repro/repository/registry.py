@@ -172,7 +172,6 @@ class Repository:
             (*_STAT_KEYS, "index_scanned", "index_pruned", "index_fallbacks"), 0
         )
         self.sessions_evicted = 0
-        self.index_builds_ok = 0
         self.index_builds_failed = 0
         if self.root is not None:
             self._load_root()
@@ -620,7 +619,6 @@ class Repository:
         else:
             dataset.index_status = INDEX_READY
             with self._lock:
-                self.index_builds_ok += 1
                 session = self._sessions.get(dataset.name)
             if session is not None:
                 session.reload_index()

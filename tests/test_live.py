@@ -234,6 +234,28 @@ class TestLiveSlogWriter:
         assert reason == "fresh"
         assert len(index.frames) == len(SlogFile(path).frames)
 
+    def test_close_builds_the_final_index_once(self, tmp_path, monkeypatch):
+        """The final epoch's index *is* the finished file's (offsets
+        rebased): close snapshots once, and the rebased sidecar is what a
+        rebuild of the assembled file writes."""
+        from repro.live import writer as writer_module
+        from repro.query import build_index, index_path_for, open_trace
+
+        path = tmp_path / "run.slog"
+        writer = live_writer(path)
+        for i in range(60):
+            writer.write(running(i * 10, 5))
+        snapshots = []
+        snapshot = writer_module._IncrementalIndex.snapshot
+        monkeypatch.setattr(
+            writer_module._IncrementalIndex, "snapshot",
+            lambda self: snapshots.append(1) or snapshot(self),
+        )
+        writer.close()
+        assert len(snapshots) == 1
+        with open_trace(path, PROFILE) as handle:
+            assert index_path_for(path).read_bytes() == build_index(handle).encode()
+
     @pytest.mark.parametrize("bins", [1, 2, 5, 13, 50])
     def test_preview_conserves_duration_for_any_bin_count(self, tmp_path, bins):
         """Folding the doubling horizon used to need an even bin count: 13

@@ -165,13 +165,46 @@ class TestIndexFile:
         assert index_path_for("d/run.ute").name == "run.ute.uteidx"
 
 
+def test_an_index_is_not_bigger_than_its_data(tmp_path):
+    """ROADMAP item 2's floor: the sidecar of the benchmark's wide trace
+    (128 lanes, the worst case: its size follows the lanes, not the
+    records) stays within 1.5x the trace, and a Table 1 synthetic SLOG's
+    is smaller than the SLOG."""
+    from repro.utils.convert import convert_traces
+    from repro.utils.merge import merge_interval_files
+    from repro.workloads import run_synthetic
+    from repro.workloads.bigtrace import write_big_slog
+    from repro.workloads.synthetic import SyntheticConfig
+
+    def ratio(path):
+        with open_trace(path, PROFILE) as handle:
+            sidecar = write_index(build_index(handle), index_path_for(path))
+        return sidecar.stat().st_size / Path(path).stat().st_size
+
+    wide = write_big_slog(
+        tmp_path / "wide.slog", n_nodes=4, threads_per_node=32,
+        n_records=20_000, frame_bytes=13_000,
+    )
+    assert ratio(wide.path) <= 1.5
+    run = run_synthetic(tmp_path / "raw", SyntheticConfig(rounds=206))
+    merged = merge_interval_files(
+        convert_traces(run.raw_paths, tmp_path / "ivl").interval_paths,
+        tmp_path / "merged.ute", PROFILE, slog_path=tmp_path / "table1.slog",
+    )
+    assert ratio(merged.slog_path) < 1.0
+
+
 # ---------------------------------------------------------------------------
-# Sidecar damage: every malformed v3 file is a FormatError, never a NumPy
+# Sidecar damage: every malformed v4 file is a FormatError, never a NumPy
 # exception and never a wrong answer.
+
+#: The five run-coded columns of a lane table's level 0, in file order.
+RUN_COLUMNS = ("bins", "counts", "n_states", "states", "busy")
+RUN_FORMATS = "BHIQ"  # dtype codes 0..3: u1, u2, u4, u8
 
 
 def sidecar_sections(data: bytes) -> list[tuple[str, int, int]]:
-    """Walk a version-3 sidecar by the layout in docs/FORMAT.md section 7:
+    """Walk a version-4 sidecar by the layout in docs/FORMAT.md section 7:
     ``(name, start, end)`` of every section, in file order."""
     out: list[tuple[str, int, int]] = []
     pos = 0
@@ -187,25 +220,22 @@ def sidecar_sections(data: bytes) -> list[tuple[str, int, int]]:
     take("span", 32)
     take("bingrid", 12)
     for i in range(n_frames):
-        (n_keys,) = struct.unpack_from("<I", data, pos + 36)
-        take(f"frame{i}", 40 + 32 + 8 * n_keys)
+        take(f"frame{i}", 36 + 32)
     take("bins", 16 * n_bins)
     for i in range(n_postings):
         (n,) = struct.unpack_from("<I", data, pos + 8)
         take(f"posting{i}", 12 + 4 * n)
-    _, n_levels, _, _, n_thread, n_cpu = struct.unpack_from("<IIqqII", data, pos)
+    _, _, _, _, n_thread, n_cpu = struct.unpack_from("<IIqqII", data, pos)
     take("util.header", 32)
     for kind, n_lanes in (("thread", n_thread), ("cpu", n_cpu)):
         take(f"{kind}.keys", 8 * n_lanes)
-        for li in range(n_levels):
-            n_cells, n_rows = struct.unpack_from("<II", data, pos)
-            take(f"{kind}.{li}.header", 8)
-            take(f"{kind}.{li}.lane_cells", 4 * n_lanes)
-            take(f"{kind}.{li}.bins", 4 * n_cells)
-            take(f"{kind}.{li}.counts", 4 * n_cells)
-            take(f"{kind}.{li}.n_states", 2 * n_cells)
-            take(f"{kind}.{li}.states", 4 * n_rows)
-            take(f"{kind}.{li}.busy", 8 * n_rows)
+        take(f"{kind}.header", 8)
+        take(f"{kind}.lane_cells", 4 * n_lanes)
+        for column in RUN_COLUMNS:
+            n_runs, value_code, length_code = struct.unpack_from("<IBB", data, pos)
+            take(f"{kind}.{column}.runs", 6)
+            take(f"{kind}.{column}.values", n_runs << value_code)
+            take(f"{kind}.{column}.lengths", n_runs << length_code)
     take("crc", 4)
     assert pos == len(data)
     return out
@@ -219,42 +249,134 @@ def resealed(body: bytes) -> bytes:
 def patched(data: bytes, name: str, fmt: str, change, *, at: int = 0) -> bytes:
     """``data`` with the ``fmt`` value(s) at byte ``at`` of section ``name``
     replaced by ``change(*values)`` and the CRC repaired."""
-    start = next(s for n, s, _ in sidecar_sections(data) if n == name) + at
+    start = span_of(data, name)[0] + at
     values = change(*struct.unpack_from(fmt, data, start))
     body = bytearray(data[:-4])
     struct.pack_into(fmt, body, start, *values)
     return resealed(bytes(body))
 
 
+def span_of(data: bytes, name: str) -> tuple[int, int]:
+    """``(start, end)`` of the section called ``name``."""
+    return next((start, end) for n, start, end in sidecar_sections(data) if n == name)
+
+
+def runs_of(data: bytes, column: str) -> tuple[list[int], list[int], int, int]:
+    """One run-coded column (``"thread.busy"``) as ``(values, lengths,
+    value dtype code, length dtype code)``."""
+    n_runs, *codes = struct.unpack_from("<IBB", data, span_of(data, f"{column}.runs")[0])
+    values, lengths = (
+        list(struct.unpack_from(
+            f"<{n_runs}{RUN_FORMATS[code]}", data, span_of(data, f"{column}.{part}")[0]
+        ))
+        for part, code in zip(("values", "lengths"), codes)
+    )
+    return values, lengths, *codes
+
+
+def rerun(data: bytes, column: str, change) -> bytes:
+    """``data`` with one run-coded column rewritten: ``change(values,
+    lengths, value_code, length_code)`` edits the lists in place and may
+    return new dtype codes; the column is re-packed, the CRC repaired."""
+    values, lengths, *codes = runs_of(data, column)
+    value_code, length_code = change(values, lengths, *codes) or codes
+    packed = struct.pack("<IBB", len(values), value_code, length_code)
+    packed += struct.pack(f"<{len(values)}{RUN_FORMATS[value_code]}", *values)
+    packed += struct.pack(f"<{len(lengths)}{RUN_FORMATS[length_code]}", *lengths)
+    start, end = span_of(data, f"{column}.runs")[0], span_of(data, f"{column}.lengths")[1]
+    return resealed(data[:start] + packed + data[end:-4])
+
+
+def run_holding(lengths: list[int], element: int) -> int:
+    """Index of the run that holds element ``element`` of the column."""
+    for run, n in enumerate(lengths):
+        if element < n:
+            return run
+        element -= n
+    raise AssertionError("element beyond the column")
+
+
+def first_multi_state_row(data: bytes) -> int:
+    """Row index of the first thread level-0 cell holding two states."""
+    values, lengths, _, _ = runs_of(data, "thread.n_states")
+    row = 0
+    for n_states, cells in zip(values, lengths):
+        if n_states > 1:
+            return row
+        row += n_states * cells
+    raise AssertionError("fixture has no multi-state cell")
+
+
+def _set(run: int, value: int, *, wide: bool = False):
+    """A :func:`rerun` change: run ``run``'s value becomes ``value`` (in a
+    u8 column when ``wide``)."""
+    def change(values, lengths, value_code, length_code):
+        values[run] = value
+        return (3 if wide else value_code), length_code
+    return change
+
+
+def _stall_longest_run(values, lengths, *_):
+    # Every lane of the fixture has many cells, so the longest run of equal
+    # bin deltas lies inside a lane; a delta of 0 there repeats a bin.
+    assert max(lengths) >= 3
+    values[lengths.index(max(lengths))] = 0
+
+
+def _equal_states(data: bytes) -> bytes:
+    # Rows r and r + 1 are one cell's first two states (so two runs): give
+    # the second the first's value and the cell's states no longer increase.
+    row = first_multi_state_row(data)
+    values, lengths, _, _ = runs_of(data, "thread.states")
+    low, high = run_holding(lengths, row), run_holding(lengths, row + 1)
+    assert low != high
+    return rerun(data, "thread.states", _set(high, values[low]))
+
+
+def _bump_first_value(values, lengths, *_):
+    values[0] += 1
+
+
+def _grow_first_run(values, lengths, *_):
+    lengths[0] += 1
+
+
+def _shrink_a_run(values, lengths, *_):
+    lengths[lengths.index(max(lengths))] -= 1
+
+
+def _add_empty_run(values, lengths, *_):
+    values.append(values[-1] + 1)
+    lengths.append(0)
+
+
 #: CRC-repaired tampering the decoder's own checks must catch.
 TAMPERINGS = {
-    "unsorted_bins": lambda d: patched(d, "thread.0.bins", "<II", lambda a, b: (b, a)),
-    "unsorted_states": lambda d: patched(
-        d, "thread.0.states", "<II", lambda a, b: (b, a),
-        at=4 * first_multi_state_row(d),
-    ),
+    "unsorted_bins": lambda d: rerun(d, "thread.bins", _stall_longest_run),
+    "unsorted_states": _equal_states,
     "unsorted_lane_keys": lambda d: patched(
         d, "thread.keys", "<QQ", lambda a, b: (b, a)
     ),
-    "n_states_disagree": lambda d: patched(
-        d, "thread.0.n_states", "<H", lambda n: (n + 1,)
-    ),
+    "n_states_disagree": lambda d: rerun(d, "thread.n_states", _bump_first_value),
     "lane_cells_disagree": lambda d: patched(
-        d, "cpu.1.lane_cells", "<I", lambda n: (n + 1,)
+        d, "cpu.lane_cells", "<I", lambda n: (n + 1,)
     ),
     "empty_lane": lambda d: patched(
-        d, "thread.0.lane_cells", "<II", lambda a, b: (0, a + b)
+        d, "thread.lane_cells", "<II", lambda a, b: (0, a + b)
     ),
-    "zero_busy": lambda d: patched(d, "cpu.0.busy", "<Q", lambda b: (0,)),
-    "busy_beyond_int64": lambda d: patched(d, "cpu.0.busy", "<Q", lambda b: (1 << 63,)),
-    "bin_outside_span": lambda d: patched(
-        d, "thread.2.bins", "<I", lambda b: (0xFFFFFFF0,)
+    "zero_busy": lambda d: rerun(d, "cpu.busy", _set(0, 0)),
+    "busy_beyond_int64": lambda d: rerun(d, "cpu.busy", _set(0, 1 << 63, wide=True)),
+    "count_beyond_int64": lambda d: rerun(
+        d, "thread.counts", _set(0, (1 << 64) - 1, wide=True)
+    ),
+    "bin_outside_span": lambda d: rerun(
+        d, "thread.bins", _set(1, 0xFFFFFFF0, wide=True)
     ),
     "cells_overflow_file": lambda d: patched(
-        d, "thread.0.header", "<II", lambda c, r: (0xFFFFFFF0, r)
+        d, "thread.header", "<II", lambda c, r: (0xFFFFFFF0, r)
     ),
     "rows_overflow_file": lambda d: patched(
-        d, "cpu.0.header", "<II", lambda c, r: (c, 0x7FFFFFFF)
+        d, "cpu.header", "<II", lambda c, r: (c, 0x7FFFFFFF)
     ),
     "lanes_overflow_file": lambda d: patched(
         d, "util.header", "<IIqqII", lambda s, n, a, b, t, c: (s, n, a, b, 0xFFFFFFF0, c)
@@ -265,22 +387,36 @@ TAMPERINGS = {
     "shift_beyond_int64": lambda d: patched(
         d, "util.header", "<IIqqII", lambda s, n, a, b, t, c: (70, n, a, b, t, c)
     ),
+    # A frame's thread keys are stored as the postings that name it.
     "frame_keys_overflow_file": lambda d: patched(
-        d, "frame0", "<I", lambda n: (0x7FFFFFFF,), at=36
+        d, "posting0", "<I", lambda n: (0x7FFFFFFF,), at=8
     ),
+    "posting_names_a_missing_frame": lambda d: patched(
+        d, "posting0", "<I", lambda o: (0x7FFFFFFF,),
+        at=8 + 4 * struct.unpack_from("<I", d, span_of(d, "posting0")[0] + 8)[0],
+    ),
+    "unsorted_posting_keys": lambda d: patched(
+        d, "posting1", "<Q", lambda k: (0,)
+    ),
+    "unsorted_posting_ordinals": lambda d: patched(
+        d, "posting0", "<II", lambda a, b: (b, a), at=12
+    ),
+    # The run codec's own checks.
+    "runs_overrun_the_cells": lambda d: rerun(d, "thread.counts", _grow_first_run),
+    "runs_underrun_the_cells": lambda d: rerun(d, "thread.counts", _shrink_a_run),
+    "runs_overrun_the_rows": lambda d: rerun(d, "cpu.states", _grow_first_run),
+    "zero_length_run": lambda d: rerun(d, "thread.busy", _add_empty_run),
+    "value_dtype_code_out_of_range": lambda d: patched(
+        d, "cpu.counts.runs", "<B", lambda c: (4,), at=4
+    ),
+    "length_dtype_code_out_of_range": lambda d: patched(
+        d, "thread.bins.runs", "<B", lambda c: (0xFF,), at=5
+    ),
+    "runs_overflow_file": lambda d: patched(
+        d, "cpu.busy.runs", "<I", lambda n: (0x7FFFFFFF,)
+    ),
+    "trailing_bytes": lambda d: resealed(d[:-4] + b"\0"),
 }
-
-
-def first_multi_state_row(data: bytes) -> int:
-    """Row index of the first thread level-0 cell holding two states."""
-    sections = {n: (s, e) for n, s, e in sidecar_sections(data)}
-    start, end = sections["thread.0.n_states"]
-    row = 0
-    for (n,) in struct.iter_unpack("<H", data[start:end]):
-        if n > 1:
-            return row
-        row += n
-    raise AssertionError("fixture has no multi-state cell")
 
 
 def mixed_records(n=240):
@@ -325,12 +461,18 @@ class TestSidecarDamage:
         data = index_path_for(trace).read_bytes()
         names = [name for name, _, _ in sidecar_sections(data)]
         assert names[:4] == ["header", "source", "span", "bingrid"]
-        assert "thread.0.busy" in names and names[-1] == "crc"
+        assert "thread.busy.values" in names and names[-1] == "crc"
         assert first_multi_state_row(data) >= 0
 
     def test_truncation_at_every_section_boundary(self, trace):
         data = index_path_for(trace).read_bytes()
-        cuts = sorted({start for _, start, _ in sidecar_sections(data)} - {0})
+        # Every boundary and the middle of every section: a cut inside a
+        # run array is as likely as one between two.
+        sections = sidecar_sections(data)
+        cuts = sorted(
+            {start for _, start, _ in sections if start}
+            | {(start + end) // 2 for _, start, end in sections[:-1]}
+        )
         assert len(cuts) > 100
         assert cuts[-1] == len(data) - 4  # resealing that one restores the file
         for cut in cuts:
@@ -384,9 +526,9 @@ class TestSidecarDamage:
         )[0]
         self.assert_falls_back(trace, tampered)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_versions_are_stale_not_read(self, trace, version):
-        """A v1/v2-shaped file (valid magic and checksum, an older version
+        """A v1/v2/v3 file (valid magic and checksum, an older version
         word) is never parsed: it reports ``stale:version`` and the
         planner scans."""
         data = index_path_for(trace).read_bytes()
@@ -928,3 +1070,21 @@ class TestIndexExtension:
         repo._build_index(dataset)
         assert dataset.index_extended is False
         assert sidecar.stat().st_mtime_ns == before  # never rewritten
+
+
+def test_a_grown_trace_decodes_its_sidecar_once(ivl, monkeypatch):
+    """``stale:size`` and ``prefix`` are two readings of one decode: the
+    path every live finalization and grown dataset takes parses the
+    sidecar a single time, and both entry points still give their own
+    verdict."""
+    from repro.query import indexfile
+
+    write_index(TestIndexExtension._prefix_base(ivl, 2), index_path_for(ivl))
+    decodes = []
+    load_index = indexfile.load_index
+    monkeypatch.setattr(
+        indexfile, "load_index", lambda path: decodes.append(path) or load_index(path)
+    )
+    index, reason = indexfile.load_index_for_extension(ivl)
+    assert index is not None and reason == "prefix" and len(decodes) == 1
+    assert load_fresh_index(ivl) == (None, "stale:size") and len(decodes) == 2

@@ -2,17 +2,21 @@
 
 Covers the grid helpers, builder exactness (busy time at the finest
 level equals the summed record durations, every coarser level folds
-exactly from the one below), order independence, the binary round-trip,
-windowed queries, the sidecar integration, the serving endpoint, and the
-``ute-query --utilization`` command.
+exactly from the one below), order independence, the lazily folded
+levels, the run codec and the binary round-trip, windowed queries, the
+sidecar integration, the serving endpoint, and the ``ute-query
+--utilization`` command.
 """
 
 import contextlib
 import io
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +25,10 @@ from repro.core import standard_profile
 from repro.core.fields import MASK_ALL_MERGED
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
-from repro.query import TraceIndex, build_index, index_path_for, open_trace, write_index
+from repro.errors import FormatError
+from repro.query import (
+    TraceIndex, build_index, index_path_for, open_trace, utilization, write_index,
+)
 from repro.query.columnar import batch_from_records
 from repro.query.utilization import (
     UtilizationBuilder,
@@ -305,6 +312,124 @@ class TestChunkingAndOrder:
         assert sidecar_bytes(resumed.build()) == full
 
 
+def chained_levels(table, n_levels):
+    """Every level the way the version-3 builder stored them: each one the
+    sibling fold (``bin >> 1``) of the level below."""
+    rows = utilization._rows_of(table.keys, table.levels[0])
+    levels = [table.levels[0]]
+    for _ in range(1, n_levels):
+        lane, bins, state, count, busy = rows
+        rows = utilization._aggregate((lane, bins >> 1, state, count, busy))
+        levels.append(utilization._level_of(rows)[1])
+    return levels
+
+
+def same_level(a, b):
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestLazyLevels:
+    """``levels[li]`` is folded on first use from whatever finer level is
+    already held; whichever levels were asked for before, and by how many
+    threads at once, it is the chained sibling fold column for column."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(record_rows, grids, st.randoms(use_true_random=False))
+    def test_any_request_order_equals_the_chained_fold(self, rows, grid, rng):
+        records = from_rows(rows)
+        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
+        reference = build(records, **kwargs).utilization
+        n_levels = reference.n_levels
+        lazy, raced = (build(records, **kwargs).utilization for _ in range(2))
+        orders = [rng.sample(range(n_levels), n_levels) for _ in range(9)]
+        for kind in ("thread", "cpu"):
+            want = chained_levels(reference._table(kind), n_levels)
+            levels = lazy._table(kind).levels
+            assert len(levels) == n_levels
+            for li in orders[0]:
+                assert same_level(levels[li], want[li])
+                assert levels[li] is levels[li]  # folded once, then held
+
+            levels = raced._table(kind).levels
+            got: list = []
+            barrier = threading.Barrier(8)
+
+            def ask(order):
+                barrier.wait(timeout=30)
+                got.append([(li, levels[li]) for li in order])
+
+            threads = [threading.Thread(target=ask, args=(o,)) for o in orders[1:]]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(got) == 8 and not any(t.is_alive() for t in threads)
+            for answers in got:
+                for li, level in answers:
+                    assert same_level(level, want[li])
+
+    def test_coarser_levels_are_not_built_until_asked_for(self):
+        util = build(sample_records()).utilization
+        held = util.thread.levels._held
+        assert util.n_levels > 3 and [lv is not None for lv in held] == [True] + [False] * (
+            util.n_levels - 1
+        )
+        util.query("thread", util.t_min, util.t_max, 16)
+        assert sum(lv is not None for lv in held) == 2
+        with pytest.raises(IndexError):
+            util.thread.levels[util.n_levels]
+
+
+run_columns = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 2, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32, 2**63 - 1]),
+        st.sampled_from([1, 1, 1, 2, 3, 255, 256, 70_000]),
+    ),
+    max_size=12,
+)
+
+
+class TestRunCodec:
+    @settings(max_examples=80, deadline=None)
+    @given(run_columns)
+    def test_round_trip_and_narrowest_dtypes(self, runs):
+        column = np.repeat(
+            np.array([v for v, _ in runs], np.int64), [n for _, n in runs]
+        )
+        blob = utilization._encode_runs(column)
+        out, pos = utilization._decode_runs(blob, 0, len(blob), len(column))
+        assert pos == len(blob)
+        assert out.dtype == np.int64 and np.array_equal(out, column)
+        # Equal neighbours merge into one run; each array takes the
+        # smallest dtype that holds its maximum.
+        n_runs, value_code, length_code = utilization._RUNS_HEADER.unpack_from(blob)
+        starts = [0] + [i for i in range(1, len(column)) if column[i] != column[i - 1]]
+        assert n_runs == (len(starts) if len(column) else 0)
+        lengths = np.diff(starts + [len(column)]) if len(column) else []
+        for code, top in ((value_code, max(column, default=0)),
+                          (length_code, max(lengths, default=0))):
+            assert int(top) < 1 << (8 << code)
+            assert code == 0 or int(top) >= 1 << (8 << (code - 1))
+
+    def test_a_negative_value_is_refused_not_wrapped(self):
+        with pytest.raises(FormatError):
+            utilization._encode_runs(np.array([3, -1, 4], np.int64))
+
+    def test_the_declared_length_is_checked_before_anything_is_expanded(self):
+        blob = utilization._encode_runs(np.full(1000, 7, np.int64))
+        assert len(blob) == 6 + 1 + 2
+        for n in (999, 1001, 0, 2**32 - 16):
+            with pytest.raises(FormatError):
+                utilization._decode_runs(blob, 0, len(blob), n)
+        with pytest.raises(FormatError):
+            utilization._decode_runs(blob, 0, len(blob) - 1, 1000)
+
+
 class TestGoldenQueries:
     def test_query_answers_match_the_dict_implementation(self, corpus):
         """``query()`` over the golden corpus, pinned to what the
@@ -340,6 +465,32 @@ class TestEncoding:
         decoded, pos = UtilizationIndex.decode(data, 0)
         assert pos == len(data)
         assert decoded.encode() == data
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_rows, grids)
+    def test_decode_of_encode_reproduces_level_zero(self, rows, grid):
+        util = build(from_rows(rows), base_bins=grid[0], coarse_bins=grid[1]).utilization
+        data = util.encode()
+        decoded, pos = UtilizationIndex.decode(data, 0)
+        assert pos == len(data)
+        assert (decoded.base_shift, decoded.n_levels, decoded.t_min, decoded.t_max) == (
+            util.base_shift, util.n_levels, util.t_min, util.t_max
+        )
+        for kind in ("thread", "cpu"):
+            built, read = util._table(kind), decoded._table(kind)
+            assert read.keys.dtype == built.keys.dtype
+            assert np.array_equal(read.keys, built.keys)
+            assert len(read.levels) == len(built.levels) == util.n_levels
+            assert same_level(read.levels[0], built.levels[0])
+
+    def test_only_the_finest_level_is_stored(self):
+        # Asking for every level first changes nothing that is written.
+        util = build(sample_records()).utilization
+        before = util.encode()
+        for kind in ("thread", "cpu"):
+            for li in range(util.n_levels):
+                util.level_cells(kind, li)
+        assert util.encode() == before
 
     def test_absent_section_decodes_to_none(self):
         decoded, pos = UtilizationIndex.decode(
@@ -394,8 +545,6 @@ class TestQuery:
                 )
 
     def test_unknown_lane_kind_raises(self):
-        from repro.errors import FormatError
-
         util = build(sample_records()).utilization
         with pytest.raises(FormatError):
             util.query("socket", 0, 1, 16)
