@@ -7,7 +7,11 @@ per-CPU) utilization bins at power-of-two resolutions, held as flat
 columns sorted by (lane, bin, state), so a view over any window answers
 from one masked pass over a bin column instead of record decodes
 (Traveler's sparse utilization lists, with the drill-down-below-a-
-density-threshold discipline of aggregate-driven visualization).
+density-threshold discipline of aggregate-driven visualization).  The
+answer is columns too (:class:`WindowCells`: bins, counts, busy and
+dominant state per cell, offsets per lane) — the view and payload
+builders do array arithmetic on them, and per-cell tuples exist only for
+a caller that asks for a lane's cells one by one.
 
 Every bin lives on an **absolute power-of-two grid**: at shift ``k`` a
 bin covers ``[i << k, (i + 1) << k)`` ticks and a timestamp ``t`` falls
@@ -45,7 +49,9 @@ included) on the same absolute grid, which is what makes
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -85,10 +91,6 @@ _RUNS_HEADER = struct.Struct("<IBB")     # n_runs, dtype code of the values, of 
 #: Run-coded arrays are narrowed to the smallest of these that holds their
 #: maximum; the one-byte dtype code is the position here.
 _RUN_DTYPES = ("<u1", "<u2", "<u4", "<u8")
-
-#: Most cells a remembered whole-level answer may hold (about 10 MB of
-#: Python objects per lane kind).
-_KEEP_CELLS = 1 << 15
 
 #: One occupied bin: (records starting here, {interval type: busy ticks}).
 Cell = tuple[int, dict[int, int]]
@@ -230,6 +232,24 @@ class Level(NamedTuple):
             self.counts[sel].tolist(), totals, states,
         ))
 
+    def dominant(self, sel: np.ndarray) -> np.ndarray:
+        """:func:`dominant_state` of the cells at positions ``sel``, as a
+        column: a segmented max over each cell's state rows, then the
+        smallest state among those that reach it."""
+        first = self.state_off[sel]
+        n_states = self.state_off[sel + 1] - first
+        out = self.states[first]
+        many = np.flatnonzero(n_states > 1)
+        if len(many):
+            n_states = n_states[many]
+            rows = _ranges(first[many], n_states)
+            starts = np.cumsum(n_states) - n_states
+            busy = self.busy[rows]
+            top = np.repeat(np.maximum.reduceat(busy, starts), n_states)
+            tying = np.where(busy == top, self.states[rows], np.iinfo(np.int64).max)
+            out[many] = np.minimum.reduceat(tying, starts)
+        return out
+
 
 def _level_of(rows: _Rows) -> tuple[np.ndarray, Level]:
     """Aggregated rows -> (lane keys, two-tier level)."""
@@ -353,6 +373,52 @@ def _increasing_within(values: np.ndarray, offsets: np.ndarray) -> bool:
     return bool(step.all())
 
 
+class WindowCells(Mapping):
+    """One level's cells inside a window — what :meth:`UtilizationIndex.query`
+    answers with — as int64 columns sorted by (lane, bin).
+
+    Lane ``i`` (``lanes[i]``, every lane key of the table) holds cells
+    ``offsets[i] .. offsets[i + 1]``, possibly none; cell ``c`` is bin
+    ``bins[c]`` at ``shift`` with ``counts[c]`` records starting in it,
+    ``busy[c]`` busy ticks over all states and ``dominant[c]`` its
+    :func:`dominant_state`.  Views and payloads read the columns.
+
+    Read as a mapping it is the same answer as ``{lane_key: [(bin_t0,
+    bin_t1, count, busy, {state: busy}), ...]}`` over the lanes that have a
+    cell, in key order; a lane's list is made by :meth:`Level.cells` when it
+    is asked for."""
+
+    def __init__(self, keys: np.ndarray, level: Level, sel: np.ndarray, shift: int) -> None:
+        self.lanes = keys
+        self.shift = shift
+        self.offsets = np.searchsorted(sel, level.offsets)
+        self.bins = level.bins[sel]
+        self.counts = level.counts[sel]
+        self.busy = level.totals[sel]
+        self.dominant = level.dominant(sel)
+        self._level = level
+        self._sel = sel
+
+    @cached_property
+    def spans(self) -> dict[int, tuple[int, int]]:
+        """``{lane_key: (first cell, end cell)}`` of the lanes with a cell."""
+        cuts = self.offsets.tolist()
+        return {
+            key: (lo, hi)
+            for key, lo, hi in zip(self.lanes.tolist(), cuts, cuts[1:]) if lo < hi
+        }
+
+    def __getitem__(self, key: int) -> list[tuple[int, int, int, int, dict[int, int]]]:
+        lo, hi = self.spans[key]
+        return self._level.cells(self._sel[lo:hi], self.shift)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.spans)
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+
 @dataclass(eq=False)
 class UtilizationIndex:
     """The hierarchy: per lane kind, sorted columns at the finest level
@@ -370,8 +436,6 @@ class UtilizationIndex:
     t_max: int
     thread: LaneTable
     cpu: LaneTable
-    #: Per kind, the last whole-level answer: ``(level, cells)``.
-    _whole: dict = field(default_factory=dict, repr=False)
 
     # -------------------------------------------------------------- queries
 
@@ -395,15 +459,15 @@ class UtilizationIndex:
                 return level
         return self.n_levels - 1
 
-    def query(
-        self, kind: str, t0: int, t1: int, max_bins: int
-    ) -> tuple[int, dict[int, list[tuple[int, int, int, int, dict[int, int]]]]]:
+    def query(self, kind: str, t0: int, t1: int, max_bins: int) -> tuple[int, WindowCells]:
         """Aggregate cells over a window, at the finest level that fits.
 
-        Returns ``(shift, {lane_key: [(bin_t0, bin_t1, count, busy,
-        states), ...]})`` — one masked pass over the level's bin column,
-        no trace IO.  The window is clamped to the indexed span.  The
-        ``states`` dicts may be shared between answers: read, never edit."""
+        Returns ``(shift, cells)`` — one masked pass over the level's bin
+        column and a segmented max over its state rows, no trace IO and no
+        per-cell object.  ``cells`` is a :class:`WindowCells`: columns for
+        the display path, and a ``{lane_key: [(bin_t0, bin_t1, count, busy,
+        states), ...]}`` mapping for whoever wants cells one by one.  The
+        window is clamped to the indexed span."""
         table = self._table(kind)
         t0 = max(t0, self.t_min)
         t1 = min(max(t1, t0), self.t_max)
@@ -411,37 +475,16 @@ class UtilizationIndex:
         k = self.base_shift + li
         level = table.levels[li]
         sel = np.flatnonzero((level.bins >= t0 >> k) & (level.bins <= t1 >> k))
-        if len(sel) < len(level.bins) or len(sel) > _KEEP_CELLS:
-            cells = level.cells(sel, k)
-        else:
-            # A window over the whole level — the whole-run view every
-            # viewer opens with — is asked again and again: keep the last
-            # such answer per kind.
-            kept = self._whole.get(kind)
-            if kept is None or kept[0] != li:
-                kept = self._whole[kind] = (li, level.cells(sel, k))
-            cells = kept[1]
-        return k, self._by_lane(table.keys, level, sel, cells)
-
-    @staticmethod
-    def _by_lane(keys: np.ndarray, level: Level, sel: np.ndarray, cells: list) -> dict:
-        """Split the cells at positions ``sel`` into ``{lane_key: cells}``
-        (lanes in key order, lanes without a cell left out)."""
-        cuts = np.searchsorted(sel, level.offsets).tolist()
-        return {
-            key: cells[lo:hi]
-            for key, lo, hi in zip(keys.tolist(), cuts, cuts[1:]) if lo < hi
-        }
+        return k, WindowCells(table.keys, level, sel, k)
 
     def level_cells(self, kind: str, level: int) -> dict[int, dict[int, Cell]]:
         """Every cell of one level as ``{lane_key: {bin: (count, {state:
         busy})}}`` — the read accessor checks and tests compare through."""
         table = self._table(kind)
         lv = table.levels[level]
-        sel = np.arange(len(lv.bins))
-        cells = [(c[0], (c[2], c[4])) for c in lv.cells(sel, 0)]
+        cells = WindowCells(table.keys, lv, np.arange(len(lv.bins)), 0)
         return {
-            key: dict(lane) for key, lane in self._by_lane(table.keys, lv, sel, cells).items()
+            key: {c[0]: (c[2], c[4]) for c in lane} for key, lane in cells.items()
         }
 
     def summary(self) -> dict:
@@ -575,28 +618,25 @@ def utilization_payload(
     tps = ticks_per_sec
     w0, w1 = window
     w1 = max(w1, w0 + 1)
-    shift, lanes = util.query(kind, w0, w1, max_bins)
+    shift, cells = util.query(kind, w0, w1, max_bins)
     width = 1 << shift
+    start = cells.bins << shift
+    columns = (
+        start / tps, (start + width) / tps, cells.counts, cells.busy / tps,
+        np.minimum(cells.busy / width, 1.0), cells.dominant,
+    )
+    rows = [
+        {"start": t0, "end": t1, "count": count, "busy": busy, "busy_frac": frac,
+         "dominant": state}
+        for t0, t1, count, busy, frac, state in zip(*(col.tolist() for col in columns))
+    ]
+    sub_name = "thread" if kind == "thread" else "cpu"
     lanes_out = []
-    for key, cells in lanes.items():
+    for key, (lo, hi) in cells.spans.items():
         node, sub = split_thread_key(key)
-        lanes_out.append({
-            "node": node,
-            ("thread" if kind == "thread" else "cpu"): sub,
-            "cells": [
-                {
-                    "start": bin_t0 / tps,
-                    "end": bin_t1 / tps,
-                    "count": count,
-                    "busy": busy / tps,
-                    "busy_frac": min(busy / width, 1.0),
-                    "dominant": dominant_state(states),
-                }
-                for bin_t0, bin_t1, count, busy, states in cells
-            ],
-        })
+        lanes_out.append({"node": node, sub_name: sub, "cells": rows[lo:hi]})
     names = {}
-    for itype in sorted({c["dominant"] for lane in lanes_out for c in lane["cells"]}):
+    for itype in np.unique(cells.dominant).tolist():
         try:
             names[str(itype)] = record_name(itype)
         except Exception:

@@ -92,6 +92,7 @@ from repro.serve.html import datasets_page, server_page
 from repro.serve.metrics import Registry
 from repro.serve.session import DEFAULT_SERVER_CACHE, FrameDecodeError, TraceSession
 from repro.viz.jumpshot import VIEW_KINDS
+from repro.viz.views import MIN_VIEW_WIDTH
 
 log = logging.getLogger("repro.serve")
 access_log = logging.getLogger("repro.serve.access")
@@ -776,7 +777,7 @@ class TraceServer:
         (aggregate-driven above the density threshold)."""
         width = self.config.svg_width
         if "width" in request.query:
-            width = max(200, min(_int_seg(request.query["width"], "width"), 4000))
+            width = max(MIN_VIEW_WIDTH, min(_int_seg(request.query["width"], "width"), 4000))
         window = self._window(request)
         if window is not None:
             t0, t1 = window

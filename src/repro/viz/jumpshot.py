@@ -80,11 +80,16 @@ class Jumpshot:
         #: Whether the last view_svg_* call answered from the utilization
         #: hierarchy (True) or exact record bars (False).
         self.last_view_aggregate = False
+        #: CPUs per node inferred from the records of a file without a node
+        #: table — one pass over every frame, made by the first view that
+        #: needs it.
+        self._inferred_cpus: dict[int, int] | None = None
 
     def reload_preview(self) -> None:
         """Rebuild the preview from the reader's current counters (a live
-        reader's refresh may have replaced them)."""
+        reader's refresh may have replaced them, and added nodes)."""
         self.preview = Preview.from_slog(self.slog)
+        self._inferred_cpus = None
 
     def close(self) -> None:
         """Release the SLOG file's byte source."""
@@ -280,10 +285,12 @@ class Jumpshot:
     def _cpus_per_node(self) -> dict[int, int]:
         if self.slog.node_cpus:
             return dict(self.slog.node_cpus)
-        # Legacy fallback: infer CPU counts from the records.
-        cpus: dict[int, int] = {}
-        for frame in self.slog.frames:
-            for record in self.slog.read_frame(frame):
-                if record.duration > 0:
-                    cpus[record.node] = max(cpus.get(record.node, 0), record.cpu + 1)
-        return cpus
+        # Legacy fallback: infer CPU counts from the records, once.
+        if self._inferred_cpus is None:
+            cpus: dict[int, int] = {}
+            for frame in self.slog.frames:
+                for record in self.slog.read_frame(frame):
+                    if record.duration > 0:
+                        cpus[record.node] = max(cpus.get(record.node, 0), record.cpu + 1)
+            self._inferred_cpus = cpus
+        return dict(self._inferred_cpus)

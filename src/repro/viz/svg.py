@@ -3,10 +3,17 @@
 Just enough vector drawing for the viewers: rectangles, lines, polylines,
 text, groups, and per-element ``<title>`` tooltips.  No dependencies; output
 is a standalone ``.svg`` file.
+
+Numbers are formatted straight into the markup — a float's ``repr`` holds
+nothing to escape.  Strings (colours, fonts, labels, tooltips) always go
+through :func:`xml_text` / :func:`xml_attr`, which also replace the code
+points XML 1.0 forbids, so a trace's names cannot make the document
+malformed.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
@@ -18,6 +25,29 @@ GRID = "#e8e7e4"
 AXIS = "#b9b8b2"
 
 
+#: Code points outside XML 1.0's ``Char`` production (C0 controls other
+#: than tab, newline and carriage return; surrogates; U+FFFE and U+FFFF):
+#: no parser accepts them, escaped or not, so they become U+FFFD.
+_FORBIDDEN = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_NOT_XML = re.compile(f"[{_FORBIDDEN}]")
+#: What a string must hold before escaping or replacing can change it.
+_NOT_PLAIN = re.compile(f'[{_FORBIDDEN}&<>"\t\n\r]')
+
+
+def xml_text(text: str) -> str:
+    """``text`` as XML character data."""
+    if _NOT_PLAIN.search(text) is None:
+        return text
+    return escape(_NOT_XML.sub("\ufffd", text))
+
+
+def xml_attr(text: str) -> str:
+    """``text`` as a quoted XML attribute value."""
+    if _NOT_PLAIN.search(text) is None:
+        return f'"{text}"'
+    return quoteattr(_NOT_XML.sub("\ufffd", text))
+
+
 class SvgCanvas:
     """Accumulates SVG elements and serializes a complete document."""
 
@@ -26,14 +56,6 @@ class SvgCanvas:
         self.height = height
         self._parts: list[str] = []
         self.rect(0, 0, width, height, fill=background)
-
-    @staticmethod
-    def _attrs(attrs: dict) -> str:
-        return " ".join(
-            f"{k.replace('_', '-')}={quoteattr(str(v))}"
-            for k, v in attrs.items()
-            if v is not None
-        )
 
     def rect(
         self,
@@ -50,15 +72,20 @@ class SvgCanvas:
         title: str | None = None,
     ) -> None:
         """Add a rectangle (optionally rounded / stroked / tooltipped)."""
-        attrs = self._attrs(
-            dict(
-                x=round(x, 2), y=round(y, 2), width=round(max(w, 0), 2),
-                height=round(max(h, 0), 2), fill=fill, rx=rx,
-                stroke=stroke, stroke_width=stroke_width, opacity=opacity,
-            )
+        attrs = (
+            f'x="{round(x, 2)}" y="{round(y, 2)}" width="{round(max(w, 0), 2)}" '
+            f'height="{round(max(h, 0), 2)}" fill={xml_attr(fill)}'
         )
+        if rx is not None:
+            attrs += f' rx="{rx}"'
+        if stroke is not None:
+            attrs += f" stroke={xml_attr(stroke)}"
+        if stroke_width is not None:
+            attrs += f' stroke-width="{stroke_width}"'
+        if opacity is not None:
+            attrs += f' opacity="{opacity}"'
         if title:
-            self._parts.append(f"<rect {attrs}><title>{escape(title)}</title></rect>")
+            self._parts.append(f"<rect {attrs}><title>{xml_text(title)}</title></rect>")
         else:
             self._parts.append(f"<rect {attrs}/>")
 
@@ -72,10 +99,10 @@ class SvgCanvas:
         """Add a filled path from a prebuilt ``d`` string.
 
         One ``<path>`` can carry thousands of rectangular subpaths, which
-        is how dense heat strips stay cheap: the per-element attribute
-        escaping happens once per path, not once per cell."""
+        is how dense heat strips stay cheap: one element per style, not
+        one per cell."""
         op = f' opacity="{opacity}"' if opacity is not None else ""
-        self._parts.append(f'<path d="{d}" fill={quoteattr(fill)}{op}/>')
+        self._parts.append(f'<path d="{d}" fill={xml_attr(fill)}{op}/>')
 
     def line(
         self,
@@ -90,13 +117,14 @@ class SvgCanvas:
         opacity: float | None = None,
     ) -> None:
         """Add a line segment."""
-        attrs = self._attrs(
-            dict(
-                x1=round(x1, 2), y1=round(y1, 2), x2=round(x2, 2), y2=round(y2, 2),
-                stroke=stroke, stroke_width=stroke_width,
-                stroke_dasharray=dash, opacity=opacity,
-            )
+        attrs = (
+            f'x1="{round(x1, 2)}" y1="{round(y1, 2)}" x2="{round(x2, 2)}" '
+            f'y2="{round(y2, 2)}" stroke={xml_attr(stroke)} stroke-width="{stroke_width}"'
         )
+        if dash is not None:
+            attrs += f" stroke-dasharray={xml_attr(dash)}"
+        if opacity is not None:
+            attrs += f' opacity="{opacity}"'
         self._parts.append(f"<line {attrs}/>")
 
     def polyline(
@@ -105,14 +133,14 @@ class SvgCanvas:
         """Add an unfilled polyline."""
         pts = " ".join(f"{round(x, 2)},{round(y, 2)}" for x, y in points)
         self._parts.append(
-            f'<polyline points="{pts}" fill="none" stroke={quoteattr(stroke)} '
+            f'<polyline points="{pts}" fill="none" stroke={xml_attr(stroke)} '
             f'stroke-width="{stroke_width}"/>'
         )
 
     def polygon(self, points: list[tuple[float, float]], *, fill: str) -> None:
         """Add a filled polygon (arrowheads)."""
         pts = " ".join(f"{round(x, 2)},{round(y, 2)}" for x, y in points)
-        self._parts.append(f'<polygon points="{pts}" fill={quoteattr(fill)}/>')
+        self._parts.append(f'<polygon points="{pts}" fill={xml_attr(fill)}/>')
 
     def text(
         self,
@@ -127,13 +155,15 @@ class SvgCanvas:
         family: str = "system-ui, sans-serif",
     ) -> None:
         """Add a text label (ink tokens, never series colors)."""
-        attrs = self._attrs(
-            dict(
-                x=round(x, 2), y=round(y, 2), font_size=size, fill=fill,
-                text_anchor=anchor, font_weight=weight, font_family=family,
-            )
+        attrs = (
+            f'x="{round(x, 2)}" y="{round(y, 2)}" font-size="{size}" '
+            f"fill={xml_attr(fill)} text-anchor={xml_attr(anchor)}"
         )
-        self._parts.append(f"<text {attrs}>{escape(content)}</text>")
+        if weight is not None:
+            attrs += f" font-weight={xml_attr(weight)}"
+        self._parts.append(
+            f"<text {attrs} font-family={xml_attr(family)}>{xml_text(content)}</text>"
+        )
 
     def to_string(self) -> str:
         """The complete SVG document."""

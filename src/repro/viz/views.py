@@ -17,16 +17,29 @@ interval format:
 
 Views are plain data (:class:`TimelineView`) renderable to SVG via
 :func:`render_view_svg` or to text via :mod:`repro.viz.ansi`.
+
+A fifth, **aggregate** view (:func:`utilization_view`) draws the thread or
+processor lanes from the sidecar's utilization hierarchy instead of
+records.  It is columns end to end: the index answers in columns, runs of
+cells merge as array arithmetic, each row's ``bars`` is a window onto the
+bar columns (:class:`HeatBars`), and the renderer lays out every dense row
+of a view — aggregate or exact — in one pass over float64 columns.  Bar
+objects and tooltips exist only for sparse rows and for callers that
+iterate a row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadTable
+from repro.errors import FormatError
 from repro.viz.arrows import MessageArrow
 from repro.viz.colors import IDLE_COLOR, ColorMap
 from repro.viz.svg import AXIS, GRID, SvgCanvas, TEXT_PRIMARY, TEXT_SECONDARY
@@ -50,11 +63,12 @@ class TimelineBar:
 
 @dataclass
 class TimelineRow:
-    """One horizontal timeline (a thread, or a processor)."""
+    """One horizontal timeline (a thread, or a processor).  ``bars`` is a
+    list on the exact views and a :class:`HeatBars` on the aggregate one."""
 
     label: str
     row_key: tuple
-    bars: list[TimelineBar] = field(default_factory=list)
+    bars: Sequence[TimelineBar] = field(default_factory=list)
 
 
 @dataclass
@@ -96,6 +110,10 @@ def _state_name(
     return record_name(record.itype)
 
 
+#: The tooltip's piece label, by bebits.
+_PIECE = {bebits: bebits.name.lower() for bebits in BeBits}
+
+
 def _thread_label(table: ThreadTable, node: int, ltid: int) -> str:
     try:
         entry = table.lookup(node, ltid)
@@ -105,6 +123,15 @@ def _thread_label(table: ThreadTable, node: int, ltid: int) -> str:
     if entry.mpi_task >= 0:
         return f"task {entry.mpi_task} n{node}.t{ltid}{suffix}"
     return f"n{node}.t{ltid}{suffix}"
+
+
+def _cpu_row(rows: dict[tuple, TimelineRow], record: IntervalRecord) -> TimelineRow:
+    """The (node, cpu) timeline of ``record``, added on first sight."""
+    row_key = (record.node, record.cpu)
+    row = rows.get(row_key)
+    if row is None:
+        row = rows[row_key] = TimelineRow(f"node {record.node} CPU {record.cpu}", row_key)
+    return row
 
 
 def _filter_real(records: Iterable[IntervalRecord]) -> list[IntervalRecord]:
@@ -159,8 +186,9 @@ def thread_activity_view(
             rows[row_key] = row
             open_states[row_key] = {}
         key = _state_key(r)
-        names.setdefault(key, _state_name(r, record_name, markers))
-        tooltip = f"{names[key]} [{r.bebits.name.lower()}] {r.start}-{r.end}"
+        if key not in names:
+            names[key] = _state_name(r, record_name, markers)
+        tooltip = f"{names[key]} [{_PIECE[r.bebits]}] {r.start}-{r.end}"
         if not connected:
             row.bars.append(TimelineBar(r.start, r.end, key, 0, tooltip))
             continue
@@ -230,10 +258,9 @@ def processor_activity_view(
     names: dict[object, str] = {}
     for r in recs:
         key = _state_key(r)
-        names.setdefault(key, _state_name(r, record_name, markers))
-        row = rows.setdefault(
-            (r.node, r.cpu), TimelineRow(f"node {r.node} CPU {r.cpu}", (r.node, r.cpu))
-        )
+        if key not in names:
+            names[key] = _state_name(r, record_name, markers)
+        row = _cpu_row(rows, r)
         row.bars.append(
             TimelineBar(r.start, r.end, key, 0, f"{names[key]} tid {r.thread}")
         )
@@ -258,18 +285,22 @@ def type_activity_view(
     """
     markers = markers or {}
     recs = _filter_real(records)
-    rows: dict[tuple, TimelineRow] = {}
+    rows: dict[object, TimelineRow] = {}  # by state; ordered by (label, state)
     names: dict[object, str] = {}
     for r in recs:
         state = _state_key(r)
-        label = _state_name(r, record_name, markers)
-        row = rows.setdefault((str(label), state), TimelineRow(label, (str(label), state)))
+        row = rows.get(state)
+        if row is None:
+            label = _state_name(r, record_name, markers)
+            row = rows[state] = TimelineRow(label, (str(label), state))
         key = ("thread", r.node, r.thread)
-        names.setdefault(key, _thread_label(thread_table, r.node, r.thread))
+        if key not in names:
+            names[key] = _thread_label(thread_table, r.node, r.thread)
         row.bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
     t0, t1 = _span(recs)
     return TimelineView(
-        "Type-activity view", [rows[k] for k in sorted(rows)], t0, t1, names
+        "Type-activity view", sorted(rows.values(), key=lambda row: row.row_key),
+        t0, t1, names,
     )
 
 
@@ -283,11 +314,14 @@ def thread_processor_view(
     names: dict[object, str] = {}
     for r in recs:
         row_key = (r.node, r.thread)
-        row = rows.setdefault(
-            row_key, TimelineRow(_thread_label(thread_table, r.node, r.thread), row_key)
-        )
+        row = rows.get(row_key)
+        if row is None:
+            row = rows[row_key] = TimelineRow(
+                _thread_label(thread_table, r.node, r.thread), row_key
+            )
         key = ("cpu", r.node, r.cpu)
-        names.setdefault(key, f"CPU {r.cpu} (node {r.node})")
+        if key not in names:
+            names[key] = f"CPU {r.cpu} (node {r.node})"
         row.bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
     t0, t1 = _span(recs)
     return TimelineView(
@@ -310,11 +344,9 @@ def processor_thread_view(
     names: dict[object, str] = {}
     for r in recs:
         key = ("thread", r.node, r.thread)
-        names.setdefault(key, _thread_label(thread_table, r.node, r.thread))
-        row = rows.setdefault(
-            (r.node, r.cpu), TimelineRow(f"node {r.node} CPU {r.cpu}", (r.node, r.cpu))
-        )
-        row.bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
+        if key not in names:
+            names[key] = _thread_label(thread_table, r.node, r.thread)
+        _cpu_row(rows, r).bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
     t0, t1 = _span(recs)
     return TimelineView(
         "Processor-thread view", [rows[k] for k in sorted(rows)], t0, t1, names
@@ -328,16 +360,56 @@ def processor_thread_view(
 _OPACITY_BUCKETS = 8
 
 
-def _utilization_bar(run: list, names: dict) -> TimelineBar:
-    """One heat bar from a merged cell run ``[start, end, state, count,
-    bucket, clipped busy]``."""
-    lo, hi, state, count, bucket, busy = run
-    frac = min(busy / max(hi - lo, 1), 1.0)
-    return TimelineBar(
-        lo, hi, state, 0,
-        f"{names[state]} ~{frac:.0%} busy, {count} records",
-        opacity=max((bucket + 1) / _OPACITY_BUCKETS, 0.15),
-    )
+class HeatColumns(NamedTuple):
+    """Every heat bar of an aggregate view as parallel columns, sorted by
+    (lane, start): ``[start, end)`` ticks, ``key`` an index into ``keys``
+    (the dominant states in legend order), the records and clipped busy
+    ticks the bar sums, and its opacity."""
+
+    start: np.ndarray
+    end: np.ndarray
+    key: np.ndarray
+    count: np.ndarray
+    busy: np.ndarray
+    opacity: np.ndarray
+    keys: list[int]
+    names: dict[object, str]
+
+
+class HeatBars(Sequence):
+    """One lane's heat bars: a window onto :class:`HeatColumns`.
+
+    The dense-row renderer reads the column slices; whoever iterates or
+    indexes gets :class:`TimelineBar` objects (and their tooltips), made
+    then."""
+
+    def __init__(self, columns: HeatColumns, lo: int, hi: int) -> None:
+        self.columns = columns
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self) -> Iterator[TimelineBar]:
+        cols = self.columns
+        at = slice(self.lo, self.hi)
+        for start, end, key, count, busy, opacity in zip(
+            *(
+                col[at].tolist()
+                for col in (cols.start, cols.end, cols.key, cols.count, cols.busy, cols.opacity)
+            )
+        ):
+            state = cols.keys[key]
+            frac = min(busy / max(end - start, 1), 1.0)
+            yield TimelineBar(
+                start, end, state, 0,
+                f"{cols.names[state]} ~{frac:.0%} busy, {count} records",
+                opacity=opacity,
+            )
+
+    def __getitem__(self, index):
+        return list(self)[index]
 
 
 def utilization_view(
@@ -350,7 +422,9 @@ def utilization_view(
     max_bins: int = 1024,
 ) -> TimelineView:
     """Aggregate-driven time-space diagram from a
-    :class:`~repro.query.utilization.UtilizationIndex` — no record decodes.
+    :class:`~repro.query.utilization.UtilizationIndex` — no record decodes,
+    and no per-cell object: the cells arrive as columns and leave as
+    columns (:class:`HeatColumns`), each row's ``bars`` a window onto them.
 
     Each lane renders its utilization cells as heat bars: color is the
     bin's dominant state, opacity its busy fraction.  ``kind`` picks the
@@ -358,59 +432,81 @@ def utilization_view(
     (node, cpu)); ``window`` restricts the time range (defaults to the
     indexed span) and ``max_bins`` caps the level resolution so the
     lookup stays O(pixels) at any zoom."""
-    from repro.query.utilization import dominant_state, split_thread_key
+    from repro.query.utilization import split_thread_key
 
     t0, t1 = window if window is not None else (util.t_min, util.t_max)
     t1 = max(t1, t0 + 1)
-    shift, lanes = util.query(kind, t0, t1, max_bins)
+    shift, cells = util.query(kind, t0, t1, max_bins)
 
-    def name_of(state: int) -> str:
-        try:
-            return record_name(state)
-        except Exception:
-            return f"type-{state}"
-    rows: list[TimelineRow] = []
+    # Clip every cell to the window and quantise its busy fraction.  A cell
+    # wholly inside keeps its busy ticks, and its bucket busy * 8 // 2**shift
+    # is a shift; the few the window cuts (a lane's first and last) go
+    # through Python ints, where busy * (hi - lo) cannot wrap.
+    lo = cells.bins << shift
+    hi = lo + (1 << shift)
+    clipped = cells.busy.copy()
+    if shift >= 3:
+        bucket = clipped >> (shift - 3)
+    else:
+        bucket = np.minimum(clipped, _OPACITY_BUCKETS) << (3 - shift)
+    bucket = np.minimum(bucket, _OPACITY_BUCKETS - 1)
+    cut = np.flatnonzero((lo < t0) | (hi > t1))
+    if len(cut):
+        width = 1 << shift
+        cut_lo = [max(bin_t0, t0) for bin_t0 in lo[cut].tolist()]
+        cut_hi = [min(bin_t1, t1) for bin_t1 in hi[cut].tolist()]
+        cut_busy = [
+            busy * (c_hi - c_lo) // width
+            for busy, c_lo, c_hi in zip(clipped[cut].tolist(), cut_lo, cut_hi)
+        ]
+        bucket[cut] = [
+            min(busy * _OPACITY_BUCKETS // max(c_hi - c_lo, 1), _OPACITY_BUCKETS - 1)
+            for busy, c_lo, c_hi in zip(cut_busy, cut_lo, cut_hi)
+        ]
+        lo[cut], hi[cut], clipped[cut] = cut_lo, cut_hi, cut_busy
+
+    # Adjacent cells of a lane with the same dominant state and the same
+    # quantized busy fraction merge into one run: the rendered strip is
+    # visually the same, but the element count tracks the trace's
+    # *structure* (state changes) rather than its pixel width.
+    state = cells.dominant
+    lane = np.repeat(np.arange(len(cells.lanes)), np.diff(cells.offsets))
+    first = np.ones(len(state), dtype=bool)
+    first[1:] = (
+        (lane[1:] != lane[:-1]) | (state[1:] != state[:-1])
+        | (lo[1:] != hi[:-1]) | (bucket[1:] != bucket[:-1])
+    )
+    starts = np.flatnonzero(first)
+    # Legend order is first appearance over the cells, in (lane, bin) order.
+    states, seen, key = np.unique(state, return_index=True, return_inverse=True)
+    order = np.argsort(seen)
+    position = np.empty(len(states), dtype=np.int64)
+    position[order] = np.arange(len(states))
+    keys = states[order].tolist()
     names: dict[object, str] = {}
+    for state in keys:
+        try:
+            names[state] = record_name(state)
+        except Exception:
+            names[state] = f"type-{state}"
+    columns = HeatColumns(
+        # A run ends where the next one starts (the last, where the first did).
+        lo[starts], hi[np.roll(first, -1)], position[key[starts]],
+        np.add.reduceat(cells.counts, starts), np.add.reduceat(clipped, starts),
+        np.maximum((bucket[starts] + 1) / _OPACITY_BUCKETS, 0.15),
+        keys, names,
+    )
+    cuts = np.searchsorted(starts, cells.offsets).tolist()
     # Every indexed lane gets a row — lanes idle in this window render as
     # empty timelines, matching the exact views' convention.
-    for key in sorted(util.lanes(kind)):
-        node, sub = split_thread_key(key)
+    rows = []
+    for lane_key, bar_lo, bar_hi in zip(cells.lanes.tolist(), cuts, cuts[1:]):
+        node, sub = split_thread_key(lane_key)
         if kind == "thread":
             label = _thread_label(thread_table, node, sub)
         else:
             label = f"node {node} CPU {sub}"
-        row = TimelineRow(label, (node, sub))
-        # Adjacent cells with the same dominant state and the same quantized
-        # busy fraction merge into one run: the rendered strip is visually
-        # the same, but the element count tracks the trace's *structure*
-        # (state changes) rather than its pixel width.
-        run = None  # [start, end, state, count, bucket, busy]
-        for bin_t0, bin_t1, count, busy, states in lanes.get(key, []):
-            state = dominant_state(states)
-            if state not in names:
-                names[state] = name_of(state)
-            lo, hi = max(bin_t0, t0), min(bin_t1, t1)
-            clipped = busy * (hi - lo) // (bin_t1 - bin_t0)
-            bucket = min(
-                int(clipped * _OPACITY_BUCKETS // max(hi - lo, 1)),
-                _OPACITY_BUCKETS - 1,
-            )
-            if (
-                run is not None
-                and run[2] == state
-                and run[1] == lo
-                and run[4] == bucket
-            ):
-                run[1] = hi
-                run[3] += count
-                run[5] += clipped
-                continue
-            if run is not None:
-                row.bars.append(_utilization_bar(run, names))
-            run = [lo, hi, state, count, bucket, clipped]
-        if run is not None:
-            row.bars.append(_utilization_bar(run, names))
-        rows.append(row)
+        rows.append(TimelineRow(label, (node, sub), HeatBars(columns, bar_lo, bar_hi)))
     title = (
         "Thread utilization view (aggregate)"
         if kind == "thread"
@@ -427,49 +523,112 @@ MARGIN_LEFT = 190
 MARGIN_TOP = 48
 MARGIN_BOTTOM = 56
 MARGIN_RIGHT = 24
+#: The narrowest drawable view: both margins and a plot as wide as the
+#: label gutter (room for the seven tick labels of the time axis).
+MIN_VIEW_WIDTH = MARGIN_LEFT + MARGIN_RIGHT + MARGIN_LEFT
 #: Rows with more bars than this render as grouped ``<path>`` elements —
-#: one per (color, opacity) — instead of individual tooltipped rects.  At
-#: that density each bar spans only a few pixels, hover targets are
-#: useless, and per-rect attribute escaping would dominate render latency.
+#: one per (color, opacity, inset) — instead of individual tooltipped
+#: rects.  At that density each bar spans only a few pixels, hover targets
+#: are useless, and the rows are laid out together as columns.
 _BATCH_BARS = 48
 
 
-def _render_bars_batched(canvas, bars, cmap, x_of, y: float, t0: int, t1: int) -> None:
-    """Emit a dense row's bars as one filled ``<path>`` per (color,
-    opacity) group, each path carrying every bar of that style as a
-    rectangular subpath."""
+def _tick_column(ticks: list[int]) -> np.ndarray:
+    """Ticks as an int64 column (as Python ints in an object column when
+    one does not fit, so arithmetic stays exact at any size)."""
+    try:
+        return np.array(ticks, dtype=np.int64)
+    except OverflowError:
+        return np.array(ticks, dtype=object)
+
+
+def _bar_columns(bars: Sequence[TimelineBar], fill_of: Callable[[object], int]) -> tuple:
+    """A row's bars as the columns :func:`_render_bars_batched` lays out:
+    ``(start, end, depth, opacity, fill)`` in drawing order (depth, then
+    start), ``fill`` from ``fill_of(key)``."""
+    if isinstance(bars, HeatBars):
+        # Already in order: one depth, starts ascending.
+        cols, at = bars.columns, slice(bars.lo, bars.hi)
+        fills = np.array([fill_of(key) for key in cols.keys], dtype=np.int64)
+        return (
+            cols.start[at], cols.end[at], np.zeros(len(bars), dtype=np.int64),
+            cols.opacity[at], fills[cols.key[at]],
+        )
+    bars = sorted(bars, key=lambda b: (b.depth, b.start))
+    return (
+        _tick_column([b.start for b in bars]), _tick_column([b.end for b in bars]),
+        np.array([b.depth for b in bars], dtype=np.int64),
+        np.array([b.opacity for b in bars], dtype=np.float64),
+        np.array([fill_of(b.key) for b in bars], dtype=np.int64),
+    )
+
+
+def _render_bars_batched(
+    rows: list[TimelineRow], cmap: ColorMap, x_of: Callable[[int], float], t0: int, t1: int
+) -> dict[int, list[tuple[str, str, float | None]]]:
+    """Lay out every dense row (more than :data:`_BATCH_BARS` bars) of a
+    view in one pass.
+
+    Returns, per dense row's position, the arguments of one
+    :meth:`SvgCanvas.path` per (fill, opacity, inset) group in
+    first-appearance order — ``(d, fill, opacity)``, the ``d`` carrying
+    every bar of that style as a rectangular subpath.  Coordinates are
+    float64 columns computed in the order the sparse rows' scalar code
+    uses; formatting is one ``%`` over their Python floats."""
+    palette: dict[str, int] = {}
+
+    def fill_of(key: object) -> int:
+        return palette.setdefault(cmap.color_of(key), len(palette))
+
+    dense = {
+        i: _bar_columns(row.bars, fill_of)
+        for i, row in enumerate(rows) if len(row.bars) > _BATCH_BARS
+    }
+    paths: dict[int, list[tuple[str, str, float | None]]] = {i: [] for i in dense}
+    if not dense:
+        return paths
     x_base = x_of(t0)
     scale = (x_of(t1) - x_base) / (t1 - t0)
-    y_base = y + (ROW_HEIGHT - BAR_HEIGHT) / 2
-    color_of = cmap.color_of
-    groups: dict[tuple, list[str]] = {}
-    for bar in bars:
-        s, e = bar.start, bar.end
-        if e < t0 or s > t1:
-            continue
-        if s < t0:
-            s = t0
-        if e > t1:
-            e = t1
-        x_a = x_base + (s - t0) * scale
-        w = (e - s) * scale
-        if w < 0.75:
-            w = 0.75
-        inset = min(bar.depth, 3) * 2.0
-        part = (
-            f"M{x_a:.1f} {y_base + inset:.1f}"
-            f"h{w:.1f}v{BAR_HEIGHT - 2 * inset:.1f}h-{w:.1f}z"
+    row = np.repeat(
+        np.fromiter(dense, np.int64, len(dense)), [len(cols[0]) for cols in dense.values()]
+    )
+    start, end, depth, opacity, fill = map(np.concatenate, zip(*dense.values()))
+    if not -(1 << 63) <= t0 <= t1 < 1 << 63:
+        start, end = start.astype(object), end.astype(object)
+    keep = np.flatnonzero((end >= t0) & (start <= t1))
+    s, e = np.maximum(start[keep], t0), np.minimum(end[keep], t1)
+    x = x_base + (s - t0) * scale
+    w = np.maximum((e - s) * scale, 0.75)
+    row, fill, opacity, level = row[keep], fill[keep], opacity[keep], np.minimum(depth[keep], 3)
+    # Bars grouped by style, groups in the order their first bar is drawn.
+    shades, shade = np.unique(opacity, return_inverse=True)
+    style = ((row * (int(fill.max(initial=0)) + 1) + fill) * len(shades) + shade) * 4 + level
+    _, heads, group = np.unique(style, return_index=True, return_inverse=True)
+    order = np.argsort(heads[group], kind="stable")
+    by_first = np.argsort(heads)
+    heads = heads[by_first]
+    at_rows, fills, opacities, levels, sizes = (
+        column.tolist() for column in (
+            row[heads], fill[heads], opacity[heads], level[heads],
+            np.bincount(group)[by_first],
         )
-        group = groups.get((color_of(bar.key), bar.opacity, inset))
-        if group is None:
-            groups[(color_of(bar.key), bar.opacity, inset)] = [part]
-        else:
-            group.append(part)
-    for (fill, opacity, _), parts in groups.items():
-        canvas.path(
-            "".join(parts), fill=fill,
-            opacity=round(opacity, 3) if opacity < 1.0 else None,
+    )
+    # One format string for the whole view: a group is its bar template
+    # (y and height already in it) once per bar, groups a line each.
+    templates = []
+    for r, lv, n in zip(at_rows, levels, sizes):
+        y_base = MARGIN_TOP + r * ROW_HEIGHT + (ROW_HEIGHT - BAR_HEIGHT) / 2
+        inset = lv * 2.0
+        templates.append(
+            f"M%.1f {y_base + inset:.1f}h%.1fv{BAR_HEIGHT - 2 * inset:.1f}h-%.1fz" * n
         )
+    numbers = np.stack((x[order], w[order], w[order]), axis=1).ravel().tolist()
+    fill_names = list(palette)
+    for r, d, f, opacity in zip(
+        at_rows, ("\n".join(templates) % tuple(numbers)).split("\n"), fills, opacities
+    ):
+        paths[r].append((d, fill_names[f], round(opacity, 3) if opacity < 1.0 else None))
+    return paths
 
 
 def render_view_svg(
@@ -515,8 +674,13 @@ def _view_canvas(
     legend_items = _legend_items(view)
     legend_height = 18 * ((len(legend_items) + 3) // 4)
     height = MARGIN_TOP + n_rows * ROW_HEIGHT + MARGIN_BOTTOM + legend_height
-    canvas = SvgCanvas(width, height)
     plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
+    if plot_w <= 0:
+        raise FormatError(
+            f"a {width}px wide view leaves no room for the plot; "
+            f"the margins alone take {MARGIN_LEFT + MARGIN_RIGHT}px"
+        )
+    canvas = SvgCanvas(width, height)
 
     def x_of(t: int) -> float:
         return MARGIN_LEFT + (t - t0) / (t1 - t0) * plot_w
@@ -542,6 +706,7 @@ def _view_canvas(
         "time (s)", size=11, fill=TEXT_SECONDARY, anchor="middle",
     )
 
+    dense = _render_bars_batched(view.rows, cmap, x_of, t0, t1)
     for i, row in enumerate(view.rows):
         y = MARGIN_TOP + i * ROW_HEIGHT
         canvas.text(
@@ -552,11 +717,11 @@ def _view_canvas(
             MARGIN_LEFT, y + (ROW_HEIGHT - BAR_HEIGHT) / 2, plot_w, BAR_HEIGHT,
             fill=IDLE_COLOR,
         )
-        bars = sorted(row.bars, key=lambda b: (b.depth, b.start))
-        if len(bars) > _BATCH_BARS:
-            _render_bars_batched(canvas, bars, cmap, x_of, y, t0, t1)
+        if i in dense:
+            for d, fill, opacity in dense[i]:
+                canvas.path(d, fill=fill, opacity=opacity)
         else:
-            for bar in bars:
+            for bar in sorted(row.bars, key=lambda b: (b.depth, b.start)):
                 if bar.end < t0 or bar.start > t1:
                     continue
                 x_a = x_of(max(bar.start, t0))
