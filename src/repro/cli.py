@@ -132,15 +132,6 @@ def _add_server(
     parser.add_argument("--dataset", default=None, metavar="NAME", help=dataset_help)
 
 
-def _add_executor(parser: argparse.ArgumentParser, note: str = "") -> None:
-    """``--executor``, with what one command has to add to its help."""
-    parser.add_argument(
-        "--executor", default="columnar", choices=("columnar", "record"),
-        help="frame decode strategy: columnar batches (default) or the "
-        "record-at-a-time reference path" + note,
-    )
-
-
 def _print_report(args, doc, summary: str) -> None:
     """The ``--json`` tail of the report tools: the document as indented
     JSON, else the text summary."""
@@ -541,7 +532,6 @@ def main_stats(argv: list[str] | None = None) -> int:
     parser.add_argument("--svg", action="store_true", help="also render SVG viewers")
     _add_window(parser, "only records overlapping this window (seconds); "
                 "frames outside it are pruned via the sidecar index")
-    _add_executor(parser)
     parser.add_argument(
         "--json", action="store_true",
         help="print tables plus per-file read accounting as JSON on stdout "
@@ -568,10 +558,7 @@ def main_stats(argv: list[str] | None = None) -> int:
     ticks_per_sec, thread_table = source_metadata(args.intervals, profile)
     io_log: dict[str, dict] = {}
     records = list(
-        interval_records(
-            args.intervals, profile, window=window,
-            executor=args.executor, io_log=io_log,
-        )
+        interval_records(args.intervals, profile, window=window, io_log=io_log)
     )
     if args.program:
         tables = generate_tables(
@@ -893,7 +880,6 @@ def _remote_query(args) -> dict:
             params["bins"] = str(args.bins)
         return _remote(args, lambda client: client.utilization(params)).json()
     params.update(_query_params(args, _profile_for(args)))
-    params["executor"] = args.executor
     params["format"] = "json"
     return _remote(args, lambda client: client.query(params)).json()
 
@@ -904,8 +890,7 @@ def _print_explain(payload: dict) -> None:
     plan, io = payload["plan"], payload["io"]
     print(
         f"plan: {plan['mode']} ({plan['reason']}); decoded "
-        f"{io['frames_decoded']}/{plan['frames_total']} frames "
-        f"({payload['executor']} executor); "
+        f"{io['frames_decoded']}/{plan['frames_total']} frames; "
         f"read {io['bytes_read']} bytes in {io['fetches']} fetches",
         file=sys.stderr,
     )
@@ -964,7 +949,6 @@ def main_query(argv: list[str] | None = None) -> int:
     parser.add_argument("--explain", action="store_true",
                         help="print the frame plan and IO accounting on stderr")
     parser.add_argument("--errors", default="strict", choices=["strict", "salvage"])
-    _add_executor(parser, " (ute-oracle checks their parity)")
     args = parser.parse_args(argv)
     if args.server is not None:
         payload = _remote_query(args)
@@ -987,7 +971,7 @@ def main_query(argv: list[str] | None = None) -> int:
             payload = run_query(
                 args.trace, Query.from_params(_query_params(args, profile)),
                 profile=profile, index=_index_arg(args), errors=args.errors,
-                window=_window_arg(args), executor=args.executor,
+                window=_window_arg(args),
             ).to_payload()
     if args.utilization:
         _print_payload(args, payload, _utilization_tsv)

@@ -21,9 +21,10 @@ add only their format's header and directory parsing.  It owns:
 * the one call into the resynchronizing salvage decoder.
 
 :func:`decode_frame_records` is the **reference decoder**: the plain
-per-record loop, kept as a pure function so the ``record`` query executor,
-``ute-oracle`` and the parity tests can check the columnar decode against
-something that shares none of its code.  Product read paths never call it.
+per-record loop, kept as a pure function so ``ute-oracle`` (``decode_parity``;
+``columnar_vs_record`` through ``engine.reference_rows``) and the parity
+tests can check the columnar decode against something that shares none of
+its code.  Product read paths never call it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def decode_frame_records(blob: bytes, profile, mask: int) -> list[IntervalRecord
 
     Raises whatever the record decoder raises, plus ``OverflowError`` for a
     record whose time range leaves ``[0, 2**63)`` — the same records the
-    columnar decode refuses, so the two stay comparable on every input."""
+    columnar decode refuses, so the two stay comparable on every input
+    (``ute-oracle``'s ``decode_parity`` compares them on every frame)."""
     records = []
     pos = 0
     end = len(blob)
@@ -155,7 +157,7 @@ class FrameStore:
 
     def reference_frame(self, frame) -> list[IntervalRecord]:
         """One frame through the reference decoder — never cached, never
-        from a batch; always a miss.  For the ``record`` executor, the
+        from a batch; always a miss.  For ``engine.reference_scan``, the
         oracle and tests only.  A salvage-mode reader answers with the
         resynchronizing decoder's records, which is what its batches mirror."""
         with self._lock:

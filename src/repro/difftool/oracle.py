@@ -17,9 +17,9 @@ check                  the two paths compared
                        record values, ``extra`` key order, batch columns —
                        and back: the batch re-encoded by the columnar
                        encoder vs. the frame's stored bytes
-``columnar_vs_record`` the batched columnar executor vs. the
-                       record-at-a-time reference executor (which decodes
-                       through the reference decoder), over the same
+``columnar_vs_record`` the query executor (columnar batches) vs.
+                       ``engine.reference_rows`` (record at a time through
+                       the reference decoder), same plan, over the same
                        canonical query set (rows and rendered TSV must be
                        byte-identical)
 ``dump_vs_query``      ``ute-dump --window`` record selection vs. a
@@ -155,9 +155,9 @@ def _check_strict_vs_salvage(report: OracleReport, path: Path, profile) -> None:
 
 def _canonical_queries(path: Path, profile) -> list:
     """A query set covering the planner's pruning steps: plain scan,
-    mid-trace window, a thread filter, a type filter, and a group-by."""
-    from repro.query.model import Query, ThreadSel
-    from repro.query.model import Aggregate
+    mid-trace window, a thread filter, a type filter, and a group-by —
+    plus ``limit=0`` on a projection and on a grouped query (no rows)."""
+    from repro.query.model import Aggregate, Query, ThreadSel
     from repro.query.trace import open_trace
 
     with open_trace(path, profile) as handle:
@@ -194,6 +194,10 @@ def _canonical_queries(path: Path, profile) -> list:
                 Aggregate("max", "msgSizeSent", "max(msgSizeSent)"),
                 Aggregate("avg", "msgSizeSent", "avg(msgSizeSent)"),
             ),
+        ),
+        Query(limit=0),
+        Query(
+            group_by=("node",), aggregates=(Aggregate("count", None, "count"),), limit=0
         ),
     ]
     if thread is not None:
@@ -305,24 +309,24 @@ def _check_decode_parity(report: OracleReport, path: Path, profile) -> None:
 
 
 def _check_columnar_vs_record(report: OracleReport, path: Path, profile) -> None:
-    """The batched columnar executor must return exactly the record
-    executor's rows — and render the identical TSV — for every canonical
-    query."""
-    from repro.query.scan import run_query
+    """The executor must return exactly :func:`engine.reference_rows`'
+    rows — and render the identical TSV — for every canonical query, both
+    run over the same open scan."""
+    from repro.query.engine import reference_rows, rows_tsv
+    from repro.query.scan import open_scan
 
     report.checks.append("columnar_vs_record")
     for i, query in enumerate(_canonical_queries(path, profile)):
-        record = run_query(
-            path, query, profile=profile, index=False, executor="record"
-        )
-        columnar = run_query(
-            path, query, profile=profile, index=False, executor="columnar"
-        )
-        if record.rows != columnar.rows or record.to_tsv() != columnar.to_tsv():
+        with open_scan(path, profile, query, index=False) as s:
+            record = reference_rows(s.handle, s.query, s.plan)
+            columnar = s.rows()
+        columns = query.output_columns()
+        same_text = rows_tsv(columns, record) == rows_tsv(columns, columnar)
+        if record != columnar or not same_text:
             mismatch = next(
                 (
                     {"row": j, "record": list(a), "columnar": list(b)}
-                    for j, (a, b) in enumerate(zip(record.rows, columnar.rows))
+                    for j, (a, b) in enumerate(zip(record, columnar))
                     if a != b
                 ),
                 None,
@@ -331,8 +335,8 @@ def _check_columnar_vs_record(report: OracleReport, path: Path, profile) -> None
                 Finding(
                     "columnar_vs_record",
                     f"{path} query#{i}",
-                    f"record executor returned {len(record.rows)} rows, "
-                    f"columnar {len(columnar.rows)} (or differing content)",
+                    f"reference returned {len(record)} rows, "
+                    f"columnar {len(columnar)} (or differing content)",
                     {"query": query.describe(), "first_mismatch": mismatch},
                 )
             )

@@ -277,7 +277,8 @@ class LiveSlogWriter(_LiveWriterBase):
         meta = slog_metadata_bytes(
             self, (0, self._preview.t1), self._preview.counters, self._sealed
         )
-        digest = assemble_slog(self.path, meta, data_path(self.live_dir))
+        digest = hashlib.sha256()
+        assemble_slog(self.path, meta, data_path(self.live_dir), digest)
         # The index the final epoch just published carries over (no frame
         # sealed since): same frames and postings, offsets rebased past the
         # final (larger) metadata section.
@@ -286,7 +287,7 @@ class LiveSlogWriter(_LiveWriterBase):
         final = dataclasses.replace(
             live,
             source_size=len(meta) + self._data_size,
-            source_sha256=digest,
+            source_sha256=digest.digest(),
             frames=[dataclasses.replace(f, offset=f.offset + delta) for f in live.frames],
         )
         write_index(final, index_path_for(self.path))

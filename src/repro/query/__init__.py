@@ -12,10 +12,10 @@ pruned frame plan, falling back to a full scan whenever the sidecar is
 missing, stale, or damaged; the executor (:mod:`repro.query.engine`)
 decodes only the planned frames and pushes the same predicates down onto
 each record, so indexed and unindexed runs return identical rows — the
-index only changes how many bytes are read.  Frames decode either
-record-at-a-time or as columnar batches (:mod:`repro.query.columnar`);
-the batched executor is the default and the record executor is kept as
-the parity reference cross-checked by ``ute-oracle``.
+index only changes how many bytes are read.  Frames decode as columnar
+batches (:mod:`repro.query.columnar`); the record-at-a-time
+:func:`~repro.query.engine.reference_rows` is kept as the parity reference
+``ute-oracle`` holds the executor to, not as a second way to read.
 
 ``ute-query`` is the CLI face; it, ``ute-stats``, ``ute-profile``,
 ``ute-serve`` (``/api/query``, ``/api/stats``) and :mod:`repro.analysis`
@@ -30,7 +30,7 @@ from repro.query.columnar import (
     planned_batch_records,
 )
 from repro.core.windows import window_to_ticks
-from repro.query.engine import EXECUTORS, ExecStats, QueryResult, execute
+from repro.query.engine import ExecStats, QueryResult, execute
 from repro.query.indexfile import (
     DEFAULT_TIME_BINS,
     SIDECAR_SUFFIX,
@@ -57,7 +57,6 @@ from repro.query.utilization import (
 __all__ = [
     "Aggregate",
     "DEFAULT_TIME_BINS",
-    "EXECUTORS",
     "ExecStats",
     "FrameBatch",
     "FrameSummary",

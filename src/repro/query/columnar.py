@@ -1,6 +1,6 @@
 """Columnar frame batches: decode a frame into parallel arrays.
 
-The record-at-a-time executor pays per record: a length-prefix decode, one
+A record-at-a-time reader pays per record: a length-prefix decode, one
 ``struct.unpack_from`` per field, a dict and a dataclass per record.  For
 full-scan aggregations that constant factor dominates.  This module decodes
 a whole frame into **parallel numpy arrays** instead:
@@ -348,7 +348,8 @@ def _groups_of(batch: FrameBatch) -> list:
 def batch_from_records(records: Sequence[IntervalRecord]) -> FrameBatch:
     """A batch over already-decoded records (the salvage-mode path: the
     resynchronizing decoder owns error recovery, the batch just mirrors
-    its output so both executors see identical salvaged records)."""
+    its output so the executor and its reference see identical salvaged
+    records)."""
     n = len(records)
     batch = FrameBatch(n)
     if n:
@@ -479,8 +480,8 @@ def _scatter_fixed(batch: FrameBatch, layout: RecordLayout, itype: int,
 def _decode_group_slow(batch: FrameBatch, blob: bytes, profile, mask: int,
                        idx: np.ndarray, prefixes: list[int]) -> None:
     """Per-record fallback for types the structured dtype cannot express
-    (vector/char fields) — same field loop, same errors, as the record
-    executor."""
+    (vector/char fields) — same field loop, same errors, as the reference
+    decoder."""
     for i in idx.tolist():
         record, _ = IntervalRecord.decode(blob, prefixes[i], profile, mask)
         batch.start[i] = record.start
@@ -554,7 +555,7 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
             else:
                 # Vector/char layouts, or bodies whose length disagrees with
                 # the fixed layout: decode those records exactly as the
-                # record executor would (including its error messages).
+                # reference decoder would (including its error messages).
                 if fallback_blob is None:
                     fallback_blob = mv.tobytes()
                 if idx is None:

@@ -6,20 +6,19 @@ record, and returns rows (or grouped aggregates).  Resolving the index,
 opening, planning and IO accounting around it are :mod:`repro.query.scan`'s
 job — :func:`~repro.query.scan.run_query` is the one-call API.
 
-Two executors produce the same rows from the same plan:
-
-* ``"columnar"`` (the default) decodes each planned frame into a
-  :class:`~repro.query.columnar.FrameBatch` of parallel arrays and runs
-  predicates, projections, and group-by/aggregates vectorized;
-* ``"record"`` is the parity reference: a record-at-a-time loop over
-  frames decoded by the uncached reference decoder, sharing nothing with
-  the batch decode or the frame cache — ``ute-oracle`` cross-checks the
-  two on every canonical query.
+The executor is columnar: each planned frame is decoded into a
+:class:`~repro.query.columnar.FrameBatch` of parallel arrays, and
+predicates, projections and group-by/aggregates run vectorized.
+:func:`reference_rows` is its parity reference, not an alternative: a
+record-at-a-time loop over frames decoded by the uncached reference
+decoder, sharing nothing with the batch decode or the frame cache —
+``ute-oracle``'s ``columnar_vs_record`` holds :func:`execute` to it on
+every canonical query.
 
 Result discipline: rows come back in file order (frame order, record
 order within a frame) and grouped output is sorted by group key — so two
 executions of the same query over the same file bytes produce identical
-output, indexed or not, whichever executor ran.
+output, indexed or not.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.core.records import IntervalRecord
-from repro.errors import FormatError
 from repro.query.model import (
     Query,
     accumulate,
@@ -42,16 +40,7 @@ from repro.query.model import (
 from repro.query.planner import QueryPlan
 from repro.query.trace import TraceHandle
 
-#: Recognized ``executor`` arguments across the query API.
-EXECUTORS = ("columnar", "record")
-
-
-def check_executor(executor: str) -> None:
-    """Refuse an ``executor`` argument that names no executor."""
-    if executor not in EXECUTORS:
-        raise FormatError(f"unknown executor {executor!r}; pick one of {EXECUTORS}")
-
-#: Core columns the columnar executor can group/aggregate without touching
+#: Core columns the executor can group/aggregate without touching
 #: Python values (always-present int64 arrays on every batch).
 _NUMERIC_CORE = frozenset(
     ("start", "end", "dura", "node", "cpu", "thread", "type", "bebits", "rectype")
@@ -102,7 +91,6 @@ class QueryResult:
     io: dict[str, int]
     ticks_per_sec: float
     path: str
-    executor: str = "columnar"
 
     def to_tsv(self) -> str:
         """Header line plus one tab-separated line per row."""
@@ -117,7 +105,6 @@ class QueryResult:
             "rows": [list(row) for row in self.rows],
             "plan": self.plan.describe(),
             "io": dict(self.io),
-            "executor": self.executor,
         }
 
 
@@ -126,45 +113,53 @@ def execute(
     query: Query,
     plan: QueryPlan,
     *,
-    executor: str = "columnar",
     stats: ExecStats | None = None,
 ) -> list[tuple]:
-    """Run one planned query over an open handle; returns result rows.
+    """Run one planned query over an open handle; returns result rows:
+    one :class:`FrameBatch` per planned frame.
 
-    ``executor`` picks the engine (see :data:`EXECUTORS`); both produce
-    identical rows.  ``stats``, when given, receives what actually
-    happened (frames scanned before any limit short-circuit).
+    ``stats``, when given, receives what actually happened (frames
+    scanned before any limit short-circuit).
     """
-    check_executor(executor)
-    if executor == "record":
-        return _execute_record(handle, query, plan, stats)
-    return _execute_columnar(handle, query, plan, stats)
+    if query.limit == 0:
+        return []
+    if not query.grouped:
+        return _columnar_raw(handle, query, plan, stats)
+    all_core = all(name in _NUMERIC_CORE for name in query.group_by) and all(
+        agg.source is None or agg.source in _NUMERIC_CORE
+        for agg in query.aggregates
+    )
+    if all_core:
+        return _columnar_grouped_fast(handle, query, plan, stats)
+    return _columnar_grouped_slow(handle, query, plan, stats)
 
 
-# ------------------------------------------------------------------ record
+# --------------------------------------------------------------- reference
 
 
 def reference_scan(
-    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None = None
+    handle: TraceHandle, query: Query, plan: QueryPlan
 ) -> Iterator[IntervalRecord]:
-    """The record executor's scan: every planned frame decoded one record
-    at a time by the uncached reference decoder
+    """The reference scan: every planned frame decoded one record at a
+    time by the uncached reference decoder
     (:meth:`TraceHandle.reference_frame`, never a batch), predicates applied
     per record.  Independent of the columnar path by construction — which
     is what makes ``columnar_vs_record`` a check and not a tautology."""
     for ordinal in plan.frames:
-        if stats is not None:
-            stats.frames_scanned += 1
         for record in handle.reference_frame(ordinal):
             if query.matches(record):
                 yield record
 
 
-def _execute_record(
-    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
-) -> list[tuple]:
-    """The record-at-a-time reference executor."""
-    records = reference_scan(handle, query, plan, stats)
+def reference_rows(handle: TraceHandle, query: Query, plan: QueryPlan) -> list[tuple]:
+    """The rows :func:`execute` must return, computed record at a time
+    over :func:`reference_scan` — what ``ute-oracle``'s
+    ``columnar_vs_record`` and the parity tests compare it with.  Shares
+    the plan, the predicate definitions and :func:`_grouped_rows` with the
+    executor; no decode, cache or reduction code."""
+    if query.limit == 0:
+        return []
+    records = reference_scan(handle, query, plan)
     if query.grouped:
         groups: dict[tuple, dict] = {}
         for record in records:
@@ -186,8 +181,9 @@ def _execute_record(
 
 
 def _grouped_rows(groups: dict[tuple, dict], query: Query) -> list[tuple]:
-    """Finalize and order grouped state — shared by both executors so the
-    sort and the null semantics cannot drift apart."""
+    """Finalize and order grouped state — shared by the executor and
+    :func:`reference_rows` so the sort and the null semantics cannot drift
+    apart."""
     rows = [
         key + finalize(state, query.aggregates)
         for key, state in sorted(groups.items(), key=lambda kv: _sort_key(kv[0]))
@@ -388,18 +384,3 @@ def _columnar_grouped_slow(
                     continue
                 accumulate_value(slot, agg.fn, col[i])
     return _grouped_rows(groups, query)
-
-
-def _execute_columnar(
-    handle: TraceHandle, query: Query, plan: QueryPlan, stats: ExecStats | None
-) -> list[tuple]:
-    """The batched executor: one :class:`FrameBatch` per planned frame."""
-    if not query.grouped:
-        return _columnar_raw(handle, query, plan, stats)
-    all_core = all(name in _NUMERIC_CORE for name in query.group_by) and all(
-        agg.source is None or agg.source in _NUMERIC_CORE
-        for agg in query.aggregates
-    )
-    if all_core:
-        return _columnar_grouped_fast(handle, query, plan, stats)
-    return _columnar_grouped_slow(handle, query, plan, stats)

@@ -193,7 +193,8 @@ class Query:
 
     def matches(self, record) -> bool:
         """Predicate pushdown: whether one decoded record satisfies every
-        predicate of this query."""
+        predicate of this query — the per-record definition ``reference_scan``
+        applies and ``columnar_vs_record`` holds ``FrameBatch.match`` to."""
         if not overlaps_window(record.start, record.end, self.t0, self.t1):
             return False
         if self.nodes and record.node not in self.nodes:
@@ -228,7 +229,7 @@ class Query:
 def record_value(record, name: str) -> Any:
     """Read one projected field off a record; ``None`` when the record's
     type does not carry that field (different types carry different
-    extras)."""
+    extras).  ``decode_parity`` holds ``FrameBatch.column_values`` to it."""
     if name == "end":
         return record.end
     if name == "type":
@@ -272,7 +273,8 @@ def accumulate_value(slot: dict, fn: str, value) -> None:
 def accumulate(state: _AccState, aggregates: tuple[Aggregate, ...], record) -> None:
     """Fold one record into a group's aggregation state (records whose
     type lacks a source field are skipped for that column only — the
-    matched-record count always advances)."""
+    matched-record count always advances).  ``reference_rows``' reduction,
+    which ``columnar_vs_record`` holds the vectorized group-reduce to."""
     state["rows"] += 1
     for slot, agg in zip(state["slots"], aggregates):
         if agg.source is None:

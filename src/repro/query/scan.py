@@ -13,8 +13,7 @@ over a handle the caller already shares, as the serving session does.
 first taken when the scan is planned (directories and header tables are read
 at open, before it, so the delta is exactly what the plan chose to read):
 ``bytes_read`` and ``fetches`` from the byte source; ``cache_hits`` and
-``frames_decoded``, the frame store's hit and miss deltas (the ``record``
-executor never caches, so every frame it visits decodes); and
+``frames_decoded``, the frame store's hit and miss deltas; and
 ``frames_scanned``, the frames visited before any ``limit`` short-circuit —
 each visit is exactly one lookup, so their sum.
 """
@@ -31,13 +30,7 @@ import numpy as np
 from repro.core.records import IntervalRecord
 from repro.core.windows import window_to_ticks
 from repro.query.columnar import FrameBatch, planned_batch_records
-from repro.query.engine import (
-    QueryResult,
-    check_executor,
-    execute,
-    matched_batches,
-    reference_scan,
-)
+from repro.query.engine import QueryResult, execute, matched_batches
 from repro.query.indexfile import TraceIndex, load_fresh_index
 from repro.query.model import Query
 from repro.query.planner import QueryPlan, plan_query
@@ -89,25 +82,20 @@ class Scan:
     handle: TraceHandle
     query: Query
     plan: QueryPlan
-    executor: str
     before: dict[str, int]
 
     def records(self) -> Iterator[IntervalRecord]:
-        """The matching records in file order — materialized from columnar
-        batches, or decoded one by one by the reference decoder under the
-        ``record`` executor; both yield identical records."""
-        stream = reference_scan if self.executor == "record" else planned_batch_records
-        return stream(self.handle, self.query, self.plan)
+        """The matching records in file order (materialized from batches)."""
+        return planned_batch_records(self.handle, self.query, self.plan)
 
     def batches(self) -> Iterator[tuple[FrameBatch, np.ndarray]]:
         """Each planned frame's columnar batch with its predicate mask,
-        frames without a match skipped (a batch *is* the columnar form, so
-        the executor choice does not apply)."""
+        frames without a match skipped."""
         return matched_batches(self.handle, self.query, self.plan)
 
     def rows(self) -> list[tuple]:
         """The query's result rows (projection, or grouped aggregates)."""
-        return execute(self.handle, self.query, self.plan, executor=self.executor)
+        return execute(self.handle, self.query, self.plan)
 
     def io(self) -> dict[str, int]:
         """What the handle has read since the scan was planned."""
@@ -120,7 +108,6 @@ class Scan:
         return QueryResult(
             self.query.output_columns(), rows, self.plan, self.io(),
             self.handle.ticks_per_sec, file or str(self.handle.path),
-            self.executor,
         )
 
 
@@ -131,7 +118,6 @@ def scan(
     window: Window | None = None,
     index: TraceIndex | None = None,
     index_reason: str = "missing",
-    executor: str = "columnar",
 ) -> Scan:
     """Plan one read over an open handle.
 
@@ -139,12 +125,11 @@ def scan(
     the file's own ``ticks_per_sec`` and overrides the query's tick bounds.
     ``index`` is a *fresh* index or ``None`` (full scan; ``index_reason``
     says why and lands in the plan)."""
-    check_executor(executor)
     if window is not None:
         t0, t1 = window_to_ticks(window, handle.ticks_per_sec)
         query = replace(query, t0=t0, t1=t1)
     plan = plan_query(query, handle.frames, index, index_reason=index_reason)
-    return Scan(handle, query, plan, executor, handle.stats())
+    return Scan(handle, query, plan, handle.stats())
 
 
 @contextmanager
@@ -156,17 +141,12 @@ def open_scan(
     window: Window | None = None,
     index: Any = "auto",
     errors: str = "strict",
-    mode: str = "auto",
-    executor: str = "columnar",
 ) -> Iterator[Scan]:
     """Resolve the index (see :func:`resolve_index`), open ``path`` and
     plan one read over it; the handle closes with the ``with`` block."""
     loaded, reason = resolve_index(path, index)
-    with open_trace(path, profile, errors=errors, mode=mode) as handle:
-        yield scan(
-            handle, query, window=window, index=loaded, index_reason=reason,
-            executor=executor,
-        )
+    with open_trace(path, profile, errors=errors) as handle:
+        yield scan(handle, query, window=window, index=loaded, index_reason=reason)
 
 
 def run_query(
@@ -176,8 +156,6 @@ def run_query(
     profile=None,
     index: Any = "auto",
     errors: str = "strict",
-    mode: str = "auto",
-    executor: str = "columnar",
     window: Window | None = None,
 ) -> QueryResult:
     """Open, plan, and execute one query; the one-call API.
@@ -188,7 +166,6 @@ def run_query(
     docstring): what the executor really read and decoded, not what the
     plan promised — cache hits and limit short-circuits decode fewer."""
     with open_scan(
-        path, profile, query, window=window, index=index, errors=errors,
-        mode=mode, executor=executor,
+        path, profile, query, window=window, index=index, errors=errors
     ) as s:
         return s.result()

@@ -19,8 +19,6 @@ from repro.core.records import IntervalRecord
 from repro.core.windows import overlaps_window
 from repro.errors import FormatError
 
-#: Magic prefixes of the two frame-indexed formats.
-
 
 @dataclass(frozen=True)
 class TraceFrame:
@@ -92,7 +90,7 @@ class TraceHandle:
 
     def reference_frame(self, ordinal: int) -> list[IntervalRecord]:
         """Frame ``ordinal`` through the uncached reference decoder — for
-        the ``record`` executor, the oracle and tests only."""
+        ``engine.reference_scan``, the oracle's ``decode_parity`` and tests."""
         return self._reader.reference_frame(self._entries[ordinal])
 
     def stats(self) -> dict[str, int]:
@@ -124,8 +122,8 @@ def open_reader(path: str | Path, profile=None, **kwargs):
     """Open an interval or SLOG file with its own reader; returns
     ``(reader, kind)``.  Interval files need a profile to decode records
     (``None`` selects the standard profile); SLOG files embed theirs, so
-    ``profile`` is ignored.  ``kwargs`` (``mode``, ``errors``,
-    ``cache_frames``) go to the reader."""
+    ``profile`` is ignored.  ``kwargs`` (``errors``, ``cache_frames``) go
+    to the reader."""
     kind = trace_kind(path)
     if kind == "interval":
         from repro.core.profilefmt import standard_profile
@@ -141,12 +139,11 @@ def open_trace(
     path: str | Path,
     profile=None,
     *,
-    mode: str = "auto",
     errors: str = "strict",
     cache_frames: int | None = None,
 ) -> TraceHandle:
     """Open an interval or SLOG file as a :class:`TraceHandle`
     (see :func:`open_reader` for ``profile``)."""
     kwargs = {} if cache_frames is None else {"cache_frames": cache_frames}
-    reader, kind = open_reader(path, profile, mode=mode, errors=errors, **kwargs)
+    reader, kind = open_reader(path, profile, errors=errors, **kwargs)
     return TraceHandle(path, reader, kind)

@@ -147,7 +147,8 @@ def levels_for_span(t_min: int, t_max: int, base_shift: int) -> int:
 
 def dominant_state(states: dict[int, int]) -> int:
     """The state with the largest busy share (smallest type id on ties,
-    so the answer is deterministic)."""
+    so the answer is deterministic).  The per-cell reference of
+    :meth:`Level.dominant` (tests/test_view_columns.py compares them)."""
     if len(states) == 1:
         (state,) = states
         return state
@@ -213,7 +214,8 @@ class Level(NamedTuple):
 
     def cells(self, sel: np.ndarray, k: int) -> list[tuple[int, int, int, int, dict[int, int]]]:
         """The cells at (sorted) positions ``sel`` as ``(bin << k, (bin + 1)
-        << k, count, busy, {state: busy})`` tuples."""
+        << k, count, busy, {state: busy})`` tuples — :class:`WindowCells`'
+        mapping form, read by ``aggregate_vs_exact`` and the view parity tests."""
         bins = self.bins[sel]
         first = self.state_off[sel]
         n_states = self.state_off[sel + 1] - first
@@ -479,7 +481,7 @@ class UtilizationIndex:
 
     def level_cells(self, kind: str, level: int) -> dict[int, dict[int, Cell]]:
         """Every cell of one level as ``{lane_key: {bin: (count, {state:
-        busy})}}`` — the read accessor checks and tests compare through."""
+        busy})}}`` — what ``aggregate_vs_exact`` and tests compare through."""
         table = self._table(kind)
         lv = table.levels[level]
         cells = WindowCells(table.keys, lv, np.arange(len(lv.bins)), 0)

@@ -77,7 +77,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.core.windows import parse_window
 from repro.errors import FormatError, StatsError
-from repro.query.engine import check_executor, rows_tsv
+from repro.query.engine import rows_tsv
 from repro.query.model import Query
 from repro.repository import (
     ANONYMOUS,
@@ -856,13 +856,12 @@ class TraceServer:
                 for t in tables
             ],
             "plan": plan,
-            # The three keys this route has always published.
-            "io": {k: io[k] for k in ("bytes_read", "fetches", "cache_hits")},
+            "io": io,
         }, headers=_bytes_read(io))
 
     def _h_query(self, request: Request) -> Response:
-        query, window, executor, fmt = self._parse_query_spec(request)
-        payload = request.session.query_payload(query, window=window, executor=executor)
+        query, window, fmt = self._parse_query_spec(request)
+        payload = request.session.query_payload(query, window=window)
         if fmt == "tsv":
             return Response.text(
                 rows_tsv(payload["columns"], payload["rows"]),
@@ -873,19 +872,17 @@ class TraceServer:
 
     def _parse_query_spec(self, request: Request):
         """The /query (and /follow/query) parameter surface: returns
-        (query, window, executor, format).  The query fields are
+        (query, window, format).  The query fields are
         :meth:`Query.from_params`'s; a malformed one is a 400."""
         q = request.query
         fmt = q.get("format", "json")
         if fmt not in ("tsv", "json"):
             raise _HttpError(400, f"unknown format {fmt!r}; pick 'tsv' or 'json'")
-        executor = q.get("executor", "columnar")
         try:
-            check_executor(executor)
             query = Query.from_params(q)
         except FormatError as exc:
             raise _HttpError(400, str(exc)) from None
-        return query, self._window(request), executor, fmt
+        return query, self._window(request), fmt
 
     # ------------------------------------------------------- follow handlers
 
@@ -899,10 +896,10 @@ class TraceServer:
         max_s = _clampf(request.query.get("max_s", "3600"), 0.1, 86400.0, "max_s")
         answer = session.preview_payload
         if mode == "query":
-            query, window, executor, _fmt = self._parse_query_spec(request)
+            query, window, _fmt = self._parse_query_spec(request)
 
             def answer():
-                return session.query_payload(query, window=window, executor=executor)
+                return session.query_payload(query, window=window)
 
         def gen() -> Iterator[bytes]:
             with self._follow_lock:

@@ -266,19 +266,17 @@ class TraceSession:
         self,
         query: Query,
         window: tuple[float | None, float | None] | None = None,
-        executor: str = "columnar",
     ) -> dict[str, Any]:
         """Plan and run one query over the shared handle (``/api/query``).
 
         ``window`` is in seconds (converted with the file's tick rate and
-        overriding the query's tick bounds); ``executor`` picks the decode
-        strategy (see :data:`repro.query.engine.EXECUTORS`).  The payload
-        is :meth:`~repro.query.engine.QueryResult.to_payload`: the rows,
-        the frame plan, and the scan's IO delta
-        (:mod:`repro.query.scan`) for exactly this query.
+        overriding the query's tick bounds).  The payload is
+        :meth:`~repro.query.engine.QueryResult.to_payload`: the rows, the
+        frame plan, and the scan's IO delta (:mod:`repro.query.scan`) for
+        exactly this query.
         """
         with self.lock:
-            s = self._scan(query, window=window, executor=executor)
+            s = self._scan(query, window=window)
             return s.result(file=self.path.name).to_payload()
 
     def export_chrome_chunks(self):
@@ -292,13 +290,13 @@ class TraceSession:
         name = self.dataset or self.path.name
         return iter_chrome_chunks(self.handle, source_name=name, lock=self.lock)
 
-    def _scan(self, query: Query = Query(), **kwargs) -> Scan:
+    def _scan(self, query: Query = Query(), window=None) -> Scan:
         """Plan one scan over the shared handle against the session index,
         keeping the counters the metrics endpoint scrapes.  Lock held by
         caller."""
         s = scan(
             self.handle, query, index=self.index,
-            index_reason=self.index_reason, **kwargs,
+            index_reason=self.index_reason, window=window,
         )
         self.index_frames_scanned += len(s.plan.frames)
         self.index_frames_pruned += s.plan.frames_pruned

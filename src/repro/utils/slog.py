@@ -21,7 +21,6 @@ describing profile is embedded, so a SLOG file is fully self-contained.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import struct
 from dataclasses import dataclass
@@ -235,22 +234,22 @@ class SlogWriter(FrameSink):
         self._spill.write(frame.blob)
 
 
-def assemble_slog(path: Path, meta: bytes, frames_path: Path) -> bytes:
+def assemble_slog(path: Path, meta: bytes, frames_path: Path, digest=None) -> None:
     """Write ``meta`` followed by the frame bytes stored at ``frames_path``
-    to ``path``; returns the finished file's SHA-256.
+    to ``path``; ``digest``, when the caller needs the finished file's hash,
+    is a ``hashlib`` object updated with every byte written.
 
     The frame bytes stream across in blocks — the whole file is never
     materialized in memory — into a temp sibling that atomically replaces
     the final name, so a crash mid-assembly leaves the destination
     untouched."""
-    digest = hashlib.sha256(meta)
-    with AtomicFile(path) as out:
-        out.write(meta)
-        with open(frames_path, "rb") as frames:
-            while block := frames.read(1 << 20):
+    with AtomicFile(path) as out, open(frames_path, "rb") as frames:
+        block = meta
+        while block:
+            if digest is not None:
                 digest.update(block)
-                out.write(block)
-    return digest.digest()
+            out.write(block)
+            block = frames.read(1 << 20)
 
 
 def frame_entry(frame: SealedFrame, offset: int) -> SlogFrameEntry:

@@ -186,7 +186,6 @@ def interval_records(
     *,
     window: tuple[float | None, float | None] | None = None,
     index: Any = "auto",
-    executor: str = "columnar",
     io_log: dict[str, dict] | None = None,
 ) -> Iterator[IntervalRecord]:
     """Stream records from several interval files (clock pairs dropped).
@@ -195,8 +194,6 @@ def interval_records(
     it, and frames outside it are pruned when a fresh sidecar index sits
     next to the file (without one every frame is decoded — the frame
     directory alone never prunes).
-    ``executor`` picks how frames decode (see
-    :data:`repro.query.engine.EXECUTORS`); both yield identical records.
     Pass a dict as ``io_log`` to collect **per-file** read accounting:
     after the stream is exhausted it maps each path to its reader's
     ``stats()`` (bytes fetched, fetch count, cache hits/misses) plus the
@@ -207,9 +204,7 @@ def interval_records(
     from repro.query.scan import open_scan
 
     for path in paths:
-        with open_scan(
-            path, profile, window=window, index=index, executor=executor
-        ) as s:
+        with open_scan(path, profile, window=window, index=index) as s:
             for record in s.records():
                 if record.itype != IntervalType.CLOCKPAIR:
                     yield record

@@ -7,11 +7,13 @@ Every output a windowed read produces for a user — ``ute-query`` TSV / JSON
 ``/stats``, ``/view`` and ``/utilization`` bodies with their
 ``X-UTE-Bytes-Read`` header — is produced over two fixed fixtures (a
 multi-frame ``.ute`` and a bigtrace ``.slog``, each with a fresh sidecar)
-and hashed.  ``scan_golden.json`` holds the digests as produced by the
-commit *before* the eight resolve → open → plan → run recipes became callers
-of one ``repro.query.scan``; ``tests/test_scan.py`` re-runs this script with
-the current code and requires the same bytes.  Only entry points present on
-both sides of that change are used.  WORKDIR additionally receives every
+and hashed.  ``scan_golden.json`` was produced by the commit *before* the
+eight resolve → open → plan → run recipes became callers of one
+``repro.query.scan`` and regenerated once since, when the ``executor``
+option went: every output was shown equal to its predecessor after deleting
+``"executor": "columnar"`` / `` (columnar executor)`` (and the two ``io``
+keys ``/stats`` gained) — CHANGES.md, ISSUE 21.  ``tests/test_scan.py``
+re-runs this script with the current code and requires the same bytes.  WORKDIR additionally receives every
 hashed output as ``out/<key>.txt``, so two runs can be diffed.
 
 Not pinned: the ``plan:   <step>`` lines of ``--explain`` (the local
@@ -144,13 +146,8 @@ def cli_outputs() -> dict[str, str]:
             record(f"{base}/nothing.tsv", cli.main_query,
                    [trace, "--window", WINDOW_NOTHING, "--explain", *extra],
                    explain=True)
-        record(f"ute-query/{trace}/record.tsv", cli.main_query,
-               [trace, "--window", WINDOW, "--executor", "record", "--explain"],
-               explain=True)
         record(f"ute-stats/{trace}/window.json", cli.main_stats,
                [trace, "--json", "--window", WINDOW])
-        record(f"ute-stats/{trace}/record.json", cli.main_stats,
-               [trace, "--json", "--window", WINDOW, "--executor", "record"])
         record(f"ute-profile/{trace}/window", cli.main_profile,
                [trace, "--window", WINDOW])
         record(f"ute-profile/{trace}/whole", cli.main_profile,
@@ -168,7 +165,6 @@ def serve_outputs(slog: Path) -> dict[str, str]:
         ("view.cold", "view/thread-connected?t=0.002"),
         ("query.json", f"query?window={WINDOW}&group_by=node,type&agg=count,sum:dura"),
         ("query.tsv", f"query?window={WINDOW}&thread=1:1&limit=9&format=tsv"),
-        ("query.record.json", f"query?window={WINDOW}&type=3&executor=record"),
         ("stats.json", f"stats?format=json&window={WINDOW}&table={quote(PROGRAM)}"),
         ("stats.tsv", f"stats?table={quote(PROGRAM)}"),
         ("view.t", "view/thread?t=0.012"),

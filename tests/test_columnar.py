@@ -1,10 +1,11 @@
 """Columnar batch execution and the aggregate/accounting bugfix sweep.
 
 The contract under test: the columnar executor is an *optimization*, never
-an answer change.  Record-at-a-time and batched executions of the same
-query must render byte-identical output — over generated traces, over the
-damaged corpus in salvage mode, and through every integration surface
-(CLI, stats, serve).  Alongside it, the regressions this PR fixed stay
+an answer change.  The executor and its record-at-a-time reference
+(``engine.reference_rows`` over the same open scan) must render
+byte-identical output for the same query — over generated traces, over the
+damaged corpus in salvage mode, and at every integration surface (CLI,
+stats).  Alongside it, the regressions this PR fixed stay
 fixed: aggregates over empty groups emit null (not fabricated zeros),
 bare ``count`` counts matched records unconditionally, and
 ``frames_decoded`` reports what was actually decoded.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,15 +28,17 @@ from repro.difftool.differ import DiffConfig, DiffReport, diff_fieldmaps
 from repro.difftool.oracle import run_oracle
 from repro.errors import FormatError
 from repro.query import (
-    EXECUTORS,
     Aggregate,
+    FrameBatch,
     Query,
+    QueryResult,
     ThreadSel,
     batch_from_records,
+    open_scan,
     open_trace,
     run_query,
 )
-from repro.query.engine import ExecStats, execute
+from repro.query.engine import ExecStats, execute, reference_rows, reference_scan
 from repro.query.model import accumulate, finalize, new_accumulator
 from repro.query.planner import plan_query
 
@@ -42,6 +46,22 @@ from tests.test_query import PROFILE, SALVAGEABLE, _records, make_ivl, run_cli
 
 MARKER = IntervalType.MARKER
 RUNNING = IntervalType.RUNNING
+
+
+#: Who answers a query below: the executor, or its reference.
+ANSWERED_BY = ("columnar", "record")
+
+
+def answer(path, query, answered_by, *, profile=PROFILE, **kwargs) -> QueryResult:
+    """``run_query``, the rows computed by the executor or by
+    ``reference_rows`` over the same open scan."""
+    with open_scan(path, profile, query, **kwargs) as s:
+        if answered_by == "columnar":
+            return s.result()
+        rows = reference_rows(s.handle, s.query, s.plan)
+        return QueryResult(
+            query.output_columns(), rows, s.plan, s.io(), s.handle.ticks_per_sec, str(path)
+        )
 
 
 @pytest.fixture()
@@ -78,8 +98,8 @@ class TestAggregateNulls:
         accumulate(state, self.AGGS, marker)
         assert finalize(state, self.AGGS) == (2, 1, 7, 7, 7, 7.0)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_empty_group_renders_empty_tsv_cell_and_json_null(self, ivl, executor):
+    @pytest.mark.parametrize("answered_by", ANSWERED_BY)
+    def test_empty_group_renders_empty_tsv_cell_and_json_null(self, ivl, answered_by):
         query = Query(
             group_by=("type",),
             aggregates=(
@@ -88,7 +108,7 @@ class TestAggregateNulls:
                 Aggregate.parse("avg:markerId"),
             ),
         )
-        result = run_query(ivl, query, profile=PROFILE, executor=executor)
+        result = answer(ivl, query, answered_by)
         by_type = {row[0]: row for row in result.rows}
         # RUNNING records never carry markerId: null aggregates, full count.
         assert by_type[int(RUNNING)][1] == 192
@@ -134,13 +154,13 @@ class TestBareCount:
         agg = Aggregate.parse("count:markerId")
         assert agg.source == "markerId"
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_bare_vs_field_count_diverge_on_sparse_fields(self, ivl, executor):
+    @pytest.mark.parametrize("answered_by", ANSWERED_BY)
+    def test_bare_vs_field_count_diverge_on_sparse_fields(self, ivl, answered_by):
         query = Query(
             group_by=("node",),
             aggregates=(Aggregate.parse("count"), Aggregate.parse("count:markerId")),
         )
-        result = run_query(ivl, query, profile=PROFILE, executor=executor)
+        result = answer(ivl, query, answered_by)
         for _node, bare, non_null in result.rows:
             assert bare == 80  # every matched record of the node
             assert non_null == 16  # only the MARKER records carry markerId
@@ -151,19 +171,17 @@ class TestBareCount:
 
 
 class TestHonestAccounting:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_limit_short_circuit_counts_decoded_frames(self, ivl, executor):
-        result = run_query(
-            ivl, Query(limit=3), profile=PROFILE, executor=executor
-        )
+    @pytest.mark.parametrize("answered_by", ANSWERED_BY)
+    def test_limit_short_circuit_counts_decoded_frames(self, ivl, answered_by):
+        result = answer(ivl, Query(limit=3), answered_by)
         assert len(result.rows) == 3
         assert result.io["frames_decoded"] == 1
         assert result.io["frames_scanned"] == 1
         assert result.io["frames_decoded"] < len(result.plan.frames)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_full_scan_decodes_every_planned_frame(self, ivl, executor):
-        result = run_query(ivl, Query(), profile=PROFILE, executor=executor)
+    @pytest.mark.parametrize("answered_by", ANSWERED_BY)
+    def test_full_scan_decodes_every_planned_frame(self, ivl, answered_by):
+        result = answer(ivl, Query(), answered_by)
         assert result.io["frames_decoded"] == len(result.plan.frames)
         assert result.io["frames_scanned"] == len(result.plan.frames)
 
@@ -181,11 +199,16 @@ class TestHonestAccounting:
         assert after["misses"] == before["misses"]
         assert stats.frames_scanned == len(plan.frames)
 
-    def test_unknown_executor_rejected(self, ivl):
-        with open_trace(ivl, PROFILE) as handle:
-            plan = plan_query(Query(), handle.frames, None, index_reason="t")
-            with pytest.raises(FormatError, match="unknown executor"):
-                execute(handle, Query(), plan, executor="vectorized")
+    def test_reference_decodes_are_never_cached(self, tmp_path):
+        path = make_ivl(tmp_path / "small.ute", records=_records(60))
+        for run in (reference_rows, lambda *a: list(reference_scan(*a))):
+            with open_scan(path, PROFILE) as s:
+                s.rows()  # every frame now sits in the LRU
+                warm = s.io()
+                run(s.handle, s.query, s.plan)
+                after = s.io()
+            assert after["cache_hits"] == warm["cache_hits"]
+            assert after["frames_decoded"] - warm["frames_decoded"] == len(s.plan.frames)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +326,9 @@ class TestExecutorParity:
     def test_columnar_equals_record(
         self, parity_trace, frac0, span, node, thread, itype, group, aggs, limit
     ):
-        """Property: for any supported query shape, both executors render
-        byte-identical TSV — same rows, same group keys, same aggregate
-        values, same null cells."""
+        """Property: for any supported query shape, the executor and its
+        reference render byte-identical TSV — same rows, same group keys,
+        same aggregate values, same null cells."""
         path, t_hi_sec = parity_trace
         t0 = frac0 * t_hi_sec
         query = Query(
@@ -317,12 +340,8 @@ class TestExecutorParity:
             limit=limit,
         )
         window = (t0, t0 + span * (t_hi_sec - t0))
-        record = run_query(
-            path, query, profile=PROFILE, window=window, executor="record"
-        )
-        columnar = run_query(
-            path, query, profile=PROFILE, window=window, executor="columnar"
-        )
+        record = answer(path, query, "record", window=window)
+        columnar = answer(path, query, "columnar", window=window)
         assert record.rows == columnar.rows
         assert record.to_tsv() == columnar.to_tsv()
 
@@ -339,20 +358,30 @@ class TestExecutorParity:
             group_by=("node", "type"),
             aggregates=(Aggregate.parse("count"), Aggregate.parse("sum:dura")),
         )
-        record = run_query(
-            corpus.path(name), query, profile=profile,
-            errors="salvage", executor="record",
-        )
-        columnar = run_query(
-            corpus.path(name), query, profile=profile,
-            errors="salvage", executor="columnar",
-        )
+        path = corpus.path(name)
+        record = answer(path, query, "record", profile=profile, errors="salvage")
+        columnar = answer(path, query, "columnar", profile=profile, errors="salvage")
         assert record.to_tsv() == columnar.to_tsv()
 
     def test_oracle_runs_columnar_check_with_zero_findings(self, ivl):
         report = run_oracle(ivl, PROFILE, serve=False)
         assert "columnar_vs_record" in report.checks
         assert report.ok, report.summary()
+
+    def test_oracle_check_bites_when_the_columnar_path_breaks(self, ivl, monkeypatch):
+        """Nothing but the oracle reaches the reference now: a predicate
+        mask that loses its last match must be a finding."""
+        real_match = FrameBatch.match
+
+        def drop_last_match(batch, query):
+            mask = real_match(batch, query)
+            hits = np.flatnonzero(mask)
+            mask[hits[-1:]] = False
+            return mask
+
+        monkeypatch.setattr(FrameBatch, "match", drop_last_match)
+        report = run_oracle(ivl, PROFILE, serve=False)
+        assert "columnar_vs_record" in {f.check for f in report.findings}
 
 
 @pytest.fixture(scope="module")
@@ -371,34 +400,50 @@ def parity_trace(tmp_path_factory):
 
 
 class TestIntegration:
-    def test_cli_executor_flag_byte_identical(self, ivl):
+    def test_cli_output_is_the_reference_rows_as_tsv(self, ivl):
         argv = [str(ivl), "--group-by", "node,type", "--agg", "count",
                 "--agg", "min:markerId"]
-        code_r, out_r, _ = run_cli(main_query, argv + ["--executor", "record"])
-        code_c, out_c, _ = run_cli(main_query, argv + ["--executor", "columnar"])
-        assert code_r == code_c == 0
-        assert out_r == out_c
+        code, out, _ = run_cli(main_query, argv)
+        assert code == 0
+        query = Query(
+            group_by=("node", "type"),
+            aggregates=(Aggregate.parse("count"), Aggregate.parse("min:markerId")),
+        )
+        assert out == answer(ivl, query, "record").to_tsv()
 
-    def test_cli_explain_reports_executor_and_decodes(self, ivl):
+    def test_cli_explain_reports_decodes(self, ivl):
         code, _, err = run_cli(
             main_query, [str(ivl), "--limit", "2", "--explain"]
         )
         assert code == 0
         assert "plan: full-scan" in err
-        assert "(columnar executor)" in err
+        assert "executor" not in err
         assert "decoded 1/" in err  # limit short-circuit: one frame decoded
 
     def test_stats_executor_parity_and_honest_io(self, ivl):
-        code_r, out_r, _ = run_cli(
-            main_stats, [str(ivl), "--json", "--executor", "record"]
-        )
-        code_c, out_c, _ = run_cli(
-            main_stats, [str(ivl), "--json", "--executor", "columnar"]
-        )
-        assert code_r == code_c == 0
-        doc_r, doc_c = json.loads(out_r), json.loads(out_c)
-        assert doc_r["tables"] == doc_c["tables"]
-        stats = doc_c["io"][str(ivl)]
+        """``ute-stats`` tables equal the predefined tables over the
+        reference scan's records."""
+        from repro.utils.stats import predefined_tables
+
+        code, out, _ = run_cli(main_stats, [str(ivl), "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        with open_scan(ivl, PROFILE) as s:
+            records = [
+                r for r in reference_scan(s.handle, s.query, s.plan)
+                if r.itype != IntervalType.CLOCKPAIR
+            ]
+            want = predefined_tables(
+                records,
+                total_seconds=max(r.end for r in records) / s.handle.ticks_per_sec,
+                ticks_per_sec=s.handle.ticks_per_sec,
+                thread_table=s.handle.thread_table,
+            )
+        assert doc["records"] == len(records)
+        assert {name: t["rows"] for name, t in doc["tables"].items()} == {
+            t.name: [list(k) + list(t.rows[k]) for k in sorted(t.rows)] for t in want
+        }
+        stats = doc["io"][str(ivl)]
         assert stats["frames_decoded"] == stats["frames_total"]
 
 

@@ -3,8 +3,9 @@
 Three contracts:
 
 * **Parity** — every windowed read is a caller of one ``Scan``, so over the
-  same file, sidecar state, window and executor they all see the same
-  records, carry the same plan, and account IO with the same five keys;
+  same file, sidecar state and window they all see the same records —
+  the scan's own, and the ones ``engine.reference_scan`` decodes over the
+  same plan — carry the same plan, and account IO with the same five keys;
 * **Byte identity** — every user-visible output of those callers matches
   ``tests/data/scan_golden.json``, produced by the commit before they were
   folded into the scan (see ``tests/data/generate_scan_golden.py``);
@@ -50,6 +51,7 @@ from repro.query import (
     run_query,
     write_index,
 )
+from repro.query.engine import reference_rows, reference_scan
 from repro.query.model import CORE_COLUMNS, record_value
 from repro.serve import ServeClient, TraceSession
 from repro.serve.app import ServerThread
@@ -66,7 +68,9 @@ PROFILE = standard_profile()
 IO_KEYS = {"bytes_read", "fetches", "cache_hits", "frames_decoded", "frames_scanned"}
 SIDECARS = ("fresh", "none", "stale")
 WINDOWS = ("whole", "mid-third", "nothing")
-EXECUTORS = ("columnar", "record")
+#: Where the records every caller is held to come from: the scan itself, or
+#: the per-record reference (``engine.reference_scan``) over the scan's plan.
+EXPECTED_FROM = ("columnar", "record")
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +129,33 @@ def _core(record) -> tuple:
 # Parity of the scan's callers.
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("expected_from", EXPECTED_FROM)
 @pytest.mark.parametrize("window_name", WINDOWS)
 @pytest.mark.parametrize("sidecar", SIDECARS)
 @pytest.mark.parametrize("kind", ["ute", "slog"])
 class TestCallersAgree:
-    def test_records_plan_and_io(self, traces, kind, sidecar, window_name, executor, capsys):
+    def test_records_plan_and_io(self, traces, kind, sidecar, window_name, expected_from, capsys):
         path = traces[kind, sidecar]
         window = _window(path, window_name)
 
-        with open_scan(path, PROFILE, window=window, executor=executor) as s:
+        with open_scan(path, PROFILE, window=window) as s:
             misses_before = s.handle.stats()["misses"]
-            records = list(s.records())
+            if expected_from == "record":
+                records = list(reference_scan(s.handle, s.query, s.plan))
+            else:
+                records = list(s.records())
             io = s.io()
             plan = s.plan.describe()
             assert set(io) == IO_KEYS
             assert io["frames_decoded"] == s.handle.stats()["misses"] - misses_before
             assert io["frames_scanned"] == len(s.plan.frames)
+            if expected_from == "record":
+                # The reference never caches: every visit is a miss, twice over.
+                assert io["cache_hits"] == 0
+                assert reference_rows(s.handle, s.query, s.plan) == [_core(r) for r in records]
+                again = s.io()
+                assert again["cache_hits"] == 0
+                assert again["frames_decoded"] == 2 * len(s.plan.frames)
             markers = dict(s.handle.markers)
             tps, thread_table = s.handle.ticks_per_sec, s.handle.thread_table
         assert plan["mode"] == ("indexed" if sidecar == "fresh" else "full-scan")
@@ -154,14 +168,14 @@ class TestCallersAgree:
         else:
             assert records
 
-        result = run_query(path, Query(), profile=PROFILE, window=window, executor=executor)
+        result = run_query(path, Query(), profile=PROFILE, window=window)
         assert result.rows == [_core(r) for r in records]
         assert result.plan.describe() == plan
         assert result.io == io  # both cold: the same reads
 
         io_log: dict = {}
         streamed = list(
-            interval_records([path], PROFILE, window=window, executor=executor, io_log=io_log)
+            interval_records([path], PROFILE, window=window, io_log=io_log)
         )
         assert streamed == records
         assert io_log[str(path)]["plan"] == plan["mode"]
@@ -185,7 +199,7 @@ class TestCallersAgree:
             return
         session = TraceSession(path)
         try:
-            payload = session.query_payload(Query(), window=window, executor=executor)
+            payload = session.query_payload(Query(), window=window)
             assert [tuple(row) for row in payload["rows"]] == result.rows
             assert payload["plan"] == plan
             assert payload["io"] == io  # the session's first read: cold too
@@ -208,24 +222,73 @@ class TestCallersAgree:
 
 def test_frames_scanned_is_what_the_executor_visited(traces):
     """``frames_scanned`` is derived from the store's lookups; it must equal
-    the executor's own count, limit short-circuit included."""
+    the executor's own count, limit short-circuit included — and the
+    reference's, which stops after the same frame."""
     path = traces["slog", "none"]
-    for executor in EXECUTORS:
-        for query in (Query(), Query(limit=5), Query(types=frozenset({3}), limit=1)):
-            with open_scan(path, query=query, executor=executor) as s:
-                result = s.result()
-            with open_trace(path) as handle:
-                counted = ExecStats()
-                rows = execute(handle, s.query, s.plan, executor=executor, stats=counted)
-            assert result.rows == rows
-            assert result.io["frames_scanned"] == counted.frames_scanned
-            assert result.io["frames_scanned"] <= len(s.plan.frames)
+    for query in (Query(), Query(limit=5), Query(types=frozenset({3}), limit=1), Query(limit=0)):
+        with open_scan(path, query=query) as s:
+            result = s.result()
+            before = s.io()
+            assert reference_rows(s.handle, s.query, s.plan) == result.rows
+            reference_io = s.io()
+        with open_trace(path) as handle:
+            counted = ExecStats()
+            rows = execute(handle, s.query, s.plan, stats=counted)
+        assert result.rows == rows
+        assert result.io["frames_scanned"] == counted.frames_scanned
+        assert result.io["frames_scanned"] <= len(s.plan.frames)
+        assert reference_io["frames_scanned"] - before["frames_scanned"] == counted.frames_scanned
+        if query.limit == 0:
+            assert rows == [] and counted.frames_scanned == 0
 
 
-def test_unknown_executor_is_refused_before_any_read(traces):
-    with pytest.raises(FormatError, match="unknown executor"):
-        with open_scan(traces["ute", "none"], PROFILE, executor="vectorized"):
-            pass
+# ---------------------------------------------------------------------------
+# One executor: there is nothing to select, and ``limit=0`` reads nothing.
+
+
+@pytest.mark.parametrize(
+    "prog, main, extra", [("ute-query", main_query, []), ("ute-stats", main_stats, ["--json"])]
+)
+def test_executor_flag_is_a_usage_error(traces, capsys, prog, main, extra):
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(traces["slog", "fresh"]), *extra, "--executor", "record"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"{prog}: error: unrecognized arguments: --executor record"
+    )
+
+
+def test_executor_is_an_ignored_query_key(traces):
+    """``Query.from_params`` ignores keys it does not know: the answer is
+    the same request's without the key, byte for byte (both warm)."""
+    url = f"query?window={golden.WINDOW}&type=3"
+    with ServerThread(traces["slog", "fresh"]) as server:
+        client = ServeClient(server.base_url, dataset="default", use_etags=False)
+        client.request(f"{client.api_base}/{url}")  # warm the frame cache
+        plain = client.request(f"{client.api_base}/{url}")
+        for value in ("record", "vectorized"):
+            keyed = client.request(f"{client.api_base}/{url}&executor={value}")
+            assert keyed.status == 200
+            assert keyed.text == plain.text
+    assert "executor" not in plain.json()
+
+
+@pytest.mark.parametrize("grouped", [[], ["--group-by", "node", "--agg", "count"]])
+def test_limit_zero_is_no_rows_and_no_reads(traces, capsys, grouped):
+    path = traces["slog", "fresh"]
+    assert main_query([str(path), "--limit", "0", "--explain", *grouped]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1  # the header
+    assert "; decoded 0/" in captured.err
+    assert captured.err.splitlines()[0].endswith("read 0 bytes in 0 fetches")
+    params = "&group_by=node&agg=count" if grouped else ""
+    with ServerThread(path) as server:
+        client = ServeClient(server.base_url, dataset="default", use_etags=False)
+        payload = client.request(f"{client.api_base}/query?limit=0{params}").json()
+    assert payload["rows"] == []
+    assert payload["io"] == dict.fromkeys(IO_KEYS, 0)
 
 
 # ---------------------------------------------------------------------------
