@@ -1014,18 +1014,14 @@ def main_report(argv: list[str] | None = None) -> int:
 @_entry("ute-view")
 def main_view(argv: list[str] | None = None) -> int:
     """Render a time-space diagram from a SLOG file."""
+    from repro.viz.ansi import render_view_ansi
+    from repro.viz.jumpshot import VIEW_KINDS, Jumpshot
+
     parser = argparse.ArgumentParser(
         "ute-view", description="Render a time-space diagram from a SLOG file."
     )
     parser.add_argument("slog")
-    parser.add_argument(
-        "--kind",
-        default="thread",
-        choices=[
-            "thread", "thread-connected", "processor",
-            "thread-processor", "processor-thread", "type",
-        ],
-    )
+    parser.add_argument("--kind", default="thread", choices=VIEW_KINDS)
     parser.add_argument("-o", "--out", default="view.svg")
     parser.add_argument(
         "--at", type=float, default=None,
@@ -1041,9 +1037,6 @@ def main_view(argv: list[str] | None = None) -> int:
     _check_inputs(args.slog)
     if not args.ansi:
         _check_output(args.out)
-
-    from repro.viz.ansi import render_view_ansi
-    from repro.viz.jumpshot import Jumpshot
 
     viewer = Jumpshot(args.slog)
     if args.interactive:

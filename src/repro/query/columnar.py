@@ -186,9 +186,12 @@ class FrameBatch:
 
     def records_at(self, positions: Sequence[int] | np.ndarray) -> list[IntervalRecord]:
         """Records at the given frame positions (e.g. a match mask's
-        ``nonzero`` indices)."""
-        records = self._records if self._records is not None else self.to_records()
-        return [records[i] for i in _as_list(positions)]
+        ``nonzero`` indices); only those rows are materialised."""
+        if self._records is not None:
+            return [self._records[i] for i in _as_list(positions)]
+        rows, at = np.unique(np.asarray(positions, dtype=np.intp), return_inverse=True)
+        records = self.take(rows).to_records()
+        return [records[i] for i in at.tolist()]
 
     # ---------------------------------------------------------- write path
 

@@ -11,6 +11,7 @@ The client remembers the ETag of every 200 response and sends it back as
 ``If-None-Match``; on a 304 the previously cached body is returned, so
 callers never see the difference — except in :attr:`ServeResponse.status`
 and the daemon's metrics, where the revalidation shows up as a free hit.
+The remembered responses are an LRU bounded by :data:`CACHE_BOUND`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +41,10 @@ class ServeResponse:
     def text(self) -> str:
         return self.body.decode()
 
+
+#: The revalidation cache's bound, (responses, total body bytes): a loop over
+#: random ``?t=`` / ``?window=`` views must not keep every SVG it ever fetched.
+CACHE_BOUND = (256, 32 * 1024 * 1024)
 
 #: Statuses the retry loop considers transient: saturation shedding and
 #: per-tenant quota pacing, both of which carry ``Retry-After``.
@@ -96,8 +102,7 @@ class ServeClient:
     max_retry_seconds: float = 30.0
     dataset: str | None = None
     tenant: str | None = None
-    _etags: dict[str, str] = field(default_factory=dict, repr=False)
-    _cache: dict[str, ServeResponse] = field(default_factory=dict, repr=False)
+    _cache: OrderedDict[str, ServeResponse] = field(default_factory=OrderedDict, repr=False)
 
     def __post_init__(self) -> None:
         self.base_url = self.base_url.rstrip("/")
@@ -143,10 +148,10 @@ class ServeClient:
             send["X-UTE-Tenant"] = self.tenant
         cacheable = method == "GET"
         if (
-            cacheable and self.use_etags and path in self._etags
+            cacheable and self.use_etags and path in self._cache
             and "If-None-Match" not in send
         ):
-            send["If-None-Match"] = self._etags[path]
+            send["If-None-Match"] = self._cache[path].headers["etag"]
         delay = self.backoff
         start = time.monotonic()
 
@@ -191,11 +196,17 @@ class ServeClient:
             time.sleep(max(0.0, min(wait, 2.0, budget_left())))
             delay *= 2
         if cacheable and response.status == 200 and "etag" in response.headers:
-            self._etags[path] = response.headers["etag"]
             self._cache[path] = response
+            self._cache.move_to_end(path)
+            max_entries, max_bytes = CACHE_BOUND
+            while self._cache and (
+                len(self._cache) > max_entries
+                or sum(len(kept.body) for kept in self._cache.values()) > max_bytes
+            ):
+                self._cache.popitem(last=False)
         elif cacheable and response.status == 304 and path in self._cache:
-            cached = self._cache[path]
-            response = ServeResponse(304, response.headers, cached.body)
+            self._cache.move_to_end(path)
+            response = ServeResponse(304, response.headers, self._cache[path].body)
         return response
 
     def get_json(self, path: str) -> Any:

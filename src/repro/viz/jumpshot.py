@@ -16,34 +16,28 @@ Frame display cost depends only on frame size, never total file size
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from repro.core.reader import DEFAULT_FRAME_CACHE
-from repro.core.records import IntervalRecord
+from repro.core.records import IntervalRecord, IntervalType
 from repro.core.windows import seconds_to_ticks, window_to_ticks
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch, batch_from_records, concat_batches
 from repro.utils.slog import SlogFile, SlogFrameEntry
 from repro.viz.arrows import match_arrows
 from repro.viz.preview import Preview, interesting_ranges
 from repro.viz.views import (
+    PIECE_VIEWS,
     TimelineView,
-    processor_activity_view,
-    processor_thread_view,
+    piece_view,
     render_view_svg,
-    thread_activity_view,
-    thread_processor_view,
-    type_activity_view,
     utilization_view,
     view_svg_string,
 )
 
-VIEW_KINDS = (
-    "thread",
-    "thread-connected",
-    "processor",
-    "thread-processor",
-    "processor-thread",
-    "type",
-)
+VIEW_KINDS = tuple(PIECE_VIEWS)
 
 #: View kinds with an aggregate (utilization) rendering path; the others
 #: always draw exact record bars.
@@ -61,6 +55,12 @@ DENSITY_THRESHOLD = 4.0
 #: view scales with lanes x bins — capping below the plot width keeps the
 #: aggregate path's latency flat regardless of trace size.
 AGGREGATE_MAX_BINS = 192
+
+
+def _check_kind(kind: str) -> None:
+    """Refuse an unknown view kind — before any frame is located or read."""
+    if kind not in VIEW_KINDS:
+        raise FormatError(f"unknown view kind {kind!r}; pick one of {VIEW_KINDS}")
 
 
 class Jumpshot:
@@ -127,45 +127,31 @@ class Jumpshot:
 
     def build_view(
         self,
-        records: list[IntervalRecord],
+        records: FrameBatch | Iterable[IntervalRecord],
         kind: str = "thread",
         *,
         with_arrows: bool = True,
         window: tuple[int, int] | None = None,
     ) -> TimelineView:
-        """Build one of the four time-space diagrams over ``records``.
+        """Build one of the time-space diagrams over ``records`` — a frame
+        batch, or record objects (read into one).
 
         ``window`` tells the connected view where the display edge is, so
         states still open there extend to it instead of stopping at their
         last piece."""
-        profile = self.slog.profile
-        table = self.slog.thread_table
-        cpus = self._cpus_per_node()
-        if kind == "thread":
-            arrows = match_arrows(records) if with_arrows else []
-            return thread_activity_view(
-                records, table, profile.record_name, self.slog.markers,
-                arrows=arrows, window=window,
-            )
-        if kind == "thread-connected":
-            arrows = match_arrows(records) if with_arrows else []
-            return thread_activity_view(
-                records, table, profile.record_name, self.slog.markers,
-                connected=True, arrows=arrows, window=window,
-            )
-        if kind == "processor":
-            return processor_activity_view(
-                records, cpus, profile.record_name, self.slog.markers
-            )
-        if kind == "thread-processor":
-            return thread_processor_view(records, table)
-        if kind == "processor-thread":
-            return processor_thread_view(records, cpus, table)
-        if kind == "type":
-            return type_activity_view(
-                records, table, profile.record_name, self.slog.markers
-            )
-        raise FormatError(f"unknown view kind {kind!r}; pick one of {VIEW_KINDS}")
+        _check_kind(kind)
+        batch = records if isinstance(records, FrameBatch) else batch_from_records(list(records))
+        arrows = None
+        if with_arrows and kind in ("thread", "thread-connected"):
+            # Only MPI records can carry a message: only those become objects.
+            mpi = (batch.itype >= IntervalType.MPI_BASE) & (batch.itype < IntervalType.MARKER)
+            arrows = match_arrows(batch.records_at(np.flatnonzero(mpi)))
+        return piece_view(
+            kind, batch, thread_table=self.slog.thread_table,
+            n_cpus_per_node=self._cpus_per_node() if kind.startswith("processor") else None,
+            record_name=self.slog.profile.record_name, markers=self.slog.markers,
+            arrows=arrows, window=window,
+        )
 
     def render_frame_at(
         self,
@@ -176,8 +162,7 @@ class Jumpshot:
     ) -> Path:
         """The headline operation: pick an instant, display its frame."""
         frame = self.locate(t_seconds)
-        records = self.frame_records(frame)
-        view = self.build_view(records, kind)
+        view = self.build_view(self._batch([frame]), kind)
         return render_view_svg(
             view, path,
             window=(frame.start_time, frame.end_time),
@@ -186,7 +171,7 @@ class Jumpshot:
 
     def render_whole_run(self, path: str | Path, *, kind: str = "thread") -> Path:
         """Render the full trace in one diagram (small runs only)."""
-        view = self.build_view(self.slog.records(), kind)
+        view = self.build_view(self._batch(self.slog.frames), kind)
         return render_view_svg(view, path, ticks_per_sec=self.slog.ticks_per_sec)
 
     # --------------------------------------------------------- server API
@@ -225,6 +210,7 @@ class Jumpshot:
         With a sidecar ``index`` carrying a utilization hierarchy, a frame
         denser than :data:`DENSITY_THRESHOLD` records per pixel renders
         from aggregates instead of individual records."""
+        _check_kind(kind)
         frame = self.locate(t_seconds)
         return self._render_window(
             (frame.start_time, frame.end_time), [frame], kind, width, index
@@ -239,6 +225,7 @@ class Jumpshot:
         Below the density threshold this decodes every overlapping frame
         (exact drill-down); above it — any wide window of a big trace —
         the utilization hierarchy answers without touching the data."""
+        _check_kind(kind)
         w0, w1 = window_to_ticks((t0_seconds, t1_seconds), self.slog.ticks_per_sec)
         if w1 <= w0:
             raise FormatError(f"empty window {t0_seconds}..{t1_seconds}s")
@@ -273,14 +260,19 @@ class Jumpshot:
                     view, width=width, window=window,
                     ticks_per_sec=self.slog.ticks_per_sec,
                 )
-        records = [r for f in frames for r in self.frame_records(f)]
-        view = self.build_view(records, kind, window=window)
+        view = self.build_view(self._batch(frames), kind, window=window)
         return view_svg_string(
             view, width=width, window=window,
             ticks_per_sec=self.slog.ticks_per_sec,
         )
 
     # ------------------------------------------------------------ internals
+
+    def _batch(self, frames: list[SlogFrameEntry]) -> FrameBatch:
+        """The records of ``frames`` as one batch: the form scans cache."""
+        if not frames:
+            return FrameBatch(0)
+        return concat_batches([self.slog.read_frame_batch(f) for f in frames])
 
     def _cpus_per_node(self) -> dict[int, int]:
         if self.slog.node_cpus:

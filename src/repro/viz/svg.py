@@ -14,6 +14,7 @@ malformed.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
@@ -46,6 +47,33 @@ def xml_attr(text: str) -> str:
     if _NOT_PLAIN.search(text) is None:
         return f'"{text}"'
     return quoteattr(_NOT_XML.sub("\ufffd", text))
+
+
+def bar_elements(x, y, w, h, fill, opacity, title) -> list[str]:
+    """One ``<rect>`` per bar, as :meth:`SvgCanvas.rect` writes it with
+    ``rx=1.5``, from columns (lists): ``x`` and ``w`` (not negative) as
+    Python floats, rounded here; ``y`` and ``h`` written as they are (row
+    geometry: halves, which two decimals hold); ``fill`` already quoted
+    (:func:`xml_attr`), ``opacity`` written when below 1, ``title`` already
+    escaped (:func:`xml_text`; empty: no tooltip)."""
+    return [
+        '<rect x="%r" y="%r" width="%r" height="%r" fill=%s rx="1.5"%s%s' % (
+            round(x, 2), y, round(w, 2), h, fill,
+            f' opacity="{opacity}"' if opacity < 1.0 else "",
+            f"><title>{title}</title></rect>" if title else "/>",
+        )
+        for x, y, w, h, fill, opacity, title in zip(x, y, w, h, fill, opacity, title)
+    ]
+
+
+def path_element(d: str, *, fill: str, opacity: float | None = None) -> str:
+    """A filled ``<path>`` from a prebuilt ``d`` string.
+
+    One ``<path>`` can carry thousands of rectangular subpaths, which is
+    how dense heat strips stay cheap: one element per style, not one per
+    cell."""
+    op = f' opacity="{opacity}"' if opacity is not None else ""
+    return f'<path d="{d}" fill={xml_attr(fill)}{op}/>'
 
 
 class SvgCanvas:
@@ -89,20 +117,10 @@ class SvgCanvas:
         else:
             self._parts.append(f"<rect {attrs}/>")
 
-    def path(
-        self,
-        d: str,
-        *,
-        fill: str,
-        opacity: float | None = None,
-    ) -> None:
-        """Add a filled path from a prebuilt ``d`` string.
-
-        One ``<path>`` can carry thousands of rectangular subpaths, which
-        is how dense heat strips stay cheap: one element per style, not
-        one per cell."""
-        op = f' opacity="{opacity}"' if opacity is not None else ""
-        self._parts.append(f'<path d="{d}" fill={xml_attr(fill)}{op}/>')
+    def extend(self, elements: Iterable[str]) -> None:
+        """Add prebuilt elements — markup the caller formatted and escaped
+        (:func:`bar_elements`, :func:`path_element`)."""
+        self._parts.extend(elements)
 
     def line(
         self,

@@ -20,12 +20,15 @@ Views are plain data (:class:`TimelineView`) renderable to SVG via
 
 A fifth, **aggregate** view (:func:`utilization_view`) draws the thread or
 processor lanes from the sidecar's utilization hierarchy instead of
-records.  It is columns end to end: the index answers in columns, runs of
-cells merge as array arithmetic, each row's ``bars`` is a window onto the
-bar columns (:class:`HeatBars`), and the renderer lays out every dense row
-of a view — aggregate or exact — in one pass over float64 columns.  Bar
-objects and tooltips exist only for sparse rows and for callers that
-iterate a row.
+records.
+
+Every view is columns end to end.  The exact views read a frame's
+:class:`~repro.query.columnar.FrameBatch` through one builder
+(:func:`piece_view`, driven by :data:`PIECE_VIEWS`), the aggregate view the
+index's cell columns; a row's ``bars`` is a window (:class:`Bars`) onto the
+view's :class:`BarColumns`, and the renderer lays out every row in one pass
+over float64 columns.  :class:`TimelineBar` objects and tooltip strings
+exist only for callers that iterate a row.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -40,9 +44,21 @@ import numpy as np
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadTable
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch, batch_from_records
+from repro.query.utilization import split_thread_key
 from repro.viz.arrows import MessageArrow
 from repro.viz.colors import IDLE_COLOR, ColorMap
-from repro.viz.svg import AXIS, GRID, SvgCanvas, TEXT_PRIMARY, TEXT_SECONDARY
+from repro.viz.svg import (
+    AXIS,
+    GRID,
+    SvgCanvas,
+    TEXT_PRIMARY,
+    TEXT_SECONDARY,
+    bar_elements,
+    path_element,
+    xml_attr,
+    xml_text,
+)
 
 
 @dataclass(frozen=True)
@@ -61,14 +77,86 @@ class TimelineBar:
     opacity: float = 1.0
 
 
+def _tails(template: str = "", *columns: np.ndarray) -> Callable[[object], Iterable[str]]:
+    """Tooltip tails: ``template`` over the bars' entries of ``columns``
+    (without columns, the bare template for every bar)."""
+    if not columns:
+        return lambda at: repeat(template)
+    return lambda at: [
+        template % parts for parts in zip(*(column[at].tolist() for column in columns))
+    ]
+
+
+class BarColumns(NamedTuple):
+    """Bars as parallel columns, a row's bars together and in the order they
+    were appended: ``[start, end]`` ticks, ``key`` an index into ``keys``
+    (the colour keys; a builder's are in legend order), nesting ``depth``,
+    ``opacity``.  A bar's tooltip is ``tips[key]`` plus its entry of
+    ``tails(positions)`` — numbers and fixed words: nothing to escape."""
+
+    start: np.ndarray
+    end: np.ndarray
+    key: np.ndarray
+    depth: np.ndarray
+    opacity: np.ndarray
+    keys: list
+    tips: list[str]
+    tails: Callable[[object], Iterable[str]] = _tails()
+
+
+class Bars(Sequence):
+    """One row's bars: a window onto :class:`BarColumns`.
+
+    The renderer reads the column slices; whoever iterates or indexes gets
+    :class:`TimelineBar` objects (and their tooltips), made then."""
+
+    def __init__(self, columns: BarColumns, lo: int, hi: int) -> None:
+        self.columns = columns
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def of(cls, bars: Iterable[TimelineBar]) -> "Bars":
+        """Bar objects as columns (what a row handed a plain list keeps)."""
+        bars = list(bars)
+        slots: dict[tuple, int] = {}
+        key = [slots.setdefault((bar.key, bar.tooltip), len(slots)) for bar in bars]
+        columns = BarColumns(
+            _tick_column([bar.start for bar in bars]), _tick_column([bar.end for bar in bars]),
+            np.array(key, dtype=np.int64),
+            np.array([bar.depth for bar in bars], dtype=np.int64),
+            np.array([bar.opacity for bar in bars], dtype=np.float64),
+            [key for key, _ in slots], [tip for _, tip in slots],
+        )
+        return cls(columns, 0, len(bars))
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self) -> Iterator[TimelineBar]:
+        cols = self.columns
+        at = slice(self.lo, self.hi)
+        for start, end, key, depth, opacity, tail in zip(
+            *(col[at].tolist() for col in cols[:5]), cols.tails(at)
+        ):
+            yield TimelineBar(start, end, cols.keys[key], depth, cols.tips[key] + tail, opacity)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
 @dataclass
 class TimelineRow:
-    """One horizontal timeline (a thread, or a processor).  ``bars`` is a
-    list on the exact views and a :class:`HeatBars` on the aggregate one."""
+    """One horizontal timeline (a thread, or a processor).  ``bars`` is
+    always a :class:`Bars`; a plain sequence of bars is read into one."""
 
     label: str
     row_key: tuple
-    bars: Sequence[TimelineBar] = field(default_factory=list)
+    bars: Sequence[TimelineBar] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.bars, Bars):
+            self.bars = Bars.of(self.bars)
 
 
 @dataclass
@@ -87,31 +175,13 @@ class TimelineView:
         return {row.row_key: i for i, row in enumerate(self.rows)}
 
 
-def _span(records: list[IntervalRecord]) -> tuple[int, int]:
-    if not records:
-        return 0, 1
-    t0 = min(r.start for r in records)
-    t1 = max(r.end for r in records)
-    return t0, max(t1, t0 + 1)
-
-
-def _state_key(record: IntervalRecord) -> object:
-    if record.itype == IntervalType.MARKER:
-        return ("marker", record.extra.get("markerId", 0))
-    return record.itype
-
-
-def _state_name(
-    record: IntervalRecord, record_name: Callable[[int], str], markers: dict[int, str]
-) -> str:
-    if record.itype == IntervalType.MARKER:
-        mid = record.extra.get("markerId", 0)
-        return markers.get(mid, f"marker-{mid}")
-    return record_name(record.itype)
-
-
-#: The tooltip's piece label, by bebits.
-_PIECE = {bebits: bebits.name.lower() for bebits in BeBits}
+def _tick_column(ticks: list[int]) -> np.ndarray:
+    """Ticks as an int64 column (as Python ints in an object column when
+    one does not fit, so arithmetic stays exact at any size)."""
+    try:
+        return np.array(ticks, dtype=np.int64)
+    except OverflowError:
+        return np.array(ticks, dtype=object)
 
 
 def _thread_label(table: ThreadTable, node: int, ltid: int) -> str:
@@ -125,27 +195,209 @@ def _thread_label(table: ThreadTable, node: int, ltid: int) -> str:
     return f"n{node}.t{ltid}{suffix}"
 
 
-def _cpu_row(rows: dict[tuple, TimelineRow], record: IntervalRecord) -> TimelineRow:
-    """The (node, cpu) timeline of ``record``, added on first sight."""
-    row_key = (record.node, record.cpu)
-    row = rows.get(row_key)
-    if row is None:
-        row = rows[row_key] = TimelineRow(f"node {record.node} CPU {record.cpu}", row_key)
-    return row
+def _state_name(key: object, record_name: Callable[[int], str], markers: dict[int, str]) -> str:
+    """The name of a state key: an interval type or ``("marker", id)``."""
+    if isinstance(key, tuple):
+        return markers.get(key[1], f"marker-{key[1]}")
+    return record_name(key)
 
 
-def _filter_real(records: Iterable[IntervalRecord]) -> list[IntervalRecord]:
-    """Drop clock pairs; keep pseudo-intervals out of piece views (they are
-    zero-duration and would be invisible anyway)."""
-    return [
-        r
-        for r in records
-        if r.itype != IntervalType.CLOCKPAIR and r.duration > 0
-    ]
+def _state_codes(batch: FrameBatch, rows: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """``(code, key_of)``: one int per row of ``rows`` naming its state —
+    the interval type, or one code past the largest type per marker id —
+    and the state key (a type, or ``("marker", id)``) a code stands for."""
+    code = batch.itype[rows]
+    top = int(code.max(initial=0))
+    marked = np.flatnonzero(code == IntervalType.MARKER)
+    ids: dict[object, int] = {}
+    if len(marked):  # the id column is a Python list: built for markers only
+        column = batch.extra_column("markerId")
+        code[marked] = [
+            top + 1 + ids.setdefault(0 if column[i] is None else column[i], len(ids))
+            for i in rows[marked].tolist()
+        ]
+    marker_ids = list(ids)
+    return code, lambda c: ("marker", marker_ids[c - top - 1]) if c > top else c
+
+
+def _lane_codes(node: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """``(code, key_of)``: one int per row naming its ``(node, sub)`` lane,
+    ordered as the pairs are, and the pair a code stands for."""
+    nodes, node_at = np.unique(node, return_inverse=True)
+    subs, sub_at = np.unique(sub, return_inverse=True)
+    nodes, subs = nodes.tolist(), subs.tolist()
+    return node_at * len(subs) + sub_at, lambda c: (nodes[c // len(subs)], subs[c % len(subs)])
+
+
+def _by_first_appearance(code: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct values of ``code`` in order of first appearance, and
+    every entry's index into them."""
+    values, first, at = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    position = np.empty(len(values), dtype=np.int64)
+    position[order] = np.arange(len(values))
+    return values[order].tolist(), position[at]
+
+
+#: The tooltip's piece label by bebits (last: a unified state names no
+#: piece), and its ending by whether the state was still open at the edge.
+_PIECE = np.array([f" [{bebits.name.lower()}]" for bebits in BeBits] + [""])
+_OPEN = np.array(["", " (open)"])
+
+#: The views of records are one builder: each draws one axis of the records
+#: (thread lanes, CPU lanes, states) as rows and colours them by another —
+#: five piece views, and the thread view again with its pieces connected.
+#: ``kind: (title, rows, colours, tooltip tail template and its columns)``.
+PIECE_VIEWS = {
+    "thread": ("Thread-activity view", "thread", "state", ("%s %d-%d", "piece", "since", "until")),
+    "thread-connected": (
+        "Thread-activity view (connected)", "thread", "state",
+        ("%s %d-%d%s", "piece", "since", "until", "open"),
+    ),
+    "processor": ("Processor-activity view", "cpu", "state", (" tid %d", "thread")),
+    "thread-processor": ("Thread-processor view", "thread", "cpu", ("",)),
+    "processor-thread": ("Processor-thread view", "cpu", "thread", ("",)),
+    "type": ("Type-activity view", "state", "thread", ("",)),
+}
+
+
+def piece_view(
+    kind: str,
+    records: FrameBatch | Iterable[IntervalRecord],
+    *,
+    thread_table: ThreadTable | None = None,
+    n_cpus_per_node: dict[int, int] | None = None,
+    record_name: Callable[[int], str] | None = None,
+    markers: dict[int, str] | None = None,
+    arrows: list[MessageArrow] | None = None,
+    window: tuple[int, int] | None = None,
+) -> TimelineView:
+    """The view ``kind`` of :data:`PIECE_VIEWS` over a frame batch (record
+    objects are read into one); the builders below say what each shows.
+
+    Clock pairs are dropped, and zero-duration pseudo-intervals too unless
+    the pieces are connected.  Every thread of the table (thread views) or
+    CPU of ``n_cpus_per_node`` (CPU rows) gets a row even when idle; a
+    record on any other lane adds one.  The legend is in order of first
+    appearance over *all* the records, on screen or not, in file order —
+    (node, thread, start, end) order for the thread views."""
+    title, row_axis, colour_axis, (tail, *tail_columns) = PIECE_VIEWS[kind]
+    connected = kind == "thread-connected"
+    by_thread = connected or kind == "thread"  # sorted by, and seeded from, the thread table
+    markers = markers or {}
+    batch = records if isinstance(records, FrameBatch) else batch_from_records(list(records))
+    keep = batch.itype != IntervalType.CLOCKPAIR
+    if not connected:
+        keep &= batch.dura > 0
+    rows = np.flatnonzero(keep)
+    if by_thread:
+        rows = rows[np.lexsort(
+            (batch.end[rows], batch.start[rows], batch.thread[rows], batch.node[rows])
+        )]
+    node, thread, start, end = (
+        column[rows] for column in (batch.node, batch.thread, batch.start, batch.end)
+    )
+    t0 = int(start.min()) if len(rows) else 0
+    t1 = max(int(end.max()), t0 + 1) if len(rows) else 1
+
+    def axis(name: str, legend: bool) -> tuple[np.ndarray, Callable, Callable]:
+        """``(code per record, key of a code, name of a key)`` along an axis."""
+        if name == "state":
+            return *_state_codes(batch, rows), lambda key: _state_name(key, record_name, markers)
+        if name == "thread":
+            return *_lane_codes(node, thread), lambda key: _thread_label(thread_table, *key)
+        cpu_name = "CPU {1} (node {0})" if legend else "node {0} CPU {1}"
+        return *_lane_codes(node, batch.cpu[rows]), lambda key: cpu_name.format(*key)
+
+    code, key_of, name_of = axis(colour_axis, True)
+    colours, key = _by_first_appearance(code)
+    names = {
+        (value if colour_axis == "state" else (colour_axis, *value)): name_of(value)
+        for value in map(key_of, colours)
+    }
+
+    # Rows: the seeded lanes and the lanes seen, sorted by row key (the type
+    # view orders its states by label first).
+    code, key_of, label_of = axis(row_axis, False)
+    lanes, lane = np.unique(code, return_inverse=True)
+    seen = [key_of(c) for c in lanes.tolist()]
+    seeds: Iterable[tuple] = ()
+    if row_axis == "cpu":
+        seeds = ((n, cpu) for n, n_cpus in n_cpus_per_node.items() for cpu in range(n_cpus))
+    elif by_thread:
+        seeds = ((entry.node, entry.logical_tid) for entry in thread_table)
+    labels = {lane_key: label_of(lane_key) for lane_key in dict.fromkeys((*seeds, *seen))}
+    row_keys = {
+        ((str(label), lane_key) if row_axis == "state" else lane_key): lane_key
+        for lane_key, label in labels.items()
+    }
+    ordered = sorted(row_keys)
+    slot = {row_keys[row_key]: i for i, row_key in enumerate(ordered)}
+    at_row = np.array([slot[lane_key] for lane_key in seen], dtype=np.int64)[lane]
+
+    # A bar per record — or, connected, per state — and what its tooltip names.
+    depth = still_open = np.zeros(len(rows), dtype=np.int64)
+    piece, since, until = batch.bebits[rows], start, end
+    if connected:
+        at_row, start, end, key, depth, piece, since, until, still_open = _connect(
+            at_row.tolist(), key.tolist(), piece.tolist(), start.tolist(), end.tolist(),
+            window[1] if window is not None else t1,
+        )
+    have = {"piece": _PIECE[piece], "since": since, "until": until,
+            "open": _OPEN[still_open], "thread": thread}
+    # A row's bars sit together, in the order the loop above met them.
+    by_row = np.argsort(at_row, kind="stable")
+    columns = BarColumns(
+        start[by_row], end[by_row], key[by_row], depth[by_row], np.ones(len(by_row)),
+        list(names), list(names.values()),
+        _tails(tail, *(have[name][by_row] for name in tail_columns)),
+    )
+    cuts = np.searchsorted(at_row[by_row], np.arange(len(ordered) + 1)).tolist()
+    return TimelineView(
+        title,
+        [
+            TimelineRow(labels[row_keys[row_key]], row_key, Bars(columns, lo, hi))
+            for row_key, lo, hi in zip(ordered, cuts, cuts[1:])
+        ],
+        t0, t1, names, arrows or [],
+    )
+
+
+def _connect(lanes, keys, bebits, starts, ends, edge: int) -> list[np.ndarray]:
+    """Unify the pieces of each state of each lane into one bar — a walk,
+    since a state spanning pieces is sequential per lane.  Returns the bars
+    as columns: lane, start, end, key, depth (states open on the lane when
+    this one began), then the tooltip's parts — piece label code, the times
+    it names, and whether the state was still open at ``edge`` (nothing
+    ended it, so it is busy up to the edge: the bar runs there)."""
+    bars: list[tuple] = []
+    open_states: dict[int, dict[int, tuple]] = {}
+    for lane, key, bits, start, end in zip(lanes, keys, bebits, starts, ends):
+        open_map = open_states.setdefault(lane, {})
+        if bits == BeBits.COMPLETE:
+            bars.append((lane, start, end, key, len(open_map), bits, start, end, 0))
+        elif bits == BeBits.BEGIN:
+            open_map[key] = (start, end, len(open_map), bits, start, end)
+        elif bits == BeBits.CONTINUATION:
+            bar = open_map.get(key)
+            if bar is None:
+                # A window/frame starting mid-state: the pseudo-interval (or
+                # first continuation piece) opens the state here.
+                open_map[key] = (start, end, len(open_map), bits, start, end)
+            else:
+                open_map[key] = (bar[0], end, *bar[2:])
+        elif bits == BeBits.END:
+            bar = open_map.pop(key, None)
+            since, depth = (bar[0], bar[2]) if bar is not None else (start, 0)
+            bars.append((lane, since, end, key, depth, len(BeBits), since, end, 0))
+    for lane, open_map in open_states.items():
+        for key, (since, until, depth, *tip) in open_map.items():
+            bars.append((lane, since, max(until, edge), key, depth, *tip, 1))
+    return [_tick_column(list(column)) for column in zip(*bars)] or [np.zeros(0, np.int64)] * 9
 
 
 def thread_activity_view(
-    records: Iterable[IntervalRecord],
+    records: FrameBatch | Iterable[IntervalRecord],
     thread_table: ThreadTable,
     record_name: Callable[[int], str],
     markers: dict[int, str] | None = None,
@@ -154,124 +406,44 @@ def thread_activity_view(
     arrows: list[MessageArrow] | None = None,
     window: tuple[int, int] | None = None,
 ) -> TimelineView:
-    """Thread-activity view: one timeline per (node, thread).
+    """Thread-activity view: one timeline per (node, thread), bars coloured
+    by state.  Every thread of the table gets a row, so idle threads show
+    as empty timelines — Figure 8's "one thread is idle" observation
+    depends on it.
 
     With ``connected=True``, the begin/continuation/end pieces of each state
     are unified into a single spanning bar and nesting depth is tracked so
     inner states draw over outer ones (zero-duration pseudo-intervals
     contribute span information, which is why mid-file windows still show
     enclosing states).  States still open at the edge extend to the
-    ``window`` end (or the records' span end), tooltip-marked "(open)" —
-    a state that has not ended is busy right up to the edge, not idle
-    after its last piece.
+    ``window`` end (or the records' span end), tooltip-marked "(open)".
     """
-    markers = markers or {}
-    recs = [r for r in records if r.itype != IntervalType.CLOCKPAIR]
-    if not connected:
-        recs = [r for r in recs if r.duration > 0]
-    rows: dict[tuple, TimelineRow] = {}
-    names: dict[object, str] = {}
-    open_states: dict[tuple, dict[object, TimelineBar]] = {}
-    # Seed a row for every known thread so idle threads show as empty
-    # timelines — Figure 8's "one thread is idle" observation depends on it.
-    for entry in thread_table:
-        key = (entry.node, entry.logical_tid)
-        rows[key] = TimelineRow(_thread_label(thread_table, *key), key)
-        open_states[key] = {}
-    for r in sorted(recs, key=lambda x: (x.node, x.thread, x.start, x.end)):
-        row_key = (r.node, r.thread)
-        row = rows.get(row_key)
-        if row is None:
-            row = TimelineRow(_thread_label(thread_table, r.node, r.thread), row_key)
-            rows[row_key] = row
-            open_states[row_key] = {}
-        key = _state_key(r)
-        if key not in names:
-            names[key] = _state_name(r, record_name, markers)
-        tooltip = f"{names[key]} [{_PIECE[r.bebits]}] {r.start}-{r.end}"
-        if not connected:
-            row.bars.append(TimelineBar(r.start, r.end, key, 0, tooltip))
-            continue
-        open_map = open_states[row_key]
-        if r.bebits is BeBits.COMPLETE:
-            depth = len(open_map)
-            row.bars.append(TimelineBar(r.start, r.end, key, depth, tooltip))
-        elif r.bebits is BeBits.BEGIN:
-            open_map[key] = TimelineBar(r.start, r.end, key, len(open_map), tooltip)
-        elif r.bebits is BeBits.CONTINUATION:
-            bar = open_map.get(key)
-            if bar is None:
-                # A window/frame starting mid-state: the pseudo-interval (or
-                # first continuation piece) opens the state here.
-                open_map[key] = TimelineBar(r.start, r.end, key, len(open_map), tooltip)
-            else:
-                open_map[key] = TimelineBar(bar.start, r.end, key, bar.depth, bar.tooltip)
-        elif r.bebits is BeBits.END:
-            bar = open_map.pop(key, None)
-            start = bar.start if bar is not None else r.start
-            depth = bar.depth if bar is not None else 0
-            row.bars.append(
-                TimelineBar(start, r.end, key, depth, f"{names[key]} {start}-{r.end}")
-            )
-    ordered = [rows[k] for k in sorted(rows)]
-    flat = [r for r in recs]
-    t0, t1 = _span(flat)
-    edge = window[1] if window is not None else t1
-    # Close any states left open at the view edge: they run to the edge
-    # (nothing ended them), so the bar extends there instead of stopping
-    # at the last observed piece.
-    for row_key, open_map in open_states.items():
-        for bar in open_map.values():
-            rows[row_key].bars.append(
-                TimelineBar(
-                    bar.start, max(bar.end, edge), bar.key, bar.depth,
-                    (bar.tooltip + " (open)") if bar.tooltip else "(open)",
-                )
-            )
-    return TimelineView(
-        "Thread-activity view" + (" (connected)" if connected else ""),
-        ordered,
-        t0,
-        t1,
-        names,
-        arrows or [],
+    return piece_view(
+        "thread-connected" if connected else "thread", records, thread_table=thread_table,
+        record_name=record_name, markers=markers, arrows=arrows, window=window,
     )
 
 
 def processor_activity_view(
-    records: Iterable[IntervalRecord],
+    records: FrameBatch | Iterable[IntervalRecord],
     n_cpus_per_node: dict[int, int],
     record_name: Callable[[int], str],
     markers: dict[int, str] | None = None,
 ) -> TimelineView:
-    """Processor-activity view: one timeline per (node, cpu), pieces only.
+    """Processor-activity view: one timeline per (node, cpu), pieces only
+    ("threads may jump among processors" — there is no connected variant).
 
     Every processor of every node gets a row even when idle — the paper's
     Figure 9 point is precisely that "the CPUs are mostly idle".
     """
-    markers = markers or {}
-    recs = _filter_real(records)
-    rows: dict[tuple, TimelineRow] = {}
-    for node, n_cpus in sorted(n_cpus_per_node.items()):
-        for cpu in range(n_cpus):
-            rows[(node, cpu)] = TimelineRow(f"node {node} CPU {cpu}", (node, cpu))
-    names: dict[object, str] = {}
-    for r in recs:
-        key = _state_key(r)
-        if key not in names:
-            names[key] = _state_name(r, record_name, markers)
-        row = _cpu_row(rows, r)
-        row.bars.append(
-            TimelineBar(r.start, r.end, key, 0, f"{names[key]} tid {r.thread}")
-        )
-    t0, t1 = _span(recs)
-    return TimelineView(
-        "Processor-activity view", [rows[k] for k in sorted(rows)], t0, t1, names
+    return piece_view(
+        "processor", records, n_cpus_per_node=n_cpus_per_node,
+        record_name=record_name, markers=markers,
     )
 
 
 def type_activity_view(
-    records: Iterable[IntervalRecord],
+    records: FrameBatch | Iterable[IntervalRecord],
     thread_table: ThreadTable,
     record_name: Callable[[int], str],
     markers: dict[int, str] | None = None,
@@ -283,73 +455,28 @@ def type_activity_view(
     Shows when each kind of activity (each MPI routine, each marker region)
     was happening anywhere in the job, and which threads did it.
     """
-    markers = markers or {}
-    recs = _filter_real(records)
-    rows: dict[object, TimelineRow] = {}  # by state; ordered by (label, state)
-    names: dict[object, str] = {}
-    for r in recs:
-        state = _state_key(r)
-        row = rows.get(state)
-        if row is None:
-            label = _state_name(r, record_name, markers)
-            row = rows[state] = TimelineRow(label, (str(label), state))
-        key = ("thread", r.node, r.thread)
-        if key not in names:
-            names[key] = _thread_label(thread_table, r.node, r.thread)
-        row.bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
-    t0, t1 = _span(recs)
-    return TimelineView(
-        "Type-activity view", sorted(rows.values(), key=lambda row: row.row_key),
-        t0, t1, names,
+    return piece_view(
+        "type", records, thread_table=thread_table, record_name=record_name, markers=markers
     )
 
 
 def thread_processor_view(
-    records: Iterable[IntervalRecord], thread_table: ThreadTable
+    records: FrameBatch | Iterable[IntervalRecord], thread_table: ThreadTable
 ) -> TimelineView:
     """Thread-processor view: timelines per thread, colored by processor —
     shows threads jumping among CPUs."""
-    recs = _filter_real(records)
-    rows: dict[tuple, TimelineRow] = {}
-    names: dict[object, str] = {}
-    for r in recs:
-        row_key = (r.node, r.thread)
-        row = rows.get(row_key)
-        if row is None:
-            row = rows[row_key] = TimelineRow(
-                _thread_label(thread_table, r.node, r.thread), row_key
-            )
-        key = ("cpu", r.node, r.cpu)
-        if key not in names:
-            names[key] = f"CPU {r.cpu} (node {r.node})"
-        row.bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
-    t0, t1 = _span(recs)
-    return TimelineView(
-        "Thread-processor view", [rows[k] for k in sorted(rows)], t0, t1, names
-    )
+    return piece_view("thread-processor", records, thread_table=thread_table)
 
 
 def processor_thread_view(
-    records: Iterable[IntervalRecord],
+    records: FrameBatch | Iterable[IntervalRecord],
     n_cpus_per_node: dict[int, int],
     thread_table: ThreadTable,
 ) -> TimelineView:
     """Processor-thread view: timelines per processor, colored by thread —
     shows processor allocation among threads."""
-    recs = _filter_real(records)
-    rows: dict[tuple, TimelineRow] = {}
-    for node, n_cpus in sorted(n_cpus_per_node.items()):
-        for cpu in range(n_cpus):
-            rows[(node, cpu)] = TimelineRow(f"node {node} CPU {cpu}", (node, cpu))
-    names: dict[object, str] = {}
-    for r in recs:
-        key = ("thread", r.node, r.thread)
-        if key not in names:
-            names[key] = _thread_label(thread_table, r.node, r.thread)
-        _cpu_row(rows, r).bars.append(TimelineBar(r.start, r.end, key, 0, names[key]))
-    t0, t1 = _span(recs)
-    return TimelineView(
-        "Processor-thread view", [rows[k] for k in sorted(rows)], t0, t1, names
+    return piece_view(
+        "processor-thread", records, thread_table=thread_table, n_cpus_per_node=n_cpus_per_node
     )
 
 
@@ -358,58 +485,6 @@ def processor_thread_view(
 #: near-identical utilization merge into one run, which is what keeps the
 #: element count tracking the trace's structure instead of its pixel width.
 _OPACITY_BUCKETS = 8
-
-
-class HeatColumns(NamedTuple):
-    """Every heat bar of an aggregate view as parallel columns, sorted by
-    (lane, start): ``[start, end)`` ticks, ``key`` an index into ``keys``
-    (the dominant states in legend order), the records and clipped busy
-    ticks the bar sums, and its opacity."""
-
-    start: np.ndarray
-    end: np.ndarray
-    key: np.ndarray
-    count: np.ndarray
-    busy: np.ndarray
-    opacity: np.ndarray
-    keys: list[int]
-    names: dict[object, str]
-
-
-class HeatBars(Sequence):
-    """One lane's heat bars: a window onto :class:`HeatColumns`.
-
-    The dense-row renderer reads the column slices; whoever iterates or
-    indexes gets :class:`TimelineBar` objects (and their tooltips), made
-    then."""
-
-    def __init__(self, columns: HeatColumns, lo: int, hi: int) -> None:
-        self.columns = columns
-        self.lo = lo
-        self.hi = hi
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def __iter__(self) -> Iterator[TimelineBar]:
-        cols = self.columns
-        at = slice(self.lo, self.hi)
-        for start, end, key, count, busy, opacity in zip(
-            *(
-                col[at].tolist()
-                for col in (cols.start, cols.end, cols.key, cols.count, cols.busy, cols.opacity)
-            )
-        ):
-            state = cols.keys[key]
-            frac = min(busy / max(end - start, 1), 1.0)
-            yield TimelineBar(
-                start, end, state, 0,
-                f"{cols.names[state]} ~{frac:.0%} busy, {count} records",
-                opacity=opacity,
-            )
-
-    def __getitem__(self, index):
-        return list(self)[index]
 
 
 def utilization_view(
@@ -424,7 +499,7 @@ def utilization_view(
     """Aggregate-driven time-space diagram from a
     :class:`~repro.query.utilization.UtilizationIndex` — no record decodes,
     and no per-cell object: the cells arrive as columns and leave as
-    columns (:class:`HeatColumns`), each row's ``bars`` a window onto them.
+    columns (:class:`BarColumns`), each row's ``bars`` a window onto them.
 
     Each lane renders its utilization cells as heat bars: color is the
     bin's dominant state, opacity its busy fraction.  ``kind`` picks the
@@ -432,8 +507,6 @@ def utilization_view(
     (node, cpu)); ``window`` restricts the time range (defaults to the
     indexed span) and ``max_bins`` caps the level resolution so the
     lookup stays O(pixels) at any zoom."""
-    from repro.query.utilization import split_thread_key
-
     t0, t1 = window if window is not None else (util.t_min, util.t_max)
     t1 = max(t1, t0 + 1)
     shift, cells = util.query(kind, t0, t1, max_bins)
@@ -478,23 +551,30 @@ def utilization_view(
     )
     starts = np.flatnonzero(first)
     # Legend order is first appearance over the cells, in (lane, bin) order.
-    states, seen, key = np.unique(state, return_index=True, return_inverse=True)
-    order = np.argsort(seen)
-    position = np.empty(len(states), dtype=np.int64)
-    position[order] = np.arange(len(states))
-    keys = states[order].tolist()
+    keys, key = _by_first_appearance(state)
     names: dict[object, str] = {}
     for state in keys:
         try:
             names[state] = record_name(state)
         except Exception:
             names[state] = f"type-{state}"
-    columns = HeatColumns(
-        # A run ends where the next one starts (the last, where the first did).
-        lo[starts], hi[np.roll(first, -1)], position[key[starts]],
-        np.add.reduceat(cells.counts, starts), np.add.reduceat(clipped, starts),
+    # A run ends where the next one starts (the last, where the first did).
+    run_lo, run_hi = lo[starts], hi[np.roll(first, -1)]
+    run_records = np.add.reduceat(cells.counts, starts)
+    run_busy = np.add.reduceat(clipped, starts)
+
+    def tails(at) -> list[str]:
+        return [
+            f" ~{min(busy / max(end - start, 1), 1.0):.0%} busy, {count} records"
+            for start, end, count, busy in zip(
+                *(column[at].tolist() for column in (run_lo, run_hi, run_records, run_busy))
+            )
+        ]
+
+    columns = BarColumns(
+        run_lo, run_hi, key[starts], np.zeros(len(starts), dtype=np.int64),
         np.maximum((bucket[starts] + 1) / _OPACITY_BUCKETS, 0.15),
-        keys, names,
+        keys, list(names.values()), tails,
     )
     cuts = np.searchsorted(starts, cells.offsets).tolist()
     # Every indexed lane gets a row — lanes idle in this window render as
@@ -506,7 +586,7 @@ def utilization_view(
             label = _thread_label(thread_table, node, sub)
         else:
             label = f"node {node} CPU {sub}"
-        rows.append(TimelineRow(label, (node, sub), HeatBars(columns, bar_lo, bar_hi)))
+        rows.append(TimelineRow(label, (node, sub), Bars(columns, bar_lo, bar_hi)))
     title = (
         "Thread utilization view (aggregate)"
         if kind == "thread"
@@ -533,74 +613,87 @@ MIN_VIEW_WIDTH = MARGIN_LEFT + MARGIN_RIGHT + MARGIN_LEFT
 _BATCH_BARS = 48
 
 
-def _tick_column(ticks: list[int]) -> np.ndarray:
-    """Ticks as an int64 column (as Python ints in an object column when
-    one does not fit, so arithmetic stays exact at any size)."""
-    try:
-        return np.array(ticks, dtype=np.int64)
-    except OverflowError:
-        return np.array(ticks, dtype=object)
+def _render_bars(
+    rows: list[TimelineRow], cmap: ColorMap, t0: int, t1: int, plot_w: int
+) -> list[list[str]]:
+    """The bars of every row as markup (a list of elements per row), laid
+    out in one pass over their columns.
 
-
-def _bar_columns(bars: Sequence[TimelineBar], fill_of: Callable[[object], int]) -> tuple:
-    """A row's bars as the columns :func:`_render_bars_batched` lays out:
-    ``(start, end, depth, opacity, fill)`` in drawing order (depth, then
-    start), ``fill`` from ``fill_of(key)``."""
-    if isinstance(bars, HeatBars):
-        # Already in order: one depth, starts ascending.
-        cols, at = bars.columns, slice(bars.lo, bars.hi)
-        fills = np.array([fill_of(key) for key in cols.keys], dtype=np.int64)
-        return (
-            cols.start[at], cols.end[at], np.zeros(len(bars), dtype=np.int64),
-            cols.opacity[at], fills[cols.key[at]],
-        )
-    bars = sorted(bars, key=lambda b: (b.depth, b.start))
-    return (
-        _tick_column([b.start for b in bars]), _tick_column([b.end for b in bars]),
-        np.array([b.depth for b in bars], dtype=np.int64),
-        np.array([b.opacity for b in bars], dtype=np.float64),
-        np.array([fill_of(b.key) for b in bars], dtype=np.int64),
-    )
-
-
-def _render_bars_batched(
-    rows: list[TimelineRow], cmap: ColorMap, x_of: Callable[[int], float], t0: int, t1: int
-) -> dict[int, list[tuple[str, str, float | None]]]:
-    """Lay out every dense row (more than :data:`_BATCH_BARS` bars) of a
-    view in one pass.
-
-    Returns, per dense row's position, the arguments of one
-    :meth:`SvgCanvas.path` per (fill, opacity, inset) group in
-    first-appearance order — ``(d, fill, opacity)``, the ``d`` carrying
-    every bar of that style as a rectangular subpath.  Coordinates are
-    float64 columns computed in the order the sparse rows' scalar code
-    uses; formatting is one ``%`` over their Python floats."""
+    A row holding more than :data:`_BATCH_BARS` bars, on screen or not, is
+    dense: one ``<path>`` per style group; any other gets a tooltipped
+    ``<rect>`` per bar the window shows.  Bars are drawn by (depth, start),
+    ties as appended.  Coordinates are float64 columns in the operation
+    order of the scalar code they replaced, formatted as Python floats."""
+    marks: list[list[str]] = [[] for _ in rows]
+    # Rows sharing one BarColumns — all of them, in a view a builder made —
+    # are laid out together: (row, lo, hi) per row holding a bar.
+    spans_of: dict[int, list[tuple[int, int, int]]] = {}
+    for i, row in enumerate(rows):
+        if row.bars.hi > row.bars.lo:
+            spans_of.setdefault(id(row.bars.columns), []).append((i, row.bars.lo, row.bars.hi))
     palette: dict[str, int] = {}
+    for spans in spans_of.values():
+        cols = rows[spans[0][0]].bars.columns
+        at_rows, lo, hi = np.array(spans, dtype=np.int64).T
+        count = hi - lo
+        at = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        row = np.repeat(at_rows, count)
+        crowded = np.repeat(count > _BATCH_BARS, count)
+        start, end, depth = cols.start[at], cols.end[at], cols.depth[at]
+        later = (depth[1:] < depth[:-1]) | ((depth[1:] == depth[:-1]) & (start[1:] < start[:-1]))
+        if (later & (row[1:] == row[:-1])).any():
+            order = np.lexsort((start, depth, row))  # stable: ties stay as appended
+            at, start, end, depth = at[order], start[order], end[order], depth[order]
+        if not -(1 << 63) <= t0 <= t1 < 1 << 63:
+            # The window left int64: exact Python ints in object columns.
+            start, end = start.astype(object), end.astype(object)
+        keep = np.flatnonzero((end >= t0) & (start <= t1))
+        at, row, crowded = at[keep], row[keep], crowded[keep]
+        s, e = np.maximum(start[keep], t0), np.minimum(end[keep], t1)
+        level, key, opacity = np.minimum(depth[keep], 3), cols.key[at], cols.opacity[at]
+        fill = np.array(
+            [palette.setdefault(cmap.color_of(k), len(palette)) for k in cols.keys], np.int64
+        )[key]
 
-    def fill_of(key: object) -> int:
-        return palette.setdefault(cmap.color_of(key), len(palette))
+        dense = np.flatnonzero(crowded)
+        for i, path in _dense_paths(
+            row[dense], s[dense], e[dense], level[dense], opacity[dense], fill[dense],
+            list(palette), t0, t1, plot_w,
+        ):
+            marks[i].append(path)
+        sparse = np.flatnonzero(~crowded)
+        s, e = s[sparse], e[sparse]
+        if t1 - t0 >= 1 << 53:
+            # int / int is correctly rounded in Python; float64 / float64
+            # agrees with it only while both operands are exact.
+            s, e = s.astype(object), e.astype(object)
+        x_a = MARGIN_LEFT + (s - t0) / (t1 - t0) * plot_w
+        x_b = MARGIN_LEFT + (e - t0) / (t1 - t0) * plot_w
+        y = MARGIN_TOP + row[sparse] * ROW_HEIGHT + (ROW_HEIGHT - BAR_HEIGHT) / 2
+        inset = level[sparse] * 2.0
+        fills = [xml_attr(colour) for colour in palette]
+        tips = [xml_text(tip) for tip in cols.tips]
+        elements = bar_elements(
+            x_a.tolist(), (y + inset).tolist(), np.maximum(x_b - x_a, 0.75).tolist(),
+            (BAR_HEIGHT - 2 * inset).tolist(), [fills[f] for f in fill[sparse].tolist()],
+            opacity[sparse].tolist(),
+            [tips[k] + tail for k, tail in zip(key[sparse].tolist(), cols.tails(at[sparse]))],
+        )
+        for i, element in zip(row[sparse].tolist(), elements):
+            marks[i].append(element)
+    return marks
 
-    dense = {
-        i: _bar_columns(row.bars, fill_of)
-        for i, row in enumerate(rows) if len(row.bars) > _BATCH_BARS
-    }
-    paths: dict[int, list[tuple[str, str, float | None]]] = {i: [] for i in dense}
-    if not dense:
-        return paths
-    x_base = x_of(t0)
-    scale = (x_of(t1) - x_base) / (t1 - t0)
-    row = np.repeat(
-        np.fromiter(dense, np.int64, len(dense)), [len(cols[0]) for cols in dense.values()]
-    )
-    start, end, depth, opacity, fill = map(np.concatenate, zip(*dense.values()))
-    if not -(1 << 63) <= t0 <= t1 < 1 << 63:
-        start, end = start.astype(object), end.astype(object)
-    keep = np.flatnonzero((end >= t0) & (start <= t1))
-    s, e = np.maximum(start[keep], t0), np.minimum(end[keep], t1)
+
+def _dense_paths(
+    row, s, e, level, opacity, fill, fill_names: list[str], t0: int, t1: int, plot_w: int
+) -> Iterator[tuple[int, str]]:
+    """``(row, <path> element)`` per (row, fill, opacity, inset) group of
+    the dense rows' bars — columns already clipped to the window and in
+    drawing order — groups in the order their first bar is drawn."""
+    x_base = float(MARGIN_LEFT)
+    scale = float(plot_w) / (t1 - t0)
     x = x_base + (s - t0) * scale
     w = np.maximum((e - s) * scale, 0.75)
-    row, fill, opacity, level = row[keep], fill[keep], opacity[keep], np.minimum(depth[keep], 3)
-    # Bars grouped by style, groups in the order their first bar is drawn.
     shades, shade = np.unique(opacity, return_inverse=True)
     style = ((row * (int(fill.max(initial=0)) + 1) + fill) * len(shades) + shade) * 4 + level
     _, heads, group = np.unique(style, return_index=True, return_inverse=True)
@@ -623,12 +716,12 @@ def _render_bars_batched(
             f"M%.1f {y_base + inset:.1f}h%.1fv{BAR_HEIGHT - 2 * inset:.1f}h-%.1fz" * n
         )
     numbers = np.stack((x[order], w[order], w[order]), axis=1).ravel().tolist()
-    fill_names = list(palette)
     for r, d, f, opacity in zip(
         at_rows, ("\n".join(templates) % tuple(numbers)).split("\n"), fills, opacities
     ):
-        paths[r].append((d, fill_names[f], round(opacity, 3) if opacity < 1.0 else None))
-    return paths
+        yield r, path_element(
+            d, fill=fill_names[f], opacity=round(opacity, 3) if opacity < 1.0 else None
+        )
 
 
 def render_view_svg(
@@ -671,7 +764,7 @@ def _view_canvas(
     t0, t1 = window if window is not None else (view.t0, view.t1)
     t1 = max(t1, t0 + 1)
     n_rows = max(len(view.rows), 1)
-    legend_items = _legend_items(view)
+    legend_items = list(view.key_names.items())  # first appearance: the dict's order
     legend_height = 18 * ((len(legend_items) + 3) // 4)
     height = MARGIN_TOP + n_rows * ROW_HEIGHT + MARGIN_BOTTOM + legend_height
     plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
@@ -706,37 +799,25 @@ def _view_canvas(
         "time (s)", size=11, fill=TEXT_SECONDARY, anchor="middle",
     )
 
-    dense = _render_bars_batched(view.rows, cmap, x_of, t0, t1)
-    for i, row in enumerate(view.rows):
+    # A row is its label, its idle strip, its bars and a rule under them, the
+    # chrome as ``canvas.text``, ``rect`` and ``line`` would write it.
+    strip = (
+        f'<text x="{MARGIN_LEFT - 8}" y="%d" font-size="10" fill="{TEXT_PRIMARY}" '
+        'text-anchor="end" font-family="system-ui, sans-serif">%s</text>\n'
+        f'<rect x="{MARGIN_LEFT}" y="%r" width="{plot_w}" height="{BAR_HEIGHT}" '
+        f'fill="{IDLE_COLOR}"/>'
+    )
+    rule = (
+        f'<line x1="{MARGIN_LEFT}" y1="%d" x2="{MARGIN_LEFT + plot_w}" y2="%d" '
+        f'stroke="{GRID}" stroke-width="0.5"/>'
+    )
+    for i, (row, bars) in enumerate(zip(view.rows, _render_bars(view.rows, cmap, t0, t1, plot_w))):
         y = MARGIN_TOP + i * ROW_HEIGHT
-        canvas.text(
-            MARGIN_LEFT - 8, y + BAR_HEIGHT, row.label, size=10,
-            fill=TEXT_PRIMARY, anchor="end",
-        )
-        canvas.rect(
-            MARGIN_LEFT, y + (ROW_HEIGHT - BAR_HEIGHT) / 2, plot_w, BAR_HEIGHT,
-            fill=IDLE_COLOR,
-        )
-        if i in dense:
-            for d, fill, opacity in dense[i]:
-                canvas.path(d, fill=fill, opacity=opacity)
-        else:
-            for bar in sorted(row.bars, key=lambda b: (b.depth, b.start)):
-                if bar.end < t0 or bar.start > t1:
-                    continue
-                x_a = x_of(max(bar.start, t0))
-                x_b = x_of(min(bar.end, t1))
-                inset = min(bar.depth, 3) * 2.0
-                canvas.rect(
-                    x_a, y + (ROW_HEIGHT - BAR_HEIGHT) / 2 + inset,
-                    max(x_b - x_a, 0.75), BAR_HEIGHT - 2 * inset,
-                    fill=cmap.color_of(bar.key), rx=1.5, title=bar.tooltip or None,
-                    opacity=bar.opacity if bar.opacity < 1.0 else None,
-                )
-        canvas.line(
-            MARGIN_LEFT, y + ROW_HEIGHT, MARGIN_LEFT + plot_w, y + ROW_HEIGHT,
-            stroke=GRID, stroke_width=0.5,
-        )
+        canvas.extend((
+            strip % (y + BAR_HEIGHT, xml_text(row.label), y + (ROW_HEIGHT - BAR_HEIGHT) / 2),
+            *bars,
+            rule % (y + ROW_HEIGHT, y + ROW_HEIGHT),
+        ))
 
     _render_arrows(canvas, view, x_of, t0, t1)
     _render_legend(
@@ -748,11 +829,6 @@ def _view_canvas(
         stroke=AXIS,
     )
     return canvas
-
-
-def _legend_items(view: TimelineView) -> list[tuple[object, str]]:
-    # Stable order: by first appearance in key_names (dict preserves order).
-    return list(view.key_names.items())
 
 
 def _render_legend(canvas: SvgCanvas, items, cmap: ColorMap, x: float, y: float, w: float):

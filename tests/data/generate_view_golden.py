@@ -1,5 +1,6 @@
 """Render-path golden digests
-(``PYTHONPATH=src python tests/data/generate_view_golden.py [OUT.json [WORKDIR]]``).
+(``PYTHONPATH=src python tests/data/generate_view_golden.py [OUT.json [WORKDIR]]``;
+the exact-path set goes to ``OUT.frames.json``).
 
 Every byte the display path hands a user — the SVG of all six view kinds,
 the ``/api/utilization`` JSON payload and the interactive page's
@@ -20,6 +21,16 @@ the aggregate answer, the heat bars and the SVG numbers became columns;
 requires the same bytes.  Only entry points present on both sides of that
 change are used.  WORKDIR additionally receives every hashed output as
 ``out/<key>.txt``, so two runs can be diffed.
+
+``view_frames_golden.json`` (:func:`build_frames`) is the second set, over
+the same fixtures, generated at the commit before the *exact* path became
+columns, with ``sppm-frames.slog`` (the sPPM merge in ~1 kB frames) as a
+fifth: ``view_svg_at`` frame displays (six kinds x first / middle / last
+frame x two widths), ``TraceSession.frame_payload(i, view=kind)``, windows
+that straddle two and three frames, and one window chosen so that a row
+holds more than ``_BATCH_BARS`` bars of which fewer than ten are on screen
+(a row is dense by what was read, not by what is visible).
+``tests/test_view_frames_golden.py`` reproduces it.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.query import build_index, open_trace
 from repro.query.utilization import utilization_payload
+from repro.serve import TraceSession
 from repro.utils.slog import SlogWriter
 from repro.viz.interactive import view_payload
 from repro.viz.jumpshot import VIEW_KINDS, Jumpshot
@@ -46,6 +58,7 @@ from repro.workloads import write_big_slog
 
 DATA_DIR = Path(__file__).resolve().parent
 GOLDEN = DATA_DIR / "view_golden.json"
+FRAMES_GOLDEN = DATA_DIR / "view_frames_golden.json"
 
 #: Window width as a share of the run, centred off the middle so both
 #: edges cut bins.
@@ -127,6 +140,21 @@ def build_fixtures(work: Path) -> dict[str, Path]:
     }
 
 
+def frame_fixtures(work: Path) -> dict[str, Path]:
+    """:func:`build_fixtures` plus ``sppm-frames.slog``: the same sPPM merge
+    cut into ~1 kB frames, so arrows, nested states and marker regions
+    cross frame boundaries."""
+    fixtures = build_fixtures(work)
+    slog = work / "sppm-frames.slog"
+    utes = sorted(str(p) for p in (work / "sppm-ivl").glob("*.ute") if p.name != "profile.ute")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main_slogmerge(
+            [*utes, "-o", str(work / "sppm-frames.ute"), "--slog", str(slog),
+             "--frame-bytes", "1024"]
+        ) == 0
+    return {**fixtures, "sppm-frames.slog": slog}
+
+
 def windows(index) -> dict[str, tuple[int, int]]:
     """``{share label: (t0, t1)}`` in ticks."""
     span = index.t_max - index.t_min
@@ -178,11 +206,88 @@ def outputs_for(name: str, path: Path) -> dict[str, str]:
     return outputs
 
 
+def frame_outputs_for(name: str, path: Path) -> dict[str, str]:
+    """The exact path's outputs over one fixture (no index: nothing here
+    may answer from aggregates)."""
+    outputs: dict[str, str] = {}
+    with Jumpshot(path) as viewer:
+        tps = viewer.slog.ticks_per_sec
+        frames = viewer.slog.frames
+        picks = {"first": 0, "middle": len(frames) // 2, "last": len(frames) - 1}
+
+        def middle_of(i: int) -> int:
+            return (frames[i].start_time + frames[i].end_time) // 2
+
+        for where, i in picks.items():
+            for kind in VIEW_KINDS:
+                for width in WIDTHS:
+                    outputs[f"{name}/frame_svg/{kind}/{where}/{width}"] = viewer.view_svg_at(
+                        middle_of(i) / tps, kind=kind, width=width
+                    )
+        # From the middle of one frame to the middle of the next (and of the
+        # one after): every kind over the records of two and three frames.
+        k = min(picks["middle"], len(frames) - 3)
+        for n_frames in (2, 3) if k >= 0 else ():
+            w0, w1 = middle_of(k), middle_of(k + n_frames - 1)
+            assert sum(f.end_time > w0 and f.start_time < w1 for f in frames) >= n_frames
+            for kind in VIEW_KINDS:
+                outputs[f"{name}/straddle_svg/{kind}/{n_frames}"] = viewer.view_svg_window(
+                    w0 / tps, w1 / tps, kind=kind
+                )
+        if name == "states.slog":
+            outputs.update(_crowded_row_outputs(name, viewer))
+    session = TraceSession(path)
+    try:
+        i = session.frame_count() // 2
+        for kind in VIEW_KINDS:
+            outputs[f"{name}/frame_payload/{kind}"] = json.dumps(
+                session.frame_payload(i, view=kind)
+            )
+    finally:
+        session.close()
+    return outputs
+
+
+def _crowded_row_outputs(name: str, viewer: Jumpshot) -> dict[str, str]:
+    """A processor view over a sliver of time two frames share: together
+    they give a CPU row more bars than the dense-row threshold, the window
+    shows fewer than ten of them."""
+    k = len(viewer.slog.frames) // 2
+    tps = viewer.slog.ticks_per_sec
+    centre = (viewer.slog.frames[k + 1].start_time + viewer.slog.frames[k].end_time) // 2
+    window = (centre - 4_000, centre + 4_000)
+    reading = [
+        f for f in viewer.slog.frames if f.end_time > window[0] and f.start_time < window[1]
+    ]
+    records = [r for f in reading for r in viewer.frame_records(f)]
+    view = viewer.build_view(records, "processor", window=window)
+    crowded = [
+        sum(bar.end >= window[0] and bar.start <= window[1] for bar in row.bars)
+        for row in view.rows if len(row.bars) > 48
+    ]
+    assert crowded and 0 < min(crowded) < 10, crowded
+    return {
+        f"{name}/crowded_svg/processor/{width}": viewer.view_svg_window(
+            window[0] / tps, window[1] / tps, kind="processor", width=width
+        )
+        for width in WIDTHS
+    }
+
+
 def build(work: Path) -> dict[str, str]:
     """Run everything under ``work``; returns ``{key: sha256}``."""
+    return _digests(work, build_fixtures(work), outputs_for)
+
+
+def build_frames(work: Path) -> dict[str, str]:
+    """The exact-path set under ``work``; returns ``{key: sha256}``."""
+    return _digests(work, frame_fixtures(work), frame_outputs_for)
+
+
+def _digests(work: Path, fixtures: dict[str, Path], outputs_of) -> dict[str, str]:
     outputs: dict[str, str] = {}
-    for name, path in build_fixtures(work).items():
-        outputs.update(outputs_for(name, path))
+    for name, path in fixtures.items():
+        outputs.update(outputs_of(name, path))
     for key, text in outputs.items():
         dump = work / "out" / (key.replace("/", "__") + ".txt")
         dump.parent.mkdir(exist_ok=True)
@@ -196,8 +301,12 @@ def build(work: Path) -> dict[str, str]:
 if __name__ == "__main__":
     import tempfile
 
+    # OUT.json receives the first set, OUT.frames.json the exact-path set
+    # (the two pinned files when no OUT is given).
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    frames_out = out.with_suffix(".frames.json") if len(sys.argv) > 1 else FRAMES_GOLDEN
     with tempfile.TemporaryDirectory() as tmp:
-        digests = build(Path(sys.argv[2]) if len(sys.argv) > 2 else Path(tmp))
-    out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests)} digests -> {out}")
+        work = Path(sys.argv[2]) if len(sys.argv) > 2 else Path(tmp)
+        for path, digests in ((out, build(work)), (frames_out, build_frames(work))):
+            path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+            print(f"{len(digests)} digests -> {path}")
