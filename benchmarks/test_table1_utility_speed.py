@@ -15,7 +15,10 @@ Python).
 
 Besides the prose rows in ``report.txt`` the run writes
 ``BENCH_ladder.json`` at the repository root — the machine-readable ladder
-``EXPERIMENTS.md`` quotes and a later change can be compared against.
+``EXPERIMENTS.md`` quotes and a later change can be compared against.  Per
+rung it also holds convert's peak RSS (a fresh interpreter converting the
+rung once), and for the top rung ``--jobs 2`` against the serial pass — the
+number ``docs/FORMAT.md`` §5 keeps or removes the fan-out by.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import gc
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +92,38 @@ def test_convert_speed(benchmark, traces, workspace, rounds):
         benchmark, do_convert, events
     )
     assert made[-1].events_processed == events
+    _results[events]["convert_peak_rss_mb"] = _convert_peak_rss_mb(
+        raw_paths, workspace / f"t1r-{rounds}"
+    )
+
+
+def _convert_peak_rss_mb(raw_paths, out: Path) -> float:
+    """Peak RSS of a fresh interpreter that converts ``raw_paths`` once:
+    its ``VmHWM`` (``ru_maxrss`` would start at this process's own size —
+    Linux carries it across ``exec``)."""
+    code = (
+        "import re, sys\n"
+        "from repro.utils.convert import convert_traces\n"
+        "convert_traces(sys.argv[2:], sys.argv[1])\n"
+        "print(re.search(r'VmHWM:\\s+(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(out), *map(str, raw_paths)],
+        capture_output=True, text=True, check=True,
+    )
+    return int(done.stdout) / 1024
+
+
+def test_convert_jobs_speed(benchmark, traces, workspace):
+    """``jobs=2`` on the top rung, to set against its serial floor."""
+    raw_paths, events = traces[ROUND_SWEEP[-1]]
+
+    def do_convert():
+        convert_traces(raw_paths, workspace / "t1j", jobs=2)
+
+    _results.setdefault(events, {})["convert_jobs2"] = _floor_per_event(
+        benchmark, do_convert, events
+    )
 
 
 @pytest.mark.parametrize("rounds", ROUND_SWEEP)
@@ -156,10 +192,15 @@ def _ladder(sizes: list[int], flatness: dict[str, float]) -> dict:
             {
                 "raw_events": e,
                 "convert_sec_per_event": _results[e]["convert"],
+                "convert_peak_rss_mb": _results[e]["convert_peak_rss_mb"],
                 "slogmerge_sec_per_event": _results[e]["slogmerge"],
             }
             for e in sizes
         ],
         "convert.flatness": flatness["convert"],
         "merge.flatness": flatness["slogmerge"],
+        # Serial convert's floor over jobs=2's on the top rung (> 1: the
+        # fan-out is faster).
+        "convert.jobs2_speedup": _results[sizes[-1]]["convert"]
+        / _results[sizes[-1]]["convert_jobs2"],
     }

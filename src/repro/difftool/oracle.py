@@ -41,6 +41,11 @@ check                  the two paths compared
                        import -> ``ute-diff`` against the original must
                        be divergence-free modulo the adapter's declared
                        mask (pseudo-records, frame boundaries)
+``convert_parity``     ``convert_one`` (event matching as column
+                       arithmetic) vs. ``reference_convert_one`` (the
+                       per-event state machine) on a raw trace: record
+                       counts, marker table and the interval file's
+                       bytes — or the error both refuse the trace with
 =====================  ====================================================
 
 A clean pipeline yields zero findings; any finding is a consistency bug.
@@ -486,6 +491,46 @@ def _check_export_import_roundtrip(report: OracleReport, path: Path, profile) ->
                 )
 
 
+def _check_convert_parity(report: OracleReport, path: Path, profile) -> None:
+    """Converting a raw trace as columns must write what the per-event
+    state machine writes (into a temp directory, not next to the input)."""
+    import tempfile
+
+    from repro.core import standard_profile
+    from repro.errors import ReproError
+    from repro.tracing.rawfile import RawTraceReader
+    from repro.utils.convert import MarkerUnifier, convert_one, reference_convert_one
+
+    report.checks.append("convert_parity")
+    profile = profile or standard_profile()
+    outcomes = []
+    with tempfile.TemporaryDirectory(prefix="ute-oracle-") as tmp:
+        for convert in (convert_one, reference_convert_one):
+            out = Path(tmp) / f"{convert.__name__}.ute"
+            unifier = MarkerUnifier()
+            try:
+                with RawTraceReader(path) as reader:
+                    counts = convert(reader, out, profile, unifier)
+            except ReproError as exc:
+                outcomes.append({"error": f"{type(exc).__name__}: {exc}"})
+            else:
+                outcomes.append(
+                    {"counts": counts, "markers": unifier.table(), "bytes": out.read_bytes()}
+                )
+    columnar, reference = outcomes
+    differing = [key for key in columnar.keys() | reference.keys()
+                 if columnar.get(key) != reference.get(key)]
+    if differing:
+        report.add(Finding(
+            "convert_parity", str(path),
+            f"convert_one and reference_convert_one differ in {sorted(differing)}",
+            {
+                side: {k: v for k, v in outcome.items() if k != "bytes"}
+                for side, outcome in (("columnar", columnar), ("reference", reference))
+            },
+        ))
+
+
 #: Constant-rate clock-pair scenarios for the adjuster parity check:
 #: (ratio, global origin, local origin) — drift-free, fast, and slow clocks.
 ADJUST_SCENARIOS = ((1.0, 0, 0), (0.5, 1_000, 40), (2.0, 77, 123), (0.999, 5, 5))
@@ -659,14 +704,17 @@ def run_oracle(
 ) -> OracleReport:
     """Run every applicable path-pair check over one trace artifact.
 
-    Raw traces get the strict-vs-salvage and adjuster checks; interval and
-    SLOG files get all of them (``stats_vs_serve`` is SLOG-only and skipped
-    when ``serve`` is false — e.g. in sandboxes without sockets).
+    Raw traces get the strict-vs-salvage, convert-parity and adjuster
+    checks; interval and SLOG files get all the others (``stats_vs_serve``
+    is SLOG-only and skipped when ``serve`` is false — e.g. in sandboxes
+    without sockets).
     """
     path = Path(path)
     kind = sniff_kind(path)
     report = OracleReport(str(path), kind)
     _check_strict_vs_salvage(report, path, profile)
+    if kind == "raw":
+        _check_convert_parity(report, path, profile)
     if kind in ("interval", "slog"):
         _check_indexed_vs_full(report, path, profile)
         _check_decode_parity(report, path, profile)

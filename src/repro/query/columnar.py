@@ -199,6 +199,11 @@ class FrameBatch:
         """Give every row the extra field ``name`` (one value per row)."""
         self._groups.append((None, (name,), {name: values}))
 
+    def add_group(self, positions, names: tuple[str, ...], values) -> None:
+        """Give the ascending rows ``positions`` the extra fields ``names``
+        (``values[name]`` aligned to ``positions``)."""
+        self._groups.append((positions, names, values))
+
     def retimed(self, start: np.ndarray, end: np.ndarray) -> "FrameBatch":
         """The same rows on another clock: new ``start``/``end`` columns
         (``dura`` follows), every other column and the extras shared."""

@@ -10,12 +10,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.atomicio import AtomicFile
 from repro.core.magic import RAW_MAGIC as MAGIC
-from repro.errors import TraceError
+from repro.errors import FormatError, TraceError
 from repro.tracing.events import RawEvent
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _HEADER = struct.Struct("<8sHHHHQd")  # magic, version, node, n_cpus, pad, base_local_ts, tick_ns
 FORMAT_VERSION = 1
@@ -143,6 +146,55 @@ _MIN_RECORD = 4 + 16 + 2
 
 _HOOKWORD = struct.Struct("<I")
 
+#: Hookword + event header as one packed item (numpy dtype fields); the
+#: payload words and the text length follow it.
+_EVENT_HEAD = [
+    ("len", "<u2"), ("hook", "<u2"), ("ts", "<u8"), ("tid", "<u4"),
+    ("cpu", "<u2"), ("nargs", "<u2"),
+]
+_HEAD_BYTES = 20
+
+
+@dataclass(frozen=True)
+class RawColumns:
+    """A raw trace's records as parallel arrays, in file order
+    (:meth:`RawTraceReader.columns`).
+
+    ``args`` is every payload word of the file end to end; record ``i``
+    owns ``args[arg_start[i] : arg_start[i] + nargs[i]]``.  A record's
+    text stays in the file: ``text_len[i]`` bytes of UTF-8 at
+    ``text_offset[i]``."""
+
+    offset: "np.ndarray"  # int64: the record's place in the file
+    hook: "np.ndarray"  # uint16
+    ts: "np.ndarray"  # uint64
+    tid: "np.ndarray"  # uint32
+    cpu: "np.ndarray"  # uint16
+    nargs: "np.ndarray"  # uint16
+    text_len: "np.ndarray"  # uint16
+    args: "np.ndarray"  # uint64
+    arg_start: "np.ndarray"  # int64
+
+    def __len__(self) -> int:
+        return len(self.hook)
+
+    @property
+    def text_offset(self) -> "np.ndarray":
+        """Where each record's text starts in the file."""
+        return self.offset + (_MIN_RECORD + 8 * self.nargs.astype("int64"))
+
+    def arg(self, rows: "np.ndarray", k: int) -> "np.ndarray":
+        """Payload word ``k`` of ``rows`` as uint64, zero where a record
+        carries fewer than ``k + 1`` words."""
+        import numpy as np
+
+        has = self.nargs[rows] > k
+        if has.all():
+            return self.args[self.arg_start[rows] + k]
+        out = np.zeros(len(rows), dtype=np.uint64)
+        out[has] = self.args[self.arg_start[rows[has]] + k]
+        return out
+
 
 class RawTraceReader:
     """Reads a raw trace file back into :class:`RawEvent` objects.
@@ -157,6 +209,10 @@ class RawTraceReader:
     wrap-mode buffer snapshot torn at the window edge — raises
     :class:`~repro.errors.FormatError` ("truncated event"), never a bare
     ``IndexError`` or ``struct.error``.
+
+    :meth:`columns` is the bulk read ``convert`` uses: the whole trace as
+    parallel arrays (:class:`RawColumns`), O(file) in narrow columns, no
+    object per record.
 
     With ``errors="salvage"`` damage is survivable instead of fatal: the
     scan resynchronizes on the next plausible record boundary (a registered
@@ -250,6 +306,85 @@ class RawTraceReader:
                 window, base, at = self.source.fetch(offset, size), offset, 0
             yield hook_id, offset, record_len, window, at
             offset += record_len
+
+    def columns(self) -> RawColumns:
+        """The whole trace as :class:`RawColumns`, no object per record.
+
+        The walk below collects record offsets only; every other field is
+        one gather per window.  It is :meth:`__iter__`'s strict read — the
+        same length checks, the same error for the first record that fails
+        one — except that texts are located, not decoded."""
+        import numpy as np
+
+        if self._salvage_mode:
+            raise TraceError(f"{self.path}: columns() is a strict read")
+        names = ("offset", "hook", "ts", "tid", "cpu", "nargs", "text_len", "args")
+        # An empty part gives a trace without records its columns' dtypes.
+        parts: list[tuple] = [self._window_columns(0, bytes(_MIN_RECORD), np.empty(0, np.intp))]
+        offset = self._start
+        end = len(self.source)
+        while offset < end:
+            window = self.source.fetch(offset, self.WINDOW_BYTES)
+            size = len(window)
+            at = record_len = 0
+            ats: list[int] = []
+            error: Exception | None = None
+            while at + 4 <= size:
+                record_len = window[at] | window[at + 1] << 8
+                if record_len < _MIN_RECORD:
+                    error = TraceError(
+                        f"{self.path}: corrupt event at offset {offset + at} "
+                        f"(record length {record_len})"
+                    )
+                elif offset + at + record_len > end:
+                    error = FormatError(f"{self.path}: truncated event at offset {offset + at}")
+                elif at + record_len <= size:
+                    ats.append(at)
+                    at += record_len
+                    continue
+                break
+            if not ats and error is None:
+                if size < 4:
+                    error = FormatError(f"{self.path}: truncated event at offset {offset}")
+                else:  # one record longer than the window: it gets its own
+                    window, ats, at = self.source.fetch(offset, record_len), [0], record_len
+            if ats:
+                parts.append(self._window_columns(offset, window, np.array(ats, dtype=np.intp)))
+            if error is not None:
+                raise error
+            offset += at
+        joined = {name: np.concatenate(column) for name, column in zip(names, zip(*parts))}
+        nargs = joined["nargs"]
+        return RawColumns(**joined, arg_start=np.cumsum(nargs, dtype=np.int64) - nargs)
+
+    def _window_columns(self, base: int, window: bytes, at: "np.ndarray") -> tuple:
+        """:meth:`columns` of the records starting at ``at`` in ``window``
+        (file bytes from ``base``; every record lies inside it)."""
+        import numpy as np
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        buf = np.frombuffer(window, dtype=np.uint8)
+        head = sliding_window_view(buf, _HEAD_BYTES)[at].view(_EVENT_HEAD).reshape(-1)
+        nargs = head["nargs"]
+        # The text length sits behind the payload; both must lie inside
+        # the record, and the three parts must add up to the hookword's
+        # length.
+        text_at = _HEAD_BYTES + 8 * nargs.astype(np.intp)
+        good = text_at + 2 <= head["len"]
+        text_at = at + np.where(good, text_at, 0)
+        text_len = buf[text_at] | buf[text_at + 1].astype(np.uint16) << 8
+        good &= text_at - at + 2 + text_len == head["len"]
+        if not good.all():
+            i = int(np.argmin(good))
+            self.event_at(base + int(at[i]), int(head["len"][i]))  # raises, naming its place
+            raise TraceError(f"{self.path}: corrupt event at offset {base + int(at[i])}")
+        record = np.repeat(np.arange(len(at)), nargs)
+        word = np.arange(len(record)) - np.repeat(np.cumsum(nargs, dtype=np.intp) - nargs, nargs)
+        args = sliding_window_view(buf, 8)[at[record] + _HEAD_BYTES + 8 * word]
+        return (
+            base + at.astype(np.int64), head["hook"], head["ts"], head["tid"], head["cpu"],
+            nargs, text_len, args.view("<u8").reshape(-1),
+        )
 
     def _plausible_event(
         self, offset: int, end: int, last_ts: int | None, *, resync: bool

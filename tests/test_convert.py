@@ -313,3 +313,37 @@ class TestOutputInvariants:
         total = sum(r.duration for r in records)
         dispatched = (200 - 0) + (700 - 400)
         assert total == dispatched
+
+
+class TestOutputNameCollisions:
+    """Outputs are named by input stem: ``convert_traces`` used to write
+    ``x/node.raw`` and ``y/node.raw`` to one ``node.ute`` (listing it twice)
+    and let ``profile.raw`` and the profile overwrite each other."""
+
+    EVENTS = [thread_info(), dispatch(0), undispatch(10)]
+
+    def test_two_inputs_of_one_stem_are_refused(self, tmp_path):
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        a = write_raw(tmp_path / "x", self.EVENTS, name="node.raw")
+        b = write_raw(tmp_path / "y", self.EVENTS, node_id=1, name="node.raw")
+        out = tmp_path / "out"
+        with pytest.raises(TraceError, match="would both be written to .*node.ute"):
+            convert_traces([a, b], out)
+        assert not out.exists()  # refused before anything was written
+
+    def test_an_input_named_like_the_profile_is_refused(self, tmp_path):
+        raw = write_raw(tmp_path, self.EVENTS, name="profile.raw")
+        out = tmp_path / "out"
+        with pytest.raises(TraceError, match="description profile.*profile.ute"):
+            convert_traces([raw], out)
+        assert not out.exists()
+
+    def test_the_cli_answers_one_line_and_exit_2(self, tmp_path, capsys):
+        from repro.cli import main_convert
+
+        raw = write_raw(tmp_path, self.EVENTS, name="profile.raw")
+        assert main_convert([str(raw), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ute-convert: error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
