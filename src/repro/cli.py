@@ -470,14 +470,24 @@ def main_slogmerge(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _server_client(args, **options):
+    """The ``--server URL [--dataset NAME]`` client; a URL it cannot speak
+    to (no ``http://``, no host, a port that is no number) is a usage
+    error."""
+    from repro.serve.client import ServeClient
+
+    try:
+        return ServeClient(args.server, dataset=args.dataset, **options)
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+
+
 def _remote(args, call):
     """``--server URL [--dataset NAME]``: run ``call(client)`` against a
     ute-serve repository and return its 200/304 response; an unreachable
     server or an error status is a usage error carrying the server's own
     message."""
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(args.server, dataset=args.dataset, retries=2)
+    client = _server_client(args, retries=2)
     try:
         response = call(client)
     except OSError as exc:
@@ -1243,9 +1253,7 @@ def main_tail(argv: list[str] | None = None) -> int:
 
 def _tail_server(args) -> int:
     """``ute-tail --server``: follow one dataset's SSE preview stream."""
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(args.server, dataset=args.dataset)
+    client = _server_client(args)
     params = {"poll": str(max(args.poll, 0.02))}
     if args.idle_timeout is not None:
         params["max_s"] = str(args.idle_timeout)

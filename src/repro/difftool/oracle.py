@@ -31,6 +31,15 @@ check                  the two paths compared
 ``stats_vs_serve``     the in-process ``ute-stats`` path vs. the daemon's
                        ``/api/stats`` (SLOG only; spins an ephemeral
                        server on 127.0.0.1)
+``payload_parity``     the two routes to one daemon payload (SLOG only):
+                       ``/api/frame``'s and ``/api/utilization``'s bodies
+                       as the daemon writes them from columns
+                       (``frame_json``, ``utilization_json``) vs.
+                       ``json.dumps`` of the in-process dict payloads, on
+                       every frame (plain and with each view kind on the
+                       first, middle and last) and both lane kinds at
+                       four resolutions, whole run and windowed — the
+                       bytes must be equal
 ``adjust_parity``      :class:`ClockAdjustment` vs.
                        :class:`PiecewiseAdjustment` on constant-rate
                        clock-pair sets (they must agree within one tick
@@ -438,6 +447,58 @@ def _check_stats_vs_serve(report: OracleReport, path: Path, profile) -> None:
         )
 
 
+def _check_payload_parity(report: OracleReport, path: Path, profile) -> None:
+    """What the daemon writes from columns must be ``json.dumps`` of the
+    dict payload it stands for, byte for byte.  The session reads the file
+    as the daemon does; the index is built in memory."""
+    from repro.query.indexfile import build_index
+    from repro.serve.session import TraceSession
+    from repro.viz.jumpshot import VIEW_KINDS
+
+    report.checks.append("payload_parity")
+
+    def compare(what: str, written: str, payload: Any) -> None:
+        want = json.dumps(payload)
+        if written != want:
+            at = next(
+                (i for i, (a, b) in enumerate(zip(written, want)) if a != b),
+                min(len(written), len(want)),
+            )
+            report.add(Finding(
+                "payload_parity", f"{path}: {what}",
+                f"written body differs from json.dumps of the dict payload at byte {at}",
+                {"written": written[max(at - 40, 0):at + 40],
+                 "dumped": want[max(at - 40, 0):at + 40]},
+            ))
+
+    session = TraceSession(path)
+    try:
+        session.index = build_index(session.handle)
+        count = session.frame_count()
+        for index in range(count):
+            compare(f"frame {index}", session.frame_json(index), session.frame_payload(index))
+        for index in sorted({0, count // 2, count - 1} if count else ()):
+            for kind in VIEW_KINDS:
+                compare(
+                    f"frame {index} view={kind}",
+                    session.frame_json(index, view=kind),
+                    session.frame_payload(index, view=kind),
+                )
+        if session.index.utilization is None:
+            return  # a trace without records has no hierarchy to answer from
+        window = _window_for(path, profile)
+        for kind in ("thread", "cpu"):
+            for bins in (1, 64, 512, 8192):
+                for where in (None, window):
+                    compare(
+                        f"utilization lane={kind} bins={bins} window={where}",
+                        session.utilization_json(kind, window=where, max_bins=bins),
+                        session.utilization_payload(kind, window=where, max_bins=bins),
+                    )
+    finally:
+        session.close()
+
+
 def _check_export_import_roundtrip(report: OracleReport, path: Path, profile) -> None:
     """Every foreign-format adapter must round-trip the trace without
     divergence, modulo its declared mask.  Exports and reimports happen in
@@ -705,9 +766,9 @@ def run_oracle(
     """Run every applicable path-pair check over one trace artifact.
 
     Raw traces get the strict-vs-salvage, convert-parity and adjuster
-    checks; interval and SLOG files get all the others (``stats_vs_serve``
-    is SLOG-only and skipped when ``serve`` is false — e.g. in sandboxes
-    without sockets).
+    checks; interval and SLOG files get all the others (``payload_parity``
+    and ``stats_vs_serve`` are SLOG-only, the latter skipped when ``serve``
+    is false — e.g. in sandboxes without sockets).
     """
     path = Path(path)
     kind = sniff_kind(path)
@@ -722,6 +783,8 @@ def run_oracle(
         _check_dump_vs_query(report, path, profile)
         _check_aggregate_vs_exact(report, path, profile)
         _check_export_import_roundtrip(report, path, profile)
+    if kind == "slog":
+        _check_payload_parity(report, path, profile)
     if kind == "slog" and serve:
         _check_stats_vs_serve(report, path, profile)
     _check_adjust_parity(report)

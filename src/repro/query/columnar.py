@@ -159,15 +159,24 @@ class FrameBatch:
 
     # -------------------------------------------------------------- records
 
+    def extra_groups(self) -> Iterator[tuple[Any, tuple[str, ...], list]]:
+        """The type-specific fields, group by group: ``(rows, names,
+        columns)`` — the ascending row numbers the group covers (a list, or
+        a ``range`` over every row), its field names, and per name the
+        values aligned to ``rows`` (an array, or a list where the decoder
+        had to go record by record).  A record's ``extra`` takes its keys
+        in this order."""
+        for positions, names, values in _groups_of(self):
+            yield self._rows_of(positions), names, [values[name] for name in names]
+
     def to_records(self) -> list[IntervalRecord]:
         """The equivalent record objects, in frame order."""
         if self._records is not None:
             return list(self._records)
         extras: list[dict[str, Any]] = [{} for _ in range(self.n)]
-        for positions, names, values in self._groups:
-            rows = self._rows_of(positions)
-            for name in names:
-                for i, v in zip(rows, _as_list(values[name])):
+        for rows, names, columns in self.extra_groups():
+            for name, column in zip(names, columns):
+                for i, v in zip(rows, _as_list(column)):
                     extras[i][name] = v
         starts = self.start.tolist()
         duras = self.dura.tolist()

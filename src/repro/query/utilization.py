@@ -48,6 +48,7 @@ included) on the same absolute grid, which is what makes
 
 from __future__ import annotations
 
+import json
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -73,6 +74,7 @@ __all__ = [
     "shift_for_span",
     "split_thread_key",
     "thread_key",
+    "utilization_json",
     "utilization_payload",
 ]
 
@@ -606,44 +608,33 @@ class UtilizationIndex:
         return _UTIL_HEADER.pack(0, 0, 0, 0, 0, 0)
 
 
-def utilization_payload(
+def _payload_columns(
     util: UtilizationIndex,
     kind: str,
     window: tuple[int, int],
     max_bins: int,
     ticks_per_sec: float,
     record_name,
-) -> dict:
-    """The ``/api/utilization`` / ``ute-query --utilization`` answer: raw
-    cells over a tick ``window`` with seconds, busy fraction and dominant
-    state per cell."""
+):
+    """What both utilization answers are made of: ``(head, cells, edges,
+    columns)`` — every key of the payload but ``lanes``; the window's
+    :class:`WindowCells`; ``(start, end)`` seconds of each *distinct* bin
+    (the edges are shared by every lane, so they are computed — and by the
+    writer formatted — once per bin, not once per cell); and per cell its
+    place in ``edges``, count, busy seconds, busy fraction and dominant
+    state."""
     tps = ticks_per_sec
     w0, w1 = window
     w1 = max(w1, w0 + 1)
     shift, cells = util.query(kind, w0, w1, max_bins)
     width = 1 << shift
-    start = cells.bins << shift
-    columns = (
-        start / tps, (start + width) / tps, cells.counts, cells.busy / tps,
-        np.minimum(cells.busy / width, 1.0), cells.dominant,
-    )
-    rows = [
-        {"start": t0, "end": t1, "count": count, "busy": busy, "busy_frac": frac,
-         "dominant": state}
-        for t0, t1, count, busy, frac, state in zip(*(col.tolist() for col in columns))
-    ]
-    sub_name = "thread" if kind == "thread" else "cpu"
-    lanes_out = []
-    for key, (lo, hi) in cells.spans.items():
-        node, sub = split_thread_key(key)
-        lanes_out.append({"node": node, sub_name: sub, "cells": rows[lo:hi]})
     names = {}
     for itype in np.unique(cells.dominant).tolist():
         try:
             names[str(itype)] = record_name(itype)
         except Exception:
             names[str(itype)] = f"type-{itype}"
-    return {
+    head = {
         "kind": kind,
         "ticks_per_sec": tps,
         "window": [w0 / tps, w1 / tps],
@@ -652,8 +643,80 @@ def utilization_payload(
         "levels": util.n_levels,
         "base_shift": util.base_shift,
         "state_names": names,
-        "lanes": lanes_out,
     }
+    bins, edge = np.unique(cells.bins, return_inverse=True)
+    start = bins << shift
+    edges = (start / tps, (start + width) / tps)
+    columns = (
+        edge, cells.counts, cells.busy / tps,
+        np.minimum(cells.busy / width, 1.0), cells.dominant,
+    )
+    return head, cells, edges, columns
+
+
+def utilization_payload(
+    util: UtilizationIndex,
+    kind: str,
+    window: tuple[int, int],
+    max_bins: int,
+    ticks_per_sec: float,
+    record_name,
+) -> dict:
+    """The ``ute-query --utilization`` answer, and ``/api/utilization``'s
+    as a dict: raw cells over a tick ``window`` with seconds, busy fraction
+    and dominant state per cell.  The daemon sends :func:`utilization_json`,
+    which ``ute-oracle``'s ``payload_parity`` and
+    ``tests/test_payload_json.py`` hold to ``json.dumps`` of this."""
+    head, cells, edges, columns = _payload_columns(
+        util, kind, window, max_bins, ticks_per_sec, record_name
+    )
+    starts, ends = (edge.tolist() for edge in edges)
+    rows = [
+        {"start": starts[at], "end": ends[at], "count": count, "busy": busy,
+         "busy_frac": frac, "dominant": state}
+        for at, count, busy, frac, state in zip(*(c.tolist() for c in columns))
+    ]
+    lanes = []
+    for key, (lo, hi) in cells.spans.items():
+        node, sub = split_thread_key(key)
+        lanes.append({"node": node, kind: sub, "cells": rows[lo:hi]})  # "thread" | "cpu"
+    return {**head, "lanes": lanes}
+
+
+#: One cell of a utilization answer as ``json.dumps`` spells it: the part
+#: every cell of one bin shares, and the cell around it.
+_CELL_EDGES = '{"start": %r, "end": %r, '
+_CELL = '%s"count": %d, "busy": %r, "busy_frac": %r, "dominant": %d}'
+
+
+def utilization_json(
+    util: UtilizationIndex,
+    kind: str,
+    window: tuple[int, int],
+    max_bins: int,
+    ticks_per_sec: float,
+    record_name,
+) -> str:
+    """``json.dumps(utilization_payload(...))``, byte for byte, written
+    from the same columns without a dict per cell: one format per cell, the
+    two bin-edge floats of a cell formatted once per distinct bin.  Floats
+    are ``float.__repr__`` either way; a non-finite one (``json.dumps``
+    spells those differently) sends the whole answer through ``json.dumps``."""
+    args = (util, kind, window, max_bins, ticks_per_sec, record_name)
+    head, cells, edges, columns = _payload_columns(*args)
+    if not all(np.isfinite(c).all() for c in (*edges, columns[2], columns[3])):
+        return json.dumps(utilization_payload(*args))
+    edge_texts = [
+        _CELL_EDGES % edge for edge in zip(*(edge.tolist() for edge in edges))
+    ]
+    at, *rest = (c.tolist() for c in columns)
+    rows = list(map(_CELL.__mod__, zip([edge_texts[i] for i in at], *rest)))
+    lane = f'{{"node": %d, "{kind}": %d, "cells": [%s]}}'
+    lanes = [
+        lane % (*split_thread_key(key), ", ".join(rows[lo:hi]))
+        for key, (lo, hi) in cells.spans.items()
+    ]
+    return json.dumps(head)[:-1] + ', "lanes": [' + ", ".join(lanes) + "]}"
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,14 @@ Design points (the paper's scalability story, applied to serving):
   while everyone else keeps their latency.
 * **Strict input handling** — request line/header limits, bounded upload
   bodies on the one POST route, path-traversal rejection.
+* **Persistent connections** — a connection carries request after request
+  (answered in order) until the client says ``Connection: close``, goes
+  idle for :data:`HEADER_TIMEOUT`, or gets a response that ends it: a
+  malformed or half-read request, a stream, a 5xx (docs/SERVING.md).
+* **Bodies written from columns** — ``/frame`` and ``/utilization``, the
+  two big JSON answers, are formatted straight from the cached frame
+  batch and the aggregate cells, byte for byte what ``json.dumps`` makes
+  of the dict payloads the in-process API returns.
 * **Observability** — structured access logs and a ``/metrics`` endpoint
   rendering one repository snapshot per scrape.
 """
@@ -111,6 +119,11 @@ _REASONS = {
 
 #: Tenant request header examined by the quota layer.
 TENANT_HEADER = "x-ute-tenant"
+
+#: Seconds a connection may take to deliver a request once its first byte
+#: has arrived (then: 408) — and may sit idle between requests (then: closed
+#: without a response).
+HEADER_TIMEOUT = 10.0
 
 
 @dataclass
@@ -178,6 +191,8 @@ class Request:
     query: dict[str, str]
     headers: dict[str, str]
     body: bytes = b""
+    #: Whether the client wants the connection kept after the response.
+    persist: bool = False
     #: Filled in by dispatch once the target dataset resolves.
     dataset: str = ""
     session: Any = field(default=None, repr=False)
@@ -389,11 +404,17 @@ class TraceServer:
         )
         self.port: int | None = None
         self._server: asyncio.AbstractServer | None = None
+        #: The task of every open connection, for :meth:`stop` to end.
+        self._connections: set[asyncio.Task] = set()
         self._active = 0
         self.registry = Registry()
         self.m_requests = self.registry.counter(
             "ute_serve_requests_total", "Requests handled.",
             ("dataset", "route", "status"),
+        )
+        self.m_connections = self.registry.counter(
+            "ute_serve_connections_total",
+            "Connections accepted (requests / connections = reuse).",
         )
         self.m_latency = self.registry.histogram(
             "ute_serve_request_seconds", "Request latency (seconds)."
@@ -450,36 +471,86 @@ class TraceServer:
         )
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening and end every open connection — idle ones, which
+        nothing else would ever end, included.  The connection tasks are
+        cancelled and awaited before ``wait_closed``: since Python 3.12
+        that waits for the connections, before it did not."""
+        if self._server is None:
+            return
+        server, self._server = self._server, None
+        server.close()
+        for task in self._connections:
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await server.wait_closed()
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled, then :meth:`stop`.  (Not
+        ``asyncio.Server.serve_forever``: cancelled, that one waits for the
+        connections itself, idle ones included.)"""
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.stop()
 
     # ------------------------------------------------------- request cycle
 
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """One connection: requests are answered in the order they arrive
+        (a client may send the next before the last was answered) until
+        :meth:`_serve_request` says the connection ends."""
+        self.m_connections.inc()
+        task = asyncio.current_task()
+        self._connections.add(task)
+        try:
+            # A connection accepted while stop() ran is not served.
+            while self._server is not None and await self._serve_request(reader, writer):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            # Only stop() cancels a connection, and this is where its task
+            # ends: quietly (asyncio's stream callback logs a task that
+            # ends cancelled as a failed one before Python 3.12).
+            pass
+        finally:
+            self._connections.discard(task)
+            writer.close()
+
+    async def _serve_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read, answer and account one request; whether the connection
+        persists.  It does unless the request asked otherwise (``Connection:
+        close``; HTTP/1.0 without ``keep-alive``), was malformed or not
+        read to its end, or the response is a stream or a 5xx."""
+        # The idle wait: a connection that sends nothing for the header
+        # timeout is closed without a word (the read then ends as it does
+        # when the client closes), and neither is a request.
+        idle = asyncio.get_running_loop().call_later(HEADER_TIMEOUT, writer.close)
+        try:
+            first = await reader.read(1)
+        finally:
+            idle.cancel()
+        if not first:
+            return False
         start = time.perf_counter()
         route = "-"
         request: Request | None = None
         try:
-            request = await asyncio.wait_for(self._read_request(reader), timeout=10.0)
+            request = await asyncio.wait_for(
+                self._read_request(reader, first), timeout=HEADER_TIMEOUT
+            )
             route, response = await self._dispatch(request)
         except _HttpError as exc:
             response = Response.text(exc.message + "\n", exc.status, headers=exc.headers)
         except asyncio.TimeoutError:
             response = Response.text("request header timeout\n", 408)
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
-            # The client went away, or the server is stopping (which
-            # cancels connection tasks): end quietly, there is no reader.
-            writer.close()
-            return
+        except (ConnectionError, asyncio.IncompleteReadError):
+            raise  # the client went away mid-request: not a request, no reader
         except Exception:  # pragma: no cover - defensive
             log.exception("unhandled error")
             response = Response.text("internal server error\n", 500)
@@ -489,29 +560,32 @@ class TraceServer:
             route=route, status=str(response.status),
         )
         self.m_latency.observe(duration)
-        try:
-            head_only = request is not None and request.method == "HEAD"
-            await self._write_response(writer, response, head_only=head_only)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
         access_log.info(
             "method=%s path=%s route=%s status=%d dur_ms=%.2f bytes=%d",
             request.method if request else "-",
             request.path if request else "-",
             route, response.status, duration * 1e3, len(response.body),
         )
+        persist = (
+            request is not None and request.persist
+            and response.stream is None and response.status < 500
+        )
+        head_only = request is not None and request.method == "HEAD"
+        await self._write_response(writer, response, head_only=head_only, persist=persist)
+        return persist
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> Request:
+    async def _read_request(self, reader: asyncio.StreamReader, first: bytes) -> Request:
+        """Parse one request whose first byte has arrived; an
+        :class:`_HttpError` from here ends the connection (what is left of
+        the request on the wire is not read)."""
         cfg = self.config
-        line = await reader.readline()
+        line = first + await reader.readline()
         if len(line) > cfg.max_target_bytes:
             raise _HttpError(414, "request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
             raise _HttpError(400, "malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
         if method not in ("GET", "HEAD", "POST"):
             raise _HttpError(
                 405, f"method {method} not allowed", {"Allow": "GET, HEAD, POST"}
@@ -551,7 +625,9 @@ class TraceServer:
         elif length > 0:
             raise _HttpError(413, "request bodies are not accepted")
         path, query = self._parse_target(target)
-        return Request(method, path, query, headers, body)
+        asked = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+        persist = "keep-alive" in asked if version == "HTTP/1.0" else "close" not in asked
+        return Request(method, path, query, headers, body, persist)
 
     def _parse_target(self, target: str) -> tuple[str, dict[str, str]]:
         cfg = self.config
@@ -760,7 +836,7 @@ class TraceServer:
 
     def _h_frame(self, request: Request, index: int) -> Response:
         view = request.query.get("view") or None
-        return Response.json(request.session.frame_payload(index, view=view))
+        return Response(body=request.session.frame_json(index, view=view).encode())
 
     def _h_arrows(self, request: Request, index: int) -> Response:
         return Response.json(request.session.arrows_payload(index))
@@ -810,14 +886,12 @@ class TraceServer:
         bins = 512
         if "bins" in request.query:
             bins = max(1, min(_int_seg(request.query["bins"], "bins"), 8192))
-        payload = request.session.utilization_payload(
-            lane, window=window, max_bins=bins
-        )
-        if payload is None:
+        text = request.session.utilization_json(lane, window=window, max_bins=bins)
+        if text is None:
             raise _HttpError(
                 404, "no utilization hierarchy indexed for this dataset yet"
             )
-        return Response.json(payload, headers={"X-UTE-Bytes-Read": "0"})
+        return Response(body=text.encode(), headers={"X-UTE-Bytes-Read": "0"})
 
     @staticmethod
     def _window(request: Request) -> tuple[float | None, float | None] | None:
@@ -993,7 +1067,8 @@ class TraceServer:
     # --------------------------------------------------------------- output
 
     async def _write_response(
-        self, writer: asyncio.StreamWriter, response: Response, *, head_only: bool = False
+        self, writer: asyncio.StreamWriter, response: Response, *,
+        head_only: bool = False, persist: bool = False,
     ) -> None:
         reason = _REASONS.get(response.status, "Unknown")
         streaming = (
@@ -1008,16 +1083,16 @@ class TraceServer:
                 if streaming
                 else {"Content-Length": str(len(response.body))}
             ),
-            "Connection": "close",
+            "Connection": "keep-alive" if persist else "close",
             **(response.headers or {}),
         }
         if response.status == 304:
             headers.pop("Content-Type", None)
-        head = f"HTTP/1.1 {response.status} {reason}\r\n" + "".join(
+        head = (f"HTTP/1.1 {response.status} {reason}\r\n" + "".join(
             f"{k}: {v}\r\n" for k, v in headers.items()
-        ) + "\r\n"
-        writer.write(head.encode("latin-1"))
+        ) + "\r\n").encode("latin-1")
         if streaming:
+            writer.write(head)
             await self._write_chunked(writer, response.stream)
             return
         if response.stream is not None:
@@ -1025,7 +1100,8 @@ class TraceServer:
             # whatever it pins (the dataset session) is let go now.
             response.stream.close()
         if not head_only and response.status != 304:
-            writer.write(response.body)
+            head += response.body
+        writer.write(head)
         await writer.drain()
 
     async def _write_chunked(self, writer: asyncio.StreamWriter, stream: _Stream) -> None:
@@ -1142,18 +1218,10 @@ class ServerThread:
         self._loop.run_until_complete(self.server.start())
         self._ready.set()
         self._loop.run_forever()
-        # Drain: close the listener inside the loop before it is torn
-        # down, then let in-flight connection tasks unwind so their
-        # transports close while the loop is still alive (a follow stream
+        # Close the listener and end the connections inside the loop, so
+        # their transports close while it is still alive (a follow stream
         # may be mid-write when stop() lands).
         self._loop.run_until_complete(self.server.stop())
-        pending = [t for t in asyncio.all_tasks(self._loop) if not t.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
         self._loop.close()
 
     def stop(self) -> None:

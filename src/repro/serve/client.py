@@ -1,4 +1,4 @@
-"""A small blocking client for the serving daemon (stdlib ``urllib``).
+"""A small blocking client for the serving daemon (stdlib ``http.client``).
 
 Used by the tests, the load benchmark, and scriptable exploration::
 
@@ -12,15 +12,21 @@ The client remembers the ETag of every 200 response and sends it back as
 callers never see the difference — except in :attr:`ServeResponse.status`
 and the daemon's metrics, where the revalidation shows up as a free hit.
 The remembered responses are an LRU bounded by :data:`CACHE_BOUND`.
+
+Connections persist: a client keeps one ``http.client`` connection per
+thread that uses it, straight to ``base_url`` (no proxy settings are
+read), and re-opens it when the daemon has closed it in the meantime.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
@@ -102,10 +108,21 @@ class ServeClient:
     max_retry_seconds: float = 30.0
     dataset: str | None = None
     tenant: str | None = None
-    _cache: OrderedDict[str, ServeResponse] = field(default_factory=OrderedDict, repr=False)
+    _cache: OrderedDict[str, ServeResponse] = field(
+        default_factory=OrderedDict, init=False, repr=False
+    )
+    #: The open connection of each thread that has used this client.
+    _connections: dict[int, http.client.HTTPConnection] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.base_url = self.base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"ServeClient speaks http://host[:port], got {self.base_url!r}")
+        self._address = (url.hostname, url.port or 80)
+        self._prefix = url.path
 
     @property
     def api_base(self) -> str:
@@ -115,12 +132,14 @@ class ServeClient:
         return "/api"
 
     def for_dataset(self, dataset: str | None) -> "ServeClient":
-        """A sibling client bound to another dataset (shared nothing)."""
-        return ServeClient(
-            self.base_url, timeout=self.timeout, use_etags=self.use_etags,
-            retries=self.retries, backoff=self.backoff,
-            dataset=dataset, tenant=self.tenant,
-        )
+        """A sibling client bound to another dataset: configured alike,
+        sharing nothing (its own cache, its own connections)."""
+        return dataclasses.replace(self, dataset=dataset)
+
+    def close(self) -> None:
+        """Close every connection the client holds (it re-opens on use)."""
+        while self._connections:
+            self._connections.popitem()[1].close()
 
     # ------------------------------------------------------------- plumbing
 
@@ -142,7 +161,6 @@ class ServeClient:
         over quota) or a connection-level failure is retried with
         exponential backoff — honouring ``Retry-After`` when the server
         sends one — before the last response (or error) is surfaced."""
-        url = self.base_url + path
         send = dict(headers or {})
         if self.tenant and "X-UTE-Tenant" not in send:
             send["X-UTE-Tenant"] = self.tenant
@@ -159,24 +177,14 @@ class ServeClient:
             return self.max_retry_seconds - (time.monotonic() - start)
 
         for attempt in range(self.retries + 1):
-            req = urllib.request.Request(url, data=body, headers=send, method=method)
             try:
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    response = ServeResponse(
-                        resp.status, {k.lower(): v for k, v in resp.headers.items()},
-                        resp.read(),
-                    )
-            except urllib.error.HTTPError as exc:
-                # HTTPError is a URLError subclass: handle it first, as a
-                # response — only 503/429 are worth another attempt.
-                response = ServeResponse(
-                    exc.code, {k.lower(): v for k, v in exc.headers.items()},
-                    exc.read(),
-                )
-            except urllib.error.URLError as exc:
+                response = self._exchange(method, self._prefix + path, send, body)
+            except (OSError, http.client.HTTPException) as exc:
+                # The one connection-level failure path: refused, reset,
+                # timed out or cut short, while sending or while reading.
                 if attempt >= self.retries or budget_left() <= 0:
                     raise RetriesExhausted(
-                        exc.reason, attempts=attempt + 1,
+                        exc, attempts=attempt + 1,
                         elapsed=time.monotonic() - start,
                     ) from exc
                 time.sleep(max(0.0, min(delay, 2.0, budget_left())))
@@ -208,6 +216,41 @@ class ServeClient:
             self._cache.move_to_end(path)
             response = ServeResponse(304, response.headers, self._cache[path].body)
         return response
+
+    def _exchange(
+        self, method: str, target: str, headers: dict[str, str], body: bytes | None
+    ) -> ServeResponse:
+        """One request and its whole response on the calling thread's
+        connection.  A kept connection may have been closed by the daemon
+        since its last response (idle timeout, restart), which only shows
+        when it is next used: a GET or HEAD that dies on one before any of
+        the response arrived is sent once more on a fresh connection.
+        Every other failure closes the connection and is the caller's."""
+        ident = threading.get_ident()
+        conn = self._connections.get(ident)
+        kept = conn is not None and conn.sock is not None
+        if conn is None:
+            conn = self._connections[ident] = http.client.HTTPConnection(
+                *self._address, timeout=self.timeout
+            )
+        try:
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                reply = conn.getresponse()
+            except ConnectionError:
+                if not kept or method not in ("GET", "HEAD"):
+                    raise
+                conn.close()
+                conn.request(method, target, body=body, headers=headers)
+                reply = conn.getresponse()
+            # (A reply that says ``Connection: close`` has http.client drop
+            # the connection itself; the next request re-opens it.)
+            return ServeResponse(
+                reply.status, {k.lower(): v for k, v in reply.getheaders()}, reply.read()
+            )
+        except BaseException:
+            conn.close()
+            raise
 
     def get_json(self, path: str) -> Any:
         response = self.request(path)
@@ -260,7 +303,7 @@ class ServeClient:
 
     def export_chrome(self) -> ServeResponse:
         """The whole trace as Chrome trace-event JSON (chunked transfer;
-        ``urllib`` reassembles the chunks, ETag revalidation applies)."""
+        ``http.client`` reassembles the chunks, ETag revalidation applies)."""
         return self.request(f"{self.api_base}/export/chrome")
 
     # ---------------------------------------------------------------- follow
@@ -279,19 +322,22 @@ class ServeClient:
         resumes after an already-seen epoch; ``params`` passes extra query
         parameters (``window``, ``poll``, ``max_s``, the /query surface)."""
         query = {"since": str(since), **(params or {})}
-        url = (
-            f"{self.base_url}{self.api_base}/follow/{mode}?"
+        target = (
+            f"{self._prefix}{self.api_base}/follow/{mode}?"
             + urllib.parse.urlencode(query)
         )
         send = {"Accept": "text/event-stream"}
         if self.tenant:
             send["X-UTE-Tenant"] = self.tenant
-        req = urllib.request.Request(url, headers=send)
-        with urllib.request.urlopen(
-            req, timeout=self.timeout if timeout is None else timeout
-        ) as resp:
+        # A stream of its own: it stays open for as long as the trace grows.
+        conn = http.client.HTTPConnection(
+            *self._address, timeout=self.timeout if timeout is None else timeout
+        )
+        try:
+            conn.request("GET", target, headers=send)
+            resp = conn.getresponse()
             if resp.status != 200:
-                raise RuntimeError(f"GET {url} -> {resp.status}")
+                raise RuntimeError(f"GET {target} -> {resp.status}")
             event, seq, data_lines = "message", -1, []
             for raw in resp:
                 line = raw.decode().rstrip("\n").rstrip("\r")
@@ -317,6 +363,8 @@ class ServeClient:
                         pass
                 elif name == "data":
                     data_lines.append(value)
+        finally:
+            conn.close()
 
     def follow_poll(self, *, since: int = -1, wait: float = 10.0) -> dict:
         """One long-poll round: the follow state once the epoch advances

@@ -15,25 +15,29 @@ ETags that change whenever the file is replaced.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from pathlib import Path
 from typing import Any
 
-from repro.core.records import IntervalRecord, IntervalType
+import numpy as np
+
+from repro.core.records import IntervalType
 from repro.core.windows import window_to_ticks
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch
 from repro.query.indexfile import load_fresh_index
 from repro.query.model import Query
 from repro.query.planner import MODE_INDEXED
 from repro.query.scan import Scan, io_delta, scan
 from repro.query.trace import TraceHandle
-from repro.query.utilization import utilization_payload
+from repro.query.utilization import utilization_json, utilization_payload
 from repro.utils.slog import SlogFile
 from repro.utils.stats import generate_tables
 from repro.viz.arrows import match_arrows
 from repro.viz.interactive import view_payload
-from repro.viz.jumpshot import VIEW_KINDS, Jumpshot
+from repro.viz.jumpshot import VIEW_KINDS, Jumpshot, mpi_records
 from repro.viz.preview import interesting_ranges
 
 #: Default LRU capacity of the server's shared frame cache.
@@ -147,37 +151,62 @@ class TraceSession:
             }
 
     def frame_payload(self, index: int, *, view: str | None = None) -> dict[str, Any]:
-        """One frame's decoded records (``/api/frame/{i}``); with ``view``
-        set, the records also come pre-built as a view payload the HTML
-        viewer renders directly."""
+        """One frame's decoded records as a dict (the in-process form of
+        ``/api/frame/{i}``); with ``view`` set, the records also come
+        pre-built as a view payload the HTML viewer renders directly.  The
+        daemon sends :meth:`frame_json`, which ``ute-oracle``'s
+        ``payload_parity`` and ``tests/test_payload_json.py`` hold to
+        ``json.dumps`` of this."""
+        head, columns, view_part = self._frame_parts(index, view)
+        head["records"] = _record_dicts(*columns, head["pseudo_count"])
+        if view_part is not None:
+            head["view"] = view_part
+        return head
+
+    def frame_json(self, index: int, *, view: str | None = None) -> str:
+        """``json.dumps(self.frame_payload(index, view=view))``, byte for
+        byte, written from the same columns without a dict or an object
+        per record (``/api/frame/{i}``)."""
+        head, columns, view_part = self._frame_parts(index, view)
+        n_pseudo = head["pseudo_count"]
+        texts = _record_texts(*columns, n_pseudo)
+        if texts is None:
+            records = json.dumps(_record_dicts(*columns, n_pseudo))
+        else:
+            records = "[" + ", ".join(texts) + "]"
+        tail = "}" if view_part is None else ', "view": ' + json.dumps(view_part) + "}"
+        return json.dumps(head)[:-1] + ', "records": ' + records + tail
+
+    def _frame_parts(self, index: int, view: str | None):
+        """What both frame answers are made of: the payload's head (every
+        key ahead of ``records``), the frame's :func:`_frame_columns`, and
+        the view payload (``None`` without ``view``)."""
         if view is not None and view not in VIEW_KINDS:
             raise FormatError(f"unknown view kind {view!r}; pick one of {VIEW_KINDS}")
         with self.lock:
             frame = self.viewer.frame_entry(index)
-            records = self._frame_records_or_degrade(index, frame)
-            slog = self.reader
-            payload: dict[str, Any] = {
+            batch = self._frame_batch_or_degrade(index, frame)
+            tps = self.reader.ticks_per_sec
+            head = {
                 "index": index,
-                "start": frame.start_time / slog.ticks_per_sec,
-                "end": frame.end_time / slog.ticks_per_sec,
+                "start": frame.start_time / tps,
+                "end": frame.end_time / tps,
                 "pseudo_count": frame.n_pseudo,
-                "records": [
-                    self._record_json(r, pseudo=i < frame.n_pseudo)
-                    for i, r in enumerate(records)
-                ],
             }
+            view_part = None
             if view is not None:
-                built = self.viewer.build_view(records, view)
-                vp = view_payload(built, ticks_per_sec=slog.ticks_per_sec)
-                vp["t0"], vp["t1"] = frame.start_time, max(frame.end_time, frame.start_time + 1)
-                payload["view"] = vp
-            return payload
+                view_part = view_payload(
+                    self.viewer.build_view(batch, view), ticks_per_sec=tps
+                )
+                view_part["t0"] = frame.start_time
+                view_part["t1"] = max(frame.end_time, frame.start_time + 1)
+        return head, _frame_columns(batch), view_part
 
     def arrows_payload(self, index: int) -> dict[str, Any]:
         """Matched message arrows of one frame (``/api/arrows/{i}``)."""
         with self.lock:
             frame = self.viewer.frame_entry(index)
-            records = self._frame_records_or_degrade(index, frame)
+            batch = self._frame_batch_or_degrade(index, frame)
             tps = self.reader.ticks_per_sec
             return {
                 "index": index,
@@ -190,7 +219,7 @@ class TraceSession:
                         "recv": a.recv_time / tps,
                         "bytes": a.size,
                     }
-                    for a in match_arrows(records)
+                    for a in match_arrows(mpi_records(batch))
                 ],
             }
 
@@ -227,21 +256,31 @@ class TraceSession:
         window: tuple[float, float] | None = None,
         max_bins: int = 512,
     ) -> dict[str, Any] | None:
-        """Raw utilization cells over a window (``/api/utilization``) —
-        pure aggregate lookups, zero trace IO.  ``None`` when the session
-        has no sidecar utilization hierarchy (the handler answers 404)."""
+        """Raw utilization cells over a window, as a dict (the in-process
+        form of ``/api/utilization``) — pure aggregate lookups, zero trace
+        IO.  ``None`` when the session has no sidecar utilization hierarchy
+        (the handler answers 404)."""
+        return self._utilization(utilization_payload, kind, window, max_bins)
+
+    def utilization_json(
+        self,
+        kind: str = "thread",
+        window: tuple[float, float] | None = None,
+        max_bins: int = 512,
+    ) -> str | None:
+        """``json.dumps`` of :meth:`utilization_payload`, byte for byte,
+        through :func:`~repro.query.utilization.utilization_json`."""
+        return self._utilization(utilization_json, kind, window, max_bins)
+
+    def _utilization(self, answer, kind: str, window, max_bins: int):
         with self.lock:
-            index = self.index
-            util = getattr(index, "utilization", None)
-            if util is None:
-                return None
+            util = getattr(self.index, "utilization", None)
             tps = self.reader.ticks_per_sec
-            ticks = (
-                window_to_ticks(window, tps) if window else (util.t_min, util.t_max)
-            )
-            return utilization_payload(
-                util, kind, ticks, max_bins, tps, self.reader.profile.record_name
-            )
+            record_name = self.reader.profile.record_name
+        if util is None:
+            return None
+        ticks = window_to_ticks(window, tps) if window else (util.t_min, util.t_max)
+        return answer(util, kind, ticks, max_bins, tps, record_name)
 
     def stats_tables(
         self,
@@ -427,26 +466,105 @@ class TraceSession:
 
     # ------------------------------------------------------------ internals
 
-    def _frame_records_or_degrade(self, index: int, frame) -> list[IntervalRecord]:
-        """Strictly decode one frame; on corruption, raise a
-        :class:`FrameDecodeError` carrying the salvage probe instead of a
-        bare FormatError, so only this frame degrades."""
+    def _frame_batch_or_degrade(self, index: int, frame) -> FrameBatch:
+        """Strictly decode one frame (the cached batch: read-only); on
+        corruption, raise a :class:`FrameDecodeError` carrying the salvage
+        probe instead of a bare FormatError, so only this frame degrades."""
         try:
-            return self.viewer.frame_records(frame)
+            return self.reader.read_frame_batch(frame)
         except FormatError as exc:
             _records, probe = self.reader.salvage_frame(frame)
             raise FrameDecodeError(index, str(exc), probe.as_dict()) from exc
 
-    @staticmethod
-    def _record_json(record: IntervalRecord, *, pseudo: bool) -> dict[str, Any]:
-        return {
-            "type": record.itype,
-            "bebits": int(record.bebits),
-            "start": record.start,
-            "end": record.end,
-            "node": record.node,
-            "cpu": record.cpu,
-            "thread": record.thread,
-            "pseudo": pseudo,
-            "extra": {k: v for k, v in record.extra.items()},
+
+#: One record of a frame answer up to its extras, as ``json.dumps`` spells
+#: it: (an ordinary record, a pseudo-interval lead-in).
+_RECORD_HEADS = tuple(
+    '{"type": %d, "bebits": %d, "start": %d, "end": %d, "node": %d, "cpu": %d, '
+    f'"thread": %d, "pseudo": {pseudo}, "extra": {{'
+    for pseudo in ("false", "true")
+)
+
+
+def _conversion(column) -> str | None:
+    """How the JSON writer formats one extras column itself — ints, and
+    floats when all are finite (``json.dumps`` spells the others its own
+    way) — or None for a column it leaves to ``json.dumps``: the vector and
+    char fields the decoder hands over as lists."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu":
+            return "%d"
+        if column.dtype.kind == "f" and np.isfinite(column).all():
+            return "%r"
+    return None
+
+
+def _frame_columns(batch: FrameBatch) -> tuple[list[tuple], list[tuple]]:
+    """A frame's records as the columns both answers are written from: per
+    record ``(type, bebits, start, end, node, cpu, thread)``, and per
+    extras group ``(rows, names, columns, conversions)`` — the batch's
+    :meth:`~FrameBatch.extra_groups` as lists, each column with its
+    :func:`_conversion`."""
+    core = list(zip(*(
+        column.tolist() for column in (
+            batch.itype, batch.bebits, batch.start, batch.end,
+            batch.node, batch.cpu, batch.thread,
+        )
+    )))
+    groups = [
+        (
+            rows, names,
+            [c.tolist() if isinstance(c, np.ndarray) else c for c in columns],
+            [_conversion(c) for c in columns],
+        )
+        for rows, names, columns in batch.extra_groups()
+    ]
+    return core, groups
+
+
+def _record_dicts(core: list[tuple], groups: list[tuple], n_pseudo: int) -> list[dict]:
+    """The ``records`` of a frame payload as dicts; a record's ``extra``
+    takes its keys group by group, as :attr:`IntervalRecord.extra` does."""
+    extras: list[dict[str, Any]] = [{} for _ in core]
+    for rows, names, columns, _ in groups:
+        for name, column in zip(names, columns):
+            for i, value in zip(rows, column):
+                extras[i][name] = value
+    return [
+        {
+            "type": itype, "bebits": bebits, "start": start, "end": end,
+            "node": node, "cpu": cpu, "thread": thread,
+            "pseudo": i < n_pseudo, "extra": extra,
         }
+        for i, ((itype, bebits, start, end, node, cpu, thread), extra)
+        in enumerate(zip(core, extras))
+    ]
+
+
+def _record_texts(core: list[tuple], groups: list[tuple], n_pseudo: int) -> list[str] | None:
+    """The ``records`` of a frame payload as JSON texts, each what
+    ``json.dumps`` makes of its :func:`_record_dicts` entry: one format
+    per record, plus one per record of a group for its extras (the group's
+    keys are part of its format string); a group holding a column without
+    a :func:`_conversion` dumps each of its records' extras.  None when two
+    groups cover one record — no decoder leaves that — for the caller to
+    dump the dicts."""
+    extras = [""] * len(core)
+    for rows, names, columns, conversions in groups:
+        if None in conversions:
+            texts = (
+                json.dumps(dict(zip(names, values)))[1:-1] for values in zip(*columns)
+            )
+        else:
+            texts = map(", ".join(
+                json.dumps(name).replace("%", "%%") + ": " + conversion
+                for name, conversion in zip(names, conversions)
+            ).__mod__, zip(*columns))
+        for i, text in zip(rows, texts):
+            if extras[i]:
+                return None
+            extras[i] = text
+    ordinary, pseudo = _RECORD_HEADS
+    heads = [pseudo % row for row in core[:n_pseudo]]
+    heads += [ordinary % row for row in core[n_pseudo:]]
+    return [head + extra + "}}" for head, extra in zip(heads, extras)]

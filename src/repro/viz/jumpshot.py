@@ -57,6 +57,14 @@ DENSITY_THRESHOLD = 4.0
 AGGREGATE_MAX_BINS = 192
 
 
+def mpi_records(batch: FrameBatch) -> list[IntervalRecord]:
+    """The MPI rows of ``batch`` as record objects, for
+    :func:`~repro.viz.arrows.match_arrows` — only they can carry a message,
+    so only they are materialised."""
+    mpi = (batch.itype >= IntervalType.MPI_BASE) & (batch.itype < IntervalType.MARKER)
+    return batch.records_at(np.flatnonzero(mpi))
+
+
 def _check_kind(kind: str) -> None:
     """Refuse an unknown view kind — before any frame is located or read."""
     if kind not in VIEW_KINDS:
@@ -143,9 +151,7 @@ class Jumpshot:
         batch = records if isinstance(records, FrameBatch) else batch_from_records(list(records))
         arrows = None
         if with_arrows and kind in ("thread", "thread-connected"):
-            # Only MPI records can carry a message: only those become objects.
-            mpi = (batch.itype >= IntervalType.MPI_BASE) & (batch.itype < IntervalType.MARKER)
-            arrows = match_arrows(batch.records_at(np.flatnonzero(mpi)))
+            arrows = match_arrows(mpi_records(batch))
         return piece_view(
             kind, batch, thread_table=self.slog.thread_table,
             n_cpus_per_node=self._cpus_per_node() if kind.startswith("processor") else None,

@@ -647,6 +647,14 @@ class TestRemoteCLI:
         ]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("url", ["127.0.0.1:8265", "ftp://host/", "http://", "http://host:port"])
+    def test_a_server_url_the_client_cannot_speak_to(self, url, capsys):
+        assert cli.main_query(["--server", url, "--limit", "1"]) == 2
+        assert cli.main_tail(["--server", url]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("ute-query: error: ")
+        assert err[1].startswith("ute-tail: error: ")
+
     def test_remote_query_unknown_dataset(self, served, capsys):
         assert cli.main_query([
             "--server", served.base_url, "--dataset", "nope", "--limit", "1",

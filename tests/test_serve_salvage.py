@@ -7,8 +7,10 @@ must stay off by default (load tests count raw 503s) and, when enabled,
 re-attempt 503s and connection failures with backoff.
 """
 
+import http.client
 import http.server
 import shutil
+import socketserver
 import threading
 import urllib.error
 from pathlib import Path
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.serve.app import ServerThread
-from repro.serve.client import ServeClient
+from repro.serve.client import RetriesExhausted, ServeClient
 from repro.serve.session import FrameDecodeError, TraceSession
 
 
@@ -117,6 +119,33 @@ def flaky_server():
         thread.join(timeout=5)
 
 
+class _CutShort(socketserver.StreamRequestHandler):
+    """Promises a 100-byte body, sends ten bytes of it and hangs up."""
+
+    seen = 0
+
+    def handle(self):
+        while self.rfile.readline() not in (b"\r\n", b""):
+            pass
+        type(self).seen += 1
+        self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789")
+
+
+@pytest.fixture()
+def cut_short_server(monkeypatch):
+    monkeypatch.setattr(_CutShort, "seen", 0)
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CutShort)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestClientRetry:
     def test_no_retry_by_default(self, flaky_server):
         client = ServeClient(flaky_server)
@@ -143,3 +172,18 @@ class TestClientRetry:
                              retries=2, backoff=0.01)
         with pytest.raises(urllib.error.URLError):
             client.request("/x")
+
+    def test_a_body_cut_short_is_a_connection_failure(self, cut_short_server):
+        """Not only a refused connection: a response that dies while its
+        body is read takes the same path — retried with backoff, then one
+        ``RetriesExhausted`` (it used to escape as a raw ``IncompleteRead``,
+        un-retried)."""
+        client = ServeClient(cut_short_server, retries=2, backoff=0.01)
+        with pytest.raises(RetriesExhausted) as info:
+            client.request("/x")
+        assert info.value.attempts == 3 and _CutShort.seen == 3
+        assert isinstance(info.value.__cause__, http.client.IncompleteRead)
+        client = ServeClient(cut_short_server)  # retries off: fails at once
+        with pytest.raises(urllib.error.URLError) as info:
+            client.request("/x")
+        assert info.value.attempts == 1 and _CutShort.seen == 4

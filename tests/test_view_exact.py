@@ -20,7 +20,6 @@ bounded LRU.
 from __future__ import annotations
 
 import io
-import urllib.request
 import xml.dom.minidom
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -730,29 +729,49 @@ class TestFrameDisplayReadsBatches:
 # ------------------------------------------------ the client's cache is an LRU
 
 
+class FakeConnection:
+    """An ``http.client.HTTPConnection`` answered in process: every path
+    has a body and an ETag; a matching ``If-None-Match`` is a 304 without a
+    body.  ``seen`` lists (path, validator) of every request sent."""
+
+    seen: list = []
+
+    def __init__(self, host, port, timeout=None):
+        self.sock = None
+
+    def request(self, method, path, body=None, headers=None):
+        self.sock = object()  # connected
+        validator = headers.get("If-None-Match")
+        self.seen.append((path, validator))
+        etag = f'"{path}"'
+        hit = validator == etag
+        self.reply = FakeResponse(
+            304 if hit else 200, {"ETag": etag},
+            b"" if hit else f"body of {path}".encode() * 40,
+        )
+
+    def getresponse(self):
+        return self.reply
+
+    def close(self):
+        self.sock = None
+
+
 class FakeResponse(io.BytesIO):
     def __init__(self, status, headers, body=b""):
         super().__init__(body)
         self.status, self.headers = status, headers
 
+    def getheaders(self):
+        return list(self.headers.items())
+
 
 class TestClientCacheIsBounded:
     @pytest.fixture
     def served(self, monkeypatch):
-        """``urlopen`` answered in process: every path has a body and an
-        ETag; a matching ``If-None-Match`` is a 304 without a body."""
-        seen = []
-
-        def urlopen(request, timeout=None):
-            path = request.full_url.removeprefix("http://fake")
-            etag = f'"{path}"'
-            seen.append((path, request.get_header("If-none-match")))
-            if request.get_header("If-none-match") == etag:
-                return FakeResponse(304, {"ETag": etag})
-            return FakeResponse(200, {"ETag": etag}, f"body of {path}".encode() * 40)
-
-        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        return seen
+        monkeypatch.setattr(FakeConnection, "seen", [])
+        monkeypatch.setattr(client_module.http.client, "HTTPConnection", FakeConnection)
+        return FakeConnection.seen
 
     def test_ten_thousand_paths_stay_under_the_bound(self, served):
         client = ServeClient("http://fake")
