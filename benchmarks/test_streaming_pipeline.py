@@ -1,12 +1,8 @@
-"""Streaming & parallel pipeline benchmarks.
+"""Streaming pipeline benchmarks.
 
-Exercises the bounded-memory byte sources and the multiprocessing convert
-fan-out on a directly written synthetic trace of >= 500k events across four
-nodes:
+Exercises the bounded-memory byte sources on a directly written synthetic
+trace of >= 500k events across four nodes, converted once:
 
-* parallel convert (``jobs=4``) vs serial — wall-clock ratio, with outputs
-  asserted byte-identical (the speedup assertion itself only applies on
-  machines with >= 4 CPUs; the determinism assertions always apply);
 * frame display cost — fetch accounting proves one frame's display reads
   O(frame) bytes, not O(file);
 * streaming merge — byte-identical merged output across runs.
@@ -14,7 +10,6 @@ nodes:
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -22,6 +17,7 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.core import IntervalReader
+from repro.core.bytesource import FileSource
 from repro.core.frames import FrameDirectory
 from repro.core.profilefmt import standard_profile
 from repro.tracing.events import RawEvent, global_clock_event
@@ -69,41 +65,25 @@ def big_traces(tmp_path_factory):
     return {"tmp": tmp, "raw": paths, "events": total}
 
 
-def test_parallel_convert_speedup(big_traces):
-    tmp = big_traces["tmp"]
+@pytest.fixture(scope="module")
+def converted(big_traces):
     t0 = time.perf_counter()
-    serial = convert_traces(big_traces["raw"], tmp / "serial", jobs=1)
-    t_serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = convert_traces(big_traces["raw"], tmp / "parallel", jobs=4)
-    t_parallel = time.perf_counter() - t0
-
-    for a, b in zip(serial.interval_paths, parallel.interval_paths):
-        assert a.read_bytes() == b.read_bytes(), a.name
-    assert serial.events_processed == parallel.events_processed
-
-    ratio = t_serial / t_parallel if t_parallel else float("inf")
+    result = convert_traces(big_traces["raw"], big_traces["tmp"] / "ivl")
     report(
-        "streaming pipeline: parallel convert "
-        f"({big_traces['events']} events, {N_NODES} nodes, {os.cpu_count()} CPUs)",
-        f"  serial   {t_serial:8.2f}s",
-        f"  jobs=4   {t_parallel:8.2f}s   ({ratio:.2f}x)",
+        "streaming pipeline: convert "
+        f"({big_traces['events']} events, {N_NODES} nodes): "
+        f"{time.perf_counter() - t0:.2f}s"
     )
-    if (os.cpu_count() or 1) >= 4:
-        assert ratio >= 2.0, f"expected >= 2x speedup with 4 jobs, got {ratio:.2f}x"
+    return result
 
 
-def test_frame_display_reads_o_frame_bytes(big_traces):
+def test_frame_display_reads_o_frame_bytes(converted):
     """Displaying one frame fetches the directory chain plus that frame —
     never the record bytes of any other frame."""
-    tmp = big_traces["tmp"]
-    out = tmp / "serial"
-    if not (out / "node0.ute").exists():
-        convert_traces([big_traces["raw"][0]], out)
     profile = standard_profile()
-    path = out / "node0.ute"
+    path = converted.interval_paths[0]
     file_size = path.stat().st_size
-    with IntervalReader(path, profile, mode="file") as reader:
+    with IntervalReader(path, profile, source=FileSource(path)) as reader:
         _, first, last = reader.totals()
         dir_bytes = sum(
             FrameDirectory.encoded_size(d.n_frames) for d in reader.directories()
@@ -125,13 +105,10 @@ def test_frame_display_reads_o_frame_bytes(big_traces):
     )
 
 
-def test_streaming_merge_is_deterministic(big_traces):
+def test_streaming_merge_is_deterministic(big_traces, converted):
     tmp = big_traces["tmp"]
-    out = tmp / "serial"
-    if not (out / "node0.ute").exists():
-        convert_traces(big_traces["raw"], out)
     profile = standard_profile()
-    inputs = sorted(out.glob("node*.ute"))
+    inputs = converted.interval_paths
 
     t0 = time.perf_counter()
     merge_interval_files(inputs, tmp / "m-stream.ute", profile)

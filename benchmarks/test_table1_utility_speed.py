@@ -17,8 +17,7 @@ Besides the prose rows in ``report.txt`` the run writes
 ``BENCH_ladder.json`` at the repository root — the machine-readable ladder
 ``EXPERIMENTS.md`` quotes and a later change can be compared against.  Per
 rung it also holds convert's peak RSS (a fresh interpreter converting the
-rung once), and for the top rung ``--jobs 2`` against the serial pass — the
-number ``docs/FORMAT.md`` §5 keeps or removes the fan-out by.
+rung once).
 """
 
 from __future__ import annotations
@@ -114,18 +113,6 @@ def _convert_peak_rss_mb(raw_paths, out: Path) -> float:
     return int(done.stdout) / 1024
 
 
-def test_convert_jobs_speed(benchmark, traces, workspace):
-    """``jobs=2`` on the top rung, to set against its serial floor."""
-    raw_paths, events = traces[ROUND_SWEEP[-1]]
-
-    def do_convert():
-        convert_traces(raw_paths, workspace / "t1j", jobs=2)
-
-    _results.setdefault(events, {})["convert_jobs2"] = _floor_per_event(
-        benchmark, do_convert, events
-    )
-
-
 @pytest.mark.parametrize("rounds", ROUND_SWEEP)
 def test_slogmerge_speed(benchmark, traces, workspace, profile, rounds):
     raw_paths, events = traces[rounds]
@@ -199,8 +186,4 @@ def _ladder(sizes: list[int], flatness: dict[str, float]) -> dict:
         ],
         "convert.flatness": flatness["convert"],
         "merge.flatness": flatness["slogmerge"],
-        # Serial convert's floor over jobs=2's on the top rung (> 1: the
-        # fan-out is faster).
-        "convert.jobs2_speedup": _results[sizes[-1]]["convert"]
-        / _results[sizes[-1]]["convert_jobs2"],
     }

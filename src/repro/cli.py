@@ -311,11 +311,6 @@ def main_convert(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--frame-bytes", type=int, default=32 * 1024)
     parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="convert node files in N parallel processes (output is "
-        "byte-identical to the serial pass)",
-    )
-    parser.add_argument(
         "--to", dest="to_fmt", default=None,
         choices=["chrome-json", "otf2-text"],
         help="export one .ute/.slog file to a foreign format",
@@ -348,8 +343,7 @@ def main_convert(argv: list[str] | None = None) -> int:
     from repro.utils.convert import convert_traces
 
     result = convert_traces(
-        args.raw, args.out or "intervals",
-        frame_bytes=args.frame_bytes, jobs=args.jobs,
+        args.raw, args.out or "intervals", frame_bytes=args.frame_bytes
     )
     for path in result.interval_paths:
         print(path)

@@ -9,11 +9,11 @@ peak memory is O(largest fetched range), typically one frame.
 Three interchangeable backends:
 
 * :class:`MmapSource` — the file is mapped read-only; a fetch copies just
-  the requested range out of the map.  The default on platforms with mmap.
+  the requested range out of the map.  What :func:`open_source` opens.
 * :class:`FileSource` — plain buffered ``seek``/``read`` with one cached
-  chunk, for filesystems where mmap is unavailable or undesirable.
-* :class:`MemorySource` — wraps a ``bytes`` object already in memory; used
-  for tests and for callers that received the data out-of-band.
+  chunk: :func:`open_source`'s fallback where a file cannot be mapped.
+* :class:`MemorySource` — wraps ``bytes`` already in memory (uploads),
+  handed to a reader with ``source=`` like any backend but the default.
 
 All backends share *fetch accounting* (``bytes_fetched`` / ``fetch_count``)
 so tests and benchmarks can assert that displaying one frame really reads
@@ -38,9 +38,6 @@ from repro.errors import FormatError
 
 #: Default chunk size of the buffered-file backend.
 DEFAULT_CHUNK_BYTES = 256 * 1024
-
-#: Recognized ``mode`` arguments of :func:`open_source`.
-SOURCE_MODES = ("auto", "mmap", "file", "memory")
 
 
 class ByteSource:
@@ -148,11 +145,15 @@ class MmapSource(ByteSource):
         super().__init__()
         self.path = Path(path)
         self._fh: io.BufferedReader | None = open(self.path, "rb")
-        size = os.fstat(self._fh.fileno()).st_size
-        # Zero-length files cannot be mapped; serve them as empty memory.
-        self._map: mmap.mmap | None = (
-            mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ) if size else None
-        )
+        try:
+            size = os.fstat(self._fh.fileno()).st_size
+            # Zero-length files cannot be mapped; serve them as empty memory.
+            self._map: mmap.mmap | None = (
+                mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ) if size else None
+            )
+        except BaseException:
+            self._fh.close()
+            raise
         self._size = size
 
     def __len__(self) -> int:
@@ -234,25 +235,9 @@ class FileSource(ByteSource):
         self._size = 0
 
 
-def open_source(path: str | Path, mode: str = "auto") -> ByteSource:
-    """Open ``path`` as a byte source.
-
-    ``mode``:
-
-    * ``"auto"`` — mmap when possible, buffered file otherwise (default);
-    * ``"mmap"`` / ``"file"`` — force one backend;
-    * ``"memory"`` — load the whole file up front (the legacy behavior,
-      kept for parity testing and tiny files).
-    """
-    if mode not in SOURCE_MODES:
-        raise FormatError(f"unknown byte-source mode {mode!r}; pick one of {SOURCE_MODES}")
-    path = Path(path)
-    if mode == "memory":
-        return MemorySource(path.read_bytes())
-    if mode == "file":
-        return FileSource(path)
-    if mode == "mmap":
-        return MmapSource(path)
+def open_source(path: str | Path) -> ByteSource:
+    """Open ``path`` as a byte source: mapped when the file can be mapped,
+    a buffered file otherwise."""
     try:
         return MmapSource(path)
     except (OSError, ValueError):

@@ -8,16 +8,16 @@ every frame-indexed reader (:class:`~repro.core.reader.IntervalReader`,
 add only their format's header and directory parsing.  It owns:
 
 * the byte source and the salvage report of one open file;
-* **one LRU** of decoded frames keyed ``(offset, size)``.  An entry holds
+* **one LRU** of decoded frames keyed ``(offset, size)``.  An entry is
   the frame's columnar :class:`~repro.query.columnar.FrameBatch` — the
-  only decoded form — and, once somebody asked for objects, the
-  :class:`~repro.core.records.IntervalRecord` list materialised from that
-  batch.  A batch read and a record read refresh the same entry;
+  only decoded form; a record read materialises fresh
+  :class:`~repro.core.records.IntervalRecord` objects from it and refreshes
+  the same entry;
 * one lock and one ``hits``/``misses``/``evictions`` counter set (a lookup
   hits or misses a *frame*, an eviction drops a *frame*);
 * the memory accounting a multi-session budget aggregates — an entry is
-  charged its encoded ``size`` once per materialised form — with the
-  admission governor's one ``reserve``/``commit`` site;
+  charged its encoded ``size``, once — with the admission governor's one
+  ``reserve``/``commit`` site;
 * the one call into the resynchronizing salvage decoder.
 
 :func:`decode_frame_records` is the **reference decoder**: the plain
@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any
 
 from repro.core.bytesource import ByteSource, open_source
 from repro.core.records import IntervalRecord
@@ -70,16 +69,6 @@ def decode_frame_records(blob: bytes, profile, mask: int) -> list[IntervalRecord
     return records
 
 
-class _Entry:
-    """One cached frame: its batch, and the record list once materialised."""
-
-    __slots__ = ("batch", "records")
-
-    def __init__(self, batch) -> None:
-        self.batch = batch
-        self.records: list[IntervalRecord] | None = None
-
-
 class FrameStore:
     """The frame-level half of a reader: fetch, decode and cache the frames
     of one open trace file.
@@ -102,7 +91,6 @@ class FrameStore:
         path: str | Path,
         *,
         source: ByteSource | None = None,
-        mode: str = "auto",
         cache_frames: int = DEFAULT_FRAME_CACHE,
         errors: str = "strict",
     ) -> None:
@@ -110,9 +98,7 @@ class FrameStore:
         self.salvage: SalvageReport | None = (
             SalvageReport(path=self.path) if check_error_mode(errors) else None
         )
-        self.source: ByteSource = (
-            source if source is not None else open_source(self.path, mode)
-        )
+        self.source: ByteSource = source if source is not None else open_source(self.path)
         #: Optional admission governor (a Repository sharing one memory
         #: budget across readers): ``reserve(nbytes)`` before a lookup adds
         #: ``nbytes`` to the cache, ``commit(nbytes)`` once it settled.
@@ -123,9 +109,19 @@ class FrameStore:
         self.misses = 0
         self.evictions = 0
         self._capacity = max(0, cache_frames)
-        self._entries: OrderedDict[tuple[int, int], _Entry] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()  # (offset, size) -> FrameBatch
         self._resident = 0
         self._lock = threading.Lock()
+        try:
+            self._open()
+        except BaseException:
+            if source is None:  # an injected source stays the caller's
+                self.source.close()
+            raise
+
+    def _open(self) -> None:
+        """Parse the format's header and directory, or refuse the file."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Drop every cached frame and release the byte source."""
@@ -147,13 +143,12 @@ class FrameStore:
         — the cached form itself, shared between callers: treat it as
         read-only.  In salvage mode the batch mirrors the resynchronizing
         decoder's records."""
-        return self._read(frame, False)
+        return self._read(frame)
 
     def read_frame(self, frame) -> list[IntervalRecord]:
-        """One frame as record objects, materialised from its batch and
-        memoised beside it.  Every call returns a fresh list; the record
-        objects are shared, so treat them as read-only."""
-        return self._read(frame, True)
+        """One frame as record objects, materialised from its cached batch
+        on every call (fresh objects, but for a salvage batch's mirrored ones)."""
+        return self._read(frame).to_records()
 
     def reference_frame(self, frame) -> list[IntervalRecord]:
         """One frame through the reference decoder — never cached, never
@@ -194,12 +189,12 @@ class FrameStore:
         }
 
     def resident_bytes(self) -> int:
-        """Encoded bytes of the cached frames, one ``size`` per materialised
-        form — the number a multi-session memory budget aggregates."""
+        """Encoded bytes of the cached frames, one ``size`` each — the
+        number a multi-session memory budget aggregates."""
         return self._resident
 
     def cached_frames(self) -> int:
-        """Frames currently held (whatever forms each has materialised)."""
+        """Frames currently held."""
         with self._lock:
             return len(self._entries)
 
@@ -215,43 +210,36 @@ class FrameStore:
 
     # -------------------------------------------------------------- internals
 
-    def _read(self, frame, want_records: bool) -> Any:
+    def _read(self, frame):
         key = (frame.offset, frame.size)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and (entry.records is not None or not want_records):
+            batch = self._entries.get(key)
+            if batch is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return list(entry.records) if want_records else entry.batch
+                return batch
             if not self._capacity:  # never retains: decode and hand over
                 self.misses += 1
-                batch = self._decode(frame)
-                return batch.to_records() if want_records else batch
-            # Forms this lookup will add: the batch unless it is resident,
-            # the record list when asked for.
-            need = frame.size * ((entry is None) + want_records)
+                return self._decode(frame)
         governor = self.governor
         if governor is not None:
-            governor.reserve(need)
+            governor.reserve(frame.size)
         try:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is None:
+                batch = self._entries.get(key)
+                if batch is None:
                     self.misses += 1
-                    entry = self._entries[key] = _Entry(self._decode(frame))
+                    batch = self._entries[key] = self._decode(frame)
                     self._resident += frame.size
-                else:  # resident batch (or a racing reader decoded it)
+                else:  # a racing reader decoded it
                     self._entries.move_to_end(key)
                     self.hits += 1
-                if want_records and entry.records is None:
-                    entry.records = entry.batch.to_records()
-                    self._resident += frame.size
                 while len(self._entries) > self._capacity:
                     self._drop_oldest()
-                return list(entry.records) if want_records else entry.batch
+                return batch
         finally:
             if governor is not None:
-                governor.commit(need)
+                governor.commit(frame.size)
 
     def _require_profile(self):
         if self.profile is None:
@@ -262,8 +250,8 @@ class FrameStore:
         return self.profile
 
     def _drop_oldest(self) -> None:
-        (_offset, size), entry = self._entries.popitem(last=False)
-        self._resident -= size * (1 + (entry.records is not None))
+        (_offset, size), _batch = self._entries.popitem(last=False)
+        self._resident -= size
         self.evictions += 1
 
     def _decode(self, frame):

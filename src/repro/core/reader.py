@@ -61,19 +61,19 @@ class IntervalReader(FrameStore):
         profile: Profile | None = None,
         *,
         source: ByteSource | None = None,
-        mode: str = "auto",
         cache_frames: int = DEFAULT_FRAME_CACHE,
         errors: str = "strict",
     ) -> None:
-        super().__init__(
-            path, source=source, mode=mode, cache_frames=cache_frames, errors=errors
-        )
+        self.profile = profile
         # Parsed frame-directory chain, filled by the first complete strict
         # walk.  Interval files are immutable once written (live appends go
         # through their own container protocol), so re-decoding the chain on
         # every find_frame would make random access O(directories) instead of
         # the O(1)-per-lookup the frame directory exists to provide.
         self._dir_chain: list[FrameDirectory] | None = None
+        super().__init__(path, source=source, cache_frames=cache_frames, errors=errors)
+
+    def _open(self) -> None:
         if len(self.source) < IntervalFileHeader.size():
             raise FormatError(f"{self.path}: truncated interval file")
         try:
@@ -97,11 +97,10 @@ class IntervalReader(FrameStore):
             )
         except _DECODE_ERRORS as exc:
             raise FormatError(f"{self.path}: corrupt header section ({exc})") from exc
-        self.profile = profile
         self.field_mask = self.header.field_mask
         self.ticks_per_sec = self.header.ticks_per_sec
-        if profile is not None:
-            profile.check_version(self.header.profile_version, str(self.path))
+        if self.profile is not None:
+            self.profile.check_version(self.header.profile_version, str(self.path))
 
     # ------------------------------------------------------------ directories
 

@@ -109,11 +109,15 @@ class LiveReader(SlogFile):
                 f"{manifest.meta_size}"
             )
         source = _LiveByteSource(meta, data_path(live_dir))
-        source.set_limit(manifest.meta_size + manifest.data_size)
-        super().__init__(path, source=source, cache_frames=cache_frames, errors=errors)
-        self.live_dir = live_dir
-        self._live_source = source
-        self._apply(manifest)
+        try:
+            source.set_limit(manifest.meta_size + manifest.data_size)
+            super().__init__(path, source=source, cache_frames=cache_frames, errors=errors)
+            self.live_dir = live_dir
+            self._live_source = source
+            self._apply(manifest)
+        except BaseException:
+            source.close()  # SlogFile leaves an injected source open
+            raise
 
     # ------------------------------------------------------------------ API
 

@@ -231,7 +231,6 @@ class RawTraceReader:
         path: str | Path,
         *,
         source: "ByteSource | None" = None,
-        mode: str = "auto",
         errors: str = "strict",
     ) -> None:
         from repro.core.bytesource import ByteSource, open_source  # noqa: F811
@@ -239,14 +238,19 @@ class RawTraceReader:
 
         self.path = Path(path)
         self._salvage_mode = check_error_mode(errors)
-        self.source: ByteSource = source if source is not None else open_source(self.path, mode)
+        self.source: ByteSource = source if source is not None else open_source(self.path)
         self.salvage: "SalvageReport | None" = (
             SalvageReport(path=self.path) if self._salvage_mode else None
         )
-        head = self.source.fetch(0, RawFileHeader.size())
-        if len(head) < RawFileHeader.size():
-            raise TraceError(f"{self.path}: truncated raw trace file")
-        self.header = RawFileHeader.decode(head)
+        try:
+            head = self.source.fetch(0, RawFileHeader.size())
+            if len(head) < RawFileHeader.size():
+                raise TraceError(f"{self.path}: truncated raw trace file")
+            self.header = RawFileHeader.decode(head)
+        except BaseException:
+            if source is None:  # an injected source stays the caller's
+                self.source.close()
+            raise
         self._start = RawFileHeader.size()
 
     def close(self) -> None:
@@ -263,9 +267,8 @@ class RawTraceReader:
         """Walk the record stream by hookword alone, yielding
         ``(hook_id, offset, record_len)`` without decoding payloads.
 
-        This is the cheap pass the parallel convert front-end uses to
-        pre-assign marker identifiers; :meth:`event_at` decodes any record
-        the scan singled out.
+        The cheap pass behind :meth:`__len__`; :meth:`event_at` decodes
+        any record the scan singles out.
 
         In salvage mode the scan never raises for damaged bytes: it yields
         only records that decode in full and steps over everything else,

@@ -31,9 +31,7 @@ the per-event state machine the paragraphs above describe.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -83,18 +81,6 @@ class MarkerUnifier:
     def table(self) -> dict[int, str]:
         """The id -> string table for interval-file marker sections."""
         return {i: s for s, i in self._ids.items()}
-
-    @classmethod
-    def preloaded(cls, ids: dict[str, int]) -> "MarkerUnifier":
-        """A unifier whose string -> id mapping is already decided.
-
-        The parallel convert front-end prescans every file for marker
-        strings, assigns identifiers centrally in input order, and hands
-        each worker a preloaded unifier — so workers never allocate and the
-        output is byte-identical to the serial pass."""
-        unifier = cls()
-        unifier._ids = dict(ids)
-        return unifier
 
 
 @dataclass
@@ -152,7 +138,6 @@ def convert_traces(
     frame_bytes: int = 32 * 1024,
     frames_per_dir: int = 8,
     strict: bool = True,
-    jobs: int = 1,
 ) -> ConvertResult:
     """Convert a set of per-node raw trace files into interval files.
 
@@ -164,12 +149,6 @@ def convert_traces(
     facility's circular-buffer ("wrap") mode keeps only the most recent
     window, so end events may arrive with no matching begin; lenient mode
     drops those instead of failing.
-
-    ``jobs > 1`` fans the per-node conversions out across a process pool.
-    Marker unification — the only cross-file coupling — is hoisted into a
-    cheap hookword prescan whose identifiers are assigned centrally in
-    input order, so the parallel output is byte-identical to the serial
-    pass (asserted by the regression tests).
     """
     raw_list = [Path(p) for p in raw_paths]
     out_dir = Path(out_dir)
@@ -188,13 +167,6 @@ def convert_traces(
     profile_path = profile.write(out_dir / "profile.ute")
     out_paths = [out_dir / (p.stem + ".ute") for p in raw_list]
 
-    if jobs > 1 and len(raw_list) > 1:
-        return _convert_parallel(
-            raw_list, out_paths, profile, profile_path,
-            frame_bytes=frame_bytes, frames_per_dir=frames_per_dir,
-            strict=strict, jobs=jobs,
-        )
-
     unifier = MarkerUnifier()
     events = 0
     records = 0
@@ -212,85 +184,6 @@ def convert_traces(
         events += n_events
         records += n_records
     return ConvertResult(out_paths, profile_path, events, records, unifier.table())
-
-
-def _convert_parallel(
-    raw_list: list[Path],
-    out_paths: list[Path],
-    profile: Profile,
-    profile_path: Path,
-    *,
-    frame_bytes: int,
-    frames_per_dir: int,
-    strict: bool,
-    jobs: int,
-) -> ConvertResult:
-    """Fan per-node conversions out across a multiprocessing pool."""
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    n_workers = min(jobs, len(raw_list))
-    with ctx.Pool(n_workers) as pool:
-        # Phase 1: prescan every file for the marker strings its conversion
-        # would unify, in order.  Phase 2: assign global ids centrally, in
-        # input-file order — exactly the serial allocation sequence.
-        per_file = pool.map(partial(_marker_strings, strict=strict), raw_list)
-        unifier = MarkerUnifier()
-        for strings in per_file:
-            for text in strings:
-                unifier.unify(text)
-        marker_ids = dict(unifier._ids)
-        # Phase 3: convert each file with a preloaded unifier.
-        tasks = [
-            (raw, out, profile_path, marker_ids, frame_bytes, frames_per_dir, strict)
-            for raw, out in zip(raw_list, out_paths)
-        ]
-        counts = pool.map(_convert_worker, tasks)
-    events = sum(c[0] for c in counts)
-    records = sum(c[1] for c in counts)
-    return ConvertResult(out_paths, profile_path, events, records, unifier.table())
-
-
-def _marker_strings(raw_path: Path, *, strict: bool) -> list[str]:
-    """The ordered marker strings :func:`convert_one` would unify for one
-    file, recovered from a hookword scan that decodes only marker events."""
-    strings: list[str] = []
-    defined: set[int] = set()
-    with RawTraceReader(raw_path) as reader:
-        node_id = reader.header.node_id
-        for hook, offset, record_len in reader.scan():
-            if hook == HookId.MARKER_DEFINE:
-                event = reader.event_at(offset, record_len)
-                strings.append(event.text)
-                defined.add(int(event.args[0]))
-            elif hook == HookId.MARKER_BEGIN and not strict:
-                event = reader.event_at(offset, record_len)
-                local_id = int(event.args[0])
-                if local_id not in defined:
-                    # Lenient mode synthesizes a name for a begin whose
-                    # MARKER_DEFINE was overwritten; mirror it here so the
-                    # synthetic string gets the same global id.
-                    strings.append(f"<lost marker {node_id}/{local_id}>")
-                    defined.add(local_id)
-    return strings
-
-
-def _convert_worker(
-    task: tuple[Path, Path, Path, dict[str, int], int, int, bool],
-) -> tuple[int, int]:
-    """Pool worker: convert one raw file with a preloaded marker mapping."""
-    raw_path, out_path, profile_path, marker_ids, frame_bytes, frames_per_dir, strict = task
-    profile = Profile.read(profile_path)
-    unifier = MarkerUnifier.preloaded(marker_ids)
-    with RawTraceReader(raw_path) as reader:
-        return convert_one(
-            reader,
-            out_path,
-            profile,
-            unifier,
-            frame_bytes=frame_bytes,
-            frames_per_dir=frames_per_dir,
-            strict=strict,
-        )
 
 
 def convert_one(

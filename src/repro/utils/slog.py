@@ -29,9 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.atomicio import AtomicFile, temp_path_for
-from repro.core.bytesource import ByteSource
 from repro.core.framebuilder import FrameBuilder, FrameSink, SealedFrame
-from repro.core.framestore import DEFAULT_FRAME_CACHE, FrameStore
+from repro.core.framestore import FrameStore
 from repro.core.magic import SLOG_MAGIC as MAGIC
 from repro.core.profilefmt import Profile
 from repro.core.records import IntervalRecord
@@ -316,18 +315,7 @@ class SlogFile(FrameStore):
     frames constantly, and a hit skips both the fetch and the decode.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        source: ByteSource | None = None,
-        mode: str = "auto",
-        cache_frames: int = DEFAULT_FRAME_CACHE,
-        errors: str = "strict",
-    ) -> None:
-        super().__init__(
-            path, source=source, mode=mode, cache_frames=cache_frames, errors=errors
-        )
+    def _open(self) -> None:
         head = self.source.fetch(0, 8)
         if head != MAGIC:
             raise FormatError(f"{self.path}: not a SLOG file")

@@ -64,7 +64,12 @@ def validate_interval_file(path: str | Path, profile: Profile) -> ValidationRepo
     except FormatError as exc:
         report.errors.append(str(exc))
         return report
+    with reader:
+        _check(reader, report)
+    return report
 
+
+def _check(reader: IntervalReader, report: ValidationReport) -> None:
     # Structure: directory linkage and frame entries.  Iteration itself can
     # hit corruption (bad directory bytes); report and stop scanning.
     prev_offset = -1
@@ -80,13 +85,13 @@ def validate_interval_file(path: str | Path, profile: Profile) -> ValidationRepo
             for frame in directory.frames:
                 report.frames += 1
                 try:
-                    records = reader.read_frame(frame)
+                    batch = reader.read_frame_batch(frame)
                 except FormatError as exc:
                     report.errors.append(str(exc))
                     continue
-                if records:
-                    lo = min(r.start for r in records)
-                    hi = max(r.end for r in records)
+                if batch.n:
+                    lo = int(batch.start.min())
+                    hi = int(batch.end.max())
                     if lo != frame.start_time or hi != frame.end_time:
                         report.errors.append(
                             f"frame at {frame.offset}: time range "
@@ -94,7 +99,7 @@ def validate_interval_file(path: str | Path, profile: Profile) -> ValidationRepo
                         )
     except FormatError as exc:
         report.errors.append(str(exc))
-        return report
+        return
 
     # Records: ordering, thread refs, bebits, markers.
     checker = RecordInvariantChecker(reader.thread_table, reader.markers)
@@ -102,10 +107,9 @@ def validate_interval_file(path: str | Path, profile: Profile) -> ValidationRepo
         _scan_records(reader, report, checker)
     except FormatError as exc:
         report.errors.append(str(exc))
-        return report
+        return
     for key in checker.leftover_open():
         report.warnings.append(f"state left open at end of file: {key}")
-    return report
 
 
 class RecordInvariantChecker:

@@ -20,9 +20,26 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from repro.core.bytesource import ByteSource, FileSource, MemorySource, MmapSource
+
 settings.register_profile("ci-long", max_examples=1500, deadline=None)
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+#: The byte-source backends the reader parity tests run over.
+SOURCE_KINDS = ("memory", "mmap", "file")
+
+
+def byte_source(kind: str, path: str | Path) -> ByteSource:
+    """A ``kind`` backend over ``path``, for a reader's ``source=`` — the
+    one way a test picks a backend (readers open theirs with
+    ``open_source``).  An injected source stays the caller's when the
+    reader refuses the file: open it in a ``with``."""
+    if kind == "memory":
+        return MemorySource(Path(path).read_bytes())
+    if kind == "mmap":
+        return MmapSource(path)
+    return FileSource(path)
 
 
 @dataclass(frozen=True)

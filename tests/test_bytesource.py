@@ -1,16 +1,19 @@
-"""Byte-source backends: clamped fetches, accounting, chunk caching, and
-the open_source factory."""
+"""Byte-source backends: clamped fetches, accounting, chunk caching, the
+open_source rule (mapped, else a buffered file), and that a reader which
+refuses its file closes the source it opened."""
+
+import os
 
 import pytest
 
-from repro.core.bytesource import (
-    FileSource,
-    MemorySource,
-    MmapSource,
-    SOURCE_MODES,
-    open_source,
-)
-from repro.errors import FormatError
+from repro.core import bytesource
+from repro.core.bytesource import FileSource, MemorySource, MmapSource, open_source
+from repro.core.fields import MASK_ALL_MERGED
+from repro.core.reader import IntervalReader
+from repro.core.profilefmt import standard_profile
+from repro.errors import FormatError, ReproError
+from repro.tracing.rawfile import RawTraceReader
+from repro.utils.slog import SlogFile
 
 DATA = bytes(range(256)) * 5  # 1280 bytes, every value present
 
@@ -118,21 +121,101 @@ class TestFileSourceChunking:
             FileSource(blob_path, chunk_bytes=16)
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts open fds through /proc"
+)
+
+
 class TestOpenSource:
-    def test_modes(self, blob_path):
-        assert isinstance(open_source(blob_path, "memory"), MemorySource)
-        assert isinstance(open_source(blob_path, "file"), FileSource)
-        assert isinstance(open_source(blob_path, "mmap"), MmapSource)
-        auto = open_source(blob_path, "auto")
-        assert isinstance(auto, (MmapSource, FileSource))
-        auto.close()
-
-    def test_unknown_mode_rejected(self, blob_path):
-        with pytest.raises(FormatError):
-            open_source(blob_path, "network")
-
-    def test_all_advertised_modes_work(self, blob_path):
-        for mode in SOURCE_MODES:
-            src = open_source(blob_path, mode)
+    def test_maps_else_falls_back_to_file(self, blob_path, monkeypatch):
+        with open_source(blob_path) as src:
+            assert isinstance(src, MmapSource)
             assert src.fetch(0, 4) == DATA[:4]
-            src.close()
+
+        def refuse(*args, **kwargs):
+            raise OSError("mmap refused")
+
+        monkeypatch.setattr(bytesource.mmap, "mmap", refuse)
+        with open_source(blob_path) as src:
+            assert isinstance(src, FileSource)
+            assert src.fetch(0, 4) == DATA[:4]
+
+    @needs_proc
+    def test_failed_map_leaves_no_extra_fd(self, blob_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("mmap refused")
+
+        monkeypatch.setattr(bytesource.mmap, "mmap", refuse)
+        before = _open_fds()
+        src = open_source(blob_path)
+        assert isinstance(src, FileSource)
+        assert _open_fds() == before + 1  # the fallback's handle, no other
+        src.close()
+        assert _open_fds() == before
+
+
+@needs_proc
+class TestRefusedFileClosesItsSource:
+    """A reader that refuses its file closes the byte source it opened
+    while the exception is still alive — and never one it was handed."""
+
+    READERS = {
+        "interval": lambda path, **kw: IntervalReader(path, standard_profile(), **kw),
+        "slog": SlogFile,
+        "raw": RawTraceReader,
+    }
+
+    @pytest.fixture
+    def junk(self, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"this is not a trace file at all!!!!")  # 35 bytes
+        return path
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_no_fd_survives_failed_opens(self, junk, kind):
+        before = _open_fds()
+        refusals = []
+        for _ in range(20):
+            with pytest.raises(ReproError) as info:
+                self.READERS[kind](junk)
+            refusals.append(info.value)  # keep every traceback alive
+        assert _open_fds() == before
+
+    def test_live_reader_closes_its_container_source(self, tmp_path):
+        from repro.core.threadtable import ThreadEntry, ThreadTable
+        from repro.live import LiveReader, LiveSlogWriter
+        from repro.live.container import live_dir_for, meta_path
+        from tests.test_serve import message_records
+
+        path = tmp_path / "run.slog"
+        table = ThreadTable([ThreadEntry(0, 100, 5000, 0, 0, 0, "rank-0")])
+        writer = LiveSlogWriter(
+            path, standard_profile(), table, field_mask=MASK_ALL_MERGED,
+            frame_bytes=512, node_cpus={0: 2},
+        )
+        try:
+            for record in sorted(message_records(), key=lambda r: r.end):
+                writer.write(record)
+            writer.publish()
+            meta = meta_path(live_dir_for(path))
+            meta.write_bytes(b"NOTASLOG" + meta.read_bytes()[8:])  # same size
+            before = _open_fds()
+            refusals = []
+            for _ in range(20):
+                with pytest.raises(FormatError, match="not a SLOG file") as info:
+                    LiveReader(path)
+                refusals.append(info.value)
+            assert _open_fds() == before
+        finally:
+            writer.abort()
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_an_injected_source_stays_the_callers(self, junk, kind):
+        with FileSource(junk) as src:
+            with pytest.raises(ReproError):
+                self.READERS[kind](junk, source=src)
+            assert src.fetch(0, 4) == b"this"

@@ -104,6 +104,17 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit):
             cli.main_merge(["a.ute", "--sync", "vibes"])
 
+    def test_convert_has_no_jobs_flag(self, tmp_path, capsys):
+        """Convert is one pass; a fan-out flag is refused, never ignored."""
+        from repro import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main_convert(["a.raw", "-o", str(tmp_path / "out"), "--jobs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: --jobs 2" in err
+        assert not (tmp_path / "out").exists()
+
 
 #: Every console script with the arguments that lead it to one input path
 #: (``{}``).  ``ute-trace`` reads no file; its one path is the ``--live``

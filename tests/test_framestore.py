@@ -1,11 +1,13 @@
 """The one frame store behind IntervalReader, SlogFile and LiveReader.
 
-What is pinned here: one LRU order across both decoded forms, the byte
-accounting a repository budget aggregates, the governor protocol (called
-once per lookup that adds bytes, never for a resident form, never with the
-store lock held), strict-LRU shrinking, thread safety, and the two
-declared degradations this store made reachable on every path — records
-whose time range does not fit int64, and ``extra`` key order.
+What is pinned here: one cached form per frame (the batch; a record read
+materialises fresh objects from it), one LRU order whichever way a frame
+is read, the byte accounting a repository budget aggregates (``size`` once
+per frame), the governor protocol (called once per miss, never for a
+resident batch, never with the store lock held), strict-LRU shrinking,
+thread safety, and the two declared degradations this store made reachable
+on every path — records whose time range does not fit int64, and ``extra``
+key order.
 """
 
 from __future__ import annotations
@@ -103,11 +105,18 @@ class TestOneLru:
         assert slog.cached_frames() == 1
         assert slog.stats()["misses"] == 1
 
-    def test_record_lists_are_fresh_but_share_objects(self, slog):
+    def test_record_reads_hand_out_fresh_objects(self, slog):
+        """Mutating a returned record leaves the next read unchanged."""
         frame = slog.frames[0]
-        first, second = slog.read_frame(frame), slog.read_frame(frame)
-        assert first == second and first is not second
-        assert all(a is b for a, b in zip(first, second))
+        first = slog.read_frame(frame)
+        want = slog.reference_frame(frame)
+        assert first == want
+        first[0].start += 1
+        first[0].extra["mutated"] = 1
+        first.pop()
+        second = slog.read_frame(frame)
+        assert second == want
+        assert all(a is not b for a, b in zip(first, second))
 
     def test_capacity_zero_never_retains(self, tmp_path):
         path = make_slog(tmp_path / "z.slog", message_records())
@@ -127,26 +136,26 @@ class TestOneLru:
 
 
 class TestAccounting:
-    def test_resident_bytes_is_size_times_forms(self, slog):
+    def test_resident_bytes_is_size_once_per_frame(self, slog):
         a, b, c = slog.frames[:3]
         slog.read_frame_batch(a)
         assert slog.resident_bytes() == a.size
-        slog.read_frame(a)  # second form of the same entry
-        assert slog.resident_bytes() == 2 * a.size
-        slog.read_frame(b)  # a record miss materialises both forms
+        slog.read_frame(a)  # the same entry: nothing added
+        assert slog.resident_bytes() == a.size
+        slog.read_frame(b)  # a record miss caches the batch, charged once
         slog.read_frame_batch(c)
-        assert slog.resident_bytes() == 2 * a.size + 2 * b.size + c.size
+        assert slog.resident_bytes() == a.size + b.size + c.size
         assert slog.stats()["resident_bytes"] == slog.resident_bytes()
 
     def test_shrink_evicts_strictly_least_recently_used(self, slog):
         a, b, c = slog.frames[:3]
-        slog.read_frame(a)  # two forms: the old policy dropped records first
+        slog.read_frame(a)
         slog.read_frame_batch(b)
         slog.read_frame_batch(c)
-        slog.read_frame_batch(a)  # a is now the most recent
-        dropped = slog.shrink_cache(2 * a.size + c.size)
+        slog.read_frame(a)  # a is now the most recent
+        dropped = slog.shrink_cache(a.size + c.size)
         assert dropped == 1 and slog.stats()["evictions"] == 1
-        assert slog.resident_bytes() == 2 * a.size + c.size
+        assert slog.resident_bytes() == a.size + c.size
         misses = slog.stats()["misses"]
         slog.read_frame(a), slog.read_frame_batch(c)  # both survived
         assert slog.stats()["misses"] == misses
@@ -156,10 +165,10 @@ class TestAccounting:
 
     def test_capacity_eviction_counts_one_per_frame(self, slog):
         for frame in slog.frames[:6]:
-            slog.read_frame(frame)  # every entry holds two forms
+            slog.read_frame(frame)
         stats = slog.stats()
         assert stats["evictions"] == 2 and slog.cached_frames() == 4
-        assert stats["resident_bytes"] == 2 * sum(f.size for f in slog.frames[2:6])
+        assert stats["resident_bytes"] == sum(f.size for f in slog.frames[2:6])
 
     @pytest.mark.parametrize("kind", ["interval", "slog"])
     def test_both_reader_kinds_share_stats_keys_and_honour_a_governor(
@@ -188,15 +197,14 @@ class TestGovernor:
         assert governor.calls == [("reserve", a.size), ("commit", a.size)]
         slog.read_frame_batch(a)
         assert len(governor.calls) == 2  # hit: not consulted
-        slog.read_frame(b)  # miss that materialises both forms: one call pair
-        assert governor.calls[2:] == [("reserve", 2 * b.size), ("commit", 2 * b.size)]
+        slog.read_frame(b)  # a record miss: one call pair for the batch
+        assert governor.calls[2:] == [("reserve", b.size), ("commit", b.size)]
         slog.read_frame(b), slog.read_frame_batch(b)
         assert len(governor.calls) == 4
-        # Records beside a resident batch add bytes without a decode: the
-        # counters say hit, the governor is still asked for exactly those bytes.
+        # Records from a resident batch add no bytes: a hit, no governor.
         hits = slog.stats()["hits"]
         slog.read_frame(a)
-        assert governor.calls[4:] == [("reserve", a.size), ("commit", a.size)]
+        assert len(governor.calls) == 4
         assert slog.stats()["hits"] == hits + 1 and slog.stats()["misses"] == 2
 
     def test_commit_follows_a_failed_decode(self, tmp_path, corpus):
@@ -228,7 +236,7 @@ class TestGovernor:
         worker.join(timeout=20)
         assert done.is_set(), "reserve() deadlocked against the store lock"
         last = slog.frames[-1]
-        assert slog.resident_bytes() == 2 * last.size  # only the newest survives
+        assert slog.resident_bytes() == last.size  # only the newest survives
 
 
 def _decodes(reader, frame) -> bool:

@@ -19,6 +19,7 @@ from repro.tracing.events import RawEvent, dispatch_event
 from repro.tracing.hooks import HookId
 from repro.tracing.rawfile import RawFileHeader, RawTraceReader, RawTraceWriter
 from repro.utils.slog import SlogFile, SlogWriter
+from tests.conftest import byte_source
 
 PROFILE = standard_profile()
 
@@ -143,7 +144,9 @@ def test_streaming_interval_reader_never_crashes(artifacts, flips):
     path.write_bytes(corrupt(artifacts["interval"], flips))
     for mode in STREAMING_MODES:
         try:
-            with IntervalReader(path, PROFILE, mode=mode) as reader:
+            with byte_source(mode, path) as src, IntervalReader(
+                path, PROFILE, source=src
+            ) as reader:
                 for _ in reader.intervals():
                     pass
                 reader.totals()
@@ -158,7 +161,7 @@ def test_streaming_raw_reader_never_crashes(artifacts, flips):
     path.write_bytes(corrupt(artifacts["raw"], flips))
     for mode in STREAMING_MODES:
         try:
-            with RawTraceReader(path, mode=mode) as reader:
+            with byte_source(mode, path) as src, RawTraceReader(path, source=src) as reader:
                 for _ in reader:
                     pass
         except ReproError:
@@ -172,7 +175,7 @@ def test_streaming_slog_reader_never_crashes(artifacts, flips):
     path.write_bytes(corrupt(artifacts["slog"], flips))
     for mode in STREAMING_MODES:
         try:
-            with SlogFile(path, mode=mode) as slog:
+            with byte_source(mode, path) as src, SlogFile(path, source=src) as slog:
                 slog.records()
                 slog.preview_matrix()
         except ReproError:
@@ -306,7 +309,7 @@ def test_wrap_trace_truncated_final_record_raises_formaterror(tmp_path, mode):
         torn = tmp_path / f"torn-{cut}.raw"
         torn.write_bytes(data[:cut])
         with pytest.raises(FormatError, match="truncated event"):
-            with RawTraceReader(torn, mode=mode) as reader:
+            with byte_source(mode, torn) as src, RawTraceReader(torn, source=src) as reader:
                 for _ in reader:
                     pass
 
@@ -314,6 +317,6 @@ def test_wrap_trace_truncated_final_record_raises_formaterror(tmp_path, mode):
 @pytest.mark.parametrize("mode", ["memory", *STREAMING_MODES])
 def test_intact_wrap_trace_still_reads(tmp_path, mode):
     path = _wrap_trace(tmp_path)
-    with RawTraceReader(path, mode=mode) as reader:
+    with RawTraceReader(path, source=byte_source(mode, path)) as reader:
         events = reader.events()
     assert events  # the surviving window reads cleanly

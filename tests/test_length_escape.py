@@ -27,6 +27,7 @@ from repro.tracing.hooks import HookId, MPI_FN_IDS, hook_for_mpi_begin, hook_for
 from repro.tracing.rawfile import RawFileHeader, RawTraceWriter
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
+from tests.conftest import SOURCE_KINDS, byte_source
 
 #: Fixed body bytes of the test profile's record: the six common fields
 #: (4 + 8 + 8 + 2 + 2 + 2) plus the label vector's 2-byte counter.
@@ -102,7 +103,7 @@ class TestRecordBoundary:
         assert consumed == len(blob)
         assert decoded == record
 
-    @pytest.mark.parametrize("mode", ["memory", "mmap", "file"])
+    @pytest.mark.parametrize("mode", SOURCE_KINDS)
     def test_interval_file_roundtrip(self, tmp_path, mode):
         profile = boundary_profile()
         records = [self._record(body, i) for i, body in enumerate(self.BODIES)]
@@ -113,7 +114,7 @@ class TestRecordBoundary:
         ) as writer:
             for record in records:
                 writer.write(record)
-        with IntervalReader(path, profile, mode=mode) as reader:
+        with IntervalReader(path, profile, source=byte_source(mode, path)) as reader:
             assert list(reader.intervals()) == records
 
 

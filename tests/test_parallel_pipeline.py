@@ -1,9 +1,7 @@
-"""Parallel convert / merge determinism and the merge CLI's input checks.
+"""Merge determinism and the merge CLI's input checks.
 
-The contract of ``ute-convert --jobs`` is strong: output files are
-byte-identical to the serial pass, for any job count, on every run.  The
-merge is serial and just as deterministic — records with equal adjusted
-end times order by (input-file index, record ordinal).
+The merge is serial and deterministic — records with equal adjusted end
+times order by (input-file index, record ordinal).
 """
 
 import pytest
@@ -30,41 +28,6 @@ def traced_run(tmp_path_factory):
     run = run_synthetic(out, SyntheticConfig(rounds=12))
     assert len(run.raw_paths) > 1
     return run
-
-
-class TestParallelConvert:
-    def test_jobs_output_byte_identical(self, traced_run, tmp_path):
-        serial = convert_traces(traced_run.raw_paths, tmp_path / "serial", jobs=1)
-        for jobs in (2, 8):
-            parallel = convert_traces(
-                traced_run.raw_paths, tmp_path / f"jobs{jobs}", jobs=jobs
-            )
-            assert [p.name for p in parallel.interval_paths] == [
-                p.name for p in serial.interval_paths
-            ]
-            for a, b in zip(serial.interval_paths, parallel.interval_paths):
-                assert a.read_bytes() == b.read_bytes(), a.name
-            assert parallel.marker_table == serial.marker_table
-            assert parallel.events_processed == serial.events_processed
-            assert parallel.records_written == serial.records_written
-
-    def test_jobs_profile_identical(self, traced_run, tmp_path):
-        serial = convert_traces(traced_run.raw_paths, tmp_path / "s", jobs=1)
-        parallel = convert_traces(traced_run.raw_paths, tmp_path / "p", jobs=3)
-        assert serial.profile_path.read_bytes() == parallel.profile_path.read_bytes()
-
-    def test_cli_jobs_flag(self, traced_run, tmp_path, capsys):
-        from repro.cli import main_convert
-
-        raw = [str(p) for p in traced_run.raw_paths]
-        assert main_convert(raw + ["-o", str(tmp_path / "cli-s")]) == 0
-        assert main_convert(raw + ["-o", str(tmp_path / "cli-p"), "--jobs", "2"]) == 0
-        capsys.readouterr()
-        serial_files = sorted((tmp_path / "cli-s").glob("*.ute"))
-        parallel_files = sorted((tmp_path / "cli-p").glob("*.ute"))
-        assert [p.name for p in serial_files] == [p.name for p in parallel_files]
-        for a, b in zip(serial_files, parallel_files):
-            assert a.read_bytes() == b.read_bytes()
 
 
 class TestMergeDeterminism:

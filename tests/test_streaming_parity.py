@@ -14,6 +14,7 @@ from repro.core.reader import IntervalFileHandle, get_interval
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.utils.slog import SlogFile, SlogWriter
+from tests.conftest import byte_source
 
 PROFILE = standard_profile()
 STREAMING_MODES = ("mmap", "file")
@@ -76,7 +77,7 @@ def test_streaming_reader_matches_memory_reader(workdir, raw):
     in-memory path."""
     records = build_records(raw)
     path = write_interval_file(workdir, records)
-    with IntervalReader(path, PROFILE, mode="memory") as baseline:
+    with IntervalReader(path, PROFILE, source=byte_source("memory", path)) as baseline:
         # The baseline is the per-record reference decoder, so this is not
         # the store's batch decode compared with itself.
         want_records = [
@@ -89,7 +90,7 @@ def test_streaming_reader_matches_memory_reader(workdir, raw):
         want_totals = baseline.totals()
     assert len(want_records) == len(records)
     for mode in STREAMING_MODES:
-        with IntervalReader(path, PROFILE, mode=mode) as reader:
+        with IntervalReader(path, PROFILE, source=byte_source(mode, path)) as reader:
             assert list(reader.intervals()) == want_records
             assert [
                 (d.offset, d.prev_offset, d.next_offset, tuple(d.frames))
@@ -107,7 +108,7 @@ def test_simple_api_byte_stream_parity(workdir, raw):
     path = write_interval_file(workdir, build_records(raw))
 
     def raw_stream(mode):
-        with IntervalReader(path, PROFILE, mode=mode) as reader:
+        with IntervalReader(path, PROFILE, source=byte_source(mode, path)) as reader:
             handle = IntervalFileHandle(reader, list(reader.frames()))
             out = []
             while (blob := get_interval(handle)) is not None:
@@ -132,7 +133,7 @@ def test_slog_streaming_parity(workdir):
     for record in records:
         writer.write(record)
     writer.close()
-    with SlogFile(path, mode="memory") as baseline:
+    with SlogFile(path, source=byte_source("memory", path)) as baseline:
         want = [
             r for f in baseline.frames for r in baseline.reference_frame(f)
         ]
@@ -140,7 +141,7 @@ def test_slog_streaming_parity(workdir):
         _, want_matrix = baseline.preview_matrix()
     assert want == records
     for mode in STREAMING_MODES:
-        with SlogFile(path, mode=mode) as slog:
+        with SlogFile(path, source=byte_source(mode, path)) as slog:
             assert slog.frames == want_frames
             assert slog.records() == want
             _, matrix = slog.preview_matrix()
@@ -152,7 +153,7 @@ def test_frame_cache_hits_skip_fetches(workdir):
         [(IntervalType.RUNNING, i * 100, 50, 0) for i in range(300)]
     )
     path = write_interval_file(workdir, records, frame_bytes=1024)
-    with IntervalReader(path, PROFILE, mode="file") as reader:
+    with IntervalReader(path, PROFILE, source=byte_source("file", path)) as reader:
         frames = list(reader.frames())
         assert len(frames) > 2
         first = reader.read_frame(frames[0])
@@ -163,7 +164,9 @@ def test_frame_cache_hits_skip_fetches(workdir):
         assert reader.stats()["hits"] == 1
 
         # Eviction: touch more frames than the cache holds, then re-read.
-        small = IntervalReader(path, PROFILE, mode="file", cache_frames=2)
+        small = IntervalReader(
+            path, PROFILE, source=byte_source("file", path), cache_frames=2
+        )
         for frame in frames:
             small.read_frame(frame)
         small.read_frame(frames[0])
@@ -172,7 +175,9 @@ def test_frame_cache_hits_skip_fetches(workdir):
         small.close()
 
         # cache_frames=0 disables caching entirely.
-        uncached = IntervalReader(path, PROFILE, mode="file", cache_frames=0)
+        uncached = IntervalReader(
+            path, PROFILE, source=byte_source("file", path), cache_frames=0
+        )
         uncached.read_frame(frames[0])
         uncached.read_frame(frames[0])
         stats = uncached.stats()

@@ -1,5 +1,7 @@
 """Tests for the interval-file validator and its CLI."""
 
+import struct
+
 import pytest
 
 from repro.core import IntervalFileWriter, standard_profile
@@ -113,6 +115,60 @@ class TestViolations:
         path.write_bytes(b"not an interval file at all")
         report = validate_interval_file(path, PROFILE)
         assert not report.ok
+
+
+class TestDamagedFrames:
+    """The structure pass reads each frame's batch, the record pass its
+    records: messages, and their order, are what a reader of either form
+    would report."""
+
+    def _tamper(self, path, frame_index, field_offset, delta):
+        """Add ``delta`` to one u64/u32 field of one directory entry."""
+        from repro.core.reader import IntervalReader
+
+        with IntervalReader(path, PROFILE) as reader:
+            (directory,) = list(reader.directories())
+        at = directory.offset + 24 + 40 * frame_index + field_offset
+        data = bytearray(path.read_bytes())
+        fmt = "<I" if field_offset == 16 else "<Q"
+        (value,) = struct.unpack_from(fmt, data, at)
+        struct.pack_into(fmt, data, at, value + delta)
+        path.write_bytes(bytes(data))
+
+    def test_count_and_time_range_mismatches_in_order(self, tmp_path):
+        from repro.core.reader import IntervalReader
+
+        path = write(tmp_path / "d.ute", [rec(start=i * 20) for i in range(40)])
+        with IntervalReader(path, PROFILE) as reader:
+            f0, f1, f2 = list(reader.frames())[:3]
+        self._tamper(path, 1, 16, 1)  # n_records: one more than the frame holds
+        self._tamper(path, 2, 24, -5)  # start_time: earlier than any record
+        report = validate_interval_file(path, PROFILE)
+        count = (
+            f"{path}: frame at {f1.offset}: decoded {f1.n_records} records, "
+            f"directory says {f1.n_records + 1}"
+        )
+        assert report.errors == [
+            count,
+            f"frame at {f2.offset}: time range [{f2.start_time}, {f2.end_time}] "
+            f"!= entry [{f2.start_time - 5}, {f2.end_time}]",
+            count,  # the record pass stops at the same frame
+        ]
+        assert report.warnings == []
+        assert report.frames >= 3 and report.records == f0.n_records
+
+    def test_records_materialise_once_per_frame(self, tmp_path, monkeypatch):
+        from repro.query.columnar import FrameBatch
+
+        path = write(tmp_path / "ok.ute", [rec(start=i * 20) for i in range(40)])
+        calls = []
+        original = FrameBatch.to_records
+        monkeypatch.setattr(
+            FrameBatch, "to_records", lambda self: calls.append(self.n) or original(self)
+        )
+        report = validate_interval_file(path, PROFILE)
+        assert report.ok and report.frames > 1
+        assert len(calls) == report.frames and sum(calls) == report.records == 40
 
 
 class TestCli:
