@@ -1,40 +1,13 @@
 """Command-line entry points (the pipeline of paper Figure 2).
 
-=============  =============================================================
-command        role
-=============  =============================================================
-ute-trace      run a built-in workload under tracing -> raw trace files
-ute-convert    raw trace files -> per-node interval files (+ profile);
-               --to/--from translate one trace to/from Chrome trace-event
-               JSON or OTF2-style text (repro.interop)
-ute-merge      interval files -> one merged interval file
-slogmerge      interval files -> merged interval file + SLOG
-ute-stats      interval files + table program -> TSV tables (+ SVG viewer)
-ute-preview    SLOG -> whole-run preview SVG + interesting ranges
-ute-view       SLOG -> time-space diagram SVG (or ANSI), whole run or the
-               frame containing a chosen instant
-ute-serve      SLOG -> concurrent HTTP daemon (API + lazy web viewer)
-ute-recover    damaged .ute/.slog/raw trace -> clean validated file + report
-ute-query      interval/SLOG (+ .uteidx sidecar) -> pruned, filtered scans;
-               --build-index writes the sidecar
-ute-diff       two trace artifacts -> semantic record-by-record divergence
-               report (exit 0 identical / 1 divergent / 2 usage)
-ute-oracle     trace artifacts -> pipeline-consistency findings (every
-               equivalent read-path pair must agree)
-ute-tail       live trace (TRACE.live/ container or a ute-serve /follow
-               stream) -> one line per published epoch until finalization;
-               --out re-emits the followed records for ute-diff
-
-=============  =============================================================
-
-Each ``main_*`` function doubles as a console-script entry point and a
-library helper (pass ``argv`` explicitly in tests).
-
-Every entry point validates its input paths up front, and runs under one
-guard (:func:`_entry`): a missing or unreadable file, a file that is not a
-trace, a malformed option value — any :class:`~repro.errors.ReproError` or
-``OSError`` — produces a one-line ``prog: error: ...`` on stderr and exit
-status 2, never a traceback.
+Every console script is one :class:`Command` row of :data:`COMMANDS`: its
+own arguments, the shared groups it takes from :data:`_GROUPS`, its input
+and output paths, and the local input ``--server`` replaces.  Its ``main_*``
+function (pass ``argv`` explicitly in tests) parses, runs
+:meth:`Command.check` — the one up-front contract — then the handler.  Any
+:class:`~repro.errors.ReproError` or ``OSError`` (a missing file, a file
+that is not a trace, a malformed option value) is one ``prog: error: ...``
+line on stderr and exit status 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -44,6 +17,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.profilefmt import Profile, standard_profile
@@ -55,47 +30,51 @@ class _Usage(ReproError):
     """A command-line mistake the argument parser cannot see."""
 
 
-def _entry(prog: str):
-    """The guard every ``main_*`` runs under: an uncaught
-    :class:`ReproError` (a :class:`_Usage`, a file that is not a trace, a
-    bad window …) or ``OSError`` becomes ``prog: error: <message>`` on
-    stderr and exit status 2."""
-
-    def wrap(body):
-        @functools.wraps(body)
-        def main(argv: list[str] | None = None) -> int:
-            try:
-                return body(argv)
-            except (ReproError, OSError) as exc:
-                print(f"{prog}: error: {exc}", file=sys.stderr)
-                return 2
-
-        return main
-
-    return wrap
+def _arg(*flags: str, **options):
+    """One ``add_argument`` call, as data."""
+    return flags, options
 
 
-def _profile_for(args) -> Profile:
-    if getattr(args, "profile", None):
-        return Profile.read(args.profile)
-    return standard_profile()
+#: The argument groups several commands share, by the name a row asks for.
+#: ``profile`` also makes the ``--profile`` path an input of the row.
+_GROUPS = {
+    "profile": [_arg("--profile", default=None, help="profile file for .ute "
+                     "inputs (default: the standard profile)")],
+    "window": [_arg("--window", default=None, metavar="T0:T1", help="only this "
+                    "time window, in seconds (either side may be empty); frames "
+                    "outside it are pruned via the sidecar index")],
+    "server": [_arg("--server", default=None, metavar="URL", help="ask a "
+                    "running ute-serve instead of reading a local trace"),
+               _arg("--dataset", default=None, metavar="NAME", help="dataset "
+                    "on the server (default: the server's default dataset)")],
+    "json": [_arg("--json", action="store_true", help="print the result as JSON")],
+    "errors": [_arg("--errors", default="strict", choices=["strict", "salvage"],
+                    help="on a damaged input, stop at the first defect "
+                    "(strict) or skip and count it (salvage)")],
+    "frame_bytes": [_arg("--frame-bytes", type=int, default=32 * 1024,
+                         help="target size of each written frame, in bytes")],
+}
 
 
-def _check_inputs(*paths) -> None:
-    """Refuse the first input path that is not a readable, non-empty file
-    (``None`` entries — options not given — are skipped)."""
-    for name in paths:
-        if name is None:
-            continue
-        path = Path(name)
-        if path.is_dir():
-            raise _Usage(f"input path is a directory: {name}")
-        if not path.exists():
-            raise _Usage(f"input file not found: {name}")
-        if not os.access(path, os.R_OK):
-            raise _Usage(f"input file not readable: {name}")
-        if path.stat().st_size == 0:
-            raise _Usage(f"input file is empty: {name}")
+def _unless(dest: str, *flags: str):
+    """A path spec: the path in ``dest``, unless one of ``flags`` is set
+    (then the command does not use it)."""
+    return lambda args: (
+        None if any(getattr(args, flag) for flag in flags) else getattr(args, dest)
+    )
+
+
+def _check_input(name) -> None:
+    """Refuse an input path that is not a readable, non-empty file."""
+    path = Path(name)
+    if path.is_dir():
+        raise _Usage(f"input path is a directory: {name}")
+    if not path.exists():
+        raise _Usage(f"input file not found: {name}")
+    if not os.access(path, os.R_OK):
+        raise _Usage(f"input file not readable: {name}")
+    if path.stat().st_size == 0:
+        raise _Usage(f"input file is empty: {name}")
 
 
 def _check_output(out) -> None:
@@ -111,9 +90,81 @@ def _check_output(out) -> None:
         raise _Usage(f"output directory not writable: {probe}")
 
 
-def _add_window(parser: argparse.ArgumentParser, help: str) -> None:
-    """``--window T0:T1``, read back with :func:`_window_arg`."""
-    parser.add_argument("--window", default=None, metavar="T0:T1", help=help)
+@dataclass(frozen=True)
+class Command:
+    """One console script; calling the row runs it.
+
+    ``arguments`` are ``_arg`` tuples, or zero-argument functions returning
+    some (a row can take choices from a module it must not import up front).
+    ``inputs`` and ``outputs`` are path specs: an argument's dest, or a
+    function of the parsed arguments returning a path, a list of paths, or
+    ``None``.  ``local`` is the dest of the input ``--server`` replaces.
+    """
+
+    name: str
+    description: str
+    arguments: tuple
+    handler: Callable[[argparse.Namespace], int]
+    groups: tuple[str, ...] = ()
+    inputs: tuple = ()
+    outputs: tuple = ()
+    local: str | None = None
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(self.name, description=self.description)
+        own = [a for spec in self.arguments
+               for a in (spec() if callable(spec) else (spec,))]
+        for flags, options in (*own, *(a for g in self.groups for a in _GROUPS[g])):
+            parser.add_argument(*flags, **options)
+        return parser
+
+    def check(self, args: argparse.Namespace) -> None:
+        if self.local and bool(getattr(args, self.local)) == (args.server is not None):
+            raise _Usage(f"pass exactly one of {self.local} or --server URL")
+        inputs = self.inputs + (("profile",) if "profile" in self.groups else ())
+        for specs, check in ((inputs, _check_input), (self.outputs, _check_output)):
+            for spec in specs:
+                value = spec(args) if callable(spec) else getattr(args, spec)
+                for path in value if isinstance(value, list) else [value]:
+                    if path is not None:
+                        check(path)
+
+    def __call__(self, argv: list[str] | None = None) -> int:
+        """Parse, :meth:`check`, run the handler; an uncaught ReproError or
+        OSError is ``name: error: <message>`` and exit status 2."""
+        try:
+            args = self.parser().parse_args(argv)
+            self.check(args)
+            return self.handler(args)
+        except (ReproError, OSError) as exc:
+            print(f"{self.name}: error: {exc}", file=sys.stderr)
+            return 2
+
+
+#: Every console script, by name (``pyproject.toml [project.scripts]``).
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, description: str, *arguments, **row):
+    """Register the decorated ``handler(args)`` as the console script
+    ``name``; return its ``main(argv)``, a function named after the handler."""
+
+    def register(handler):
+        command = COMMANDS[name] = Command(name, description, arguments, handler, **row)
+
+        @functools.wraps(handler)
+        def main(argv: list[str] | None = None) -> int:
+            return command(argv)
+
+        return main
+
+    return register
+
+
+def _profile_for(args) -> Profile:
+    if getattr(args, "profile", None):
+        return Profile.read(args.profile)
+    return standard_profile()
 
 
 def _window_arg(args) -> tuple[float | None, float | None] | None:
@@ -121,15 +172,11 @@ def _window_arg(args) -> tuple[float | None, float | None] | None:
     return parse_window(args.window) if args.window else None
 
 
-def _add_server(
-    parser: argparse.ArgumentParser,
-    server_help: str,
-    dataset_help: str = "dataset name on the server (default: the "
-    "server's default dataset)",
-) -> None:
-    """``--server URL`` + ``--dataset NAME``: the remote mode."""
-    parser.add_argument("--server", default=None, metavar="URL", help=server_help)
-    parser.add_argument("--dataset", default=None, metavar="NAME", help=dataset_help)
+def _at_least(args, dest: str, low: int) -> None:
+    """Refuse a count option below ``low`` (``None``: not given)."""
+    value = getattr(args, dest)
+    if value is not None and value < low:
+        raise _Usage(f"--{dest} must be at least {low}, not {value}")
 
 
 def _print_report(args, doc, summary: str) -> None:
@@ -151,44 +198,31 @@ def _resolve_type(text: str, profile: Profile) -> int:
     raise _Usage(f"unknown interval type {text!r}")
 
 
-@_entry("ute-trace")
-def main_trace(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-trace", "Trace a built-in workload on the simulated cluster.",
+    _arg("workload",
+         choices=["pingpong", "stencil", "sppm", "flash", "synthetic", "ioheavy"]),
+    _arg("-o", "--out", default="trace-out", help="output directory"),
+    _arg("--rounds", type=int, default=None, help="synthetic rounds"),
+    _arg("--iterations", type=int, default=None),
+    _arg("--live", default=None, metavar="TRACE",
+         help="additionally replay the run through the live pipeline: "
+         "convert+merge, then stream the records into TRACE's live "
+         "container paced over --live-duration seconds (follow it with "
+         "ute-tail or a ute-serve /follow endpoint); TRACE is assembled "
+         "as an ordinary trace when the replay finishes"),
+    _arg("--live-duration", type=float, default=2.0, metavar="S",
+         help="wall-clock seconds the live replay is paced over"),
+    _arg("--live-interval", type=float, default=0.1, metavar="S",
+         help="seconds between published live epochs"),
+    _arg("--live-flavor", choices=["slog", "interval"], default="slog",
+         help="format of the assembled trace (and the live frames)"),
+    outputs=("out", "live"),
+)
+def main_trace(args) -> int:
     """Run a built-in workload under tracing."""
-    parser = argparse.ArgumentParser(
-        "ute-trace", description="Trace a built-in workload on the simulated cluster."
-    )
-    parser.add_argument(
-        "workload",
-        choices=["pingpong", "stencil", "sppm", "flash", "synthetic", "ioheavy"],
-    )
-    parser.add_argument("-o", "--out", default="trace-out", help="output directory")
-    parser.add_argument("--rounds", type=int, default=None, help="synthetic rounds")
-    parser.add_argument("--iterations", type=int, default=None)
-    parser.add_argument(
-        "--live", default=None, metavar="TRACE",
-        help="additionally replay the run through the live pipeline: "
-        "convert+merge, then stream the records into TRACE's live "
-        "container paced over --live-duration seconds (follow it with "
-        "ute-tail or a ute-serve /follow endpoint); TRACE is assembled "
-        "as an ordinary trace when the replay finishes",
-    )
-    parser.add_argument(
-        "--live-duration", type=float, default=2.0, metavar="S",
-        help="wall-clock seconds the live replay is paced over",
-    )
-    parser.add_argument(
-        "--live-interval", type=float, default=0.1, metavar="S",
-        help="seconds between published live epochs",
-    )
-    parser.add_argument(
-        "--live-flavor", choices=["slog", "interval"], default="slog",
-        help="format of the assembled trace (and the live frames)",
-    )
-    args = parser.parse_args(argv)
-    if args.live is not None:
-        _check_output(args.live)
-        if Path(args.live).exists():
-            raise _Usage(f"--live target already exists: {args.live}")
+    if args.live is not None and Path(args.live).exists():
+        raise _Usage(f"--live target already exists: {args.live}")
 
     from repro.workloads import (
         run_flash,
@@ -290,52 +324,35 @@ def _convert_import(args) -> int:
     return 0
 
 
-@_entry("ute-convert")
-def main_convert(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-convert",
+    "Convert raw event traces to interval files, or translate traces "
+    "to/from foreign formats.",
+    _arg("raw", nargs="+",
+         help="raw trace files (one per node); with --to/--from, exactly one "
+         "trace or foreign-format file"),
+    _arg("-o", "--out", default=None,
+         help="output directory (default: intervals); with --to/--from, the "
+         "output file (required)"),
+    _arg("--to", dest="to_fmt", default=None, choices=["chrome-json", "otf2-text"],
+         help="export one .ute/.slog file to a foreign format"),
+    _arg("--from", dest="from_fmt", default=None,
+         choices=["chrome-json", "otf2-text"],
+         help="import one foreign-format file into a .ute interval file"),
+    groups=("frame_bytes", "errors", "profile"),
+    inputs=("raw",),
+    outputs=("out",),
+)
+def main_convert(args) -> int:
     """Convert raw trace files into interval files, or translate one trace
     to/from a foreign format (``--to`` / ``--from``)."""
-    parser = argparse.ArgumentParser(
-        "ute-convert",
-        description="Convert raw event traces to interval files, or "
-        "translate traces to/from foreign formats.",
-    )
-    parser.add_argument(
-        "raw", nargs="+",
-        help="raw trace files (one per node); with --to/--from, exactly one "
-        "trace or foreign-format file",
-    )
-    parser.add_argument(
-        "-o", "--out", default=None,
-        help="output directory (default: intervals); with --to/--from, the "
-        "output file (required)",
-    )
-    parser.add_argument("--frame-bytes", type=int, default=32 * 1024)
-    parser.add_argument(
-        "--to", dest="to_fmt", default=None,
-        choices=["chrome-json", "otf2-text"],
-        help="export one .ute/.slog file to a foreign format",
-    )
-    parser.add_argument(
-        "--from", dest="from_fmt", default=None,
-        choices=["chrome-json", "otf2-text"],
-        help="import one foreign-format file into a .ute interval file",
-    )
-    parser.add_argument(
-        "--errors", default="strict", choices=["strict", "salvage"],
-        help="--from only: fail on the first defect, or skip-and-count",
-    )
-    parser.add_argument("--profile", default=None, help="profile file (default: standard)")
-    args = parser.parse_args(argv)
-
     if args.to_fmt and args.from_fmt:
         raise _Usage("--to and --from are mutually exclusive")
-    _check_inputs(*args.raw)
     if args.to_fmt or args.from_fmt:
         if len(args.raw) != 1:
             raise _Usage("--to/--from converts exactly one input file")
         if args.out is None:
             raise _Usage("--to/--from needs an explicit -o OUTPUT file")
-        _check_output(args.out)
         if args.to_fmt:
             return _convert_export(args)
         return _convert_import(args)
@@ -354,93 +371,61 @@ def main_convert(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _merge_args(prog: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog, description="Merge per-node interval files into one."
-    )
-    parser.add_argument("intervals", nargs="+", help="per-node interval files")
-    parser.add_argument("-o", "--out", default="merged.ute")
-    parser.add_argument("--profile", default=None, help="profile file (default: standard)")
-    parser.add_argument(
-        "--sync",
-        default="rms_segment",
-        choices=["rms_segment", "rms_anchored", "last_slope", "piecewise"],
-        help="clock-ratio estimator",
-    )
-    parser.add_argument("--frame-bytes", type=int, default=32 * 1024)
-    parser.add_argument(
-        "--threads",
-        default=None,
-        choices=[None, "mpi", "user", "system"],
-        help="merge only this thread category",
-    )
-    return parser
+#: What ``ute-merge`` and ``slogmerge`` share.
+_MERGE_ARGUMENTS = (
+    _arg("intervals", nargs="+", help="per-node interval files"),
+    _arg("-o", "--out", default="merged.ute"),
+    _arg("--sync", default="rms_segment",
+         choices=["rms_segment", "rms_anchored", "last_slope", "piecewise"],
+         help="clock-ratio estimator"),
+    _arg("--threads", default=None, choices=["mpi", "user", "system"],
+         help="merge only this thread category"),
+)
+_MERGE_ROW = dict(groups=("profile", "frame_bytes"), inputs=("intervals",))
 
 
-def _run_merge(args, slog_path):
+def _merge(args, slog_path):
+    """``ute-merge`` / ``slogmerge``.  A profile file swept in by a glob
+    (``ivl/*.ute`` includes the convert output's ``profile.ute``) is not an
+    error: it is pulled out of the interval list and, unless ``--profile``
+    names another file, used as the profile.  A file listed twice is."""
+    from repro.core.profilefmt import MAGIC as PROFILE_MAGIC
     from repro.core.threadtable import THREAD_TYPE_MPI, THREAD_TYPE_SYSTEM, THREAD_TYPE_USER
     from repro.utils.merge import merge_interval_files
 
-    types = None
-    if args.threads:
-        types = {
-            "mpi": {THREAD_TYPE_MPI},
-            "user": {THREAD_TYPE_USER},
-            "system": {THREAD_TYPE_SYSTEM},
-        }[args.threads]
-    return merge_interval_files(
-        args.intervals,
-        args.out,
-        _profile_for(args),
-        sync_mode=args.sync,
-        frame_bytes=args.frame_bytes,
-        slog_path=slog_path,
-        thread_types=types,
-    )
-
-
-def _check_merge_inputs(parser: argparse.ArgumentParser, args) -> None:
-    """Reject degenerate input lists with a one-line parser error.
-
-    A profile file swept in by a glob (``ivl/*.ute`` includes the convert
-    output's ``profile.ute``) is not an error: it is pulled out of the
-    interval list and, unless ``--profile`` was given, used as the profile.
-    """
-    from repro.core.profilefmt import MAGIC as PROFILE_MAGIC
-
-    if not args.intervals:
-        parser.error("no input files to merge")
     seen: set[Path] = set()
     intervals: list[str] = []
     for name in args.intervals:
         resolved = Path(name).resolve()
         if resolved in seen:
-            parser.error(f"duplicate input file: {name}")
+            raise _Usage(f"duplicate input file: {name}")
         seen.add(resolved)
-        try:
-            with open(name, "rb") as handle:
-                is_profile = handle.read(8) == PROFILE_MAGIC
-        except OSError:
-            is_profile = False  # let the reader produce its usual error
-        if is_profile:
-            if args.profile and Path(args.profile).resolve() != resolved:
-                parser.error(f"conflicting profile files: {args.profile} and {name}")
-            args.profile = name
-        else:
+        with open(name, "rb") as handle:
+            is_profile = handle.read(8) == PROFILE_MAGIC
+        if not is_profile:
             intervals.append(name)
+        elif args.profile and Path(args.profile).resolve() != resolved:
+            raise _Usage(f"conflicting profile files: {args.profile} and {name}")
+        else:
+            args.profile = name
     if not intervals:
-        parser.error("no input files to merge")
-    args.intervals = intervals
+        raise _Usage("no input files to merge")
+    kinds = {"mpi": THREAD_TYPE_MPI, "user": THREAD_TYPE_USER,
+             "system": THREAD_TYPE_SYSTEM}
+    return merge_interval_files(
+        intervals, args.out, _profile_for(args), sync_mode=args.sync,
+        frame_bytes=args.frame_bytes, slog_path=slog_path,
+        thread_types={kinds[args.threads]} if args.threads else None,
+    )
 
 
-@_entry("ute-merge")
-def main_merge(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-merge", "Merge per-node interval files into one.", *_MERGE_ARGUMENTS,
+    outputs=("out",), **_MERGE_ROW,
+)
+def main_merge(args) -> int:
     """Merge interval files (no SLOG)."""
-    parser = _merge_args("ute-merge")
-    args = parser.parse_args(argv)
-    _check_merge_inputs(parser, args)
-    _check_inputs(*args.intervals, args.profile)
-    result = _run_merge(args, None)
+    result = _merge(args, None)
     print(result.merged_path)
     print(
         f"{result.files_in} files -> {result.records_out} records "
@@ -450,15 +435,14 @@ def main_merge(argv: list[str] | None = None) -> int:
     return 0
 
 
-@_entry("slogmerge")
-def main_slogmerge(argv: list[str] | None = None) -> int:
+@_command(
+    "slogmerge", "Merge per-node interval files into one, and write it as SLOG.",
+    *_MERGE_ARGUMENTS, _arg("--slog", default="out.slog"),
+    outputs=("out", "slog"), **_MERGE_ROW,
+)
+def main_slogmerge(args) -> int:
     """Merge interval files and also emit SLOG (the slogmerge of Table 1)."""
-    parser = _merge_args("slogmerge")
-    parser.add_argument("--slog", default="out.slog")
-    args = parser.parse_args(argv)
-    _check_merge_inputs(parser, args)
-    _check_inputs(*args.intervals, args.profile)
-    result = _run_merge(args, args.slog)
+    result = _merge(args, args.slog)
     print(result.merged_path)
     print(result.slog_path)
     return 0
@@ -501,8 +485,6 @@ def _remote_stats(args) -> int:
     repository's ``/api/.../stats`` endpoint."""
     if not args.program:
         raise _Usage("--server requires --program (a statlang table file)")
-    if args.intervals:
-        raise _Usage("local interval files cannot be combined with --server")
     if args.svg:
         raise _Usage("--svg is not available with --server")
     program = Path(args.program).read_text()
@@ -521,32 +503,23 @@ def _remote_stats(args) -> int:
     return 0
 
 
-@_entry("ute-stats")
-def main_stats(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-stats",
+    "Generate statistics tables from interval files (with --json: print "
+    "them, plus per-file read accounting, instead of writing TSV files).",
+    _arg("intervals", nargs="*"),
+    _arg("--program", default=None, help="table program file"),
+    _arg("-o", "--out", default="stats", help="output directory"),
+    _arg("--svg", action="store_true", help="also render SVG viewers"),
+    groups=("profile", "server", "window", "json"),
+    inputs=("intervals", "program"),
+    outputs=(_unless("out", "json", "server"),),
+    local="intervals",
+)
+def main_stats(args) -> int:
     """Generate statistics tables from interval files."""
-    parser = argparse.ArgumentParser(
-        "ute-stats", description="Generate statistics tables from interval files."
-    )
-    parser.add_argument("intervals", nargs="*")
-    parser.add_argument("--program", default=None, help="table program file")
-    _add_server(parser, "run the table program on a ute-serve repository "
-                "instead of local files")
-    parser.add_argument("--profile", default=None)
-    parser.add_argument("-o", "--out", default="stats", help="output directory")
-    parser.add_argument("--svg", action="store_true", help="also render SVG viewers")
-    _add_window(parser, "only records overlapping this window (seconds); "
-                "frames outside it are pruned via the sidecar index")
-    parser.add_argument(
-        "--json", action="store_true",
-        help="print tables plus per-file read accounting as JSON on stdout "
-        "instead of writing TSV files",
-    )
-    args = parser.parse_args(argv)
     if args.server is not None:
         return _remote_stats(args)
-    if not args.intervals:
-        raise _Usage("at least one interval file is required (or --server)")
-    _check_inputs(*args.intervals, args.program, args.profile)
 
     from repro.utils.stats import (
         generate_tables,
@@ -624,17 +597,14 @@ def _render_stats_svg(table, out: Path, profile) -> None:
         print(f"(skipping SVG for {table.name}: {exc})", file=sys.stderr)
 
 
-@_entry("ute-validate")
-def main_validate(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-validate", "Check interval files for format violations.",
+    _arg("intervals", nargs="+"),
+    groups=("profile",),
+    inputs=("intervals",),
+)
+def main_validate(args) -> int:
     """Validate interval files' structural invariants."""
-    parser = argparse.ArgumentParser(
-        "ute-validate", description="Check interval files for format violations."
-    )
-    parser.add_argument("intervals", nargs="+")
-    parser.add_argument("--profile", default=None)
-    args = parser.parse_args(argv)
-    _check_inputs(*args.intervals, args.profile)
-
     from repro.utils.validate import validate_files
 
     reports = validate_files(args.intervals, _profile_for(args))
@@ -643,60 +613,48 @@ def main_validate(argv: list[str] | None = None) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-@_entry("ute-recover")
-def main_recover(argv: list[str] | None = None) -> int:
+def _recover_out(args):
+    """``ute-recover``'s output: ``-o``, else beside the input."""
+    from repro.utils.recover import default_output_path
+
+    return args.out if args.out is not None else default_output_path(args.input)
+
+
+@_command(
+    "ute-recover",
+    "Salvage a damaged interval (.ute), SLOG (.slog), or raw trace file into "
+    "a clean file that passes validation, plus a recovery report.",
+    _arg("input", help="damaged trace file"),
+    _arg("-o", "--out", default=None,
+         help="recovered output path (default: <input>.recovered<suffix>)"),
+    groups=("profile", "frame_bytes", "json"),
+    inputs=("input",),
+    outputs=(_recover_out,),
+)
+def main_recover(args) -> int:
     """Rewrite a damaged trace file into a clean, validated one."""
-    parser = argparse.ArgumentParser(
-        "ute-recover",
-        description=(
-            "Salvage a damaged interval (.ute), SLOG (.slog), or raw trace "
-            "file into a clean file that passes validation, plus a recovery "
-            "report."
-        ),
-    )
-    parser.add_argument("input", help="damaged trace file")
-    parser.add_argument(
-        "-o",
-        "--out",
-        default=None,
-        help="recovered output path (default: <input>.recovered<suffix>)",
-    )
-    parser.add_argument(
-        "--profile", default=None, help="profile file (required for .ute inputs)"
-    )
-    parser.add_argument("--frame-bytes", type=int, default=32 * 1024)
-    parser.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    args = parser.parse_args(argv)
-    _check_inputs(args.input, args.profile)
+    from repro.utils.recover import recover_file, sniff_kind
 
-    from repro.utils.recover import default_output_path, recover_file, sniff_kind
-
-    out = args.out if args.out is not None else default_output_path(args.input)
-    _check_output(out)
     kind = sniff_kind(args.input)
     profile = _profile_for(args) if kind == "interval" else None
     report = recover_file(
-        args.input, out, profile=profile, frame_bytes=args.frame_bytes
+        args.input, _recover_out(args), profile=profile,
+        frame_bytes=args.frame_bytes,
     )
     _print_report(args, report.as_dict(), report.summary())
     return 0 if report.ok else 1
 
 
-@_entry("ute-preview")
-def main_preview(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-preview", "Whole-run preview and interesting time ranges.",
+    _arg("slog"),
+    _arg("-o", "--out", default="preview.svg"),
+    _arg("--threshold", type=float, default=0.05),
+    inputs=("slog",),
+    outputs=("out",),
+)
+def main_preview(args) -> int:
     """Render the whole-run preview from a SLOG file."""
-    parser = argparse.ArgumentParser(
-        "ute-preview", description="Whole-run preview and interesting time ranges."
-    )
-    parser.add_argument("slog")
-    parser.add_argument("-o", "--out", default="preview.svg")
-    parser.add_argument("--threshold", type=float, default=0.05)
-    args = parser.parse_args(argv)
-    _check_inputs(args.slog)
-    _check_output(args.out)
-
     from repro.viz.jumpshot import Jumpshot
 
     viewer = Jumpshot(args.slog)
@@ -706,21 +664,15 @@ def main_preview(argv: list[str] | None = None) -> int:
     return 0
 
 
-@_entry("ute-profile")
-def main_profile(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-profile", "Per-state blocking analysis: wall vs on-CPU vs blocked time.",
+    _arg("intervals", nargs="+"),
+    _arg("--include-running", action="store_true"),
+    groups=("profile", "window"),
+    inputs=("intervals",),
+)
+def main_profile(args) -> int:
     """Print the blocking call profile of interval files."""
-    parser = argparse.ArgumentParser(
-        "ute-profile",
-        description="Per-state blocking analysis: wall vs on-CPU vs blocked time.",
-    )
-    parser.add_argument("intervals", nargs="+")
-    parser.add_argument("--profile", default=None)
-    parser.add_argument("--include-running", action="store_true")
-    _add_window(parser, "profile only this window (seconds); frames outside "
-                "it are pruned via the sidecar index")
-    args = parser.parse_args(argv)
-    _check_inputs(*args.intervals, args.profile)
-
     from repro.analysis.blocking import call_profile, format_call_profile
     from repro.query import open_scan
 
@@ -739,21 +691,18 @@ def main_profile(argv: list[str] | None = None) -> int:
     return 0
 
 
-@_entry("ute-dump")
-def main_dump(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-dump", "Print trace files as human-readable text.",
+    _arg("files", nargs="+"),
+    _arg("-n", "--limit", type=int, default=None, help="max records per file"),
+    _arg("--frame", type=int, default=None,
+         help="dump only this frame ordinal (seeks, no full decode)"),
+    groups=("profile", "window"),
+    inputs=("files",),
+)
+def main_dump(args) -> int:
     """Dump any trace artifact (raw/interval/SLOG) as text."""
-    parser = argparse.ArgumentParser(
-        "ute-dump", description="Print trace files as human-readable text."
-    )
-    parser.add_argument("files", nargs="+")
-    parser.add_argument("--profile", default=None)
-    parser.add_argument("-n", "--limit", type=int, default=None,
-                        help="max records per file")
-    parser.add_argument("--frame", type=int, default=None,
-                        help="dump only this frame ordinal (seeks, no full decode)")
-    _add_window(parser, "dump only frames overlapping this window (seconds)")
-    args = parser.parse_args(argv)
-    _check_inputs(*args.files, args.profile)
+    _at_least(args, "limit", 0)
 
     from repro.utils.dump import dump_any
 
@@ -824,18 +773,21 @@ def _local_utilization(args, profile) -> dict:
     )
 
 
+def _sidecar_out(args):
+    """The sidecar ``ute-query TRACE --build-index`` writes: ``--index``,
+    else beside the trace."""
+    if not args.build_index or args.trace is None:
+        return None
+    from repro.query import index_path_for
+
+    return Path(args.index) if args.index else index_path_for(args.trace)
+
+
 def _build_index(args, profile) -> int:
     """``ute-query TRACE --build-index``: write the ``.uteidx`` sidecar."""
-    from repro.query import (
-        DEFAULT_TIME_BINS,
-        build_index,
-        index_path_for,
-        open_trace,
-        write_index,
-    )
+    from repro.query import DEFAULT_TIME_BINS, build_index, open_trace, write_index
 
-    sidecar = Path(args.index) if args.index else index_path_for(args.trace)
-    _check_output(sidecar)
+    sidecar = _sidecar_out(args)
     with open_trace(args.trace, profile, errors=args.errors) as handle:
         index = build_index(handle, n_bins=args.bins or DEFAULT_TIME_BINS)
     write_index(index, sidecar)
@@ -872,7 +824,6 @@ def _remote_query(args) -> dict:
         name for name, given in (
             ("--build-index", args.build_index), ("--no-index", args.no_index),
             ("--index", args.index), ("--errors", args.errors != "strict"),
-            ("a local trace file", args.trace),
         ) if given
     ]
     if local_only:
@@ -902,66 +853,54 @@ def _print_explain(payload: dict) -> None:
         print(f"plan:   {step['step']} -> {step['remaining']}", file=sys.stderr)
 
 
-@_entry("ute-query")
-def main_query(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-query",
+    "Indexed queries over interval/SLOG files: build a .uteidx sidecar, then "
+    "run windowed/filtered/grouped scans that decode only the frames the "
+    "index admits.",
+    _arg("trace", nargs="?", default=None,
+         help="interval (.ute) or SLOG (.slog) file (omit with --server)"),
+    _arg("--build-index", action="store_true",
+         help="build and write the sidecar index, then exit"),
+    _arg("--bins", type=int, default=None,
+         help="time bins in a built index (default 64)"),
+    _arg("--index", default=None, metavar="PATH",
+         help="sidecar path (default: <trace>.uteidx)"),
+    _arg("--no-index", action="store_true",
+         help="ignore any sidecar; force the full scan"),
+    _arg("--thread", action="append", default=[], metavar="[NODE:]TID",
+         help="thread predicate (repeatable)"),
+    _arg("--node", action="append", default=[], type=int,
+         help="node predicate (repeatable)"),
+    _arg("--type", action="append", default=[], dest="types", metavar="TYPE",
+         help="state type id or name (repeatable)"),
+    _arg("--select", default=None, metavar="COLS",
+         help="comma-separated projection (default: core fields)"),
+    _arg("--group-by", default=None, metavar="COLS",
+         help="comma-separated group-by fields"),
+    _arg("--agg", action="append", default=[], metavar="FN[:FIELD]",
+         help="aggregate column (repeatable)"),
+    _arg("--limit", type=int, default=None, help="max result rows"),
+    _arg("--utilization", action="store_true",
+         help="print busy-time aggregates from the sidecar's utilization "
+         "hierarchy instead of running a record query (honors --window, "
+         "--bins, --format)"),
+    _arg("--lane", default="thread", choices=("thread", "cpu"),
+         help="utilization lane kind (with --utilization)"),
+    _arg("--format", default="tsv", choices=["tsv", "json"]),
+    _arg("--explain", action="store_true",
+         help="print the frame plan and IO accounting on stderr"),
+    groups=("profile", "server", "window", "errors"),
+    inputs=("trace", _unless("index", "build_index")),
+    outputs=(_sidecar_out,),
+    local="trace",
+)
+def main_query(args) -> int:
     """Query a trace file through the sidecar index (or build the index)."""
-    parser = argparse.ArgumentParser(
-        "ute-query",
-        description="Indexed queries over interval/SLOG files: build a "
-        ".uteidx sidecar, then run windowed/filtered/grouped scans that "
-        "decode only the frames the index admits.",
-    )
-    parser.add_argument("trace", nargs="?", default=None,
-                        help="interval (.ute) or SLOG (.slog) file "
-                        "(omit with --server)")
-    _add_server(parser, "run the query against a running ute-serve "
-                "repository instead of a local file")
-    parser.add_argument("--profile", default=None, help="profile file for .ute inputs")
-    parser.add_argument(
-        "--build-index", action="store_true",
-        help="build and write the sidecar index, then exit",
-    )
-    parser.add_argument("--bins", type=int, default=None,
-                        help="time bins in a built index (default 64)")
-    parser.add_argument("--index", default=None, metavar="PATH",
-                        help="sidecar path (default: <trace>.uteidx)")
-    parser.add_argument("--no-index", action="store_true",
-                        help="ignore any sidecar; force the full scan")
-    _add_window(parser, "time window in seconds (either side may be empty)")
-    parser.add_argument("--thread", action="append", default=[],
-                        metavar="[NODE:]TID", help="thread predicate (repeatable)")
-    parser.add_argument("--node", action="append", default=[], type=int,
-                        help="node predicate (repeatable)")
-    parser.add_argument("--type", action="append", default=[], dest="types",
-                        metavar="TYPE", help="state type id or name (repeatable)")
-    parser.add_argument("--select", default=None, metavar="COLS",
-                        help="comma-separated projection (default: core fields)")
-    parser.add_argument("--group-by", default=None, metavar="COLS",
-                        help="comma-separated group-by fields")
-    parser.add_argument("--agg", action="append", default=[],
-                        metavar="FN[:FIELD]", help="aggregate column (repeatable)")
-    parser.add_argument("--limit", type=int, default=None, help="max result rows")
-    parser.add_argument(
-        "--utilization", action="store_true",
-        help="print busy-time aggregates from the sidecar's utilization "
-        "hierarchy instead of running a record query (honors --window, "
-        "--bins, --format)",
-    )
-    parser.add_argument("--lane", default="thread", choices=("thread", "cpu"),
-                        help="utilization lane kind (with --utilization)")
-    parser.add_argument("--format", default="tsv", choices=["tsv", "json"])
-    parser.add_argument("--explain", action="store_true",
-                        help="print the frame plan and IO accounting on stderr")
-    parser.add_argument("--errors", default="strict", choices=["strict", "salvage"])
-    args = parser.parse_args(argv)
+    _at_least(args, "bins", 1)
     if args.server is not None:
         payload = _remote_query(args)
     else:
-        if args.trace is None:
-            raise _Usage("a trace file is required (or --server)")
-        _check_inputs(
-            args.trace, args.profile, None if args.build_index else args.index
-        )
         profile = _profile_for(args)
         if args.build_index:
             if args.utilization:
@@ -988,23 +927,18 @@ def main_query(argv: list[str] | None = None) -> int:
     return 0
 
 
-@_entry("ute-report")
-def main_report(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-report", "One-file HTML report: preview, views, statistics.",
+    _arg("slog"),
+    _arg("-o", "--out", default="report.html"),
+    _arg("--title", default="Trace analysis report"),
+    _arg("--views", default="thread,processor",
+         help="comma-separated view kinds to include"),
+    inputs=("slog",),
+    outputs=("out",),
+)
+def main_report(args) -> int:
     """Build a standalone HTML analysis report from a SLOG file."""
-    parser = argparse.ArgumentParser(
-        "ute-report", description="One-file HTML report: preview, views, statistics."
-    )
-    parser.add_argument("slog")
-    parser.add_argument("-o", "--out", default="report.html")
-    parser.add_argument("--title", default="Trace analysis report")
-    parser.add_argument(
-        "--views", default="thread,processor",
-        help="comma-separated view kinds to include",
-    )
-    args = parser.parse_args(argv)
-    _check_inputs(args.slog)
-    _check_output(args.out)
-
     from repro.viz.report import build_run_report
 
     path = build_run_report(
@@ -1015,32 +949,34 @@ def main_report(argv: list[str] | None = None) -> int:
     return 0
 
 
-@_entry("ute-view")
-def main_view(argv: list[str] | None = None) -> int:
-    """Render a time-space diagram from a SLOG file."""
-    from repro.viz.ansi import render_view_ansi
-    from repro.viz.jumpshot import VIEW_KINDS, Jumpshot
+def _view_kinds() -> list:
+    """``--kind``, offering the viewer's kinds: built when ``ute-view`` runs,
+    so importing this module does not load the viewer."""
+    from repro.viz.jumpshot import VIEW_KINDS
 
-    parser = argparse.ArgumentParser(
-        "ute-view", description="Render a time-space diagram from a SLOG file."
-    )
-    parser.add_argument("slog")
-    parser.add_argument("--kind", default="thread", choices=VIEW_KINDS)
-    parser.add_argument("-o", "--out", default="view.svg")
-    parser.add_argument(
-        "--at", type=float, default=None,
-        help="instant (seconds): display the frame containing it; default whole run",
-    )
-    parser.add_argument("--ansi", action="store_true", help="print an ANSI view instead")
-    parser.add_argument(
-        "--interactive", action="store_true",
-        help="write an interactive HTML viewer (zoom/pan/tooltips) instead of SVG",
-    )
-    parser.add_argument("--columns", type=int, default=100)
-    args = parser.parse_args(argv)
-    _check_inputs(args.slog)
-    if not args.ansi:
-        _check_output(args.out)
+    return [_arg("--kind", default="thread", choices=VIEW_KINDS)]
+
+
+@_command(
+    "ute-view", "Render a time-space diagram from a SLOG file.",
+    _arg("slog"),
+    _view_kinds,
+    _arg("-o", "--out", default="view.svg"),
+    _arg("--at", type=float, default=None, help="instant (seconds): display "
+         "the frame containing it; default whole run"),
+    _arg("--ansi", action="store_true", help="print an ANSI view instead"),
+    _arg("--interactive", action="store_true", help="write an interactive "
+         "HTML viewer (zoom/pan/tooltips) instead of SVG"),
+    _arg("--columns", type=int, default=100),
+    inputs=("slog",),
+    outputs=(_unless("out", "ansi"),),
+)
+def main_view(args) -> int:
+    """Render a time-space diagram from a SLOG file."""
+    _at_least(args, "columns", 1)
+
+    from repro.viz.ansi import render_view_ansi
+    from repro.viz.jumpshot import Jumpshot
 
     viewer = Jumpshot(args.slog)
     if args.interactive:
@@ -1089,62 +1025,62 @@ def _parse_size(text: str) -> int:
     return value * scale
 
 
-@_entry("ute-serve")
-def main_serve(argv: list[str] | None = None) -> int:
+def _serve_file(args):
+    """The SLOG file ``ute-serve`` checks and opens up front: none with
+    ``--repository``, and none for a live trace not yet assembled (its
+    ``.live/`` container exists) — the follow endpoints stream it as it
+    grows."""
+    if args.slog is None or Path(args.slog).exists():
+        return args.slog
+    from repro.live import has_live_container
+
+    return None if has_live_container(args.slog) else args.slog
+
+
+@_command(
+    "ute-serve",
+    "Serve SLOG traces to many concurrent clients: JSON/SVG API, interactive "
+    "web viewer, Prometheus-style /metrics.  Either serve one file, or "
+    "--repository ROOT to serve a dataset registry (uploads via POST "
+    "/api/datasets, per-dataset routes under /api/d/NAME/).",
+    _arg("slog", nargs="?", default=None,
+         help="a single SLOG file (omit with --repository)"),
+    _arg("--repository", default=None, metavar="ROOT",
+         help="serve a dataset registry rooted here (created if missing)"),
+    _arg("--host", default="127.0.0.1"),
+    _arg("-p", "--port", type=int, default=8265,
+         help="TCP port (0 picks an ephemeral port)"),
+    _arg("--max-concurrency", type=int, default=8,
+         help="requests beyond this get 503 + Retry-After"),
+    _arg("--timeout", type=float, default=30.0,
+         help="per-request wall-clock budget (seconds)"),
+    _arg("--cache-frames", type=int, default=64,
+         help="decoded frames kept per open dataset session"),
+    _arg("--memory-budget", default=None, metavar="BYTES",
+         help="global frame-cache budget across every open session, with "
+         "optional K/M/G suffix (default 256M)"),
+    _arg("--quota-rps", type=float, default=0.0,
+         help="per-tenant request quota (requests/second); 0 disables quotas "
+         "without per-tenant overrides"),
+    _arg("--quota-burst", type=int, default=8,
+         help="token-bucket depth for the per-tenant quota"),
+    _arg("--quota", action="append", default=[], metavar="TENANT=RPS",
+         dest="quota_overrides", help="per-tenant quota override (repeatable)"),
+    _arg("--default-dataset", default=None, metavar="NAME",
+         help="dataset the legacy un-prefixed /api/* routes alias to"),
+    _arg("--quiet", action="store_true", help="suppress per-request access logs"),
+    inputs=(_serve_file,),
+)
+def main_serve(args) -> int:
     """Serve SLOG datasets over HTTP: API + lazy interactive viewer."""
-    parser = argparse.ArgumentParser(
-        "ute-serve",
-        description="Serve SLOG traces to many concurrent clients: JSON/SVG "
-        "API, interactive web viewer, Prometheus-style /metrics.  Either "
-        "serve one file, or --repository ROOT to serve a dataset registry "
-        "(uploads via POST /api/datasets, per-dataset routes under "
-        "/api/d/NAME/).",
-    )
-    parser.add_argument("slog", nargs="?", default=None,
-                        help="a single SLOG file (omit with --repository)")
-    parser.add_argument("--repository", default=None, metavar="ROOT",
-                        help="serve a dataset registry rooted here "
-                        "(created if missing)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("-p", "--port", type=int, default=8265,
-                        help="TCP port (0 picks an ephemeral port)")
-    parser.add_argument("--max-concurrency", type=int, default=8,
-                        help="requests beyond this get 503 + Retry-After")
-    parser.add_argument("--timeout", type=float, default=30.0,
-                        help="per-request wall-clock budget (seconds)")
-    parser.add_argument("--cache-frames", type=int, default=64,
-                        help="decoded frames kept per open dataset session")
-    parser.add_argument("--memory-budget", default=None, metavar="BYTES",
-                        help="global frame-cache budget across every open "
-                        "session, with optional K/M/G suffix (default 256M)")
-    parser.add_argument("--quota-rps", type=float, default=0.0,
-                        help="per-tenant request quota (requests/second); "
-                        "0 disables quotas without per-tenant overrides")
-    parser.add_argument("--quota-burst", type=int, default=8,
-                        help="token-bucket depth for the per-tenant quota")
-    parser.add_argument("--quota", action="append", default=[],
-                        metavar="TENANT=RPS", dest="quota_overrides",
-                        help="per-tenant quota override (repeatable)")
-    parser.add_argument("--default-dataset", default=None, metavar="NAME",
-                        help="dataset the legacy un-prefixed /api/* routes "
-                        "alias to")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-request access logs")
-    args = parser.parse_args(argv)
     if (args.slog is None) == (args.repository is None):
         raise _Usage("pass exactly one of a SLOG file or --repository ROOT")
-    if args.slog is not None:
-        from repro.live import has_live_container
+    if _serve_file(args) is not None:
+        from repro.utils.slog import SlogFile
 
-        # A not-yet-assembled live trace (its .live/ container exists) is
-        # servable: the follow endpoints stream it as it grows.
-        if not (not Path(args.slog).exists() and has_live_container(args.slog)):
-            from repro.utils.slog import SlogFile
-
-            _check_inputs(args.slog)
-            # Sessions open lazily: refuse a file that is not a SLOG here,
-            # not with an error per request.
-            SlogFile(args.slog).close()
+        # Sessions open lazily: refuse a file that is not a SLOG here, not
+        # with an error per request.
+        SlogFile(args.slog).close()
 
     overrides: dict[str, float] = {}
     for item in args.quota_overrides:
@@ -1189,60 +1125,40 @@ def main_serve(argv: list[str] | None = None) -> int:
     return 0
 
 
-@_entry("ute-tail")
-def main_tail(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-tail",
+    "Follow a live trace: print one line per published frame-directory epoch "
+    "as records arrive, stop at finalization.  Reads the TRACE.live/ "
+    "container directly (and hands over to the finished file when the writer "
+    "assembles it), or --server URL to follow a ute-serve /follow SSE stream "
+    "instead.",
+    _arg("trace", nargs="?", default=None,
+         help="the trace's final path; its .live/ container is tailed while "
+         "it grows (omit with --server)"),
+    _arg("--poll", type=float, default=0.05, metavar="S",
+         help="poll interval (seconds)"),
+    _arg("--idle-timeout", type=float, default=None, metavar="S",
+         help="give up after this long with no new epoch (default: wait "
+         "forever; exit status 1 on timeout)"),
+    _arg("--connect-timeout", type=float, default=10.0, metavar="S",
+         help="wait this long for the live container (or finished trace) to "
+         "appear"),
+    _arg("--out", default=None, metavar="FILE",
+         help="re-emit every followed non-pseudo record as an interval file — "
+         "ute-diff --ignore-pseudo FILE TRACE must come back divergence-free "
+         "(filesystem mode only)"),
+    _arg("-q", "--quiet", action="store_true", help="suppress per-epoch lines"),
+    groups=("server", "errors"),
+    outputs=(_unless("out", "server"),),
+    local="trace",
+)
+def main_tail(args) -> int:
     """Follow a growing (live) trace, epoch by epoch."""
-    parser = argparse.ArgumentParser(
-        "ute-tail",
-        description="Follow a live trace: print one line per published "
-        "frame-directory epoch as records arrive, stop at finalization.  "
-        "Reads the TRACE.live/ container directly (and hands over to the "
-        "finished file when the writer assembles it), or --server URL to "
-        "follow a ute-serve /follow SSE stream instead.",
-    )
-    parser.add_argument(
-        "trace", nargs="?", default=None,
-        help="the trace's final path; its .live/ container is tailed while "
-        "it grows (omit with --server)",
-    )
-    _add_server(
-        parser, "follow a ute-serve instance over Server-Sent Events",
-        "dataset to follow on --server (default: the server's default)",
-    )
-    parser.add_argument("--poll", type=float, default=0.05, metavar="S",
-                        help="poll interval (seconds)")
-    parser.add_argument(
-        "--idle-timeout", type=float, default=None, metavar="S",
-        help="give up after this long with no new epoch (default: wait "
-        "forever; exit status 1 on timeout)",
-    )
-    parser.add_argument(
-        "--connect-timeout", type=float, default=10.0, metavar="S",
-        help="wait this long for the live container (or finished trace) "
-        "to appear",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="re-emit every followed non-pseudo record as an interval "
-        "file — ute-diff --ignore-pseudo FILE TRACE must come back "
-        "divergence-free (filesystem mode only)",
-    )
-    parser.add_argument("--errors", choices=["strict", "salvage"],
-                        default="strict")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-epoch lines")
-    args = parser.parse_args(argv)
-    if (args.trace is None) and (args.server is None):
-        raise _Usage("pass a trace path or --server URL")
-    if args.trace is not None and args.server is not None:
-        raise _Usage("pass either a trace path or --server URL, not both")
+    if args.server is None:
+        return _tail_follow(args)
     if args.out is not None:
-        if args.server is not None:
-            raise _Usage("--out needs filesystem mode (SSE events carry no records)")
-        _check_output(args.out)
-    if args.server is not None:
-        return _tail_server(args)
-    return _tail_follow(args)
+        raise _Usage("--out needs filesystem mode (SSE events carry no records)")
+    return _tail_server(args)
 
 
 def _tail_server(args) -> int:
@@ -1340,45 +1256,34 @@ def _tail_writer(out, follower):
     )
 
 
-@_entry("ute-diff")
-def main_diff(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-diff",
+    "Compare two trace artifacts (.raw/.ute/.slog) record by record with "
+    "configurable tolerance; exit 0 when identical, 1 with a divergence "
+    "report otherwise.",
+    _arg("file_a"),
+    _arg("file_b"),
+    _arg("--slack", type=int, default=0, metavar="TICKS",
+         help="allowed timestamp difference in ticks"),
+    _arg("--ignore-field", action="append", default=[], metavar="NAME",
+         dest="ignore_fields", help="field excluded from comparison (repeatable)"),
+    _arg("--drop-type", action="append", default=[], metavar="TYPE",
+         dest="drop_types",
+         help="interval type (id or name) dropped before pairing (repeatable)"),
+    _arg("--ignore-pseudo", action="store_true",
+         help="drop SLOG continuation pseudo-records before pairing"),
+    _arg("--map-thread", action="append", default=[], metavar="A=B",
+         dest="thread_map",
+         help="remap side A's thread id A to B before comparing (repeatable)"),
+    _arg("--salvage", action="store_true", help="read both sides in salvage mode"),
+    _arg("--canonical-order", action="store_true",
+         help="sort both sides canonically before pairing (streams that "
+         "legally permute records tied on end time)"),
+    groups=("profile", "json"),
+    inputs=("file_a", "file_b"),
+)
+def main_diff(args) -> int:
     """Semantically diff two trace artifacts record by record."""
-    parser = argparse.ArgumentParser(
-        "ute-diff",
-        description="Compare two trace artifacts (.raw/.ute/.slog) record "
-        "by record with configurable tolerance; exit 0 when identical, 1 "
-        "with a divergence report otherwise.",
-    )
-    parser.add_argument("file_a")
-    parser.add_argument("file_b")
-    parser.add_argument("--profile", default=None, help="profile for .ute inputs")
-    parser.add_argument("--slack", type=int, default=0, metavar="TICKS",
-                        help="allowed timestamp difference in ticks")
-    parser.add_argument("--ignore-field", action="append", default=[],
-                        metavar="NAME", dest="ignore_fields",
-                        help="field excluded from comparison (repeatable)")
-    parser.add_argument("--drop-type", action="append", default=[],
-                        metavar="TYPE", dest="drop_types",
-                        help="interval type (id or name) dropped before "
-                        "pairing (repeatable)")
-    parser.add_argument("--ignore-pseudo", action="store_true",
-                        help="drop SLOG continuation pseudo-records before "
-                        "pairing")
-    parser.add_argument("--map-thread", action="append", default=[],
-                        metavar="A=B", dest="thread_map",
-                        help="remap side A's thread id A to B before "
-                        "comparing (repeatable)")
-    parser.add_argument("--salvage", action="store_true",
-                        help="read both sides in salvage mode")
-    parser.add_argument("--canonical-order", action="store_true",
-                        help="sort both sides canonically before pairing "
-                        "(streams that legally permute records tied on end "
-                        "time)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    args = parser.parse_args(argv)
-    _check_inputs(args.file_a, args.file_b, args.profile)
-
     from repro.difftool.differ import DiffConfig, diff_traces
 
     profile = _profile_for(args)
@@ -1410,26 +1315,20 @@ def main_diff(argv: list[str] | None = None) -> int:
     return 0 if report.identical else 1
 
 
-@_entry("ute-oracle")
-def main_oracle(argv: list[str] | None = None) -> int:
+@_command(
+    "ute-oracle",
+    "Differential pipeline oracle: run every equivalent read-path pair "
+    "(strict/salvage, indexed/full scan, dump/query windows, stats/serve, "
+    "clock adjusters) over each trace and report disagreements; exit 1 on any "
+    "finding.",
+    _arg("files", nargs="+", help="trace artifacts (.raw/.ute/.slog)"),
+    _arg("--no-serve", action="store_true",
+         help="skip the stats-vs-serve check (no sockets)"),
+    groups=("profile", "json"),
+    inputs=("files",),
+)
+def main_oracle(args) -> int:
     """Run the pipeline oracle: every equivalent read-path pair must agree."""
-    parser = argparse.ArgumentParser(
-        "ute-oracle",
-        description="Differential pipeline oracle: run every equivalent "
-        "read-path pair (strict/salvage, indexed/full scan, dump/query "
-        "windows, stats/serve, clock adjusters) over each trace and "
-        "report disagreements; exit 1 on any finding.",
-    )
-    parser.add_argument("files", nargs="+",
-                        help="trace artifacts (.raw/.ute/.slog)")
-    parser.add_argument("--profile", default=None, help="profile for .ute inputs")
-    parser.add_argument("--no-serve", action="store_true",
-                        help="skip the stats-vs-serve check (no sockets)")
-    parser.add_argument("--json", action="store_true",
-                        help="print all reports as JSON")
-    args = parser.parse_args(argv)
-    _check_inputs(*args.files, args.profile)
-
     from repro.difftool.oracle import run_oracle
 
     profile = _profile_for(args)

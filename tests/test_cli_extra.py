@@ -164,15 +164,25 @@ class TestNeverATraceback:
         return paths
 
     def test_console_scripts_are_all_covered(self):
-        import tomllib
+        """``COMMANDS`` is the list: every row is a ``[project.scripts]``
+        line (and the reverse), a key of ``ENTRY_POINTS``, and a command
+        README.md's command-line list names."""
+        import re
         from pathlib import Path
 
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
-        assert {
-            name: target.split(":")[1] for name, target in scripts.items()
-        } == {name: main for name, (main, _) in ENTRY_POINTS.items()}
+        from repro import cli
+
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "pyproject.toml").read_text()
+        section = section.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        scripts = dict(re.findall(r'^([\w-]+) = "repro\.cli:(\w+)"$', section, re.M))
+        commands = {name: row.handler.__name__ for name, row in cli.COMMANDS.items()}
+        assert scripts == commands
+        assert commands == {name: main for name, (main, _) in ENTRY_POINTS.items()}
         assert len(ENTRY_POINTS) == 17
+        readme = (root / "README.md").read_text()
+        listed = readme.split("Command-line equivalents:", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"`([\w-]+)`", listed)) == set(cli.COMMANDS)
 
     @pytest.mark.parametrize(
         "bad",
@@ -300,35 +310,59 @@ class TestInputValidation:
         assert "missing-profile.ute" in capsys.readouterr().err
 
 
-class TestOutputValidation:
-    """ute-view / ute-preview / ute-report validate --out up front."""
+#: Every command that writes, with arguments that reach one of its outputs
+#: (``{out}``, a path under a regular file); ``{in}`` is any non-empty file.
+WRITERS = [
+    ("ute-trace", ["synthetic", "-o", "{out}"]),
+    ("ute-trace", ["synthetic", "--live", "{out}"]),
+    ("ute-convert", ["{in}", "-o", "{out}"]),
+    ("ute-convert", ["{in}", "--to", "chrome-json", "-o", "{out}"]),
+    ("ute-merge", ["{in}", "-o", "{out}"]),
+    ("slogmerge", ["{in}", "-o", "{out}"]),
+    ("slogmerge", ["{in}", "--slog", "{out}"]),
+    ("ute-stats", ["{in}", "-o", "{out}"]),
+    ("ute-recover", ["{in}", "-o", "{out}"]),
+    ("ute-preview", ["{in}", "-o", "{out}"]),
+    ("ute-query", ["{in}", "--build-index", "--index", "{out}"]),
+    ("ute-report", ["{in}", "-o", "{out}"]),
+    ("ute-view", ["{in}", "-o", "{out}"]),
+    ("ute-tail", ["{in}", "--out", "{out}"]),
+]
 
-    def test_view_output_under_file_rejected(self, run_slog, tmp_path, capsys):
+
+class TestOutputValidation:
+    """Every command validates its outputs up front: one line naming the
+    location, exit status 2, and nothing written."""
+
+    def test_every_writer_is_covered(self):
         from repro import cli
 
+        assert {name for name, _ in WRITERS} == {
+            name for name, row in cli.COMMANDS.items() if row.outputs
+        }
+
+    @pytest.mark.parametrize(
+        "prog,argv", WRITERS,
+        ids=[" ".join(w for w in (n, *a) if "{" not in w) for n, a in WRITERS],
+    )
+    def test_output_under_file_rejected(self, prog, argv, tmp_path, capsys,
+                                        monkeypatch):
+        from repro import cli
+
+        monkeypatch.chdir(tmp_path)  # default outputs land here
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
-        code = cli.main_view([str(run_slog), "-o", str(blocker / "view.svg")])
+        source = tmp_path / "input"
+        source.write_text("the output check comes before any read")
+        before = sorted(tmp_path.iterdir())
+        code = cli.COMMANDS[prog](
+            [a.format(**{"in": source, "out": blocker / "x"}) for a in argv]
+        )
         assert code == 2
-        assert "not a directory" in capsys.readouterr().err
-
-    def test_preview_output_under_file_rejected(self, run_slog, tmp_path, capsys):
-        from repro import cli
-
-        blocker = tmp_path / "blocker2"
-        blocker.write_text("x")
-        code = cli.main_preview([str(run_slog), "-o", str(blocker / "p.svg")])
-        assert code == 2
-        assert "not a directory" in capsys.readouterr().err
-
-    def test_report_output_under_file_rejected(self, run_slog, tmp_path, capsys):
-        from repro import cli
-
-        blocker = tmp_path / "blocker3"
-        blocker.write_text("x")
-        code = cli.main_report([str(run_slog), "-o", str(blocker / "r.html")])
-        assert code == 2
-        assert "not a directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"{prog}: error: output location is not a directory: {blocker}\n"
+        )
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_nested_missing_dirs_still_allowed(self, run_slog, tmp_path, capsys):
         from repro import cli
@@ -347,3 +381,31 @@ class TestOutputValidation:
         code = cli.main_view([str(run_slog), "--ansi", "-o", str(blocker / "v.svg")])
         assert code == 0
         assert capsys.readouterr().out
+
+
+class TestCountArguments:
+    """A count option below what the command can honour is a one-line usage
+    error, never a silent default or an empty rendering."""
+
+    @pytest.mark.parametrize(
+        "main,argv,flag",
+        [
+            ("main_dump", ["-n", "-1"], "--limit"),
+            ("main_query", ["--bins", "0", "--build-index", "--index", "{tmp}/x"],
+             "--bins"),
+            ("main_query", ["--bins", "0", "--utilization"], "--bins"),
+            ("main_view", ["--ansi", "--columns", "0"], "--columns"),
+        ],
+    )
+    def test_below_minimum_refused(self, run_slog, main, argv, flag, tmp_path,
+                                   capsys):
+        from repro import cli
+
+        code = getattr(cli, main)(
+            [str(run_slog), *(a.format(tmp=tmp_path) for a in argv)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f": error: {flag} must be at least " in err
+        assert not (tmp_path / "x").exists()

@@ -137,22 +137,23 @@ class TestMergeDeterminism:
 
 
 class TestMergeCli:
-    def test_duplicate_inputs_one_line_error(self, tmp_path, capsys):
+    def test_duplicate_inputs_one_line_error(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main_merge
 
-        with pytest.raises(SystemExit) as exc:
-            main_merge(["a.ute", "a.ute", "-o", str(tmp_path / "out.ute")])
-        assert exc.value.code == 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.ute").write_bytes(b"an input that exists")
+        assert main_merge(["a.ute", "a.ute", "-o", str(tmp_path / "out.ute")]) == 2
         err = capsys.readouterr().err
-        assert "duplicate input file: a.ute" in err
+        assert err == "ute-merge: error: duplicate input file: a.ute\n"
 
-    def test_slogmerge_duplicate_inputs_rejected(self, tmp_path, capsys):
+    def test_slogmerge_duplicate_inputs_rejected(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main_slogmerge
 
-        with pytest.raises(SystemExit) as exc:
-            main_slogmerge(["b.ute", "b.ute", "-o", str(tmp_path / "out.ute")])
-        assert exc.value.code == 2
-        assert "duplicate input file: b.ute" in capsys.readouterr().err
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.ute").write_bytes(b"an input that exists")
+        assert main_slogmerge(["b.ute", "b.ute", "-o", str(tmp_path / "out.ute")]) == 2
+        err = capsys.readouterr().err
+        assert err == "slogmerge: error: duplicate input file: b.ute\n"
 
     def test_no_inputs_rejected(self, capsys):
         from repro.cli import main_merge
@@ -186,11 +187,11 @@ class TestMergeCli:
         other = tmp_path / "other-profile.ute"
         other.write_bytes(result.profile_path.read_bytes())
         inputs = [str(p) for p in result.interval_paths]
-        with pytest.raises(SystemExit) as exc:
-            main_merge(
-                inputs
-                + [str(result.profile_path)]
-                + ["--profile", str(other), "-o", str(tmp_path / "x.ute")]
-            )
-        assert exc.value.code == 2
-        assert "conflicting profile files" in capsys.readouterr().err
+        assert main_merge(
+            inputs
+            + [str(result.profile_path)]
+            + ["--profile", str(other), "-o", str(tmp_path / "x.ute")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ute-merge: error: conflicting profile files")
+        assert len(err.splitlines()) == 1
