@@ -165,25 +165,32 @@ class _LiveWriterBase(FrameSink):
         if self.path.exists():
             raise FormatError(f"refusing to go live over existing {self.path}")
         self.live_dir.mkdir(parents=True)
-        # The once-written ``meta`` member: a SLOG metadata section with an
-        # empty preview and a zero-frame index, so any reader of
-        # ``meta + data[:published]`` starts from a valid SLOG parse and
-        # the epoch manifest supplies the rest.
-        self._meta = slog_metadata_bytes(self, (0, 1), {}, [])
-        with AtomicFile(meta_path(self.live_dir)) as fh:
-            fh.write(self._meta)
-        self._data_fh = open(data_path(self.live_dir), "wb")
-        self._index = _IncrementalIndex(self._meta, n_bins=index_bins)
-        # Sealed-but-unpublished state: frame entries (data-relative
-        # offsets) appended to the data file but absent from the epoch.
-        self._sealed: list[SlogFrameEntry] = []
-        self._data_size = 0
-        self._seq = 0
-        #: The index snapshot the last epoch published.
-        self._published: TraceIndex | None = None
-        self.epochs_published = 0
-        # Epoch 0: zero frames, so readers can attach before data exists.
-        self.publish()
+        self._data_fh = None
+        try:
+            # The once-written ``meta`` member: a SLOG metadata section with
+            # an empty preview and a zero-frame index, so any reader of
+            # ``meta + data[:published]`` starts from a valid SLOG parse and
+            # the epoch manifest supplies the rest.
+            self._meta = slog_metadata_bytes(self, (0, 1), {}, [])
+            with AtomicFile(meta_path(self.live_dir)) as fh:
+                fh.write(self._meta)
+            self._data_fh = open(data_path(self.live_dir), "wb")
+            self._index = _IncrementalIndex(self._meta, n_bins=index_bins)
+            # Sealed-but-unpublished state: frame entries (data-relative
+            # offsets) appended to the data file but absent from the epoch.
+            self._sealed: list[SlogFrameEntry] = []
+            self._data_size = 0
+            self._seq = 0
+            #: The index snapshot the last epoch published.
+            self._published: TraceIndex | None = None
+            self.epochs_published = 0
+            # Epoch 0: zero frames, so readers can attach before data exists.
+            self.publish()
+        except BaseException:
+            # Nobody holds a writer that failed to construct: close what it
+            # opened and drop the container, so the path can be retried.
+            self.abort()
+            raise
 
     # ------------------------------------------------------------------ API
 
@@ -248,7 +255,8 @@ class _LiveWriterBase(FrameSink):
         if self._closed:
             return
         self._closed = True
-        self._data_fh.close()
+        if self._data_fh is not None:
+            self._data_fh.close()
         shutil.rmtree(self.live_dir, ignore_errors=True)
 
     # ------------------------------------------------------------ internals

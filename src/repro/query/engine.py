@@ -29,6 +29,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.core.records import IntervalRecord
+from repro.query.columnar import pack_keys
 from repro.query.model import (
     Query,
     accumulate,
@@ -235,21 +236,14 @@ def _group_order(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(order, bounds) grouping rows with equal key tuples contiguously.
 
     The key columns are packed into one int64 per row when their value
-    ranges fit (one cheap integer sort; ``np.unique(axis=0)``'s void-dtype
-    sort is ~20x slower), falling back to a lexsort otherwise.  ``bounds``
-    are the start offsets of each group's run in ``order``.
+    ranges fit (:func:`~repro.query.columnar.pack_keys`: one cheap integer
+    sort, unstable — order within a group is irrelevant here), falling back
+    to a lexsort otherwise.  ``bounds`` are the start offsets of each
+    group's run in ``order``.
     """
     n = len(cols[0])
-    mins = [int(c.min()) for c in cols]
-    spans = [int(c.max()) - mn + 1 for c, mn in zip(cols, mins)]
-    capacity = 1
-    for span in spans:
-        capacity *= span
-    if capacity < (1 << 62):
-        packed = np.zeros(n, np.int64)
-        for c, mn, span in zip(cols, mins, spans):
-            packed *= span
-            packed += c - mn
+    packed = pack_keys(cols)
+    if packed is not None:
         order = np.argsort(packed)
         sorted_key = packed[order]
         change = sorted_key[:-1] != sorted_key[1:]

@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.records import IntervalRecord, IntervalType
 from repro.errors import FormatError
-from repro.query.columnar import FrameBatch, batch_from_records
+from repro.query.columnar import FrameBatch, batch_from_records, pack_keys
 
 __all__ = [
     "DEFAULT_BASE_BINS",
@@ -167,10 +167,11 @@ def _starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _sum_runs(rows: _Rows) -> _Rows:
-    """Sum every run of neighbouring rows that share (lane, bin, state)."""
+def _sum_runs(rows: _Rows, *key: np.ndarray) -> _Rows:
+    """Sum every run of neighbouring rows that share (lane, bin, state) —
+    or ``key``, a packed column equal exactly where those three are."""
     lane, bins, state, count, busy = rows
-    starts = _starts(lane, bins, state)
+    starts = _starts(*(key or (lane, bins, state)))
     return (
         lane[starts], bins[starts], state[starts],
         np.add.reduceat(count, starts), np.add.reduceat(busy, starts),
@@ -178,12 +179,24 @@ def _sum_runs(rows: _Rows) -> _Rows:
 
 
 def _aggregate(rows: _Rows) -> _Rows:
-    """Sort rows by (lane, bin, state) and sum duplicates (exact)."""
+    """Sort rows by (lane, bin, state) and sum duplicates (exact).
+
+    The key is one packed int64 (:func:`~repro.query.columnar.pack_keys`)
+    sorted *stably*: timsort finds the rows already in order — an
+    aggregated head, each record's run of bins — and merges those runs
+    instead of re-sorting them, so folding new rows into an aggregated
+    chunk is close to a linear merge.  A key that would overflow 62 bits
+    falls back to a lexsort of the three columns."""
     lane, bins, state, _, _ = rows
     if not len(lane):
         return rows
-    order = np.lexsort((state, bins, lane))
-    return _sum_runs(tuple(column[order] for column in rows))
+    packed = pack_keys((lane, bins, state))
+    if packed is None:
+        order = np.lexsort((state, bins, lane))
+        return _sum_runs(tuple(column[order] for column in rows))
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]  # frees the unsorted key before the rows are permuted
+    return _sum_runs(tuple(column[order] for column in rows), packed)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

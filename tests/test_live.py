@@ -8,6 +8,8 @@ incremental index, and the replay driver.  The crash-shaped cases (a
 writer killed between flush and publish) live in ``test_crash_safety.py``.
 """
 
+import errno
+import os
 import shutil
 
 import pytest
@@ -291,6 +293,36 @@ class TestLiveSlogWriter:
         assert not path.exists()
         assert not live_dir_for(path).exists()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts open fds through /proc"
+    )
+    def test_a_failed_constructor_leaves_no_handle_and_no_container(
+        self, tmp_path, monkeypatch
+    ):
+        """Epoch 0 is published inside the constructor; when that fails
+        (a full disk here) the caller has no writer to abort, so the
+        constructor closes the ``data`` handle and drops the container
+        itself — and the same path can be retried."""
+        path = tmp_path / "run.slog"
+
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fds = len(os.listdir("/proc/self/fd"))
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.live.writer.write_manifest", disk_full)
+            with pytest.raises(OSError, match="No space left") as failure:
+                live_writer(path)
+        # Held while the error is (its traceback keeps the half-built
+        # writer alive): the handle must be closed, not left to the GC.
+        assert len(os.listdir("/proc/self/fd")) == fds
+        del failure
+        assert not live_dir_for(path).exists()
+        writer = live_writer(path)
+        writer.write(running(0, 5))
+        assert writer.close() == path
+        assert [r.start for r in nonpseudo_records(path)] == [0]
+
 
 class TestLiveReader:
     def test_epoch_regression_is_protocol_violation(self, tmp_path):
@@ -429,6 +461,38 @@ class TestLiveIndex:
         final = writer.close()
         with open_trace(final, PROFILE) as handle:
             assert index_path_for(final).read_bytes() == build_index(handle).encode()
+
+    def test_a_lifecycle_never_reaches_the_lexsort_fallback(self, tmp_path):
+        """Every epoch's aggregates — and every coarser level folded from
+        the final sidecar — group on one packed key: the lexsort kept for
+        keys past 62 bits is not called once."""
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.query import index_path_for
+
+        path = tmp_path / "run.slog"
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            writer = live_writer(path)
+            end = 10_000
+            for epoch in range(4):
+                for i in range(60):
+                    # 32 thread lanes on 4 nodes, two states, durations
+                    # growing by epoch so the grid's shift rises.
+                    dura = 40 + (i % 9) * 200 * (epoch + 1)
+                    writer.write(IntervalRecord(
+                        IntervalType.RUNNING if i % 5 else IntervalType.IO,
+                        BeBits.COMPLETE, end - dura, dura, i % 4, i % 3, i % 32 // 4,
+                    ))
+                    end += 150
+                writer.publish(seal=True)
+            writer.close()
+            util = load_index(index_path_for(path)).utilization
+            for table in (util.thread, util.cpu):
+                assert all(len(table.levels[li].bins) for li in range(util.n_levels))
+        assert util.n_levels > 3 and len(util.thread.keys) == 32
+        assert lexsort.call_count == 0
 
 
 class TestFollowReader:

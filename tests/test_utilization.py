@@ -29,7 +29,7 @@ from repro.errors import FormatError
 from repro.query import (
     TraceIndex, build_index, index_path_for, open_trace, utilization, write_index,
 )
-from repro.query.columnar import batch_from_records
+from repro.query.columnar import batch_from_records, pack_keys
 from repro.query.utilization import (
     UtilizationBuilder,
     UtilizationIndex,
@@ -310,6 +310,122 @@ class TestChunkingAndOrder:
         )
         resumed.add_batch(batch_from_records(records[cut:]))
         assert sidecar_bytes(resumed.build()) == full
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        record_rows, grids,
+        st.sampled_from(
+            [(0, 1), (0x7FFFFFFE, 0x7FFFFFFF), (0xFFFFFFFE, 0xFFFFFFFF), (0, 0x7FFFFFFF)]
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_batch_merges_into_the_aggregated_head(self, rows, grid, nodes, rng):
+        """A snapshot after every batch with the compaction threshold at one
+        row: each one merges the aggregated head with the batch's new rows,
+        as a live publish does, and the result is still the one-shot build
+        and the brute-force cells — for lanes whose keys are near 2**63 and
+        2**64 too.  Lanes on neighbouring nodes pack into one key (the
+        lexsort is never called); nodes 0 and 2**31 - 1 together overflow it."""
+        from unittest import mock
+
+        records = [
+            rec(start, dura, node=nodes[node & 1], cpu=cpu, thread=thread, itype=itype)
+            for start, dura, node, cpu, thread, itype in rows
+        ]
+        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
+        want = sidecar_bytes(build(records, **kwargs))
+        with mock.patch.object(utilization, "_COMPACT_ROWS", 1), \
+                mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            builder = UtilizationBuilder(**kwargs)
+            rest = list(records)
+            while rest:
+                n = rng.randint(1, 9)
+                builder.add_batch(batch_from_records(rest[:n]))
+                rest = rest[n:]
+                builder.build()
+                assert builder._loose == 0 and all(len(c) == 1 for c in builder._rows)
+            built = builder.build()
+        assert sidecar_bytes(built) == want
+        if nodes[1] - nodes[0] == 1:
+            assert lexsort.call_count == 0
+
+        util = built.utilization
+        for kind, key_of in (
+            ("thread", lambda r: thread_key(r.node, r.thread)),
+            ("cpu", lambda r: cpu_key(r.node, r.cpu)),
+        ):
+            exact = brute_force_levels(records, util.base_shift, util.n_levels, key_of)
+            for li in range(util.n_levels):
+                assert util.level_cells(kind, li) == exact[li]
+
+
+def reference_aggregate(rows):
+    """``_aggregate`` by hand: a lexsort, then one Python pass summing the
+    rows of every (lane, bin, state)."""
+    lane, bins, state, count, busy = rows
+    order = np.lexsort((state, bins, lane))
+    out: list[list[int]] = []
+    for row in zip(*(column[order].tolist() for column in rows)):
+        if out and out[-1][:3] == list(row[:3]):
+            out[-1][3] += row[3]
+            out[-1][4] += row[4]
+        else:
+            out.append(list(row))
+    return [list(column) for column in zip(*out)]
+
+
+def random_rows(rng, n, lanes, bin_span, state_span):
+    return (
+        rng.choice(np.array(lanes, np.uint64), n),
+        rng.integers(0, bin_span, n, dtype=np.int64),
+        rng.integers(0, state_span, n, dtype=np.int64),
+        rng.integers(0, 3, n, dtype=np.int64),
+        rng.integers(1, 1 << 20, n, dtype=np.int64),
+    )
+
+
+class TestPackedKey:
+    """Rows group on one packed int64 key; ``lexsort`` is the fallback only
+    for a key that would not fit in 62 bits."""
+
+    def test_packed_keys_order_like_the_columns(self):
+        rng = np.random.default_rng(5)
+        top = [2**64 - 1, 2**64 - 2**32, 2**64 - 2**33 + 5]
+        lane = rng.choice(np.array(top, np.uint64), 500)
+        bins = rng.integers(-(2**20), 2**20, 500)
+        state = rng.integers(0, 40, 500)
+        packed = pack_keys((lane, bins, state))
+        assert packed is not None and packed.dtype == np.int64
+        order = np.argsort(packed, kind="stable")
+        assert np.array_equal(order, np.lexsort((state, bins, lane)))
+        first = np.flatnonzero(np.diff(packed[order])) + 1
+        tuples = list(zip(lane[order].tolist(), bins[order].tolist(), state[order].tolist()))
+        assert len(set(tuples)) == len(first) + 1
+        assert pack_keys((lane, bins, rng.integers(0, 2**22, 500))) is None
+
+    def test_an_overflowing_key_falls_back_to_lexsort(self):
+        from unittest import mock
+
+        # States spanning 2**29 and bins spanning 2**40: 69 bits of key.
+        rng = np.random.default_rng(11)
+        rows = random_rows(rng, 400, [thread_key(0, 1), thread_key(3, 2)], 1 << 40, 1 << 29)
+        rows = tuple(np.concatenate([c, c[:100]]) for c in rows)  # duplicates to sum
+        assert pack_keys(rows[:3]) is None
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            got = utilization._aggregate(rows)
+        assert lexsort.call_count == 1
+        assert [c.tolist() for c in got] == reference_aggregate(rows)
+
+    def test_a_packed_key_aggregates_like_the_reference(self):
+        from unittest import mock
+
+        rng = np.random.default_rng(12)
+        lanes = [thread_key(node, t) for node in (0, 1, 5) for t in range(4)]
+        rows = random_rows(rng, 3000, lanes, 300, 9)
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            got = utilization._aggregate(rows)
+        assert lexsort.call_count == 0
+        assert [c.tolist() for c in got] == reference_aggregate(rows)
 
 
 def chained_levels(table, n_levels):
