@@ -4,14 +4,12 @@ The utilization hierarchy's acceptance bar: rendering a whole-run view of
 a trace 100x larger must not take more than 2x the small trace's median
 latency — the aggregate path answers from O(pixels) cells, so view cost
 is a function of the window, not the file.  Alongside the latency pin,
-the exactness oracles must stay silent at scale: the hierarchy equals a
-direct windowed recompute (``aggregate_vs_exact``), and extending a
-prefix sidecar over the grown tail equals a full rebuild bit for bit.
+the exactness oracle must stay silent at scale: the hierarchy equals a
+direct windowed recompute (``aggregate_vs_exact``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 import time
 
@@ -116,30 +114,3 @@ def test_aggregate_vs_exact_oracle_silent_at_scale(traces, profile):
         f"{len(oracle.findings)} findings"
     )
 
-
-def test_extend_equals_rebuild_at_scale(traces, profile):
-    """Prefix sidecar + tail extension == full rebuild, bit for bit, on
-    the 100x trace."""
-    from repro.query.indexfile import extend_index, hash_file
-
-    large = traces["large"]
-    path = large["path"]
-    with open_trace(path, profile) as handle:
-        all_frames = list(handle.frames)
-        k = len(all_frames) // 2
-        handle.frames = all_frames[:k]
-        base = build_index(handle)
-    size = all_frames[k - 1].offset + all_frames[k - 1].size
-    base = dataclasses.replace(
-        base, source_size=size, source_sha256=hash_file(path, limit=size)
-    )
-    with open_trace(path, profile) as handle:
-        extended = extend_index(handle, base)
-    assert extended.encode() == large["index"].encode(), (
-        "extending the half-trace sidecar over the tail produced different "
-        "bytes than the full rebuild"
-    )
-    report(
-        f"extend-vs-rebuild at {large['records']} records: byte-identical "
-        f"({len(extended.encode())} sidecar bytes)"
-    )

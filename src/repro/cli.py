@@ -755,13 +755,13 @@ def _local_utilization(args, profile) -> dict:
     or of an older format, the index is rebuilt in memory — the printed
     cells never silently fall behind the trace."""
     from repro.core.windows import window_to_ticks
-    from repro.query import DEFAULT_TIME_BINS, build_index, open_trace, resolve_index
+    from repro.query import build_index, open_trace, resolve_index
     from repro.query.utilization import utilization_payload
 
     with open_trace(args.trace, profile, errors=args.errors) as handle:
         index, _reason = resolve_index(args.trace, _index_arg(args))
         if index is None or index.utilization is None:
-            index = build_index(handle, n_bins=DEFAULT_TIME_BINS)
+            index = build_index(handle)
         tps = handle.ticks_per_sec
     util = index.utilization
     if util is None:
@@ -785,17 +785,17 @@ def _sidecar_out(args):
 
 def _build_index(args, profile) -> int:
     """``ute-query TRACE --build-index``: write the ``.uteidx`` sidecar."""
-    from repro.query import DEFAULT_TIME_BINS, build_index, open_trace, write_index
+    from repro.query import build_index, open_trace, write_index
 
     sidecar = _sidecar_out(args)
     with open_trace(args.trace, profile, errors=args.errors) as handle:
-        index = build_index(handle, n_bins=args.bins or DEFAULT_TIME_BINS)
+        index = build_index(handle)
     write_index(index, sidecar)
     print(sidecar)
     info = index.summary()
     print(
         f"indexed {info['frames']} frames, {info['threads']} threads, "
-        f"{info['records']} records over {info['time_bins']} bins",
+        f"{info['records']} records",
         file=sys.stderr,
     )
     return 0
@@ -863,7 +863,8 @@ def _print_explain(payload: dict) -> None:
     _arg("--build-index", action="store_true",
          help="build and write the sidecar index, then exit"),
     _arg("--bins", type=int, default=None,
-         help="time bins in a built index (default 64)"),
+         help="most time bins per lane in a --utilization answer, local or "
+         "--server (default 512)"),
     _arg("--index", default=None, metavar="PATH",
          help="sidecar path (default: <trace>.uteidx)"),
     _arg("--no-index", action="store_true",
@@ -905,6 +906,8 @@ def main_query(args) -> int:
         if args.build_index:
             if args.utilization:
                 raise _Usage("--utilization cannot be combined with --build-index")
+            if args.bins is not None:
+                raise _Usage("--bins sets --utilization answers; --build-index has no bins")
             return _build_index(args, profile)
         if args.utilization:
             payload = _local_utilization(args, profile)

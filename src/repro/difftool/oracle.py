@@ -25,9 +25,9 @@ check                  the two paths compared
 ``dump_vs_query``      ``ute-dump --window`` record selection vs. a
                        ``ute-query`` window over the same range
 ``aggregate_vs_exact`` the sidecar's utilization hierarchy (busy/count
-                       cells at every level and the coarse start bins)
-                       vs. a brute-force per-record, per-bin recompute
-                       on the same absolute grid
+                       cells at every level) vs. a brute-force
+                       per-record, per-bin recompute on the same
+                       absolute grid
 ``stats_vs_serve``     the in-process ``ute-stats`` path vs. the daemon's
                        ``/api/stats`` (SLOG only; spins an ephemeral
                        server on 127.0.0.1)
@@ -604,10 +604,9 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
     Per finest-level cell: the per-state busy durations must equal the
     clipped overlap of every busy record with that bin, and the cell count
     must equal the number of busy records *starting* in the bin.  Every
-    coarser level must be the exact sum of its two children.  The
-    published coarse ``bins`` must equal start-bin (count, summed duration)
-    sums of **all** records on the same absolute grid.  Any difference
-    means an aggregate-driven view would lie about the records below it.
+    coarser level must be the exact sum of its two children.  Any
+    difference means an aggregate-driven view would lie about the records
+    below it.
 
     The recompute is deliberately brute force (per record, per bin) and
     reads the index only through :meth:`UtilizationIndex.level_cells`.
@@ -619,13 +618,11 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
 
     report.checks.append("aggregate_vs_exact")
     with open_trace(path, profile) as handle:
-        index = build_index(handle)
-        util = index.utilization
+        util = build_index(handle).utilization
         if util is None:
             return
         k = util.base_shift
         exact: dict[str, dict[int, dict[int, list]]] = {"thread": {}, "cpu": {}}
-        coarse: dict[int, list] = {}
         for frame in handle.frames:
             batch = handle.read_frame_batch(frame.ordinal)
             rows = zip(
@@ -634,13 +631,6 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
                 batch.itype.tolist(),
             )
             for start, end, dura, node, cpu, thread, itype in rows:
-                cidx = start >> index.bin_shift
-                ccell = coarse.get(cidx)
-                if ccell is None:
-                    coarse[cidx] = [1, dura]
-                else:
-                    ccell[0] += 1
-                    ccell[1] += dura
                 if dura <= 0 or itype == IntervalType.CLOCKPAIR:
                     continue
                 for lane_kind, key in (
@@ -685,20 +675,6 @@ def _check_aggregate_vs_exact(report: OracleReport, path: Path, profile) -> None
                         },
                     )
                 )
-        origin = index.bin_origin
-        want_bins = tuple(
-            tuple(coarse.get(origin + i, (0, 0))) for i in range(index.n_bins)
-        )
-        if tuple(index.bins) != want_bins:
-            report.add(
-                Finding(
-                    "aggregate_vs_exact",
-                    f"{path} coarse bins",
-                    "published coarse bins differ from start-bin sums on "
-                    "the same grid",
-                    {"aggregate": repr(index.bins), "exact": repr(want_bins)},
-                )
-            )
 
 
 def _fold_exact(cells: dict[int, list]) -> dict[int, list]:

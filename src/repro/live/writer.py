@@ -47,13 +47,7 @@ from repro.live.container import (
     meta_path,
     write_manifest,
 )
-from repro.query.indexfile import (
-    DEFAULT_TIME_BINS,
-    IndexAccumulator,
-    TraceIndex,
-    index_path_for,
-    write_index,
-)
+from repro.query.indexfile import IndexAccumulator, TraceIndex, index_path_for, write_index
 from repro.utils.slog import (
     PreviewBins,
     SlogFrameEntry,
@@ -109,11 +103,11 @@ class _IncrementalIndex:
     sections 7-8).
     """
 
-    def __init__(self, meta: bytes, *, n_bins: int = DEFAULT_TIME_BINS) -> None:
+    def __init__(self, meta: bytes) -> None:
         self.meta_size = len(meta)
         self._sha = hashlib.sha256(meta)
         self._size = len(meta)
-        self._frames = IndexAccumulator(n_bins)
+        self._frames = IndexAccumulator()
 
     def add_frame(self, entry: SlogFrameEntry, batch, blob: bytes) -> None:
         """Account one sealed frame: ``entry`` carries the data-relative
@@ -149,7 +143,6 @@ class _LiveWriterBase(FrameSink):
         frame_bytes: int = 32 * 1024,
         preview_bins: int = 50,
         ticks_per_sec: float = 1e9,
-        index_bins: int = DEFAULT_TIME_BINS,
     ) -> None:
         # SLOG frames carry continuation leads; interval files do not.
         super().__init__(
@@ -175,7 +168,7 @@ class _LiveWriterBase(FrameSink):
             with AtomicFile(meta_path(self.live_dir)) as fh:
                 fh.write(self._meta)
             self._data_fh = open(data_path(self.live_dir), "wb")
-            self._index = _IncrementalIndex(self._meta, n_bins=index_bins)
+            self._index = _IncrementalIndex(self._meta)
             # Sealed-but-unpublished state: frame entries (data-relative
             # offsets) appended to the data file but absent from the epoch.
             self._sealed: list[SlogFrameEntry] = []
@@ -238,15 +231,19 @@ class _LiveWriterBase(FrameSink):
 
     def close(self) -> Path:
         """Seal, publish a final epoch, assemble the finished file at the
-        final name, drop the live directory.  Returns the final path."""
+        final name, drop the live directory.  Returns the final path.
+
+        The writer counts as closed only once assembly succeeds: after a
+        failed assembly (a full disk) ``close()`` may be retried — it runs
+        assembly again over the final epoch it already published — or
+        ``abort()`` drops the container."""
         if self._closed:
             return self.path
-        self.publish(seal=True, final=True)
-        self._data_fh.close()
-        try:
-            self._assemble()
-        finally:
-            self._closed = True
+        if not self._data_fh.closed:  # closed: the final epoch is out
+            self.publish(seal=True, final=True)
+            self._data_fh.close()
+        self._assemble()
+        self._closed = True
         shutil.rmtree(self.live_dir, ignore_errors=True)
         return self.path
 

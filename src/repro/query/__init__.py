@@ -5,7 +5,7 @@ The paper's frame directory (section 2) was designed so tools could *seek*
 instead of scan; this subsystem is the layer that exploits it.  A
 versioned ``.uteidx`` sidecar (:mod:`repro.query.indexfile`) records
 per-frame summaries — time ranges, state-type bitmaps, thread-key sets —
-plus per-thread posting lists and coarse time-binned aggregates.  The
+plus per-thread posting lists and the per-lane utilization hierarchy.  The
 planner (:mod:`repro.query.planner`) intersects a declarative
 :class:`~repro.query.model.Query` against those summaries to produce a
 pruned frame plan, falling back to a full scan whenever the sidecar is
@@ -32,7 +32,6 @@ from repro.query.columnar import (
 from repro.core.windows import window_to_ticks
 from repro.query.engine import ExecStats, QueryResult, execute
 from repro.query.indexfile import (
-    DEFAULT_TIME_BINS,
     SIDECAR_SUFFIX,
     FrameSummary,
     TraceIndex,
@@ -56,7 +55,6 @@ from repro.query.utilization import (
 
 __all__ = [
     "Aggregate",
-    "DEFAULT_TIME_BINS",
     "ExecStats",
     "FrameBatch",
     "FrameSummary",

@@ -13,8 +13,11 @@ per-frame facts the planner needs to prune on every other predicate:
   has a record in it (node sets are derived from these).  It is the
   posting lists transposed, so only the postings are stored and the
   per-frame sets are rebuilt on load;
-* **coarse time-binned aggregates** — record counts and summed durations
-  in fixed bins over the run, for instant order-of-magnitude answers.
+* a **utilization section** (:mod:`repro.query.utilization`): per-thread
+  and per-CPU busy/count/state-histogram bins, the aggregate store behind
+  density-capped views.  Only the finest resolution is written, as
+  run-length-coded sorted columns; the coarser power-of-two resolutions
+  are its exact folds, derived on first use.
 
 The index never changes query *results* — only which frames get decoded.
 Every byte is a pure function of the trace file's content (no timestamps),
@@ -28,18 +31,10 @@ sidecar's, the index is trusted; otherwise the recorded SHA-256 of the
 source content is re-verified — an atomic replace with identical bytes
 keeps the index valid, any content change invalidates it.
 
-Format **version 4** is the only version written or read (an older
-sidecar answers ``stale:version`` and is rebuilt, never parsed):
-
-* the coarse time bins live on an **absolute power-of-two grid**
-  (``bin_origin``/``bin_shift``: bin ``b`` covers
-  ``[(bin_origin + b) << bin_shift, ...)``), so :func:`extend_index` is
-  exact — an extended index is bit-identical to a full rebuild;
-* a **utilization section** (:mod:`repro.query.utilization`): per-thread
-  and per-CPU busy/count/state-histogram bins, the aggregate store behind
-  density-capped views.  Only the finest resolution is written, as
-  run-length-coded sorted columns; the coarser power-of-two resolutions
-  are its exact folds, derived on first use.
+Format **version 5** is the only version written or read: an older
+sidecar answers ``stale:version`` and is rebuilt, never parsed.  A grown
+or rewritten trace is indexed again from scratch — no writer produces a
+file whose old bytes survive as a prefix, so there is nothing to extend.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ from repro.query.trace import TraceHandle
 from repro.query.utilization import UtilizationBuilder, UtilizationIndex, lane_keys
 
 MAGIC = b"UTEIDX1\x00"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Suffix appended to the trace file's full name (``run.slog.uteidx``).
 SIDECAR_SUFFIX = ".uteidx"
@@ -73,15 +68,10 @@ SIDECAR_SUFFIX = ".uteidx"
 TYPE_BITMAP_BYTES = 32
 _OVERFLOW_BIT = TYPE_BITMAP_BYTES * 8 - 1
 
-#: Default number of coarse time bins.
-DEFAULT_TIME_BINS = 64
-
 _HEADER = struct.Struct("<8sII")          # magic, version, flags
 _SOURCE = struct.Struct("<Q32s")          # source size, sha256
-_SPAN = struct.Struct("<qqIIII")          # t_min, t_max, n_frames, n_bins, n_postings, reserved
-_BINGRID = struct.Struct("<qI")           # bin grid origin, bin grid shift
+_SPAN = struct.Struct("<qqIII")           # t_min, t_max, n_frames, n_postings, reserved
 _FRAME = struct.Struct("<QQQQI")          # offset, size, start, end, n_records
-_BIN = struct.Struct("<QQ")               # record count, summed duration
 _POSTING = struct.Struct("<QI")           # thread key, n_frames
 
 _DECODE_ERRORS = (struct.error, IndexError, ValueError, OverflowError)
@@ -131,22 +121,15 @@ class FrameSummary:
 
 @dataclass
 class TraceIndex:
-    """A parsed (or freshly built) sidecar index.
-
-    The coarse ``bins`` live on the absolute grid: bin ``b`` covers
-    ``[(bin_origin + b) << bin_shift, ...)`` ticks, and ``utilization``
-    carries the per-lane aggregate hierarchy."""
+    """A parsed (or freshly built) sidecar index; ``utilization`` carries
+    the per-lane aggregate hierarchy."""
 
     source_size: int
     source_sha256: bytes
     t_min: int
     t_max: int
-    n_bins: int
-    bins: tuple[tuple[int, int], ...]
     frames: list[FrameSummary]
     postings: dict[int, tuple[int, ...]]
-    bin_origin: int = 0
-    bin_shift: int = 0
     utilization: UtilizationIndex | None = None
 
     # -------------------------------------------------------------- queries
@@ -165,9 +148,8 @@ class TraceIndex:
             "version": FORMAT_VERSION,
             "frames": len(self.frames),
             "threads": len(self.postings),
-            "time_bins": self.n_bins,
             "time_range": [self.t_min, self.t_max],
-            "records": sum(count for count, _ in self.bins),
+            "records": sum(f.n_records for f in self.frames),
             "source_sha256": self.source_sha256.hex(),
         }
         if self.utilization is not None:
@@ -185,16 +167,10 @@ class TraceIndex:
         out = bytearray()
         out += _HEADER.pack(MAGIC, FORMAT_VERSION, 0)
         out += _SOURCE.pack(self.source_size, self.source_sha256)
-        out += _SPAN.pack(
-            self.t_min, self.t_max, len(self.frames), self.n_bins,
-            len(self.postings), 0,
-        )
-        out += _BINGRID.pack(self.bin_origin, self.bin_shift)
+        out += _SPAN.pack(self.t_min, self.t_max, len(self.frames), len(self.postings), 0)
         for f in self.frames:
             out += _FRAME.pack(f.offset, f.size, f.start_time, f.end_time, f.n_records)
             out += f.type_bits
-        for count, duration in self.bins:
-            out += _BIN.pack(count, duration)
         for key in sorted(self.postings):
             ordinals = self.postings[key]
             out += _POSTING.pack(key, len(ordinals))
@@ -231,10 +207,8 @@ class TraceIndex:
             pos = _HEADER.size
             source_size, sha = _SOURCE.unpack_from(data, pos)
             pos += _SOURCE.size
-            t_min, t_max, n_frames, n_bins, n_postings, _ = _SPAN.unpack_from(data, pos)
+            t_min, t_max, n_frames, n_postings, _ = _SPAN.unpack_from(data, pos)
             pos += _SPAN.size
-            bin_origin, bin_shift = _BINGRID.unpack_from(data, pos)
-            pos += _BINGRID.size
             facts = []
             for _ in range(n_frames):
                 offset, size, start, end, n_records = _FRAME.unpack_from(data, pos)
@@ -244,10 +218,6 @@ class TraceIndex:
                     raise FormatError("sidecar index truncated in type bitmap")
                 pos += TYPE_BITMAP_BYTES
                 facts.append((offset, size, n_records, start, end, bits))
-            bins = []
-            for _ in range(n_bins):
-                bins.append(_BIN.unpack_from(data, pos))
-                pos += _BIN.size
             # The per-frame key sets are the postings transposed: walking
             # the keys in their (ascending) file order leaves every frame's
             # keys sorted, which is how the accumulator builds them.
@@ -274,57 +244,31 @@ class TraceIndex:
                 raise FormatError("sidecar index has trailing bytes")
         except _DECODE_ERRORS as exc:
             raise FormatError(f"corrupt sidecar index ({exc})") from exc
-        return cls(
-            source_size, sha, t_min, t_max, n_bins, tuple(bins), frames, postings,
-            bin_origin=bin_origin, bin_shift=bin_shift, utilization=utilization,
-        )
+        return cls(source_size, sha, t_min, t_max, frames, postings, utilization)
 
 
 # ---------------------------------------------------------------------------
 # Building.
 
 
-def hash_file(
-    path: str | Path, *, chunk: int = 1 << 20, limit: int | None = None
-) -> bytes:
-    """SHA-256 of a file's content (or its first ``limit`` bytes), read
-    in bounded chunks."""
+def hash_file(path: str | Path, *, chunk: int = 1 << 20) -> bytes:
+    """SHA-256 of a file's content, read in bounded chunks."""
     digest = hashlib.sha256()
-    remaining = limit
     with open(path, "rb") as fh:
-        while True:
-            take = chunk if remaining is None else min(chunk, remaining)
-            if take <= 0:
-                break
-            block = fh.read(take)
-            if not block:
-                break
+        while block := fh.read(chunk):
             digest.update(block)
-            if remaining is not None:
-                remaining -= len(block)
     return digest.digest()
 
 
 class IndexAccumulator:
     """Frame-at-a-time index construction: the one accounting path behind
-    :func:`build_index`, :func:`extend_index` (resuming from ``base``) and
-    the live writer's per-epoch snapshots — all three land on the same
-    bytes for the same frames."""
+    :func:`build_index` and the live writer's per-epoch snapshots — both
+    land on the same bytes for the same frames."""
 
-    def __init__(self, n_bins: int = DEFAULT_TIME_BINS, base: "TraceIndex | None" = None) -> None:
-        if n_bins < 1:
-            raise FormatError(f"need at least one time bin, got {n_bins}")
-        self.n_bins = n_bins
+    def __init__(self) -> None:
         self.frames: list[FrameSummary] = []
         self.postings: dict[int, list[int]] = {}
-        self.builder = UtilizationBuilder(coarse_bins=n_bins)
-        if base is not None:
-            self.n_bins = base.n_bins
-            self.frames = list(base.frames)
-            self.postings = {k: list(v) for k, v in base.postings.items()}
-            self.builder = UtilizationBuilder.from_aggregates(
-                base.utilization, base.bin_origin, base.bin_shift, base.bins
-            )
+        self.builder = UtilizationBuilder()
 
     def add_frame(
         self, batch: FrameBatch, offset: int, size: int, n_records: int,
@@ -342,24 +286,19 @@ class IndexAccumulator:
 
     def index(self, source_size: int, source_sha256: bytes) -> TraceIndex:
         """The index of the frames so far (the accumulator stays usable)."""
-        built = self.builder.build()
         return TraceIndex(
             source_size=source_size,
             source_sha256=source_sha256,
             t_min=min((f.start_time for f in self.frames), default=0),
             t_max=max((f.end_time for f in self.frames), default=0),
-            n_bins=self.n_bins,
-            bins=built.bins,
             frames=list(self.frames),
             postings={k: tuple(v) for k, v in self.postings.items()},
-            bin_origin=built.bin_origin,
-            bin_shift=built.bin_shift,
-            utilization=built.utilization,
+            utilization=self.builder.build(),
         )
 
     def scan(self, handle: TraceHandle) -> TraceIndex:
-        """Account ``handle``'s frames past those already held; index it."""
-        for frame in handle.frames[len(self.frames):]:
+        """Account every frame of ``handle``; index it."""
+        for frame in handle.frames:
             self.add_frame(
                 handle.read_frame_batch(frame.ordinal), frame.offset, frame.size,
                 frame.n_records, frame.start_time, frame.end_time,
@@ -367,16 +306,15 @@ class IndexAccumulator:
         return self.index(os.stat(handle.path).st_size, hash_file(handle.path))
 
 
-def build_index(handle: TraceHandle, *, n_bins: int = DEFAULT_TIME_BINS) -> TraceIndex:
+def build_index(handle: TraceHandle) -> TraceIndex:
     """Build the index by one full pass over an open trace.
 
     Deterministic: frames are visited in file order, thread keys and
     posting lists are emitted sorted, and nothing time- or
-    environment-dependent is recorded.  Coarse time bins live on an
-    absolute power-of-two grid (``bin_origin``/``bin_shift``) and the
-    per-lane utilization hierarchy is accumulated in the same pass.
+    environment-dependent is recorded.  The per-lane utilization
+    hierarchy is accumulated in the same pass.
     """
-    return IndexAccumulator(n_bins).scan(handle)
+    return IndexAccumulator().scan(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +340,17 @@ def load_index(sidecar: str | Path) -> TraceIndex:
     return TraceIndex.decode(Path(sidecar).read_bytes())
 
 
-def _load_judged(
-    source: Path, sidecar: str | Path | None, *, accept_prefix: bool
+def load_fresh_index(
+    source: str | Path, sidecar: str | Path | None = None
 ) -> tuple[TraceIndex | None, str]:
-    """Decode ``source``'s sidecar once and judge it against the file:
-    the one size / mtime / hash decision behind :func:`load_fresh_index`
-    and :func:`load_index_for_extension`."""
+    """The sidecar index of ``source`` if it exists and is fresh.
+
+    Returns ``(index, "fresh")`` or ``(None, reason)`` with reason one of
+    ``missing``, ``corrupt:...``, ``stale:version`` (an older format:
+    rebuilt, not read), ``stale:size``, ``stale:content`` — the planner
+    treats every ``None`` as "fall back to full scan".
+    """
+    source = Path(source)
     sidecar = index_path_for(source) if sidecar is None else Path(sidecar)
     if not sidecar.exists():
         return None, "missing"
@@ -423,74 +366,10 @@ def _load_judged(
     except OSError as exc:
         return None, f"stale:{exc}"
     if src_stat.st_size != index.source_size:
-        if not accept_prefix or src_stat.st_size < index.source_size:
-            return None, "stale:size"
-        if hash_file(source, limit=index.source_size) != index.source_sha256:
-            return None, "stale:content"
-        return index, "prefix"
+        return None, "stale:size"
     if src_stat.st_mtime_ns > side_stat.st_mtime_ns:
         # The trace was replaced after the index was built; only identical
         # content (e.g. an atomic rewrite of the same bytes) keeps it valid.
         if hash_file(source) != index.source_sha256:
             return None, "stale:content"
     return index, "fresh"
-
-
-def load_fresh_index(
-    source: str | Path, sidecar: str | Path | None = None
-) -> tuple[TraceIndex | None, str]:
-    """The sidecar index of ``source`` if it exists and is fresh.
-
-    Returns ``(index, "fresh")`` or ``(None, reason)`` with reason one of
-    ``missing``, ``corrupt:...``, ``stale:version`` (an older format:
-    rebuilt, not read), ``stale:size``, ``stale:content`` — the planner
-    treats every ``None`` as "fall back to full scan".
-    """
-    return _load_judged(Path(source), sidecar, accept_prefix=False)
-
-
-def load_index_for_extension(
-    source: str | Path, sidecar: str | Path | None = None
-) -> tuple[TraceIndex | None, str]:
-    """Like :func:`load_fresh_index`, additionally recognizing a
-    **prefix-fresh** sidecar: the source grew — or was atomically
-    replaced by a live-epoch republish — with the indexed bytes intact as
-    a prefix.  Returns ``(index, "fresh")``, ``(index, "prefix")``, or
-    ``(None, reason)``.
-
-    A prefix index is *not* usable for planning (its posting lists know
-    nothing about the tail frames, so pruning on it would silently drop
-    tail records); it is only a valid base for :func:`extend_index`.
-    That is why this verdict is asked for by name, never handed to a
-    caller of :func:`load_fresh_index`."""
-    return _load_judged(Path(source), sidecar, accept_prefix=True)
-
-
-def extend_index(handle: TraceHandle, base: TraceIndex) -> TraceIndex:
-    """Extend a prefix-fresh ``base`` over ``handle``'s full frame list
-    by indexing only the tail frames.
-
-    The base's frames must be a byte-level prefix of the handle's
-    (verified; :class:`FormatError` otherwise — the caller falls back to
-    :func:`build_index`).  The result is **exact**: because coarse bins
-    and utilization cells live on an absolute power-of-two grid, the
-    base's aggregates are re-seeded at their persisted shifts, tail
-    records accumulate on the same grid, and the extended index equals a
-    full rebuild bit for bit."""
-    frames = handle.frames
-    if len(base.frames) > len(frames):
-        raise FormatError("index prefix has more frames than the trace")
-    if base.utilization is None:
-        raise FormatError("index has no utilization section; rebuild required")
-    for have, want in zip(base.frames, frames):
-        if (
-            have.offset != want.offset
-            or have.size != want.size
-            or have.n_records != want.n_records
-            or have.start_time != want.start_time
-            or have.end_time != want.end_time
-        ):
-            raise FormatError(
-                f"frame {want.ordinal} diverges from the index prefix"
-            )
-    return IndexAccumulator(base=base).scan(handle)

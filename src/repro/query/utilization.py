@@ -17,14 +17,11 @@ Every bin lives on an **absolute power-of-two grid**: at shift ``k`` a
 bin covers ``[i << k, (i + 1) << k)`` ticks and a timestamp ``t`` falls
 in bin ``t >> k``.  Two sibling bins at shift ``k`` merge *exactly* into
 their parent at ``k + 1`` — counts add, per-state busy overlaps add —
-which buys three properties the span-relative grids of earlier formats
+which buys two properties the span-relative grids of earlier formats
 could not offer:
 
 * **determinism** — the finest shift and the level count are pure
   functions of the record multiset, never of arrival order or chunking;
-* **exact extension** — extending an index over appended frames folds
-  the old bins onto the (possibly coarser) new grid and lands on
-  *bit-identical* bytes to a full rebuild;
 * **exact live incrementality** — the streaming writer's snapshot is the
   same structure a post-hoc rebuild of the assembled file produces.
 
@@ -39,11 +36,6 @@ exact fold, computed once on first use and kept — sibling sums are
 associative, so a level folded straight from any finer one equals the
 level-by-level chain bit for bit, and "levels that disagree with each
 other" is not a state the index or its file can be in.
-
-The same builder also accumulates the sidecar's **coarse time bins**
-(count + summed duration, attributed by record start, every record
-included) on the same absolute grid, which is what makes
-:func:`repro.query.indexfile.extend_index` exact.
 """
 
 from __future__ import annotations
@@ -64,7 +56,6 @@ from repro.query.columnar import FrameBatch, batch_from_records, pack_keys
 
 __all__ = [
     "DEFAULT_BASE_BINS",
-    "BuiltAggregates",
     "UtilizationBuilder",
     "UtilizationIndex",
     "cpu_key",
@@ -732,17 +723,6 @@ def utilization_json(
     return json.dumps(head)[:-1] + ', "lanes": [' + ", ".join(lanes) + "]}"
 
 
-@dataclass(frozen=True)
-class BuiltAggregates:
-    """Everything one builder pass produces: the hierarchy plus the coarse
-    time-bin grid the sidecar's fixed ``bins`` array publishes."""
-
-    utilization: UtilizationIndex
-    bin_origin: int
-    bin_shift: int
-    bins: tuple[tuple[int, int], ...]
-
-
 #: Ceiling on the bins a single record may span at the accumulation
 #: shift.  Without it, a long record arriving while the span — and
 #: therefore the shift — is still small costs O(duration/width) rows,
@@ -752,7 +732,7 @@ class BuiltAggregates:
 #: _RECORD_BINS coarser than the span-optimal shift.  Like the span
 #: rule, this constraint is a function of the record multiset only, so
 #: the final shift stays independent of arrival order — the property the
-#: extend-vs-rebuild byte-exactness proof rests on.
+#: live-snapshot-vs-rebuild byte-exactness rests on.
 _RECORD_BINS = 64
 
 #: Records :meth:`UtilizationBuilder.add` buffers before they flush
@@ -771,9 +751,8 @@ class UtilizationBuilder:
     """Accumulates frame batches into the exact absolute-grid aggregates.
 
     Used identically by :func:`~repro.query.indexfile.build_index` (full
-    pass), :func:`~repro.query.indexfile.extend_index` (seeded from the
-    base index, tail frames appended), and the live writer's incremental
-    index (frames as they seal) — all three land on the same bytes.
+    pass) and the live writer's incremental index (frames as they seal) —
+    both land on the same bytes.
 
     Rows accumulate at ``shift``: the smallest shift at which the span
     fits ``base_bins`` bins and no busy record covers more than
@@ -781,13 +760,8 @@ class UtilizationBuilder:
     held rows fold onto the coarser grid (``bin >> steps``, exact).
     """
 
-    def __init__(self, *, base_bins: int = DEFAULT_BASE_BINS, coarse_bins: int = 64) -> None:
-        if base_bins < coarse_bins:
-            raise FormatError(
-                f"base bins {base_bins} must be >= coarse bins {coarse_bins}"
-            )
+    def __init__(self, *, base_bins: int = DEFAULT_BASE_BINS) -> None:
         self.base_bins = base_bins
-        self.coarse_bins = coarse_bins
         self.t_min: int | None = None
         self.t_max = 0
         self.shift = 0
@@ -795,9 +769,6 @@ class UtilizationBuilder:
         #: aggregated unless ``_loose`` says otherwise.
         self._rows: tuple[list[_Rows], list[_Rows]] = ([_NO_ROWS], [_NO_ROWS])
         self._loose = 0
-        self._coarse_origin = 0
-        self._coarse_shift = 0
-        self._coarse = np.zeros((2, coarse_bins), np.int64)  # counts, durations
         self._buffer: list[IntervalRecord] = []
 
     def add(self, record: IntervalRecord) -> None:
@@ -820,7 +791,6 @@ class UtilizationBuilder:
         first = int(batch.start.min())
         self.t_min = first if self.t_min is None else min(self.t_min, first)
         self.t_max = max(self.t_max, int(batch.end.max()))
-        self._add_coarse(batch.start, batch.dura)
         cols = (batch.start, batch.end, batch.node, batch.thread, batch.cpu, batch.itype)
         busy = (batch.dura > 0) & (batch.itype != int(IntervalType.CLOCKPAIR))
         if not busy.all():
@@ -872,51 +842,7 @@ class UtilizationBuilder:
                 chunks[:] = [_aggregate(tuple(map(np.concatenate, zip(*chunks))))]
             self._loose = 0
 
-    def _add_coarse(self, start: np.ndarray, dura: np.ndarray) -> None:
-        shift = shift_for_span(
-            self.t_min, self.t_max, self.coarse_bins, self._coarse_shift
-        )
-        origin = self.t_min >> shift
-        if (origin, shift) != (self._coarse_origin, self._coarse_shift):
-            old = self._coarse
-            held = np.flatnonzero(old.any(axis=0))
-            moved = ((held + self._coarse_origin) >> (shift - self._coarse_shift)) - origin
-            self._coarse = np.zeros_like(old)
-            for new_row, old_row in zip(self._coarse, old):
-                np.add.at(new_row, moved, old_row[held])
-            self._coarse_origin, self._coarse_shift = origin, shift
-        idx = (start >> shift) - origin
-        np.add.at(self._coarse[0], idx, 1)
-        np.add.at(self._coarse[1], idx, dura)
-
-    @classmethod
-    def from_aggregates(
-        cls,
-        base: "UtilizationIndex",
-        bin_origin: int,
-        bin_shift: int,
-        bins,
-        *,
-        base_bins: int = DEFAULT_BASE_BINS,
-    ) -> "UtilizationBuilder":
-        """Resume accumulation from a decoded index — the extension path.
-
-        Seeds the rows from the hierarchy's finest level and the coarse
-        bins from the published grid; both are exact representations at
-        their shifts, so appended frames continue folding exactly where a
-        rebuild would."""
-        builder = cls(base_bins=base_bins, coarse_bins=len(bins))
-        if sum(count for count, _ in bins) == 0:
-            return builder
-        builder.t_min, builder.t_max = base.t_min, base.t_max
-        builder.shift = base.base_shift
-        for chunks, table in zip(builder._rows, (base.thread, base.cpu)):
-            chunks[:] = [_rows_of(table.keys, table.levels[0])]
-        builder._coarse_origin, builder._coarse_shift = bin_origin, bin_shift
-        builder._coarse = np.array(bins, np.int64).T.copy()
-        return builder
-
-    def build(self) -> BuiltAggregates:
+    def build(self) -> UtilizationIndex:
         """Freeze the accumulated state onto the deterministic grids (the
         builder stays usable — live snapshots call this per epoch)."""
         self._flush()
@@ -928,6 +854,4 @@ class UtilizationBuilder:
         for (rows,) in self._rows:
             keys, finest = _level_of(rows)
             tables.append(LaneTable(keys, Levels(keys, finest, n_levels)))
-        util = UtilizationIndex(self.shift, n_levels, t_min, t_max, *tables)
-        bins = tuple(zip(*self._coarse.tolist()))
-        return BuiltAggregates(util, self._coarse_origin, self._coarse_shift, bins)
+        return UtilizationIndex(self.shift, n_levels, t_min, t_max, *tables)

@@ -118,9 +118,6 @@ class Dataset:
     managed: bool
     index_status: str = INDEX_NONE
     index_error: str = ""
-    #: Whether the last index build reused a prefix-fresh sidecar
-    #: (extend) instead of scanning the whole file (rebuild).
-    index_extended: bool = False
     #: Set once the background index build reaches a terminal state.
     index_done: threading.Event = field(default_factory=threading.Event, repr=False)
 
@@ -586,30 +583,17 @@ class Repository:
         thread.start()
 
     def _build_index(self, dataset: Dataset) -> None:
-        from repro.query import build_index, index_path_for, open_trace, write_index
-        from repro.query.indexfile import extend_index, load_index_for_extension
+        from repro.query import (
+            build_index, index_path_for, load_fresh_index, open_trace, write_index,
+        )
 
         dataset.index_status = INDEX_BUILDING
         try:
-            # A sidecar that is a verified prefix of the grown/republished
-            # file (same bytes, more of them — a live finalization, an
-            # append, an atomic same-content replace) is extended over the
-            # tail instead of rebuilt from scratch; a fully fresh one
-            # needs no work at all.
-            base, reason = load_index_for_extension(dataset.path)
-            index = None
-            if base is None or reason != "fresh":
+            # A fresh sidecar (an atomic same-content replace keeps one
+            # fresh) needs no work at all; anything else is rebuilt.
+            if load_fresh_index(dataset.path)[0] is None:
                 with open_trace(dataset.path) as handle:
-                    if base is not None and reason == "prefix":
-                        try:
-                            index = extend_index(handle, base)
-                            dataset.index_extended = True
-                        except FormatError:
-                            base = None
-                    if base is None or reason != "prefix":
-                        index = build_index(handle)
-                        dataset.index_extended = False
-            if index is not None:
+                    index = build_index(handle)
                 write_index(index, index_path_for(dataset.path))
         except Exception as exc:  # build failures degrade, never crash
             dataset.index_status = INDEX_FAILED

@@ -115,6 +115,22 @@ class TestArgumentErrors:
         assert "error: unrecognized arguments: --jobs 2" in err
         assert not (tmp_path / "out").exists()
 
+    def test_build_index_has_no_bins(self, run_slog, tmp_path, capsys):
+        """``--bins`` sets ``--utilization`` answers only; given with
+        ``--build-index`` it is a one-line usage error and no sidecar is
+        written, beside the trace or at ``--index``."""
+        from repro import cli
+        from repro.query import index_path_for
+
+        sidecar = tmp_path / "x.uteidx"
+        for extra in ([], ["--index", str(sidecar)]):
+            argv = [str(run_slog), "--build-index", "--bins", "32", *extra]
+            assert cli.main_query(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("ute-query: error: --bins ")
+            assert len(err.splitlines()) == 1
+        assert not sidecar.exists() and not index_path_for(run_slog).exists()
+
 
 #: Every console script with the arguments that lead it to one input path
 #: (``{}``).  ``ute-trace`` reads no file; its one path is the ``--live``

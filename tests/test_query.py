@@ -29,6 +29,7 @@ from repro.core.profilefmt import Profile
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
+from repro.live import LiveIntervalWriter, LiveSlogWriter
 from repro.query import (
     MODE_FULL_SCAN,
     MODE_INDEXED,
@@ -44,6 +45,7 @@ from repro.query import (
     run_query,
     write_index,
 )
+from repro.utils.slog import SlogWriter
 
 PROFILE = standard_profile()
 MARKER = IntervalType.MARKER
@@ -67,16 +69,20 @@ def _records(n=240):
     return out
 
 
-def make_ivl(path, records=None, *, frame_bytes=512):
-    table = ThreadTable(
+def thread_table():
+    """Three nodes of two threads, as ``_records`` spreads them."""
+    return ThreadTable(
         [
             ThreadEntry(n * 2 + t, 100 + n, 5000 + n * 10 + t, n, t, 0, f"n{n}t{t}")
             for n in range(3)
             for t in range(2)
         ]
     )
+
+
+def make_ivl(path, records=None, *, frame_bytes=512):
     with IntervalFileWriter(
-        path, PROFILE, table, field_mask=MASK_ALL_MERGED,
+        path, PROFILE, thread_table(), field_mask=MASK_ALL_MERGED,
         markers={1: "phase"}, frame_bytes=frame_bytes,
     ) as writer:
         for record in records if records is not None else _records():
@@ -115,7 +121,8 @@ class TestIndexFile:
         assert decoded.source_size == index.source_size
         assert decoded.source_sha256 == index.source_sha256
         assert decoded.t_min == index.t_min and decoded.t_max == index.t_max
-        assert decoded.bins == index.bins
+        assert decoded.frames == index.frames
+        assert decoded.utilization.encode() == index.utilization.encode()
         assert decoded.postings == index.postings
         assert [f.thread_keys for f in decoded.frames] == [
             f.thread_keys for f in index.frames
@@ -195,7 +202,7 @@ def test_an_index_is_not_bigger_than_its_data(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Sidecar damage: every malformed v4 file is a FormatError, never a NumPy
+# Sidecar damage: every malformed v5 file is a FormatError, never a NumPy
 # exception and never a wrong answer.
 
 #: The five run-coded columns of a lane table's level 0, in file order.
@@ -204,7 +211,7 @@ RUN_FORMATS = "BHIQ"  # dtype codes 0..3: u1, u2, u4, u8
 
 
 def sidecar_sections(data: bytes) -> list[tuple[str, int, int]]:
-    """Walk a version-4 sidecar by the layout in docs/FORMAT.md section 7:
+    """Walk a version-5 sidecar by the layout in docs/FORMAT.md section 7:
     ``(name, start, end)`` of every section, in file order."""
     out: list[tuple[str, int, int]] = []
     pos = 0
@@ -216,12 +223,10 @@ def sidecar_sections(data: bytes) -> list[tuple[str, int, int]]:
 
     take("header", 16)
     take("source", 40)
-    _, _, n_frames, n_bins, n_postings, _ = struct.unpack_from("<qqIIII", data, pos)
-    take("span", 32)
-    take("bingrid", 12)
+    _, _, n_frames, n_postings, _ = struct.unpack_from("<qqIII", data, pos)
+    take("span", 28)
     for i in range(n_frames):
         take(f"frame{i}", 36 + 32)
-    take("bins", 16 * n_bins)
     for i in range(n_postings):
         (n,) = struct.unpack_from("<I", data, pos + 8)
         take(f"posting{i}", 12 + 4 * n)
@@ -460,7 +465,7 @@ class TestSidecarDamage:
     def test_layout_walk_covers_the_file(self, trace):
         data = index_path_for(trace).read_bytes()
         names = [name for name, _, _ in sidecar_sections(data)]
-        assert names[:4] == ["header", "source", "span", "bingrid"]
+        assert names[:4] == ["header", "source", "span", "frame0"]
         assert "thread.busy.values" in names and names[-1] == "crc"
         assert first_multi_state_row(data) >= 0
 
@@ -526,11 +531,11 @@ class TestSidecarDamage:
         )[0]
         self.assert_falls_back(trace, tampered)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_versions_are_stale_not_read(self, trace, version):
-        """A v1/v2/v3 file (valid magic and checksum, an older version
-        word) is never parsed: it reports ``stale:version`` and the
-        planner scans."""
+        """A v1-v4 file (valid magic and checksum, an older version word)
+        is never parsed: it reports ``stale:version`` and the planner
+        scans."""
         data = index_path_for(trace).read_bytes()
         body = bytearray(data[:-4])
         struct.pack_into("<I", body, 8, version)
@@ -547,12 +552,12 @@ class TestSidecarDamage:
         sidecar = index_path_for(trace)
         good = sidecar.read_bytes()
         body = bytearray(good[:-4])
-        struct.pack_into("<I", body, 8, 2)
+        struct.pack_into("<I", body, 8, 4)
         sidecar.write_bytes(resealed(bytes(body)))
         repo = Repository(None, build_indexes=True)
         dataset = repo.attach("old", trace)
         repo._build_index(dataset)
-        assert dataset.index_status == "ready" and dataset.index_extended is False
+        assert dataset.index_status == "ready"
         assert sidecar.read_bytes() == good
 
 
@@ -964,90 +969,54 @@ def test_salvage_parity_indexed_vs_full(salvage_corpus, pick, frac0, span, threa
 
 
 # ---------------------------------------------------------------------------
-# Index extension (live-epoch republish / grown-file staleness).
+# Grown and replaced traces: a sidecar is rebuilt or fresh, never extended.
+
+
+def _write_stream(kind, path, records):
+    """``records`` through one of the four trace writers, frames cut at
+    512 bytes; the live writers also publish an epoch every 64 records."""
+    if kind == "interval":
+        return make_ivl(path, records)
+    common = {"markers": {1: "phase"}, "field_mask": MASK_ALL_MERGED, "frame_bytes": 512}
+    if kind == "slog":
+        writer = SlogWriter(
+            path, PROFILE, thread_table(), time_range=(0, 24_000_000), **common
+        )
+    else:
+        live = LiveSlogWriter if kind == "live-slog" else LiveIntervalWriter
+        writer = live(path, PROFILE, thread_table(), **common)
+    with writer:
+        for i, record in enumerate(records):
+            writer.write(record)
+            if kind != "slog" and i % 64 == 63:
+                writer.publish(seal=True)
+    return path
 
 
 class TestIndexExtension:
-    """A sidecar whose bytes are a verified prefix of the grown trace is
-    extended over the tail, never rebuilt from scratch — the staleness
-    rule live-epoch republishes rely on."""
+    """There is no index extension: no writer grows a trace file by
+    appending to it, so a sidecar covering fewer bytes than its trace is
+    ``stale:size`` and rebuilt, and a same-content replace stays fresh."""
 
-    @staticmethod
-    def _prefix_base(path, k):
-        """The sidecar a shorter, byte-prefix version of ``path`` would
-        have had: index the first ``k`` frames, stamp size/sha of the
-        prefix they cover."""
-        import dataclasses
-
-        from repro.query.indexfile import hash_file
-
-        with open_trace(path, PROFILE) as handle:
-            all_frames = list(handle.frames)
-            handle.frames = all_frames[:k]
-            base = build_index(handle)
-        size = all_frames[k - 1].offset + all_frames[k - 1].size
-        return dataclasses.replace(
-            base, source_size=size, source_sha256=hash_file(path, limit=size)
-        )
-
-    def test_prefix_verdict_and_extension(self, ivl):
-        from repro.query.indexfile import extend_index, load_index_for_extension
-
-        base = self._prefix_base(ivl, 2)
-        write_index(base, index_path_for(ivl))
-
-        # The planner's freshness check refuses it...
-        index, reason = load_fresh_index(ivl)
-        assert index is None and reason == "stale:size"
-        # ...but the extension check recognizes the intact prefix.
-        loaded, reason = load_index_for_extension(ivl)
-        assert reason == "prefix"
-        assert loaded.source_size == base.source_size
-
-        with open_trace(ivl, PROFILE) as handle:
-            extended = extend_index(handle, loaded)
-            full = build_index(handle)
-        assert extended.source_size == full.source_size
-        assert extended.source_sha256 == full.source_sha256
-        assert extended.frames == full.frames
-        assert extended.postings == full.postings
-        # Absolute-grid aggregates make extension exact, not approximate:
-        # the extended sidecar is the rebuild, bit for bit.
-        assert extended.bins == full.bins
-        assert extended.encode() == full.encode()
-        # Published, it is fresh for the grown file.
-        write_index(extended, index_path_for(ivl))
-        _, reason = load_fresh_index(ivl)
-        assert reason == "fresh"
-
-    def test_diverged_prefix_rejected(self, ivl):
-        """Same length story, different bytes: the sha check catches a
-        replace that is not a pure extension."""
-        from repro.query.indexfile import load_index_for_extension
-
-        base = self._prefix_base(ivl, 2)
-        base = type(base)(
-            source_size=base.source_size,
-            source_sha256=b"\x00" * 32,
-            t_min=base.t_min, t_max=base.t_max, n_bins=base.n_bins,
-            bins=base.bins, frames=base.frames, postings=base.postings,
-        )
-        write_index(base, index_path_for(ivl))
-        index, reason = load_index_for_extension(ivl)
-        assert index is None and reason == "stale:content"
-
-    def test_registry_extends_instead_of_rebuilding(self, ivl):
-        from repro.repository import Repository
-
-        base = self._prefix_base(ivl, 2)
-        write_index(base, index_path_for(ivl))
-        repo = Repository(None, build_indexes=True)
-        dataset = repo.attach("grown", ivl)
-        repo._build_index(dataset)
-        assert dataset.index_status == "ready"
-        assert dataset.index_extended is True
-        _, reason = load_fresh_index(ivl)
-        assert reason == "fresh"
+    @pytest.mark.parametrize("kind", ["interval", "slog", "live-slog", "live-interval"])
+    def test_no_writer_grows_a_file_by_byte_prefix(self, tmp_path, kind):
+        """The file written from the first ``k`` records of a stream is
+        never a byte prefix of the file written from all of it — for ``k``
+        of one record, one on the first frame boundary, mid-stream and one
+        short of the whole.  A SLOG's metadata (frame count, frame index,
+        preview) comes first, and an interval file back-patches its last
+        directory as it grows.  A live container's virtual file does grow
+        by prefix, but its writer republishes the whole index with every
+        epoch, so nothing needs to extend one either."""
+        records = _records()
+        full = _write_stream(kind, tmp_path / f"full.{kind}", records).read_bytes()
+        with open_trace(tmp_path / f"full.{kind}", PROFILE) as handle:
+            boundary = handle.frames[0].n_records
+        assert 1 < boundary < len(records) // 2
+        for k in (1, boundary, 37, 100, len(records) - 1):
+            part = _write_stream(kind, tmp_path / f"k{k}.{kind}", records[:k])
+            data = part.read_bytes()
+            assert len(data) < len(full) and not full.startswith(data), k
 
     def test_same_content_replace_skips_rebuild(self, indexed_ivl):
         """An atomic same-bytes replace bumps the mtime only; the sidecar
@@ -1068,23 +1037,40 @@ class TestIndexExtension:
         dataset = repo.attach("same", indexed_ivl)
         assert dataset.index_status == "ready"
         repo._build_index(dataset)
-        assert dataset.index_extended is False
         assert sidecar.stat().st_mtime_ns == before  # never rewritten
 
 
 def test_a_grown_trace_decodes_its_sidecar_once(ivl, monkeypatch):
-    """``stale:size`` and ``prefix`` are two readings of one decode: the
-    path every live finalization and grown dataset takes parses the
-    sidecar a single time, and both entry points still give their own
-    verdict."""
-    from repro.query import indexfile
+    """The sidecar of a shorter version of the trace (its first two frames,
+    stamped with the size and hash of the bytes they cover) reads
+    ``stale:size`` from a single decode, and the repository replaces it
+    with what ``build_index`` writes for the whole file."""
+    import dataclasses
+    import hashlib
 
-    write_index(TestIndexExtension._prefix_base(ivl, 2), index_path_for(ivl))
+    from repro.query import indexfile
+    from repro.repository import Repository
+
+    with open_trace(ivl, PROFILE) as handle:
+        full = build_index(handle).encode()
+        handle.frames = handle.frames[:2]
+        base = build_index(handle)
+    size = base.frames[-1].offset + base.frames[-1].size
+    write_index(
+        dataclasses.replace(
+            base, source_size=size,
+            source_sha256=hashlib.sha256(ivl.read_bytes()[:size]).digest(),
+        ),
+        index_path_for(ivl),
+    )
     decodes = []
     load_index = indexfile.load_index
     monkeypatch.setattr(
         indexfile, "load_index", lambda path: decodes.append(path) or load_index(path)
     )
-    index, reason = indexfile.load_index_for_extension(ivl)
-    assert index is not None and reason == "prefix" and len(decodes) == 1
-    assert load_fresh_index(ivl) == (None, "stale:size") and len(decodes) == 2
+    assert load_fresh_index(ivl) == (None, "stale:size") and len(decodes) == 1
+    repo = Repository(None, build_indexes=True)
+    dataset = repo.attach("grown", ivl)
+    repo._build_index(dataset)
+    assert dataset.index_status == "ready"
+    assert index_path_for(ivl).read_bytes() == full

@@ -97,13 +97,9 @@ def brute_force_levels(records, base_shift, n_levels, key_of):
     ]
 
 
-def sidecar_bytes(built):
+def sidecar_bytes(util):
     """The aggregates as a whole (source-less) sidecar's bytes."""
-    util = built.utilization
-    return TraceIndex(
-        0, b"\0" * 32, util.t_min, util.t_max, len(built.bins), built.bins, [], {},
-        bin_origin=built.bin_origin, bin_shift=built.bin_shift, utilization=util,
-    ).encode()
+    return TraceIndex(0, b"\0" * 32, util.t_min, util.t_max, [], {}, util).encode()
 
 
 def make_slog(path, records, *, threads=2, frame_bytes=512):
@@ -166,8 +162,7 @@ class TestGridHelpers:
 class TestBuilderExactness:
     def test_finest_level_busy_equals_summed_durations(self):
         records = sample_records()
-        built = build(records)
-        util = built.utilization
+        util = build(records)
         for r in records:
             assert r.duration > 0
         want = {}
@@ -180,7 +175,7 @@ class TestBuilderExactness:
 
     def test_counts_attribute_each_record_once(self):
         records = sample_records()
-        util = build(records).utilization
+        util = build(records)
         total = sum(
             count for cells in level0(util).values() for count, _ in cells.values()
         )
@@ -188,7 +183,7 @@ class TestBuilderExactness:
 
     def test_every_level_folds_exactly_from_the_one_below(self):
         records = sample_records()
-        util = build(records).utilization
+        util = build(records)
         assert util.n_levels > 3
         for kind, key_of in (
             ("thread", lambda r: thread_key(r.node, r.thread)),
@@ -204,23 +199,18 @@ class TestBuilderExactness:
             rec(700, 0),
             rec(800, 300, itype=IntervalType.CLOCKPAIR),
         ]
-        built = build(records)
-        util = built.utilization
+        util = build(records)
         busy = sum(
             sum(states.values()) for cells in level0(util).values()
             for _, states in cells.values()
         )
         assert busy == 500
-        # ...but the coarse grid counts every record by its start bin.
-        assert sum(c for c, _ in built.bins) == 3
-        assert sum(d for _, d in built.bins) == 800
 
     def test_order_independence(self):
         records = sample_records()
         shuffled = records[::-1]
         a, b = build(records), build(shuffled)
-        assert a.utilization.encode() == b.utilization.encode()
-        assert a.bins == b.bins
+        assert a.encode() == b.encode()
 
 
 record_rows = st.lists(
@@ -234,7 +224,7 @@ record_rows = st.lists(
     ),
     max_size=60,
 )
-grids = st.sampled_from([(4096, 64), (64, 8)])
+grids = st.sampled_from([4096, 64])  # base_bins
 
 
 def from_rows(rows):
@@ -258,7 +248,7 @@ class TestChunkingAndOrder:
         from repro.query import utilization
 
         records = from_rows(rows)
-        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
+        kwargs = {"base_bins": grid}
         reference = UtilizationBuilder(**kwargs)
         reference.add_batch(batch_from_records(records))
         want = sidecar_bytes(reference.build())
@@ -279,10 +269,9 @@ class TestChunkingAndOrder:
                     builder.add_batch(batch_from_records(chunk))
                 if rng.random() < 0.25:
                     builder.build()
-            built = builder.build()
-        assert sidecar_bytes(built) == want
+            util = builder.build()
+        assert sidecar_bytes(util) == want
 
-        util = built.utilization
         for kind, key_of in (
             ("thread", lambda r: thread_key(r.node, r.thread)),
             ("cpu", lambda r: cpu_key(r.node, r.cpu)),
@@ -290,26 +279,6 @@ class TestChunkingAndOrder:
             exact = brute_force_levels(records, util.base_shift, util.n_levels, key_of)
             for li in range(util.n_levels):
                 assert util.level_cells(kind, li) == exact[li]
-        coarse = [[0, 0] for _ in built.bins]
-        for r in records:
-            cell = coarse[(r.start >> built.bin_shift) - built.bin_origin]
-            cell[0] += 1
-            cell[1] += r.duration
-        assert [list(b) for b in built.bins] == coarse
-
-    @settings(max_examples=40, deadline=None)
-    @given(record_rows, grids, st.integers(0, 60))
-    def test_resuming_from_decoded_aggregates_equals_a_rebuild(self, rows, grid, cut):
-        records = from_rows(rows)
-        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
-        full = sidecar_bytes(build(records, **kwargs))
-        base = TraceIndex.decode(sidecar_bytes(build(records[:cut], **kwargs)))
-        resumed = UtilizationBuilder.from_aggregates(
-            base.utilization, base.bin_origin, base.bin_shift, base.bins,
-            base_bins=grid[0],
-        )
-        resumed.add_batch(batch_from_records(records[cut:]))
-        assert sidecar_bytes(resumed.build()) == full
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -332,7 +301,7 @@ class TestChunkingAndOrder:
             rec(start, dura, node=nodes[node & 1], cpu=cpu, thread=thread, itype=itype)
             for start, dura, node, cpu, thread, itype in rows
         ]
-        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
+        kwargs = {"base_bins": grid}
         want = sidecar_bytes(build(records, **kwargs))
         with mock.patch.object(utilization, "_COMPACT_ROWS", 1), \
                 mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
@@ -344,12 +313,11 @@ class TestChunkingAndOrder:
                 rest = rest[n:]
                 builder.build()
                 assert builder._loose == 0 and all(len(c) == 1 for c in builder._rows)
-            built = builder.build()
-        assert sidecar_bytes(built) == want
+            util = builder.build()
+        assert sidecar_bytes(util) == want
         if nodes[1] - nodes[0] == 1:
             assert lexsort.call_count == 0
 
-        util = built.utilization
         for kind, key_of in (
             ("thread", lambda r: thread_key(r.node, r.thread)),
             ("cpu", lambda r: cpu_key(r.node, r.cpu)),
@@ -453,10 +421,10 @@ class TestLazyLevels:
     @given(record_rows, grids, st.randoms(use_true_random=False))
     def test_any_request_order_equals_the_chained_fold(self, rows, grid, rng):
         records = from_rows(rows)
-        kwargs = {"base_bins": grid[0], "coarse_bins": grid[1]}
-        reference = build(records, **kwargs).utilization
+        kwargs = {"base_bins": grid}
+        reference = build(records, **kwargs)
         n_levels = reference.n_levels
-        lazy, raced = (build(records, **kwargs).utilization for _ in range(2))
+        lazy, raced = (build(records, **kwargs) for _ in range(2))
         orders = [rng.sample(range(n_levels), n_levels) for _ in range(9)]
         for kind in ("thread", "cpu"):
             want = chained_levels(reference._table(kind), n_levels)
@@ -490,7 +458,7 @@ class TestLazyLevels:
                     assert same_level(level, want[li])
 
     def test_coarser_levels_are_not_built_until_asked_for(self):
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         held = util.thread.levels._held
         assert util.n_levels > 3 and [lv is not None for lv in held] == [True] + [False] * (
             util.n_levels - 1
@@ -576,7 +544,7 @@ class TestGoldenQueries:
 
 class TestEncoding:
     def test_round_trip_is_identity(self):
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         data = util.encode()
         decoded, pos = UtilizationIndex.decode(data, 0)
         assert pos == len(data)
@@ -585,7 +553,7 @@ class TestEncoding:
     @settings(max_examples=60, deadline=None)
     @given(record_rows, grids)
     def test_decode_of_encode_reproduces_level_zero(self, rows, grid):
-        util = build(from_rows(rows), base_bins=grid[0], coarse_bins=grid[1]).utilization
+        util = build(from_rows(rows), base_bins=grid)
         data = util.encode()
         decoded, pos = UtilizationIndex.decode(data, 0)
         assert pos == len(data)
@@ -601,7 +569,7 @@ class TestEncoding:
 
     def test_only_the_finest_level_is_stored(self):
         # Asking for every level first changes nothing that is written.
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         before = util.encode()
         for kind in ("thread", "cpu"):
             for li in range(util.n_levels):
@@ -618,7 +586,7 @@ class TestEncoding:
 
 class TestQuery:
     def test_cells_cover_busy_and_respect_max_bins(self):
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         shift, lanes = util.query("thread", util.t_min, util.t_max, 64)
         assert (util.t_max >> shift) - (util.t_min >> shift) + 1 <= 64
         for cells in lanes.values():
@@ -628,14 +596,14 @@ class TestQuery:
                 assert count >= 0 and busy > 0
 
     def test_narrow_window_uses_a_finer_level(self):
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         whole, _ = util.query("thread", util.t_min, util.t_max, 16)
         mid = (util.t_min + util.t_max) // 2
         narrow, _ = util.query("thread", mid, mid + 100, 16)
         assert narrow <= whole
 
     def test_window_is_clamped_to_the_indexed_span(self):
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         shift, lanes = util.query(
             "thread", util.t_min - 10**9, util.t_max + 10**9, 128
         )
@@ -646,7 +614,7 @@ class TestQuery:
         # Whole-level answers are remembered per kind; whatever was asked
         # before, every answer equals a never-queried index's.
         records = sample_records()
-        util = build(records).utilization
+        util = build(records)
         mid = (util.t_min + util.t_max) // 2
         asks = [
             (util.t_min, util.t_max, 16), (util.t_min, util.t_max, 16),
@@ -655,13 +623,13 @@ class TestQuery:
         ]
         for t0, t1, max_bins in asks:
             for kind in ("thread", "cpu"):
-                fresh = build(records).utilization
+                fresh = build(records)
                 assert util.query(kind, t0, t1, max_bins) == fresh.query(
                     kind, t0, t1, max_bins
                 )
 
     def test_unknown_lane_kind_raises(self):
-        util = build(sample_records()).utilization
+        util = build(sample_records())
         with pytest.raises(FormatError):
             util.query("socket", 0, 1, 16)
 

@@ -75,7 +75,7 @@ def build(records, **kwargs):
     builder = UtilizationBuilder(**kwargs)
     for r in records:
         builder.add(r)
-    return builder.build().utilization
+    return builder.build()
 
 
 #: (start, duration, node, cpu, thread, state); the big rows reach 2**62
@@ -98,7 +98,7 @@ big_rows = st.lists(
     min_size=1, max_size=6,
 )
 record_rows = st.one_of(small_rows, big_rows)
-grids = st.sampled_from([(4096, 64), (64, 8)])
+grids = st.sampled_from([4096, 64])  # base_bins
 max_bins = st.sampled_from([1, 3, 16, 192, 1024, 1 << 20])
 
 
@@ -190,7 +190,7 @@ class TestQueryColumns:
     @settings(max_examples=80, deadline=None)
     @given(record_rows, grids)
     def test_dominant_is_dominant_state_of_every_cell(self, rows, grid):
-        util = build(from_rows(rows), base_bins=grid[0], coarse_bins=grid[1])
+        util = build(from_rows(rows), base_bins=grid)
         for kind in ("thread", "cpu"):
             for li in range(util.n_levels):
                 k = util.base_shift + li
@@ -213,7 +213,7 @@ class TestQueryColumns:
     @settings(max_examples=80, deadline=None)
     @given(record_rows, grids, max_bins, st.data())
     def test_the_mapping_is_the_per_lane_cell_lists(self, rows, grid, bins, data):
-        util = build(from_rows(rows), base_bins=grid[0], coarse_bins=grid[1])
+        util = build(from_rows(rows), base_bins=grid)
         t0, t1 = windows_of(util, data)
         for kind in ("thread", "cpu"):
             shift, cells = util.query(kind, t0, t1, bins)
@@ -248,7 +248,7 @@ class TestHeatBars:
     @settings(max_examples=120, deadline=None)
     @given(record_rows, grids, max_bins, st.data())
     def test_lazy_bars_equal_the_merge_loop(self, rows, grid, bins, data):
-        util = build(from_rows(rows), base_bins=grid[0], coarse_bins=grid[1])
+        util = build(from_rows(rows), base_bins=grid)
         window = windows_of(util, data)
         for kind in ("thread", "cpu"):
             view = utilization_view(
