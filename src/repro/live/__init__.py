@@ -8,9 +8,11 @@ exactly the readable frames — is atomically re-published, together with
 an incrementally maintained ``.uteidx`` sidecar.  Readers
 (:mod:`repro.live.reader`) pin an epoch, never observe a torn tail, and
 advance monotonically; writers (:mod:`repro.live.writer`) assemble the
-ordinary ``.slog``/``.ute`` file at close.  ``ute-tail``, the serving
-daemon's ``/follow/*`` endpoints, and ``ute-trace --live`` build on
-these pieces.
+ordinary ``.slog``/``.ute`` file at close.  :class:`FollowReader` is the
+one live→final state machine: ``ute-tail`` and every served dataset
+(``repro.serve.session``, hence the ``/follow/*`` endpoints) follow a
+trace through it, so they switch to the assembled file the same way.
+``ute-trace --live`` drives the writers.
 """
 
 from repro.live.container import (

@@ -15,10 +15,11 @@ frames keyed by ``(offset, size)`` stay valid, and the clamp only grows.
 That is the monotonic-read guarantee: a follower can never observe a
 frame disappearing or shrinking.
 
-:class:`FollowReader` drives the poll loop on top: each :meth:`poll`
-returns the records of newly published frames, and when the writer
-finalizes (or the container vanishes after assembly) the follower hands
-over to the finished file without dropping or repeating a record.
+:class:`FollowReader` is the one live→final state machine on top, behind
+``ute-tail`` and every served dataset: it pins the newest epoch, survives
+losing the open to finalization, switches to the assembled file (never a
+shorter one) without dropping or repeating a record, and holds both
+sidecar freshness rules (:meth:`~FollowReader.fresh_index`).
 """
 
 from __future__ import annotations
@@ -36,11 +37,15 @@ from repro.live.container import (
     EpochManifest,
     data_path,
     epoch_path,
+    has_live_container,
+    index_path,
     live_dir_for,
     meta_path,
     read_manifest,
 )
-from repro.utils.slog import SlogFile, SlogFrameEntry
+from repro.query.indexfile import TraceIndex, load_fresh_index, load_index
+from repro.query.trace import TraceHandle, open_reader
+from repro.utils.slog import SlogFile
 
 
 class _LiveByteSource(ByteSource):
@@ -187,7 +192,9 @@ class FollowEvent:
 
 
 class FollowReader:
-    """Follow a growing (or finished) trace, one epoch batch at a time.
+    """Follow a growing (or finished) trace: :meth:`refresh` moves what it
+    shows to the newest epoch or the assembled file, :meth:`poll` also
+    hands out the records of frames not handed out yet.
 
     Guarantees, in protocol order: records arrive exactly once, in file
     order; an event's frames were all named by a published epoch (never a
@@ -206,12 +213,12 @@ class FollowReader:
     ) -> None:
         self.path = Path(path)
         self.poll_interval = poll_interval
-        self._cache_frames = cache_frames
-        self._errors = errors
-        self._live: LiveReader | None = None
-        #: Frame-ordinal view of whatever is being followed: the live
-        #: reader while the container exists, the finished file afterwards.
-        self._handle = None
+        self._opts = {"cache_frames": cache_frames, "errors": errors}
+        self._reader = None
+        self._handle: TraceHandle | None = None
+        #: What :attr:`seq` reads once the reader is no live view: the
+        #: last live seq + 1 after a switch, 0 for a file opened finished.
+        self._final_seq = 0
         self._consumed_frames = 0
         self._last_seq = -1
         self._done = False
@@ -231,29 +238,77 @@ class FollowReader:
     @property
     def live(self) -> bool:
         """Whether the follower is still reading from a live container."""
-        return self._live is not None
+        return isinstance(self._reader, LiveReader)
 
     @property
     def reader(self):
-        """The underlying reader (a :class:`LiveReader` while live, the
-        finished file's handle afterwards)."""
-        return self._live if self._live is not None else self._handle
+        """The frame store: the :class:`LiveReader`, then the file's."""
+        return self._reader
+
+    @property
+    def handle(self) -> TraceHandle:
+        """The frame-ordinal view over :attr:`reader`."""
+        return self._handle
+
+    @property
+    def seq(self) -> int:
+        """The shown epoch: the manifest seq while live, the last live
+        seq + 1 after the switch, 0 for a file opened finished."""
+        return self._reader.seq if self.live else self._final_seq
+
+    @property
+    def finalized(self) -> bool:
+        """Whether the writer is done: the shown epoch is its last, or
+        the follower reads the finished file."""
+        return self._reader.finalized if self.live else True
+
+    def refresh(self) -> bool:
+        """Move to the newest published epoch, or switch to the assembled
+        file once the container is gone; True when what the follower
+        shows changed.  While live: one manifest read, and a stat of the
+        container when nothing new was published; afterwards nothing."""
+        if not self.live:
+            return False
+        if self._reader.refresh():
+            self._handle.refresh_entries()
+            return True
+        if self._reader.container_exists() or not self.path.exists():
+            return False
+        self._switch_to_final()
+        return True
+
+    def fresh_index(self) -> tuple[TraceIndex | None, str]:
+        """The sidecar index matching what the follower shows, and why
+        (the planner's ``index_reason``).  While live: the container's
+        republished sidecar, usable only when it covers exactly the pinned
+        epoch's extent (``"live"``, else ``"live:missing"`` or
+        ``"live:stale"``); afterwards :func:`load_fresh_index` of the file."""
+        if not self.live:
+            return load_fresh_index(self.path)
+        reader = self._reader
+        try:
+            index = load_index(index_path(reader.live_dir))
+        except (FormatError, OSError):
+            return None, "live:missing"
+        expected = reader.manifest.meta_size + reader.manifest.data_size
+        if index.source_size != expected or len(index.frames) != len(reader.frames):
+            # The writer published a newer (or older) index than the epoch
+            # we are pinned to; plan full scans until they line up again.
+            return None, "live:stale"
+        return index, "live"
 
     def poll(self) -> FollowEvent | None:
         """Non-blocking: the next batch of new records, or None."""
         if self._done:
             return None
-        if self._live is not None:
-            event = self._poll_live()
-            if event is not None:
-                return event
-            if not self._live.container_exists() and self.path.exists():
-                # Finalized-and-assembled while we were not looking (the
-                # final epoch may have been missed entirely); hand over.
-                self._switch_to_final()
-                return self.poll()
-            return None
-        return self._poll_final()
+        if not self.finalized:  # a finalized epoch is the writer's last
+            self.refresh()
+        seq = self.seq if self.live else self._last_seq + 1
+        event = self._consume(seq)
+        if event is None and self.finalized:
+            self._done = True
+            return FollowEvent("final", seq, total_frames=len(self._handle.frames))
+        return event
 
     def wait(self, timeout: float | None = None) -> FollowEvent | None:
         """Block up to ``timeout`` seconds for the next batch."""
@@ -278,10 +333,8 @@ class FollowReader:
                 return
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()  # closes the live reader it wraps, if any
-            self._handle = None
-        self._live = None
+        if self._reader is not None:
+            self._reader.close()
         self._done = True
 
     def __enter__(self) -> "FollowReader":
@@ -293,66 +346,44 @@ class FollowReader:
     # ------------------------------------------------------------ internals
 
     def _try_open(self) -> bool:
-        from repro.query.trace import TraceHandle
-
-        live_dir = live_dir_for(self.path)
-        if epoch_path(live_dir).exists():
+        """Open whichever exists, the finished file first: a container
+        beside it is what finalization has not removed yet."""
+        if not self.path.exists() and has_live_container(self.path):
             try:
-                self._live = LiveReader(
-                    self.path, cache_frames=self._cache_frames, errors=self._errors
-                )
-                self._handle = TraceHandle(self.path, self._live, "slog")
+                self._attach(LiveReader(self.path, **self._opts), "slog")
                 return True
             except (FormatError, OSError):
                 # Lost a race with finalization; fall through to the file.
                 if not self.path.exists():
                     raise
         if self.path.exists():
-            self._open_final()
+            self._attach(*open_reader(self.path, **self._opts))
             return True
         return False
 
-    def _open_final(self) -> None:
-        from repro.query.trace import open_trace
-
-        self._handle = open_trace(
-            self.path, errors=self._errors, cache_frames=self._cache_frames
-        )
-
-    def _poll_live(self) -> FollowEvent | None:
-        assert self._live is not None
-        if self._live.refresh():
-            self._handle.refresh_entries()
-        event = self._consume(self._live.seq)
-        if event is None and self._live.finalized:
-            self._done = True
-            return FollowEvent(
-                "final", self._live.seq, total_frames=len(self._handle.frames)
-            )
-        return event
+    def _attach(self, reader, kind: str) -> None:
+        self._reader = reader
+        self._handle = TraceHandle(self.path, reader, kind)
 
     def _switch_to_final(self) -> None:
         """The container vanished mid-follow: resume inside the assembled
         file.  Assembly preserves frames one-to-one in both flavors, so
-        the frame ordinal carries over."""
-        assert self._live is not None
-        self._live.close()
-        self._live = None
-        self._open_final()
-        if len(self._handle.frames) < self._consumed_frames:
+        the frame ordinal carries over, and so does the memory governor
+        installed on the live reader.  A file shorter than the shown view
+        is refused, and the follower stays on the view."""
+        live, shown = self._reader, len(self._handle.frames)
+        reader, kind = open_reader(self.path, **self._opts)
+        handle = TraceHandle(self.path, reader, kind)
+        if len(handle.frames) < shown:
+            reader.close()
             raise FormatError(
                 f"{self.path}: finished file is shorter than the followed "
-                f"stream ({len(self._handle.frames)} frames, "
-                f"{self._consumed_frames} already handed out)"
+                f"stream ({len(handle.frames)} frames, {shown} shown)"
             )
-
-    def _poll_final(self) -> FollowEvent | None:
-        seq = self._last_seq + 1
-        event = self._consume(seq)
-        if event is None:
-            self._done = True
-            return FollowEvent("final", seq, total_frames=len(self._handle.frames))
-        return event
+        reader.governor = live.governor
+        self._reader, self._handle = reader, handle
+        self._final_seq = live.seq + 1  # finalization is itself a step
+        live.close()
 
     def _consume(self, seq: int) -> FollowEvent | None:
         """An ``"epoch"`` event over the frames not handed out yet (``None``

@@ -118,8 +118,9 @@ def lane_keys(node: np.ndarray, sub: np.ndarray) -> np.ndarray:
 def shift_for_span(t_min: int, t_max: int, cap: int, start: int = 0) -> int:
     """The smallest shift ``>= start`` whose grid covers ``[t_min, t_max]``
     in at most ``cap`` bins — deterministic in the span alone, and
-    monotone: a wider span can only yield an equal or larger shift (the
-    extension-exactness invariant)."""
+    monotone: a wider span can only yield an equal or larger shift, so a
+    builder growing its shift epoch by epoch (``start``) lands on the grid
+    a rebuild of the same records picks (live snapshot == rebuild)."""
     k = start
     while (t_max >> k) - (t_min >> k) + 1 > cap:
         k += 1
@@ -435,8 +436,8 @@ class UtilizationIndex:
     ``thread`` holds :func:`thread_key` lanes, ``cpu`` holds
     :func:`cpu_key` lanes; level ``L`` sits at shift ``base_shift + L``.
     ``t_min``/``t_max`` are the extremes over *all* records (the
-    builder's span — what extension needs to reproduce the grid
-    exactly)."""
+    builder's span — with the records, what fixes the grid, so a live
+    snapshot and a rebuild of the same records agree)."""
 
     base_shift: int
     n_levels: int

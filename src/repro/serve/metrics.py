@@ -106,11 +106,6 @@ class Histogram:
                     return edge
             return float("inf")
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._total
-
     def render(self) -> Iterable[str]:
         yield f"# HELP {self.name} {self.help_text}"
         yield f"# TYPE {self.name} histogram"

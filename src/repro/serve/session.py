@@ -1,16 +1,19 @@
 """The shared trace session: one SLOG file serving many requests.
 
-A :class:`TraceSession` owns one reader (a SlogFile or live reader: byte
-source and frame cache) plus the :class:`~repro.viz.jumpshot.Jumpshot`
-viewer and the query layer's :class:`~repro.query.trace.TraceHandle` built
-over it, shared by every request of the daemon.  A read lock serializes
-byte-source fetches — the frame store's lock makes concurrent decodes
-sound, the session lock additionally keeps multi-step operations (build a
-view over a frame's records) consistent.
+A :class:`TraceSession` follows its trace through one
+:class:`~repro.live.reader.FollowReader` — the finished SLOG file, or a
+growing trace's pinned epoch until the writer assembles the file — whose
+reader (byte source and frame cache) and query-layer
+:class:`~repro.query.trace.TraceHandle` it shares with every request of the
+daemon, plus the :class:`~repro.viz.jumpshot.Jumpshot` viewer built over
+them.  A read lock serializes byte-source fetches — the frame store's lock
+makes concurrent decodes sound, the session lock additionally keeps
+multi-step operations (build a view over a frame's records) consistent.
 
 The session also computes the ETag base: ``mtime_ns-size`` of the SLOG
-file, combined per resource with a frame id or view kind, yields strong
-ETags that change whenever the file is replaced.
+file, or ``live-{seq}`` while it follows a growing trace; combined per
+resource with a frame id or view kind, it yields strong ETags that change
+whenever the file is replaced or an epoch is published.
 """
 
 from __future__ import annotations
@@ -26,14 +29,12 @@ import numpy as np
 from repro.core.records import IntervalType
 from repro.core.windows import window_to_ticks
 from repro.errors import FormatError
+from repro.live.reader import FollowReader
 from repro.query.columnar import FrameBatch
-from repro.query.indexfile import load_fresh_index
 from repro.query.model import Query
 from repro.query.planner import MODE_INDEXED
 from repro.query.scan import Scan, io_delta, scan
-from repro.query.trace import TraceHandle
 from repro.query.utilization import utilization_json, utilization_payload
-from repro.utils.slog import SlogFile
 from repro.utils.stats import generate_tables
 from repro.viz.arrows import match_arrows
 from repro.viz.interactive import view_payload
@@ -75,26 +76,15 @@ class TraceSession:
         cache_frames: int = DEFAULT_SERVER_CACHE,
         dataset: str | None = None,
     ) -> None:
-        from repro.live import has_live_container
-
         self.path = Path(path)
         self.dataset = dataset
-        self._cache_frames = cache_frames
         self._etag_prefix = f"{dataset}-" if dataset else ""
-        #: True while the session reads a live container (a growing trace
-        #: whose final file does not exist yet).
-        self.live = not self.path.exists() and has_live_container(self.path)
-        #: Last observed frame-directory epoch; 0 for ordinary files.
-        self.epoch_seq = 0
-        if self.live:
-            from repro.live import LiveReader
-
-            self._attach(LiveReader(self.path, cache_frames=cache_frames))
-            self.epoch_seq = self.reader.seq
-            self.etag_base = f"{self._etag_prefix}live-{self.reader.seq}"
-            self.index, self.index_reason = self._load_live_index()
-        else:
-            self._open_file()
+        self.follower = FollowReader(self.path, cache_frames=cache_frames)
+        try:
+            self._attach()
+        except BaseException:
+            self.follower.close()
+            raise
         # Planner accounting, scraped by /metrics.
         self.index_frames_scanned = 0
         self.index_frames_pruned = 0
@@ -104,7 +94,18 @@ class TraceSession:
     def close(self) -> None:
         """Release the underlying byte source."""
         with self.lock:
-            self.viewer.close()
+            self.follower.close()
+
+    @property
+    def reader(self):
+        """The frame store the session reads (where the repository installs
+        its governor): the follower's reader."""
+        return self.follower.reader
+
+    @property
+    def handle(self):
+        """The query layer's frame-ordinal view over :attr:`reader`."""
+        return self.follower.handle
 
     # ---------------------------------------------------------------- ETags
 
@@ -363,106 +364,56 @@ class TraceSession:
         """Re-probe the sidecar index (a background build just published
         one); queries planned after this call prune through it."""
         with self.lock:
-            if self.live:
-                self.index, self.index_reason = self._load_live_index()
-            else:
-                self.index, self.index_reason = load_fresh_index(self.path)
+            self.index, self.index_reason = self.follower.fresh_index()
 
     # ------------------------------------------------------------- live mode
 
     def maybe_refresh(self) -> bool:
-        """Hot-reload a live session to the latest published epoch.
-
-        No-op (False) for ordinary file sessions.  When the writer has
-        finalized and assembled the trace, the session swaps to the
-        finished file in place — open requests keep their pins, the
-        repository never evicts over a finalization.  Returns True when
-        the visible state advanced (new epoch or finalization)."""
-        if not self.live:
+        """Move a live session to the latest published epoch, or — once the
+        writer has assembled the trace — to the finished file, in place:
+        open requests keep their pins, the repository never evicts over a
+        finalization.  Returns True when the visible state advanced.  A
+        finished session returns False at once."""
+        if not self._following:
             return False
         with self.lock:
-            if not self.live:
+            if not self._following:
                 return False
-            reader = self.reader
-            changed = reader.refresh()
-            if changed:
-                self.epoch_seq = reader.seq
-                self.etag_base = f"{self._etag_prefix}live-{reader.seq}"
-                self.handle.refresh_entries()
-                self.viewer.reload_preview()
-                self.index, self.index_reason = self._load_live_index()
-            if not reader.container_exists() and self.path.exists():
-                self._switch_to_final()
-                return True
+            changed = self.follower.refresh()
+            if changed or not self.follower.live:
+                # A new epoch or the switch; a switch whose attach failed
+                # (a finished file that is not a SLOG) fails again here.
+                self._attach()
             return changed
 
     def follow_state(self) -> dict[str, Any]:
         """The follow endpoints' notion of progress: epoch sequence,
         frame count, and whether the trace is finished."""
         with self.lock:
-            if self.live:
-                reader = self.reader
-                return {
-                    "live": True,
-                    "seq": reader.seq,
-                    "finalized": reader.finalized,
-                    "frames": len(reader.frames),
-                }
+            follower = self.follower
             return {
-                "live": False,
-                "seq": self.epoch_seq,
-                "finalized": True,
+                "live": follower.live,
+                "seq": follower.seq,
+                "finalized": follower.finalized,
                 "frames": self.frame_count(),
             }
 
-    def _load_live_index(self) -> tuple[Any, str]:
-        """The live container's incrementally republished sidecar, usable
-        only when it covers exactly the pinned epoch's extent."""
-        from repro.live.container import index_path
-        from repro.query.indexfile import load_index
-
-        reader = self.reader
-        try:
-            index = load_index(index_path(reader.live_dir))
-        except (FormatError, OSError):
-            return None, "live:missing"
-        expected = reader.manifest.meta_size + reader.manifest.data_size
-        if index.source_size != expected or len(index.frames) != len(reader.frames):
-            # The writer published a newer (or older) index than the epoch
-            # we are pinned to; plan full scans until they line up again.
-            return None, "live:stale"
-        return index, "live"
-
-    def _switch_to_final(self) -> None:
-        """The writer assembled the finished file and removed the live
-        container: re-open the session over the ordinary file.  Lock held
-        by caller.  The final epoch is published before assembly, so the
-        live view already covered every frame; the swap only moves the
-        byte source and re-arms the mtime/size ETag discipline."""
-        old = self.viewer
-        governor = self.reader.governor
-        self._open_file()
-        self.reader.governor = governor
-        self.live = False
-        self.epoch_seq += 1  # finalization is itself an observable step
-        old.close()
-
-    def _open_file(self) -> None:
-        """Open (or re-open) the session over the ordinary file."""
-        stat = os.stat(self.path)
-        self.etag_base = f"{self._etag_prefix}{stat.st_mtime_ns}-{stat.st_size}"
-        self._attach(SlogFile(self.path, cache_frames=self._cache_frames))
-        self.index, self.index_reason = load_fresh_index(self.path)
-
-    def _attach(self, reader) -> None:
-        """Make ``reader`` the session's one reader — its
-        :class:`~repro.core.framestore.FrameStore`, where the repository
-        installs its governor — and build the two objects over it: the
-        viewer, and the query layer's handle (same byte source and frame
-        store, plus the frame list the planner prunes)."""
-        self.reader = reader
-        self.viewer = Jumpshot(self.path, slog=reader)
-        self.handle = TraceHandle(self.path, reader, "slog")
+    def _attach(self) -> None:
+        """Build what the session derives from what the follower shows —
+        ETag base, viewer, sidecar index — refusing a finished file that is
+        not a SLOG.  Lock held by caller (or the session is not shared yet)."""
+        follower = self.follower
+        if follower.handle.kind != "slog":
+            raise FormatError(f"{self.path}: not a SLOG file")
+        if follower.live:
+            self.etag_base = f"{self._etag_prefix}live-{follower.seq}"
+        else:
+            stat = os.stat(self.path)
+            self.etag_base = f"{self._etag_prefix}{stat.st_mtime_ns}-{stat.st_size}"
+        self.viewer = Jumpshot(self.path, slog=follower.reader)
+        self.index, self.index_reason = follower.fresh_index()
+        #: Whether what the session shows may still change.
+        self._following = follower.live
 
     # ------------------------------------------------------------ internals
 
