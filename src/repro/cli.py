@@ -521,6 +521,7 @@ def main_stats(args) -> int:
     if args.server is not None:
         return _remote_stats(args)
 
+    from repro.query.columnar import BatchRecords
     from repro.utils.stats import (
         generate_tables,
         interval_records,
@@ -534,9 +535,12 @@ def main_stats(args) -> int:
     # serving daemon uses, so ute-stats and /api/stats give one answer.
     ticks_per_sec, thread_table = source_metadata(args.intervals, profile)
     io_log: dict[str, dict] = {}
-    records = list(
-        interval_records(args.intervals, profile, window=window, io_log=io_log)
+    # One read of the inputs, held as batches: the record count and the
+    # run's end come from their columns, the tables from one pass over them.
+    batches = list(
+        interval_records(args.intervals, profile, window=window, io_log=io_log).batches()
     )
+    records = BatchRecords(lambda: batches)
     if args.program:
         tables = generate_tables(
             records,
@@ -545,7 +549,7 @@ def main_stats(args) -> int:
             thread_table=thread_table,
         )
     else:
-        total = max((r.end for r in records), default=1) / ticks_per_sec
+        total = max((int(b.end.max()) for b in batches), default=1) / ticks_per_sec
         tables = predefined_tables(
             records,
             total_seconds=total,
@@ -556,7 +560,7 @@ def main_stats(args) -> int:
         doc = {
             "files": list(args.intervals),
             "window": list(window) if window else None,
-            "records": len(records),
+            "records": sum(b.n for b in batches),
             "tables": {
                 t.name: {
                     "columns": list(t.x_labels + t.y_labels),

@@ -28,6 +28,11 @@ check                  the two paths compared
                        cells at every level) vs. a brute-force
                        per-record, per-bin recompute on the same
                        absolute grid
+``stats_parity``       ``generate_tables`` (columns, batch by batch) vs.
+                       ``reference_tables`` (record at a time) for
+                       ``ORACLE_PROGRAM`` and the pre-defined tables:
+                       names, labels, rows, row order and the Python
+                       type of every value — or the error both raise
 ``stats_vs_serve``     the in-process ``ute-stats`` path vs. the daemon's
                        ``/api/stats`` (SLOG only; spins an ephemeral
                        server on 127.0.0.1)
@@ -406,6 +411,53 @@ def _check_dump_vs_query(report: OracleReport, path: Path, profile) -> None:
         report.add(_divergence_finding("dump_vs_query", str(path), diff))
 
 
+def _tables_outcome(generate, records, program: str, **kwargs) -> tuple:
+    """What one table generator gives: its tables row by row (exactly, see
+    ``exact_rows``), or the type and message of what it raised."""
+    from repro.errors import ReproError
+    from repro.utils.stats import exact_rows
+
+    try:
+        tables = generate(records, program, **kwargs)
+    except (ReproError, ArithmeticError, TypeError, ValueError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return tuple((t.name, t.x_labels, t.y_labels, exact_rows(t)) for t in tables)
+
+
+def _check_stats_parity(report: OracleReport, path: Path, profile) -> None:
+    """The columnar table generator must answer exactly as the
+    record-at-a-time reference, on the oracle program and the pre-defined
+    tables (a condition, ``bin()``, ``avg``, message fields, ``task``)."""
+    from repro.utils.stats import (
+        generate_tables,
+        interval_records,
+        predefined_program,
+        reference_tables,
+        source_metadata,
+    )
+
+    report.checks.append("stats_parity")
+    ticks_per_sec, thread_table = source_metadata([path], profile)
+    records = interval_records([path], profile)
+    end = max((int(b.end.max()) for b in records.batches()), default=1)
+    programs = {"oracle": ORACLE_PROGRAM}
+    if end > 0:
+        programs["predefined"] = predefined_program(end / ticks_per_sec, comm=True)
+    kwargs = {"ticks_per_sec": ticks_per_sec, "thread_table": thread_table}
+    for name, program in programs.items():
+        columnar = _tables_outcome(generate_tables, records, program, **kwargs)
+        reference = _tables_outcome(reference_tables, list(records), program, **kwargs)
+        if columnar != reference:
+            report.add(
+                Finding(
+                    "stats_parity",
+                    f"{path}[{name}]",
+                    "generate_tables differs from reference_tables",
+                    {"columnar": repr(columnar), "reference": repr(reference)},
+                )
+            )
+
+
 def _check_stats_vs_serve(report: OracleReport, path: Path, profile) -> None:
     """In-process stats over a SLOG must match the daemon's /api/stats."""
     import urllib.parse
@@ -759,6 +811,7 @@ def run_oracle(
         _check_dump_vs_query(report, path, profile)
         _check_aggregate_vs_exact(report, path, profile)
         _check_export_import_roundtrip(report, path, profile)
+        _check_stats_parity(report, path, profile)
     if kind == "slog":
         _check_payload_parity(report, path, profile)
     if kind == "slog" and serve:

@@ -28,6 +28,10 @@ vectorized predicate masks (:meth:`FrameBatch.match`), int64 core columns
 (:meth:`FrameBatch.column_values`), and reconstruction of the equivalent
 :class:`~repro.core.records.IntervalRecord` objects
 (:meth:`FrameBatch.to_records`) for consumers that still want records.
+A scan's matching rows travel as :class:`BatchRecords`
+(:func:`planned_batch_records`): records when iterated, batches through
+``batches()``, so column consumers (the statistics tables) never build a
+record.
 
 The write path runs the same machinery backwards.  A batch is also what
 ``convert`` and ``slogmerge`` hand the frame builder — rows are selected,
@@ -42,7 +46,7 @@ take the per-record loop, the split the decoder makes.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +55,7 @@ from repro.core.records import BeBits, IntervalRecord
 from repro.errors import FormatError
 
 __all__ = [
+    "BatchRecords",
     "FrameBatch",
     "batch_from_records",
     "batch_from_rows",
@@ -120,6 +125,45 @@ class FrameBatch:
                             col[i] = v
             self._extra_cache[name] = col
         return col
+
+    def has_extra(self, name: str) -> bool:
+        """Whether any record carries the extra field ``name``."""
+        if self._records is not None:
+            return any(name in r.extra for r in self._records)
+        return any(name in names for _, names, _ in self._groups)
+
+    def extra_array(self, name: str) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """One extra field as one numeric array over every row, and the
+        mask of rows that carry it (None: every row does) — int64 where the
+        values are ints, float64 where they are floats; None when they are
+        not all one of the two (vectors, chars, a mix, an int past int64).
+        A record's value is what :meth:`to_records` gives it."""
+        if self._records is not None:
+            rows = [i for i, r in enumerate(self._records) if name in r.extra]
+            parts = [(rows, [self._records[i].extra[name] for i in rows])]
+        else:
+            parts = [(at, values[name]) for at, names, values in self._groups
+                     if name in names]
+        out = None
+        present = np.zeros(self.n, dtype=bool)
+        for at, values in parts:
+            if not isinstance(values, np.ndarray):
+                values = _numeric_array(values)
+                if values is None:
+                    return None
+            dtype = _NUMERIC_DTYPES.get(values.dtype.kind)
+            if dtype is None or out is not None and out.dtype != dtype:
+                return None  # not numbers, or floats beside ints
+            if values.dtype.kind == "u" and len(values) and int(values.max()) >= 1 << 63:
+                return None
+            if out is None:
+                out = np.zeros(self.n, dtype=dtype)
+            at = slice(None) if at is None else at
+            out[at] = values
+            present[at] = True
+        if out is None:
+            out = np.zeros(self.n, dtype=np.int64)
+        return out, None if present.all() else present
 
     def column_values(self, name: str) -> list:
         """Any projected column as Python values, matching
@@ -273,6 +317,24 @@ class FrameBatch:
 
 def _as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+#: The column dtype of each numpy kind a number field decodes to.
+_NUMERIC_DTYPES = {"i": np.dtype(np.int64), "u": np.dtype(np.int64), "f": np.dtype(np.float64)}
+
+
+def _numeric_array(values: list) -> np.ndarray | None:
+    """Python values as an int64 or float64 array; None unless they are all
+    ints (bools excluded) within int64, or all floats."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return None
+    return None
 
 
 def _select(values, sel):
@@ -741,14 +803,47 @@ def _holds(target: np.dtype, values: np.ndarray, bounds: tuple[int, int] | None)
     return info.min <= bounds[0] and bounds[1] <= info.max
 
 
-def planned_batch_records(handle, query, plan) -> Iterator[IntervalRecord]:
-    """Records of the planned frames that pass the query's predicates,
-    materialized from columnar batches (one vectorized predicate pass per
-    frame) — the record stream of every product path that wants objects."""
-    for ordinal in plan.frames:
-        batch = handle.read_frame_batch(ordinal)
-        mask = batch.match(query)
-        if mask.all():
+class BatchRecords:
+    """Records carried as frame batches: iterating yields the records (each
+    batch materialized in turn), :meth:`batches` the batches themselves, for
+    consumers that work on columns.  ``source`` is called once per pass and
+    returns that pass's batches."""
+
+    __slots__ = ("_source",)
+
+    def __init__(self, source: Callable[[], Iterable[FrameBatch]]) -> None:
+        self._source = source
+
+    def batches(self) -> Iterator[FrameBatch]:
+        return iter(self._source())
+
+    def __iter__(self) -> Iterator[IntervalRecord]:
+        for batch in self.batches():
             yield from batch.to_records()
-        elif mask.any():
-            yield from batch.records_at(np.nonzero(mask)[0])
+
+    def where(self, keep: Callable[[FrameBatch], np.ndarray]) -> "BatchRecords":
+        """The rows ``keep(batch)`` marks in each batch; batches left empty
+        are dropped."""
+        def kept() -> Iterator[FrameBatch]:
+            for batch in self.batches():
+                batch = batch.where(keep(batch))
+                if batch.n:
+                    yield batch
+
+        return BatchRecords(kept)
+
+
+def planned_batch_records(handle, query, plan) -> BatchRecords:
+    """Records of the planned frames that pass the query's predicates: one
+    vectorized predicate pass per frame, each frame's matching rows one
+    batch — the record stream of every product path that wants objects,
+    and the batch stream of those that work on columns."""
+
+    def matching() -> Iterator[FrameBatch]:
+        for ordinal in plan.frames:
+            batch = handle.read_frame_batch(ordinal)
+            mask = batch.match(query)
+            if mask.any():
+                yield batch.where(mask)
+
+    return BatchRecords(matching)

@@ -27,9 +27,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core.records import IntervalRecord
 from repro.core.windows import window_to_ticks
-from repro.query.columnar import FrameBatch, planned_batch_records
+from repro.query.columnar import BatchRecords, FrameBatch, planned_batch_records
 from repro.query.engine import QueryResult, execute, matched_batches
 from repro.query.indexfile import TraceIndex, load_fresh_index
 from repro.query.model import Query
@@ -84,8 +83,9 @@ class Scan:
     plan: QueryPlan
     before: dict[str, int]
 
-    def records(self) -> Iterator[IntervalRecord]:
-        """The matching records in file order (materialized from batches)."""
+    def records(self) -> BatchRecords:
+        """The matching records in file order: iterated, record objects
+        materialized from the batches; ``batches()``, the batches."""
         return planned_batch_records(self.handle, self.query, self.plan)
 
     def batches(self) -> Iterator[tuple[FrameBatch, np.ndarray]]:

@@ -26,7 +26,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.records import IntervalType
 from repro.core.windows import window_to_ticks
 from repro.errors import FormatError
 from repro.live.reader import FollowReader
@@ -35,7 +34,7 @@ from repro.query.model import Query
 from repro.query.planner import MODE_INDEXED
 from repro.query.scan import Scan, io_delta, scan
 from repro.query.utilization import utilization_json, utilization_payload
-from repro.utils.stats import generate_tables
+from repro.utils.stats import drop_clock_pairs, generate_tables
 from repro.viz.arrows import match_arrows
 from repro.viz.interactive import view_payload
 from repro.viz.jumpshot import VIEW_KINDS, Jumpshot, mpi_records
@@ -293,9 +292,8 @@ class TraceSession:
         (tables, plan description, io delta)."""
         with self.lock:
             s = self._scan(window=window)
-            records = (r for r in s.records() if r.itype != IntervalType.CLOCKPAIR)
             tables = generate_tables(
-                records,
+                drop_clock_pairs(s.records()),
                 program,
                 ticks_per_sec=self.reader.ticks_per_sec,
                 thread_table=self.reader.thread_table,

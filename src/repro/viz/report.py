@@ -123,7 +123,8 @@ def build_run_report(
     import tempfile
 
     from repro.core.records import IntervalType
-    from repro.utils.stats import predefined_tables
+    from repro.query.columnar import BatchRecords
+    from repro.utils.stats import drop_clock_pairs, predefined_tables
     from repro.viz.jumpshot import Jumpshot
     from repro.viz.views import render_view_svg
 
@@ -171,10 +172,12 @@ def build_run_report(
     report.add_pre(format_call_profile(rows))
 
     report.add_heading("Statistics")
-    total_s = max((r.end for r in real), default=1) / viewer.slog.ticks_per_sec
-    for table in predefined_tables(real, total_seconds=total_s,
-                                   ticks_per_sec=viewer.slog.ticks_per_sec,
-                                   thread_table=viewer.slog.thread_table):
+    slog = viewer.slog
+    total_s = max((r.end for r in real), default=1) / slog.ticks_per_sec
+    frames = BatchRecords(lambda: map(slog.read_frame_batch, slog.frames))
+    for table in predefined_tables(drop_clock_pairs(frames), total_seconds=total_s,
+                                   ticks_per_sec=slog.ticks_per_sec,
+                                   thread_table=slog.thread_table):
         report.add_text(table.name)
         report.add_table(table)
     return report.write(out_path)

@@ -18,6 +18,8 @@ from collections.abc import Iterable
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
+from repro.core.atomicio import atomic_write_bytes
+
 #: Chart surface and ink tokens (light mode of the validated palette).
 SURFACE = "#fcfcfb"
 TEXT_PRIMARY = "#0b0b0b"
@@ -193,8 +195,8 @@ class SvgCanvas:
         )
 
     def write(self, path: str | Path) -> Path:
-        """Write the document to ``path``."""
+        """Write the document to ``path`` (crash-safe: a write that fails
+        leaves any previous file whole)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_string())
-        return path
+        return atomic_write_bytes(path, self.to_string().encode())

@@ -7,6 +7,7 @@ complete, valid output; anything else on disk is a recognizable temp
 artifact (``is_temp_artifact``) a sweeper may delete.
 """
 
+import errno
 import os
 
 import pytest
@@ -19,6 +20,8 @@ from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import SlogFile, SlogWriter
+from repro.utils.stats import StatsTable
+from repro.viz.statviewer import render_table_svg
 
 PROFILE = standard_profile()
 TABLE = ThreadTable([ThreadEntry(0, 1, 1, 0, 0, 0, "t")])
@@ -89,6 +92,33 @@ class TestAtomicFile:
         atomic_write_bytes(target, b"x" * 100)
         assert target.read_bytes() == b"x" * 100
         assert _leftovers(tmp_path) == ["blob.bin"]
+
+
+class TestStatsOutputs:
+    """``ute-stats`` publishes its TSV tables and ``--svg`` viewers like
+    every other writer: a write that fails midway leaves the previous file
+    whole and no temp sibling behind."""
+
+    @pytest.mark.parametrize("write", [
+        StatsTable.write,
+        lambda table, path: render_table_svg(table, path),
+    ], ids=["tsv", "svg"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        table = StatsTable("t", ("n",), ("count",), {(0,): (1,), (1,): (2,)})
+        target = tmp_path / "t.out"
+        write(table, target)
+        before = target.read_bytes()
+        table.rows[(2,)] = (5,)
+
+        def fail_midway(self, data):
+            self._require().write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(AtomicFile, "write", fail_midway)
+        with pytest.raises(OSError):
+            write(table, target)
+        assert target.read_bytes() == before
+        assert _leftovers(tmp_path) == ["t.out"]
 
 
 class TestKilledWriters:

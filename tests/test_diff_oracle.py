@@ -36,7 +36,7 @@ class TestOracleOverCorpus:
         assert "strict_vs_salvage" in report.checks
         assert "adjust_parity" in report.checks
 
-    def test_slog_runs_all_ten_checks(self, corpus):
+    def test_slog_runs_all_eleven_checks(self, corpus):
         report = run_oracle(corpus.path("good.slog"), PROFILE)
         assert report.checks == [
             "strict_vs_salvage",
@@ -46,6 +46,7 @@ class TestOracleOverCorpus:
             "dump_vs_query",
             "aggregate_vs_exact",
             "export_import_roundtrip",
+            "stats_parity",
             "payload_parity",
             "stats_vs_serve",
             "adjust_parity",
