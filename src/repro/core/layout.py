@@ -7,8 +7,9 @@ slow; :class:`RecordLayout` compiles it once per (profile, type, mask) into
 the two forms bulk and single-record code want:
 
 * a packed numpy structured ``dtype`` over the record *body* — the columnar
-  decoder views gathered bodies through it, the columnar encoder fills one
-  array of it per type (:mod:`repro.query.columnar`);
+  decoder gathers bodies as it (and the core fields alone as
+  ``core_dtype``), the columnar encoder fills one array of it per type
+  (:mod:`repro.query.columnar`);
 * a :class:`struct.Struct` over length prefix + body for one record —
   :meth:`~repro.core.records.IntervalRecord.encode` packs through it.
 
@@ -44,6 +45,7 @@ class RecordLayout:
     __slots__ = (
         "fixed", "size", "names", "formats", "offsets", "extra_names",
         "missing_core", "prefix", "slots", "struct", "_dtype", "_wire_dtype",
+        "_core_dtype",
     )
 
     def __init__(self, specs, field_names) -> None:
@@ -66,7 +68,7 @@ class RecordLayout:
             pos += fs.elem_len
         if self.fixed and len(set(names)) != len(names):
             self.fixed = False  # duplicate names cannot form a structured dtype
-        self._dtype = self._wire_dtype = None
+        self._dtype = self._wire_dtype = self._core_dtype = None
         if not self.fixed:
             self.size = 0
             self.names = self.extra_names = self.missing_core = ()
@@ -106,15 +108,57 @@ class RecordLayout:
             self._wire_dtype = self._structured(len(self.prefix))
         return self._wire_dtype
 
-    def _structured(self, gap: int):
+    @property
+    def core_dtype(self):
+        """The core fields alone, at their body offsets, the item ending
+        with the last of them: types whose core fields sit alike share it,
+        so one gather reads the core columns of all their records (for a
+        layout without ``missing_core`` only)."""
+        if self._core_dtype is None:
+            at = [self.names.index(n) for n in CORE_WIRE]
+            end = max(self.offsets[i] + int(self.formats[i][2:]) for i in at)
+            self._core_dtype = self._structured(0, at, end)
+        return self._core_dtype
+
+    def _structured(self, gap: int, at=None, size=None):
         import numpy as np  # core stays importable without numpy loaded
 
+        at = range(len(self.names)) if at is None else at
         return np.dtype({
-            "names": list(self.names),
-            "formats": list(self.formats),
-            "offsets": [gap + o for o in self.offsets],
-            "itemsize": gap + self.size,
+            "names": [self.names[i] for i in at],
+            "formats": [self.formats[i] for i in at],
+            "offsets": [gap + self.offsets[i] for i in at],
+            "itemsize": gap + (self.size if size is None else size),
         })
+
+
+def _item_slots(buf, itemsize: int):
+    """Every ``itemsize``-byte window of ``buf`` as one opaque ``np.void``
+    item, window ``i`` starting at byte ``i`` (a stride-1 view, no copy)."""
+    import numpy as np
+
+    return np.ndarray(
+        (max(len(buf) - itemsize + 1, 0),), dtype=np.dtype((np.void, itemsize)),
+        buffer=buf, strides=(1,),
+    )
+
+
+def gather_items(buf, offsets, dtype):
+    """The ``dtype`` items starting at byte ``offsets`` of ``buf`` (bytes,
+    a memoryview or a uint8 array), copied out as one array: one item copy
+    per offset instead of a ``(rows, width)`` index matrix.  Every item
+    must lie inside ``buf``."""
+    import numpy as np
+
+    dtype = np.dtype(dtype)
+    return _item_slots(buf, dtype.itemsize)[offsets].view(dtype)
+
+
+def scatter_items(out, offsets, items) -> None:
+    """:func:`gather_items` backwards: write ``items`` into the writable
+    buffer ``out`` at byte ``offsets``."""
+    slots = _item_slots(out, items.dtype.itemsize)
+    slots[offsets] = items.view(slots.dtype)
 
 
 def encode_length(body_len: int) -> bytes:

@@ -344,6 +344,10 @@ def get_interval(handle: IntervalFileHandle) -> bytes | None:
             frame = handle._frames[handle._frame_idx]
             handle._frame_idx += 1
             handle._blob = handle.reader.source.fetch(frame.offset, frame.size)
+            if len(handle._blob) != frame.size:
+                raise FormatError(
+                    f"{handle.reader.path}: frame at {frame.offset} runs past end of file"
+                )
             handle._blob_base = frame.offset
             handle._pos = frame.offset
             handle._frame_end = frame.offset + len(handle._blob)
@@ -355,6 +359,10 @@ def get_interval(handle: IntervalFileHandle) -> bytes | None:
             raise FormatError(
                 f"{handle.reader.path}: corrupt record at offset {handle._pos} ({exc})"
             ) from exc
+        if local_end > len(handle._blob):
+            raise FormatError(
+                f"{handle.reader.path}: record at {handle._pos} runs past its frame"
+            )
         handle._pos = handle._blob_base + local_end
         return handle._blob[local:local_end]
 

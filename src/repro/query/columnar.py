@@ -5,22 +5,28 @@ A record-at-a-time reader pays per record: a length-prefix decode, one
 full-scan aggregations that constant factor dominates.  This module decodes
 a whole frame into **parallel numpy arrays** instead:
 
-1. one pass over the frame blob collects each record's body offset and
-   length (only the length prefixes are examined — the property the paper's
-   format guarantees);
-2. the type words are gathered vectorized from the blob;
-3. records are grouped by interval type; every type whose present fields
+1. the frame is copied to ``bytes`` once, and one loop over it collects
+   each record's prefix offset (only the length prefixes are examined — the
+   property the paper's format guarantees); body offsets, lengths, escapes
+   and overruns are then derived and checked vectorized;
+2. the type words come from one gather over the body offsets
+   (:func:`~repro.core.layout.gather_items`: the blob as one ``np.void``
+   item per byte offset, one item copy per record);
+3. records are grouped by interval type.  Every type whose present fields
    (under the file's selection mask) are fixed-size scalars is decoded with
-   a single ``np.frombuffer`` over the gathered bodies using a packed
-   structured dtype — no per-record Python at all;
+   no per-record Python: the core columns of all types whose layouts hold
+   them alike (one group per frame under the standard profile) come from
+   one gather through their ``core_dtype``, each type's extras from one
+   gather through its packed structured dtype;
 4. types with vector/char fields (``seqnos`` on MPI_Waitall in the
    standard profile) fall back to the exact per-record field loop, so the
    batch is always complete.
 
-The blob arrives as a zero-copy :func:`memoryview` from
-:meth:`~repro.core.bytesource.ByteSource.view` where the backend allows it;
-every array in the finished batch owns its data, so batches never pin the
-underlying mmap.
+The blob may arrive as a zero-copy :func:`memoryview` from
+:meth:`~repro.core.bytesource.ByteSource.view`; since no array ever exports
+it, the caller can release it whatever the decode raises, and every array
+in the finished batch owns its data, so batches never pin the underlying
+mmap.
 
 A :class:`FrameBatch` answers the executor's needs over whole batches —
 vectorized predicate masks (:meth:`FrameBatch.match`), int64 core columns
@@ -50,7 +56,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.layout import CORE_WIRE, RecordLayout, layout_for
+from repro.core.layout import CORE_WIRE, RecordLayout, gather_items, layout_for, scatter_items
 from repro.core.records import BeBits, IntervalRecord
 from repro.errors import FormatError
 
@@ -527,58 +533,40 @@ def batch_from_rows(rows: dict[int, list[tuple]], profile, mask: int) -> FrameBa
     return batch
 
 
-def _scan_record_frames(blob) -> tuple[list[int], list[int], list[int]]:
-    """One cheap pass over a frame blob: (prefix offset, body offset, body
-    length) per record, using only the length prefixes."""
+def _scan_record_frames(blob: bytes) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """(prefix offsets, body offsets, body lengths) of a frame's records,
+    using only the length prefixes.  The walk collects prefix offsets
+    alone; the checks run vectorized afterwards and name the first record
+    whose prefix or body leaves the frame or whose body cannot hold a type
+    word — the offset the record decoder stops at."""
     prefixes: list[int] = []
-    bodies: list[int] = []
-    lengths: list[int] = []
+    append = prefixes.append
     pos = 0
     end = len(blob)
-    while pos < end:
-        first = blob[pos]
-        if first:
-            body = pos + 1
-            body_len = first
-        else:
-            if pos + 3 > end:
-                raise FormatError(f"truncated interval record at offset {pos}")
-            body_len = blob[pos + 1] | (blob[pos + 2] << 8)
-            body = pos + 3
-        nxt = body + body_len
-        if body_len < 4 or nxt > end:
-            raise FormatError(f"truncated interval record at offset {pos}")
-        prefixes.append(pos)
-        bodies.append(body)
-        lengths.append(body_len)
-        pos = nxt
+    try:
+        while pos < end:
+            append(pos)
+            first = blob[pos]
+            pos += first + 1 if first else 3 + (blob[pos + 1] | blob[pos + 2] << 8)
+    except IndexError:
+        pos = end + 1  # an escape cut short by the frame's end
+    pre = np.fromiter(prefixes, np.intp, len(prefixes))
+    lengths = np.frombuffer(blob, dtype=np.uint8)[pre].astype(np.intp)
+    bodies = pre + 1
+    escaped = np.flatnonzero(lengths == 0)
+    if len(escaped):
+        at = pre[escaped]
+        fits = at + 3 <= end  # a cut escape keeps length 0: flagged below
+        lengths[escaped[fits]] = gather_items(blob, at[fits] + 1, "<u2")
+        bodies[escaped] += 2
+    bad = lengths < 4
+    # Each record ends where the walk found the next one, so only the last
+    # can run past the frame.
+    if pos > end:
+        bad[-1] = True
+    if bad.any():
+        raise FormatError(f"truncated interval record at offset {prefixes[int(bad.argmax())]}")
     return prefixes, bodies, lengths
-
-
-def _scatter_fixed(batch: FrameBatch, layout: RecordLayout, itype: int,
-                   idx: np.ndarray | None, arr: np.ndarray) -> None:
-    """Write one fixed-layout type group's decoded fields into the batch;
-    ``idx is None`` means the group is the whole frame (no scatter)."""
-    if layout.missing_core:
-        raise FormatError(
-            f"record type {itype} is missing core fields "
-            f"{list(layout.missing_core)}; corrupt field selection mask?"
-        )
-    if idx is None:
-        batch.start = arr["start"].astype(np.int64)
-        batch.dura = arr["dura"].astype(np.int64)
-        batch.node = arr["node"].astype(np.int64)
-        batch.cpu = arr["cpu"].astype(np.int64)
-        batch.thread = arr["thread"].astype(np.int64)
-    else:
-        # Assignment into the int64 columns casts in one pass.
-        batch.start[idx] = arr["start"]
-        batch.dura[idx] = arr["dura"]
-        batch.node[idx] = arr["node"]
-        batch.cpu[idx] = arr["cpu"]
-        batch.thread[idx] = arr["thread"]
-    if layout.extra_names:
-        batch._groups.append((idx, layout.extra_names, arr))
 
 
 def _decode_group_slow(batch: FrameBatch, blob: bytes, profile, mask: int,
@@ -613,8 +601,9 @@ def _distinct_types(itype: np.ndarray) -> list[int]:
 def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
     """Decode one frame blob into a :class:`FrameBatch`.
 
-    ``data`` may be ``bytes`` or a (zero-copy) ``memoryview``; the returned
-    batch owns all of its arrays either way.  Raises
+    ``data`` may be ``bytes`` or a (zero-copy) ``memoryview``; it is copied
+    to ``bytes`` once, so no array ever exports the caller's buffer and the
+    batch owns all of its arrays.  Raises
     :class:`~repro.errors.FormatError` on the same structural damage the
     record decoder rejects (truncated records, length mismatches, masks
     that strip core fields) and ``OverflowError`` when a record's time
@@ -622,61 +611,54 @@ def decode_frame_batch(data, profile, mask: int) -> FrameBatch:
     """
     if profile is None:
         raise FormatError("decoding records requires a profile")
-    mv = data if isinstance(data, memoryview) else memoryview(data)
-    buf = None
-    try:
-        prefixes, bodies, lengths = _scan_record_frames(mv)
-        n = len(bodies)
-        batch = FrameBatch(n)
-        if n == 0:
-            return batch
-        buf = np.frombuffer(mv, dtype=np.uint8)
-        off = np.array(bodies, dtype=np.intp)
-        size_arr = np.array(lengths, dtype=np.int64)
-        tw = (
-            buf[off].astype(np.uint32)
-            | (buf[off + 1].astype(np.uint32) << np.uint32(8))
-            | (buf[off + 2].astype(np.uint32) << np.uint32(16))
-            | (buf[off + 3].astype(np.uint32) << np.uint32(24))
-        )
-        batch.itype = (tw >> np.uint32(2)).astype(np.int64)
-        batch.bebits = (tw & np.uint32(3)).astype(np.int64)
-        fallback_blob: bytes | None = data if isinstance(data, bytes) else None
-        distinct = _distinct_types(batch.itype)
-        for itype in distinct:
-            whole = len(distinct) == 1
-            idx = None if whole else np.nonzero(batch.itype == itype)[0]
-            sizes = size_arr if whole else size_arr[idx]
-            layout = layout_for(profile, itype, mask)
-            if layout.fixed and bool(np.all(sizes == layout.size)):
-                size = layout.size
-                body_off = off if whole else off[idx]
-                # One vectorized gather of every body into a (n, size)
-                # uint8 block, reinterpreted as the packed record dtype.
-                gathered = buf[body_off[:, None] + np.arange(size, dtype=np.intp)]
-                arr = gathered.view(layout.dtype).reshape(-1)
-                _scatter_fixed(batch, layout, itype, idx, arr)
-            else:
-                # Vector/char layouts, or bodies whose length disagrees with
-                # the fixed layout: decode those records exactly as the
-                # reference decoder would (including its error messages).
-                if fallback_blob is None:
-                    fallback_blob = mv.tobytes()
-                if idx is None:
-                    idx = np.arange(n, dtype=np.intp)
-                _decode_group_slow(batch, fallback_blob, profile, mask, idx, prefixes)
-        batch.end = batch.start + batch.dura
-        # u64 wire fields past 2**63 (or a sum past it) wrap negative in the
-        # int64 columns; refuse them instead of answering with wrong times.
-        if int((batch.start | batch.dura | batch.end).min()) < 0:
-            raise OverflowError("a record's start + duration does not fit int64")
+    blob = bytes(data)
+    prefixes, bodies, lengths = _scan_record_frames(blob)
+    n = len(prefixes)
+    batch = FrameBatch(n)
+    if n == 0:
         return batch
-    finally:
-        # Drop every export of the caller's view before returning, so a
-        # zero-copy mmap-backed view can be released immediately.
-        buf = None
-        if mv is not data:
-            mv.release()
+    tw = gather_items(blob, bodies, "<u4")
+    batch.itype = (tw >> np.uint32(2)).astype(np.int64)
+    batch.bebits = (tw & np.uint32(3)).astype(np.int64)
+    distinct = _distinct_types(batch.itype)
+    whole = len(distinct) == 1
+    # Rows per core dtype: the types whose core fields sit alike.
+    cores: dict[np.dtype, list] = {}
+    for itype in distinct:
+        idx = None if whole else np.flatnonzero(batch.itype == itype)
+        layout = layout_for(profile, itype, mask)
+        if layout.fixed and bool(np.all((lengths if whole else lengths[idx]) == layout.size)):
+            if layout.missing_core:
+                raise FormatError(
+                    f"record type {itype} is missing core fields "
+                    f"{list(layout.missing_core)}; corrupt field selection mask?"
+                )
+            if layout.extra_names:
+                values = gather_items(blob, bodies if whole else bodies[idx], layout.dtype)
+                batch._groups.append((idx, layout.extra_names, values))
+            cores.setdefault(layout.core_dtype, []).append(idx)
+        else:
+            # Vector/char layouts, or bodies whose length disagrees with the
+            # fixed layout: decode those records exactly as the reference
+            # decoder would (including its error messages).
+            idx = np.arange(n, dtype=np.intp) if idx is None else idx
+            _decode_group_slow(batch, blob, profile, mask, idx, prefixes)
+    for dtype, parts in cores.items():
+        rows = None if whole else np.concatenate(parts)
+        if rows is None or len(rows) == n:
+            core = gather_items(blob, bodies, dtype)
+            for name in CORE_WIRE:
+                setattr(batch, name, core[name].astype(np.int64))
+        else:
+            core = gather_items(blob, bodies[rows], dtype)
+            for name in CORE_WIRE:
+                getattr(batch, name)[rows] = core[name]  # casts in one pass
+    batch.end = batch.start + batch.dura
+    # u64 wire fields past 2**63 (or a sum past it) wrap negative in the
+    # int64 columns; refuse them instead of answering with wrong times.
+    if int((batch.start | batch.dura | batch.end).min()) < 0:
+        raise OverflowError("a record's start + duration does not fit int64")
+    return batch
 
 
 def encode_frame_batch(batch: FrameBatch, profile, mask: int) -> tuple[bytes, np.ndarray]:
@@ -739,13 +721,12 @@ def encode_frame_batch(batch: FrameBatch, profile, mask: int) -> tuple[bytes, np
                 sizes[i] = len(blob)
         else:
             blocks.append((idx, block))
-            sizes[idx if idx is not None else slice(None)] = block.shape[1]
+            sizes[idx if idx is not None else slice(None)] = block.dtype.itemsize
     ends = np.cumsum(sizes)
     starts = ends - sizes
     out = np.empty(int(ends[-1]), dtype=np.uint8)
     for idx, block in blocks:
-        at = starts if idx is None else starts[idx]
-        out[at[:, None] + np.arange(block.shape[1], dtype=np.int64)] = block
+        scatter_items(out, starts if idx is None else starts[idx], block)
     for i, blob in singles:
         out[starts[i] : ends[i]] = np.frombuffer(blob, dtype=np.uint8)
     return out.tobytes(), sizes
@@ -753,8 +734,8 @@ def encode_frame_batch(batch: FrameBatch, profile, mask: int) -> tuple[bytes, np
 
 def _encode_fixed(layout: RecordLayout, idx, n: int, attrs, span, own,
                   per_row) -> np.ndarray | None:
-    """One fixed-layout type's rows (``idx``; None: all ``n``) as a
-    ``(rows, encoded size)`` uint8 block, length prefix included; None when
+    """One fixed-layout type's rows (``idx``; None: all ``n``) as one
+    array of its ``wire_dtype``, length prefix included; None when
     some value does not fit its wire field exactly (the caller then encodes
     those rows one by one)."""
     arr = np.zeros(n if idx is None else len(idx), dtype=layout.wire_dtype)
@@ -777,7 +758,7 @@ def _encode_fixed(layout: RecordLayout, idx, n: int, attrs, span, own,
         arr[name] = values
     block = arr.view(np.uint8).reshape(len(arr), arr.dtype.itemsize)
     block[:, : len(layout.prefix)] = np.frombuffer(layout.prefix, dtype=np.uint8)
-    return block
+    return arr
 
 
 def _is_columns(names, values) -> bool:

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.atomicio import AtomicFile
+from repro.core.layout import gather_items
 from repro.core.magic import RAW_MAGIC as MAGIC
 from repro.errors import FormatError, TraceError
 from repro.tracing.events import RawEvent
@@ -364,10 +365,8 @@ class RawTraceReader:
         """:meth:`columns` of the records starting at ``at`` in ``window``
         (file bytes from ``base``; every record lies inside it)."""
         import numpy as np
-        from numpy.lib.stride_tricks import sliding_window_view
 
-        buf = np.frombuffer(window, dtype=np.uint8)
-        head = sliding_window_view(buf, _HEAD_BYTES)[at].view(_EVENT_HEAD).reshape(-1)
+        head = gather_items(window, at, _EVENT_HEAD)
         nargs = head["nargs"]
         # The text length sits behind the payload; both must lie inside
         # the record, and the three parts must add up to the hookword's
@@ -375,7 +374,7 @@ class RawTraceReader:
         text_at = _HEAD_BYTES + 8 * nargs.astype(np.intp)
         good = text_at + 2 <= head["len"]
         text_at = at + np.where(good, text_at, 0)
-        text_len = buf[text_at] | buf[text_at + 1].astype(np.uint16) << 8
+        text_len = gather_items(window, text_at, "<u2")
         good &= text_at - at + 2 + text_len == head["len"]
         if not good.all():
             i = int(np.argmin(good))
@@ -383,10 +382,10 @@ class RawTraceReader:
             raise TraceError(f"{self.path}: corrupt event at offset {base + int(at[i])}")
         record = np.repeat(np.arange(len(at)), nargs)
         word = np.arange(len(record)) - np.repeat(np.cumsum(nargs, dtype=np.intp) - nargs, nargs)
-        args = sliding_window_view(buf, 8)[at[record] + _HEAD_BYTES + 8 * word]
+        args = gather_items(window, at[record] + _HEAD_BYTES + 8 * word, "<u8")
         return (
             base + at.astype(np.int64), head["hook"], head["ts"], head["tid"], head["cpu"],
-            nargs, text_len, args.view("<u8").reshape(-1),
+            nargs, text_len, args,
         )
 
     def _plausible_event(

@@ -17,7 +17,9 @@ import threading
 
 import pytest
 
-from repro.core.fields import MASK_ALL_MERGED
+from repro.core import IntervalFileWriter
+from repro.core.bytesource import MmapSource
+from repro.core.fields import MASK_ALL_MERGED, MASK_CORE
 from repro.core.framestore import decode_frame_records
 from repro.core.reader import IntervalReader
 from repro.core.records import BeBits, IntervalRecord, IntervalType
@@ -27,7 +29,7 @@ from repro.query import open_trace
 from repro.utils.slog import SlogFile
 
 from tests.conftest import DATA_DIR
-from tests.test_query import PROFILE, _records, make_ivl
+from tests.test_query import PROFILE, _records, make_ivl, thread_table
 from tests.test_serve import make_slog, message_records
 
 RUNNING = IntervalType.RUNNING
@@ -371,6 +373,43 @@ class TestInt64Overflow:
             assert reader.salvage.records_dropped == 1
             assert reader.stats()["records_dropped"] == 1
             assert reader.salvage.frames_quarantined == 0
+
+
+class TestFailedDecodeReleasesTheMap:
+    """A decode that raises leaves no array over the caller's mmap view, so
+    the reader closes and unmaps while the traceback is still alive (an
+    export outliving the raise made ``close`` fail with ``BufferError:
+    cannot close exported pointers exist``)."""
+
+    @staticmethod
+    def write(path, failure: str):
+        if failure == "mask":  # a file whose mask strips the core fields
+            with IntervalFileWriter(
+                path, PROFILE, thread_table(), field_mask=MASK_ALL_MERGED & ~MASK_CORE,
+            ) as writer:
+                for record in _records(8):
+                    writer.write(record)
+            return
+        make_ivl(path, OVERFLOWING if failure == "overflow" else _records())
+        if failure == "walk":  # the first record's body cannot hold a type word
+            with IntervalReader(path, PROFILE) as reader:
+                offset = reader.frame_entries()[0].offset
+            data = bytearray(path.read_bytes())
+            data[offset] = 2
+            path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("failure", ["walk", "mask", "overflow"])
+    def test_close_unmaps_after_a_failed_decode(self, tmp_path, failure):
+        path = tmp_path / "f.ute"
+        self.write(path, failure)
+        reader = IntervalReader(path, PROFILE)
+        assert isinstance(reader.source, MmapSource)
+        frame = reader.frame_entries()[0]
+        with pytest.raises(FormatError) as excinfo:
+            reader.read_frame_batch(frame)
+        reader.close()
+        assert reader.source._map is None
+        assert excinfo.traceback  # held across close()
 
 
 # ------------------------------------------------------------ extra key order

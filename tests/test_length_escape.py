@@ -8,7 +8,11 @@ trip, and through the full write → convert → merge → read pipeline (where
 MPI_Waitall's variable-length seqnos vector crosses the boundary).
 """
 
+import struct
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import IntervalFileWriter, IntervalReader
 from repro.core.fields import ATTRS, DataType, FieldSpec, MASK_CORE
@@ -22,6 +26,8 @@ from repro.core.records import (
     skip_record,
 )
 from repro.core.threadtable import ThreadEntry, ThreadTable
+from repro.errors import FormatError
+from repro.query.columnar import _scan_record_frames
 from repro.tracing.events import RawEvent, global_clock_event
 from repro.tracing.hooks import HookId, MPI_FN_IDS, hook_for_mpi_begin, hook_for_mpi_end
 from repro.tracing.rawfile import RawFileHeader, RawTraceWriter
@@ -75,6 +81,76 @@ class TestLengthPrefixUnit:
         blob = encode_length(body_len) + b"x" * body_len + b"\x05"
         next_offset = skip_record(blob, 0)
         assert blob[next_offset] == 5
+
+
+def reference_walk(blob: bytes) -> list[int]:
+    """A plain ``skip_record`` loop: every record's offset, or the record
+    decoder's error for the first record that does not fit the frame."""
+    offsets = []
+    pos = 0
+    while pos < len(blob):
+        try:
+            body_len, _ = decode_length(blob, pos)
+        except struct.error:  # an escape without its two length bytes
+            raise FormatError(f"truncated interval record at offset {pos}") from None
+        nxt = skip_record(blob, pos)
+        if body_len < 4 or nxt > len(blob):
+            raise FormatError(f"truncated interval record at offset {pos}")
+        offsets.append(pos)
+        pos = nxt
+    return offsets
+
+
+def _framed(body_len: int, escaped: bool) -> bytes:
+    """One record of ``body_len`` filler bytes; ``escaped`` forces the
+    three-byte prefix on a body the one-byte form could carry."""
+    if escaped or not 0 < body_len < 256:
+        return b"\x00" + body_len.to_bytes(2, "little") + b"\xab" * body_len
+    return bytes((body_len,)) + b"\xab" * body_len
+
+
+_records = st.lists(
+    st.builds(
+        _framed,
+        st.one_of(
+            st.integers(0, 3), st.integers(4, 40), st.just(255), st.integers(256, 300),
+        ),
+        st.booleans(),
+    ),
+    max_size=6,
+).map(b"".join)
+_tails = st.one_of(
+    st.just(b""),
+    st.just(b"\x00"),  # an escape cut 2 bytes before the end
+    st.binary(min_size=1, max_size=1).map(b"\x00".__add__),  # ... and 1 byte before
+    st.integers(4, 255).map(lambda k: bytes((k,)) + b"\xab" * (k // 2)),  # an overrun
+    st.binary(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(st.builds(bytes.__add__, _records, _tails), st.binary(max_size=600)))
+@example(blob=_framed(255, False) + _framed(256, False) + _framed(4, True))
+@example(blob=_framed(10, False) + b"\x00")
+@example(blob=_framed(10, False) + b"\x00\x05")
+@example(blob=_framed(3, False))
+@example(blob=_framed(0, True))
+@example(blob=_framed(10, False) + b"\x20" + b"\xab" * 8)
+def test_walk_matches_a_skip_record_loop(blob):
+    """The columnar walk finds the reference loop's record offsets, or
+    raises its error naming the same offset."""
+    try:
+        expected = reference_walk(blob)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            _scan_record_frames(blob)
+        assert str(got.value) == str(exc)
+        return
+    prefixes, bodies, lengths = _scan_record_frames(blob)
+    assert prefixes == expected
+    assert list(zip(lengths.tolist(), bodies.tolist())) == [
+        decode_length(blob, pos) for pos in expected
+    ]
 
 
 class TestRecordBoundary:

@@ -235,3 +235,36 @@ def test_a_record_longer_than_the_window_gets_its_own(tmp_path, monkeypatch):
     monkeypatch.setattr(RawTraceReader, "WINDOW_BYTES", 64)
     with RawTraceReader(path) as reader:
         assert list(reader) == events
+
+
+def test_columns_match_the_records_when_a_record_straddles_the_window(corpus, monkeypatch):
+    """``columns()`` gathers heads, text lengths and payload words per
+    window; a window cut through record 10 moves that record to the next
+    window and changes no value or dtype."""
+    path = corpus.path("good.raw")
+    with RawTraceReader(path) as reader:
+        whole = reader.columns()
+        events = list(reader)
+        scanned = list(reader.scan())
+    _hook, offset, length = scanned[10]
+    monkeypatch.setattr(
+        RawTraceReader, "WINDOW_BYTES", offset - RawFileHeader.size() + length // 2
+    )
+    with RawTraceReader(path) as reader:
+        cut = reader.columns()
+        texts = [
+            reader.source.fetch(at, size).decode("utf-8")
+            for at, size in zip(cut.text_offset.tolist(), cut.text_len.tolist())
+        ]
+    for name in ("offset", "hook", "ts", "tid", "cpu", "nargs", "text_len", "args", "arg_start"):
+        a, b = getattr(whole, name), getattr(cut, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    args = cut.args.tolist()
+    assert [
+        RawEvent(hook, ts, tid, cpu, tuple(args[at : at + count]), text)
+        for hook, ts, tid, cpu, at, count, text in zip(
+            cut.hook.tolist(), cut.ts.tolist(), cut.tid.tolist(), cut.cpu.tolist(),
+            cut.arg_start.tolist(), cut.nargs.tolist(), texts,
+        )
+    ] == events
+    assert cut.offset.tolist() == [offset for _hook, offset, _len in scanned]

@@ -65,6 +65,44 @@ class TestGetIntervalAt:
             get_interval_at(handle, 10**9)
 
 
+class TestGetIntervalTruncation:
+    """The sequential cursor refuses a frame the file or the frame itself
+    cuts short instead of handing out a short record."""
+
+    @staticmethod
+    def drain(handle) -> int:
+        count = 0
+        while get_interval(handle) is not None:
+            count += 1
+        return count
+
+    def test_file_ending_inside_a_frame(self, sample_file):
+        path, _ = sample_file
+        handle, _ = read_header(path)
+        assert self.drain(handle) == 30
+        last = handle._frames[-1]
+        data = path.read_bytes()
+        path.write_bytes(data[: last.offset + last.size // 2])
+        handle, _ = read_header(path)
+        with pytest.raises(FormatError, match=f"frame at {last.offset} runs past end of file"):
+            self.drain(handle)
+
+    def test_record_running_past_its_frame(self, sample_file):
+        path, _ = sample_file
+        handle, _ = read_header(path)
+        first = handle._frames[0]
+        data = bytearray(path.read_bytes())
+        blob = bytes(data[first.offset : first.offset + first.size])
+        at = 0
+        while at + 1 + blob[at] < len(blob):  # the frame's last record
+            at += 1 + blob[at]
+        data[first.offset + at] = 255  # its length now runs past the frame
+        path.write_bytes(bytes(data))
+        handle, _ = read_header(path)
+        with pytest.raises(FormatError, match=f"record at {first.offset + at} runs past its frame"):
+            self.drain(handle)
+
+
 class TestIsVectorField:
     def test_scalar_field(self, sample_file):
         _, profile_path = sample_file

@@ -188,6 +188,58 @@ def test_length_escape_boundary(body_len):
     assert encode_frame_batch(batch, profile, mask)[0] == b"".join(want)
 
 
+def _mixed_profile() -> Profile:
+    """Three small fixed types, a fixed type whose body needs the length
+    escape, and a type with a vector field."""
+    core = [
+        FieldSpec(0, DataType.UINT, 4), FieldSpec(1, DataType.UINT, 8),
+        FieldSpec(2, DataType.UINT, 8), FieldSpec(3, DataType.UINT, 2),
+        FieldSpec(4, DataType.UINT, 2), FieldSpec(5, DataType.UINT, 2),
+    ]
+    msg = ATTRS["msg"]
+    pads = [FieldSpec(9 + i, DataType.UINT, 8, attr=msg) for i in range(35)]
+    specs = {
+        1: (),
+        2: (FieldSpec(6, DataType.UINT, 8, attr=msg),),
+        3: (FieldSpec(6, DataType.UINT, 4, attr=msg), FieldSpec(7, DataType.INT, 2, attr=msg)),
+        4: tuple(pads),
+        5: (FieldSpec(8, DataType.UINT, 4, attr=msg, vector=True, counter_len=2),),
+    }
+    names = ["rectype", "start", "dura", "node", "cpu", "thread", "a", "b", "seqnos"]
+    return Profile(
+        ["Core", "OneExtra", "TwoExtras", "Wide", "Vector"],
+        names + [f"p{i}" for i in range(len(pads))],
+        {t: RecordSpec(t, t - 1, (*core, *extra)) for t, extra in specs.items()},
+    )
+
+
+def test_one_frame_of_mixed_types_encodes_as_its_records_do():
+    """The scatter writes each fixed type's items where the per-record
+    encoder puts them, beside escaped and vector records in one frame."""
+    profile, mask = _mixed_profile(), MASK_ALL_PER_NODE
+    extras = {
+        1: lambda i: {}, 2: lambda i: {"a": 2**64 - 1 - i},
+        3: lambda i: {"a": i, "b": -i}, 4: lambda i: {f"p{k}": i * k for k in range(35)},
+        5: lambda i: {"seqnos": list(range(i % 4))},
+    }
+    types = [1, 2, 5, 3, 4, 1, 4, 5, 2, 3, 3, 1, 4, 2]
+    records = [
+        IntervalRecord(t, BeBits.COMPLETE, 10 * i, 5, i % 3, 1, i, extras[t](i))
+        for i, t in enumerate(types)
+    ]
+    want = [r.encode(profile, mask) for r in records]
+    assert len(want[4]) == 3 + layout_for(profile, 4, mask).size > 258  # escaped
+    blob = b"".join(want)
+    batch = decode_frame_batch(blob, profile, mask)
+    assert batch.to_records() == records
+    again, sizes = encode_frame_batch(batch, profile, mask)
+    assert again == blob and sizes.tolist() == [len(b) for b in want]
+    order = np.argsort(batch.itype, kind="stable")
+    assert encode_frame_batch(batch.take(order), profile, mask)[0] == b"".join(
+        want[i] for i in order.tolist()
+    )
+
+
 OUT_OF_RANGE = [
     ("node", 1 << 16), ("cpu", -1), ("thread", 1 << 16), ("start", -1),
     ("dura", -5), ("peer", 1 << 31), ("tag", -(1 << 31) - 1),
