@@ -100,7 +100,11 @@ class _IncrementalIndex:
     same :class:`~repro.query.indexfile.IndexAccumulator` a batch build
     uses, so every snapshot — including the final one — is *identical* to
     what a post-hoc rebuild of the same bytes produces (docs/FORMAT.md
-    sections 7-8).
+    sections 7-8).  A snapshot's utilization work is its epoch's: the
+    :class:`~repro.query.utilization.UtilizationBuilder` merges the new
+    rows into the aggregate it holds instead of re-sorting every row, and
+    a snapshot with no frame sealed since the last one (the close-time
+    publish) gets the last one's aggregates back without any work.
     """
 
     def __init__(self, meta: bytes) -> None:

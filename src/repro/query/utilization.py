@@ -174,11 +174,12 @@ def _aggregate(rows: _Rows) -> _Rows:
     """Sort rows by (lane, bin, state) and sum duplicates (exact).
 
     The key is one packed int64 (:func:`~repro.query.columnar.pack_keys`)
-    sorted *stably*: timsort finds the rows already in order — an
-    aggregated head, each record's run of bins — and merges those runs
-    instead of re-sorting them, so folding new rows into an aggregated
-    chunk is close to a linear merge.  A key that would overflow 62 bits
-    falls back to a lexsort of the three columns."""
+    sorted *stably*, so rows already in order — each record's run of bins,
+    a chunk aggregated before — are runs timsort merges instead of
+    re-sorting.  A key that would overflow 62 bits falls back to a lexsort
+    of the three columns.  A live publish does not come here with every
+    row it holds: :func:`_merge` sorts only the new rows and the held rows
+    they can reach."""
     lane, bins, state, _, _ = rows
     if not len(lane):
         return rows
@@ -281,6 +282,71 @@ def _rows_of(keys: np.ndarray, level: Level) -> _Rows:
     return (
         np.repeat(np.repeat(keys, np.diff(level.offsets)), n_states),
         np.repeat(level.bins, n_states), level.states, count, level.busy,
+    )
+
+
+def _merge(keys: np.ndarray, level: Level, loose: list[_Rows]) -> tuple[np.ndarray, Level]:
+    """:func:`_level_of` of :func:`_aggregate` of ``level``'s rows and the
+    ``loose`` chunks, without touching the cells no loose row can reach.
+
+    Within a lane, the cells at or past the loose rows' first bin are a
+    suffix of the lane's cells, and every cell before it precedes every
+    loose row of the lane.  Only those suffixes go back to rows and through
+    :func:`_aggregate` with the loose rows (which sums the rows of a cell
+    both sides hit); the cells that come out replace each lane's suffix,
+    one splice per column.  Correct in any order: rows arriving out of
+    order only lengthen the suffixes, and frames sealed in end order keep
+    them short."""
+    reach = min(int(rows[1].min(initial=np.iinfo(np.int64).max)) for rows in loose)
+    tail = np.flatnonzero(level.bins >= reach)
+    n_states = level.state_off[tail + 1] - level.state_off[tail]
+    at = _ranges(level.state_off[tail], n_states)
+    count = np.zeros(len(at), np.int64)
+    count[np.cumsum(n_states) - n_states] = level.counts[tail]
+    lane = keys[np.searchsorted(level.offsets, tail, "right") - 1]
+    tail_rows = (
+        np.repeat(lane, n_states), np.repeat(level.bins[tail], n_states),
+        level.states[at], count, level.busy[at],
+    )
+    new_keys, new = _level_of(_aggregate(tuple(map(np.concatenate, zip(tail_rows, *loose)))))
+
+    # Lane g of ``new`` replaces cells cut[g] .. end[g] of ``level``: the
+    # lane's suffix, or nothing at the place of a lane ``level`` lacks.
+    li = np.searchsorted(keys, new_keys)
+    known = li < len(keys)
+    known[known] = keys[li[known]] == new_keys[known]
+    start = level.offsets[li]
+    end = level.offsets[li + known]
+    cut = end - np.searchsorted(tail, end) + np.searchsorted(tail, start)
+    # The pieces, alternating: ``level``'s cells 0 .. cut[0], ``new``'s
+    # lane 0, ``level``'s end[0] .. cut[1], ..., ``level``'s from end[-1].
+    lo, hi, row_lo, row_hi = np.empty((4, 2 * len(new_keys) + 1), np.int64)
+    lo[0::2], hi[0::2] = np.append(0, end), np.append(cut, len(level.bins))
+    lo[1::2], hi[1::2] = new.offsets[:-1], new.offsets[1:]
+    for side, src in enumerate((level, new)):
+        row_lo[side::2], row_hi[side::2] = src.state_off[lo[side::2]], src.state_off[hi[side::2]]
+
+    def splice(column: str, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        sources = (getattr(level, column), getattr(new, column))
+        parts = enumerate(zip(lo.tolist(), hi.tolist()))
+        return np.concatenate([sources[i & 1][a:b] for i, (a, b) in parts])
+
+    # Each piece's cell offsets move by where its rows land; the last piece
+    # carries the closing offset.
+    closed = hi.copy()
+    closed[-1] += 1
+    state_off = splice("state_off", lo, closed)
+    rows = row_hi - row_lo
+    state_off += np.repeat(np.cumsum(rows) - rows - row_lo, closed - lo)
+
+    lanes = np.union1d(keys, new_keys)
+    per_lane = np.zeros(len(lanes), np.int64)
+    per_lane[np.searchsorted(lanes, keys)] = np.diff(level.offsets)
+    per_lane[np.searchsorted(lanes, new_keys)] = cut - start + np.diff(new.offsets)
+    return lanes, Level(
+        np.concatenate(([0], np.cumsum(per_lane))), splice("bins", lo, hi),
+        splice("counts", lo, hi), splice("totals", lo, hi), state_off,
+        splice("states", row_lo, row_hi), splice("busy", row_lo, row_hi),
     )
 
 
@@ -476,8 +542,12 @@ class UtilizationIndex:
         per-cell object.  ``cells`` is a :class:`WindowCells`: columns for
         the display path, and a ``{lane_key: [(bin_t0, bin_t1, count, busy,
         states), ...]}`` mapping for whoever wants cells one by one.  The
-        window is clamped to the indexed span."""
+        window is clamped to the indexed span; one wholly before or after it
+        has no cells, and answers at the finest level."""
         table = self._table(kind)
+        if t1 < self.t_min or t0 > self.t_max:
+            k = self.base_shift
+            return k, WindowCells(table.keys, table.levels[0], np.zeros(0, np.int64), k)
         t0 = max(t0, self.t_min)
         t1 = min(max(t1, t0), self.t_max)
         li = self.level_for(t0, t1, max_bins)
@@ -740,12 +810,35 @@ _RECORD_BINS = 64
 #: through :meth:`UtilizationBuilder.add_batch`.
 _ADD_BUFFER = 4096
 
-#: Loose (not yet aggregated) rows are folded into the aggregated chunk
-#: once they number this many and twice the aggregated rows — amortized
+#: Loose (not yet aggregated) rows are folded into the aggregated head
+#: once they number this many and twice the head's rows — amortized
 #: O(n log n), memory a small multiple of level 0.
 _COMPACT_ROWS = 1 << 16
 
 _NO_ROWS: _Rows = (np.zeros(0, np.uint64), *(np.zeros(0, np.int64) for _ in range(4)))
+
+
+class _Head:
+    """One kind's aggregated rows: as rows (what a sort leaves) or as lane
+    keys and a :class:`Level` (what a merge leaves).  The level of rows is
+    derived once, when a build or a merge first asks for it."""
+
+    def __init__(
+        self, rows: _Rows | None = None, level: tuple[np.ndarray, Level] | None = None
+    ) -> None:
+        self._rows = rows
+        self._level = level
+
+    def __len__(self) -> int:
+        return len(self._rows[0]) if self._rows is not None else len(self._level[1].states)
+
+    def rows(self) -> _Rows:
+        return self._rows if self._rows is not None else _rows_of(*self._level)
+
+    def level(self) -> tuple[np.ndarray, Level]:
+        if self._level is None:
+            self._level = _level_of(self._rows)
+        return self._level
 
 
 class UtilizationBuilder:
@@ -759,6 +852,16 @@ class UtilizationBuilder:
     fits ``base_bins`` bins and no busy record covers more than
     :data:`_RECORD_BINS` bins.  It only ever grows, and when it does the
     held rows fold onto the coarser grid (``bin >> steps``, exact).
+
+    Compaction folds the loose rows into the aggregated head.  When they
+    are at least as many as the head's rows (a batch build, a first epoch,
+    every row after a shift rise) that is one stable sort of everything;
+    otherwise — a live publish — :func:`_merge` sorts only the new rows and
+    the head cells they can reach, and splices the cells that come out
+    into the head.  The choice reads the two row counts and nothing else.
+    A merge leaves the head as the finest :class:`Level` itself, which
+    :meth:`build` publishes as it stands; a build with no record since the
+    last one returns that one's index.
     """
 
     def __init__(self, *, base_bins: int = DEFAULT_BASE_BINS) -> None:
@@ -766,11 +869,19 @@ class UtilizationBuilder:
         self.t_min: int | None = None
         self.t_max = 0
         self.shift = 0
-        #: Row chunks at ``shift``, thread lanes then CPU lanes; chunk 0 is
-        #: aggregated unless ``_loose`` says otherwise.
-        self._rows: tuple[list[_Rows], list[_Rows]] = ([_NO_ROWS], [_NO_ROWS])
+        #: The aggregated head at ``shift``, thread lanes then CPU lanes.
+        self._heads = [_Head(_NO_ROWS), _Head(_NO_ROWS)]
+        #: Loose row chunks at ``shift``, per kind; ``_loose`` counts the
+        #: thread kind's (the CPU kind gets as many, one per record and bin,
+        #: until a shift rise puts each head back among them).
+        self._rows: tuple[list[_Rows], list[_Rows]] = ([], [])
         self._loose = 0
+        #: Thread rows in the head after the last compaction: the next one
+        #: waits for twice as many loose rows, a shift rise or not.
+        self._head_rows = 0
         self._buffer: list[IntervalRecord] = []
+        #: What :meth:`build` last returned, until a record arrives.
+        self._built: UtilizationIndex | None = None
 
     def add(self, record: IntervalRecord) -> None:
         """Account one record (any order; grids are absolute).  Buffered:
@@ -789,6 +900,9 @@ class UtilizationBuilder:
         self._flush()
         if not batch.n:
             return
+        # Clock pairs and zero-duration rows add no busy row, but they
+        # still move the span.
+        self._built = None
         first = int(batch.start.min())
         self.t_min = first if self.t_min is None else min(self.t_min, first)
         self.t_max = max(self.t_max, int(batch.end.max()))
@@ -822,13 +936,17 @@ class UtilizationBuilder:
             lane = np.repeat(lane_keys(node, sub), n_bins)
             chunks.append((lane, bins, state, count, overlap))
         self._loose += len(bins)
-        if self._loose >= max(_COMPACT_ROWS, 2 * len(self._rows[0][0][0])):
+        if self._loose >= max(_COMPACT_ROWS, 2 * self._head_rows):
             self._compact()
 
     def _grow(self, shift: int) -> None:
         steps = shift - self.shift
         if steps:
-            for chunks in self._rows:
+            for kind, chunks in enumerate(self._rows):
+                if len(self._heads[kind]):
+                    # The head leads the loose rows: one sorted run.
+                    chunks.insert(0, self._heads[kind].rows())
+                    self._heads[kind] = _Head(_NO_ROWS)
                 chunks[:] = [
                     (lane, bins >> steps, state, count, busy)
                     for lane, bins, state, count, busy in chunks
@@ -837,22 +955,32 @@ class UtilizationBuilder:
             self.shift = shift
 
     def _compact(self) -> None:
-        """Fold every held chunk into one aggregated chunk per kind."""
-        if self._loose:
-            for chunks in self._rows:
-                chunks[:] = [_aggregate(tuple(map(np.concatenate, zip(*chunks))))]
-            self._loose = 0
+        """Fold the loose rows into the aggregated head of each kind."""
+        if not self._loose:
+            return
+        for kind, chunks in enumerate(self._rows):
+            head = self._heads[kind]
+            if self._loose < len(head):
+                self._heads[kind] = _Head(level=_merge(*head.level(), chunks))
+            else:
+                rows = tuple(map(np.concatenate, zip(head.rows(), *chunks)))
+                self._heads[kind] = _Head(_aggregate(rows))
+            chunks.clear()
+        self._loose = 0
+        self._head_rows = len(self._heads[0])
 
     def build(self) -> UtilizationIndex:
         """Freeze the accumulated state onto the deterministic grids (the
         builder stays usable — live snapshots call this per epoch)."""
         self._flush()
-        self._compact()
-        t_min = 0 if self.t_min is None else self.t_min
-        t_max = max(self.t_max, t_min)
-        n_levels = levels_for_span(t_min, t_max, self.shift)
-        tables = []
-        for (rows,) in self._rows:
-            keys, finest = _level_of(rows)
-            tables.append(LaneTable(keys, Levels(keys, finest, n_levels)))
-        return UtilizationIndex(self.shift, n_levels, t_min, t_max, *tables)
+        if self._built is None:
+            self._compact()
+            t_min = 0 if self.t_min is None else self.t_min
+            t_max = max(self.t_max, t_min)
+            n_levels = levels_for_span(t_min, t_max, self.shift)
+            tables = []
+            for head in self._heads:
+                keys, level = head.level()
+                tables.append(LaneTable(keys, Levels(keys, level, n_levels)))
+            self._built = UtilizationIndex(self.shift, n_levels, t_min, t_max, *tables)
+        return self._built

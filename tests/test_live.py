@@ -539,6 +539,56 @@ class TestLiveIndex:
         assert util.n_levels > 3 and len(util.thread.keys) == 32
         assert lexsort.call_count == 0
 
+    def test_a_publish_after_the_first_data_epoch_sorts_only_its_epoch(self, tmp_path):
+        """Once rows are held, a publish merges its epoch into them: no sort
+        and no segmented sum sees an array as long as the rows already held
+        (a re-sort of everything would hand ``argsort`` all of them).  The
+        first epoch's long record fixes the shift, so none of the later
+        epochs moves every row onto a coarser grid."""
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.query import build_index, index_path_for, open_trace
+
+        path = tmp_path / "run.slog"
+        writer = live_writer(path)
+        end = 10_000
+
+        def published():
+            return load_index(index_path(writer.live_dir)).utilization
+
+        def epoch(n: int, longest: int) -> None:
+            nonlocal end
+            for i in range(n):
+                dura = longest if i == 0 else 40 + (i % 9) * 100
+                writer.write(IntervalRecord(
+                    IntervalType.RUNNING if i % 5 else IntervalType.IO,
+                    BeBits.COMPLETE, end - dura, dura, i % 4, i % 3, i % 32 // 4,
+                ))
+                end += 150
+            writer.publish(seal=True)
+
+        epoch(200, 5_000)
+        shift = published().base_shift
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort, \
+                mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort, \
+                mock.patch("numpy.add", wraps=np.add) as add:
+            for _ in range(5):
+                util = published()
+                held = min(len(table.levels[0].states) for table in (util.thread, util.cpu))
+                for call in (argsort, lexsort, add.reduceat):
+                    call.reset_mock()
+                epoch(40, 1_000)
+                lengths = [len(c.args[0]) for c in argsort.call_args_list]
+                lengths += [len(c.args[0][0]) for c in lexsort.call_args_list]
+                lengths += [len(c.args[0]) for c in add.reduceat.call_args_list]
+                assert argsort.call_count and max(lengths) < held
+        assert published().base_shift == shift
+        final = writer.close()
+        with open_trace(final, PROFILE) as handle:
+            assert index_path_for(final).read_bytes() == build_index(handle).encode()
+
 
 class TestFollowReader:
     def test_follow_across_epochs_exactly_once(self, tmp_path):

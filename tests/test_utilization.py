@@ -39,6 +39,8 @@ from repro.query.utilization import (
     shift_for_span,
     split_thread_key,
     thread_key,
+    utilization_json,
+    utilization_payload,
 )
 from repro.utils.slog import SlogWriter
 
@@ -312,7 +314,7 @@ class TestChunkingAndOrder:
                 builder.add_batch(batch_from_records(rest[:n]))
                 rest = rest[n:]
                 builder.build()
-                assert builder._loose == 0 and all(len(c) == 1 for c in builder._rows)
+                assert builder._loose == 0 and not any(builder._rows)
             util = builder.build()
         assert sidecar_bytes(util) == want
         if nodes[1] - nodes[0] == 1:
@@ -394,6 +396,81 @@ class TestPackedKey:
             got = utilization._aggregate(rows)
         assert lexsort.call_count == 0
         assert [c.tolist() for c in got] == reference_aggregate(rows)
+
+
+merge_lanes = {
+    # Neighbouring lanes: one packed key.
+    "near": ([thread_key(0, t) for t in range(5)], 60, 4),
+    # Lanes near 2**63 and 2**64 with bins spanning 2**40: the lexsort.
+    "wide": ([thread_key(0, 1), thread_key(2**31 - 1, 2), 2**64 - 1], 1 << 40, 1 << 29),
+}
+
+
+class TestMerge:
+    """``_merge`` of an aggregated head and loose chunks is the level of one
+    ``_aggregate`` of both sides' rows, whatever the loose rows reach."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 300),
+        st.lists(st.integers(0, 120), min_size=1, max_size=4),
+        st.sampled_from(sorted(merge_lanes)),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    )
+    def test_merge_is_one_aggregate_of_held_and_loose(self, seed, n_held, sizes, lanes, past):
+        """``past`` is the share of the bin range the loose rows start in:
+        0 is any order, 1 only past every held bin (end-ordered frames)."""
+        lanes, bin_span, state_span = merge_lanes[lanes]
+        rng = np.random.default_rng(seed)
+        held = random_rows(rng, n_held, lanes, bin_span, state_span)
+        loose = []
+        for n in sizes:
+            rows = random_rows(rng, n, lanes, bin_span, state_span)
+            lo = int(bin_span * past)
+            loose.append((rows[0], lo + rows[1] % (bin_span - lo + 2), *rows[2:]))
+        keys, level = utilization._level_of(utilization._aggregate(held))
+        want_keys, want = utilization._level_of(
+            utilization._aggregate(tuple(map(np.concatenate, zip(held, *loose))))
+        )
+        got_keys, got = utilization._merge(keys, level, loose)
+        assert got_keys.dtype == want_keys.dtype and got_keys.tolist() == want_keys.tolist()
+        assert same_level(got, want)
+
+    def test_only_the_reachable_tail_is_sorted(self):
+        from unittest import mock
+
+        rng = np.random.default_rng(7)
+        lanes = [thread_key(0, t) for t in range(8)]
+        held = random_rows(rng, 5000, lanes, 1000, 3)
+        keys, level = utilization._level_of(utilization._aggregate(held))
+        new = random_rows(rng, 300, lanes, 1000, 3)
+        new = (new[0], 990 + new[1] % 20, *new[2:])
+        with mock.patch("numpy.argsort", wraps=np.argsort) as argsort:
+            utilization._merge(keys, level, [new])
+        (call,) = argsort.call_args_list
+        tail = int((utilization._rows_of(keys, level)[1] >= 990).sum())
+        assert len(call.args[0]) == tail + 300 < len(level.states) // 5
+
+
+class TestBuildMemo:
+    def test_a_build_with_no_record_since_is_the_last_one(self):
+        builder = UtilizationBuilder()
+        builder.add_batch(batch_from_records(sample_records()))
+        first = builder.build()
+        assert builder.build() is first
+        # No busy row, but each moves the span: a new build.
+        for record in (rec(10**6, 0), rec(2 * 10**6, 50, itype=IntervalType.CLOCKPAIR)):
+            builder.add(record)
+            util = builder.build()
+            assert util is not first and util.t_max == record.end
+            first = util
+        builder.add_batch(batch_from_records([rec(3 * 10**6, 0)]))
+        assert builder.build().t_max == 3 * 10**6
+        fresh = build(
+            sample_records()
+            + [rec(10**6, 0), rec(2 * 10**6, 50, itype=IntervalType.CLOCKPAIR), rec(3 * 10**6, 0)]
+        )
+        assert sidecar_bytes(builder.build()) == sidecar_bytes(fresh)
 
 
 def chained_levels(table, n_levels):
@@ -609,6 +686,37 @@ class TestQuery:
         )
         for cells in lanes.values():
             assert cells[0][0] >= (util.t_min >> shift) << shift
+
+    def test_a_window_wholly_outside_the_span_has_no_cells(self):
+        """Before the span it used to answer the first bin's cells (one at
+        1.000000-1.000016 ms here); after it, nothing.  Both sides now
+        answer the same empty payload, at the finest level."""
+        util = build([rec(10**6 + i * 1_000, 400, thread=i % 2) for i in range(50)])
+        before = (0, 500_000)
+        after = (util.t_max + 1, util.t_max + 500_000)
+        for kind in ("thread", "cpu"):
+            for max_bins in (1, 64, 4096):
+                for window in (before, after):
+                    shift, cells = util.query(kind, *window, max_bins)
+                    assert shift == util.base_shift and len(cells) == 0
+                    assert len(cells.bins) == 0 and cells.offsets.tolist() == [0] * (
+                        len(util.lanes(kind)) + 1
+                    )
+                payloads = [
+                    utilization_payload(util, kind, window, max_bins, 1e9, str)
+                    for window in (before, after)
+                ]
+                assert [p["lanes"] for p in payloads] == [[], []]
+                for payload in payloads:
+                    del payload["window"]
+                assert payloads[0] == payloads[1]
+
+    def test_utilization_json_of_a_window_outside_the_span(self):
+        util = build([rec(10**6 + i * 1_000, 400, thread=i % 2) for i in range(50)])
+        for window in ((0, 500_000), (util.t_max + 1, util.t_max + 500_000)):
+            text = utilization_json(util, "thread", window, 64, 1e9, str)
+            assert text == json.dumps(utilization_payload(util, "thread", window, 64, 1e9, str))
+            assert json.loads(text)["lanes"] == []
 
     def test_repeated_whole_run_queries_match_a_fresh_index(self):
         # Whole-level answers are remembered per kind; whatever was asked

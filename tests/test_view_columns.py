@@ -123,8 +123,11 @@ def windows_of(util, data):
 
 def reference_query(util, kind, t0, t1, max_bins):
     """``query`` as it answered before the columns: every selected cell
-    through ``Level.cells`` at once, split by lane."""
+    through ``Level.cells`` at once, split by lane.  A window wholly
+    outside the span has no cells, at the finest level."""
     table = util._table(kind)
+    if t1 < util.t_min or t0 > util.t_max:
+        return util.base_shift, {}
     t0 = max(t0, util.t_min)
     t1 = min(max(t1, t0), util.t_max)
     li = util.level_for(t0, t1, max_bins)
@@ -279,6 +282,15 @@ class TestHeatBars:
         assert list(view.rows[0].bars) == want[thread_key(0, 0)]
         assert view.rows[0].bars[0].start == window[0]
         assert view.rows[0].bars[-1].end == window[1]
+
+    def test_a_window_before_the_span_draws_no_bar(self):
+        # Used to draw the first bin's cells, clipped to a bar that starts
+        # after it ends (1 000 000 -> 500 000).
+        util = build([rec(10**6 + i * 1_000, 400, thread=i % 2) for i in range(50)])
+        for window in ((0, 500_000), (util.t_max + 1, util.t_max + 500_000)):
+            view = utilization_view(util, "thread", TABLE, name_of, window=window)
+            assert [len(row.bars) for row in view.rows] == [0, 0]
+            assert view.key_names == {}
 
     def test_idle_lanes_keep_their_rows(self):
         util = build([rec(0, 100), rec(5_000, 100, thread=1)])
