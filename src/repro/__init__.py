@@ -32,8 +32,9 @@ Subpackages
     The convert, merge (with SLOG output), statistics, validation, and dump
     utilities.
 ``repro.analysis``
-    Performance-analysis applications over interval files: state-span
-    reconstruction, blocking call profiles, utilization, message latency.
+    Performance-analysis applications over the records the query layer
+    hands out: state-span reconstruction, blocking call profiles, message
+    latency, and load-balance / communication-efficiency timelines.
 ``repro.viz``
     Jumpshot-style visualization: preview, four time-space views, message
     arrows, and the statistics viewer, rendered to SVG or ANSI text.

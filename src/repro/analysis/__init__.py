@@ -3,7 +3,11 @@
 Paper section 4 opens: "multiple time-space diagrams and
 performance-analysis applications may be derived from the same interval
 trace file".  This subpackage is that second half — analyses built purely
-on the interval records (no access to the simulator or raw traces):
+on the records the query layer hands out (no access to the simulator or
+raw traces).  It opens no scan of its own: records come from
+:func:`repro.utils.stats.interval_records` (or a
+:func:`~repro.query.scan.open_scan` for thread, node or type predicates),
+as record objects or as :class:`~repro.query.columnar.FrameBatch` columns.
 
 * :mod:`repro.analysis.spans` — reconstruct logical *state spans* from
   bebits pieces: each MPI call / marker region / I/O operation as one span
@@ -11,31 +15,19 @@ on the interval records (no access to the simulator or raw traces):
 * :mod:`repro.analysis.blocking` — the call profile: per state type, how
   many calls, how much wall time, and how much of it was spent blocked
   (off-CPU) — the number that actually matters for a de-scheduled MPI_Recv.
-* :mod:`repro.analysis.utilization` — per-thread and per-CPU busy
-  fractions and the overlap timeline.
 * :mod:`repro.analysis.messages` — message latency/size statistics from
   the sequence-number-matched arrows.
-* :mod:`repro.analysis.source` — index-aware record loading: every
-  analysis takes a record iterable, and :func:`~repro.analysis.source.
-  load_records` produces one from a trace file while pruning the scan
-  through the ``.uteidx`` sidecar index (time window, thread, node, and
-  type predicates).
-* :mod:`repro.analysis.table` — the columnar surface:
-  :func:`~repro.analysis.table.load_table` loads the same pruned
-  selection as parallel int64 arrays (a :class:`~repro.analysis.table.
-  TraceTable`) with Pipit-style ``filter``/``slice_time`` refinements,
-  never building record objects.
-* :mod:`repro.analysis.metrics` — time-resolved metrics over tables:
-  per-bin load balance and communication efficiency, attributed by
+* :mod:`repro.analysis.metrics` — time-resolved metrics over one frame
+  batch: per-bin load balance and communication efficiency, attributed by
   record/bin overlap.
+
+Per-thread and per-CPU busy time is the utilization index's answer
+(:attr:`repro.query.TraceIndex.utilization`), not a sum here.
 """
 
 from repro.analysis.spans import StateSpan, state_spans
 from repro.analysis.blocking import CallProfileRow, call_profile
-from repro.analysis.utilization import thread_utilization, cpu_utilization
 from repro.analysis.messages import MessageStats, message_stats
-from repro.analysis.source import load_records
-from repro.analysis.table import TraceTable, load_table
 from repro.analysis.metrics import (
     TimelineMetric,
     communication_efficiency_timeline,
@@ -47,13 +39,8 @@ __all__ = [
     "state_spans",
     "CallProfileRow",
     "call_profile",
-    "thread_utilization",
-    "cpu_utilization",
     "MessageStats",
     "message_stats",
-    "load_records",
-    "TraceTable",
-    "load_table",
     "TimelineMetric",
     "load_balance_timeline",
     "communication_efficiency_timeline",

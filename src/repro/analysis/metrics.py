@@ -1,4 +1,4 @@
-"""Time-resolved performance metrics over columnar trace tables.
+"""Time-resolved performance metrics over one frame batch.
 
 Two of the classic whole-run health numbers — load balance and
 communication efficiency — hide their story when computed as single
@@ -6,12 +6,17 @@ scalars: a run that is perfectly balanced on average may alternate between
 idle halves.  These functions bin the time axis and compute the metric
 per bin, so the *timeline* of the problem is visible.
 
-Both operate on a :class:`~repro.analysis.table.TraceTable` (so they
-compose with its filter/slice refinements and inherit the index-pruned
-O(window) load path) and attribute each record to a bin by **overlap**:
-a record contributes to every bin it intersects, weighted by the
-intersection length — no edge artifacts from assigning whole records to
-the bin of their start time.
+Both read a :class:`~repro.query.columnar.FrameBatch` — the query layer's
+table, e.g. ``concat_batches(list(interval_records([path], profile,
+window=w).batches()))``, refined with ``batch.where(mask)`` — and
+attribute each record to a bin by **overlap**: a record contributes to
+every bin it intersects, weighted by the intersection length — no edge
+artifacts from assigning whole records to the bin of their start time.
+
+Compute is every ``RUNNING`` and ``MARKER`` piece: a marker region's
+pieces are on-CPU time outside MPI too, since an MPI call inside a region
+cuts the region's piece.  ``IO`` and ``PAGEFAULT`` pieces count as neither
+compute nor communication.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import numpy as np
 
 from repro.core.records import IntervalType
 from repro.errors import FormatError
-
-from repro.analysis.table import TraceTable
+from repro.query.columnar import FrameBatch
+from repro.query.utilization import lane_keys
 
 __all__ = [
     "TimelineMetric",
@@ -61,53 +66,49 @@ class TimelineMetric:
         }
 
 
-def _bin_edges(table: TraceTable, bins: int) -> np.ndarray:
+def _bin_edges(batch: FrameBatch, bins: int) -> np.ndarray:
     if bins <= 0:
         raise FormatError(f"need at least one bin, got {bins}")
-    t_min, t_max = table.time_range()
+    t_min, t_max = (int(batch.start.min()), int(batch.end.max())) if batch.n else (0, 0)
     if t_max <= t_min:
         t_max = t_min + 1  # degenerate span: one 1-tick bin
     return np.linspace(t_min, t_max, bins + 1).astype(np.int64)
 
 
-def _overlap_per_bin(
-    start: np.ndarray, end: np.ndarray, lo: int, hi: int
+def _busy(
+    batch: FrameBatch, mask: np.ndarray, edges: np.ndarray,
+    cols: np.ndarray, width: int,
 ) -> np.ndarray:
-    """Each record's intersection length with the bin [lo, hi) in ticks."""
-    return np.clip(
-        np.minimum(end, hi) - np.maximum(start, lo), 0, None
-    ).astype(np.float64)
+    """(bins, width) matrix: each ``mask`` row's overlap with each bin in
+    ticks, summed into its column ``cols``."""
+    start, end, cols = batch.start[mask], batch.end[mask], cols[mask]
+    busy = np.zeros((len(edges) - 1, width), np.float64)
+    if len(start):
+        for b, (lo, hi) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+            overlap = np.clip(np.minimum(end, hi) - np.maximum(start, lo), 0, None)
+            busy[b] = np.bincount(cols, weights=overlap.astype(np.float64), minlength=width)
+    return busy
 
 
-def load_balance_timeline(table: TraceTable, bins: int = 32) -> TimelineMetric:
+def _is_compute(batch: FrameBatch) -> np.ndarray:
+    return (batch.itype == IntervalType.RUNNING) | (batch.itype == IntervalType.MARKER)
+
+
+def load_balance_timeline(batch: FrameBatch, bins: int = 32) -> TimelineMetric:
     """Per-bin load balance: mean over max of per-thread busy time.
 
-    Busy time is the overlap of ``RUNNING`` state with the bin, summed per
-    (node, thread).  A bin where every thread is equally busy scores 1.0;
-    a bin where one thread does all the work while the rest idle scores
-    1/n.  Bins with no busy time at all score 1.0 (nothing to balance).
+    Busy time is the overlap of compute (``RUNNING`` and ``MARKER``
+    pieces) with the bin, summed per (node, thread).  A bin where every
+    thread is equally busy scores 1.0; a bin where one thread does all the
+    work while the rest idle scores 1/n.  Bins with no busy time at all
+    score 1.0 (nothing to balance).
 
     ``terms`` carries ``busy`` — the (bins, threads) busy matrix in ticks,
-    thread columns ordered as :meth:`TraceTable.thread_keys`.
+    one column per distinct (node, thread) of the batch, in that order.
     """
-    edges = _bin_edges(table, bins)
-    running = table.filter(type=IntervalType.RUNNING)
-    keys = table.thread_keys()
-    n_threads = len(keys)
-    busy = np.zeros((bins, max(n_threads, 1)), np.float64)
-    if len(running) and n_threads:
-        # Dense (node, thread) -> column index.
-        key_rows = np.stack([running.node, running.thread], axis=1)
-        col_of = {tuple(k): i for i, k in enumerate(keys)}
-        cols = np.fromiter(
-            (col_of[tuple(k)] for k in key_rows.tolist()), np.int64,
-            count=len(running),
-        )
-        for b in range(bins):
-            weights = _overlap_per_bin(
-                running.start, running.end, int(edges[b]), int(edges[b + 1])
-            )
-            busy[b] = np.bincount(cols, weights=weights, minlength=n_threads)
+    edges = _bin_edges(batch, bins)
+    keys, cols = np.unique(lane_keys(batch.node, batch.thread), return_inverse=True)
+    busy = _busy(batch, _is_compute(batch), edges, cols, max(len(keys), 1))
     maxima = busy.max(axis=1)
     means = busy.mean(axis=1)
     values = np.where(maxima > 0, means / np.where(maxima > 0, maxima, 1), 1.0)
@@ -115,32 +116,23 @@ def load_balance_timeline(table: TraceTable, bins: int = 32) -> TimelineMetric:
 
 
 def communication_efficiency_timeline(
-    table: TraceTable, bins: int = 32
+    batch: FrameBatch, bins: int = 32
 ) -> TimelineMetric:
     """Per-bin communication efficiency: compute / (compute + MPI) time.
 
-    Compute time is the overlap of ``RUNNING`` state with the bin; MPI
-    time is the overlap of every MPI state (``MPI_BASE <= type < MARKER``)
-    with the bin — both summed over all threads.  A bin that is all
-    computation scores 1.0, all communication 0.0; a bin with neither
+    Compute time is the overlap of ``RUNNING`` and ``MARKER`` pieces with
+    the bin; MPI time is the overlap of every MPI state (``MPI_BASE <= type
+    < MARKER``) with the bin — both summed over all threads.  A bin that is
+    all computation scores 1.0, all communication 0.0; a bin with neither
     (threads entirely de-scheduled or outside the trace) scores 1.0.
 
     ``terms`` carries ``compute`` and ``comm`` in ticks per bin.
     """
-    edges = _bin_edges(table, bins)
-    running = table.filter(type=IntervalType.RUNNING)
-    is_mpi = (table.type >= IntervalType.MPI_BASE) & (
-        table.type < IntervalType.MARKER
-    )
-    mpi = table.where(is_mpi)
-    compute = np.zeros(bins, np.float64)
-    comm = np.zeros(bins, np.float64)
-    for b in range(bins):
-        lo, hi = int(edges[b]), int(edges[b + 1])
-        if len(running):
-            compute[b] = _overlap_per_bin(running.start, running.end, lo, hi).sum()
-        if len(mpi):
-            comm[b] = _overlap_per_bin(mpi.start, mpi.end, lo, hi).sum()
+    edges = _bin_edges(batch, bins)
+    one_column = np.zeros(batch.n, np.intp)
+    is_mpi = (batch.itype >= IntervalType.MPI_BASE) & (batch.itype < IntervalType.MARKER)
+    compute = _busy(batch, _is_compute(batch), edges, one_column, 1)[:, 0]
+    comm = _busy(batch, is_mpi, edges, one_column, 1)[:, 0]
     total = compute + comm
     values = np.where(total > 0, compute / np.where(total > 0, total, 1), 1.0)
     return TimelineMetric(

@@ -17,10 +17,11 @@ batches (:mod:`repro.query.columnar`); the record-at-a-time
 :func:`~repro.query.engine.reference_rows` is kept as the parity reference
 ``ute-oracle`` holds the executor to, not as a second way to read.
 
-``ute-query`` is the CLI face; it, ``ute-stats``, ``ute-profile``,
-``ute-serve`` (``/api/query``, ``/api/stats``) and :mod:`repro.analysis`
-all read through one :class:`~repro.query.scan.Scan`
-(:mod:`repro.query.scan`): resolve the index, open, plan, run, account.
+``ute-query`` is the CLI face; it, ``ute-stats``, ``ute-profile`` and
+``ute-serve`` (``/api/query``, ``/api/stats``) all read through one
+:class:`~repro.query.scan.Scan` (:mod:`repro.query.scan`): resolve the
+index, open, plan, run, account.  :mod:`repro.analysis` opens no scan of
+its own; it takes the records and batches these hand out.
 """
 
 from repro.query.columnar import (

@@ -384,10 +384,10 @@ def concat_batches(parts: Sequence[FrameBatch]) -> FrameBatch:
     """The rows of ``parts``, one after the other, as one batch.  Groups
     of one record type holding the same structured dtype (the type read
     under one mask) join into one group, so a type still lines up with one
-    group."""
+    group.  No parts at all is the empty batch."""
     parts = [p for p in parts if p.n] or list(parts[:1])
-    if len(parts) == 1:
-        return parts[0]
+    if len(parts) <= 1:
+        return parts[0] if parts else FrameBatch(0)
     out = FrameBatch(
         sum(p.n for p in parts),
         {c: np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS},

@@ -1,8 +1,9 @@
 """The scan: the one way a windowed read happens above the frame store.
 
 Every tool that reads the records of a file matching some predicates —
-``ute-query``, ``ute-stats``, ``ute-profile``, :mod:`repro.analysis`, the
-daemon's ``/api/query`` and ``/api/stats``, the oracle — follows one recipe:
+``ute-query``, ``ute-stats`` (and, through its ``interval_records``, the
+analyses of :mod:`repro.analysis`), ``ute-profile``, the daemon's
+``/api/query`` and ``/api/stats``, the oracle — follows one recipe:
 resolve the sidecar index, open the file, turn a seconds window into ticks
 with the file's own rate, plan the frames, run, and account the IO.
 :class:`Scan` is that recipe held once.  :func:`open_scan` builds it from a

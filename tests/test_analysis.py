@@ -1,21 +1,26 @@
 """Tests for the performance-analysis applications (spans, blocking,
-utilization, message stats)."""
-
-import pytest
+message stats, time-resolved metrics)."""
 
 from repro.analysis import (
     MessageStats,
     call_profile,
-    cpu_utilization,
+    communication_efficiency_timeline,
+    load_balance_timeline,
     message_stats,
     state_spans,
-    thread_utilization,
 )
 from repro.analysis.blocking import format_call_profile
 from repro.analysis.messages import latency_by_size
 from repro.core import standard_profile
 from repro.core.records import BeBits, IntervalRecord, IntervalType
+from repro.query.columnar import concat_batches
+from repro.utils.convert import convert_traces
+from repro.utils.merge import merge_interval_files
+from repro.utils.stats import interval_records
 from repro.viz.arrows import MessageArrow
+from repro.workloads import run_pingpong, run_stencil
+
+from tests.test_query import make_ivl
 
 PROFILE = standard_profile()
 SEND = IntervalType.for_mpi_fn(0)
@@ -146,27 +151,6 @@ class TestCallProfile:
         assert rows["MPI_Recv"].blocked_fraction > 0.3
 
 
-class TestUtilization:
-    def test_thread_busy_fraction(self):
-        records = [rec(start=0, dura=600), rec(thread=1, start=0, dura=200),
-                   rec(start=600, dura=400)]
-        utils = {u.key: u for u in thread_utilization(records)}
-        assert utils[(0, 0)].fraction == 1.0
-        assert utils[(0, 1)].fraction == pytest.approx(0.2)
-
-    def test_cpu_idle_rows_present(self):
-        records = [rec(cpu=0, dura=100)]
-        utils = cpu_utilization(records, {0: 4})
-        assert len(utils) == 4
-        assert utils[0].fraction == 1.0
-        assert all(u.fraction == 0 for u in utils[1:])
-
-    def test_explicit_wall_interval(self):
-        records = [rec(start=0, dura=100)]
-        (u,) = thread_utilization(records, wall=(0, 1000))
-        assert u.fraction == pytest.approx(0.1)
-
-
 class TestMessageStats:
     def arrows(self):
         return [
@@ -199,3 +183,154 @@ class TestMessageStats:
         table = latency_by_size(self.arrows())
         assert table[1024][0] == 2
         assert table[65536] == (1, 2000.0)
+
+
+# ---------------------------------------------------------------------------
+# Time-resolved metrics over one frame batch.
+
+RUNNING = IntervalType.RUNNING
+
+
+def piece(itype, bebits, t0, t1, node, thread):
+    return IntervalRecord(itype, bebits, t0, t1 - t0, node, 0, thread, {})
+
+
+def timeline_input(path):
+    """One file's records (clock pairs dropped) as one frame batch."""
+    return concat_batches(list(interval_records([path], PROFILE).batches()))
+
+
+def merged_trace(tmp_path, run):
+    raw = run(tmp_path / "raw")
+    conv = convert_traces(raw.raw_paths, tmp_path / "ivl")
+    return merge_interval_files(conv.interval_paths, tmp_path / "m.ute", PROFILE).merged_path
+
+
+#: Thread (0, 0) runs the whole span; thread (0, 1) runs its first tenth.
+IMBALANCE = [
+    piece(RUNNING, BeBits.COMPLETE, 0, 100_000, 0, 1),
+    piece(RUNNING, BeBits.COMPLETE, 0, 1_000_000, 0, 0),
+]
+
+#: Two nodes of running and MPI pieces over [0, 800 000], most of them
+#: straddling a 100 000-tick bin edge at ``bins=8``; no marker.
+TWO_NODE = sorted(
+    [
+        piece(RUNNING, BeBits.COMPLETE, 0, 130_000, 0, 0),
+        piece(SEND, BeBits.BEGIN, 130_000, 150_000, 0, 0),
+        piece(SEND, BeBits.END, 370_000, 410_000, 0, 0),
+        piece(RUNNING, BeBits.COMPLETE, 410_000, 650_000, 0, 0),
+        piece(RECV, BeBits.COMPLETE, 650_000, 720_000, 0, 0),
+        piece(RUNNING, BeBits.COMPLETE, 720_000, 800_000, 0, 0),
+        piece(RUNNING, BeBits.COMPLETE, 50_000, 250_000, 0, 1),
+        piece(RECV, BeBits.BEGIN, 250_000, 260_000, 0, 1),
+        piece(RECV, BeBits.END, 540_000, 560_000, 0, 1),
+        piece(RUNNING, BeBits.COMPLETE, 560_000, 610_000, 0, 1),
+        piece(RUNNING, BeBits.COMPLETE, 0, 90_000, 1, 0),
+        piece(RECV, BeBits.COMPLETE, 90_000, 310_000, 1, 0),
+        piece(RUNNING, BeBits.COMPLETE, 310_000, 475_000, 1, 0),
+        piece(SEND, BeBits.COMPLETE, 475_000, 490_000, 1, 0),
+        piece(RUNNING, BeBits.COMPLETE, 490_000, 790_000, 1, 0),
+    ],
+    key=lambda r: r.end,  # the writer wants ascending end times
+)
+
+#: ``repr`` of each metric's values and terms at ``bins=8``, as the
+#: table-based timelines computed them.
+PINNED = {
+    ("imbalance", "load_balance"): {
+        "values": "array([0.9, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])",
+        "busy": (
+            "array([[125000., 100000.],\n"
+            "       [125000.,      0.],\n"
+            "       [125000.,      0.],\n"
+            "       [125000.,      0.],\n"
+            "       [125000.,      0.],\n"
+            "       [125000.,      0.],\n"
+            "       [125000.,      0.],\n"
+            "       [125000.,      0.]])"
+        ),
+    },
+    ("imbalance", "communication_efficiency"): {
+        "values": "array([1., 1., 1., 1., 1., 1., 1., 1.])",
+        "compute": (
+            "array([225000., 125000., 125000., 125000., 125000., 125000., 125000.,\n"
+            "       125000.])"
+        ),
+        "comm": "array([0., 0., 0., 0., 0., 0., 0., 0.])",
+    },
+    ("two_node", "load_balance"): {
+        "values": (
+            "array([0.8       , 0.43333333, 0.33333333, 0.33333333, 0.64814815,\n"
+            "       0.8       , 0.53333333, 0.62962963])"
+        ),
+        "busy": (
+            "array([[100000.,  50000.,  90000.],\n"
+            "       [ 30000., 100000.,      0.],\n"
+            "       [     0.,  50000.,      0.],\n"
+            "       [     0.,      0.,  90000.],\n"
+            "       [ 90000.,      0.,  85000.],\n"
+            "       [100000.,  40000., 100000.],\n"
+            "       [ 50000.,  10000., 100000.],\n"
+            "       [ 80000.,      0.,  90000.]])"
+        ),
+    },
+    ("two_node", "communication_efficiency"): {
+        "values": (
+            "array([0.96      , 0.52      , 0.3125    , 0.69230769, 0.875     ,\n"
+            "       0.92307692, 0.76190476, 0.89473684])"
+        ),
+        "compute": (
+            "array([240000., 130000.,  50000.,  90000., 175000., 240000., 160000.,\n"
+            "       170000.])"
+        ),
+        "comm": (
+            "array([ 10000., 120000., 110000.,  40000.,  25000.,  20000.,  50000.,\n"
+            "        20000.])"
+        ),
+    },
+    ("empty", "load_balance"): {
+        "values": "array([1., 1., 1., 1., 1., 1., 1., 1.])",
+        "busy": (
+            "array([[0.],\n"
+            "       [0.],\n"
+            "       [0.],\n"
+            "       [0.],\n"
+            "       [0.],\n"
+            "       [0.],\n"
+            "       [0.],\n"
+            "       [0.]])"
+        ),
+    },
+    ("empty", "communication_efficiency"): {
+        "values": "array([1., 1., 1., 1., 1., 1., 1., 1.])",
+        "compute": "array([0., 0., 0., 0., 0., 0., 0., 0.])",
+        "comm": "array([0., 0., 0., 0., 0., 0., 0., 0.])",
+    },
+}
+
+
+class TestTimelines:
+    def test_pinned_values(self, tmp_path):
+        inputs = {"imbalance": IMBALANCE, "two_node": TWO_NODE, "empty": []}
+        for name, records in inputs.items():
+            batch = timeline_input(make_ivl(tmp_path / f"{name}.ute", records))
+            for metric in (
+                load_balance_timeline(batch, bins=8),
+                communication_efficiency_timeline(batch, bins=8),
+            ):
+                got = {"values": repr(metric.values)}
+                got.update((k, repr(v)) for k, v in metric.terms.items())
+                assert got == PINNED[name, metric.name], (name, metric.name)
+
+    def test_marker_regions_are_compute(self, tmp_path):
+        """Stencil and ping-pong compute inside marker regions, so a
+        timeline that counted only running pieces read CE 0.0 and LB 1.0."""
+        stencil = timeline_input(merged_trace(tmp_path / "stencil", run_stencil))
+        pingpong = timeline_input(merged_trace(tmp_path / "pingpong", run_pingpong))
+        for batch in (stencil, pingpong):
+            ce = communication_efficiency_timeline(batch, bins=8)
+            assert 0.0 not in ce.values.tolist()
+            assert (ce.terms["comm"] > 0).any()
+        lb = load_balance_timeline(pingpong, bins=8)
+        assert lb.values.tolist() != [1.0] * 8

@@ -36,12 +36,12 @@ from repro.query import (
     batch_from_records,
     open_scan,
     open_trace,
-    run_query,
 )
 from repro.query.engine import ExecStats, execute, reference_rows, reference_scan
 from repro.query.model import accumulate, finalize, new_accumulator
 from repro.query.planner import plan_query
 
+from tests.test_analysis import timeline_input
 from tests.test_query import PROFILE, SALVAGEABLE, _records, make_ivl, run_cli
 
 MARKER = IntervalType.MARKER
@@ -448,68 +448,33 @@ class TestIntegration:
 
 
 # ---------------------------------------------------------------------------
-# The analysis surface: columnar tables and time-resolved metrics.
+# The analysis surface: time-resolved metrics over the query layer's batches.
 
 
 class TestAnalysisTable:
-    def test_load_table_matches_query_rows(self, ivl):
-        from repro.analysis import load_table
-
-        table = load_table(ivl, PROFILE)
-        result = run_query(ivl, Query(), profile=PROFILE)
-        assert len(table) == len(result.rows)
-        assert table.start.tolist() == [row[0] for row in result.rows]
-        assert table.node.tolist() == [row[3] for row in result.rows]
-
-    def test_filter_and_slice_compose(self, ivl):
-        from repro.analysis import load_table
-
-        table = load_table(ivl, PROFILE)
-        node1 = table.filter(node=1)
-        assert set(node1.node.tolist()) == {1}
-        markers = table.filter(type=int(MARKER))
-        assert len(markers) == 48
-        t_mid = table.start[len(table) // 2] / table.ticks_per_sec
-        sliced = table.slice_time(t_mid, None)
-        assert 0 < len(sliced) < len(table)
-        assert table.thread_keys() == [
-            (n, t) for n in range(3) for t in range(2)
-        ]
-
-    def test_window_prunes_with_index(self, ivl):
-        from repro.analysis import load_table
-        from repro.query import build_index, index_path_for, write_index
-
-        with open_trace(ivl, PROFILE) as handle:
-            write_index(build_index(handle), index_path_for(ivl))
-        table = load_table(ivl, PROFILE, window=(0.0, 0.001))
-        assert len(table.plan.frames) < table.plan.total_frames
-        full = load_table(ivl, PROFILE)
-        sliced = full.slice_time(0.0, 0.001)
-        assert table.start.tolist() == sliced.start.tolist()
-
     def test_metrics_bounds_and_shapes(self, ivl):
         from repro.analysis import (
             communication_efficiency_timeline,
             load_balance_timeline,
-            load_table,
         )
 
-        table = load_table(ivl, PROFILE)
-        lb = load_balance_timeline(table, bins=8)
-        ce = communication_efficiency_timeline(table, bins=8)
+        batch = timeline_input(ivl)
+        with open_trace(ivl, PROFILE) as handle:
+            ticks_per_sec = handle.ticks_per_sec
+        lb = load_balance_timeline(batch, bins=8)
+        ce = communication_efficiency_timeline(batch, bins=8)
         for metric in (lb, ce):
             assert metric.bins == 8
             assert len(metric.edges) == 9
             assert all(0.0 <= v <= 1.0 for v in metric.values.tolist())
-            assert len(metric.centers_seconds(table.ticks_per_sec)) == 8
+            assert len(metric.centers_seconds(ticks_per_sec)) == 8
             assert json.dumps(metric.as_dict())
         # The generated workload is perfectly balanced and has no MPI.
         assert lb.terms["busy"].shape == (8, 6)
         assert ce.values.tolist() == [1.0] * 8
 
     def test_imbalanced_workload_scores_below_one(self, tmp_path):
-        from repro.analysis import load_balance_timeline, load_table
+        from repro.analysis import load_balance_timeline
 
         # Thread (0, 0) runs the whole span; thread (0, 1) runs 1/10th.
         records = [  # writer wants ascending end times
@@ -517,6 +482,5 @@ class TestAnalysisTable:
             IntervalRecord(RUNNING, BeBits.COMPLETE, 0, 1_000_000, 0, 0, 0, {}),
         ]
         path = make_ivl(tmp_path / "imb.ute", records)
-        table = load_table(path, PROFILE)
-        lb = load_balance_timeline(table, bins=1)
+        lb = load_balance_timeline(timeline_input(path), bins=1)
         assert lb.values[0] == pytest.approx((1_000_000 + 100_000) / 2 / 1_000_000)

@@ -31,9 +31,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
-from repro.analysis import load_records, load_table
 from repro.analysis.blocking import call_profile, format_call_profile
-from repro.analysis.table import TABLE_COLUMNS
 from repro.cli import main_dump, main_profile, main_query, main_stats
 from repro.core import standard_profile
 from repro.core.windows import parse_window, seconds_to_ticks
@@ -51,6 +49,7 @@ from repro.query import (
     run_query,
     write_index,
 )
+from repro.query.columnar import concat_batches
 from repro.query.engine import reference_rows, reference_scan
 from repro.query.model import CORE_COLUMNS, record_value
 from repro.serve import ServeClient, TraceSession
@@ -181,13 +180,10 @@ class TestCallersAgree:
         assert io_log[str(path)]["plan"] == plan["mode"]
         assert io_log[str(path)]["frames_decoded"] == io["frames_decoded"]
 
-        loaded, loaded_plan = load_records(path, PROFILE, window=window)
-        assert loaded == records
-        assert loaded_plan.describe() == plan
-
-        table = load_table(path, PROFILE, window=window)
-        assert list(zip(*(table.column(c).tolist() for c in TABLE_COLUMNS))) == result.rows
-        assert table.plan.describe() == plan
+        batch = concat_batches(
+            list(interval_records([path], PROFILE, window=window).batches())
+        )
+        assert list(zip(*(batch.core_array(c).tolist() for c in CORE_COLUMNS))) == result.rows
 
         argv = [str(path), *(["--window", f"{window[0]!r}:{window[1]!r}"] if window else [])]
         assert main_profile(argv) == 0
