@@ -120,7 +120,6 @@ def adjustment_from_pairs(
     mode: str = "rms_segment",
     *,
     filter_jitter: bool = True,
-    tolerance_ppm: float = 200.0,
 ) -> ClockAdjustment | PiecewiseAdjustment:
     """Build an adjuster from a node's clock pairs.
 
@@ -131,7 +130,7 @@ def adjustment_from_pairs(
     if mode not in MODES:
         raise MergeError(f"unknown clock-sync mode {mode!r}; pick one of {MODES}")
     if filter_jitter:
-        pairs = filter_outliers(pairs, tolerance_ppm=tolerance_ppm)
+        pairs = filter_outliers(pairs)
     if mode == "piecewise":
         return PiecewiseAdjustment(pairs)
     if mode == "rms_segment":

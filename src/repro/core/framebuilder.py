@@ -45,12 +45,12 @@ class SealedFrame:
 
 
 class FrameBuilder:
-    """Encodes an end-time-ordered record stream into sealed frames.
+    """Cuts an end-time-ordered stream of record batches into sealed
+    frames.
 
-    Records arrive one at a time (:meth:`add`) or as columns
-    (:meth:`add_batch`); both routes fill the same open frame, share the
-    lead code and end in the same :meth:`seal`, and a stream cut either
-    way yields the same frames.
+    Rows enter only as columns (:meth:`add_batch`), encoded in one pass
+    per batch; however a stream is chunked into batches, it yields the
+    same frames.
 
     With ``continuations`` on, the builder tracks interrupted states (a
     ``BEGIN`` piece not yet matched by its ``END``) and leads every frame
@@ -68,14 +68,13 @@ class FrameBuilder:
         self.profile = profile
         self.field_mask = field_mask
         self.frame_bytes = frame_bytes
-        # Open states by (node, thread, type, marker id); None: no leads.
-        self._open: dict[tuple, Any] | None = {} if continuations else None
-        self._last_end: int | None = None
+        # Open states by (node, thread, type, marker id), each a lazy
+        # (batch, row) reference to its BEGIN piece; None: no leads.
+        self._open: dict[tuple, tuple[Any, int]] | None = {} if continuations else None
+        #: End time of the last row taken: the order watermark.
+        self.last_end: int | None = None
         self._buf = bytearray()
-        # The open frame's rows: batches, and the records added since the
-        # last one (a batch of their own once something follows them).
-        self._parts: list = []
-        self._records: list[IntervalRecord] = []
+        self._parts: list = []  # the open frame's rows, as batches
         self._n = 0
         self._pseudo = 0  # length of the open frame's leading pseudo run
         self._start = 0
@@ -85,36 +84,17 @@ class FrameBuilder:
         """Records in the open (unsealed) frame, pseudo-records included."""
         return self._n
 
-    def add(self, record: IntervalRecord, pseudo: bool = False) -> SealedFrame | None:
-        """Append one record; the sealed frame when it filled one.
+    def add_batch(self, batch, pseudo=None) -> list[SealedFrame]:
+        """Append a batch of records; the frames it filled.  The first row
+        that brings a frame to ``frame_bytes`` seals it.
 
-        ``pseudo`` marks a caller-supplied pseudo-interval: neither led nor
-        tracked, and counted in the frame's ``n_pseudo`` while it extends
-        the frame's leading pseudo run — one that follows a real record is
-        stored like any other record (it stays recognisable by structure,
-        :attr:`IntervalRecord.is_pseudo`).  A record ending before its
-        predecessor raises :class:`FormatError` and leaves the open frame
-        as it was."""
-        end = record.end
-        last = self._last_end
-        if last is not None and end < last:
-            raise FormatError(f"records out of end-time order: {end} after {last}")
-        if self._open is not None and not pseudo:
-            if not self._n:
-                self._lead()
-            if record.bebits is BeBits.BEGIN or record.bebits is BeBits.END:
-                self._track(record)
-        self._append(record, pseudo)
-        self._last_end = end
-        if len(self._buf) >= self.frame_bytes:
-            return self.seal()
-        return None
-
-    def add_batch(self, batch) -> list[SealedFrame]:
-        """Append a batch of records (none of them pseudo); the frames it
-        filled.  The rows are encoded in one pass and cut where record by
-        record :meth:`add` would have cut them.  A row ending before its
-        predecessor raises :class:`FormatError` before any row is taken."""
+        ``pseudo``, a boolean row mask, marks caller-supplied
+        pseudo-intervals: never tracked, never opening a lead, and counted
+        in a frame's ``n_pseudo`` while they extend its leading pseudo run
+        — one that follows a real record is stored like any other record
+        (it stays recognisable by structure, :attr:`IntervalRecord.is_pseudo`).
+        A row ending before its predecessor raises :class:`FormatError`
+        before any row is taken."""
         import numpy as np
 
         from repro.query.columnar import encode_frame_batch
@@ -123,28 +103,29 @@ class FrameBuilder:
         if not n:
             return []
         ends = batch.end
-        floor = ends[0] if self._last_end is None else self._last_end
+        floor = ends[0] if self.last_end is None else self.last_end
         early = np.nonzero(np.diff(ends, prepend=floor) < 0)[0]
         if len(early):
             i = int(early[0])
-            last = int(ends[i - 1]) if i else self._last_end
+            last = int(ends[i - 1]) if i else self.last_end
             raise FormatError(f"records out of end-time order: {int(ends[i])} after {last}")
         blob, sizes = encode_frame_batch(batch, self.profile, self.field_mask)
         data = memoryview(blob)
         filled = np.cumsum(sizes)
-        # Only BEGIN/END rows move the open-state table.
+        real = np.ones(n, dtype=bool) if pseudo is None else ~np.asarray(pseudo, dtype=bool)
+        # Only real BEGIN/END rows move the open-state table.
         edges: list[tuple[int, tuple, tuple | None]] = []
         if self._open is not None:
             rows = np.nonzero(
-                (batch.bebits == int(BeBits.BEGIN)) | (batch.bebits == int(BeBits.END))
+                real & ((batch.bebits == int(BeBits.BEGIN)) | (batch.bebits == int(BeBits.END)))
             )[0]
             if len(rows):
                 edges = _edges(batch, rows)
         frames: list[SealedFrame] = []
         row = taken = at = 0  # next row, its byte offset, next edge
         while row < n:
-            self._lead()
-            # The first row that brings the frame to frame_bytes seals it.
+            if not self._n and real[row]:
+                self._lead()
             room = self.frame_bytes - len(self._buf)
             cut = max(int(np.searchsorted(filled, taken + room)), row)
             stop = min(cut + 1, n)
@@ -155,32 +136,17 @@ class FrameBuilder:
                 else:
                     self._open.pop(key, None)
                 at += 1
-            self._flush_records()
-            self._parts.append(batch.rows(row, stop))
-            first = int(batch.start[row:stop].min())
-            if not self._n or first < self._start:
-                self._start = first
-            self._n += stop - row
-            self._buf += data[taken : int(filled[stop - 1])]
-            self._last_end = int(ends[stop - 1])
+            if self._pseudo == self._n:  # pseudo rows extend a leading run
+                self._pseudo += int(np.argmax(np.append(real[row:stop], True)))
+            self._take(batch.rows(row, stop), data[taken : int(filled[stop - 1])])
             row, taken = stop, int(filled[stop - 1])
             if cut < n:
                 frames.append(self.seal())
         return frames
 
-    def frames(self, records: Iterable[IntervalRecord]) -> Iterator[SealedFrame]:
-        """Every frame of the stream ``records``, the final partial one
-        included."""
-        for record in records:
-            frame = self.add(record)
-            if frame is not None:
-                yield frame
-        frame = self.seal()
-        if frame is not None:
-            yield frame
-
     def batch_frames(self, batches: Iterable) -> Iterator[SealedFrame]:
-        """:meth:`frames` for a stream that arrives as batches."""
+        """Every frame of a stream that arrives as batches, the final
+        partial one included."""
         for batch in batches:
             yield from self.add_batch(batch)
         frame = self.seal()
@@ -195,14 +161,13 @@ class FrameBuilder:
 
         if not self._n:
             return None
-        assert self._last_end is not None
-        self._flush_records()
+        assert self.last_end is not None
         frame = SealedFrame(
             bytes(self._buf),
             self._n,
             self._pseudo,
             self._start,
-            self._last_end,
+            self.last_end,
             concat_batches(self._parts),
             np.arange(self._n) >= self._pseudo,
         )
@@ -212,56 +177,47 @@ class FrameBuilder:
         self._pseudo = 0
         return frame
 
+    def _take(self, rows, blob) -> None:
+        """Append ``rows`` (a batch) and their encoded bytes to the open
+        frame."""
+        first = int(rows.start.min())
+        if not self._n or first < self._start:
+            self._start = first
+        self._parts.append(rows)
+        self._n += rows.n
+        self._buf += blob
+        self.last_end = int(rows.end[-1])
+
     def _lead(self) -> None:
-        """Open a frame after the first with its continuation lead."""
-        if self._open and not self._n and self._last_end is not None:
-            for lead in self._continuations(self._last_end):
-                self._append(lead, True)
+        """Open a frame after the first with its continuation lead.  The
+        states still open then refer to the lead's rows, so the next lead
+        builds them from one batch."""
+        if not self._open or self.last_end is None:
+            return
+        from repro.query.columnar import batch_from_records, encode_frame_batch
 
-    def _track(self, record: IntervalRecord) -> None:
-        """Move the open-state table over one BEGIN or END piece."""
-        assert self._open is not None
-        if record.bebits is BeBits.BEGIN:
-            self._open[_state_key(record)] = record
-        else:
-            self._open.pop(_state_key(record), None)
-
-    def _append(self, record: IntervalRecord, pseudo: bool) -> None:
-        self._buf += record.encode(self.profile, self.field_mask)
-        if not self._n or record.start < self._start:
-            self._start = record.start
-        if pseudo and self._pseudo == self._n:
-            self._pseudo += 1
-        self._records.append(record)
-        self._n += 1
-
-    def _flush_records(self) -> None:
-        if self._records:
-            from repro.query.columnar import batch_from_records
-
-            self._parts.append(batch_from_records(self._records))
-            self._records = []
-
-    def _continuations(self, at_time: int) -> list[IntervalRecord]:
-        assert self._open is not None
-        # States opened by batch rows are still (batch, row) references.
-        pending: dict[int, tuple[Any, list]] = {}
-        for key, opened in self._open.items():
-            if not isinstance(opened, IntervalRecord):
-                pending.setdefault(id(opened[0]), (opened[0], []))[1].append((key, opened[1]))
-        for batch, refs in pending.values():
-            records = batch.take([row for _, row in refs]).to_records()
-            for (key, _), record in zip(refs, records):
-                self._open[key] = record
-        out = [
+        keys, refs = list(self._open), list(self._open.values())
+        by_batch: dict[int, tuple[Any, list[int]]] = {}
+        for i, (batch, _row) in enumerate(refs):
+            by_batch.setdefault(id(batch), (batch, []))[1].append(i)
+        states: list = [None] * len(refs)
+        for batch, at in by_batch.values():
+            for i, state in zip(at, batch.take([refs[i][1] for i in at]).to_records()):
+                states[i] = state
+        order = sorted(
+            range(len(keys)), key=lambda i: (states[i].node, states[i].thread, states[i].itype)
+        )
+        lead = batch_from_records([
             IntervalRecord(
-                r.itype, BeBits.CONTINUATION, at_time, 0, r.node, r.cpu, r.thread,
+                r.itype, BeBits.CONTINUATION, self.last_end, 0, r.node, r.cpu, r.thread,
                 dict(r.extra),
             )
-            for r in self._open.values()
-        ]
-        out.sort(key=lambda r: (r.node, r.thread, r.itype))
-        return out
+            for r in (states[i] for i in order)
+        ])
+        for row, i in enumerate(order):
+            self._open[keys[i]] = (lead, row)
+        self._pseudo = lead.n
+        self._take(lead, encode_frame_batch(lead, self.profile, self.field_mask)[0])
 
 
 def _edges(batch, rows) -> list[tuple[int, tuple, tuple | None]]:
@@ -284,15 +240,15 @@ def _edges(batch, rows) -> list[tuple[int, tuple, tuple | None]]:
     ]
 
 
-def _state_key(record: IntervalRecord) -> tuple:
-    marker = record.extra.get("markerId", 0) if record.itype == IntervalType.MARKER else 0
-    return (record.node, record.thread, record.itype, marker)
+#: Records :meth:`FrameSink.write` collects before it hands them to the
+#: builder as one batch.
+WRITE_BATCH_ROWS = 1024
 
 
 class FrameSink:
     """What the trace writers share: the tables every container stores, a
-    :class:`FrameBuilder` behind :meth:`write`, the record count, and
-    abort-on-exception context management.
+    :class:`FrameBuilder` that :meth:`write` hands its records to in
+    batches, the record count, and abort-on-exception context management.
 
     Subclasses say where a sealed frame goes (``_sink``) and how the
     container is finished (``close``) or discarded (``abort``)."""
@@ -321,43 +277,92 @@ class FrameSink:
         self._builder = FrameBuilder(
             profile, field_mask, frame_bytes, continuations=continuations
         )
+        # Records written since the last hand-over, and which are pseudo.
+        self._records: list[IntervalRecord] = []
+        self._pseudo_rows: list[int] = []
         self._records_sunk = 0
         self._closed = False
 
     @property
     def records_written(self) -> int:
-        """Records accepted so far (sunk frames plus the open one)."""
-        return self._records_sunk + self._builder.n_records
+        """Records accepted so far (sunk frames, the open one, and those
+        not yet handed to the builder)."""
+        return self._records_sunk + self._builder.n_records + len(self._records)
 
     def write(self, record: IntervalRecord, *, pseudo: bool = False) -> None:
         """Append one record (ascending end-time order enforced); set
-        ``pseudo`` for a pseudo-interval record the caller supplies."""
-        if self._closed:
-            raise FormatError(f"{self.path}: writer already closed")
-        frame = self._builder.add(record, pseudo)
-        if frame is not None:
-            self.add_frame(frame)
+        ``pseudo`` for a pseudo-interval record the caller supplies.
+
+        Records reach the builder in batches of :data:`WRITE_BATCH_ROWS`,
+        so a record that cannot be encoded raises at the hand-over that
+        carries it — at the latest in :meth:`close`, which then aborts."""
+        self._check_open()
+        last = self._records[-1].end if self._records else self._builder.last_end
+        if last is not None and record.end < last:
+            raise FormatError(f"records out of end-time order: {record.end} after {last}")
+        if pseudo:
+            self._pseudo_rows.append(len(self._records))
+        self._records.append(record)
+        if len(self._records) >= WRITE_BATCH_ROWS:
+            self._hand_over()
 
     def write_batch(self, batch) -> None:
         """Append a batch of records (ascending end-time order enforced,
         none of them pseudo)."""
-        if self._closed:
-            raise FormatError(f"{self.path}: writer already closed")
+        self._check_open()
+        self._hand_over()
         for frame in self._builder.add_batch(batch):
-            self.add_frame(frame)
+            self._put(frame)
 
     def add_frame(self, frame: SealedFrame) -> None:
         """Append one sealed frame, cut by this writer's builder or by
         another one feeding several sinks."""
-        if self._closed:
-            raise FormatError(f"{self.path}: writer already closed")
+        self._check_open()
+        self._hand_over()
+        self._put(frame)
+
+    def _put(self, frame: SealedFrame) -> None:
         self._records_sunk += frame.n_records
         self._sink(frame)
 
+    def _hand_over(self) -> None:
+        """Pass the written records to the builder as one batch.  They stay
+        buffered if that fails (a record that cannot be encoded), so the
+        container never silently loses them."""
+        if not self._records:
+            return
+        import numpy as np
+
+        from repro.query.columnar import batch_from_records
+
+        pseudo = None
+        if self._pseudo_rows:
+            pseudo = np.zeros(len(self._records), dtype=bool)
+            pseudo[self._pseudo_rows] = True
+        frames = self._builder.add_batch(batch_from_records(self._records), pseudo)
+        self._records = []
+        self._pseudo_rows = []
+        for frame in frames:
+            self._put(frame)
+
     def _seal_open_frame(self) -> None:
+        self._hand_over()
         frame = self._builder.seal()
         if frame is not None:
-            self.add_frame(frame)
+            self._put(frame)
+
+    def _seal_for_close(self) -> None:
+        """:meth:`_seal_open_frame` for :meth:`close`: any failure aborts
+        the container before it propagates."""
+        try:
+            self._seal_open_frame()
+        except BaseException:
+            self.abort()
+            raise
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise FormatError(f"{self.path}: writer already closed")
 
     def _sink(self, frame: SealedFrame) -> None:
         raise NotImplementedError

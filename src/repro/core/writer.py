@@ -115,10 +115,10 @@ def decode_marker_table(data: bytes, offset: int, count: int) -> tuple[dict[int,
 class IntervalFileWriter(FrameSink):
     """Sinks sealed frames into a framed, directory-indexed file.
 
-    :meth:`write` feeds records through the sink's
+    :meth:`write` feeds records, in batches, through the sink's
     :class:`~repro.core.framebuilder.FrameBuilder` (ascending **end time**
-    order enforced there, the invariant paper section 3.1 states for
-    interval files); :meth:`add_frame` takes frames some other builder
+    order enforced at each record, the invariant paper section 3.1 states
+    for interval files); :meth:`add_frame` takes frames some other builder
     cut.  The writer itself only groups frames into directories and
     back-patches the directory chain.
     """
@@ -180,7 +180,7 @@ class IntervalFileWriter(FrameSink):
         publish the file at its final name."""
         if self._closed:
             return self.path
-        self._seal_open_frame()
+        self._seal_for_close()
         if self._pending or self._prev_dir_offset == NO_DIRECTORY:
             # Final (possibly partial or empty) directory.
             self._flush_directory()

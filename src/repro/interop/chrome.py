@@ -8,7 +8,7 @@ that Perfetto and ``chrome://tracing`` open directly:
   ``pid``/``tid`` track of its node/thread, timestamped in microseconds
   derived from the file's tick rate;
 * flow events (``"ph": "s"`` / ``"ph": "f"``) for every matched message
-  arrow (same pairing as :func:`repro.viz.arrows.match_arrows`);
+  arrow (the pairing of :class:`repro.viz.arrows.ArrowMatcher`);
 * ``process_name`` / ``thread_name`` metadata records from the node and
   thread tables.
 
@@ -44,6 +44,7 @@ from repro.core.threadtable import (
 )
 from repro.core.writer import IntervalFileWriter
 from repro.errors import FormatError
+from repro.viz.arrows import ArrowMatcher
 
 #: Ticks at or above this magnitude are emitted as decimal strings: a JSON
 #: double (and therefore any JavaScript consumer) holds integers exactly
@@ -78,57 +79,6 @@ def _category(itype: int) -> str:
     if itype == IntervalType.PAGEFAULT:
         return "fault"
     return "state"
-
-
-class _FlowTracker:
-    """Incremental message-arrow matching (same pairing rules as
-    :func:`repro.viz.arrows.match_arrows`), keeping only the per-seqno
-    endpoints — O(messages), not O(records)."""
-
-    def __init__(self) -> None:
-        self._sends: dict[int, tuple[tuple[int, int], int]] = {}
-        self._recvs: dict[int, tuple[tuple[int, int], int]] = {}
-
-    def observe(self, record: IntervalRecord) -> None:
-        if not IntervalType.is_mpi(record.itype):
-            return
-        row = (record.node, record.thread)
-        seqno = record.extra.get("seqno", 0)
-        if seqno:
-            if record.extra.get("msgSizeSent", 0) > 0 and record.bebits in (
-                BeBits.COMPLETE, BeBits.BEGIN,
-            ):
-                self._sends.setdefault(seqno, (row, record.start))
-            if record.extra.get("msgSizeRecv", 0) > 0 and record.bebits in (
-                BeBits.COMPLETE, BeBits.END,
-            ):
-                self._note_recv(seqno, row, record.end)
-        if record.bebits in (BeBits.COMPLETE, BeBits.END):
-            for s in record.extra.get("seqnos", ()) or ():
-                self._note_recv(int(s), row, record.end)
-
-    def _note_recv(self, seqno: int, row: tuple[int, int], end: int) -> None:
-        current = self._recvs.get(seqno)
-        if current is None or end > current[1]:
-            self._recvs[seqno] = (row, end)
-
-    def flow_events(self, ticks_per_sec: float) -> Iterator[dict[str, Any]]:
-        """The ``s``/``f`` event pairs for every matched arrow."""
-        for seqno in sorted(self._sends):
-            hit = self._recvs.get(seqno)
-            if hit is None:
-                continue
-            (src, send_time) = self._sends[seqno]
-            (dst, recv_time) = hit
-            common = {"name": "msg", "cat": "msg", "id": seqno}
-            yield {
-                **common, "ph": "s", "pid": src[0], "tid": src[1],
-                "ts": _micros(send_time, ticks_per_sec),
-            }
-            yield {
-                **common, "ph": "f", "bp": "e", "pid": dst[0], "tid": dst[1],
-                "ts": _micros(recv_time, ticks_per_sec),
-            }
 
 
 def _record_name(record: IntervalRecord, profile, markers: dict[int, str]) -> str:
@@ -222,7 +172,7 @@ def iter_chrome_chunks(
         first = False
     yield "".join(parts).encode()
 
-    flows = _FlowTracker()
+    flows = ArrowMatcher()
     for frame in handle.frames:
         if lock is not None:
             with lock:
@@ -241,9 +191,20 @@ def iter_chrome_chunks(
             yield "".join(parts).encode()
 
     parts = []
-    for event in flows.flow_events(ticks_per_sec):
-        parts.append(("" if first else ",\n") + json.dumps(event))
-        first = False
+    for arrow in flows.arrows():
+        common = {"name": "msg", "cat": "msg", "id": arrow.seqno}
+        for event in (
+            {
+                **common, "ph": "s", "pid": arrow.src_row[0], "tid": arrow.src_row[1],
+                "ts": _micros(arrow.send_time, ticks_per_sec),
+            },
+            {
+                **common, "ph": "f", "bp": "e", "pid": arrow.dst_row[0],
+                "tid": arrow.dst_row[1], "ts": _micros(arrow.recv_time, ticks_per_sec),
+            },
+        ):
+            parts.append(("" if first else ",\n") + json.dumps(event))
+            first = False
     parts.append("\n]}\n")
     yield "".join(parts).encode()
 

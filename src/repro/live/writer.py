@@ -199,12 +199,15 @@ class _LiveWriterBase(FrameSink):
     def seal_frame(self) -> None:
         """Close the open frame, however full, and append it to the data
         file (visible to readers only after the next :meth:`publish`)."""
+        self._check_open()
         self._seal_open_frame()
 
     def flush_data(self) -> None:
         """Flush + fsync appended frame bytes *without* publishing an
         epoch — the mid-append state the crash tests freeze: durable data,
         invisible to every reader until the epoch names it."""
+        self._check_open()
+        self._hand_over()
         self._data_fh.flush()
         os.fsync(self._data_fh.fileno())
 
@@ -244,7 +247,8 @@ class _LiveWriterBase(FrameSink):
         if self._closed:
             return self.path
         if not self._data_fh.closed:  # closed: the final epoch is out
-            self.publish(seal=True, final=True)
+            self._seal_for_close()
+            self.publish(final=True)
             self._data_fh.close()
         self._assemble()
         self._closed = True

@@ -154,10 +154,11 @@ class PreviewBins:
 class SlogWriter(FrameSink):
     """Sinks sealed frames into a SLOG file.
 
-    :meth:`write` feeds records through the sink's
-    :class:`~repro.core.framebuilder.FrameBuilder` (set ``pseudo`` for
-    pseudo-interval records so they are counted separately and kept out
-    of the preview); :meth:`add_frame` takes frames some other builder
+    :meth:`write` feeds records, in batches, through the sink's
+    :class:`~repro.core.framebuilder.FrameBuilder` (set ``pseudo`` for a
+    pseudo-interval record: it is never tracked and counts in its frame's
+    ``n_pseudo`` while it extends the frame's leading pseudo run, which
+    the preview skips); :meth:`add_frame` takes frames some other builder
     cut.  The writer itself keeps the preview counters, the frame index
     and the spilled frame bytes.
     """
@@ -199,7 +200,7 @@ class SlogWriter(FrameSink):
         """Finalize frames, assemble the complete file, return its path."""
         if self._closed:
             return self.path
-        self._seal_open_frame()
+        self._seal_for_close()
         self._closed = True
         assert self._spill is not None
         self._spill.close()

@@ -32,7 +32,7 @@ from repro.viz.views import (
     render_view_svg,
     view_svg_string,
 )
-from repro.viz.arrows import MessageArrow, match_arrows
+from repro.viz.arrows import ArrowMatcher, MessageArrow, match_arrows
 from repro.viz.preview import Preview, interesting_ranges
 from repro.viz.jumpshot import Jumpshot
 from repro.viz.statviewer import render_table_svg, render_binned_table_svg
@@ -55,6 +55,7 @@ __all__ = [
     "render_view_svg",
     "view_svg_string",
     "MessageArrow",
+    "ArrowMatcher",
     "match_arrows",
     "Preview",
     "interesting_ranges",

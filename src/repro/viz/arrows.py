@@ -28,49 +28,65 @@ class MessageArrow:
     size: int
 
 
-def match_arrows(records: Iterable[IntervalRecord]) -> list[MessageArrow]:
-    """Pair send intervals with receive intervals sharing a sequence number.
+class ArrowMatcher:
+    """Pairs send intervals with receive intervals sharing a sequence
+    number, one record at a time, keeping only the per-seqno endpoints —
+    O(messages), not O(records).
 
     A send contributes its first piece's start (the message left then); a
     receive contributes its last piece's end (the message was consumed
     then).  Unmatched halves (e.g. a window cutting off one side) are
     dropped.
     """
-    sends: dict[int, tuple[tuple, int, int]] = {}
-    recvs: dict[int, tuple[tuple, int]] = {}
 
-    def note_recv(seqno: int, row: tuple, end: int) -> None:
-        current = recvs.get(seqno)
-        if current is None or end > current[1]:
-            recvs[seqno] = (row, end)
+    def __init__(self) -> None:
+        self._sends: dict[int, tuple[tuple, int, int]] = {}
+        self._recvs: dict[int, tuple[tuple, int]] = {}
 
-    for r in records:
+    def observe(self, r: IntervalRecord) -> None:
+        """Take one record's send and receive endpoints, if any."""
         if not IntervalType.is_mpi(r.itype):
-            continue
+            return
         row = (r.node, r.thread)
         seqno = r.extra.get("seqno", 0)
         if seqno:
             if r.extra.get("msgSizeSent", 0) > 0 and r.bebits in (
                 BeBits.COMPLETE, BeBits.BEGIN,
             ):
-                sends.setdefault(seqno, (row, r.start, r.extra["msgSizeSent"]))
+                self._sends.setdefault(seqno, (row, r.start, r.extra["msgSizeSent"]))
             if r.extra.get("msgSizeRecv", 0) > 0 and r.bebits in (
                 BeBits.COMPLETE, BeBits.END,
             ):
-                note_recv(seqno, row, r.end)
+                self._note_recv(seqno, row, r.end)
         # Waitall records complete many receives at once: their sequence
         # numbers arrive as the 'seqnos' vector field.
         if r.bebits in (BeBits.COMPLETE, BeBits.END):
             for s in r.extra.get("seqnos", ()) or ():
-                note_recv(int(s), row, r.end)
-    arrows = []
-    for seqno, (src_row, send_time, size) in sends.items():
-        hit = recvs.get(seqno)
-        if hit is None:
-            continue
-        dst_row, recv_time = hit
-        arrows.append(
-            MessageArrow(seqno, src_row, dst_row, send_time, recv_time, size)
-        )
-    arrows.sort(key=lambda a: a.seqno)
-    return arrows
+                self._note_recv(int(s), row, r.end)
+
+    def _note_recv(self, seqno: int, row: tuple, end: int) -> None:
+        current = self._recvs.get(seqno)
+        if current is None or end > current[1]:
+            self._recvs[seqno] = (row, end)
+
+    def arrows(self) -> list[MessageArrow]:
+        """Every matched message so far, by sequence number."""
+        arrows = []
+        for seqno, (src_row, send_time, size) in self._sends.items():
+            hit = self._recvs.get(seqno)
+            if hit is None:
+                continue
+            dst_row, recv_time = hit
+            arrows.append(
+                MessageArrow(seqno, src_row, dst_row, send_time, recv_time, size)
+            )
+        arrows.sort(key=lambda a: a.seqno)
+        return arrows
+
+
+def match_arrows(records: Iterable[IntervalRecord]) -> list[MessageArrow]:
+    """The :class:`ArrowMatcher` arrows of ``records``."""
+    matcher = ArrowMatcher()
+    for r in records:
+        matcher.observe(r)
+    return matcher.arrows()

@@ -138,7 +138,6 @@ class Jumpshot:
         records: FrameBatch | Iterable[IntervalRecord],
         kind: str = "thread",
         *,
-        with_arrows: bool = True,
         window: tuple[int, int] | None = None,
     ) -> TimelineView:
         """Build one of the time-space diagrams over ``records`` — a frame
@@ -150,7 +149,7 @@ class Jumpshot:
         _check_kind(kind)
         batch = records if isinstance(records, FrameBatch) else batch_from_records(list(records))
         arrows = None
-        if with_arrows and kind in ("thread", "thread-connected"):
+        if kind in ("thread", "thread-connected"):
             arrows = match_arrows(mpi_records(batch))
         return piece_view(
             kind, batch, thread_table=self.slog.thread_table,

@@ -116,7 +116,6 @@ def build_run_report(
     *,
     title: str = "Trace analysis report",
     view_kinds: tuple[str, ...] = ("thread", "processor"),
-    interesting_threshold: float = 0.1,
 ) -> Path:
     """One-call report over a SLOG file: preview, interesting ranges, the
     requested time-space views, and the pre-defined statistics tables."""
@@ -143,7 +142,7 @@ def build_run_report(
         tmp = Path(tmp)
         report.add_heading("Whole-run preview")
         report.add_svg(viewer.render_preview(tmp / "preview.svg"))
-        ranges = viewer.interesting_ranges(interesting_threshold)
+        ranges = viewer.interesting_ranges(0.1)
         if ranges:
             report.add_text(
                 "Interesting time ranges: "

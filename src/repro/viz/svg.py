@@ -81,11 +81,11 @@ def path_element(d: str, *, fill: str, opacity: float | None = None) -> str:
 class SvgCanvas:
     """Accumulates SVG elements and serializes a complete document."""
 
-    def __init__(self, width: int, height: int, *, background: str = SURFACE) -> None:
+    def __init__(self, width: int, height: int) -> None:
         self.width = width
         self.height = height
         self._parts: list[str] = []
-        self.rect(0, 0, width, height, fill=background)
+        self.rect(0, 0, width, height, fill=SURFACE)
 
     def rect(
         self,

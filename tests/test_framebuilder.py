@@ -1,24 +1,31 @@
 """The frame builder: the one place a frame is cut, ordered and led.
 
-Property tests compare :class:`~repro.core.framebuilder.FrameBuilder`
-against a brute-force recount (reference decoder over the concatenated
-blobs, open states replayed from the start of the stream for every frame);
-the rest pins the order check and the one-encode-per-record contract of the
-merge's SLOG tee.
+Property tests compare :class:`~repro.core.framebuilder.FrameBuilder`,
+fed any chunking of a stream into batches, against a brute-force recount
+(reference decoder over the concatenated blobs, open states replayed from
+the start of the stream for every frame); the rest pins the order check,
+the pseudo row mask, the writers' buffered hand-over and the
+one-encode-per-record contract of the merge's SLOG tee.
 """
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IntervalFileWriter, standard_profile
 from repro.core.fields import MASK_ALL_MERGED, MASK_ALL_PER_NODE
-from repro.core.framebuilder import FrameBuilder
+from repro.core.framebuilder import WRITE_BATCH_ROWS, FrameBuilder
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
+from repro.live import LiveIntervalWriter, LiveSlogWriter, live_dir_for
 from repro.query import columnar
+from repro.query.columnar import batch_from_records
 from repro.utils.merge import merge_interval_files
+from repro.utils.slog import SlogFile, SlogWriter
 
 PROFILE = standard_profile()
 MASK = MASK_ALL_MERGED
@@ -94,11 +101,22 @@ def streams(draw):
     return records
 
 
+def split(items, cuts):
+    """``items`` split at the positions ``cuts``; ``None``: one item each."""
+    if cuts is None:
+        cuts = range(len(items))
+    bounds = sorted({min(c, len(items)) for c in cuts} | {0, len(items)})
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @settings(max_examples=150, deadline=None)
-@given(streams(), st.integers(min_value=256, max_value=2048), st.booleans())
-def test_frames_equal_a_brute_force_recount(records, frame_bytes, continuations):
+@given(
+    streams(), st.integers(min_value=256, max_value=2048), st.booleans(),
+    st.one_of(st.none(), st.lists(st.integers(0, 120), max_size=6)),
+)
+def test_frames_equal_a_brute_force_recount(records, frame_bytes, continuations, cuts):
     builder = FrameBuilder(PROFILE, MASK, frame_bytes, continuations=continuations)
-    frames = list(builder.frames(records))
+    frames = list(builder.batch_frames(batch_from_records(c) for c in split(records, cuts)))
     assert builder.n_records == 0 and builder.seal() is None
 
     # The concatenated blobs decode to the input plus the pseudo-records.
@@ -140,38 +158,103 @@ def running(start, dura):
     return IntervalRecord(IntervalType.RUNNING, BeBits.COMPLETE, start, dura, 0, 0, 0)
 
 
-def test_out_of_order_add_raises_and_leaves_the_frame_untouched():
-    builder = FrameBuilder(PROFILE, MASK, 4096, continuations=True)
+def table():
+    return ThreadTable([ThreadEntry(0, 1, 1, 0, 0, 0, "t")])
+
+
+def test_out_of_order_write_raises_at_once_and_leaves_the_watermark(tmp_path):
     good = [running(0, 10), running(5, 20)]
-    for r in good:
-        assert builder.add(r) is None
-    with pytest.raises(FormatError, match="end-time order: 24 after 25"):
-        builder.add(running(4, 20))
-    assert builder.n_records == 2
-    builder.add(running(30, 1))  # the watermark did not move either
+    with SlogWriter(tmp_path / "o.slog", PROFILE, table(), field_mask=MASK) as writer:
+        for r in good:
+            writer.write(r)
+        with pytest.raises(FormatError, match="end-time order: 24 after 25"):
+            writer.write(running(4, 20))
+        assert writer.records_written == 2
+        writer.write(running(30, 1))  # the watermark did not move either
+        for i in range(WRITE_BATCH_ROWS):  # nor does it after a hand-over
+            writer.write(running(31 + i, 0))
+        with pytest.raises(FormatError, match=f"end-time order: 30 after {30 + WRITE_BATCH_ROWS}"):
+            writer.write(running(30, 0))
+        assert writer.records_written == 3 + WRITE_BATCH_ROWS
+    with SlogFile(tmp_path / "o.slog") as slog:
+        assert slog.records()[:3] == norm(good + [running(30, 1)])
+
+
+def pseudo_frames(rows, cuts):
+    """The one frame sealed from ``rows`` — ``(record, pseudo)`` pairs —
+    fed in batches split at ``cuts``: (n_records, n_pseudo, real, records)."""
+    builder = FrameBuilder(PROFILE, MASK, 256, continuations=True)
+    for part in split(rows, cuts):
+        records, flags = zip(*part)
+        assert builder.add_batch(batch_from_records(list(records)), np.array(flags)) == []
     frame = builder.seal()
-    assert decode_all(frame.blob) == norm(good + [running(30, 1)])
+    return frame.n_records, frame.n_pseudo, frame.real.tolist(), frame.batch.to_records()
 
 
 def test_explicit_pseudo_is_counted_but_neither_led_nor_tracked():
-    builder = FrameBuilder(PROFILE, MASK, 256, continuations=True)
     begin = IntervalRecord(SEND, BeBits.BEGIN, 0, 1, 0, 0, 0)
     cont = IntervalRecord(SEND, BeBits.CONTINUATION, 1, 0, 0, 0, 0)
-    assert builder.add(begin) is None
-    assert builder.add(cont, pseudo=True) is None
-    frame = builder.seal()
     # n_pseudo is the leading run readers slice off as [:n_pseudo]: a
     # pseudo-record behind a real one is stored, not counted.
-    assert (frame.n_records, frame.n_pseudo) == (2, 0)
-    assert real_of(frame) == [begin, cont]
+    for cuts in (None, [], [1]):
+        n, n_pseudo, real, records = pseudo_frames([(begin, False), (cont, True)], cuts)
+        assert (n, n_pseudo, real, records) == (2, 0, [True, True], [begin, cont])
     # A caller's pseudo-record opening a frame is counted and does not
-    # trigger the lead; the next real record finds the frame non-empty.
-    builder.add(cont, pseudo=True)
-    builder.add(running(1, 1))
-    builder.add(IntervalRecord(SEND, BeBits.CONTINUATION, 2, 0, 0, 0, 0), pseudo=True)
+    # trigger the lead (the BEGIN above is still open); the next real
+    # record finds the frame non-empty.
+    later = IntervalRecord(SEND, BeBits.CONTINUATION, 2, 0, 0, 0, 0)
+    builder = FrameBuilder(PROFILE, MASK, 256, continuations=True)
+    builder.add_batch(batch_from_records([begin]))
+    builder.seal()
+    builder.add_batch(batch_from_records([cont, cont]), np.array([True, True]))
+    builder.add_batch(batch_from_records([running(1, 1), later]), np.array([False, True]))
     frame = builder.seal()
-    assert (frame.n_records, frame.n_pseudo) == (3, 1)
-    assert frame.real.tolist() == [False, True, True]
+    assert (frame.n_records, frame.n_pseudo) == (4, 2)
+    assert frame.real.tolist() == [False, False, True, True]
+    # Not tracked: a pseudo BEGIN opens no state, so the next frame has no lead.
+    builder.add_batch(
+        batch_from_records([IntervalRecord(SEND, BeBits.BEGIN, 3, 0, 1, 0, 0)]), np.array([True])
+    )
+    builder.seal()
+    builder.add_batch(batch_from_records([running(3, 1)]))
+    assert builder.seal().n_pseudo == 1  # the lead of the real BEGIN only
+
+
+@pytest.mark.parametrize("kind", ["interval", "slog", "live-slog", "live-interval"])
+@pytest.mark.parametrize("written", [1, WRITE_BATCH_ROWS + 1])
+def test_a_record_that_cannot_be_encoded_leaves_no_file_behind(tmp_path, kind, written):
+    """Written last inside the ``with`` block, the record fails to encode
+    only at close: the writer aborts, leaving neither the final name nor
+    a temp sibling (nor a live container)."""
+    make = {
+        "interval": IntervalFileWriter, "slog": SlogWriter,
+        "live-slog": LiveSlogWriter, "live-interval": LiveIntervalWriter,
+    }[kind]
+    path = tmp_path / "o.x"
+    bad = IntervalRecord(
+        SEND, BeBits.COMPLETE, written, 1, 0, 0, 0, {"msgSizeSent": 1 << 70}
+    )
+    with pytest.raises((OverflowError, struct.error)):
+        with make(path, PROFILE, table(), field_mask=MASK, frame_bytes=512) as writer:
+            for i in range(written - 1):
+                writer.write(running(i, 1))
+            writer.write(bad)
+    assert sorted(tmp_path.iterdir()) == []
+    assert not live_dir_for(path).exists()
+
+
+def test_a_closed_live_writer_refuses_every_call(tmp_path):
+    for make in (LiveSlogWriter, LiveIntervalWriter):
+        path = tmp_path / f"o.{make.flavor}"
+        writer = make(path, PROFILE, table(), field_mask=MASK)
+        writer.write(running(0, 1))
+        writer.close()
+        for call in (
+            writer.publish, writer.flush_data, writer.seal_frame,
+            lambda: writer.write(running(1, 1)),
+        ):
+            with pytest.raises(FormatError, match="writer already closed"):
+                call()
 
 
 def test_frame_size_floor():
@@ -196,8 +279,8 @@ def test_merge_with_slog_tee_encodes_each_written_record_once(tmp_path, monkeypa
                 )
         inputs.append(path)
 
-    # One encode per written record, whichever route it takes: the merged
-    # rows as columns, the continuation leads one at a time.
+    # One encode per written record: every row through the batch encoder,
+    # the continuation leads (record-backed batches) record by record.
     calls = {"records": 0, "rows": 0}
     encode_record = IntervalRecord.encode
     encode_batch = columnar.encode_frame_batch
@@ -217,4 +300,7 @@ def test_merge_with_slog_tee_encodes_each_written_record_once(tmp_path, monkeypa
         frame_bytes=512,
     )
     assert result.pseudo_records > 0
-    assert calls == {"records": result.pseudo_records, "rows": result.records_out}
+    assert calls == {
+        "records": result.pseudo_records,
+        "rows": result.records_out + result.pseudo_records,
+    }

@@ -216,3 +216,38 @@ class TestRecutKeepsPseudoLabels:
         assert diff_traces(source, out, config=DiffConfig()).identical
         masked = diff_traces(source, out, config=DiffConfig(ignore_pseudo=True))
         assert masked.identical, masked.summary()
+
+
+class TestRecoverIdentity:
+    """A clean trace recovered at the frame size it was cut at comes back
+    byte for byte: the recovery writer re-cuts the same frames, and a
+    SLOG's continuation leads, written back as caller-supplied pseudo
+    rows, count in ``n_pseudo`` exactly as the builder that led them
+    counted them."""
+
+    @pytest.fixture(scope="class")
+    def merged(self, tmp_path_factory):
+        from repro.utils.convert import convert_traces
+        from repro.utils.merge import merge_interval_files
+        from repro.workloads import run_synthetic
+        from repro.workloads.synthetic import SyntheticConfig
+
+        tmp = tmp_path_factory.mktemp("identity")
+        run = run_synthetic(tmp / "raw", SyntheticConfig(rounds=8))
+        conv = convert_traces(run.raw_paths, tmp / "ivl")
+        merge_interval_files(
+            conv.interval_paths, tmp / "m1k.ute", PROFILE,
+            slog_path=tmp / "r1k.slog", frame_bytes=1024,
+        )
+        with SlogFile(tmp / "r1k.slog") as slog:
+            leads = [f.n_pseudo for f in slog.frames if f.n_pseudo]
+            assert len(slog.frames) > 10 and len(leads) > 5 and max(leads) > 1
+        return tmp
+
+    @pytest.mark.parametrize("name", ["r1k.slog", "m1k.ute"])
+    def test_a_clean_trace_recovers_to_its_own_bytes(self, merged, tmp_path, name):
+        source = merged / name
+        out = tmp_path / ("rec-" + name)
+        report = recover_file(source, out, profile=PROFILE, frame_bytes=1024)
+        assert report.ok and report.records_rejected == 0
+        assert out.read_bytes() == source.read_bytes()

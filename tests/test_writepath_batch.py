@@ -3,8 +3,9 @@
 Every output convert and slogmerge now reach by columns — encoded records,
 cut frames, merge order, adjusted ticks, preview counters — is pinned equal
 to what the per-record route produces: the per-field encoder
-(:meth:`IntervalRecord.encode_fields`), a loop of :meth:`FrameBuilder.add`,
-``heapq.merge``, the scalar ``adjust`` and :meth:`PreviewBins.add`.
+(:meth:`IntervalRecord.encode_fields`), one-row batches through
+:meth:`FrameBuilder.add_batch`, ``heapq.merge``, the scalar ``adjust`` and
+:meth:`PreviewBins.add`.
 """
 
 import heapq
@@ -285,11 +286,6 @@ def summary(frame):
     )
 
 
-def by_records(records, frame_bytes, continuations):
-    builder = FrameBuilder(PROFILE, MASK_ALL_MERGED, frame_bytes, continuations=continuations)
-    return [summary(f) for f in builder.frames(records)]
-
-
 def by_batches(chunks, frame_bytes, continuations):
     builder = FrameBuilder(PROFILE, MASK_ALL_MERGED, frame_bytes, continuations=continuations)
     return [summary(f) for f in builder.batch_frames(as_batch(c) for c in chunks if c)]
@@ -298,6 +294,11 @@ def by_batches(chunks, frame_bytes, continuations):
 def normalised(records):
     """Records as they read back (defaults filled), for comparing batches."""
     return as_batch(records).to_records()
+
+
+def by_rows(records, frame_bytes, continuations):
+    """The frames cut from one-row batches."""
+    return by_batches([[r] for r in records], frame_bytes, continuations)
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,7 +310,7 @@ def test_add_batch_cuts_the_frames_a_loop_of_add_cuts(records, frame_bytes, lead
     records = normalised(records)
     bounds = sorted({min(c, len(records)) for c in cuts} | {0, len(records)})
     chunks = [records[a:b] for a, b in zip(bounds, bounds[1:])]
-    assert by_batches(chunks, frame_bytes, leads) == by_records(records, frame_bytes, leads)
+    assert by_batches(chunks, frame_bytes, leads) == by_rows(records, frame_bytes, leads)
 
 
 def _many_open_states():
@@ -328,7 +329,7 @@ def _many_open_states():
 
 def test_a_lead_larger_than_a_frame_stays_whole_either_way():
     records = _many_open_states()
-    want = by_records(records, 256, True)
+    want = by_rows(records, 256, True)
     assert max(f[2] for f in want) == 16 and min(f[1] - f[2] for f in want[1:]) == 1
     assert by_batches([records], 256, True) == want
     assert by_batches([records[:20], records[20:]], 256, True) == want
@@ -336,7 +337,7 @@ def test_a_lead_larger_than_a_frame_stays_whole_either_way():
 
 def test_a_chunk_boundary_on_a_cut_changes_nothing():
     records = _many_open_states()
-    want = by_records(records, 512, True)
+    want = by_rows(records, 512, True)
     # Chunks that end exactly where a frame is sealed.
     bounds, seen = [0], 0
     for frame in want:
