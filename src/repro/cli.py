@@ -989,7 +989,7 @@ def main_view(args) -> int:
     if args.interactive:
         from repro.viz.interactive import render_interactive_html
 
-        view = viewer.build_view(viewer.slog.records(), args.kind)
+        view = viewer.build_view(viewer.batch(viewer.slog.frames), args.kind)
         out = args.out if args.out.endswith(".html") else args.out + ".html"
         print(
             render_interactive_html(
@@ -998,14 +998,11 @@ def main_view(args) -> int:
         )
         return 0
     if args.ansi:
+        frames, window = viewer.slog.frames, None
         if args.at is not None:
             frame = viewer.locate(args.at)
-            records = viewer.frame_records(frame)
-            window = (frame.start_time, frame.end_time)
-        else:
-            records = viewer.slog.records()
-            window = None
-        view = viewer.build_view(records, args.kind)
+            frames, window = [frame], (frame.start_time, frame.end_time)
+        view = viewer.build_view(viewer.batch(frames), args.kind)
         print(render_view_ansi(view, columns=args.columns, window=window))
         return 0
     if args.at is not None:

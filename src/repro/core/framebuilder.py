@@ -33,7 +33,10 @@ class SealedFrame:
     :class:`~repro.query.columnar.FrameBatch` (file order, pseudo-records
     included) and ``real`` marks the rows after that run, which previews
     count; both are None on a frame rebuilt from stored bytes, which only
-    a sink that needs neither may be handed."""
+    a sink that needs neither may be handed.  The blob is encoded from
+    columns, leads and written records too; only rows no column can prove
+    (vector/char fields, a type under several key sets, a value its wire
+    field cannot hold, times past int64) meet :meth:`IntervalRecord.encode`."""
 
     blob: bytes
     n_records: int
@@ -189,41 +192,41 @@ class FrameBuilder:
         self.last_end = int(rows.end[-1])
 
     def _lead(self) -> None:
-        """Open a frame after the first with its continuation lead.  The
-        states still open then refer to the lead's rows, so the next lead
-        builds them from one batch."""
+        """Open a frame after the first with its continuation lead: the
+        open states' BEGIN rows as zero-duration ``CONTINUATION`` rows at
+        the last end time, sorted by (node, thread, type) with ties in
+        open-table order.  The states still open then refer to the lead's
+        rows, so the next lead is taken from one batch."""
         if not self._open or self.last_end is None:
             return
-        from repro.query.columnar import batch_from_records, encode_frame_batch
+        import numpy as np
+
+        from repro.query.columnar import concat_batches, encode_frame_batch
 
         keys, refs = list(self._open), list(self._open.values())
         by_batch: dict[int, tuple[Any, list[int]]] = {}
         for i, (batch, _row) in enumerate(refs):
             by_batch.setdefault(id(batch), (batch, []))[1].append(i)
-        states: list = [None] * len(refs)
-        for batch, at in by_batch.values():
-            for i, state in zip(at, batch.take([refs[i][1] for i in at]).to_records()):
-                states[i] = state
-        order = sorted(
-            range(len(keys)), key=lambda i: (states[i].node, states[i].thread, states[i].itype)
-        )
-        lead = batch_from_records([
-            IntervalRecord(
-                r.itype, BeBits.CONTINUATION, self.last_end, 0, r.node, r.cpu, r.thread,
-                dict(r.extra),
-            )
-            for r in (states[i] for i in order)
-        ])
-        for row, i in enumerate(order):
-            self._open[keys[i]] = (lead, row)
+        groups = list(by_batch.values())
+        states = concat_batches([batch.take([refs[i][1] for i in at]) for batch, at in groups])
+        opened = [i for _, at in groups for i in at]  # each state row's open-table place
+        node, thread, itype = states.node.tolist(), states.thread.tolist(), states.itype.tolist()
+        order = sorted(range(states.n), key=lambda r: (node[r], thread[r], itype[r], opened[r]))
+        lead = states.take(order)
+        # Past int64 only after a record the per-record encoder took.
+        stamp = np.full(lead.n, self.last_end, np.int64 if self.last_end < 1 << 63 else object)
+        lead.start, lead.end, lead.dura = stamp, stamp.copy(), np.zeros(lead.n, np.int64)
+        lead.bebits = np.full(lead.n, int(BeBits.CONTINUATION), np.int64)
+        for row, r in enumerate(order):
+            self._open[keys[opened[r]]] = (lead, row)
         self._pseudo = lead.n
         self._take(lead, encode_frame_batch(lead, self.profile, self.field_mask)[0])
 
 
 def _edges(batch, rows) -> list[tuple[int, tuple, tuple | None]]:
     """``(row, state key, what the row opens)`` for the BEGIN/END ``rows``
-    of ``batch``: a ``(batch, row)`` reference for a BEGIN (the record is
-    only built if the state is still open at a cut), None for an END."""
+    of ``batch``: a ``(batch, row)`` reference for a BEGIN (the row is
+    only taken if the state is still open at a cut), None for an END."""
     edges = batch.take(rows)
     itypes = edges.itype.tolist()
     markers = [0] * edges.n

@@ -1,4 +1,4 @@
-"""Columnar frame batches: decode a frame into parallel arrays.
+"""Columnar frame batches: a frame's records as parallel arrays.
 
 A record-at-a-time reader pays per record: a length-prefix decode, one
 ``struct.unpack_from`` per field, a dict and a dataclass per record.  For
@@ -28,7 +28,9 @@ it, the caller can release it whatever the decode raises, and every array
 in the finished batch owns its data, so batches never pin the underlying
 mmap.
 
-A :class:`FrameBatch` answers the executor's needs over whole batches —
+A :class:`FrameBatch` is columns only, whoever builds it: the decoder,
+convert and merge directly, :func:`batch_from_records` from record objects.
+It answers the executor's needs over whole batches —
 vectorized predicate masks (:meth:`FrameBatch.match`), int64 core columns
 (:meth:`FrameBatch.core_array`), Python-value columns for projection
 (:meth:`FrameBatch.column_values`), and reconstruction of the equivalent
@@ -39,15 +41,14 @@ A scan's matching rows travel as :class:`BatchRecords`
 ``batches()``, so column consumers (the statistics tables) never build a
 record.
 
-The write path runs the same machinery backwards.  A batch is also what
-``convert`` and ``slogmerge`` hand the frame builder — rows are selected,
-reordered and joined as columns (:meth:`FrameBatch.take`,
-:meth:`FrameBatch.rows`, :func:`concat_batches`) — and
-:func:`encode_frame_batch` is the inverse of :func:`decode_frame_batch`:
-group by type, fill one packed array per fixed-layout type through the
-same :class:`~repro.core.layout.RecordLayout` the decoder views bodies
-through, scatter the encoded records to their offsets; vector/char types
-take the per-record loop, the split the decoder makes.
+The write path runs the same machinery backwards.  Every frame builder
+input is a batch — rows are selected, reordered and joined as columns
+(:meth:`FrameBatch.take`, :meth:`FrameBatch.rows`, :func:`concat_batches`)
+— and :func:`encode_frame_batch` is the inverse of
+:func:`decode_frame_batch`: group by type, fill one packed array per
+fixed-layout type through the same :class:`~repro.core.layout.RecordLayout`
+the decoder views bodies through, scatter the encoded records to their
+offsets; rows no column can prove take the per-record encoder.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "BatchRecords",
     "FrameBatch",
     "batch_from_records",
-    "batch_from_rows",
     "concat_batches",
     "decode_frame_batch",
     "encode_frame_batch",
@@ -88,7 +88,7 @@ class FrameBatch:
 
     __slots__ = (
         "n", "start", "dura", "end", "node", "cpu", "thread", "itype", "bebits",
-        "_groups", "_extra_cache", "_value_cache", "_records",
+        "_groups", "_extra_cache", "_value_cache",
     )
 
     def __init__(self, n: int, columns: dict[str, np.ndarray] | None = None) -> None:
@@ -98,7 +98,6 @@ class FrameBatch:
         self._groups: list[tuple[Any, tuple[str, ...], Any]] = []
         self._extra_cache: dict[str, list] = {}
         self._value_cache: dict[str, list] = {}
-        self._records: list[IntervalRecord] | None = None
 
     def __len__(self) -> int:
         return self.n
@@ -121,21 +120,16 @@ class FrameBatch:
         record's type does not carry the field)."""
         col = self._extra_cache.get(name)
         if col is None:
-            if self._records is not None:
-                col = [r.extra.get(name) for r in self._records]
-            else:
-                col = [None] * self.n
-                for positions, names, values in self._groups:
-                    if name in names:
-                        for i, v in zip(self._rows_of(positions), _as_list(values[name])):
-                            col[i] = v
+            col = [None] * self.n
+            for positions, names, values in self._groups:
+                if name in names:
+                    for i, v in zip(self._rows_of(positions), _as_list(values[name])):
+                        col[i] = v
             self._extra_cache[name] = col
         return col
 
     def has_extra(self, name: str) -> bool:
         """Whether any record carries the extra field ``name``."""
-        if self._records is not None:
-            return any(name in r.extra for r in self._records)
         return any(name in names for _, names, _ in self._groups)
 
     def extra_array(self, name: str) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -144,15 +138,12 @@ class FrameBatch:
         values are ints, float64 where they are floats; None when they are
         not all one of the two (vectors, chars, a mix, an int past int64).
         A record's value is what :meth:`to_records` gives it."""
-        if self._records is not None:
-            rows = [i for i, r in enumerate(self._records) if name in r.extra]
-            parts = [(rows, [self._records[i].extra[name] for i in rows])]
-        else:
-            parts = [(at, values[name]) for at, names, values in self._groups
-                     if name in names]
         out = None
         present = np.zeros(self.n, dtype=bool)
-        for at, values in parts:
+        for at, names, group in self._groups:
+            if name not in names:
+                continue
+            values = group[name]
             if not isinstance(values, np.ndarray):
                 values = _numeric_array(values)
                 if values is None:
@@ -217,13 +208,11 @@ class FrameBatch:
         values aligned to ``rows`` (an array, or a list where the decoder
         had to go record by record).  A record's ``extra`` takes its keys
         in this order."""
-        for positions, names, values in _groups_of(self):
+        for positions, names, values in self._groups:
             yield self._rows_of(positions), names, [values[name] for name in names]
 
     def to_records(self) -> list[IntervalRecord]:
         """The equivalent record objects, in frame order."""
-        if self._records is not None:
-            return list(self._records)
         extras: list[dict[str, Any]] = [{} for _ in range(self.n)]
         for rows, names, columns in self.extra_groups():
             for name, column in zip(names, columns):
@@ -247,8 +236,6 @@ class FrameBatch:
     def records_at(self, positions: Sequence[int] | np.ndarray) -> list[IntervalRecord]:
         """Records at the given frame positions (e.g. a match mask's
         ``nonzero`` indices); only those rows are materialised."""
-        if self._records is not None:
-            return [self._records[i] for i in _as_list(positions)]
         rows, at = np.unique(np.asarray(positions, dtype=np.intp), return_inverse=True)
         records = self.take(rows).to_records()
         return [records[i] for i in at.tolist()]
@@ -270,15 +257,12 @@ class FrameBatch:
         columns = {c: getattr(self, c) for c in _COLUMNS}
         columns.update(start=start, end=end, dura=end - start)
         out = FrameBatch(self.n, columns)
-        out._groups = list(_groups_of(self))
+        out._groups = list(self._groups)
         return out
 
     def rows(self, start: int, stop: int) -> "FrameBatch":
         """The contiguous rows ``[start, stop)`` as a batch (array views)."""
         out = FrameBatch(stop - start, {c: getattr(self, c)[start:stop] for c in _COLUMNS})
-        if self._records is not None:
-            out._records = self._records[start:stop]
-            return out
         for positions, names, values in self._groups:
             if positions is None:
                 out._groups.append((None, names, _select(values, slice(start, stop))))
@@ -298,9 +282,6 @@ class FrameBatch:
         """The (distinct) rows ``rows``, in that order, as a batch."""
         rows = np.asarray(rows, dtype=np.intp)
         out = FrameBatch(len(rows), {c: getattr(self, c)[rows] for c in _COLUMNS})
-        if self._records is not None:
-            out._records = [self._records[i] for i in rows.tolist()]
-            return out
         moved = np.full(self.n, -1, dtype=np.intp)
         moved[rows] = np.arange(len(rows), dtype=np.intp)
         for positions, names, values in self._groups:
@@ -382,9 +363,10 @@ def pack_keys(cols: Sequence[np.ndarray]) -> np.ndarray | None:
 
 def concat_batches(parts: Sequence[FrameBatch]) -> FrameBatch:
     """The rows of ``parts``, one after the other, as one batch.  Groups
-    of one record type holding the same structured dtype (the type read
-    under one mask) join into one group, so a type still lines up with one
-    group.  No parts at all is the empty batch."""
+    of one record type holding the same fields as arrays of the same dtypes
+    (the type read under one mask, or records of one key set) join into one
+    group, so a type still lines up with one group.  No parts at all is the
+    empty batch."""
     parts = [p for p in parts if p.n] or list(parts[:1])
     if len(parts) <= 1:
         return parts[0] if parts else FrameBatch(0)
@@ -392,36 +374,50 @@ def concat_batches(parts: Sequence[FrameBatch]) -> FrameBatch:
         sum(p.n for p in parts),
         {c: np.concatenate([getattr(p, c) for p in parts]) for c in _COLUMNS},
     )
-    if all(p._records is not None for p in parts):
-        out._records = [r for p in parts for r in p._records]
-        return out
-    groups = [_groups_of(p) for p in parts]
+    groups = [p._groups for p in parts]
     per_row = _join_per_row(
         [[(names, values) for at, names, values in gs if at is None] for gs in groups]
     )
-    typed: dict[tuple[int, np.dtype], tuple[tuple[str, ...], list, list]] = {}
+    typed: dict[tuple, tuple[tuple[str, ...], list, list]] = {}
     rest: list[tuple[Any, tuple[str, ...], Any]] = []
     offset = 0
     for part, gs in zip(parts, groups):
         for positions, names, values in gs:
-            if positions is None:
+            whole = positions is None
+            if whole:
                 if per_row is not None:
                     continue
                 positions = np.arange(part.n, dtype=np.intp)
-            key = (int(part.itype[positions[0]]), getattr(values, "dtype", None))
+            itype = int(part.itype[positions[0]])
             positions = np.asarray(positions, dtype=np.intp) + offset
-            if isinstance(values, np.ndarray):
-                _, at, arrays = typed.setdefault(key, (names, [], []))
+            # A per-row field group stays after the type groups it overlaps.
+            if isinstance(values, np.ndarray) or not whole and _is_columns(names, values):
+                key = (itype, names, _dtypes(names, values))
+                _, at, pieces = typed.setdefault(key, (names, [], []))
                 at.append(positions)
-                arrays.append(values)
+                pieces.append(values)
             else:
                 rest.append((positions, names, values))
         offset += part.n
     out._groups = [
-        (np.concatenate(at), names, np.concatenate(arrays))
-        for names, at, arrays in typed.values()
+        (np.concatenate(at), names, _joined(names, pieces))
+        for names, at, pieces in typed.values()
     ] + rest + (per_row or [])
     return out
+
+
+def _dtypes(names: tuple[str, ...], values) -> Any:
+    """A column group's dtype: one structured dtype, or one per name."""
+    if isinstance(values, np.ndarray):
+        return values.dtype
+    return tuple(values[name].dtype for name in names)
+
+
+def _joined(names: tuple[str, ...], pieces: list) -> Any:
+    """Column groups of one dtype, joined end to end."""
+    if isinstance(pieces[0], np.ndarray):
+        return np.concatenate(pieces)
+    return {name: np.concatenate([piece[name] for piece in pieces]) for name in names}
 
 
 def _join_per_row(per_part: list[list[tuple]]) -> list | None:
@@ -443,94 +439,57 @@ def _join_per_row(per_part: list[list[tuple]]) -> list | None:
     return joined
 
 
-def _groups_of(batch: FrameBatch) -> list:
-    """A batch's extra groups; a batch over record objects yields one
-    group per record (the form the per-record decode leaves)."""
-    if batch._records is None:
-        return batch._groups
-    return [
-        ([i], tuple(r.extra), {name: [value] for name, value in r.extra.items()})
-        for i, r in enumerate(batch._records)
-        if r.extra
-    ]
-
-
 def batch_from_records(records: Sequence[IntervalRecord]) -> FrameBatch:
-    """A batch over already-decoded records (the salvage-mode path: the
-    resynchronizing decoder owns error recovery, the batch just mirrors
-    its output so the executor and its reference see identical salvaged
-    records)."""
+    """The batch of record objects (salvaged frames, records a writer is
+    handed, a record list a view draws).  The rows of one type whose
+    ``extra`` holds the same keys in the same order share one group; a
+    field's values are an int64 or float64 array where they are all ints
+    within int64 or all floats, else a list (the encoder then takes those
+    rows one by one)."""
     n = len(records)
     batch = FrameBatch(n)
-    if n:
-        batch.start, batch.dura, batch.end = _time_columns(records)
-        batch.node = np.fromiter((r.node for r in records), np.int64, count=n)
-        batch.cpu = np.fromiter((r.cpu for r in records), np.int64, count=n)
-        batch.thread = np.fromiter((r.thread for r in records), np.int64, count=n)
-        batch.itype = np.fromiter((r.itype for r in records), np.int64, count=n)
-        batch.bebits = np.fromiter((int(r.bebits) for r in records), np.int64, count=n)
-    batch._records = list(records)
+    if not n:
+        return batch
+    batch.start, batch.dura, batch.end = _time_columns(records)
+    batch.node = _exact_ints([r.node for r in records])
+    batch.cpu = _exact_ints([r.cpu for r in records])
+    batch.thread = _exact_ints([r.thread for r in records])
+    batch.itype = np.fromiter((r.itype for r in records), np.int64, count=n)
+    batch.bebits = np.fromiter((int(r.bebits) for r in records), np.int64, count=n)
+    keyed: dict[tuple, list[int]] = {}
+    for i, r in enumerate(records):
+        if r.extra:
+            keyed.setdefault((r.itype, tuple(r.extra)), []).append(i)
+    for (_, names), rows in keyed.items():
+        extras = [records[i].extra for i in rows]
+        values = {name: [extra[name] for extra in extras] for name in names}
+        for name, column in values.items():
+            array = _numeric_array(column)
+            values[name] = column if array is None else array
+        batch._groups.append((np.array(rows, dtype=np.intp), names, values))
     return batch
+
+
+def _exact_ints(values: list) -> np.ndarray:
+    """``values`` as int64 when all are ints (or bools) within int64, else
+    in an object column, which no column encoder takes."""
+    column = np.array(values)
+    return column.astype(np.int64) if column.dtype.kind in "ib" else np.array(values, object)
 
 
 def _time_columns(records: Sequence[IntervalRecord]) -> tuple[np.ndarray, ...]:
     """``(start, dura, end)`` of ``records``.  Readers never hand out a
     record whose times leave int64, but a writer may be asked to write one
     (damage reproduced on purpose): the frame it seals then carries exact
-    Python ints in object columns, for its sinks only."""
-    start = [r.start for r in records]
-    dura = [r.duration for r in records]
-    try:
-        columns = np.array(start, dtype=np.int64), np.array(dura, dtype=np.int64)
-        end = columns[0] + columns[1]
-        if ((end < columns[0]) == (columns[1] < 0)).all():  # no wrap-around
-            return *columns, end
-    except OverflowError:
-        pass
-    columns = np.array(start, dtype=object), np.array(dura, dtype=object)
-    return *columns, columns[0] + columns[1]
-
-
-def batch_from_rows(rows: dict[int, list[tuple]], profile, mask: int) -> FrameBatch:
-    """A batch over plain rows, type by type: ``rows[itype]`` lists
-    ``(bebits, start, dura, node, cpu, thread, extra)`` tuples.
-
-    A fixed-layout type's extras become one group of columns in the wire
-    dtypes of its layout under ``mask`` (a field a row's ``extra`` lacks
-    reads as zero, as it would encode); a type with vector/char fields
-    keeps each row's ``extra`` as it is."""
-    batch = FrameBatch(sum(len(of_type) for of_type in rows.values()))
-    at = 0
-    for itype, of_type in rows.items():
-        if not of_type:
-            continue
-        stop = at + len(of_type)
-        *core, extras = zip(*of_type)
-        for name, column in zip(("bebits", "start", "dura", "node", "cpu", "thread"), core):
-            getattr(batch, name)[at:stop] = column
-        batch.itype[at:stop] = itype
-        layout = layout_for(profile, itype, mask)
-        if not layout.fixed:
-            batch._groups.extend(
-                ([at + i], tuple(extra), {name: [value] for name, value in extra.items()})
-                for i, extra in enumerate(extras)
-                if extra
-            )
-        elif layout.extra_names:
-            values = {}
-            for slot, name, default in layout.slots:
-                if slot < 0:
-                    column = [extra.get(name, default) for extra in extras]
-                    try:
-                        values[name] = np.array(column, dtype=layout.dtype[name])
-                    except (OverflowError, TypeError, ValueError):
-                        values[name] = column  # encodes (and fails) record by record
-            batch._groups.append(
-                (np.arange(at, stop, dtype=np.intp), layout.extra_names, values)
-            )
-        at = stop
-    batch.end = batch.start + batch.dura
-    return batch
+    Python values in object columns, for its sinks only."""
+    start = _exact_ints([r.start for r in records])
+    dura = _exact_ints([r.duration for r in records])
+    if start.dtype == dura.dtype == np.int64:
+        end = start + dura
+        if ((end < start) == (dura < 0)).all():  # no wrap-around
+            return start, dura, end
+    start, dura = start.astype(object), dura.astype(object)
+    return start, dura, start + dura
 
 
 def _scan_record_frames(blob: bytes) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -674,9 +633,8 @@ def encode_frame_batch(batch: FrameBatch, profile, mask: int) -> tuple[bytes, np
     encoder's (``struct.error``/``OverflowError`` for an out-of-range
     value — never a wrapped one)."""
     n = batch.n
-    if batch._records is not None or n == 0:
-        blobs = [r.encode(profile, mask) for r in batch._records or ()]
-        return b"".join(blobs), np.fromiter(map(len, blobs), np.int64, count=n)
+    if n == 0:
+        return b"", np.zeros(0, dtype=np.int64)
     distinct = _distinct_types(batch.itype)
     rows_of = {
         t: None if len(distinct) == 1 else np.nonzero(batch.itype == t)[0] for t in distinct
@@ -707,21 +665,26 @@ def encode_frame_batch(batch: FrameBatch, profile, mask: int) -> tuple[bytes, np
     span = {name: (int(col.min()), int(col.max())) for name, col in attrs.items()}
     sizes = np.empty(n, dtype=np.int64)
     blocks: list[tuple[np.ndarray | None, np.ndarray]] = []
-    singles: list[tuple[int, bytes]] = []
+    single: list[np.ndarray] = []  # rows of the types encoded record by record
     for itype, idx in rows_of.items():
         layout = layout_for(profile, itype, mask)
         block = None
         if layout.fixed and not (loose.any() if idx is None else loose[idx].any()):
             block = _encode_fixed(layout, idx, n, attrs, span, own.get(itype), per_row)
         if block is None:
-            rows = np.arange(n, dtype=np.intp) if idx is None else idx
-            for i, record in zip(rows.tolist(), batch.take(rows).to_records()):
-                blob = record.encode(profile, mask)
-                singles.append((i, blob))
-                sizes[i] = len(blob)
+            single.append(np.arange(n, dtype=np.intp) if idx is None else idx)
         else:
             blocks.append((idx, block))
             sizes[idx if idx is not None else slice(None)] = block.dtype.itemsize
+    singles: list[tuple[int, bytes]] = []
+    if single:
+        # In row order: the first record that fails is the one a
+        # record-at-a-time encode of the whole batch fails on.
+        rows = np.sort(np.concatenate(single))
+        for i, record in zip(rows.tolist(), batch.take(rows).to_records()):
+            blob = record.encode(profile, mask)
+            singles.append((i, blob))
+            sizes[i] = len(blob)
     ends = np.cumsum(sizes)
     starts = ends - sizes
     out = np.empty(int(ends[-1]), dtype=np.uint8)

@@ -40,12 +40,12 @@ import numpy as np
 from repro.core.fields import MASK_ALL_PER_NODE
 from repro.core.layout import layout_for
 from repro.core.profilefmt import Profile, standard_profile
-from repro.core.records import BeBits, IntervalType
+from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import MAX_THREADS_PER_NODE, ThreadEntry, ThreadTable
 from repro.core.writer import IntervalFileWriter
 from repro.errors import FormatError, TraceError
 from repro.mpi.pmpi import as_signed
-from repro.query.columnar import FrameBatch, batch_from_rows
+from repro.query.columnar import FrameBatch, batch_from_records
 from repro.tracing.hooks import (
     HookId,
     MPI_FN_NAMES,
@@ -677,9 +677,7 @@ def reference_convert_one(
     tid_to_logical: dict[int, int] = {}
     local_markers: dict[int, int] = {}  # this file's local id -> global id
     used_markers: dict[int, str] = {}
-    # Converted records as plain rows per interval type:
-    # (bebits, start, dura, node, cpu, thread, extra).
-    rows: dict[int, list[tuple]] = {}
+    converted: list[IntervalRecord] = []  # in emission order
     events = 0
     last_ts = 0
 
@@ -717,7 +715,6 @@ def reference_convert_one(
         emit_pieces(ts, st)
 
     def emit_pieces(ts: _ThreadState, st: _OpenState) -> None:
-        of_type = rows.setdefault(st.itype, [])
         thread = logical_of(ts.system_tid)
         n = len(st.pieces)
         for i, (start, end, cpu) in enumerate(st.pieces):
@@ -730,7 +727,9 @@ def reference_convert_one(
             else:
                 bebits = BeBits.CONTINUATION
             # The state is closed: its pieces can share its extra fields.
-            of_type.append((bebits, start, end - start, node_id, cpu, thread, st.extra))
+            converted.append(
+                IntervalRecord(st.itype, bebits, start, end - start, node_id, cpu, thread, st.extra)
+            )
 
     for event in reader:
         events += 1
@@ -739,9 +738,10 @@ def reference_convert_one(
         hook = event.hook_id
 
         if hook == HookId.GLOBAL_CLOCK:
-            rows.setdefault(IntervalType.CLOCKPAIR, []).append(
-                (BeBits.COMPLETE, t, 0, node_id, 0, 0, {"globalTs": event.args[0]})
-            )
+            converted.append(IntervalRecord(
+                IntervalType.CLOCKPAIR, BeBits.COMPLETE, t, 0, node_id, 0, 0,
+                {"globalTs": event.args[0]},
+            ))
             continue
         if hook == HookId.THREAD_INFO:
             pid, task_raw, category, logical_tid = event.args[:4]
@@ -906,7 +906,7 @@ def reference_convert_one(
             st = ts.stack.pop()
             close_state(ts, st, last_ts)
 
-    batch = batch_from_rows(rows, profile, MASK_ALL_PER_NODE)
+    batch = batch_from_records(converted)
     # Stable, so rows equal in every key keep the order they were emitted in.
     batch = batch.take(np.lexsort((batch.itype, batch.thread, batch.start, batch.end)))
     with IntervalFileWriter(

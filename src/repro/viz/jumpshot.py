@@ -133,6 +133,13 @@ class Jumpshot:
         """The records of one frame (pseudo-interval lead-ins included)."""
         return self.slog.read_frame(frame)
 
+    def batch(self, frames: list[SlogFrameEntry]) -> FrameBatch:
+        """The records of ``frames`` as one batch: the form scans cache,
+        and what every display builds its view from."""
+        if not frames:
+            return FrameBatch(0)
+        return concat_batches([self.slog.read_frame_batch(f) for f in frames])
+
     def build_view(
         self,
         records: FrameBatch | Iterable[IntervalRecord],
@@ -167,7 +174,7 @@ class Jumpshot:
     ) -> Path:
         """The headline operation: pick an instant, display its frame."""
         frame = self.locate(t_seconds)
-        view = self.build_view(self._batch([frame]), kind)
+        view = self.build_view(self.batch([frame]), kind)
         return render_view_svg(
             view, path,
             window=(frame.start_time, frame.end_time),
@@ -176,7 +183,7 @@ class Jumpshot:
 
     def render_whole_run(self, path: str | Path, *, kind: str = "thread") -> Path:
         """Render the full trace in one diagram (small runs only)."""
-        view = self.build_view(self._batch(self.slog.frames), kind)
+        view = self.build_view(self.batch(self.slog.frames), kind)
         return render_view_svg(view, path, ticks_per_sec=self.slog.ticks_per_sec)
 
     # --------------------------------------------------------- server API
@@ -265,19 +272,13 @@ class Jumpshot:
                     view, width=width, window=window,
                     ticks_per_sec=self.slog.ticks_per_sec,
                 )
-        view = self.build_view(self._batch(frames), kind, window=window)
+        view = self.build_view(self.batch(frames), kind, window=window)
         return view_svg_string(
             view, width=width, window=window,
             ticks_per_sec=self.slog.ticks_per_sec,
         )
 
     # ------------------------------------------------------------ internals
-
-    def _batch(self, frames: list[SlogFrameEntry]) -> FrameBatch:
-        """The records of ``frames`` as one batch: the form scans cache."""
-        if not frames:
-            return FrameBatch(0)
-        return concat_batches([self.slog.read_frame_batch(f) for f in frames])
 
     def _cpus_per_node(self) -> dict[int, int]:
         if self.slog.node_cpus:

@@ -399,6 +399,62 @@ class TestOutputValidation:
         assert capsys.readouterr().out
 
 
+class TestViewFromFrames:
+    """``ute-view --ansi`` / ``--interactive`` build their view from the
+    frames' batches, byte-identical to the view over the file's records."""
+
+    KINDS = ["thread", "thread-connected", "processor", "thread-processor",
+             "processor-thread", "type"]
+
+    @staticmethod
+    def refuse_records(monkeypatch):
+        from repro.utils.slog import SlogFile
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("the view decoded record objects")
+
+        monkeypatch.setattr(SlogFile, "read_frame", refuse)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("at", [False, True])
+    def test_ansi(self, run_slog, kind, at, monkeypatch, capsys):
+        from repro import cli
+        from repro.viz.ansi import render_view_ansi
+        from repro.viz.jumpshot import Jumpshot
+
+        with Jumpshot(run_slog) as viewer:
+            argv, records, window = [], viewer.slog.records(), None
+            if at:
+                frame = viewer.slog.frames[len(viewer.slog.frames) // 2]
+                mid = (frame.start_time + frame.end_time) / 2 / viewer.slog.ticks_per_sec
+                frame = viewer.locate(mid)
+                argv = ["--at", repr(mid)]
+                records = viewer.frame_records(frame)
+                window = (frame.start_time, frame.end_time)
+            view = viewer.build_view(records, kind)
+            want = render_view_ansi(view, columns=100, window=window) + "\n"
+        self.refuse_records(monkeypatch)
+        assert cli.main_view([str(run_slog), "--ansi", "--kind", kind, *argv]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_interactive(self, run_slog, kind, tmp_path, monkeypatch, capsys):
+        from repro import cli
+        from repro.viz.interactive import render_interactive_html
+        from repro.viz.jumpshot import Jumpshot
+
+        with Jumpshot(run_slog) as viewer:
+            view = viewer.build_view(viewer.slog.records(), kind)
+            want = render_interactive_html(
+                view, tmp_path / "want.html", ticks_per_sec=viewer.slog.ticks_per_sec
+            ).read_bytes()
+        self.refuse_records(monkeypatch)
+        out = tmp_path / "got.html"
+        assert cli.main_view([str(run_slog), "--interactive", "--kind", kind, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert out.read_bytes() == want
+
+
 class TestCountArguments:
     """A count option below what the command can honour is a one-line usage
     error, never a silent default or an empty rendering."""

@@ -4,8 +4,9 @@ Property tests compare :class:`~repro.core.framebuilder.FrameBuilder`,
 fed any chunking of a stream into batches, against a brute-force recount
 (reference decoder over the concatenated blobs, open states replayed from
 the start of the stream for every frame); the rest pins the order check,
-the pseudo row mask, the writers' buffered hand-over and the
-one-encode-per-record contract of the merge's SLOG tee.
+the pseudo row mask, the writers' buffered hand-over, the
+one-encode-per-record contract of the merge's SLOG tee, and which rows
+still meet the per-record encoder (vector/char rows only).
 """
 
 import struct
@@ -24,6 +25,7 @@ from repro.errors import FormatError
 from repro.live import LiveIntervalWriter, LiveSlogWriter, live_dir_for
 from repro.query import columnar
 from repro.query.columnar import batch_from_records
+from repro.tracing.hooks import MPI_FN_IDS
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import SlogFile, SlogWriter
 
@@ -154,6 +156,21 @@ def test_frames_equal_a_brute_force_recount(records, frame_bytes, continuations,
         seen.extend(real_of(frame))
 
 
+def test_a_lead_after_times_past_int64_is_stamped_exactly():
+    """A record the per-record encoder takes (a start past int64 fits the
+    u64 wire field) moves the watermark past int64; the next lead carries
+    that end time exactly."""
+    builder = FrameBuilder(PROFILE, MASK, 256, continuations=True)
+    begin = IntervalRecord(SEND, BeBits.BEGIN, 1, 1, 0, 0, 0, {"peer": 3})
+    records = [begin] + [running((1 << 63) + 10 * i, 5) for i in range(20)]
+    frames = list(builder.batch_frames(batch_from_records([r]) for r in records))
+    assert len(frames) > 2
+    for before, frame in zip(frames, frames[1:]):
+        lead = IntervalRecord(SEND, BeBits.CONTINUATION, before.end_time, 0, 0, 0, 0, {"peer": 3})
+        assert before.end_time >= 1 << 63 and frame.n_pseudo == 1
+        assert frame.blob.startswith(lead.encode(PROFILE, MASK))
+
+
 def running(start, dura):
     return IntervalRecord(IntervalType.RUNNING, BeBits.COMPLETE, start, dura, 0, 0, 0)
 
@@ -279,8 +296,60 @@ def test_merge_with_slog_tee_encodes_each_written_record_once(tmp_path, monkeypa
                 )
         inputs.append(path)
 
-    # One encode per written record: every row through the batch encoder,
-    # the continuation leads (record-backed batches) record by record.
+    # One encode per written record, every row through the batch encoder —
+    # the continuation leads too — and none record by record.
+    calls = count_encodes(monkeypatch)
+    result = merge_interval_files(
+        inputs, tmp_path / "m.ute", PROFILE, slog_path=tmp_path / "m.slog",
+        frame_bytes=512,
+    )
+    assert result.pseudo_records > 0
+    assert calls == {"records": 0, "rows": result.records_out + result.pseudo_records}
+
+
+WAITALL = IntervalType.for_mpi_fn(MPI_FN_IDS["MPI_Waitall"])
+
+
+@pytest.mark.parametrize("make", [SlogWriter, LiveSlogWriter])
+def test_written_records_encode_as_columns_but_vectors(tmp_path, monkeypatch, make):
+    """Records fed through ``write`` — states open across hand-overs, so
+    the live writer's leads take rows of several batches — reach the
+    per-record encoder only where a type has a vector field (the
+    Waitall's ``seqnos``)."""
+    records = []
+    for i in range(3 * WRITE_BATCH_ROWS):
+        t, node = 10 * i, i % 2
+        kind = i % 5
+        if kind == 0:
+            bebits = BeBits.BEGIN if i % 10 == 0 else BeBits.END
+            records.append(IntervalRecord(
+                SEND, bebits, t, 5, node, 0, 0, {"peer": 1 - node, "tag": 7, "msgSizeSent": i},
+            ))
+        elif kind == 1:
+            bebits = BeBits.BEGIN if i % 4 == 1 else BeBits.END
+            records.append(IntervalRecord(
+                IntervalType.MARKER, bebits, t, 5, node, 0, 0, {"markerId": 1 + i % 3},
+            ))
+        elif kind == 2:
+            records.append(IntervalRecord(
+                WAITALL, BeBits.COMPLETE, t, 5, node, 0, 0, {"seqnos": [i, i + 1]},
+            ))
+        else:
+            records.append(IntervalRecord(IntervalType.RUNNING, BeBits.COMPLETE, t, 5, node, 0, 0))
+    tables = ThreadTable([ThreadEntry(n, 1, 1, n, 0, 0, "t") for n in range(2)])
+    calls = count_encodes(monkeypatch)
+    with make(tmp_path / "o.slog", PROFILE, tables, field_mask=MASK, frame_bytes=512) as writer:
+        for record in records:
+            writer.write(record)
+    assert calls["records"] == sum(r.itype == WAITALL for r in records)
+    with SlogFile(tmp_path / "o.slog") as slog:
+        if make is LiveSlogWriter:
+            assert sum(f.n_pseudo for f in slog.frames) > 0  # it wrote leads
+        assert [r for r in slog.records() if not r.is_pseudo] == norm(records)
+
+
+def count_encodes(monkeypatch):
+    """Count per-record encodes, and the rows the batch encoder takes."""
     calls = {"records": 0, "rows": 0}
     encode_record = IntervalRecord.encode
     encode_batch = columnar.encode_frame_batch
@@ -295,12 +364,4 @@ def test_merge_with_slog_tee_encodes_each_written_record_once(tmp_path, monkeypa
 
     monkeypatch.setattr(IntervalRecord, "encode", counting_record)
     monkeypatch.setattr(columnar, "encode_frame_batch", counting_batch)
-    result = merge_interval_files(
-        inputs, tmp_path / "m.ute", PROFILE, slog_path=tmp_path / "m.slog",
-        frame_bytes=512,
-    )
-    assert result.pseudo_records > 0
-    assert calls == {
-        "records": result.pseudo_records,
-        "rows": result.records_out + result.pseudo_records,
-    }
+    return calls

@@ -455,19 +455,6 @@ def trace_names(draw):
     return table, {0: 2, 1: 2}, lambda itype: f"{prefix}{itype}", markers
 
 
-def as_columns(records: list[IntervalRecord]) -> FrameBatch:
-    """The batch a decoder would hand over: int64 columns, and the marker
-    ids in one group over the marker rows that carry one (no record
-    objects behind it)."""
-    batch = batch_from_records(records)
-    batch._records = None
-    carrying = [i for i, r in enumerate(records) if "markerId" in r.extra]
-    if carrying:
-        ids = np.array([records[i].extra["markerId"] for i in carrying], dtype=np.uint32)
-        batch._groups.append((np.array(carrying, dtype=np.intp), ("markerId",), {"markerId": ids}))
-    return batch
-
-
 def windows_over(view, data):
     span = view.t1 - view.t0
     t0 = data.draw(st.integers(view.t0 - span // 3 - 2, view.t1), label="t0")
@@ -545,12 +532,9 @@ class TestColumnsAgainstTheRecordLoops:
             window = windows_over(want, data)
             width = data.draw(st.sampled_from([1100, 640, 404]), label="width")
             svg = ref_view_svg(want, width=width, window=window, ticks_per_sec=1e6)
-            for source in (records, as_columns(records)):
-                view = build(source)
-                same_model(view, want)
-                assert view_svg_string(
-                    view, width=width, window=window, ticks_per_sec=1e6
-                ) == svg
+            view = build(records)  # through batch_from_records: columns
+            same_model(view, want)
+            assert view_svg_string(view, width=width, window=window, ticks_per_sec=1e6) == svg
             xml.dom.minidom.parseString(svg)
 
     def test_a_view_is_built_without_bar_objects(self, monkeypatch):
@@ -564,7 +548,7 @@ class TestColumnsAgainstTheRecordLoops:
         ]
         names = (ThreadTable([ThreadEntry(0, 100, 5000, 0, 0, 0, "t")]), {0: 2}, str, {})
         for _, build in builders(names).values():
-            view = build(as_columns(records))
+            view = build(batch_from_records(records))
             xml.dom.minidom.parseString(view_svg_string(view))
         assert not made
         assert len(list(view.rows[0].bars)) == len(made) > 0  # whoever iterates pays
@@ -576,7 +560,7 @@ class TestColumnsAgainstTheRecordLoops:
             for i in range(_BATCH_BARS + 12)
         ]
         table = ThreadTable([ThreadEntry(0, 100, 5000, 0, 0, 0, "t")])
-        view = thread_activity_view(as_columns(records), table, str)
+        view = thread_activity_view(batch_from_records(records), table, str)
         svg = view_svg_string(view, window=(1_000, 1_250))
         assert svg.count("<path") == 1 and "<title>" not in svg
         assert svg.count("M") == 3
@@ -624,7 +608,7 @@ class TestRecordsAt:
     @settings(max_examples=60, deadline=None)
     @given(record_sets(), st.data())
     def test_equals_to_records_over_hand_built_groups(self, records, data):
-        batch = as_columns(records)
+        batch = batch_from_records(records)
         batch.add_column("tag", np.arange(batch.n, dtype=np.int64))
         want = batch.to_records()
         positions = data.draw(st.lists(st.integers(0, max(batch.n - 1, 0)), max_size=20))
@@ -636,7 +620,7 @@ class TestRecordsAt:
             IntervalRecord(MARKER, BeBits.COMPLETE, i, 5, 0, 0, i % 4, {"markerId": i})
             for i in range(1_000)
         ]
-        batch = as_columns(records)
+        batch = batch_from_records(records)
         built = []
 
         def counting(*args):

@@ -30,14 +30,16 @@ from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
 from repro.live.writer import _DoublingPreview
 from repro.query.columnar import (
-    batch_from_records, batch_from_rows, concat_batches, decode_frame_batch,
+    batch_from_records, concat_batches, decode_frame_batch,
     encode_frame_batch,
 )
+from repro.tracing.hooks import MPI_FN_IDS
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import PreviewBins
 from tests.test_framebuilder import streams
 
 PROFILE = standard_profile()
+SEND = IntervalType.for_mpi_fn(0)
 MASKS = (MASK_ALL_PER_NODE, MASK_ALL_MERGED)
 CORE = ("rectype", "start", "dura", "node", "cpu", "thread")
 
@@ -135,21 +137,16 @@ def test_encoders_agree_on_every_route(records, mask, rng):
 @settings(max_examples=60, deadline=None)
 @given(record_streams(), st.sampled_from(MASKS))
 def test_rows_encode_as_their_records_do(records, mask):
-    """convert's route: plain rows per type -> one batch -> bytes."""
-    rows, by_type = {}, {}
-    for r in records:
-        rows.setdefault(r.itype, []).append(
-            (r.bebits, r.start, r.duration, r.node, r.cpu, r.thread, r.extra)
-        )
-        by_type.setdefault(r.itype, []).append(r)
-    ordered = [r for of_type in by_type.values() for r in of_type]
-    batch = batch_from_rows(rows, PROFILE, mask)
-    blob = b"".join(reference(ordered, PROFILE, mask))
-    assert encode_frame_batch(batch, PROFILE, mask)[0] == blob
-    # Sorted the way convert sorts, the rows still carry their own extras.
+    """The reference convert's route: records in emission order -> one
+    batch, sorted the way convert sorts -> bytes."""
+    batch = batch_from_records(records)
+    assert encode_frame_batch(batch, PROFILE, mask)[0] == b"".join(
+        reference(records, PROFILE, mask)
+    )
+    # Sorted, the rows still carry their own extras.
     order = np.lexsort((batch.itype, batch.thread, batch.start, batch.end))
     assert encode_frame_batch(batch.take(order), PROFILE, mask)[0] == b"".join(
-        reference([ordered[i] for i in order.tolist()], PROFILE, mask)
+        reference([records[i] for i in order.tolist()], PROFILE, mask)
     )
 
 
@@ -254,19 +251,127 @@ def test_a_value_its_field_cannot_hold_is_an_error_never_a_wrap(name, value):
     core = dict(start=5, dura=5, node=1, cpu=1, thread=1)
     extra = {"peer": 1, "tag": 2, "msgSizeSent": 3, "seqno": 4, "localStart": 5}
     (core if name in core else extra)[name] = value
-    bad = (BeBits.COMPLETE, core["start"], core["dura"], core["node"], core["cpu"],
-           core["thread"], extra)
-    good = (BeBits.COMPLETE, 1, 1, 1, 1, 1, {})
-    record = IntervalRecord(send, *bad)
+    record = IntervalRecord(send, BeBits.COMPLETE, core["start"], core["dura"], core["node"],
+                            core["cpu"], core["thread"], extra)
+    good = IntervalRecord(send, BeBits.COMPLETE, 1, 1, 1, 1, 1, {})
     with pytest.raises((struct.error, OverflowError)) as per_field:
         record.encode_fields(PROFILE, MASK_ALL_MERGED)
     with pytest.raises(type(per_field.value)):
         record.encode(PROFILE, MASK_ALL_MERGED)
-    batch = batch_from_rows({send: [good, bad, good]}, PROFILE, MASK_ALL_MERGED)
-    with pytest.raises(type(per_field.value)):
-        encode_frame_batch(batch, PROFILE, MASK_ALL_MERGED)
-    with pytest.raises(type(per_field.value)):
-        encode_frame_batch(batch_from_records([record]), PROFILE, MASK_ALL_MERGED)
+    for records in ([good, record, good], [record]):
+        with pytest.raises(type(per_field.value)):
+            encode_frame_batch(batch_from_records(records), PROFILE, MASK_ALL_MERGED)
+
+
+WAITALL = IntervalType.for_mpi_fn(MPI_FN_IDS["MPI_Waitall"])
+
+
+@st.composite
+def _extra_value(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bool":
+        return draw(st.booleans())
+    if kind == "float":
+        return draw(st.floats(-1e6, 1e6))
+    if kind == "u64":
+        return draw(st.integers(1 << 63, (1 << 64) - 1))
+    return draw(st.integers(0, 1000))
+
+
+@st.composite
+def mixed_records(draw):
+    """Records of four types with extras that do not sit as one group per
+    type: each record takes its type's fields in order, in reverse (one
+    type under two key sets) or with one missing, the vector ``seqnos``
+    on the Waitall, and now and then a bool, a float, a u64 past int64 or
+    a time outside int64 — each list draws which of those it may hold."""
+    value_kinds = ["int"] * 6 + sorted(draw(st.sets(st.sampled_from(["bool", "float", "u64"]))))
+    time_kinds = ["int"] * 4 + sorted(
+        draw(st.sets(st.sampled_from(["past int64", "sum past int64", "negative"])))
+    )
+    records = []
+    for _ in range(draw(st.integers(1, 24))):
+        itype = draw(st.sampled_from([IntervalType.RUNNING, SEND, IntervalType.MARKER, WAITALL]))
+        names = [
+            PROFILE.field_name(fs) for fs in PROFILE.fields_for(itype, MASK_ALL_MERGED)
+            if PROFILE.field_name(fs) not in CORE
+        ]
+        keys = draw(st.sampled_from(["in order", "reversed", "one missing"]))
+        if keys == "reversed":
+            names.reverse()
+        elif keys == "one missing" and names:
+            names.pop(draw(st.integers(0, len(names) - 1)))
+        extra = {
+            name: draw(st.lists(st.integers(0, 1 << 32), max_size=3)) if name == "seqnos"
+            else draw(_extra_value(value_kinds))
+            for name in names
+        }
+        start, dura = draw(st.integers(0, 10**6)), draw(st.integers(0, 1000))
+        times = draw(st.sampled_from(time_kinds))
+        if times == "past int64":
+            start += 1 << 63
+        elif times == "sum past int64":
+            start, dura = (1 << 63) - 1 - dura // 2, dura + 1
+        elif times == "negative":
+            start = -1 - start
+        records.append(IntervalRecord(
+            itype, draw(st.sampled_from(list(BeBits))), start, dura,
+            draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3)), extra,
+        ))
+    return records
+
+
+def keyed(records):
+    """Records with each extra's key order and value types, which record
+    equality alone does not see."""
+    return [(r, [(k, type(v)) for k, v in r.extra.items()]) for r in records]
+
+
+def encodes_as_its_records(batch, records, mask):
+    """The batch encodes to the records' bytes, or fails as the first
+    record that cannot be encoded does."""
+    try:
+        want = b"".join(r.encode(PROFILE, mask) for r in records)
+    except Exception as error:  # whatever the per-record encoder raises
+        with pytest.raises(type(error)) as got:
+            encode_frame_batch(batch, PROFILE, mask)
+        assert str(got.value) == str(error)
+    else:
+        blob, sizes = encode_frame_batch(batch, PROFILE, mask)
+        assert blob == want
+        assert sizes.tolist() == [len(r.encode(PROFILE, mask)) for r in records]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_records(), st.sampled_from(MASKS), st.data())
+def test_a_batch_of_records_is_columns_that_give_them_back(records, mask, data):
+    batch = batch_from_records(records)
+    encodes_as_its_records(batch, records, mask)
+    assert keyed(batch.to_records()) == keyed(records)
+    # Joined to a decoded part (when the tail reads back), then cut and
+    # reordered, the rows still give back and encode as their records.
+    cut = data.draw(st.integers(0, len(records)), label="cut")
+    head, tail = records[:cut], records[cut:]
+    part = batch_from_records(tail)
+    try:
+        part = decode_frame_batch(
+            b"".join(r.encode(PROFILE, mask) for r in tail), PROFILE, mask
+        )
+        tail = part.to_records()
+    except (struct.error, OverflowError, TypeError):
+        pass  # the tail stays record-built
+    whole = concat_batches([batch_from_records(head), part])
+    expect = head + tail
+    assert keyed(whole.to_records()) == keyed(expect)
+    encodes_as_its_records(whole, expect, mask)
+    lo = data.draw(st.integers(0, len(expect)), label="lo")
+    hi = data.draw(st.integers(lo, len(expect)), label="hi")
+    assert keyed(whole.rows(lo, hi).to_records()) == keyed(expect[lo:hi])
+    encodes_as_its_records(whole.rows(lo, hi), expect[lo:hi], mask)
+    order = data.draw(st.permutations(range(len(expect))), label="order")
+    taken = whole.take(np.array(order, dtype=np.intp))
+    assert keyed(taken.to_records()) == keyed([expect[i] for i in order])
+    encodes_as_its_records(taken, [expect[i] for i in order], mask)
 
 
 # ----------------------------------------------------------- (b) frame cuts
