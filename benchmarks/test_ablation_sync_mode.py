@@ -21,6 +21,7 @@ from benchmarks.conftest import report
 from repro.clocksync.adjust import ClockAdjustment
 from repro.core.reader import IntervalReader
 from repro.core.records import IntervalRecord, IntervalType
+from repro.query.columnar import batch_from_records
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
 from repro.viz.arrows import match_arrows
@@ -39,7 +40,7 @@ def unadjusted_records(paths, profile):
 
 def causality(records) -> tuple[int, int, float]:
     """(arrows, violations, min latency in us) over matched messages."""
-    arrows = match_arrows(records)
+    arrows = match_arrows(batch_from_records(records))
     violations = sum(1 for a in arrows if a.recv_time < a.send_time)
     min_latency = min(
         ((a.recv_time - a.send_time) for a in arrows), default=0

@@ -16,6 +16,7 @@ import numpy as np
 
 from benchmarks.conftest import report
 from repro.core.reader import IntervalReader
+from repro.query.columnar import batch_from_records
 from repro.utils.stats import predefined_tables
 from repro.viz.statviewer import render_binned_table_svg
 
@@ -24,9 +25,10 @@ def test_figure6_statistics_table(benchmark, flash_pipeline, profile):
     reader = IntervalReader(flash_pipeline["merge"].merged_path, profile)
     records = list(reader.intervals())
     total_s = reader.totals()[2] / 1e9
+    batches = [batch_from_records(records)]
 
     tables = benchmark(
-        lambda: predefined_tables(records, total_seconds=total_s)
+        lambda: predefined_tables(batches, total_seconds=total_s)
     )
     binned = next(t for t in tables if t.name == "interesting_by_node_bin")
     out_svg = render_binned_table_svg(
@@ -77,7 +79,8 @@ def test_paper_example_program(benchmark, flash_pipeline, profile):
           x=("node", node) x=("processor", cpu)
           y=("avg(duration)", dura, avg)
     """
-    (table,) = benchmark(lambda: generate_tables(records, program))
+    batches = [batch_from_records(records)]
+    (table,) = benchmark(lambda: generate_tables(batches, program))
     assert table.name == "sample"
     assert table.x_labels == ("node", "processor")
     assert len(table.rows) >= 4  # at least one row per node

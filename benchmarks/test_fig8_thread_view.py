@@ -21,9 +21,10 @@ from repro.viz.views import render_view_svg
 def test_figure8_thread_activity(benchmark, sppm_pipeline):
     viewer = Jumpshot(sppm_pipeline["merge"].slog_path)
     records = viewer.slog.records()
+    batch = viewer.batch(viewer.slog.frames)
 
     def build_and_render():
-        view = viewer.build_view(records, "thread")
+        view = viewer.build_view(batch, "thread")
         return view, render_view_svg(
             view, sppm_pipeline["out"] / "figure8.svg",
             ticks_per_sec=viewer.slog.ticks_per_sec,

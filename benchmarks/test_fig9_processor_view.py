@@ -24,9 +24,10 @@ from repro.viz.views import render_view_svg
 def test_figure9_processor_activity(benchmark, sppm_pipeline):
     viewer = Jumpshot(sppm_pipeline["merge"].slog_path)
     records = [r for r in viewer.slog.records() if r.duration > 0]
+    batch = viewer.batch(viewer.slog.frames)
 
     def build_and_render():
-        view = viewer.build_view(viewer.slog.records(), "processor")
+        view = viewer.build_view(batch, "processor")
         return view, render_view_svg(
             view, sppm_pipeline["out"] / "figure9.svg",
             ticks_per_sec=viewer.slog.ticks_per_sec,

@@ -23,6 +23,7 @@ from repro.core import standard_profile
 from repro.query import build_index, open_trace, split_thread_key
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
+from repro.query.columnar import concat_batches
 from repro.utils.stats import interval_records
 from repro.viz.arrows import match_arrows
 from repro.workloads import run_stencil
@@ -50,14 +51,14 @@ def main(out_dir: str = "blocking-out") -> None:
     run = run_stencil(out / "raw", StencilConfig(iterations=8))
     conv = convert_traces(run.raw_paths, out / "intervals")
     merged = merge_interval_files(conv.interval_paths, out / "merged.ute", profile)
-    records = list(interval_records([merged.merged_path], profile))
+    batch = concat_batches(list(interval_records([merged.merged_path], profile)))
     with open_trace(merged.merged_path, profile) as handle:
         util = build_index(handle).utilization
         markers, node_cpus = handle.markers, handle.node_cpus
     wall = util.t_max - util.t_min
 
     print("=== call profile (worst blockers first) ===")
-    rows = call_profile(records, profile, markers=markers)
+    rows = call_profile(batch, profile, markers=markers)
     print(format_call_profile(rows))
 
     print("\n=== thread utilization ===")
@@ -71,7 +72,7 @@ def main(out_dir: str = "blocking-out") -> None:
         print_lane(f"node {node} cpu {cpu}:   ", busy, wall)
 
     print("\n=== messages ===")
-    arrows = match_arrows(records)
+    arrows = match_arrows(batch)
     stats = message_stats(arrows)
     print(f"  {stats.count} messages, {stats.total_bytes >> 10} KiB total, "
           f"latency min/median/max = {stats.min_latency_ns / 1e3:.1f} / "

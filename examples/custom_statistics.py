@@ -16,6 +16,7 @@ from repro.core import IntervalReader, standard_profile
 from repro.core.records import IntervalType
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
+from repro.query.columnar import batch_from_records
 from repro.utils.stats import generate_tables
 from repro.workloads import run_stencil
 from repro.workloads.stencil import StencilConfig
@@ -60,13 +61,13 @@ def main(out_dir: str = "stats-out") -> None:
     print(f"{len(records)} records over {total_s:.4f}s\n")
 
     print("--- the paper's own example program ---")
-    (table,) = generate_tables(records, PAPER_EXAMPLE)
+    (table,) = generate_tables([batch_from_records(records)], PAPER_EXAMPLE)
     print(table.to_tsv())
 
     print("--- custom tables ---")
     program = CUSTOM_PROGRAM.replace("bin(start, 0, 1, 20)",
                                      f"bin(start, 0, {total_s!r}, 20)")
-    for table in generate_tables(records, program):
+    for table in generate_tables([batch_from_records(records)], program):
         path = table.write(out / f"{table.name}.tsv")
         print(f"[{table.name}] -> {path}")
         print(table.to_tsv())

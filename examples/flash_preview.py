@@ -20,6 +20,7 @@ from pathlib import Path
 from repro.core import IntervalReader, standard_profile
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
+from repro.query.columnar import batch_from_records
 from repro.utils.stats import predefined_tables
 from repro.viz.jumpshot import Jumpshot
 from repro.viz.statviewer import render_binned_table_svg, render_table_svg
@@ -66,7 +67,7 @@ def main(out_dir: str = "flash-out") -> None:
     reader = IntervalReader(out / "merged.ute", profile)
     records = list(reader.intervals())
     total_s = reader.totals()[2] / 1e9
-    tables = predefined_tables(records, total_seconds=total_s)
+    tables = predefined_tables([batch_from_records(records)], total_seconds=total_s)
     for table in tables:
         print(f"stats: {table.write(out / (table.name + '.tsv'))}")
     binned = next(t for t in tables if t.name == "interesting_by_node_bin")

@@ -23,6 +23,7 @@ from repro.core import IntervalReader, standard_profile
 from repro.core.records import BeBits, IntervalType
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
+from repro.query.columnar import batch_from_records
 from repro.utils.stats import generate_tables
 from repro.viz.ansi import render_view_ansi
 from repro.viz.jumpshot import Jumpshot
@@ -82,13 +83,13 @@ def main(out_dir: str = "io-out") -> None:
               + ", ".join(f"{v:.1f}" for v in values))
 
     print("\nstatistics over the extension fields:")
-    for table in generate_tables(records, IO_TABLES):
+    for table in generate_tables([batch_from_records(records)], IO_TABLES):
         print(f"[{table.name}]")
         print(table.to_tsv())
 
     viewer = Jumpshot(out / "run.slog")
     print(f"thread view: {viewer.render_whole_run(out / 'io_thread_view.svg')}")
-    view = viewer.build_view(viewer.slog.records(), "thread")
+    view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
     print()
     print(render_view_ansi(view, columns=100))
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.core import IntervalReader, standard_profile
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
+from repro.query.columnar import batch_from_records
 from repro.utils.stats import predefined_tables
 from repro.viz.ansi import render_view_ansi
 from repro.viz.jumpshot import Jumpshot
@@ -49,7 +50,7 @@ def main(out_dir: str = "quickstart-out") -> None:
     reader = IntervalReader(out / "merged.ute", profile)
     records = list(reader.intervals())
     total_s = reader.totals()[2] / 1e9
-    for table in predefined_tables(records, total_seconds=total_s):
+    for table in predefined_tables([batch_from_records(records)], total_seconds=total_s):
         path = table.write(out / f"{table.name}.tsv")
         print(f"  stats table: {path}")
 
@@ -59,7 +60,7 @@ def main(out_dir: str = "quickstart-out") -> None:
     print(f"  view:    {viewer.render_whole_run(out / 'thread_view.svg')}")
 
     # And a terminal rendering, because why not.
-    view = viewer.build_view(viewer.slog.records(), "thread")
+    view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
     print()
     print(render_view_ansi(view, columns=90))
     print(f"\n{len(view.arrows)} message arrows matched by sequence number")

@@ -69,7 +69,7 @@ def main(out_dir: str = "sppm-out") -> None:
 
     # Figure 8 in the terminal.
     print()
-    view = viewer.build_view(viewer.slog.records(), "thread")
+    view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
     print(render_view_ansi(view, columns=90))
 
 

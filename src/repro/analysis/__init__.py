@@ -3,15 +3,18 @@
 Paper section 4 opens: "multiple time-space diagrams and
 performance-analysis applications may be derived from the same interval
 trace file".  This subpackage is that second half — analyses built purely
-on the records the query layer hands out (no access to the simulator or
-raw traces).  It opens no scan of its own: records come from
+on the rows the query layer hands out (no access to the simulator or raw
+traces).  It opens no scan of its own: every analysis takes one
+:class:`~repro.query.columnar.FrameBatch` — from
 :func:`repro.utils.stats.interval_records` (or a
 :func:`~repro.query.scan.open_scan` for thread, node or type predicates),
-as record objects or as :class:`~repro.query.columnar.FrameBatch` columns.
+joined by :func:`~repro.query.columnar.concat_batches` — and folds its
+columns without building a record object.
 
 * :mod:`repro.analysis.spans` — reconstruct logical *state spans* from
-  bebits pieces: each MPI call / marker region / I/O operation as one span
-  with its wall time, on-CPU time, and blocked time.
+  bebits pieces, as group-bys over the batch's columns: each MPI call /
+  marker region / I/O operation as one span with its wall time, on-CPU
+  time, and blocked time.
 * :mod:`repro.analysis.blocking` — the call profile: per state type, how
   many calls, how much wall time, and how much of it was spent blocked
   (off-CPU) — the number that actually matters for a de-scheduled MPI_Recv.

@@ -10,12 +10,15 @@ dispatch-aware tracing exists to answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.analysis.spans import StateSpan, state_spans
+import numpy as np
+
+from repro.analysis.spans import exact_sums, span_columns
 from repro.core.profilefmt import Profile
-from repro.core.records import IntervalRecord, IntervalType
+from repro.core.records import IntervalType
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch
+from repro.query.engine import group_order
 
 
 @dataclass(frozen=True)
@@ -47,31 +50,40 @@ class CallProfileRow:
 
 
 def call_profile(
-    records: Iterable[IntervalRecord],
+    batch: FrameBatch,
     profile: Profile,
     *,
     markers: dict[int, str] | None = None,
     include_running: bool = False,
 ) -> list[CallProfileRow]:
-    """Build the call profile, rows sorted by blocked time descending.
+    """Build the call profile, rows sorted by blocked time descending
+    (ties in the order their state first closed).
 
     Marker regions profile per *marker string* (one row per region name),
-    other types per interval type.
+    other types per interval type: the span columns of
+    :func:`~repro.analysis.spans.span_columns` grouped on (type, marker id).
     """
     markers = markers or {}
-    acc: dict[tuple, dict] = {}
-    for span in state_spans(records, include_running=include_running):
-        key = (span.itype, span.marker_id)
-        row = acc.setdefault(
-            key, {"calls": 0, "wall": 0, "cpu": 0, "max": 0, "pieces": 0}
-        )
-        row["calls"] += 1
-        row["wall"] += span.wall
-        row["cpu"] += span.on_cpu
-        row["max"] = max(row["max"], span.wall)
-        row["pieces"] += span.pieces
-    out = []
-    for (itype, marker_id), row in acc.items():
+    spans = span_columns(batch, include_running=include_running)
+    n = len(spans.itype)
+    if not n:
+        return []
+    wall = exact_sums(spans.end - spans.begin, n)
+    order, cut = group_order([spans.itype, spans.marker_id])
+    first = np.minimum.reduceat(order, cut)
+    # Groups in the order their first span came out.
+    by_first = np.argsort(first)
+    columns = [
+        spans.itype[first], spans.marker_id[first], np.diff(np.append(cut, n)),
+        np.add.reduceat(wall[order], cut),
+        np.add.reduceat(exact_sums(spans.on_cpu, n)[order], cut),
+        np.maximum.reduceat(wall[order], cut),
+        np.add.reduceat(spans.pieces[order], cut),
+    ]
+    rows = []
+    for itype, marker_id, calls, wall_ns, cpu_ns, longest, pieces in zip(
+        *(col[by_first].tolist() for col in columns)
+    ):
         if itype == IntervalType.MARKER:
             name = markers.get(marker_id, f"marker-{marker_id}")
         else:
@@ -79,19 +91,19 @@ def call_profile(
                 name = profile.record_name(itype)
             except FormatError:
                 name = f"type{itype}"
-        out.append(
+        rows.append(
             CallProfileRow(
                 itype=itype,
                 name=name,
-                calls=row["calls"],
-                wall_ns=row["wall"],
-                on_cpu_ns=row["cpu"],
-                max_wall_ns=row["max"],
-                pieces=row["pieces"],
+                calls=calls,
+                wall_ns=wall_ns,
+                on_cpu_ns=cpu_ns,
+                max_wall_ns=max(0, longest),
+                pieces=pieces,
             )
         )
-    out.sort(key=lambda r: r.blocked_ns, reverse=True)
-    return out
+    rows.sort(key=lambda r: r.blocked_ns, reverse=True)
+    return rows
 
 
 def format_call_profile(rows: list[CallProfileRow]) -> str:

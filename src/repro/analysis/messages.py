@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.records import IntervalRecord
-from repro.viz.arrows import MessageArrow, match_arrows
+if TYPE_CHECKING:  # the arrows arrive matched: the viewer is not imported
+    from repro.viz.arrows import MessageArrow
 
 
 @dataclass(frozen=True)
@@ -27,21 +27,13 @@ class MessageStats:
         return cls(0, 0, 0, 0.0, 0, 0)
 
 
-def message_stats(
-    source: Iterable[IntervalRecord] | list[MessageArrow],
-) -> MessageStats:
-    """Summarize matched messages (records are matched first if needed).
+def message_stats(arrows: list[MessageArrow]) -> MessageStats:
+    """Summarize matched messages (:func:`~repro.viz.arrows.match_arrows`).
 
     Latency here is *visible* latency: send-interval start to
     receive-interval end, which includes receiver-side blocking — the
     user-facing number a time-space arrow depicts.
     """
-    arrows: list[MessageArrow]
-    items = list(source)
-    if items and isinstance(items[0], MessageArrow):
-        arrows = items  # type: ignore[assignment]
-    else:
-        arrows = match_arrows(items)  # type: ignore[arg-type]
     if not arrows:
         return MessageStats.empty()
     latencies = np.array([a.recv_time - a.send_time for a in arrows])

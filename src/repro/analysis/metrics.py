@@ -8,7 +8,7 @@ per bin, so the *timeline* of the problem is visible.
 
 Both read a :class:`~repro.query.columnar.FrameBatch` — the query layer's
 table, e.g. ``concat_batches(list(interval_records([path], profile,
-window=w).batches()))``, refined with ``batch.where(mask)`` — and
+window=w)))``, refined with ``batch.where(mask)`` — and
 attribute each record to a bin by **overlap**: a record contributes to
 every bin it intersects, weighted by the intersection length — no edge
 artifacts from assigning whole records to the bin of their start time.

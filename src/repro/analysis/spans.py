@@ -2,7 +2,7 @@
 
 The convert utility splits an interrupted call into begin / continuation /
 end pieces; this module inverts that: it folds the pieces of each state
-back into one :class:`StateSpan` carrying
+back into one span carrying
 
 * ``begin`` / ``end`` — the state's wall-clock extent,
 * ``on_cpu`` — the summed piece durations (time actually executing),
@@ -10,14 +10,28 @@ back into one :class:`StateSpan` carrying
 
 which is exactly the decomposition a blocked MPI_Recv needs (its pieces
 are short; its wall span is long).
+
+The fold is group-bys over one :class:`~repro.query.columnar.FrameBatch`:
+rows sorted stably by (node, thread, type, marker id), a segment starting
+at a key's first row, at a ``BEGIN`` and after an ``END``, one
+``reduceat`` per column.  A ``COMPLETE`` row is its own span; a ``BEGIN``
+over an open state drops it unreported; a ``CONTINUATION`` or ``END``
+with no open state (a window cut its ``BEGIN``) opens one, best effort;
+zero-duration pseudo-intervals are pieces like any other.  Spans come out
+in the row order of their closing row, then the states never closed, in
+the order their keys were (last) opened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
-from repro.core.records import BeBits, IntervalRecord, IntervalType
+import numpy as np
+
+from repro.core.records import BeBits, IntervalType
+from repro.query.columnar import FrameBatch
+from repro.query.engine import group_order
 
 
 @dataclass(frozen=True)
@@ -44,85 +58,95 @@ class StateSpan:
         return self.wall - self.on_cpu
 
 
-def _key(record: IntervalRecord) -> tuple:
-    marker = (
-        record.extra.get("markerId", 0)
-        if record.itype == IntervalType.MARKER
-        else 0
+class SpanColumns(NamedTuple):
+    """The state spans of a batch as parallel arrays, in emission order."""
+
+    itype: np.ndarray
+    marker_id: np.ndarray
+    node: np.ndarray
+    thread: np.ndarray
+    begin: np.ndarray
+    end: np.ndarray
+    on_cpu: np.ndarray
+    pieces: np.ndarray
+
+
+def exact_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """``values`` in a dtype whose sums of up to ``n`` terms are exact: the
+    array itself, or Python ints where int64 could overflow."""
+    if values.dtype == object or not len(values):
+        return values
+    peak = max(abs(int(values.min())), abs(int(values.max())))
+    return values.astype(object) if peak * n >= 1 << 63 else values
+
+
+def folded_rows(batch: FrameBatch, *, include_running: bool = False) -> np.ndarray:
+    """The mask of the rows the span fold reads: all but clock pairs, and
+    but ``RUNNING`` rows unless ``include_running``."""
+    keep = batch.itype != IntervalType.CLOCKPAIR
+    if not include_running:
+        keep &= batch.itype != IntervalType.RUNNING
+    return keep
+
+
+def span_columns(batch: FrameBatch, *, include_running: bool = False) -> SpanColumns:
+    """Fold the batch's pieces into state spans (see the module docstring)
+    over its :func:`folded_rows`."""
+    batch = batch.where(folded_rows(batch, include_running=include_running))
+    n = batch.n
+    marker = np.where(batch.itype == IntervalType.MARKER, batch.extra_values("markerId"), 0)
+    bebits, node, thread, itype = batch.bebits, batch.node, batch.thread, batch.itype
+    start, end = batch.start, batch.end
+    dura = exact_sums(batch.dura, n)
+
+    # Pieces of a call: each key's rows together, in stream order.
+    pieced = np.flatnonzero(bebits != BeBits.COMPLETE)
+    by_key, bounds = group_order(
+        [col[pieced] for col in (node, thread, itype, marker)], kind="stable"
     )
-    return (record.node, record.thread, record.itype, marker)
+    order = pieced[by_key]
+    be = bebits[order]
+    new_key = np.zeros(len(order), dtype=bool)
+    new_key[bounds] = True
+    after_end = np.zeros(len(order), dtype=bool)
+    after_end[1:] = (be[:-1] == BeBits.END) & ~new_key[1:]
+    opened = new_key | after_end  # the key enters the open set here
+    cut = np.flatnonzero(opened | (be == BeBits.BEGIN))
+    last = np.append(cut[1:], len(order))[: len(cut)] - 1
+    closed = be[last] == BeBits.END
+    # An unclosed segment followed by its own key's BEGIN is dropped; the
+    # key's last one is reported after every closed span, in the order
+    # the key was opened (a BEGIN over an open state keeps that place).
+    final = np.append(new_key[cut[1:]], True)[: len(cut)]
+    reported = closed | final
+    opening = order[np.flatnonzero(opened)[np.cumsum(opened)[cut] - 1]]
+    place = np.where(closed, order[last], n + opening)
+
+    ends = np.maximum.reduceat(end[order], cut)[reported]
+    on_cpu = np.add.reduceat(dura[order], cut)[reported]
+    pieces = (last - cut + 1)[reported]
+    first = order[cut[reported]]
+
+    complete = np.flatnonzero(bebits == BeBits.COMPLETE)
+    emit = np.argsort(np.concatenate([complete, place[reported]]), kind="stable")
+
+    def spans(values: np.ndarray, segment: np.ndarray) -> np.ndarray:
+        return np.concatenate([values[complete], segment])[emit]
+
+    return SpanColumns(
+        itype=spans(itype, itype[first]),
+        marker_id=spans(marker, marker[first]),
+        node=spans(node, node[first]),
+        thread=spans(thread, thread[first]),
+        begin=spans(start, start[first]),
+        end=spans(end, ends),
+        on_cpu=spans(dura, on_cpu),
+        pieces=spans(np.ones(n, dtype=np.int64), pieces.astype(np.int64)),
+    )
 
 
-def state_spans(
-    records: Iterable[IntervalRecord],
-    *,
-    include_running: bool = False,
-) -> Iterator[StateSpan]:
-    """Fold bebits pieces into state spans, in span-end order per thread.
-
-    Zero-duration continuation records (the merge's pseudo-intervals) fold
-    into their span without affecting its times.  Records must be a
-    complete stream (don't window it mid-state) in end-time order, as
-    interval files guarantee.
-    """
-    open_spans: dict[tuple, dict] = {}
-    for record in records:
-        if record.itype == IntervalType.CLOCKPAIR:
-            continue
-        if record.itype == IntervalType.RUNNING and not include_running:
-            continue
-        key = _key(record)
-        if record.bebits is BeBits.COMPLETE:
-            yield StateSpan(
-                itype=record.itype,
-                marker_id=key[3],
-                node=record.node,
-                thread=record.thread,
-                begin=record.start,
-                end=record.end,
-                on_cpu=record.duration,
-                pieces=1,
-            )
-            continue
-        if record.bebits is BeBits.BEGIN:
-            open_spans[key] = {
-                "begin": record.start,
-                "end": record.end,
-                "on_cpu": record.duration,
-                "pieces": 1,
-            }
-            continue
-        state = open_spans.get(key)
-        if state is None:
-            # Continuation/end for a state whose begin is outside this
-            # stream (windowed input): open it here, best effort.
-            state = {"begin": record.start, "end": record.end, "on_cpu": 0, "pieces": 0}
-            open_spans[key] = state
-        state["end"] = max(state["end"], record.end)
-        state["on_cpu"] += record.duration
-        state["pieces"] += 1
-        if record.bebits is BeBits.END:
-            del open_spans[key]
-            yield StateSpan(
-                itype=record.itype,
-                marker_id=key[3],
-                node=record.node,
-                thread=record.thread,
-                begin=state["begin"],
-                end=state["end"],
-                on_cpu=state["on_cpu"],
-                pieces=state["pieces"],
-            )
-    # States never closed (trace cut mid-call): emit what we know.
-    for key, state in open_spans.items():
-        node, thread, itype, marker = key
-        yield StateSpan(
-            itype=itype,
-            marker_id=marker,
-            node=node,
-            thread=thread,
-            begin=state["begin"],
-            end=state["end"],
-            on_cpu=state["on_cpu"],
-            pieces=state["pieces"],
-        )
+def state_spans(batch: FrameBatch, *, include_running: bool = False) -> Iterator[StateSpan]:
+    """The spans of :func:`span_columns`, one :class:`StateSpan` each."""
+    cols = span_columns(batch, include_running=include_running)
+    for values in zip(*(col.tolist() for col in cols)):
+        yield StateSpan(*values)

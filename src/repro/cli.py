@@ -521,7 +521,6 @@ def main_stats(args) -> int:
     if args.server is not None:
         return _remote_stats(args)
 
-    from repro.query.columnar import BatchRecords
     from repro.utils.stats import (
         generate_tables,
         interval_records,
@@ -537,13 +536,10 @@ def main_stats(args) -> int:
     io_log: dict[str, dict] = {}
     # One read of the inputs, held as batches: the record count and the
     # run's end come from their columns, the tables from one pass over them.
-    batches = list(
-        interval_records(args.intervals, profile, window=window, io_log=io_log).batches()
-    )
-    records = BatchRecords(lambda: batches)
+    batches = list(interval_records(args.intervals, profile, window=window, io_log=io_log))
     if args.program:
         tables = generate_tables(
-            records,
+            batches,
             Path(args.program).read_text(),
             ticks_per_sec=ticks_per_sec,
             thread_table=thread_table,
@@ -551,7 +547,7 @@ def main_stats(args) -> int:
     else:
         total = max((int(b.end.max()) for b in batches), default=1) / ticks_per_sec
         tables = predefined_tables(
-            records,
+            batches,
             total_seconds=total,
             ticks_per_sec=ticks_per_sec,
             thread_table=thread_table,
@@ -678,18 +674,25 @@ def main_preview(args) -> int:
 def main_profile(args) -> int:
     """Print the blocking call profile of interval files."""
     from repro.analysis.blocking import call_profile, format_call_profile
+    from repro.analysis.spans import folded_rows
     from repro.query import open_scan
+    from repro.query.columnar import concat_batches
 
     window = _window_arg(args)
     profile = _profile_for(args)
-    records = []
+    parts = []
     markers: dict[int, str] = {}
     for path in args.intervals:
         with open_scan(path, profile, window=window) as s:
             markers.update(s.handle.markers)
-            records.extend(s.records())
+            # Join only the rows the fold reads: the joined copy is the peak.
+            parts.extend(
+                batch.where(mask & folded_rows(batch, include_running=args.include_running))
+                for batch, mask in s.batches()
+            )
     rows = call_profile(
-        records, profile, markers=markers, include_running=args.include_running
+        concat_batches(parts), profile, markers=markers,
+        include_running=args.include_running,
     )
     print(format_call_profile(rows))
     return 0

@@ -401,7 +401,10 @@ def _check_dump_vs_query(report: OracleReport, path: Path, profile) -> None:
     dump_rows = _dump_window_records(path, profile, window)
     # index=None: the forced full scan, whatever sidecar sits next to the file.
     with open_scan(path, profile, window=window, index=None) as s:
-        query_rows = [_interval_fields(r) for r in s.records()]
+        query_rows = [
+            _interval_fields(r)
+            for batch, mask in s.batches() for r in batch.where(mask).to_records()
+        ]
     config = DiffConfig()
     diff = DiffReport(
         f"{path}[dump]", f"{path}[query]", report.kind, report.kind, config
@@ -438,15 +441,17 @@ def _check_stats_parity(report: OracleReport, path: Path, profile) -> None:
 
     report.checks.append("stats_parity")
     ticks_per_sec, thread_table = source_metadata([path], profile)
-    records = interval_records([path], profile)
-    end = max((int(b.end.max()) for b in records.batches()), default=1)
+    batches = list(interval_records([path], profile))
+    end = max((int(b.end.max()) for b in batches), default=1)
     programs = {"oracle": ORACLE_PROGRAM}
     if end > 0:
         programs["predefined"] = predefined_program(end / ticks_per_sec, comm=True)
     kwargs = {"ticks_per_sec": ticks_per_sec, "thread_table": thread_table}
     for name, program in programs.items():
-        columnar = _tables_outcome(generate_tables, records, program, **kwargs)
-        reference = _tables_outcome(reference_tables, list(records), program, **kwargs)
+        columnar = _tables_outcome(generate_tables, batches, program, **kwargs)
+        reference = _tables_outcome(
+            reference_tables, [r for b in batches for r in b.to_records()], program, **kwargs
+        )
         if columnar != reference:
             report.add(
                 Finding(
@@ -468,13 +473,12 @@ def _check_stats_vs_serve(report: OracleReport, path: Path, profile) -> None:
 
     report.checks.append("stats_vs_serve")
     ticks_per_sec, thread_table = source_metadata([path], profile)
-    records = interval_records([path], profile)
     local = {
         t.name: [
             list(k) + list(t.rows[k]) for k in sorted(t.rows)
         ]
         for t in generate_tables(
-            records,
+            interval_records([path], profile),
             ORACLE_PROGRAM,
             ticks_per_sec=ticks_per_sec,
             thread_table=thread_table,

@@ -176,14 +176,13 @@ def iter_chrome_chunks(
     for frame in handle.frames:
         if lock is not None:
             with lock:
-                records = handle.read_frame(frame.ordinal)
+                batch = handle.read_frame_batch(frame.ordinal)
         else:
-            records = handle.read_frame(frame.ordinal)
+            batch = handle.read_frame_batch(frame.ordinal)
+        batch = batch.where((batch.bebits != BeBits.CONTINUATION) | (batch.dura != 0))
+        flows.observe(batch)
         parts = []
-        for record in records:
-            if record.is_pseudo:
-                continue
-            flows.observe(record)
+        for record in batch.to_records():
             event = _x_event(record, profile, markers, ticks_per_sec)
             parts.append(("" if first else ",\n") + json.dumps(event))
             first = False

@@ -21,17 +21,12 @@ batches (:mod:`repro.query.columnar`); the record-at-a-time
 ``ute-serve`` (``/api/query``, ``/api/stats``) all read through one
 :class:`~repro.query.scan.Scan` (:mod:`repro.query.scan`): resolve the
 index, open, plan, run, account.  :mod:`repro.analysis` opens no scan of
-its own; it takes the records and batches these hand out.
+its own; it takes the batches these hand out.
 """
 
-from repro.query.columnar import (
-    FrameBatch,
-    batch_from_records,
-    decode_frame_batch,
-    planned_batch_records,
-)
+from repro.query.columnar import FrameBatch, batch_from_records, decode_frame_batch
 from repro.core.windows import window_to_ticks
-from repro.query.engine import ExecStats, QueryResult, execute
+from repro.query.engine import ExecStats, QueryResult, execute, planned_batch_records
 from repro.query.indexfile import (
     SIDECAR_SUFFIX,
     FrameSummary,

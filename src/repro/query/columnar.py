@@ -35,11 +35,12 @@ vectorized predicate masks (:meth:`FrameBatch.match`), int64 core columns
 (:meth:`FrameBatch.core_array`), Python-value columns for projection
 (:meth:`FrameBatch.column_values`), and reconstruction of the equivalent
 :class:`~repro.core.records.IntervalRecord` objects
-(:meth:`FrameBatch.to_records`) for consumers that still want records.
-A scan's matching rows travel as :class:`BatchRecords`
-(:func:`planned_batch_records`): records when iterated, batches through
-``batches()``, so column consumers (the statistics tables) never build a
-record.
+(:meth:`FrameBatch.to_records`) for the edges that want record objects
+(the Figure-5 reader API, ``ute-dump``, the interop exporters).  A scan's
+matching rows travel as batches
+(:func:`~repro.query.engine.planned_batch_records`), and every analysis
+above it — statistics tables, spans and the call profile, message arrows,
+views — reads their columns without building a record.
 
 The write path runs the same machinery backwards.  Every frame builder
 input is a batch — rows are selected, reordered and joined as columns
@@ -53,7 +54,7 @@ offsets; rows no column can prove take the per-record encoder.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -62,14 +63,12 @@ from repro.core.records import BeBits, IntervalRecord
 from repro.errors import FormatError
 
 __all__ = [
-    "BatchRecords",
     "FrameBatch",
     "batch_from_records",
     "concat_batches",
     "decode_frame_batch",
     "encode_frame_batch",
     "pack_keys",
-    "planned_batch_records",
 ]
 
 #: The int64 columns every batch carries.
@@ -162,6 +161,19 @@ class FrameBatch:
             out = np.zeros(self.n, dtype=np.int64)
         return out, None if present.all() else present
 
+    def extra_values(self, name: str) -> np.ndarray:
+        """One extra field over every row, 0 where a row lacks it: the
+        values of :meth:`extra_array`, or, where no one numeric dtype holds
+        them, the Python values in an object array."""
+        got = self.extra_array(name)
+        if got is not None:
+            return got[0]
+        out = np.zeros(self.n, dtype=object)
+        for i, v in enumerate(self.extra_column(name)):
+            if v is not None:
+                out[i] = v
+        return out
+
     def column_values(self, name: str) -> list:
         """Any projected column as Python values, matching
         :func:`repro.query.model.record_value` exactly."""
@@ -232,13 +244,6 @@ class FrameBatch:
             )
             for i in range(self.n)
         ]
-
-    def records_at(self, positions: Sequence[int] | np.ndarray) -> list[IntervalRecord]:
-        """Records at the given frame positions (e.g. a match mask's
-        ``nonzero`` indices); only those rows are materialised."""
-        rows, at = np.unique(np.asarray(positions, dtype=np.intp), return_inverse=True)
-        records = self.take(rows).to_records()
-        return [records[i] for i in at.tolist()]
 
     # ---------------------------------------------------------- write path
 
@@ -745,49 +750,3 @@ def _holds(target: np.dtype, values: np.ndarray, bounds: tuple[int, int] | None)
         bounds = (int(values.min()), int(values.max()))
     info = np.iinfo(target)
     return info.min <= bounds[0] and bounds[1] <= info.max
-
-
-class BatchRecords:
-    """Records carried as frame batches: iterating yields the records (each
-    batch materialized in turn), :meth:`batches` the batches themselves, for
-    consumers that work on columns.  ``source`` is called once per pass and
-    returns that pass's batches."""
-
-    __slots__ = ("_source",)
-
-    def __init__(self, source: Callable[[], Iterable[FrameBatch]]) -> None:
-        self._source = source
-
-    def batches(self) -> Iterator[FrameBatch]:
-        return iter(self._source())
-
-    def __iter__(self) -> Iterator[IntervalRecord]:
-        for batch in self.batches():
-            yield from batch.to_records()
-
-    def where(self, keep: Callable[[FrameBatch], np.ndarray]) -> "BatchRecords":
-        """The rows ``keep(batch)`` marks in each batch; batches left empty
-        are dropped."""
-        def kept() -> Iterator[FrameBatch]:
-            for batch in self.batches():
-                batch = batch.where(keep(batch))
-                if batch.n:
-                    yield batch
-
-        return BatchRecords(kept)
-
-
-def planned_batch_records(handle, query, plan) -> BatchRecords:
-    """Records of the planned frames that pass the query's predicates: one
-    vectorized predicate pass per frame, each frame's matching rows one
-    batch — the record stream of every product path that wants objects,
-    and the batch stream of those that work on columns."""
-
-    def matching() -> Iterator[FrameBatch]:
-        for ordinal in plan.frames:
-            batch = handle.read_frame_batch(ordinal)
-            mask = batch.match(query)
-            if mask.any():
-                yield batch.where(mask)
-
-    return BatchRecords(matching)

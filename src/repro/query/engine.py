@@ -208,6 +208,14 @@ def matched_batches(
             yield batch, mask
 
 
+def planned_batch_records(handle: TraceHandle, query: Query, plan: QueryPlan) -> Iterator[Any]:
+    """The rows of the planned frames that pass the query's predicates, one
+    batch per frame with a match (:meth:`FrameBatch.where` of
+    :func:`matched_batches`)."""
+    for batch, mask in matched_batches(handle, query, plan):
+        yield batch.where(mask)
+
+
 def _positions(batch, mask: np.ndarray) -> range | list[int]:
     """Positions selected by a (non-empty) predicate mask."""
     return range(batch.n) if mask.all() else np.nonzero(mask)[0].tolist()
@@ -232,19 +240,24 @@ def _columnar_raw(
 _GROUP_FLUSH_ROWS = 1 << 18
 
 
-def _group_order(cols: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(order, bounds) grouping rows with equal key tuples contiguously.
+def group_order(
+    cols: list[np.ndarray], kind: str = "quicksort"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(order, bounds) grouping rows with equal key tuples contiguously,
+    groups in key order.
 
     The key columns are packed into one int64 per row when their value
     ranges fit (:func:`~repro.query.columnar.pack_keys`: one cheap integer
-    sort, unstable — order within a group is irrelevant here), falling back
-    to a lexsort otherwise.  ``bounds`` are the start offsets of each
-    group's run in ``order``.
+    sort, unstable unless ``kind="stable"``, which keeps each group's rows
+    in row order), falling back to a (stable) lexsort otherwise.
+    ``bounds`` are the start offsets of each group's run in ``order``.
     """
     n = len(cols[0])
+    if not n:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
     packed = pack_keys(cols)
     if packed is not None:
-        order = np.argsort(packed)
+        order = np.argsort(packed, kind=kind)
         sorted_key = packed[order]
         change = sorted_key[:-1] != sorted_key[1:]
     else:
@@ -271,7 +284,7 @@ def _reduce_chunk(
     Python-int arithmetic)."""
     cols = [np.concatenate(chunks) for chunks in key_chunks]
     n = len(cols[0])
-    order, bounds = _group_order(cols)
+    order, bounds = group_order(cols)
     firsts = order[bounds]
     counts = np.diff(np.append(bounds, n)).tolist()
     uniq = np.stack([c[firsts] for c in cols], axis=1)

@@ -29,7 +29,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.core.windows import window_to_ticks
-from repro.query.columnar import BatchRecords, FrameBatch, planned_batch_records
+from repro.query.columnar import FrameBatch
 from repro.query.engine import QueryResult, execute, matched_batches
 from repro.query.indexfile import TraceIndex, load_fresh_index
 from repro.query.model import Query
@@ -83,11 +83,6 @@ class Scan:
     query: Query
     plan: QueryPlan
     before: dict[str, int]
-
-    def records(self) -> BatchRecords:
-        """The matching records in file order: iterated, record objects
-        materialized from the batches; ``batches()``, the batches."""
-        return planned_batch_records(self.handle, self.query, self.plan)
 
     def batches(self) -> Iterator[tuple[FrameBatch, np.ndarray]]:
         """Each planned frame's columnar batch with its predicate mask,

@@ -37,7 +37,7 @@ from repro.query.utilization import utilization_json, utilization_payload
 from repro.utils.stats import drop_clock_pairs, generate_tables
 from repro.viz.arrows import match_arrows
 from repro.viz.interactive import view_payload
-from repro.viz.jumpshot import VIEW_KINDS, Jumpshot, mpi_records
+from repro.viz.jumpshot import VIEW_KINDS, Jumpshot
 from repro.viz.preview import interesting_ranges
 
 #: Default LRU capacity of the server's shared frame cache.
@@ -219,7 +219,7 @@ class TraceSession:
                         "recv": a.recv_time / tps,
                         "bytes": a.size,
                     }
-                    for a in match_arrows(mpi_records(batch))
+                    for a in match_arrows(batch)
                 ],
             }
 
@@ -293,7 +293,7 @@ class TraceSession:
         with self.lock:
             s = self._scan(window=window)
             tables = generate_tables(
-                drop_clock_pairs(s.records()),
+                drop_clock_pairs(batch.where(mask) for batch, mask in s.batches()),
                 program,
                 ticks_per_sec=self.reader.ticks_per_sec,
                 thread_table=self.reader.thread_table,

@@ -10,9 +10,9 @@ interesting intervals per node and per 50 equally sized time bins", where an
 interesting interval is any state other than the default Running state.
 
 Tables are computed from frame columns.  :func:`generate_tables` reads its
-input as :class:`~repro.query.columnar.FrameBatch` es — the ``batches()`` of
-a :class:`~repro.query.columnar.BatchRecords` (what the scans return), or
-any other record iterable cut into batches — and per batch and table
+input as :class:`~repro.query.columnar.FrameBatch` es — what the scans
+yield (:func:`interval_records`), or record lists wrapped by
+:func:`~repro.query.columnar.batch_from_records` — and per batch and table
 evaluates the condition, x and y expressions once each as columns
 (:meth:`~repro.utils.statlang.Expr.columns`), groups the kept rows on their
 x tuple (one packed integer per row, :func:`~repro.query.columnar.pack_keys`)
@@ -43,7 +43,6 @@ that fallback only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -52,7 +51,7 @@ import numpy as np
 from repro.core.atomicio import atomic_write_bytes
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.errors import StatsError
-from repro.query.columnar import BatchRecords, FrameBatch, batch_from_records, pack_keys
+from repro.query.columnar import FrameBatch, pack_keys
 from repro.utils.statlang import (
     Column,
     NeedsRows,
@@ -64,9 +63,6 @@ from repro.utils.statlang import (
 
 #: Number of time bins in the pre-defined per-bin tables (Figure 6).
 PREVIEW_BINS = 50
-
-#: Records per batch when the input is a plain record iterable.
-BATCH_RECORDS = 4096
 
 
 @dataclass
@@ -246,27 +242,25 @@ def reference_tables(
 
 
 def generate_tables(
-    records: Iterable[IntervalRecord],
+    batches: Iterable[FrameBatch],
     programs: Iterable[TableProgram] | str,
     *,
     ticks_per_sec: float = 1e9,
     thread_table=None,
 ) -> list[StatsTable]:
-    """Run table programs over a record stream, batch by batch.
+    """Run table programs over frame batches, batch by batch.
 
-    ``records`` is a :class:`~repro.query.columnar.BatchRecords` (its
-    ``batches()`` are read) or any record iterable (cut into batches of
-    :data:`BATCH_RECORDS`).  ``programs`` may be a program string (parsed
-    here) or pre-parsed specifications.  Records whose environment lacks a
-    referenced field are skipped for that table (different record types
-    carry different fields).  Pass a ``thread_table`` to make the
-    synthesized ``task`` field available in expressions.  The tables equal
-    :func:`reference_tables`' (see the module docstring).
+    ``programs`` may be a program string (parsed here) or pre-parsed
+    specifications.  Records whose environment lacks a referenced field are
+    skipped for that table (different record types carry different fields).
+    Pass a ``thread_table`` to make the synthesized ``task`` field available
+    in expressions.  The tables equal :func:`reference_tables`' (see the
+    module docstring).
     """
     programs = _parsed(programs)
     cells: Cells = [{} for _ in programs]
     tasks: dict[tuple[int, int], Any] = {}
-    for batch in _batches(records):
+    for batch in batches:
         if not batch.n:
             continue
         try:
@@ -280,15 +274,6 @@ def generate_tables(
             if fold is not None:
                 fold.into(cell)
     return _finish(programs, cells)
-
-
-def _batches(records: Iterable[IntervalRecord]) -> Iterator[FrameBatch]:
-    if isinstance(records, BatchRecords):
-        yield from records.batches()
-        return
-    it = iter(records)
-    while chunk := list(islice(it, BATCH_RECORDS)):
-        yield batch_from_records(chunk)
 
 
 #: The fields every record presents (``record_env``), by batch column.
@@ -490,9 +475,13 @@ def _extremes(agg: str, kind: str, values: np.ndarray, group: np.ndarray,
     return values[pick].tolist()
 
 
-def drop_clock_pairs(records: BatchRecords) -> BatchRecords:
-    """``records`` without their clock-pair rows (the statistics input)."""
-    return records.where(lambda batch: batch.itype != IntervalType.CLOCKPAIR)
+def drop_clock_pairs(batches: Iterable[FrameBatch]) -> Iterator[FrameBatch]:
+    """``batches`` without their clock-pair rows (the statistics input);
+    batches left empty are dropped."""
+    for batch in batches:
+        batch = batch.where(batch.itype != IntervalType.CLOCKPAIR)
+        if batch.n:
+            yield batch
 
 
 def interval_records(
@@ -502,16 +491,16 @@ def interval_records(
     window: tuple[float | None, float | None] | None = None,
     index: Any = "auto",
     io_log: dict[str, dict] | None = None,
-) -> BatchRecords:
+) -> Iterator[FrameBatch]:
     """The records of several interval files (clock pairs dropped), as
-    frame batches (``batches()``) or, iterated, as records.
+    frame batches: each planned frame's matching rows, file after file.
 
     ``window`` is (t0, t1) in seconds; when set, records are filtered to
     it, and frames outside it are pruned when a fresh sidecar index sits
     next to the file (without one every frame is decoded — the frame
     directory alone never prunes).
     Pass a dict as ``io_log`` to collect **per-file** read accounting:
-    after a pass is exhausted it maps each path to its reader's
+    once the batches are exhausted it maps each path to its reader's
     ``stats()`` (bytes fetched, fetch count, cache hits/misses) plus the
     plan mode and frame counts — every file's numbers, not just the last
     one's.  ``frames_decoded`` there is the cache-miss delta: frames the
@@ -519,21 +508,16 @@ def interval_records(
     """
     from repro.query.scan import open_scan
 
-    paths = list(paths)
-
-    def batches() -> Iterator[FrameBatch]:
-        for path in paths:
-            with open_scan(path, profile, window=window, index=index) as s:
-                yield from drop_clock_pairs(s.records()).batches()
-                if io_log is not None:
-                    io_log[str(path)] = {
-                        **s.handle.stats(),
-                        "plan": s.plan.mode,
-                        "frames_total": s.plan.total_frames,
-                        "frames_decoded": s.io()["frames_decoded"],
-                    }
-
-    return BatchRecords(batches)
+    for path in list(paths):
+        with open_scan(path, profile, window=window, index=index) as s:
+            yield from drop_clock_pairs(batch.where(mask) for batch, mask in s.batches())
+            if io_log is not None:
+                io_log[str(path)] = {
+                    **s.handle.stats(),
+                    "plan": s.plan.mode,
+                    "frames_total": s.plan.total_frames,
+                    "frames_decoded": s.io()["frames_decoded"],
+                }
 
 
 class CombinedThreadTable:
@@ -584,14 +568,16 @@ def predefined_program(
     total_seconds: float, *, bins: int = PREVIEW_BINS, comm: bool = False
 ) -> str:
     """The program of :func:`predefined_tables` (``comm``: with the
-    ``comm_matrix`` table, which needs a thread table)."""
+    ``comm_matrix`` table, which needs a thread table).  The bin edge is
+    written without an exponent, which the table language's numbers lack,
+    and reads back as the same float."""
     if total_seconds <= 0:
         raise StatsError(f"total_seconds must be positive, got {total_seconds}")
     program = f"""
 table name=interesting_by_node_bin
       condition=(type != {IntervalType.RUNNING})
       x=("node", node)
-      x=("bin", bin(start, 0, {total_seconds!r}, {bins}))
+      x=("bin", bin(start, 0, {np.format_float_positional(total_seconds, unique=True)}, {bins}))
       y=("sum(duration)", dura, sum)
 table name=duration_by_type
       x=("type", type)
@@ -622,7 +608,7 @@ table name=comm_matrix
 
 
 def predefined_tables(
-    records: Iterable[IntervalRecord],
+    batches: Iterable[FrameBatch],
     *,
     total_seconds: float,
     ticks_per_sec: float = 1e9,
@@ -645,7 +631,7 @@ def predefined_tables(
         total_seconds, bins=bins, comm=thread_table is not None
     )
     return generate_tables(
-        records, program, ticks_per_sec=ticks_per_sec, thread_table=thread_table
+        batches, program, ticks_per_sec=ticks_per_sec, thread_table=thread_table
     )
 
 

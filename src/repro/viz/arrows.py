@@ -11,9 +11,11 @@ before they are received" across frame boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.core.records import BeBits, IntervalRecord, IntervalType
+import numpy as np
+
+from repro.core.records import BeBits, IntervalType
+from repro.query.columnar import FrameBatch
 
 
 @dataclass(frozen=True)
@@ -30,12 +32,14 @@ class MessageArrow:
 
 class ArrowMatcher:
     """Pairs send intervals with receive intervals sharing a sequence
-    number, one record at a time, keeping only the per-seqno endpoints —
+    number, batch after batch, keeping only the per-seqno endpoints —
     O(messages), not O(records).
 
     A send contributes its first piece's start (the message left then); a
     receive contributes its last piece's end (the message was consumed
-    then).  Unmatched halves (e.g. a window cutting off one side) are
+    then).  The first send of a sequence number wins; a receive replaces
+    the held one only with a strictly later end, so on a tie the first
+    stays.  Unmatched halves (e.g. a window cutting off one side) are
     dropped.
     """
 
@@ -43,31 +47,41 @@ class ArrowMatcher:
         self._sends: dict[int, tuple[tuple, int, int]] = {}
         self._recvs: dict[int, tuple[tuple, int]] = {}
 
-    def observe(self, r: IntervalRecord) -> None:
-        """Take one record's send and receive endpoints, if any."""
-        if not IntervalType.is_mpi(r.itype):
+    def observe(self, batch: FrameBatch) -> None:
+        """Take the send and receive endpoints of the batch's MPI rows."""
+        mpi = (batch.itype >= IntervalType.MPI_BASE) & (batch.itype < IntervalType.MARKER)
+        if not mpi.any():
             return
-        row = (r.node, r.thread)
-        seqno = r.extra.get("seqno", 0)
-        if seqno:
-            if r.extra.get("msgSizeSent", 0) > 0 and r.bebits in (
-                BeBits.COMPLETE, BeBits.BEGIN,
-            ):
-                self._sends.setdefault(seqno, (row, r.start, r.extra["msgSizeSent"]))
-            if r.extra.get("msgSizeRecv", 0) > 0 and r.bebits in (
-                BeBits.COMPLETE, BeBits.END,
-            ):
-                self._note_recv(seqno, row, r.end)
-        # Waitall records complete many receives at once: their sequence
-        # numbers arrive as the 'seqnos' vector field.
-        if r.bebits in (BeBits.COMPLETE, BeBits.END):
-            for s in r.extra.get("seqnos", ()) or ():
-                self._note_recv(int(s), row, r.end)
-
-    def _note_recv(self, seqno: int, row: tuple, end: int) -> None:
-        current = self._recvs.get(seqno)
-        if current is None or end > current[1]:
-            self._recvs[seqno] = (row, end)
+        be = batch.bebits
+        opens = mpi & ((be == BeBits.COMPLETE) | (be == BeBits.BEGIN))
+        closes = mpi & ((be == BeBits.COMPLETE) | (be == BeBits.END))
+        seqno = batch.extra_values("seqno")
+        numbered = seqno != 0
+        sent = batch.extra_values("msgSizeSent")
+        at = np.flatnonzero(numbered & opens & (sent > 0))
+        for s, node, thread, start, size in zip(
+            *(col[at].tolist() for col in (seqno, batch.node, batch.thread, batch.start, sent))
+        ):
+            self._sends.setdefault(s, ((node, thread), start, size))
+        # (row, order within the row, seqno): a row's own seqno first, then
+        # the sequence numbers a Waitall completes through its 'seqnos'.
+        at = np.flatnonzero(numbered & closes & (batch.extra_values("msgSizeRecv") > 0))
+        received = list(zip(at.tolist(), [0] * len(at), seqno[at].tolist()))
+        for rows, names, columns in batch.extra_groups():
+            if "seqnos" in names:
+                vectors = columns[names.index("seqnos")]
+                received.extend(
+                    (row, 1, int(s))
+                    for row, vector in zip(rows, vectors) if closes[row] for s in vector or ()
+                )
+        received.sort(key=lambda r: r[:2])
+        at = np.array([row for row, _, _ in received], dtype=np.intp)
+        for (_, _, s), node, thread, end in zip(
+            received, *(col[at].tolist() for col in (batch.node, batch.thread, batch.end))
+        ):
+            current = self._recvs.get(s)
+            if current is None or end > current[1]:
+                self._recvs[s] = ((node, thread), end)
 
     def arrows(self) -> list[MessageArrow]:
         """Every matched message so far, by sequence number."""
@@ -84,9 +98,8 @@ class ArrowMatcher:
         return arrows
 
 
-def match_arrows(records: Iterable[IntervalRecord]) -> list[MessageArrow]:
-    """The :class:`ArrowMatcher` arrows of ``records``."""
+def match_arrows(batch: FrameBatch) -> list[MessageArrow]:
+    """The :class:`ArrowMatcher` arrows of one batch."""
     matcher = ArrowMatcher()
-    for r in records:
-        matcher.observe(r)
+    matcher.observe(batch)
     return matcher.arrows()

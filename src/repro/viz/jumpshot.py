@@ -16,15 +16,12 @@ Frame display cost depends only on frame size, never total file size
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
 
 from repro.core.reader import DEFAULT_FRAME_CACHE
-from repro.core.records import IntervalRecord, IntervalType
+from repro.core.records import IntervalRecord
 from repro.core.windows import seconds_to_ticks, window_to_ticks
 from repro.errors import FormatError
-from repro.query.columnar import FrameBatch, batch_from_records, concat_batches
+from repro.query.columnar import FrameBatch, concat_batches
 from repro.utils.slog import SlogFile, SlogFrameEntry
 from repro.viz.arrows import match_arrows
 from repro.viz.preview import Preview, interesting_ranges
@@ -55,14 +52,6 @@ DENSITY_THRESHOLD = 4.0
 #: view scales with lanes x bins — capping below the plot width keeps the
 #: aggregate path's latency flat regardless of trace size.
 AGGREGATE_MAX_BINS = 192
-
-
-def mpi_records(batch: FrameBatch) -> list[IntervalRecord]:
-    """The MPI rows of ``batch`` as record objects, for
-    :func:`~repro.viz.arrows.match_arrows` — only they can carry a message,
-    so only they are materialised."""
-    mpi = (batch.itype >= IntervalType.MPI_BASE) & (batch.itype < IntervalType.MARKER)
-    return batch.records_at(np.flatnonzero(mpi))
 
 
 def _check_kind(kind: str) -> None:
@@ -142,22 +131,20 @@ class Jumpshot:
 
     def build_view(
         self,
-        records: FrameBatch | Iterable[IntervalRecord],
+        batch: FrameBatch,
         kind: str = "thread",
         *,
         window: tuple[int, int] | None = None,
     ) -> TimelineView:
-        """Build one of the time-space diagrams over ``records`` — a frame
-        batch, or record objects (read into one).
+        """Build one of the time-space diagrams over ``batch``.
 
         ``window`` tells the connected view where the display edge is, so
         states still open there extend to it instead of stopping at their
         last piece."""
         _check_kind(kind)
-        batch = records if isinstance(records, FrameBatch) else batch_from_records(list(records))
         arrows = None
         if kind in ("thread", "thread-connected"):
-            arrows = match_arrows(mpi_records(batch))
+            arrows = match_arrows(batch)
         return piece_view(
             kind, batch, thread_table=self.slog.thread_table,
             n_cpus_per_node=self._cpus_per_node() if kind.startswith("processor") else None,

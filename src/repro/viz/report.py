@@ -121,22 +121,24 @@ def build_run_report(
     requested time-space views, and the pre-defined statistics tables."""
     import tempfile
 
+    from repro.analysis.blocking import call_profile, format_call_profile
     from repro.core.records import IntervalType
-    from repro.query.columnar import BatchRecords
     from repro.utils.stats import drop_clock_pairs, predefined_tables
     from repro.viz.jumpshot import Jumpshot
     from repro.viz.views import render_view_svg
 
     viewer = Jumpshot(slog_path)
+    slog = viewer.slog
     report = HtmlReport(title)
     report.add_text(
         f"Source: {Path(slog_path).name} — "
-        f"{sum(f.n_records for f in viewer.slog.frames)} records in "
-        f"{len(viewer.slog.frames)} frames, "
-        f"{len(viewer.slog.thread_table)} threads on "
-        f"{len(viewer.slog.node_cpus)} nodes.",
+        f"{sum(f.n_records for f in slog.frames)} records in "
+        f"{len(slog.frames)} frames, "
+        f"{len(slog.thread_table)} threads on "
+        f"{len(slog.node_cpus)} nodes.",
         note=True,
     )
+    batch = viewer.batch(slog.frames)
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -149,20 +151,16 @@ def build_run_report(
                 + ", ".join(f"{lo:.4f}s – {hi:.4f}s" for lo, hi in ranges)
             )
 
-        records = viewer.slog.records()
         for kind in view_kinds:
             report.add_heading(f"{kind} view")
-            view = viewer.build_view(records, kind)
+            view = viewer.build_view(batch, kind)
             report.add_svg(
                 render_view_svg(view, tmp / f"{kind}.svg",
-                                ticks_per_sec=viewer.slog.ticks_per_sec)
+                                ticks_per_sec=slog.ticks_per_sec)
             )
 
     report.add_heading("Call profile (blocking analysis)")
-    from repro.analysis.blocking import call_profile, format_call_profile
-
-    real = [r for r in records if r.itype != IntervalType.CLOCKPAIR]
-    rows = call_profile(real, viewer.slog.profile, markers=viewer.slog.markers)
+    rows = call_profile(batch, slog.profile, markers=slog.markers)
     report.add_text(
         "Per state type: wall time split into on-CPU and blocked "
         "(de-scheduled) time, worst blockers first.",
@@ -171,10 +169,9 @@ def build_run_report(
     report.add_pre(format_call_profile(rows))
 
     report.add_heading("Statistics")
-    slog = viewer.slog
-    total_s = max((r.end for r in real), default=1) / slog.ticks_per_sec
-    frames = BatchRecords(lambda: map(slog.read_frame_batch, slog.frames))
-    for table in predefined_tables(drop_clock_pairs(frames), total_seconds=total_s,
+    ends = batch.end[batch.itype != IntervalType.CLOCKPAIR]
+    total_s = (int(ends.max()) if len(ends) else 1) / slog.ticks_per_sec
+    for table in predefined_tables(drop_clock_pairs([batch]), total_seconds=total_s,
                                    ticks_per_sec=slog.ticks_per_sec,
                                    thread_table=slog.thread_table):
         report.add_text(table.name)

@@ -199,7 +199,7 @@ def outputs_for(name: str, path: Path) -> dict[str, str]:
             view_payload(aggregate, ticks_per_sec=tps)
         )
         frame = viewer.slog.frames[len(viewer.slog.frames) // 2]
-        exact = viewer.build_view(viewer.frame_records(frame), "thread-connected")
+        exact = viewer.build_view(viewer.batch([frame]), "thread-connected")
         outputs[f"{name}/view_payload/exact"] = json.dumps(
             view_payload(exact, ticks_per_sec=tps)
         )
@@ -259,8 +259,7 @@ def _crowded_row_outputs(name: str, viewer: Jumpshot) -> dict[str, str]:
     reading = [
         f for f in viewer.slog.frames if f.end_time > window[0] and f.start_time < window[1]
     ]
-    records = [r for f in reading for r in viewer.frame_records(f)]
-    view = viewer.build_view(records, "processor", window=window)
+    view = viewer.build_view(viewer.batch(reading), "processor", window=window)
     crowded = [
         sum(bar.end >= window[0] and bar.start <= window[1] for bar in row.bars)
         for row in view.rows if len(row.bars) > 48

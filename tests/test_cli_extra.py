@@ -423,15 +423,15 @@ class TestViewFromFrames:
         from repro.viz.jumpshot import Jumpshot
 
         with Jumpshot(run_slog) as viewer:
-            argv, records, window = [], viewer.slog.records(), None
+            argv, batch, window = [], viewer.batch(viewer.slog.frames), None
             if at:
                 frame = viewer.slog.frames[len(viewer.slog.frames) // 2]
                 mid = (frame.start_time + frame.end_time) / 2 / viewer.slog.ticks_per_sec
                 frame = viewer.locate(mid)
                 argv = ["--at", repr(mid)]
-                records = viewer.frame_records(frame)
+                batch = viewer.batch([frame])
                 window = (frame.start_time, frame.end_time)
-            view = viewer.build_view(records, kind)
+            view = viewer.build_view(batch, kind)
             want = render_view_ansi(view, columns=100, window=window) + "\n"
         self.refuse_records(monkeypatch)
         assert cli.main_view([str(run_slog), "--ansi", "--kind", kind, *argv]) == 0
@@ -444,7 +444,7 @@ class TestViewFromFrames:
         from repro.viz.jumpshot import Jumpshot
 
         with Jumpshot(run_slog) as viewer:
-            view = viewer.build_view(viewer.slog.records(), kind)
+            view = viewer.build_view(viewer.batch(viewer.slog.frames), kind)
             want = render_interactive_html(
                 view, tmp_path / "want.html", ticks_per_sec=viewer.slog.ticks_per_sec
             ).read_bytes()

@@ -434,7 +434,7 @@ class TestIntegration:
                 if r.itype != IntervalType.CLOCKPAIR
             ]
             want = predefined_tables(
-                records,
+                [batch_from_records(records)],
                 total_seconds=max(r.end for r in records) / s.handle.ticks_per_sec,
                 ticks_per_sec=s.handle.ticks_per_sec,
                 thread_table=s.handle.thread_table,

@@ -102,7 +102,7 @@ class TestTypeActivityView:
         from repro.viz.jumpshot import Jumpshot
 
         viewer = Jumpshot(artifacts["slog"])
-        view = viewer.build_view(viewer.slog.records(), "type")
+        view = viewer.build_view(viewer.batch(viewer.slog.frames), "type")
         labels = {row.label for row in view.rows}
         assert "MPI_Send" in labels
         assert "MPI_Recv" in labels

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import IntervalReader, standard_profile
 from repro.core.records import BeBits, IntervalType
+from repro.query.columnar import batch_from_records
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import SlogFile
@@ -86,7 +87,7 @@ class TestPipelineInvariants:
     def test_arrows_match_every_user_message(self, pipeline):
         reader = IntervalReader(pipeline["merged"].merged_path, PROFILE)
         records = list(reader.intervals())
-        arrows = match_arrows(records)
+        arrows = match_arrows(batch_from_records(records))
         # 4 repeats x 2 sizes x 2 directions = 16 messages.
         assert len(arrows) == 16
         for arrow in arrows:
@@ -116,7 +117,7 @@ class TestPipelineInvariants:
         reader = IntervalReader(pipeline["merged"].merged_path, PROFILE)
         records = list(reader.intervals())
         total_s = reader.totals()[2] / 1e9
-        tables = predefined_tables(records, total_seconds=total_s)
+        tables = predefined_tables([batch_from_records(records)], total_seconds=total_s)
         bytes_table = next(t for t in tables if t.name == "bytes_by_node")
         # 4 repeats x (512 + 8192) bytes sent per node.
         expected = 4 * (512 + 8192)

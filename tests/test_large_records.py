@@ -93,6 +93,7 @@ class TestLengthEscape:
         from repro.tracing import TraceFacility
         from repro.utils.convert import convert_traces
         from repro.utils.merge import merge_interval_files
+        from repro.query.columnar import batch_from_records
         from repro.viz.arrows import match_arrows
 
         cl = Cluster(ClusterSpec(n_nodes=2, cpus_per_node=2))
@@ -123,5 +124,5 @@ class TestLengthEscape:
         assert waitalls
         assert sum(len(r.extra["seqnos"]) for r in waitalls if r.bebits in
                    (BeBits.COMPLETE, BeBits.END)) == n_msgs
-        arrows = match_arrows(records)
+        arrows = match_arrows(batch_from_records(records))
         assert len(arrows) == n_msgs

@@ -9,6 +9,7 @@ from repro.core.fields import MASK_ALL_MERGED
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
+from repro.query.columnar import FrameBatch, batch_from_records
 from repro.utils.slog import SlogFile, SlogWriter
 from repro.viz.jumpshot import Jumpshot
 from repro.viz.preview import Preview, interesting_ranges
@@ -120,12 +121,12 @@ class TestJumpshot:
         path = make_slog(tmp_path / "j.slog", [rec()])
         viewer = Jumpshot(path)
         with pytest.raises(FormatError, match="unknown view kind"):
-            viewer.build_view([], "pie-chart")
+            viewer.build_view(FrameBatch(0), "pie-chart")
 
     def test_cpus_per_node_from_slog(self, tmp_path):
         path = make_slog(tmp_path / "k.slog", [rec()])
         viewer = Jumpshot(path)
-        view = viewer.build_view(viewer.slog.records(), "processor")
+        view = viewer.build_view(viewer.batch(viewer.slog.frames), "processor")
         assert len(view.rows) == 2  # node_cpus={0: 2}
 
 
@@ -140,7 +141,7 @@ class TestStatViewer:
             'x=("node", node) x=("bin", bin(start, 0, 0.00001, 10)) '
             'y=("sum", dura, sum)'
         )
-        (table,) = generate_tables(records, program)
+        (table,) = generate_tables([batch_from_records(records)], program)
         svg = render_binned_table_svg(table, tmp_path / "b.svg", total_seconds=0.00001)
         assert svg.exists()
 

@@ -62,7 +62,7 @@ class TestManyNodes:
 
         tmp, _, _, merged = big_run
         viewer = Jumpshot(merged.slog_path)
-        view = viewer.build_view(viewer.slog.records(), "thread")
+        view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
         # 16 tasks x 3 threads = 48 timelines.
         assert len(view.rows) == 48
         path = viewer.render_whole_run(tmp_path / "big.svg")

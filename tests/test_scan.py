@@ -49,7 +49,7 @@ from repro.query import (
     run_query,
     write_index,
 )
-from repro.query.columnar import concat_batches
+from repro.query.columnar import batch_from_records, concat_batches
 from repro.query.engine import reference_rows, reference_scan
 from repro.query.model import CORE_COLUMNS, record_value
 from repro.serve import ServeClient, TraceSession
@@ -142,7 +142,9 @@ class TestCallersAgree:
             if expected_from == "record":
                 records = list(reference_scan(s.handle, s.query, s.plan))
             else:
-                records = list(s.records())
+                records = [
+                    r for batch, mask in s.batches() for r in batch.where(mask).to_records()
+                ]
             io = s.io()
             plan = s.plan.describe()
             assert set(io) == IO_KEYS
@@ -173,22 +175,23 @@ class TestCallersAgree:
         assert result.io == io  # both cold: the same reads
 
         io_log: dict = {}
-        streamed = list(
-            interval_records([path], PROFILE, window=window, io_log=io_log)
-        )
+        streamed = [
+            r for batch in interval_records([path], PROFILE, window=window, io_log=io_log)
+            for r in batch.to_records()
+        ]
         assert streamed == records
         assert io_log[str(path)]["plan"] == plan["mode"]
         assert io_log[str(path)]["frames_decoded"] == io["frames_decoded"]
 
-        batch = concat_batches(
-            list(interval_records([path], PROFILE, window=window).batches())
-        )
+        batch = concat_batches(list(interval_records([path], PROFILE, window=window)))
         assert list(zip(*(batch.core_array(c).tolist() for c in CORE_COLUMNS))) == result.rows
 
         argv = [str(path), *(["--window", f"{window[0]!r}:{window[1]!r}"] if window else [])]
         assert main_profile(argv) == 0
         assert capsys.readouterr().out == (
-            format_call_profile(call_profile(records, PROFILE, markers=markers)) + "\n"
+            format_call_profile(
+                call_profile(batch_from_records(records), PROFILE, markers=markers)
+            ) + "\n"
         )
 
         if kind != "slog":
@@ -205,7 +208,7 @@ class TestCallersAgree:
             assert stats_plan == plan
             assert set(stats_io) == IO_KEYS
             want = generate_tables(
-                records, golden.PROGRAM, ticks_per_sec=tps, thread_table=thread_table
+                [batch_from_records(records)], golden.PROGRAM, ticks_per_sec=tps, thread_table=thread_table
             )
             assert [(t.name, t.rows) for t in tables] == [(t.name, t.rows) for t in want]
             scans = 2

@@ -3,14 +3,23 @@ tables."""
 
 import pytest
 
+import json
+from pathlib import Path
+
+from repro import cli
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.errors import StatsError
+from repro.query.columnar import batch_from_records
+from repro.utils.statlang import parse_program
 from repro.utils.stats import (
     StatsTable,
     generate_tables,
+    predefined_program,
     predefined_tables,
     record_env,
 )
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def rec(itype=IntervalType.RUNNING, bebits=BeBits.COMPLETE, start=0, dura=100,
@@ -47,7 +56,7 @@ class TestAggregation:
 
     def run_one(self, ys):
         program = f'table name=t x=("node", node) {ys}'
-        (table,) = generate_tables(self.RECORDS, program, ticks_per_sec=1.0)
+        (table,) = generate_tables([batch_from_records(self.RECORDS)], program, ticks_per_sec=1.0)
         return table
 
     def test_sum(self):
@@ -68,7 +77,7 @@ class TestAggregation:
 
     def test_condition_filters(self):
         program = 'table name=t condition=(dura > 200) x=("node", node) y=("c", dura, count)'
-        (table,) = generate_tables(self.RECORDS, program, ticks_per_sec=1.0)
+        (table,) = generate_tables([batch_from_records(self.RECORDS)], program, ticks_per_sec=1.0)
         assert table.rows == {(0,): (1,), (1,): (1,)}
 
     def test_multiple_tables_one_pass(self):
@@ -76,7 +85,7 @@ class TestAggregation:
         table name=a x=("node", node) y=("c", dura, count)
         table name=b x=("one", 1) y=("total", dura, sum)
         """
-        a, b = generate_tables(self.RECORDS, program, ticks_per_sec=1.0)
+        a, b = generate_tables([batch_from_records(self.RECORDS)], program, ticks_per_sec=1.0)
         assert a.name == "a" and len(a.rows) == 2
         assert b.rows == {(1,): (900.0,)}
 
@@ -84,12 +93,12 @@ class TestAggregation:
         """A table over msgSizeSent only sees records that carry it."""
         records = [rec(), rec(itype=SEND, msgSizeSent=1024)]
         program = 'table name=t x=("n", node) y=("bytes", msgSizeSent, sum)'
-        (table,) = generate_tables(records, program, ticks_per_sec=1.0)
+        (table,) = generate_tables([batch_from_records(records)], program, ticks_per_sec=1.0)
         assert table.rows == {(0,): (1024.0,)}
 
     def test_string_program_parsed(self):
         (table,) = generate_tables(
-            self.RECORDS, 'table name=t x=("n", node) y=("c", dura, count)',
+            [batch_from_records(self.RECORDS)], 'table name=t x=("n", node) y=("c", dura, count)',
             ticks_per_sec=1.0,
         )
         assert isinstance(table, StatsTable)
@@ -99,7 +108,7 @@ class TestTsvOutput:
     def test_header_and_rows(self):
         records = [rec(node=1, dura=100), rec(node=0, dura=50)]
         (table,) = generate_tables(
-            records, 'table name=t x=("node", node) y=("sum", dura, sum)',
+            [batch_from_records(records)], 'table name=t x=("node", node) y=("sum", dura, sum)',
             ticks_per_sec=1.0,
         )
         tsv = table.to_tsv()
@@ -111,7 +120,7 @@ class TestTsvOutput:
     def test_write_creates_file(self, tmp_path):
         records = [rec()]
         (table,) = generate_tables(
-            records, 'table name=t x=("n", node) y=("c", dura, count)',
+            [batch_from_records(records)], 'table name=t x=("n", node) y=("c", dura, count)',
             ticks_per_sec=1.0,
         )
         path = table.write(tmp_path / "t.tsv")
@@ -120,7 +129,7 @@ class TestTsvOutput:
     def test_column_accessor(self):
         records = [rec(node=0), rec(node=1)]
         (table,) = generate_tables(
-            records, 'table name=t x=("n", node) y=("c", dura, count) y=("s", dura, sum)',
+            [batch_from_records(records)], 'table name=t x=("n", node) y=("c", dura, count) y=("s", dura, sum)',
             ticks_per_sec=1.0,
         )
         assert table.column("c") == {(0,): 1, (1,): 1}
@@ -144,7 +153,7 @@ class TestPredefinedTables:
         ]
 
     def test_all_four_tables_produced(self):
-        tables = predefined_tables(self.make_records(), total_seconds=1.0)
+        tables = predefined_tables([batch_from_records(self.make_records())], total_seconds=1.0)
         assert [t.name for t in tables] == [
             "interesting_by_node_bin",
             "duration_by_type",
@@ -153,7 +162,7 @@ class TestPredefinedTables:
         ]
 
     def test_interesting_excludes_running(self):
-        tables = predefined_tables(self.make_records(), total_seconds=1.0)
+        tables = predefined_tables([batch_from_records(self.make_records())], total_seconds=1.0)
         binned = tables[0]
         total_interesting = sum(v[0] for v in binned.rows.values())
         assert total_interesting == pytest.approx(0.32)  # MPI only, no Running
@@ -161,13 +170,13 @@ class TestPredefinedTables:
     def test_calls_counted_by_bebits(self):
         """Begin + end pieces of one call count as ONE call — the purpose
         of the bebits (section 1.2)."""
-        tables = predefined_tables(self.make_records(), total_seconds=1.0)
+        tables = predefined_tables([batch_from_records(self.make_records())], total_seconds=1.0)
         calls = tables[2].column("calls")
         barrier_type = IntervalType.for_mpi_fn(6)
         assert calls[(1, barrier_type)] == 1
 
     def test_bytes_by_node(self):
-        tables = predefined_tables(self.make_records(), total_seconds=1.0)
+        tables = predefined_tables([batch_from_records(self.make_records())], total_seconds=1.0)
         bytes_table = tables[3]
         assert bytes_table.column("bytesSent")[(0,)] == 4096 + 2048
         assert bytes_table.column("messages")[(0,)] == 2
@@ -175,3 +184,25 @@ class TestPredefinedTables:
     def test_bad_total_rejected(self):
         with pytest.raises(StatsError):
             predefined_tables([], total_seconds=0)
+
+
+class TestShortRuns:
+    """A run shorter than 100 µs has a total whose ``repr`` takes an
+    exponent, which the table language's numbers do not have."""
+
+    @pytest.mark.parametrize("total", [2.2e-05, 1e-07, 1e16, 0.0565, 1.0])
+    def test_the_bin_edge_is_the_total(self, total):
+        (table, *_) = parse_program(predefined_program(total))
+        (_, _), (_, edges) = table.xs
+        assert edges.hi.value == total
+        assert isinstance(edges.hi.value, float)
+
+    def test_stats_over_a_short_run(self, capsys):
+        assert cli.main_stats(["--json", str(DATA_DIR / "good.ute")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["records"] > 0 and doc["tables"]["interesting_by_node_bin"]["rows"]
+
+    def test_report_over_a_short_run(self, tmp_path, capsys):
+        out = tmp_path / "report.html"
+        assert cli.main_report([str(DATA_DIR / "good.slog"), "-o", str(out)]) == 0
+        assert "interesting_by_node_bin" in out.read_text()

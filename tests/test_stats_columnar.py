@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro import cli
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.errors import FormatError, StatsError
-from repro.query.columnar import BatchRecords, batch_from_records
+from repro.query.columnar import batch_from_records
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.utils import stats
 from repro.utils.statlang import (
@@ -165,13 +165,13 @@ def batched(records, cuts):
     """``records`` as batches cut at ``cuts``."""
     bounds = [0, *sorted(cuts), len(records)]
     chunks = [records[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    return BatchRecords(lambda: [batch_from_records(c) for c in chunks])
+    return [batch_from_records(c) for c in chunks]
 
 
 def assert_parity(records, program, cuts=(), **kwargs):
     want = outcome(reference_tables, records, program, **kwargs)
     assert outcome(generate_tables, batched(records, cuts), program, **kwargs) == want
-    assert outcome(generate_tables, records, program, **kwargs) == want
+    assert outcome(generate_tables, batched(records, ()), program, **kwargs) == want
     return want
 
 
@@ -352,14 +352,15 @@ def test_stencil_tables_never_fall_back(stencil_slog, monkeypatch):
     from repro.difftool.oracle import ORACLE_PROGRAM
 
     tps, threads = source_metadata([stencil_slog], None)
-    records = interval_records([stencil_slog], None)
-    end = max(int(b.end.max()) for b in records.batches())
+    batches = list(interval_records([stencil_slog], None))
+    records = [r for b in batches for r in b.to_records()]
+    end = max(int(b.end.max()) for b in batches)
     kwargs = {"ticks_per_sec": tps, "thread_table": threads}
     for program in (ORACLE_PROGRAM, predefined_program(end / tps, comm=True)):
-        want = outcome(reference_tables, list(records), program, **kwargs)
+        want = outcome(reference_tables, records, program, **kwargs)
         with monkeypatch.context() as m:
             m.setattr(stats, "_row_loop", None)  # any fallback would call it
-            assert outcome(generate_tables, records, program, **kwargs) == want
+            assert outcome(generate_tables, batches, program, **kwargs) == want
         assert any(rows for *_, rows in want)
 
 

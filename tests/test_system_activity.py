@@ -8,6 +8,7 @@ from repro.cluster.disk import Disk, DiskSpec
 from repro.cluster.engine import Engine
 from repro.core import IntervalReader, standard_profile
 from repro.core.records import BeBits, IntervalType
+from repro.query.columnar import batch_from_records
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
 from repro.utils.stats import generate_tables
@@ -159,7 +160,7 @@ class TestIoTracing:
               y=("bytes", ioBytes, sum)
               y=("ops", ioBytes, count)
         """
-        (table,) = generate_tables(records, program)
+        (table,) = generate_tables([batch_from_records(records)], program)
         assert table.rows
         config = io_pipeline["config"]
         total_bytes = sum(v[0] for v in table.rows.values())
@@ -170,7 +171,7 @@ class TestIoTracing:
         from repro.viz.jumpshot import Jumpshot
 
         viewer = Jumpshot(io_pipeline["merged"].slog_path)
-        view = viewer.build_view(viewer.slog.records(), "thread")
+        view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
         assert IntervalType.IO in view.key_names
         assert view.key_names[IntervalType.IO] == "FileIO"
         assert IntervalType.PAGEFAULT in view.key_names

@@ -455,23 +455,23 @@ class TestInferredCpus:
         return calls
 
     def test_two_processor_views_cost_one_pass(self, viewer):
-        records = viewer.frame_records(viewer.slog.frames[0])
+        batch = viewer.batch(viewer.slog.frames[:1])
         calls = self.count_reads(viewer)
-        first = viewer.build_view(records, "processor")
+        first = viewer.build_view(batch, "processor")
         assert len(calls) == len(viewer.slog.frames)
-        second = viewer.build_view(records, "processor-thread")
-        third = viewer.build_view(records, "processor")
+        second = viewer.build_view(batch, "processor-thread")
+        third = viewer.build_view(batch, "processor")
         assert len(calls) == len(viewer.slog.frames)
         assert [row.row_key for row in first.rows] == [(0, 0), (0, 1)]
         assert [row.row_key for row in second.rows] == [(0, 0), (0, 1)]
         assert [row.row_key for row in third.rows] == [(0, 0), (0, 1)]
 
     def test_a_reload_infers_again(self, viewer):
-        records = viewer.frame_records(viewer.slog.frames[0])
+        batch = viewer.batch(viewer.slog.frames[:1])
         calls = self.count_reads(viewer)
-        viewer.build_view(records, "processor")
+        viewer.build_view(batch, "processor")
         viewer.reload_preview()
-        viewer.build_view(records, "processor")
+        viewer.build_view(batch, "processor")
         assert len(calls) == 2 * len(viewer.slog.frames)
 
     def test_callers_cannot_edit_the_kept_answer(self, viewer):

@@ -11,8 +11,7 @@ pieces, lanes outside the thread table, ticks up to 2**62 and names drawn
 from all of Unicode: rows, labels, legend, every lazy bar in order, and the
 SVG byte for byte.
 
-The satellites ride along: ``FrameBatch.records_at`` builds only the rows
-asked for, an unknown view kind is refused before any IO, a frame display
+The satellites ride along: an unknown view kind is refused before any IO, a frame display
 leaves one cached form behind, and ``ServeClient``'s revalidation cache is a
 bounded LRU.
 """
@@ -24,7 +23,6 @@ import xml.dom.minidom
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +30,7 @@ from hypothesis import strategies as st
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
-from repro.query import columnar
-from repro.query.columnar import FrameBatch, batch_from_records, concat_batches
+from repro.query.columnar import FrameBatch, batch_from_records
 from repro.serve import ServeClient, client as client_module
 from repro.serve.app import ServerThread
 from repro.viz.arrows import MessageArrow
@@ -578,61 +575,6 @@ class TestColumnsAgainstTheRecordLoops:
         assert view_svg_string(view) == ref_view_svg(want)
 
 
-# ------------------------------------------------------ FrameBatch.records_at
-
-
-def good_batches() -> list[FrameBatch]:
-    with Jumpshot(DATA_DIR / "good.slog") as viewer:
-        return [viewer.slog.read_frame_batch(f) for f in viewer.slog.frames]
-
-
-class TestRecordsAt:
-    BATCHES = good_batches()
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_equals_to_records_at_any_positions(self, data):
-        # One decoded frame, or several joined (per-row and per-type groups).
-        parts = data.draw(st.lists(st.sampled_from(self.BATCHES), min_size=1, max_size=3))
-        batch = concat_batches(parts)
-        records = batch.to_records()
-        positions = data.draw(st.lists(st.integers(0, batch.n - 1), max_size=30))
-        assert batch.records_at(positions) == [records[i] for i in positions]
-        assert batch.records_at(np.array(positions, dtype=np.intp)) == [
-            records[i] for i in positions
-        ]
-        assert [list(r.extra) for r in batch.records_at(positions)] == [
-            list(records[i].extra) for i in positions
-        ]
-
-    @settings(max_examples=60, deadline=None)
-    @given(record_sets(), st.data())
-    def test_equals_to_records_over_hand_built_groups(self, records, data):
-        batch = batch_from_records(records)
-        batch.add_column("tag", np.arange(batch.n, dtype=np.int64))
-        want = batch.to_records()
-        positions = data.draw(st.lists(st.integers(0, max(batch.n - 1, 0)), max_size=20))
-        positions = positions if batch.n else []
-        assert batch.records_at(positions) == [want[i] for i in positions]
-
-    def test_one_row_of_a_thousand_builds_one_record(self, monkeypatch):
-        records = [
-            IntervalRecord(MARKER, BeBits.COMPLETE, i, 5, 0, 0, i % 4, {"markerId": i})
-            for i in range(1_000)
-        ]
-        batch = batch_from_records(records)
-        built = []
-
-        def counting(*args):
-            built.append(args)
-            return IntervalRecord(*args)
-
-        monkeypatch.setattr(columnar, "IntervalRecord", counting)
-        assert batch.records_at([617]) == [records[617]]
-        assert len(built) == 1
-        assert batch.records_at([]) == [] and len(built) == 1
-
-
 # ------------------------------------------------- the viewer reads batches
 
 
@@ -648,7 +590,7 @@ class TestFrameDisplayReadsBatches:
             lambda: viewer.view_svg_at(0.0000001, kind="bogus"),
             lambda: viewer.view_svg_at(99.0, kind="bogus"),  # no frame holds t either
             lambda: viewer.view_svg_window(0.0, 1.0, kind="bogus"),
-            lambda: viewer.build_view([], "bogus"),
+            lambda: viewer.build_view(FrameBatch(0), "bogus"),
         ):
             with pytest.raises(FormatError, match="unknown view kind 'bogus'; pick one of"):
                 call()

@@ -124,8 +124,7 @@ class TestCorpusViewsNeverRaise:
     def test_every_kind_renders_over_salvaged_slogs(self, corpus, name, kind):
         slog = SlogFile(corpus.path(name), errors="salvage")
         viewer = Jumpshot(corpus.path(name), slog=slog)
-        records = [r for f in viewer.slog.frames for r in viewer.frame_records(f)]
-        view = viewer.build_view(records, kind)
+        view = viewer.build_view(viewer.batch(viewer.slog.frames), kind)
         svg = view_svg_string(view, ticks_per_sec=viewer.slog.ticks_per_sec)
         assert svg.startswith("<svg")
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core import standard_profile
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
+from repro.query.columnar import batch_from_records
 from repro.viz.ansi import render_view_ansi
 from repro.viz.arrows import match_arrows
 from repro.viz.colors import OTHER_COLOR, RUNNING_COLOR, STATE_PALETTE, ColorMap
@@ -156,7 +157,7 @@ class TestArrows:
         ]
 
     def test_matched_arrow(self):
-        (arrow,) = match_arrows(self.send_recv_records())
+        (arrow,) = match_arrows(batch_from_records(self.send_recv_records()))
         assert arrow.seqno == 7
         assert arrow.src_row == (0, 0)
         assert arrow.dst_row == (1, 0)
@@ -166,7 +167,7 @@ class TestArrows:
 
     def test_unmatched_send_dropped(self):
         records = self.send_recv_records()[:1]
-        assert match_arrows(records) == []
+        assert match_arrows(batch_from_records(records)) == []
 
     def test_split_recv_uses_last_piece_end(self):
         records = [
@@ -176,11 +177,11 @@ class TestArrows:
             rec(itype=RECV, node=1, bebits=BeBits.END, start=50, dura=10,
                 msgSizeRecv=64, seqno=3),
         ]
-        (arrow,) = match_arrows(records)
+        (arrow,) = match_arrows(batch_from_records(records))
         assert arrow.recv_time == 60
 
     def test_non_mpi_records_ignored(self):
-        assert match_arrows([rec(markerId=1)]) == []
+        assert match_arrows(batch_from_records([rec(markerId=1)])) == []
 
     def test_waitall_seqnos_vector_matches_many(self):
         """A waitall completing several receives yields one arrow per
@@ -191,7 +192,7 @@ class TestArrows:
             rec(itype=SEND, node=0, start=10, dura=5, msgSizeSent=20, seqno=2),
             rec(itype=waitall, node=1, start=30, dura=100, seqnos=[1, 2]),
         ]
-        arrows = match_arrows(records)
+        arrows = match_arrows(batch_from_records(records))
         assert len(arrows) == 2
         assert all(a.recv_time == 130 for a in arrows)
         assert {a.size for a in arrows} == {10, 20}

@@ -163,7 +163,8 @@ class TestPathParity:
     def test_stats_record_stream(self, path, case):
         (t0, t1), _ = case
         got = sorted(
-            (r.start, r.end)
-            for r in interval_records([path], PROFILE, window=(t0, t1), index=None)
+            (start, end)
+            for batch in interval_records([path], PROFILE, window=(t0, t1), index=None)
+            for start, end in zip(batch.start.tolist(), batch.end.tolist())
         )
         assert got == expected_spans(case)

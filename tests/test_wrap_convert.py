@@ -6,6 +6,7 @@ import pytest
 from repro.core import IntervalReader, standard_profile
 from repro.core.records import IntervalType
 from repro.errors import TraceError
+from repro.query.columnar import batch_from_records
 from repro.tracing import RawTraceReader, TraceOptions
 from repro.utils.convert import convert_traces
 from repro.utils.validate import validate_interval_file
@@ -100,7 +101,7 @@ class TestTaskAwareStats:
             'x=("task", task) y=("seconds", dura, sum)'
         )
         (table,) = generate_tables(
-            records, program, thread_table=merged.thread_table
+            [batch_from_records(records)], program, thread_table=merged.thread_table
         )
         assert set(k[0] for k in table.rows) == {0, 1, 2, 3}
 
@@ -112,7 +113,8 @@ class TestTaskAwareStats:
         ]
         total = merged.totals()[2] / 1e9
         tables = predefined_tables(
-            records, total_seconds=total, thread_table=merged.thread_table
+            [batch_from_records(records)], total_seconds=total,
+            thread_table=merged.thread_table,
         )
         matrix = next(t for t in tables if t.name == "comm_matrix")
         # Synthetic pairs ranks (0,1) and (2,3) in both directions.
@@ -126,5 +128,5 @@ class TestTaskAwareStats:
         records = [
             r for r in merged.intervals() if r.itype != IntervalType.CLOCKPAIR
         ]
-        tables = predefined_tables(records, total_seconds=1.0)
+        tables = predefined_tables([batch_from_records(records)], total_seconds=1.0)
         assert all(t.name != "comm_matrix" for t in tables)
