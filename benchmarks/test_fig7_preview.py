@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import report
+from repro.core.atomicio import atomic_write_text
 from repro.viz.jumpshot import Jumpshot
 
 
@@ -32,9 +33,10 @@ def test_figure7_preview_and_frame(benchmark, flash_pipeline):
 
     def preview_and_frame():
         v = Jumpshot(slog_path)
-        v.render_preview(flash_pipeline["out"] / "figure7_preview.svg")
-        return v.render_frame_at(
-            instant, flash_pipeline["out"] / "figure7_frame.svg", kind="thread-connected"
+        atomic_write_text(flash_pipeline["out"] / "figure7_preview.svg", v.preview.render_svg())
+        return atomic_write_text(
+            flash_pipeline["out"] / "figure7_frame.svg",
+            v.view_svg_at(instant, kind="thread-connected"),
         )
 
     benchmark(preview_and_frame)
@@ -73,7 +75,7 @@ def test_figure7_scalability(benchmark, workspace, profile):
         repeats = 50
         for _ in range(repeats):
             frame = viewer.locate(instant)
-            viewer.frame_records(frame)
+            viewer.batch([frame])
         timings[rounds] = (time.perf_counter() - t0) / repeats
 
     benchmark.pedantic(

@@ -14,23 +14,21 @@ from __future__ import annotations
 from benchmarks.conftest import report
 from repro.core.records import IntervalType
 from repro.core.threadtable import THREAD_TYPE_MPI, THREAD_TYPE_SYSTEM, THREAD_TYPE_USER
+from repro.core.atomicio import atomic_write_text
 from repro.viz.jumpshot import Jumpshot
-from repro.viz.views import render_view_svg
 
 
 def test_figure8_thread_activity(benchmark, sppm_pipeline):
     viewer = Jumpshot(sppm_pipeline["merge"].slog_path)
     records = viewer.slog.records()
-    batch = viewer.batch(viewer.slog.frames)
+    view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
 
-    def build_and_render():
-        view = viewer.build_view(batch, "thread")
-        return view, render_view_svg(
-            view, sppm_pipeline["out"] / "figure8.svg",
-            ticks_per_sec=viewer.slog.ticks_per_sec,
+    def render():
+        return atomic_write_text(
+            sppm_pipeline["out"] / "figure8.svg", viewer.view_svg_window(None, None, kind="thread")
         )
 
-    view, svg_path = benchmark(build_and_render)
+    svg_path = benchmark(render)
     table = viewer.slog.thread_table
 
     # Observation 1: the configuration — 4 nodes, one MPI thread per node

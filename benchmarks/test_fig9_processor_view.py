@@ -17,23 +17,21 @@ from collections import defaultdict
 
 from benchmarks.conftest import report
 from repro.core.threadtable import THREAD_TYPE_MPI
+from repro.core.atomicio import atomic_write_text
 from repro.viz.jumpshot import Jumpshot
-from repro.viz.views import render_view_svg
 
 
 def test_figure9_processor_activity(benchmark, sppm_pipeline):
     viewer = Jumpshot(sppm_pipeline["merge"].slog_path)
     records = [r for r in viewer.slog.records() if r.duration > 0]
-    batch = viewer.batch(viewer.slog.frames)
+    view = viewer.build_view(viewer.batch(viewer.slog.frames), "processor")
 
-    def build_and_render():
-        view = viewer.build_view(batch, "processor")
-        return view, render_view_svg(
-            view, sppm_pipeline["out"] / "figure9.svg",
-            ticks_per_sec=viewer.slog.ticks_per_sec,
+    def render():
+        return atomic_write_text(
+            sppm_pipeline["out"] / "figure9.svg", viewer.view_svg_window(None, None, kind="processor")
         )
 
-    view, svg_path = benchmark(build_and_render)
+    svg_path = benchmark(render)
 
     # Eight timelines per node (idle ones included).
     rows_per_node = defaultdict(int)

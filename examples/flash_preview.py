@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from repro.core import IntervalReader, standard_profile
+from repro.core.atomicio import atomic_write_text
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
 from repro.query.columnar import batch_from_records
@@ -43,7 +44,7 @@ def main(out_dir: str = "flash-out") -> None:
           f"(+{merged.pseudo_records} pseudo-intervals)")
 
     viewer = Jumpshot(out / "run.slog")
-    print(f"preview: {viewer.render_preview(out / 'figure7_preview.svg')}")
+    print(f"preview: {atomic_write_text(out / 'figure7_preview.svg', viewer.preview.render_svg())}")
 
     ranges = viewer.interesting_ranges(threshold=0.2)
     print("interesting time ranges (the Figure 6 reading):")
@@ -59,8 +60,9 @@ def main(out_dir: str = "flash-out") -> None:
         print(f"frame containing t={instant:.3f}s: "
               f"{frame.n_records} records ({frame.n_pseudo} pseudo), "
               f"[{frame.start_time / 1e9:.3f}s, {frame.end_time / 1e9:.3f}s]")
-        path = viewer.render_frame_at(instant, out / "figure7_frame.svg",
-                                      kind="thread-connected")
+        path = atomic_write_text(
+            out / "figure7_frame.svg", viewer.view_svg_at(instant, kind="thread-connected")
+        )
         print(f"frame display: {path}")
 
     # Figure 6: the statistics utility + viewer.

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from repro.core import IntervalReader, standard_profile
+from repro.core.atomicio import atomic_write_text
 from repro.core.records import BeBits, IntervalType
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
@@ -88,7 +89,8 @@ def main(out_dir: str = "io-out") -> None:
         print(table.to_tsv())
 
     viewer = Jumpshot(out / "run.slog")
-    print(f"thread view: {viewer.render_whole_run(out / 'io_thread_view.svg')}")
+    whole_run = viewer.view_svg_window(None, None, kind="thread")
+    print(f"thread view: {atomic_write_text(out / 'io_thread_view.svg', whole_run)}")
     view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
     print()
     print(render_view_ansi(view, columns=100))

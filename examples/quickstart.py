@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from repro.core import IntervalReader, standard_profile
+from repro.core.atomicio import atomic_write_text
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
 from repro.query.columnar import batch_from_records
@@ -56,8 +57,9 @@ def main(out_dir: str = "quickstart-out") -> None:
 
     # 4b. Visualization: preview + thread-activity view with arrows.
     viewer = Jumpshot(out / "run.slog")
-    print(f"  preview: {viewer.render_preview(out / 'preview.svg')}")
-    print(f"  view:    {viewer.render_whole_run(out / 'thread_view.svg')}")
+    print(f"  preview: {atomic_write_text(out / 'preview.svg', viewer.preview.render_svg())}")
+    whole_run = viewer.view_svg_window(None, None, kind="thread")
+    print(f"  view:    {atomic_write_text(out / 'thread_view.svg', whole_run)}")
 
     # And a terminal rendering, because why not.
     view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")

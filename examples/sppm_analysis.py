@@ -19,6 +19,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.core import standard_profile
+from repro.core.atomicio import atomic_write_text
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
 from repro.viz.ansi import render_view_ansi
@@ -48,7 +49,9 @@ def main(out_dir: str = "sppm-out") -> None:
         ("processor-thread", "processor_thread"),
         ("thread-connected", "thread_activity_connected"),
     ]:
-        path = viewer.render_whole_run(out / f"{figure}.svg", kind=kind)
+        path = atomic_write_text(
+            out / f"{figure}.svg", viewer.view_svg_window(None, None, kind=kind)
+        )
         print(f"  {kind:>18}: {path}")
 
     # The Figure 9 observations, computed from the records.

@@ -655,10 +655,11 @@ def main_recover(args) -> int:
 )
 def main_preview(args) -> int:
     """Render the whole-run preview from a SLOG file."""
+    from repro.core.atomicio import atomic_write_text
     from repro.viz.jumpshot import Jumpshot
 
     viewer = Jumpshot(args.slog)
-    print(viewer.render_preview(args.out))
+    print(atomic_write_text(args.out, viewer.preview.render_svg()))
     for lo, hi in viewer.interesting_ranges(args.threshold):
         print(f"interesting: {lo:.4f}s .. {hi:.4f}s", file=sys.stderr)
     return 0
@@ -985,33 +986,35 @@ def main_view(args) -> int:
     """Render a time-space diagram from a SLOG file."""
     _at_least(args, "columns", 1)
 
+    from repro.core.atomicio import atomic_write_text
+    from repro.query import resolve_index
     from repro.viz.ansi import render_view_ansi
     from repro.viz.jumpshot import Jumpshot
 
     viewer = Jumpshot(args.slog)
-    if args.interactive:
-        from repro.viz.interactive import render_interactive_html
-
-        view = viewer.build_view(viewer.batch(viewer.slog.frames), args.kind)
-        out = args.out if args.out.endswith(".html") else args.out + ".html"
-        print(
-            render_interactive_html(
-                view, out, ticks_per_sec=viewer.slog.ticks_per_sec
-            )
-        )
-        return 0
-    if args.ansi:
-        frames, window = viewer.slog.frames, None
-        if args.at is not None:
-            frame = viewer.locate(args.at)
-            frames, window = [frame], (frame.start_time, frame.end_time)
-        view = viewer.build_view(viewer.batch(frames), args.kind)
-        print(render_view_ansi(view, columns=args.columns, window=window))
-        return 0
+    # One selection for every output: the frame holding --at, else the run.
+    frames, window = viewer.slog.frames, None
     if args.at is not None:
-        print(viewer.render_frame_at(args.at, args.out, kind=args.kind))
+        frame = viewer.locate(args.at)
+        frames, window = [frame], (frame.start_time, frame.end_time)
+    if args.interactive or args.ansi:
+        view = viewer.build_view(viewer.batch(frames), args.kind)
+        if args.interactive:
+            from repro.viz.interactive import render_interactive_html
+
+            out = args.out if args.out.endswith(".html") else args.out + ".html"
+            print(render_interactive_html(view, out, ticks_per_sec=viewer.slog.ticks_per_sec))
+        else:
+            print(render_view_ansi(view, columns=args.columns, window=window))
+        return 0
+    # The SVG is the serving daemon's picture of the same selection: from
+    # the fresh sidecar beside the file when one is there and it is dense.
+    index, _reason = resolve_index(args.slog, "auto")
+    if args.at is not None:
+        svg = viewer.view_svg_at(args.at, kind=args.kind, index=index)
     else:
-        print(viewer.render_whole_run(args.out, kind=args.kind))
+        svg = viewer.view_svg_window(None, None, kind=args.kind, index=index)
+    print(atomic_write_text(args.out, svg))
     return 0
 
 

@@ -135,3 +135,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     with AtomicFile(path) as fh:
         fh.write(data)
     return Path(path)
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Publish ``text`` (UTF-8) at ``path`` crash-safely, making its
+    directory first — how the viewer's SVG and HTML artifacts are written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return atomic_write_bytes(path, text.encode())

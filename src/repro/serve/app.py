@@ -854,23 +854,20 @@ class TraceServer:
         width = self.config.svg_width
         if "width" in request.query:
             width = max(MIN_VIEW_WIDTH, min(_int_seg(request.query["width"], "width"), 4000))
-        window = self._window(request)
-        if window is not None:
-            t0, t1 = window
-            if t0 is None or t1 is None:
-                raise _HttpError(400, "view window needs both bounds: T0:T1")
-            svg, io = request.session.view_svg_window(kind, t0, t1, width=width)
-        else:
+        at = self._window(request)
+        if at is None:
             if "t" not in request.query:
                 raise _HttpError(
                     400,
                     "missing required query parameter 't' (seconds) or 'window'",
                 )
             try:
-                t_seconds = float(request.query["t"])
+                at = float(request.query["t"])
             except ValueError:
                 raise _HttpError(400, f"bad instant {request.query['t']!r}") from None
-            svg, io = request.session.view_svg(kind, t_seconds, width=width)
+        elif None in at:
+            raise _HttpError(400, "view window needs both bounds: T0:T1")
+        svg, io = request.session.view_svg(kind, at, width=width)
         return Response.text(svg, content_type="image/svg+xml", headers=_bytes_read(io))
 
     def _h_utilization(self, request: Request) -> Response:

@@ -224,30 +224,21 @@ class TraceSession:
             }
 
     def view_svg(
-        self, kind: str, t_seconds: float, *, width: int = 1100
+        self, kind: str, at: float | tuple[float, float], *, width: int = 1100
     ) -> tuple[str, dict[str, int]]:
-        """A rendered frame display plus the bytes-read delta of producing
-        it (``/api/view/{kind}?t=...``).  Dense frames answer from the
-        sidecar's utilization hierarchy when it is available."""
+        """A rendered view plus the bytes-read delta of producing it:
+        ``at`` an instant (seconds) is the frame display of
+        ``/api/view/{kind}?t=...``, a ``(t0, t1)`` window that of
+        ``?window=T0:T1``.  Dense views answer from the sidecar's
+        utilization hierarchy, without frame IO, when it is available."""
         with self.lock:
             before = self.reader.stats()
-            svg = self.viewer.view_svg_at(
-                t_seconds, kind=kind, width=width, index=self.index
-            )
-            return svg, io_delta(before, self.reader.stats())
-
-    def view_svg_window(
-        self, kind: str, t0_seconds: float, t1_seconds: float, *, width: int = 1100
-    ) -> tuple[str, dict[str, int]]:
-        """A rendered view over an arbitrary window plus its bytes-read
-        delta (``/api/view/{kind}?window=T0:T1``).  Above the density
-        threshold the utilization hierarchy answers without frame IO;
-        below it every overlapping frame decodes (exact drill-down)."""
-        with self.lock:
-            before = self.reader.stats()
-            svg = self.viewer.view_svg_window(
-                t0_seconds, t1_seconds, kind=kind, width=width, index=self.index
-            )
+            if isinstance(at, tuple):
+                svg = self.viewer.view_svg_window(
+                    *at, kind=kind, width=width, index=self.index
+                )
+            else:
+                svg = self.viewer.view_svg_at(at, kind=kind, width=width, index=self.index)
             return svg, io_delta(before, self.reader.stats())
 
     def utilization_payload(

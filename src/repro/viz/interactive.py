@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from repro.core.atomicio import atomic_write_text
 from repro.viz.colors import ColorMap
 from repro.viz.views import TimelineView
 
@@ -82,10 +83,7 @@ def render_interactive_html(
     html = _PAGE.replace("__TITLE__", escape(page_title)).replace(
         "__DATA__", json.dumps(payload)
     )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(html)
-    return path
+    return atomic_write_text(path, html)
 
 
 #: Shared page chrome: this file's standalone viewer and the serving

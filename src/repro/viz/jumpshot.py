@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.reader import DEFAULT_FRAME_CACHE
-from repro.core.records import IntervalRecord
 from repro.core.windows import seconds_to_ticks, window_to_ticks
 from repro.errors import FormatError
 from repro.query.columnar import FrameBatch, concat_batches
@@ -29,7 +30,6 @@ from repro.viz.views import (
     PIECE_VIEWS,
     TimelineView,
     piece_view,
-    render_view_svg,
     utilization_view,
     view_svg_string,
 )
@@ -77,9 +77,9 @@ class Jumpshot:
         #: Whether the last view_svg_* call answered from the utilization
         #: hierarchy (True) or exact record bars (False).
         self.last_view_aggregate = False
-        #: CPUs per node inferred from the records of a file without a node
-        #: table — one pass over every frame, made by the first view that
-        #: needs it.
+        #: CPUs per node inferred from the frame columns of a file without a
+        #: node table — one pass over every frame, made by the first view
+        #: that needs it.
         self._inferred_cpus: dict[int, int] | None = None
 
     def reload_preview(self) -> None:
@@ -100,10 +100,6 @@ class Jumpshot:
 
     # ------------------------------------------------------------- preview
 
-    def render_preview(self, path: str | Path) -> Path:
-        """Write the whole-run preview SVG."""
-        return self.preview.render_svg(path)
-
     def interesting_ranges(self, threshold: float = 0.05) -> list[tuple[float, float]]:
         """Time ranges (seconds) worth zooming into."""
         return interesting_ranges(self.preview, threshold=threshold)
@@ -117,10 +113,6 @@ class Jumpshot:
         if frame is None:
             raise FormatError(f"no frame contains t={t_seconds}s")
         return frame
-
-    def frame_records(self, frame: SlogFrameEntry) -> list[IntervalRecord]:
-        """The records of one frame (pseudo-interval lead-ins included)."""
-        return self.slog.read_frame(frame)
 
     def batch(self, frames: list[SlogFrameEntry]) -> FrameBatch:
         """The records of ``frames`` as one batch: the form scans cache,
@@ -152,28 +144,7 @@ class Jumpshot:
             arrows=arrows, window=window,
         )
 
-    def render_frame_at(
-        self,
-        t_seconds: float,
-        path: str | Path,
-        *,
-        kind: str = "thread",
-    ) -> Path:
-        """The headline operation: pick an instant, display its frame."""
-        frame = self.locate(t_seconds)
-        view = self.build_view(self.batch([frame]), kind)
-        return render_view_svg(
-            view, path,
-            window=(frame.start_time, frame.end_time),
-            ticks_per_sec=self.slog.ticks_per_sec,
-        )
-
-    def render_whole_run(self, path: str | Path, *, kind: str = "thread") -> Path:
-        """Render the full trace in one diagram (small runs only)."""
-        view = self.build_view(self.batch(self.slog.frames), kind)
-        return render_view_svg(view, path, ticks_per_sec=self.slog.ticks_per_sec)
-
-    # --------------------------------------------------------- server API
+    # ------------------------------------------- frame directory and display
 
     def frame_entry(self, index: int) -> SlogFrameEntry:
         """Frame ``index`` of the SLOG frame directory (FormatError when
@@ -216,15 +187,21 @@ class Jumpshot:
         )
 
     def view_svg_window(
-        self, t0_seconds: float, t1_seconds: float, *, kind: str = "thread",
+        self, t0_seconds: float | None, t1_seconds: float | None, *, kind: str = "thread",
         width: int = 1100, index=None,
     ) -> str:
         """A view over an arbitrary time window (seconds) as an SVG string.
 
         Below the density threshold this decodes every overlapping frame
         (exact drill-down); above it — any wide window of a big trace —
-        the utilization hierarchy answers without touching the data."""
+        the utilization hierarchy answers without touching the data.  Both
+        bounds ``None`` is the whole run: drawn exact on the records' own
+        span, drawn from aggregates on the indexed frames' span."""
         _check_kind(kind)
+        if t0_seconds is None and t1_seconds is None:
+            return self._render_window(None, self.slog.frames, kind, width, index)
+        if t0_seconds is None or t1_seconds is None:
+            raise FormatError("a view window needs both bounds (or neither: the whole run)")
         w0, w1 = window_to_ticks((t0_seconds, t1_seconds), self.slog.ticks_per_sec)
         if w1 <= w0:
             raise FormatError(f"empty window {t0_seconds}..{t1_seconds}s")
@@ -236,46 +213,48 @@ class Jumpshot:
 
     def _render_window(
         self,
-        window: tuple[int, int],
+        window: tuple[int, int] | None,
         frames: list[SlogFrameEntry],
         kind: str,
         width: int,
         index,
     ) -> str:
         self.last_view_aggregate = False
+        tps = self.slog.ticks_per_sec
         util = getattr(index, "utilization", None)
         if util is not None and kind in AGGREGATE_KINDS:
             n_records = sum(f.n_records for f in frames)
             plot_px = max(width - 220, 1)
             if n_records / plot_px > DENSITY_THRESHOLD:
                 self.last_view_aggregate = True
+                if window is None:
+                    # The whole run is the indexed frames' span, read as a
+                    # window named in seconds: one picture either way.
+                    window = window_to_ticks((index.t_min / tps, index.t_max / tps), tps)
                 lane_kind = "cpu" if kind == "processor" else "thread"
                 view = utilization_view(
                     util, lane_kind, self.slog.thread_table,
                     self.slog.profile.record_name,
                     window=window, max_bins=min(plot_px, AGGREGATE_MAX_BINS),
                 )
-                return view_svg_string(
-                    view, width=width, window=window,
-                    ticks_per_sec=self.slog.ticks_per_sec,
-                )
+                return view_svg_string(view, width=width, window=window, ticks_per_sec=tps)
         view = self.build_view(self.batch(frames), kind, window=window)
-        return view_svg_string(
-            view, width=width, window=window,
-            ticks_per_sec=self.slog.ticks_per_sec,
-        )
+        return view_svg_string(view, width=width, window=window, ticks_per_sec=tps)
 
     # ------------------------------------------------------------ internals
 
     def _cpus_per_node(self) -> dict[int, int]:
         if self.slog.node_cpus:
             return dict(self.slog.node_cpus)
-        # Legacy fallback: infer CPU counts from the records, once.
+        # Legacy fallback: a node has as many CPUs as its highest CPU that
+        # ran anything, folded from the frame columns once.
         if self._inferred_cpus is None:
             cpus: dict[int, int] = {}
             for frame in self.slog.frames:
-                for record in self.slog.read_frame(frame):
-                    if record.duration > 0:
-                        cpus[record.node] = max(cpus.get(record.node, 0), record.cpu + 1)
+                batch = self.slog.read_frame_batch(frame)
+                busy = batch.dura > 0
+                node, cpu = batch.node[busy], batch.cpu[busy]
+                for n in np.unique(node).tolist():
+                    cpus[n] = max(cpus.get(n, 0), int(cpu[node == n].max()) + 1)
             self._inferred_cpus = cpus
         return dict(self._inferred_cpus)

@@ -14,7 +14,6 @@ through ("the program is doing something interesting during ...").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,8 +66,8 @@ class Preview:
             return np.zeros(self.bins)
         return self.matrix[:, keep].sum(axis=1)
 
-    def render_svg(self, path: str | Path, *, width: int = 900, height: int = 240) -> Path:
-        """Stacked per-state preview histogram."""
+    def render_svg(self, *, width: int = 900, height: int = 240) -> str:
+        """Stacked per-state preview histogram, as an SVG document."""
         canvas = SvgCanvas(width, height)
         margin_l, margin_t, margin_b, margin_r = 56, 34, 62, 16
         plot_w = width - margin_l - margin_r
@@ -116,7 +115,7 @@ class Preview:
             lx += 14 + 7 * len(name) + 18
             if lx > width - 80:
                 break
-        return canvas.write(path)
+        return canvas.to_string()
 
 
 def interesting_ranges(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from repro.core.atomicio import atomic_write_text
 from repro.utils.stats import StatsTable
 
 _CSS = """
@@ -60,11 +61,10 @@ class HtmlReport:
         """Add preformatted text (ANSI views render fine without color)."""
         self._parts.append(f"<pre>{escape(text)}</pre>")
 
-    def add_svg(self, svg: str | Path, caption: str = "") -> None:
-        """Embed an SVG document (string or path) inline."""
-        body = Path(svg).read_text() if isinstance(svg, Path) else svg
+    def add_svg(self, svg: str, caption: str = "") -> None:
+        """Embed an SVG document inline."""
         cap = f'<p class="caption">{escape(caption)}</p>' if caption else ""
-        self._parts.append(f"<figure>{body}{cap}</figure>")
+        self._parts.append(f"<figure>{svg}{cap}</figure>")
 
     def add_table(self, table: StatsTable, *, max_rows: int = 60) -> None:
         """Render a statistics table as HTML."""
@@ -97,11 +97,9 @@ class HtmlReport:
         )
 
     def write(self, path: str | Path) -> Path:
-        """Write the report file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_string())
-        return path
+        """Write the report file (crash-safe: a write that fails leaves any
+        previous file whole)."""
+        return atomic_write_text(path, self.to_string())
 
 
 def _fmt(value) -> str:
@@ -118,14 +116,16 @@ def build_run_report(
     view_kinds: tuple[str, ...] = ("thread", "processor"),
 ) -> Path:
     """One-call report over a SLOG file: preview, interesting ranges, the
-    requested time-space views, and the pre-defined statistics tables."""
-    import tempfile
+    requested time-space views, and the pre-defined statistics tables.
 
+    The views are the whole run as ``ute-view`` draws it: from the fresh
+    sidecar's utilization aggregate when one sits beside the file and the
+    run is dense, else from every record."""
     from repro.analysis.blocking import call_profile, format_call_profile
     from repro.core.records import IntervalType
+    from repro.query import resolve_index
     from repro.utils.stats import drop_clock_pairs, predefined_tables
     from repro.viz.jumpshot import Jumpshot
-    from repro.viz.views import render_view_svg
 
     viewer = Jumpshot(slog_path)
     slog = viewer.slog
@@ -138,27 +138,20 @@ def build_run_report(
         f"{len(slog.node_cpus)} nodes.",
         note=True,
     )
+    report.add_heading("Whole-run preview")
+    report.add_svg(viewer.preview.render_svg())
+    ranges = viewer.interesting_ranges(0.1)
+    if ranges:
+        report.add_text(
+            "Interesting time ranges: "
+            + ", ".join(f"{lo:.4f}s – {hi:.4f}s" for lo, hi in ranges)
+        )
+    index, _reason = resolve_index(slog_path, "auto")
+    for kind in view_kinds:
+        report.add_heading(f"{kind} view")
+        report.add_svg(viewer.view_svg_window(None, None, kind=kind, index=index))
+
     batch = viewer.batch(slog.frames)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        report.add_heading("Whole-run preview")
-        report.add_svg(viewer.render_preview(tmp / "preview.svg"))
-        ranges = viewer.interesting_ranges(0.1)
-        if ranges:
-            report.add_text(
-                "Interesting time ranges: "
-                + ", ".join(f"{lo:.4f}s – {hi:.4f}s" for lo, hi in ranges)
-            )
-
-        for kind in view_kinds:
-            report.add_heading(f"{kind} view")
-            view = viewer.build_view(batch, kind)
-            report.add_svg(
-                render_view_svg(view, tmp / f"{kind}.svg",
-                                ticks_per_sec=slog.ticks_per_sec)
-            )
-
     report.add_heading("Call profile (blocking analysis)")
     rows = call_profile(batch, slog.profile, markers=slog.markers)
     report.add_text(

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from repro.core.atomicio import atomic_write_bytes
+from repro.core.atomicio import atomic_write_text
 
 #: Chart surface and ink tokens (light mode of the validated palette).
 SURFACE = "#fcfcfb"
@@ -197,6 +197,4 @@ class SvgCanvas:
     def write(self, path: str | Path) -> Path:
         """Write the document to ``path`` (crash-safe: a write that fails
         leaves any previous file whole)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return atomic_write_bytes(path, self.to_string().encode())
+        return atomic_write_text(path, self.to_string())

@@ -16,7 +16,7 @@ interval format:
   *thread* running there: shows processor allocation among threads.
 
 Views are plain data (:class:`TimelineView`) renderable to SVG via
-:func:`render_view_svg` or to text via :mod:`repro.viz.ansi`.
+:func:`view_svg_string` or to text via :mod:`repro.viz.ansi`.
 
 A fifth, **aggregate** view (:func:`utilization_view`) draws the thread or
 processor lanes from the sidecar's utilization hierarchy instead of
@@ -41,10 +41,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.core.records import BeBits, IntervalRecord, IntervalType
+from repro.core.records import BeBits, IntervalType
 from repro.core.threadtable import ThreadTable
 from repro.errors import FormatError
-from repro.query.columnar import FrameBatch, batch_from_records
+from repro.query.columnar import FrameBatch
 from repro.query.utilization import split_thread_key
 from repro.viz.arrows import MessageArrow
 from repro.viz.colors import IDLE_COLOR, ColorMap
@@ -263,7 +263,7 @@ PIECE_VIEWS = {
 
 def piece_view(
     kind: str,
-    records: FrameBatch | Iterable[IntervalRecord],
+    batch: FrameBatch,
     *,
     thread_table: ThreadTable | None = None,
     n_cpus_per_node: dict[int, int] | None = None,
@@ -272,20 +272,23 @@ def piece_view(
     arrows: list[MessageArrow] | None = None,
     window: tuple[int, int] | None = None,
 ) -> TimelineView:
-    """The view ``kind`` of :data:`PIECE_VIEWS` over a frame batch (record
-    objects are read into one); the builders below say what each shows.
+    """The view ``kind`` of :data:`PIECE_VIEWS` over a frame batch.
 
     Clock pairs are dropped, and zero-duration pseudo-intervals too unless
     the pieces are connected.  Every thread of the table (thread views) or
-    CPU of ``n_cpus_per_node`` (CPU rows) gets a row even when idle; a
-    record on any other lane adds one.  The legend is in order of first
-    appearance over *all* the records, on screen or not, in file order —
-    (node, thread, start, end) order for the thread views."""
+    CPU of ``n_cpus_per_node`` (CPU rows) gets a row even when idle — the
+    empty rows are Figure 8's idle thread and Figure 9's mostly idle CPUs;
+    a record on any other lane adds one.  The connected view unifies each
+    state's pieces into one bar, nested by depth; a state still open at the
+    edge runs to the ``window`` end (else the records' span end), marked
+    "(open)".  CPU rows have no connected view: threads jump among
+    processors.  The legend is in order of first appearance over *all* the
+    records, on screen or not, in file order — (node, thread, start, end)
+    order for the thread views."""
     title, row_axis, colour_axis, (tail, *tail_columns) = PIECE_VIEWS[kind]
     connected = kind == "thread-connected"
     by_thread = connected or kind == "thread"  # sorted by, and seeded from, the thread table
     markers = markers or {}
-    batch = records if isinstance(records, FrameBatch) else batch_from_records(list(records))
     keep = batch.itype != IntervalType.CLOCKPAIR
     if not connected:
         keep &= batch.dura > 0
@@ -331,7 +334,10 @@ def piece_view(
         ((str(label), lane_key) if row_axis == "state" else lane_key): lane_key
         for lane_key, label in labels.items()
     }
-    ordered = sorted(row_keys)
+    # A marker may share its label with a record type: a type's state key
+    # is an int and a marker's a tuple, so the type's row sorts first.
+    by_label = (lambda key: (key[0], isinstance(key[1], tuple), key[1])) if row_axis == "state" else None
+    ordered = sorted(row_keys, key=by_label)
     slot = {row_keys[row_key]: i for i, row_key in enumerate(ordered)}
     at_row = np.array([slot[lane_key] for lane_key in seen], dtype=np.int64)[lane]
 
@@ -394,90 +400,6 @@ def _connect(lanes, keys, bebits, starts, ends, edge: int) -> list[np.ndarray]:
         for key, (since, until, depth, *tip) in open_map.items():
             bars.append((lane, since, max(until, edge), key, depth, *tip, 1))
     return [_tick_column(list(column)) for column in zip(*bars)] or [np.zeros(0, np.int64)] * 9
-
-
-def thread_activity_view(
-    records: FrameBatch | Iterable[IntervalRecord],
-    thread_table: ThreadTable,
-    record_name: Callable[[int], str],
-    markers: dict[int, str] | None = None,
-    *,
-    connected: bool = False,
-    arrows: list[MessageArrow] | None = None,
-    window: tuple[int, int] | None = None,
-) -> TimelineView:
-    """Thread-activity view: one timeline per (node, thread), bars coloured
-    by state.  Every thread of the table gets a row, so idle threads show
-    as empty timelines — Figure 8's "one thread is idle" observation
-    depends on it.
-
-    With ``connected=True``, the begin/continuation/end pieces of each state
-    are unified into a single spanning bar and nesting depth is tracked so
-    inner states draw over outer ones (zero-duration pseudo-intervals
-    contribute span information, which is why mid-file windows still show
-    enclosing states).  States still open at the edge extend to the
-    ``window`` end (or the records' span end), tooltip-marked "(open)".
-    """
-    return piece_view(
-        "thread-connected" if connected else "thread", records, thread_table=thread_table,
-        record_name=record_name, markers=markers, arrows=arrows, window=window,
-    )
-
-
-def processor_activity_view(
-    records: FrameBatch | Iterable[IntervalRecord],
-    n_cpus_per_node: dict[int, int],
-    record_name: Callable[[int], str],
-    markers: dict[int, str] | None = None,
-) -> TimelineView:
-    """Processor-activity view: one timeline per (node, cpu), pieces only
-    ("threads may jump among processors" — there is no connected variant).
-
-    Every processor of every node gets a row even when idle — the paper's
-    Figure 9 point is precisely that "the CPUs are mostly idle".
-    """
-    return piece_view(
-        "processor", records, n_cpus_per_node=n_cpus_per_node,
-        record_name=record_name, markers=markers,
-    )
-
-
-def type_activity_view(
-    records: FrameBatch | Iterable[IntervalRecord],
-    thread_table: ThreadTable,
-    record_name: Callable[[int], str],
-    markers: dict[int, str] | None = None,
-) -> TimelineView:
-    """Type-activity view: one timeline per *record type*, colored by
-    thread — the paper's "other possible views may use record type as the
-    significant discriminator along the y-axis".
-
-    Shows when each kind of activity (each MPI routine, each marker region)
-    was happening anywhere in the job, and which threads did it.
-    """
-    return piece_view(
-        "type", records, thread_table=thread_table, record_name=record_name, markers=markers
-    )
-
-
-def thread_processor_view(
-    records: FrameBatch | Iterable[IntervalRecord], thread_table: ThreadTable
-) -> TimelineView:
-    """Thread-processor view: timelines per thread, colored by processor —
-    shows threads jumping among CPUs."""
-    return piece_view("thread-processor", records, thread_table=thread_table)
-
-
-def processor_thread_view(
-    records: FrameBatch | Iterable[IntervalRecord],
-    n_cpus_per_node: dict[int, int],
-    thread_table: ThreadTable,
-) -> TimelineView:
-    """Processor-thread view: timelines per processor, colored by thread —
-    shows processor allocation among threads."""
-    return piece_view(
-        "processor-thread", records, thread_table=thread_table, n_cpus_per_node=n_cpus_per_node
-    )
 
 
 #: Busy-fraction quantization for aggregate heat bars.  Opacity only needs
@@ -722,23 +644,6 @@ def _dense_paths(
         yield r, path_element(
             d, fill=fill_names[f], opacity=round(opacity, 3) if opacity < 1.0 else None
         )
-
-
-def render_view_svg(
-    view: TimelineView,
-    path,
-    *,
-    width: int = 1100,
-    window: tuple[int, int] | None = None,
-    ticks_per_sec: float = 1e9,
-):
-    """Render a timeline view to an SVG file.
-
-    ``window`` restricts the x-axis to a sub-range (frame display); bars are
-    clipped to it.
-    """
-    canvas = _view_canvas(view, width=width, window=window, ticks_per_sec=ticks_per_sec)
-    return canvas.write(path)
 
 
 def view_svg_string(

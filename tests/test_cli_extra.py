@@ -455,6 +455,65 @@ class TestViewFromFrames:
         assert out.read_bytes() == want
 
 
+class TestViewAtAnInstant:
+    """``ute-view --at T`` selects the frame holding T once, and the SVG,
+    ``--ansi`` and ``--interactive`` outputs all draw that frame."""
+
+    KINDS = TestViewFromFrames.KINDS
+
+    @pytest.fixture(scope="class")
+    def framed(self, tmp_path_factory):
+        """A ping-pong SLOG in 1 KiB frames, and an instant mid-way."""
+        from repro.utils.convert import convert_traces
+        from repro.utils.merge import merge_interval_files
+        from repro.viz.jumpshot import Jumpshot
+        from repro.workloads import run_pingpong
+
+        tmp = tmp_path_factory.mktemp("view-at")
+        conv = convert_traces(run_pingpong(tmp / "raw").raw_paths, tmp / "ivl")
+        slog = merge_interval_files(
+            conv.interval_paths, tmp / "m.ute", PROFILE, slog_path=tmp / "run.slog",
+            frame_bytes=1024,
+        ).slog_path
+        with Jumpshot(slog) as viewer:
+            frames = viewer.slog.frames
+            assert len(frames) > 2
+            frame = frames[len(frames) // 2]
+            mid = (frame.start_time + frame.end_time) / 2 / viewer.slog.ticks_per_sec
+        return slog, mid
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_interactive_draws_the_frame(self, framed, kind, tmp_path, capsys):
+        from repro import cli
+        from repro.viz.interactive import render_interactive_html
+        from repro.viz.jumpshot import Jumpshot
+
+        slog, mid = framed
+        with Jumpshot(slog) as viewer:
+            tps = viewer.slog.ticks_per_sec
+            frame_view = viewer.build_view(viewer.batch([viewer.locate(mid)]), kind)
+            want = render_interactive_html(frame_view, tmp_path / "want.html", ticks_per_sec=tps)
+            run_view = viewer.build_view(viewer.batch(viewer.slog.frames), kind)
+            run = render_interactive_html(run_view, tmp_path / "run.html", ticks_per_sec=tps)
+        out = tmp_path / "got.html"
+        argv = [str(slog), "--interactive", "--kind", kind, "--at", repr(mid), "-o", str(out)]
+        assert cli.main_view(argv) == 0
+        assert out.read_bytes() == want.read_bytes() != run.read_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_svg_draws_the_frame(self, framed, kind, tmp_path, capsys):
+        from repro import cli
+        from repro.viz.jumpshot import Jumpshot
+
+        slog, mid = framed
+        with Jumpshot(slog) as viewer:
+            want = viewer.view_svg_at(mid, kind=kind)
+        out = tmp_path / "got.svg"
+        assert cli.main_view([str(slog), "--kind", kind, "--at", repr(mid), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert out.read_text() == want
+
+
 class TestCountArguments:
     """A count option below what the command can honour is a one-line usage
     error, never a silent default or an empty rendering."""

@@ -21,7 +21,10 @@ from repro.errors import FormatError
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import SlogFile, SlogWriter
 from repro.utils.stats import StatsTable
+from repro.viz.interactive import render_interactive_html
+from repro.viz.report import HtmlReport
 from repro.viz.statviewer import render_table_svg
+from repro.viz.views import TimelineBar, TimelineRow, TimelineView
 
 PROFILE = standard_profile()
 TABLE = ThreadTable([ThreadEntry(0, 1, 1, 0, 0, 0, "t")])
@@ -94,6 +97,12 @@ class TestAtomicFile:
         assert _leftovers(tmp_path) == ["blob.bin"]
 
 
+def _fail_midway(self, data):
+    """``AtomicFile.write`` on a full disk: half the bytes, then ENOSPC."""
+    self._require().write(data[: len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestStatsOutputs:
     """``ute-stats`` publishes its TSV tables and ``--svg`` viewers like
     every other writer: a write that fails midway leaves the previous file
@@ -109,16 +118,39 @@ class TestStatsOutputs:
         write(table, target)
         before = target.read_bytes()
         table.rows[(2,)] = (5,)
-
-        def fail_midway(self, data):
-            self._require().write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(AtomicFile, "write", fail_midway)
+        monkeypatch.setattr(AtomicFile, "write", _fail_midway)
         with pytest.raises(OSError):
             write(table, target)
         assert target.read_bytes() == before
         assert _leftovers(tmp_path) == ["t.out"]
+
+
+def _report_page(title: str, path) -> None:
+    report = HtmlReport(title)
+    report.add_text("body")
+    report.write(path)
+
+
+def _interactive_page(title: str, path) -> None:
+    view = TimelineView(title, [TimelineRow("t", (0, 0), [TimelineBar(0, 10, "a")])], 0, 10, {"a": "A"})
+    render_interactive_html(view, path)
+
+
+class TestViewerPages:
+    """``ute-report``'s HTML and ``ute-view --interactive``'s page publish
+    like every other writer: a write that fails midway leaves the previous
+    page whole and no temp sibling behind."""
+
+    @pytest.mark.parametrize("write", [_report_page, _interactive_page], ids=["report", "interactive"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        target = tmp_path / "page.html"
+        write("first", target)
+        before = target.read_bytes()
+        monkeypatch.setattr(AtomicFile, "write", _fail_midway)
+        with pytest.raises(OSError):
+            write("second", target)
+        assert target.read_bytes() == before
+        assert _leftovers(tmp_path) == ["page.html"]
 
 
 class TestKilledWriters:

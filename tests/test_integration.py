@@ -125,11 +125,10 @@ class TestPipelineInvariants:
             assert sent == expected
             assert count == 8
 
-    def test_jumpshot_views_render(self, pipeline, tmp_path):
+    def test_jumpshot_views_render(self, pipeline):
         viewer = Jumpshot(pipeline["merged"].slog_path)
         for kind in ("thread", "processor", "thread-connected"):
-            path = viewer.render_whole_run(tmp_path / f"{kind}.svg", kind=kind)
-            assert path.stat().st_size > 500
+            assert len(viewer.view_svg_window(None, None, kind=kind)) > 500
 
 
 class TestCliPipeline:

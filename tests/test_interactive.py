@@ -10,9 +10,10 @@ import pytest
 from repro.core import standard_profile
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
+from repro.query.columnar import batch_from_records
 from repro.viz.arrows import MessageArrow
 from repro.viz.interactive import render_interactive_html, view_payload
-from repro.viz.views import thread_activity_view
+from repro.viz.views import piece_view
 
 PROFILE = standard_profile()
 SEND = IntervalType.for_mpi_fn(0)
@@ -37,7 +38,10 @@ def sample_view():
         ),
     ]
     arrows = [MessageArrow(1, (0, 0), (1, 0), 100, 200, 64)]
-    return thread_activity_view(records, table, PROFILE.record_name, arrows=arrows)
+    return piece_view(
+        "thread", batch_from_records(records), thread_table=table,
+        record_name=PROFILE.record_name, arrows=arrows,
+    )
 
 
 class TestPayload:

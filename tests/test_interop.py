@@ -192,6 +192,36 @@ class TestForeignChromeImport:
             reader.close()
 
 
+    def test_a_slog_without_node_cpus_infers_them_from_busy_rows(self, tmp_path):
+        from repro.utils.merge import merge_interval_files
+        from repro.viz.jumpshot import Jumpshot
+
+        # Node 7 runs on CPUs 0-3, node 8 on CPU 1; node 8's zero-length
+        # event on CPU 5 ran nothing and must not add CPUs.
+        events = [
+            {"name": "compute", "ph": "X", "pid": pid, "tid": pid * 10,
+             "ts": i * 2.0, "dur": 1.5, "args": {"cpu": cpu}}
+            for i in range(60)
+            for pid, cpu in ((7, i % 4), (8, 1))
+        ]
+        events.append({"name": "compute", "ph": "X", "pid": 8, "tid": 80,
+                       "ts": 50.0, "dur": 0, "args": {"cpu": 5}})
+        source = tmp_path / "cpus.chrome.json"
+        source.write_text(json.dumps({"traceEvents": events}))
+        import_chrome_json(source, tmp_path / "cpus.ute")
+        slog = merge_interval_files(
+            [tmp_path / "cpus.ute"], tmp_path / "m.ute", PROFILE,
+            slog_path=tmp_path / "cpus.slog", frame_bytes=512,
+        ).slog_path
+        with Jumpshot(slog) as viewer:
+            assert viewer.slog.node_cpus == {} and len(viewer.slog.frames) > 3
+            assert viewer._cpus_per_node() == {7: 4, 8: 2}
+            view = viewer.build_view(viewer.batch(viewer.slog.frames), "processor")
+            assert [row.row_key for row in view.rows] == [
+                (7, 0), (7, 1), (7, 2), (7, 3), (8, 0), (8, 1)
+            ]
+
+
 class TestForeignOtf2Import:
     def test_strict_import_counts(self, tmp_path):
         out = tmp_path / "foreign.ute"
@@ -357,3 +387,23 @@ class TestConvertCli:
         assert main_convert(argv) == 0
         assert "salvaged" in capsys.readouterr().err
         assert out.exists()
+
+
+def test_pairing_messages_loads_no_viewer():
+    """The Chrome exporter needs only the arrow matcher: importing it must
+    not load the SVG viewer behind ``repro.viz``."""
+    import subprocess
+    import sys
+
+    viewer = ("repro.viz.views", "repro.viz.svg", "repro.viz.jumpshot",
+              "repro.viz.interactive", "repro.viz.report")
+    probe = (
+        "import sys; import repro.interop.chrome; "
+        f"print(sorted(m for m in {viewer!r} if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -81,9 +81,7 @@ class TestPreview:
     def test_render_svg(self, tmp_path):
         path = make_slog(tmp_path / "e.slog", phased_records())
         preview = Preview.from_slog(SlogFile(path))
-        svg = preview.render_svg(tmp_path / "p.svg")
-        assert svg.exists()
-        assert "<svg" in svg.read_text()
+        assert preview.render_svg().startswith("<svg")
 
 
 class TestJumpshot:
@@ -93,8 +91,7 @@ class TestJumpshot:
         viewer = Jumpshot(path)
         frame = viewer.locate(0.0000050)  # 5000 ticks
         assert frame.contains_time(5000)
-        recs = viewer.frame_records(frame)
-        assert recs
+        assert len(viewer.batch([frame])) > 0
 
     def test_locate_outside_run_raises(self, tmp_path):
         path = make_slog(tmp_path / "g.slog", [rec(dura=100)])
@@ -105,8 +102,7 @@ class TestJumpshot:
         records = [rec(start=i * 100, dura=90) for i in range(200)]
         path = make_slog(tmp_path / "h.slog", records, frame_bytes=512)
         viewer = Jumpshot(path)
-        svg = viewer.render_frame_at(0.0000050, tmp_path / "frame.svg")
-        assert svg.exists()
+        assert viewer.view_svg_at(0.0000050).startswith("<svg")
 
     def test_all_view_kinds_render(self, tmp_path):
         records = phased_records()
@@ -114,14 +110,20 @@ class TestJumpshot:
         viewer = Jumpshot(path)
         for kind in ("thread", "thread-connected", "processor",
                      "thread-processor", "processor-thread"):
-            svg = viewer.render_whole_run(tmp_path / f"{kind}.svg", kind=kind)
-            assert svg.exists()
+            assert viewer.view_svg_window(None, None, kind=kind).startswith("<svg")
 
     def test_unknown_view_kind_rejected(self, tmp_path):
         path = make_slog(tmp_path / "j.slog", [rec()])
         viewer = Jumpshot(path)
         with pytest.raises(FormatError, match="unknown view kind"):
             viewer.build_view(FrameBatch(0), "pie-chart")
+
+    def test_a_half_open_window_is_refused(self, tmp_path):
+        viewer = Jumpshot(make_slog(tmp_path / "w.slog", [rec()]))
+        for t0, t1 in ((None, 1.0), (0.0, None)):
+            with pytest.raises(FormatError, match="needs both bounds"):
+                viewer.view_svg_window(t0, t1)
+        assert viewer.view_svg_window(None, None).startswith("<svg")
 
     def test_cpus_per_node_from_slog(self, tmp_path):
         path = make_slog(tmp_path / "k.slog", [rec()])

@@ -32,9 +32,8 @@ class TestHtmlReport:
 
         canvas = SvgCanvas(100, 50)
         canvas.rect(0, 0, 10, 10, fill="#2a78d6", title="tip")
-        svg_path = canvas.write(tmp_path / "x.svg")
         report = HtmlReport("r")
-        report.add_svg(svg_path, caption="a rectangle")
+        report.add_svg(canvas.to_string(), caption="a rectangle")
         html = report.to_string()
         assert "<svg" in html
         assert "a rectangle" in html

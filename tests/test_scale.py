@@ -57,7 +57,7 @@ class TestManyNodes:
         assert len(ratios) == 8
         assert len(set(ratios)) == 8  # each node's drift differs
 
-    def test_views_handle_sixteen_tasks(self, big_run, tmp_path):
+    def test_views_handle_sixteen_tasks(self, big_run):
         from repro.viz.jumpshot import Jumpshot
 
         tmp, _, _, merged = big_run
@@ -65,8 +65,7 @@ class TestManyNodes:
         view = viewer.build_view(viewer.batch(viewer.slog.frames), "thread")
         # 16 tasks x 3 threads = 48 timelines.
         assert len(view.rows) == 48
-        path = viewer.render_whole_run(tmp_path / "big.svg")
-        assert path.stat().st_size > 10_000
+        assert len(viewer.view_svg_window(None, None, kind="thread")) > 10_000
 
 
 class TestThreadTableCapacity:

@@ -167,7 +167,7 @@ class TestIoTracing:
         expected = 4 * (config.read_bytes + config.phases * config.write_bytes)
         assert total_bytes == expected
 
-    def test_views_show_extension_states(self, io_pipeline, tmp_path):
+    def test_views_show_extension_states(self, io_pipeline):
         from repro.viz.jumpshot import Jumpshot
 
         viewer = Jumpshot(io_pipeline["merged"].slog_path)
@@ -175,8 +175,7 @@ class TestIoTracing:
         assert IntervalType.IO in view.key_names
         assert view.key_names[IntervalType.IO] == "FileIO"
         assert IntervalType.PAGEFAULT in view.key_names
-        path = viewer.render_whole_run(tmp_path / "io.svg")
-        assert "FileIO" in path.read_text()
+        assert "FileIO" in viewer.view_svg_window(None, None, kind="thread")
 
     def test_compute_with_faults_zero_faults(self, tmp_path):
         """No faults -> plain compute, no PageFault states."""

@@ -30,6 +30,7 @@ from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError
 from repro.query import build_index, index_path_for, open_trace, write_index
+from repro.query.columnar import batch_from_records
 from repro.query.utilization import (
     UtilizationBuilder,
     dominant_state,
@@ -46,11 +47,7 @@ from repro.viz.views import (
     TimelineRow,
     TimelineView,
     _thread_label,
-    processor_activity_view,
-    processor_thread_view,
-    thread_activity_view,
-    thread_processor_view,
-    type_activity_view,
+    piece_view,
     utilization_view,
     view_svg_string,
 )
@@ -317,13 +314,16 @@ def six_views(names, records):
         return f"{state}{itype}"
 
     util = build(records)
+    batch = batch_from_records(records)
     return [
-        thread_activity_view(records, table, record_name, markers),
-        thread_activity_view(records, table, record_name, markers, connected=True),
-        processor_activity_view(records, cpus, record_name, markers),
-        thread_processor_view(records, table),
-        processor_thread_view(records, cpus, table),
-        type_activity_view(records, table, record_name, markers),
+        *(
+            piece_view(
+                kind, batch, thread_table=table, n_cpus_per_node=cpus,
+                record_name=record_name, markers=markers,
+            )
+            for kind in ("thread", "thread-connected", "processor",
+                         "thread-processor", "processor-thread", "type")
+        ),
         utilization_view(util, "thread", table, record_name),
         utilization_view(util, "cpu", table, record_name),
     ]
@@ -385,14 +385,20 @@ class TestWellFormed:
 
 class TestNarrowViews:
     def test_a_view_without_room_for_a_plot_is_refused(self):
-        view = thread_activity_view(named_records(8), TABLE, name_of)
+        view = piece_view(
+            "thread", batch_from_records(named_records(8)), thread_table=TABLE,
+            record_name=name_of,
+        )
         for width in (200, 214, 0):
             with pytest.raises(FormatError, match="no room for the plot"):
                 view_svg_string(view, width=width)
         assert "<svg" in view_svg_string(view, width=215)
 
     def test_the_minimum_leaves_a_forward_axis(self):
-        view = thread_activity_view(named_records(8), TABLE, name_of)
+        view = piece_view(
+            "thread", batch_from_records(named_records(8)), thread_table=TABLE,
+            record_name=name_of,
+        )
         svg = view_svg_string(view, width=MIN_VIEW_WIDTH)
         root = xml.dom.minidom.parseString(svg).documentElement
         ticks = [
@@ -445,13 +451,13 @@ class TestInferredCpus:
     @staticmethod
     def count_reads(viewer):
         calls = []
-        read_frame = viewer.slog.read_frame
+        read_frame_batch = viewer.slog.read_frame_batch
 
         def counting(frame):
             calls.append(frame)
-            return read_frame(frame)
+            return read_frame_batch(frame)
 
-        viewer.slog.read_frame = counting
+        viewer.slog.read_frame_batch = counting
         return calls
 
     def test_two_processor_views_cost_one_pass(self, viewer):

@@ -18,13 +18,14 @@ from repro.core.fields import MASK_ALL_MERGED
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.query import build_index, open_trace
+from repro.query.columnar import batch_from_records
 from repro.utils.slog import SlogFile, SlogWriter
 from repro.viz.arrows import MessageArrow
 from repro.viz.jumpshot import DENSITY_THRESHOLD, VIEW_KINDS, Jumpshot
 from repro.viz.views import (
     TimelineView,
     _fmt_time,
-    thread_activity_view,
+    piece_view,
     view_svg_string,
 )
 
@@ -32,6 +33,15 @@ PROFILE = standard_profile()
 TABLE = ThreadTable(
     [ThreadEntry(t, 100 + t, 5000 + t, 0, t, 0, f"t{t}") for t in range(2)]
 )
+
+
+def thread_view(records, *, connected=False, window=None):
+    """The thread-activity view of a record list (``connected``: its
+    pieces unified)."""
+    return piece_view(
+        "thread-connected" if connected else "thread", batch_from_records(records),
+        thread_table=TABLE, record_name=PROFILE.record_name, window=window,
+    )
 
 
 def rec(start, dura, *, thread=0, itype=IntervalType.RUNNING,
@@ -79,16 +89,12 @@ def pieces():
 
 class TestPieceConnectedParity:
     def test_coverage_identical_per_row_and_state(self):
-        piece = thread_activity_view(pieces(), TABLE, PROFILE.record_name)
-        connected = thread_activity_view(
-            pieces(), TABLE, PROFILE.record_name, connected=True
-        )
+        piece = thread_view(pieces())
+        connected = thread_view(pieces(), connected=True)
         assert coverage(piece) == coverage(connected)
 
     def test_connected_unifies_pieces_into_one_bar(self):
-        connected = thread_activity_view(
-            pieces(), TABLE, PROFILE.record_name, connected=True
-        )
+        connected = thread_view(pieces(), connected=True)
         by_row = {row.row_key: row for row in connected.rows}
         send_bars = [
             b for b in by_row[(0, 0)].bars
@@ -100,12 +106,10 @@ class TestPieceConnectedParity:
 class TestWindowParity:
     def test_windowed_bars_match_full_view_inside_the_window(self):
         records = [rec(i * 100, 80, thread=i % 2) for i in range(30)]
-        full = thread_activity_view(records, TABLE, PROFILE.record_name)
+        full = thread_view(records)
         w0, w1 = 500, 1500
         inside = [r for r in records if r.end > w0 and r.start < w1]
-        windowed = thread_activity_view(
-            inside, TABLE, PROFILE.record_name, window=(w0, w1)
-        )
+        windowed = thread_view(inside, window=(w0, w1))
         want = {
             (row.row_key, bar.start, bar.end, bar.key)
             for row in full.rows for bar in row.bars
@@ -197,10 +201,7 @@ class TestAxisLabelRegression:
 class TestOpenStateRegression:
     def test_open_state_extends_to_window_edge(self):
         records = [rec(100, 200, bebits=BeBits.BEGIN)]
-        view = thread_activity_view(
-            records, TABLE, PROFILE.record_name, connected=True,
-            window=(0, 5_000),
-        )
+        view = thread_view(records, connected=True, window=(0, 5_000))
         bars = [b for row in view.rows for b in row.bars]
         assert len(bars) == 1
         assert bars[0].end == 5_000
@@ -210,10 +211,7 @@ class TestOpenStateRegression:
 class TestClippedArrowRegression:
     @staticmethod
     def view_with_arrow(recv_time):
-        view = thread_activity_view(
-            [rec(100, 200), rec(300, 200, thread=1)],
-            TABLE, PROFILE.record_name,
-        )
+        view = thread_view([rec(100, 200), rec(300, 200, thread=1)])
         view.arrows.append(
             MessageArrow(1, (0, 0), (0, 1), 150, recv_time, 64)
         )
@@ -227,3 +225,76 @@ class TestClippedArrowRegression:
         svg = view_svg_string(self.view_with_arrow(9_000), window=(0, 600))
         assert "<polygon" not in svg
         assert "<line" in svg
+
+
+class TestOneWindowOnePicture:
+    """``ute-view``, ``ute-report`` and ``Jumpshot.view_svg_window`` draw a
+    window through one route: past the density threshold with a fresh
+    sidecar beside the file they give the same bytes, and without one the
+    whole run is every record on the records' own span."""
+
+    AGGREGATE = ("thread", "processor")
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        from repro.workloads import write_big_slog
+
+        path = tmp_path_factory.mktemp("one-picture") / "wide.slog"
+        return write_big_slog(
+            path, n_nodes=2, threads_per_node=4, n_records=8_000, frame_bytes=8_192, seed=3
+        ).path
+
+    @staticmethod
+    def cli_svgs(path, tmp_path, kinds):
+        """``{kind: ute-view SVG}`` and the report's view figures, in order."""
+        import re
+
+        from repro import cli
+
+        views = {}
+        for kind in kinds:
+            out = tmp_path / f"{kind}.svg"
+            assert cli.main_view([str(path), "--kind", kind, "-o", str(out)]) == 0
+            views[kind] = out.read_text()
+        out = tmp_path / "report.html"
+        assert cli.main_report([str(path), "-o", str(out), "--views", ",".join(kinds)]) == 0
+        figures = re.findall(r"<figure>(.*?)</figure>", out.read_text(), re.S)
+        return views, figures[1:]  # the first figure is the preview
+
+    def test_with_a_fresh_sidecar_all_three_draw_the_aggregate(self, wide, tmp_path, capsys):
+        import shutil
+
+        from repro.query import index_path_for, write_index
+
+        path = shutil.copy(wide, tmp_path / "wide.slog")
+        with open_trace(path, PROFILE) as handle:
+            index = build_index(handle)
+        write_index(index, index_path_for(path))
+        kinds = (*self.AGGREGATE, "thread-processor")
+        views, figures = self.cli_svgs(path, tmp_path, kinds)
+        with Jumpshot(path) as viewer:
+            tps = viewer.slog.ticks_per_sec
+            for kind, figure in zip(kinds, figures):
+                if kind in self.AGGREGATE:
+                    want = viewer.view_svg_window(
+                        index.t_min / tps, index.t_max / tps, kind=kind, index=index
+                    )
+                    assert viewer.last_view_aggregate
+                else:  # no aggregate path: the exact whole run, on its own span
+                    view = viewer.build_view(viewer.batch(viewer.slog.frames), kind)
+                    want = view_svg_string(view, ticks_per_sec=tps)
+                assert views[kind] == figure == want, kind
+
+    def test_without_a_sidecar_every_record_is_drawn(self, wide, tmp_path, capsys):
+        from repro.query import index_path_for
+
+        assert not index_path_for(wide).exists()
+        views, figures = self.cli_svgs(wide, tmp_path, self.AGGREGATE)
+        with Jumpshot(wide) as viewer:
+            frames = viewer.slog.frames
+            assert sum(f.n_records for f in frames) / 880 > DENSITY_THRESHOLD
+            batch = viewer.batch(frames)
+            for kind, figure in zip(self.AGGREGATE, figures):
+                view = viewer.build_view(batch, kind)
+                want = view_svg_string(view, ticks_per_sec=viewer.slog.ticks_per_sec)
+                assert views[kind] == figure == want, kind

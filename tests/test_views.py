@@ -9,13 +9,7 @@ from repro.query.columnar import batch_from_records
 from repro.viz.ansi import render_view_ansi
 from repro.viz.arrows import match_arrows
 from repro.viz.colors import OTHER_COLOR, RUNNING_COLOR, STATE_PALETTE, ColorMap
-from repro.viz.views import (
-    processor_activity_view,
-    processor_thread_view,
-    render_view_svg,
-    thread_activity_view,
-    thread_processor_view,
-)
+from repro.viz.views import piece_view, view_svg_string
 
 PROFILE = standard_profile()
 SEND = IntervalType.for_mpi_fn(0)
@@ -25,6 +19,11 @@ RECV = IntervalType.for_mpi_fn(1)
 def rec(itype=IntervalType.RUNNING, bebits=BeBits.COMPLETE, start=0, dura=100,
         node=0, cpu=0, thread=0, **extra):
     return IntervalRecord(itype, bebits, start, dura, node, cpu, thread, extra)
+
+
+def view_of(kind, records, **names):
+    """The ``kind`` view over a record list, read into one batch."""
+    return piece_view(kind, batch_from_records(records), **names)
 
 
 def table(entries=None):
@@ -40,7 +39,7 @@ def table(entries=None):
 
 class TestThreadActivityView:
     def test_rows_per_thread_from_table(self):
-        view = thread_activity_view([rec()], table(), PROFILE.record_name)
+        view = view_of("thread", [rec()], thread_table=table(), record_name=PROFILE.record_name)
         # All known threads get rows, even without records.
         assert len(view.rows) == 3
         assert view.rows[0].row_key == (0, 0)
@@ -51,7 +50,7 @@ class TestThreadActivityView:
             rec(itype=RECV, bebits=BeBits.CONTINUATION, start=100, dura=50),
             rec(itype=RECV, bebits=BeBits.END, start=200, dura=50),
         ]
-        view = thread_activity_view(records, table(), PROFILE.record_name)
+        view = view_of("thread", records, thread_table=table(), record_name=PROFILE.record_name)
         bars = view.rows[0].bars
         assert len(bars) == 3
         assert [(b.start, b.end) for b in bars] == [(0, 50), (100, 150), (200, 250)]
@@ -62,8 +61,8 @@ class TestThreadActivityView:
             rec(itype=RECV, bebits=BeBits.CONTINUATION, start=100, dura=50),
             rec(itype=RECV, bebits=BeBits.END, start=200, dura=50),
         ]
-        view = thread_activity_view(
-            records, table(), PROFILE.record_name, connected=True
+        view = view_of(
+            "thread-connected", records, thread_table=table(), record_name=PROFILE.record_name
         )
         bars = view.rows[0].bars
         assert len(bars) == 1
@@ -79,8 +78,9 @@ class TestThreadActivityView:
             rec(itype=IntervalType.MARKER, bebits=BeBits.END,
                 start=1600, dura=100, markerId=1),
         ]
-        view = thread_activity_view(
-            records, table(), PROFILE.record_name, {1: "phase"}, connected=True
+        view = view_of(
+            "thread-connected", records, thread_table=table(),
+            record_name=PROFILE.record_name, markers={1: "phase"},
         )
         marker_bars = [b for b in view.rows[0].bars if b.key == ("marker", 1)]
         assert len(marker_bars) == 1
@@ -96,8 +96,9 @@ class TestThreadActivityView:
             rec(itype=IntervalType.MARKER, bebits=BeBits.END, start=200, dura=100,
                 markerId=1),
         ]
-        view = thread_activity_view(
-            records, table(), PROFILE.record_name, {1: "outer"}, connected=True
+        view = view_of(
+            "thread-connected", records, thread_table=table(),
+            record_name=PROFILE.record_name, markers={1: "outer"},
         )
         bars = {b.key: b for b in view.rows[0].bars}
         assert bars[("marker", 1)].depth == 0
@@ -107,23 +108,41 @@ class TestThreadActivityView:
         records = [
             rec(itype=IntervalType.MARKER, start=0, dura=10, markerId=3),
         ]
-        view = thread_activity_view(
-            records, table(), PROFILE.record_name, {3: "Initial Phase"}
+        view = view_of(
+            "thread", records, thread_table=table(),
+            record_name=PROFILE.record_name, markers={3: "Initial Phase"},
         )
         assert view.key_names[("marker", 3)] == "Initial Phase"
 
 
+class TestTypeView:
+    def test_a_marker_named_like_a_record_type_gets_its_own_row(self):
+        records = [
+            rec(itype=SEND, start=0, dura=10, msgSizeSent=8, seqno=1),
+            rec(itype=IntervalType.MARKER, start=20, dura=10, markerId=1),
+        ]
+        view = view_of(
+            "type", records, thread_table=table(), record_name=PROFILE.record_name,
+            markers={1: "MPI_Send"},
+        )
+        assert [row.row_key for row in view.rows] == [
+            ("MPI_Send", SEND), ("MPI_Send", ("marker", 1))
+        ]
+
+
 class TestProcessorViews:
     def test_all_cpus_get_rows(self):
-        view = processor_activity_view(
-            [rec(cpu=0)], {0: 4}, PROFILE.record_name
+        view = view_of(
+            "processor", [rec(cpu=0)], n_cpus_per_node={0: 4}, record_name=PROFILE.record_name
         )
         assert len(view.rows) == 4
         assert [r.row_key for r in view.rows] == [(0, c) for c in range(4)]
 
     def test_activity_lands_on_correct_cpu(self):
         records = [rec(cpu=2, start=0, dura=10), rec(cpu=0, start=20, dura=10)]
-        view = processor_activity_view(records, {0: 4}, PROFILE.record_name)
+        view = view_of(
+            "processor", records, n_cpus_per_node={0: 4}, record_name=PROFILE.record_name
+        )
         by_cpu = {row.row_key[1]: row.bars for row in view.rows}
         assert len(by_cpu[2]) == 1 and len(by_cpu[0]) == 1
         assert not by_cpu[1] and not by_cpu[3]
@@ -133,7 +152,7 @@ class TestProcessorViews:
             rec(start=0, dura=10, cpu=0),
             rec(start=20, dura=10, cpu=3),
         ]
-        view = thread_processor_view(records, table())
+        view = view_of("thread-processor", records, thread_table=table())
         keys = {b.key for b in view.rows[0].bars}
         assert keys == {("cpu", 0, 0), ("cpu", 0, 3)}
 
@@ -142,7 +161,7 @@ class TestProcessorViews:
             rec(thread=0, cpu=1, start=0, dura=10),
             rec(thread=1, cpu=1, start=20, dura=10),
         ]
-        view = processor_thread_view(records, {0: 2}, table())
+        view = view_of("processor-thread", records, n_cpus_per_node={0: 2}, thread_table=table())
         row = next(r for r in view.rows if r.row_key == (0, 1))
         assert {b.key for b in row.bars} == {("thread", 0, 0), ("thread", 0, 1)}
 
@@ -226,22 +245,19 @@ class TestRenderers:
             rec(start=0, dura=100),
             rec(itype=SEND, start=100, dura=50, msgSizeSent=10, seqno=1),
         ]
-        return thread_activity_view(records, table(), PROFILE.record_name)
+        return view_of("thread", records, thread_table=table(), record_name=PROFILE.record_name)
 
-    def test_svg_written_and_wellformed(self, tmp_path):
+    def test_svg_written_and_wellformed(self):
         import xml.etree.ElementTree as ET
 
-        path = render_view_svg(self.sample_view(), tmp_path / "v.svg")
-        tree = ET.parse(path)
-        assert tree.getroot().tag.endswith("svg")
-        body = path.read_text()
+        body = view_svg_string(self.sample_view())
+        assert ET.fromstring(body).tag.endswith("svg")
         assert "MPI_Send" in body  # legend entry
 
-    def test_svg_window_clips(self, tmp_path):
-        path = render_view_svg(
-            self.sample_view(), tmp_path / "w.svg", window=(0, 50)
-        )
-        assert path.exists()
+    def test_svg_window_clips(self):
+        view = self.sample_view()
+        assert "<title>MPI_Send [complete] 100-150</title>" in view_svg_string(view)
+        assert "<title>MPI_Send" not in view_svg_string(view, window=(0, 50))
 
     def test_ansi_renders_rows_and_legend(self):
         text = render_view_ansi(self.sample_view(), columns=40)
