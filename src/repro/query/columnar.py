@@ -87,7 +87,7 @@ class FrameBatch:
 
     __slots__ = (
         "n", "start", "dura", "end", "node", "cpu", "thread", "itype", "bebits",
-        "_groups", "_extra_cache", "_value_cache",
+        "_groups", "_extra_cache", "_value_cache", "__weakref__",
     )
 
     def __init__(self, n: int, columns: dict[str, np.ndarray] | None = None) -> None:

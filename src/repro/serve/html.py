@@ -10,14 +10,24 @@ an instant — one frame's pre-built view payload from
 in the browser exactly as it does in the reader, and the browser's HTTP
 cache plus the server's ETags make revisiting a frame free.
 
-The stylesheet is shared with the standalone viewer so both look alike.
+A frame is drawn by the standalone viewer's own renderer
+(:data:`~repro.viz.interactive.VIEW_SCRIPT`), and the page shares its
+stylesheet, so both look alike.  The "whole run" button shows
+``.../view/{thread|processor}?window=T0:T1`` over the frames' span: the
+SVG ``ute-view`` draws for the run, from the sidecar's aggregates
+(O(pixels), no frame read) when the run is dense and indexed.  The preview
+strip colours its states by :mod:`repro.viz.colors`' rule, whose palette
+is written into the page.
 """
 
 from __future__ import annotations
 
+import json
 from xml.sax.saxutils import escape
 
-from repro.viz.interactive import PAGE_CSS
+from repro.core.records import IntervalType
+from repro.viz.colors import OTHER_COLOR, RUNNING_COLOR, STATE_PALETTE
+from repro.viz.interactive import PAGE_CSS, VIEW_SCRIPT
 
 
 def server_page(title: str, view_kinds: tuple[str, ...], api_base: str) -> str:
@@ -28,7 +38,6 @@ def server_page(title: str, view_kinds: tuple[str, ...], api_base: str) -> str:
     )
     return (
         _SERVER_PAGE.replace("__TITLE__", escape(title))
-        .replace("__CSS__", PAGE_CSS)
         .replace("__KIND_OPTIONS__", options)
         .replace("__API_BASE__", escape(api_base))
     )
@@ -85,6 +94,7 @@ __CSS__
          font-size:12px; color:var(--ink2); flex-wrap:wrap; }
   #bar select, #bar button { font:12px system-ui; padding:2px 8px; }
   #status { margin-left:auto; }
+  #svg svg { display:block; max-width:100%; height:auto; }
 </style></head>
 <body>
 <header><h1>__TITLE__</h1>
@@ -101,257 +111,125 @@ hover = details &nbsp; frames load lazily from the API</div></header>
 <div id="wrap">
   <canvas id="preview" height="46"></canvas>
   <canvas id="main" height="60"></canvas>
+  <div id="svg"></div>
 </div>
 <div id="legend"></div>
 <div id="tip"></div>
 <script>
 "use strict";
-const API = "__API_BASE__";
-const ROW_H = 22, BAR_H = 14, LABEL_W = 200, AXIS_H = 26;
-const main = document.getElementById("main");
-const prev = document.getElementById("preview");
-const tip = document.getElementById("tip");
-const status_ = document.getElementById("status");
-let PREVIEW = null, FRAMES = [], FRAME = null;   // fetched lazily
-let frameIdx = -1;
+__VIEW__
+const API = "__API_BASE__", COLORS = __COLORS__;
+const kind = document.getElementById("kind"), status_ = document.getElementById("status");
+const svgBox = document.getElementById("svg"), label = document.getElementById("label");
+let PREVIEW = null, FRAMES = [], FRAME = null, frameIdx = -1;   // fetched lazily
 
-function fmtS(t, tps) { return (t / tps).toPrecision(5) + "s"; }
-
-async function getJSON(url) {
+async function get(url, as) {
   status_.textContent = "loading " + url + " ...";
   const resp = await fetch(url);
   if (!resp.ok) throw new Error(url + " -> " + resp.status);
-  const data = await resp.json();
+  const data = await resp[as]();
   status_.textContent = "";
   return data;
 }
 
-function widthOf(c) {
-  const w = c.parentElement.clientWidth;
-  c.width = w * devicePixelRatio;
-  c.style.width = w + "px";
-  return w;
-}
-
 function drawPreview() {
   if (!PREVIEW) return;
-  const w = widthOf(prev);
-  prev.height = 46 * devicePixelRatio;
-  const ctx = prev.getContext("2d");
-  ctx.setTransform(devicePixelRatio, 0, 0, devicePixelRatio, 0, 0);
-  ctx.clearRect(0, 0, w, 46);
-  ctx.fillStyle = "#f1f0ed"; ctx.fillRect(LABEL_W, 4, w - LABEL_W - 10, 38);
+  const ctx = fit(prev, 46), w = plotW(prev);
+  ctx.fillStyle = "#f1f0ed"; ctx.fillRect(LABEL_W, 4, w, 38);
   ctx.fillStyle = "#52514e"; ctx.font = "10px system-ui"; ctx.textAlign = "right";
   ctx.fillText("whole-run preview", LABEL_W - 6, 26);
-  const bins = PREVIEW.bins, bw = (w - LABEL_W - 10) / bins;
-  let peak = 0;
-  const totals = new Array(bins).fill(0);
-  for (const s of PREVIEW.states)
-    s.seconds.forEach((v, b) => { totals[b] += v; });
-  peak = Math.max(...totals, 1e-12);
-  const palette = ["#4e79a7","#f28e2b","#e15759","#76b7b2","#59a14f",
-                   "#edc948","#b07aa1","#ff9da7","#9c755f","#bab0ac"];
+  let slot = 0;   // repro.viz.colors: Running recessive, then palette slots, then Other
+  const colors = PREVIEW.states.map(s => s.type === COLORS.running_type
+    ? COLORS.running : COLORS.palette[slot++] || COLORS.other);
+  const bins = PREVIEW.bins, bw = w / bins, totals = new Array(bins).fill(0);
+  for (const s of PREVIEW.states) s.seconds.forEach((v, b) => { totals[b] += v; });
+  const peak = Math.max(...totals, 1e-12);
   for (let b = 0; b < bins; b++) {
     let y = 42;
     PREVIEW.states.forEach((s, j) => {
-      const v = s.seconds[b];
-      if (v <= 0) return;
-      const h = v / peak * 38;
+      if (s.seconds[b] <= 0) return;
+      const h = s.seconds[b] / peak * 38;
       y -= h;
-      ctx.fillStyle = palette[j % palette.length];
+      ctx.fillStyle = colors[j];
       ctx.fillRect(LABEL_W + b * bw + 0.5, y, Math.max(bw - 1, 0.75), h);
     });
   }
-  if (FRAME) {   // mark the loaded frame's window
-    const [t0, t1] = PREVIEW.time_range;
-    const px = t => LABEL_W + (t - t0) / (t1 - t0) * (w - LABEL_W - 10);
-    ctx.strokeStyle = "#0b0b0b"; ctx.lineWidth = 1.5;
-    ctx.strokeRect(px(FRAME.start), 3,
-                   Math.max(px(FRAME.end) - px(FRAME.start), 2), 40);
-    ctx.lineWidth = 1;
-  }
+  const [r0, r1] = PREVIEW.time_range;
+  if (FRAME) markWindow(ctx, t => LABEL_W + (t - r0) / (r1 - r0) * w, FRAME.start, FRAME.end);
 }
 
-function drawFrame() {
-  if (!FRAME || !FRAME.view) return;
-  const V = FRAME.view;
-  const w = widthOf(main);
-  main.height = (AXIS_H + V.rows.length * ROW_H + 8) * devicePixelRatio;
-  main.style.height = (AXIS_H + V.rows.length * ROW_H + 8) + "px";
-  const ctx = main.getContext("2d");
-  ctx.setTransform(devicePixelRatio, 0, 0, devicePixelRatio, 0, 0);
-  const h = main.height / devicePixelRatio;
-  ctx.clearRect(0, 0, w, h);
-  const t0 = V.t0, t1 = V.t1;
-  const xOf = t => LABEL_W + (t - t0) / (t1 - t0) * (w - LABEL_W - 10);
-  ctx.font = "10px system-ui"; ctx.fillStyle = "#52514e";
-  for (let i = 0; i <= 8; i++) {
-    const t = t0 + (t1 - t0) * i / 8, x = xOf(t);
-    ctx.strokeStyle = "#e8e7e4";
-    ctx.beginPath(); ctx.moveTo(x, AXIS_H - 4); ctx.lineTo(x, h - 8); ctx.stroke();
-    ctx.textAlign = "center"; ctx.fillText(fmtS(t, V.tps), x, 12);
-  }
-  V.rows.forEach((row, i) => {
-    const y = AXIS_H + i * ROW_H;
-    ctx.fillStyle = "#f1f0ed";
-    ctx.fillRect(LABEL_W, y + (ROW_H - BAR_H) / 2, w - LABEL_W - 10, BAR_H);
-    ctx.fillStyle = "#0b0b0b"; ctx.textAlign = "right"; ctx.font = "10px system-ui";
-    ctx.fillText(row.label.slice(0, 30), LABEL_W - 6, y + ROW_H / 2 + 3);
-    for (const b of row.bars) {
-      const xa = xOf(Math.max(b.s, t0)), xb = xOf(Math.min(b.e, t1));
-      const inset = Math.min(b.d, 3) * 2;
-      ctx.fillStyle = V.states[b.k].color;
-      ctx.fillRect(xa, y + (ROW_H - BAR_H) / 2 + inset,
-                   Math.max(xb - xa, 0.8), BAR_H - 2 * inset);
-    }
-  });
-  ctx.strokeStyle = "#0b0b0b"; ctx.globalAlpha = 0.65;
-  for (const a of V.arrows) {
-    const x1 = xOf(Math.max(a.st, t0)), x2 = xOf(Math.min(a.rt, t1));
-    const y1 = AXIS_H + a.sr * ROW_H + ROW_H / 2,
-          y2 = AXIS_H + a.dr * ROW_H + ROW_H / 2;
-    ctx.beginPath(); ctx.moveTo(x1, y1); ctx.lineTo(x2, y2); ctx.stroke();
-  }
-  ctx.globalAlpha = 1;
-  const legend = document.getElementById("legend");
-  legend.innerHTML = "";
-  for (const s of V.states) {
-    const el = document.createElement("span");
-    el.innerHTML = `<span class="swatch" style="background:${s.color}"></span>` +
-      s.name.replace(/&/g, "&amp;").replace(/</g, "&lt;");
-    legend.appendChild(el);
-  }
-  document.getElementById("label").textContent =
-    `frame ${FRAME.index}/${FRAMES.length - 1}  ` +
+function showFrame() {
+  if (!FRAME) return;
+  main.style.display = ""; svgBox.innerHTML = "";
+  drawView(FRAME.view, FRAME.view.t0, FRAME.view.t1);
+  label.textContent = `frame ${FRAME.index}/${FRAMES.length - 1}  ` +
     `[${FRAME.start.toPrecision(5)}s .. ${FRAME.end.toPrecision(5)}s]  ` +
     `${FRAME.records.length} records (${FRAME.pseudo_count} pseudo)`;
 }
 
 async function loadFrame(i) {
   if (i < 0 || i >= FRAMES.length) return;
-  const kind = document.getElementById("kind").value;
   try {
-    FRAME = await getJSON(`${API}/frame/${i}?view=${encodeURIComponent(kind)}`);
+    FRAME = await get(`${API}/frame/${i}?view=${encodeURIComponent(kind.value)}`, "json");
     frameIdx = i;
-    drawFrame();
+    showFrame();
     drawPreview();
   } catch (err) { status_.textContent = String(err); }
 }
 
-const PALETTE = ["#4e79a7","#f28e2b","#e15759","#76b7b2","#59a14f",
-                 "#edc948","#b07aa1","#ff9da7","#9c755f","#bab0ac"];
-
-async function loadUtilization() {
-  // Whole-run heat view from the sidecar's utilization hierarchy: one
-  // aggregate fetch, zero frame loads, any trace size.
-  const lane = document.getElementById("kind").value.startsWith("processor")
-    ? "cpu" : "thread";
-  const w = main.parentElement.clientWidth;
-  const bins = Math.max(Math.floor(w - LABEL_W - 10), 16);
+async function loadWholeRun() {
+  // The run is /view's picture of the frames' span: ute-view's whole-run
+  // SVG, drawn from the sidecar's aggregates when the run is dense.
+  if (!FRAMES.length) return;
+  const lane = kind.value.startsWith("processor") ? "processor" : "thread";
+  const t0 = FRAMES[0].start, t1 = FRAMES[FRAMES.length - 1].end;
   try {
-    const U = await getJSON(`${API}/utilization?lane=${lane}&bins=${bins}`);
+    svgBox.innerHTML = await get(`${API}/view/${lane}?window=${t0}:${t1}`, "text");
     FRAME = null;
-    drawUtilization(U);
+    main.style.display = "none";
+    document.getElementById("legend").innerHTML = "";
+    label.textContent = `whole run  [${t0.toPrecision(5)}s .. ${t1.toPrecision(5)}s]`;
     drawPreview();
   } catch (err) { status_.textContent = String(err); }
 }
 
-function drawUtilization(U) {
-  const w = widthOf(main);
-  const rows = U.lanes;
-  main.height = (AXIS_H + rows.length * ROW_H + 8) * devicePixelRatio;
-  main.style.height = (AXIS_H + rows.length * ROW_H + 8) + "px";
-  const ctx = main.getContext("2d");
-  ctx.setTransform(devicePixelRatio, 0, 0, devicePixelRatio, 0, 0);
-  const h = main.height / devicePixelRatio;
-  ctx.clearRect(0, 0, w, h);
-  const [t0, t1] = U.window;
-  const xOf = t => LABEL_W + (t - t0) / (t1 - t0) * (w - LABEL_W - 10);
-  ctx.font = "10px system-ui"; ctx.fillStyle = "#52514e";
-  for (let i = 0; i <= 8; i++) {
-    const t = t0 + (t1 - t0) * i / 8, x = xOf(t);
-    ctx.strokeStyle = "#e8e7e4";
-    ctx.beginPath(); ctx.moveTo(x, AXIS_H - 4); ctx.lineTo(x, h - 8); ctx.stroke();
-    ctx.textAlign = "center"; ctx.fillText(t.toPrecision(5) + "s", x, 12);
-  }
-  const colorOf = {}; let nc = 0;
-  rows.forEach((lane, i) => {
-    const y = AXIS_H + i * ROW_H;
-    const label = lane.thread !== undefined
-      ? `n${lane.node}.t${lane.thread}` : `node ${lane.node} CPU ${lane.cpu}`;
-    ctx.fillStyle = "#f1f0ed";
-    ctx.fillRect(LABEL_W, y + (ROW_H - BAR_H) / 2, w - LABEL_W - 10, BAR_H);
-    ctx.fillStyle = "#0b0b0b"; ctx.textAlign = "right"; ctx.font = "10px system-ui";
-    ctx.fillText(label.slice(0, 30), LABEL_W - 6, y + ROW_H / 2 + 3);
-    for (const c of lane.cells) {
-      if (!(c.dominant in colorOf))
-        colorOf[c.dominant] = PALETTE[nc++ % PALETTE.length];
-      ctx.globalAlpha = Math.max(c.busy_frac, 0.15);
-      ctx.fillStyle = colorOf[c.dominant];
-      ctx.fillRect(xOf(c.start), y + (ROW_H - BAR_H) / 2,
-                   Math.max(xOf(c.end) - xOf(c.start), 0.8), BAR_H);
-    }
-    ctx.globalAlpha = 1;
-  });
-  const legend = document.getElementById("legend");
-  legend.innerHTML = "";
-  for (const [itype, color] of Object.entries(colorOf)) {
-    const el = document.createElement("span");
-    const name = (U.state_names || {})[itype] || ("type " + itype);
-    el.innerHTML = `<span class="swatch" style="background:${color}"></span>` +
-      String(name).replace(/&/g, "&amp;").replace(/</g, "&lt;");
-    legend.appendChild(el);
-  }
-  document.getElementById("label").textContent =
-    `whole run (aggregate)  [${t0.toPrecision(5)}s .. ${t1.toPrecision(5)}s]  ` +
-    `bin ${U.bin_seconds.toPrecision(3)}s`;
-}
-
-main.addEventListener("mousemove", e => {
-  if (!FRAME || !FRAME.view) return;
-  const V = FRAME.view, w = main.width / devicePixelRatio;
-  const i = Math.floor((e.offsetY - AXIS_H) / ROW_H);
-  if (i < 0 || i >= V.rows.length || e.offsetX < LABEL_W) {
-    tip.style.display = "none"; return;
-  }
-  const t = V.t0 + (e.offsetX - LABEL_W) / (w - LABEL_W - 10) * (V.t1 - V.t0);
-  let best = null;
-  for (const b of V.rows[i].bars) if (b.s <= t && t <= b.e) best = b;
-  if (best) {
-    tip.style.display = "block";
-    tip.style.left = (e.clientX + 14) + "px";
-    tip.style.top = (e.clientY + 14) + "px";
-    tip.textContent = V.states[best.k].name + " — " + (best.t || "") +
-      "  [" + fmtS(best.s, V.tps) + " … " + fmtS(best.e, V.tps) + "]";
-  } else tip.style.display = "none";
-});
-main.addEventListener("mouseleave", () => { tip.style.display = "none"; });
-
+main.addEventListener("mousemove", e => showTip(e, FRAME &&
+  hoverText(FRAME.view, FRAME.view.t0, FRAME.view.t1, e.offsetX, e.offsetY)));
 prev.addEventListener("click", e => {
   if (!PREVIEW || !FRAMES.length) return;
-  const w = prev.width / devicePixelRatio;
-  const [t0, t1] = PREVIEW.time_range;
-  const t = t0 + (e.offsetX - LABEL_W) / (w - LABEL_W - 10) * (t1 - t0);
+  const [a, b] = PREVIEW.time_range;
+  const t = a + (e.offsetX - LABEL_W) / plotW(prev) * (b - a);
   let target = 0;
   FRAMES.forEach((f, i) => { if (f.start <= t) target = i; });
   loadFrame(target);
 });
 document.getElementById("prev").addEventListener("click", () => loadFrame(frameIdx - 1));
 document.getElementById("next").addEventListener("click", () => loadFrame(frameIdx + 1));
-document.getElementById("whole").addEventListener("click", loadUtilization);
-document.getElementById("kind").addEventListener("change", () => {
-  if (frameIdx >= 0) loadFrame(frameIdx);
-});
-window.addEventListener("resize", () => { drawPreview(); drawFrame(); });
+document.getElementById("whole").addEventListener("click", loadWholeRun);
+kind.addEventListener("change", () => { if (frameIdx >= 0) loadFrame(frameIdx); });
+window.addEventListener("resize", () => { drawPreview(); showFrame(); });
 
 (async () => {
   try {
-    PREVIEW = await getJSON(API + "/preview");
-    const dir = await getJSON(API + "/frames");
-    FRAMES = dir.frames;
+    PREVIEW = await get(API + "/preview", "json");
+    FRAMES = (await get(API + "/frames", "json")).frames;
     drawPreview();
     if (FRAMES.length) loadFrame(0);
   } catch (err) { status_.textContent = String(err); }
 })();
 </script></body></html>
 """
+
+_SERVER_PAGE = (
+    _SERVER_PAGE.replace("__CSS__", PAGE_CSS)
+    .replace("__VIEW__", VIEW_SCRIPT)
+    .replace(
+        "__COLORS__",
+        json.dumps({
+            "palette": list(STATE_PALETTE),
+            "running": RUNNING_COLOR,
+            "other": OTHER_COLOR,
+            "running_type": int(IntervalType.RUNNING),
+        }),
+    )
+)

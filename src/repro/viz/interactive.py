@@ -1,13 +1,15 @@
 """Interactive single-file HTML timeline viewer — Jumpshot's interactivity.
 
 Where :mod:`repro.viz.views` renders static SVGs, this module emits one
-self-contained HTML file with the view data embedded as JSON and a small
-canvas renderer providing what Jumpshot's Java GUI provided:
+self-contained HTML file with the view data embedded as JSON and drawn on a
+canvas by :data:`VIEW_SCRIPT`, the one view renderer in the browser (the
+serving daemon's page, :mod:`repro.serve.html`, embeds it too).  The page
+adds what Jumpshot's Java GUI provided:
 
 * wheel **zoom** centered on the cursor and drag **pan** along time;
-* **hover tooltips** on every bar and arrow;
-* the whole-run **preview strip** above the timeline, with the current
-  window marked — click it to jump, exactly the Figure 7 workflow;
+* **hover tooltips** on every bar;
+* the whole-run **minimap** above the timeline, with the current window
+  marked — click it to jump, exactly the Figure 7 workflow;
 * a legend with stable colors (same palette as the SVGs).
 
 No external assets or libraries; the file works offline.
@@ -25,7 +27,8 @@ from repro.viz.views import TimelineView
 
 
 def view_payload(view: TimelineView, *, ticks_per_sec: float = 1e9) -> dict:
-    """The JSON payload the page's renderer consumes."""
+    """The JSON payload :data:`VIEW_SCRIPT` draws (embedded here, served in
+    ``/frame/{i}?view=``)."""
     cmap = ColorMap()
     key_ids: dict[object, int] = {}
     states = []
@@ -107,6 +110,98 @@ PAGE_CSS = """\
             border-radius:2px; margin-right:5px; vertical-align:-1px; }
 """
 
+#: The one view renderer both pages embed: given a :func:`view_payload` and
+#: a window ``[t0, t1]`` in ticks, ``drawView`` draws the axis, rows, bars,
+#: arrows and legend on the ``#main`` canvas and ``hoverText`` names the bar
+#: under a point.  Each page keeps only its own glue around it.
+VIEW_SCRIPT = """\
+const ROW_H = 22, BAR_H = 14, LABEL_W = 200, AXIS_H = 26;
+const main = document.getElementById("main"), prev = document.getElementById("preview");
+const tip = document.getElementById("tip");
+
+function fmtS(t, tps) { return (t / tps).toPrecision(5) + "s"; }
+function esc(s) { return String(s).replace(/&/g, "&amp;").replace(/</g, "&lt;"); }
+function plotW(c) { return c.width / devicePixelRatio - LABEL_W - 10; }
+
+// Size canvas c to its parent's width and h CSS pixels; its cleared, scaled context.
+function fit(c, h) {
+  const w = c.parentElement.clientWidth;
+  c.width = w * devicePixelRatio; c.style.width = w + "px";
+  c.height = h * devicePixelRatio; c.style.height = h + "px";
+  const ctx = c.getContext("2d");
+  ctx.setTransform(devicePixelRatio, 0, 0, devicePixelRatio, 0, 0);
+  ctx.clearRect(0, 0, w, h);
+  return ctx;
+}
+
+function drawView(V, t0, t1) {
+  const h = AXIS_H + V.rows.length * ROW_H + 8, ctx = fit(main, h);
+  const xOf = t => LABEL_W + (t - t0) / (t1 - t0) * plotW(main);
+  ctx.font = "10px system-ui"; ctx.fillStyle = "#52514e";
+  for (let i = 0; i <= 8; i++) {
+    const t = t0 + (t1 - t0) * i / 8, x = xOf(t);
+    ctx.strokeStyle = "#e8e7e4";
+    ctx.beginPath(); ctx.moveTo(x, AXIS_H - 4); ctx.lineTo(x, h - 8); ctx.stroke();
+    ctx.textAlign = "center"; ctx.fillText(fmtS(t, V.tps), x, 12);
+  }
+  V.rows.forEach((row, i) => {
+    const y = AXIS_H + i * ROW_H + (ROW_H - BAR_H) / 2;
+    ctx.fillStyle = "#f1f0ed"; ctx.fillRect(LABEL_W, y, plotW(main), BAR_H);
+    ctx.fillStyle = "#0b0b0b"; ctx.textAlign = "right"; ctx.font = "10px system-ui";
+    ctx.fillText(row.label.slice(0, 30), LABEL_W - 6, y + 10);
+    for (const b of row.bars) {
+      if (b.e < t0 || b.s > t1) continue;
+      const xa = xOf(Math.max(b.s, t0)), xb = xOf(Math.min(b.e, t1));
+      const inset = Math.min(b.d, 3) * 2;
+      ctx.fillStyle = V.states[b.k].color; ctx.globalAlpha = b.o ?? 1;
+      ctx.fillRect(xa, y + inset, Math.max(xb - xa, 0.8), BAR_H - 2 * inset);
+    }
+    ctx.globalAlpha = 1;
+  });
+  ctx.strokeStyle = "#0b0b0b"; ctx.fillStyle = "#0b0b0b"; ctx.globalAlpha = 0.65;
+  const stub = (x, y) => {   // a cut-off end: the message crosses the window's edge
+    ctx.beginPath(); ctx.moveTo(x, y - 4); ctx.lineTo(x, y + 4); ctx.stroke(); };
+  for (const a of V.arrows) {
+    if (a.rt < t0 || a.st > t1) continue;
+    const x1 = xOf(Math.max(a.st, t0)), x2 = xOf(Math.min(a.rt, t1));
+    const y1 = AXIS_H + a.sr * ROW_H + ROW_H / 2, y2 = AXIS_H + a.dr * ROW_H + ROW_H / 2;
+    ctx.beginPath(); ctx.moveTo(x1, y1); ctx.lineTo(x2, y2); ctx.stroke();
+    if (a.rt > t1) stub(x2, y2);   // clipped in flight: no head claims delivery in the window
+    else { ctx.beginPath(); ctx.moveTo(x2, y2);
+           ctx.lineTo(x2 - 6, y2 - 3); ctx.lineTo(x2 - 6, y2 + 3); ctx.fill(); }
+    if (a.st < t0) stub(x1, y1);
+  }
+  ctx.globalAlpha = 1;
+  document.getElementById("legend").innerHTML = V.states.map(s =>
+    `<span><span class="swatch" style="background:${s.color}"></span>${esc(s.name)}</span>`
+  ).join("");
+}
+
+function hoverText(V, t0, t1, mx, my) {
+  const i = Math.floor((my - AXIS_H) / ROW_H);
+  if (i < 0 || i >= V.rows.length || mx < LABEL_W) return null;
+  const t = t0 + (mx - LABEL_W) / plotW(main) * (t1 - t0);
+  let best = null;
+  for (const b of V.rows[i].bars) if (b.s <= t && t <= b.e) best = b;  // topmost last
+  return best && V.states[best.k].name + " — " + (best.t || "") +
+    "  [" + fmtS(best.s, V.tps) + " … " + fmtS(best.e, V.tps) + "]";
+}
+
+function showTip(e, text) {
+  Object.assign(tip.style, { display: text ? "block" : "none",
+    left: (e.clientX + 14) + "px", top: (e.clientY + 14) + "px" });
+  tip.textContent = text || "";
+}
+main.addEventListener("mouseleave", () => { tip.style.display = "none"; });
+
+// Frame the window [a, b] on a preview strip whose time axis is px.
+function markWindow(ctx, px, a, b) {
+  ctx.strokeStyle = "#0b0b0b"; ctx.lineWidth = 1.5;
+  ctx.strokeRect(px(a), 3, Math.max(px(b) - px(a), 2), 40);
+  ctx.lineWidth = 1;
+}
+"""
+
 _PAGE = """<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>__TITLE__</title>
 <style>
@@ -124,170 +219,55 @@ click preview = jump &nbsp; double-click = reset</div></header>
 <div id="tip"></div>
 <script>
 "use strict";
+__VIEW__
 const DATA = __DATA__;
-const ROW_H = 22, BAR_H = 14, LABEL_W = 200, AXIS_H = 26;
-const main = document.getElementById("main");
-const prev = document.getElementById("preview");
-const tip = document.getElementById("tip");
-let t0 = DATA.t0, t1 = DATA.t1;                 // current window
 const FULL0 = DATA.t0, FULL1 = DATA.t1;
-let dragging = null;
+let t0 = FULL0, t1 = FULL1, dragging = null;   // the current window
 
-function fmtS(t) { return (t / DATA.tps).toPrecision(5) + "s"; }
+function draw() { drawView(DATA, t0, t1); drawPreview(); }
 
-function resize() {
-  const w = main.parentElement.clientWidth;
-  for (const c of [main, prev]) {
-    c.width = w * devicePixelRatio;
-    c.style.width = w + "px";
-  }
-  main.height = (AXIS_H + DATA.rows.length * ROW_H + 8) * devicePixelRatio;
-  main.style.height = (AXIS_H + DATA.rows.length * ROW_H + 8) + "px";
-  prev.height = 46 * devicePixelRatio;
+function drawPreview() {   // the minimap: every bar of the run, the window framed
+  const ctx = fit(prev, 46), w = plotW(prev), n = DATA.rows.length;
+  ctx.fillStyle = "#f1f0ed"; ctx.fillRect(LABEL_W, 4, w, 38);
+  const px = t => LABEL_W + (t - FULL0) / (FULL1 - FULL0) * w;
+  DATA.rows.forEach((row, i) => {
+    for (const b of row.bars) {
+      ctx.fillStyle = DATA.states[b.k].color;
+      ctx.fillRect(px(b.s), 4 + 38 * i / n, Math.max(px(b.e) - px(b.s), 0.6),
+                   Math.max(38 / n - 1, 1));
+    }
+  });
+  markWindow(ctx, px, t0, t1);
+}
+
+function panTo(start) {
+  const span = t1 - t0;
+  t0 = Math.min(Math.max(start, FULL0), FULL1 - span);
+  t1 = t0 + span;
   draw();
-}
-
-function xOf(t, w) { return LABEL_W + (t - t0) / (t1 - t0) * (w - LABEL_W - 10); }
-
-function draw() {
-  const ctx = main.getContext("2d");
-  ctx.setTransform(devicePixelRatio, 0, 0, devicePixelRatio, 0, 0);
-  const w = main.width / devicePixelRatio, h = main.height / devicePixelRatio;
-  ctx.clearRect(0, 0, w, h);
-  // axis
-  ctx.font = "10px system-ui"; ctx.fillStyle = "#52514e";
-  for (let i = 0; i <= 8; i++) {
-    const t = t0 + (t1 - t0) * i / 8, x = xOf(t, w);
-    ctx.strokeStyle = "#e8e7e4";
-    ctx.beginPath(); ctx.moveTo(x, AXIS_H - 4); ctx.lineTo(x, h - 8); ctx.stroke();
-    ctx.textAlign = "center"; ctx.fillText(fmtS(t), x, 12);
-  }
-  DATA.rows.forEach((row, i) => {
-    const y = AXIS_H + i * ROW_H;
-    ctx.fillStyle = "#f1f0ed";
-    ctx.fillRect(LABEL_W, y + (ROW_H - BAR_H) / 2, w - LABEL_W - 10, BAR_H);
-    ctx.fillStyle = "#0b0b0b"; ctx.textAlign = "right"; ctx.font = "10px system-ui";
-    ctx.fillText(row.label.slice(0, 30), LABEL_W - 6, y + ROW_H / 2 + 3);
-    for (const b of row.bars) {
-      if (b.e < t0 || b.s > t1) continue;
-      const xa = xOf(Math.max(b.s, t0), w), xb = xOf(Math.min(b.e, t1), w);
-      const inset = Math.min(b.d, 3) * 2;
-      ctx.fillStyle = DATA.states[b.k].color;
-      ctx.globalAlpha = b.o !== undefined ? b.o : 1;
-      ctx.fillRect(xa, y + (ROW_H - BAR_H) / 2 + inset,
-                   Math.max(xb - xa, 0.8), BAR_H - 2 * inset);
-      ctx.globalAlpha = 1;
-    }
-  });
-  ctx.strokeStyle = "#0b0b0b"; ctx.fillStyle = "#0b0b0b"; ctx.globalAlpha = 0.65;
-  for (const a of DATA.arrows) {
-    if (a.rt < t0 || a.st > t1) continue;
-    const x1 = xOf(Math.max(a.st, t0), w), x2 = xOf(Math.min(a.rt, t1), w);
-    const y1 = AXIS_H + a.sr * ROW_H + ROW_H / 2,
-          y2 = AXIS_H + a.dr * ROW_H + ROW_H / 2;
-    ctx.beginPath(); ctx.moveTo(x1, y1); ctx.lineTo(x2, y2); ctx.stroke();
-    if (a.rt > t1) {
-      // Clipped in flight: cut-off stub, no head (a head would claim
-      // delivery inside the window).
-      ctx.beginPath(); ctx.moveTo(x2, y2 - 4); ctx.lineTo(x2, y2 + 4); ctx.stroke();
-    } else {
-      ctx.beginPath(); ctx.moveTo(x2, y2);
-      ctx.lineTo(x2 - 6, y2 - 3); ctx.lineTo(x2 - 6, y2 + 3); ctx.fill();
-    }
-    if (a.st < t0) {
-      ctx.beginPath(); ctx.moveTo(x1, y1 - 4); ctx.lineTo(x1, y1 + 4); ctx.stroke();
-    }
-  }
-  ctx.globalAlpha = 1;
-  drawPreview();
-}
-
-function drawPreview() {
-  const ctx = prev.getContext("2d");
-  ctx.setTransform(devicePixelRatio, 0, 0, devicePixelRatio, 0, 0);
-  const w = prev.width / devicePixelRatio;
-  ctx.clearRect(0, 0, w, 46);
-  ctx.fillStyle = "#f1f0ed"; ctx.fillRect(LABEL_W, 4, w - LABEL_W - 10, 38);
-  const px = t => LABEL_W + (t - FULL0) / (FULL1 - FULL0) * (w - LABEL_W - 10);
-  DATA.rows.forEach((row, i) => {
-    const y = 4 + 38 * i / DATA.rows.length;
-    const hh = Math.max(38 / DATA.rows.length - 1, 1);
-    for (const b of row.bars) {
-      ctx.fillStyle = DATA.states[b.k].color;
-      ctx.fillRect(px(b.s), y, Math.max(px(b.e) - px(b.s), 0.6), hh);
-    }
-  });
-  ctx.strokeStyle = "#0b0b0b"; ctx.lineWidth = 1.5;
-  ctx.strokeRect(px(t0), 3, Math.max(px(t1) - px(t0), 2), 40);
-  ctx.lineWidth = 1;
-}
-
-function hit(mx, my) {
-  const w = main.width / devicePixelRatio;
-  const i = Math.floor((my - AXIS_H) / ROW_H);
-  if (i < 0 || i >= DATA.rows.length || mx < LABEL_W) return null;
-  const t = t0 + (mx - LABEL_W) / (w - LABEL_W - 10) * (t1 - t0);
-  const row = DATA.rows[i];
-  let best = null;
-  for (const b of row.bars) if (b.s <= t && t <= b.e) best = b; // topmost last
-  if (best) return DATA.states[best.k].name + " — " + (best.t || "") +
-      "  [" + fmtS(best.s) + " … " + fmtS(best.e) + "]";
-  return null;
 }
 
 main.addEventListener("wheel", e => {
   e.preventDefault();
-  const w = main.width / devicePixelRatio;
-  const frac = Math.min(Math.max((e.offsetX - LABEL_W) / (w - LABEL_W - 10), 0), 1);
+  const frac = Math.min(Math.max((e.offsetX - LABEL_W) / plotW(main), 0), 1);
   const center = t0 + frac * (t1 - t0);
-  const scale = e.deltaY > 0 ? 1.25 : 0.8;
-  let span = (t1 - t0) * scale;
-  span = Math.min(Math.max(span, 10), FULL1 - FULL0);
-  t0 = Math.max(FULL0, center - frac * span);
-  t1 = Math.min(FULL1, t0 + span);
-  t0 = t1 - span > FULL0 ? t1 - span : FULL0;
+  const span = Math.min(Math.max((t1 - t0) * (e.deltaY > 0 ? 1.25 : 0.8), 10),
+                        FULL1 - FULL0);
+  t1 = Math.min(FULL1, Math.max(FULL0, center - frac * span) + span);
+  t0 = Math.max(FULL0, t1 - span);
   draw();
 }, { passive: false });
-
-main.addEventListener("mousedown", e => { dragging = { x: e.offsetX, t0, t1 }; });
+main.addEventListener("mousedown", e => { dragging = { x: e.offsetX, t0 }; });
 window.addEventListener("mouseup", () => { dragging = null; });
 main.addEventListener("mousemove", e => {
-  if (dragging) {
-    const w = main.width / devicePixelRatio;
-    const dt = (dragging.x - e.offsetX) / (w - LABEL_W - 10) * (dragging.t1 - dragging.t0);
-    const span = dragging.t1 - dragging.t0;
-    t0 = Math.min(Math.max(dragging.t0 + dt, FULL0), FULL1 - span);
-    t1 = t0 + span;
-    draw();
-    return;
-  }
-  const text = hit(e.offsetX, e.offsetY);
-  if (text) {
-    tip.style.display = "block";
-    tip.style.left = (e.clientX + 14) + "px";
-    tip.style.top = (e.clientY + 14) + "px";
-    tip.textContent = text;
-  } else tip.style.display = "none";
+  if (dragging)
+    panTo(dragging.t0 + (dragging.x - e.offsetX) / plotW(main) * (t1 - t0));
+  else showTip(e, hoverText(DATA, t0, t1, e.offsetX, e.offsetY));
 });
-main.addEventListener("mouseleave", () => { tip.style.display = "none"; });
 main.addEventListener("dblclick", () => { t0 = FULL0; t1 = FULL1; draw(); });
-prev.addEventListener("click", e => {
-  const w = prev.width / devicePixelRatio;
-  const t = FULL0 + (e.offsetX - LABEL_W) / (w - LABEL_W - 10) * (FULL1 - FULL0);
-  const span = t1 - t0;
-  t0 = Math.min(Math.max(t - span / 2, FULL0), FULL1 - span);
-  t1 = t0 + span;
-  draw();
-});
-
-const legend = document.getElementById("legend");
-for (const s of DATA.states) {
-  const el = document.createElement("span");
-  el.innerHTML = `<span class="swatch" style="background:${s.color}"></span>` +
-    s.name.replace(/&/g, "&amp;").replace(/</g, "&lt;");
-  legend.appendChild(el);
-}
-window.addEventListener("resize", resize);
-resize();
+prev.addEventListener("click", e => panTo(
+  FULL0 + (e.offsetX - LABEL_W) / plotW(prev) * (FULL1 - FULL0) - (t1 - t0) / 2));
+window.addEventListener("resize", draw);
+draw();
 </script></body></html>
-"""
+""".replace("__VIEW__", VIEW_SCRIPT)

@@ -15,6 +15,7 @@ Frame display cost depends only on frame size, never total file size
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,9 @@ class Jumpshot:
         #: node table — one pass over every frame, made by the first view
         #: that needs it.
         self._inferred_cpus: dict[int, int] | None = None
+        #: ``(frame list, weak reference to its batch)`` of the whole run,
+        #: once :meth:`batch` read it.
+        self._run: tuple[list[SlogFrameEntry], weakref.ref] | None = None
 
     def reload_preview(self) -> None:
         """Rebuild the preview from the reader's current counters (a live
@@ -116,10 +120,21 @@ class Jumpshot:
 
     def batch(self, frames: list[SlogFrameEntry]) -> FrameBatch:
         """The records of ``frames`` as one batch: the form scans cache,
-        and what every display builds its view from."""
+        and what every display builds its view from.
+
+        The whole run's batch (``frames`` is the reader's own frame list)
+        is shared while a caller holds it: asking again returns it instead
+        of decoding a run longer than the frame cache once more.
+        ``ute-report`` holds it across its whole-run views and profile."""
         if not frames:
             return FrameBatch(0)
-        return concat_batches([self.slog.read_frame_batch(f) for f in frames])
+        held = self._run[1]() if self._run is not None and self._run[0] is frames else None
+        if held is not None:
+            return held
+        batch = concat_batches([self.slog.read_frame_batch(f) for f in frames])
+        if frames is self.slog.frames:
+            self._run = (frames, weakref.ref(batch))
+        return batch
 
     def build_view(
         self,

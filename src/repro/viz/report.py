@@ -146,12 +146,14 @@ def build_run_report(
             "Interesting time ranges: "
             + ", ".join(f"{lo:.4f}s – {hi:.4f}s" for lo, hi in ranges)
         )
+    # Held to the end: a whole-run view drawn from records draws from this
+    # one decode of the run, and so do the profile and the tables.
+    batch = viewer.batch(slog.frames)
     index, _reason = resolve_index(slog_path, "auto")
     for kind in view_kinds:
         report.add_heading(f"{kind} view")
         report.add_svg(viewer.view_svg_window(None, None, kind=kind, index=index))
 
-    batch = viewer.batch(slog.frames)
     report.add_heading("Call profile (blocking analysis)")
     rows = call_profile(batch, slog.profile, markers=slog.markers)
     report.add_text(

@@ -298,3 +298,27 @@ class TestOneWindowOnePicture:
                 view = viewer.build_view(batch, kind)
                 want = view_svg_string(view, ticks_per_sec=viewer.slog.ticks_per_sec)
                 assert views[kind] == figure == want, kind
+
+    def test_without_a_sidecar_the_report_decodes_each_frame_once(
+        self, wide, tmp_path, monkeypatch
+    ):
+        """Both whole-run views and the call profile come from one decode
+        of the run, though it is longer than the frame cache."""
+        from repro.core.reader import DEFAULT_FRAME_CACHE
+        from repro.query import index_path_for
+        from repro.viz import jumpshot
+        from repro.viz.report import build_run_report
+
+        opened = []
+
+        class Recorded(SlogFile):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(jumpshot, "SlogFile", Recorded)
+        assert not index_path_for(wide).exists()
+        build_run_report(wide, tmp_path / "report.html")
+        (slog,) = opened
+        assert len(slog.frames) > DEFAULT_FRAME_CACHE
+        assert slog.stats()["misses"] == len(slog.frames)
