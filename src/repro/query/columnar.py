@@ -54,6 +54,7 @@ offsets; rows no column can prove take the per-record encoder.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -748,5 +749,12 @@ def _holds(target: np.dtype, values: np.ndarray, bounds: tuple[int, int] | None)
         if not len(values):
             return True
         bounds = (int(values.min()), int(values.max()))
+    lo, hi = _limits(target)
+    return lo <= bounds[0] and bounds[1] <= hi
+
+
+@functools.cache
+def _limits(target: np.dtype) -> tuple[int, int]:
+    """The least and greatest value of integer dtype ``target``."""
     info = np.iinfo(target)
-    return info.min <= bounds[0] and bounds[1] <= info.max
+    return int(info.min), int(info.max)

@@ -54,7 +54,9 @@ from repro.core.windows import overlaps_window
 from repro.errors import FormatError
 from repro.query.columnar import FrameBatch
 from repro.query.trace import TraceHandle
-from repro.query.utilization import UtilizationBuilder, UtilizationIndex, lane_keys
+from repro.query.utilization import (
+    DEFAULT_BASE_BINS, UtilizationBuilder, UtilizationIndex, lane_keys, shift_for_span,
+)
 
 MAGIC = b"UTEIDX1\x00"
 FORMAT_VERSION = 5
@@ -297,12 +299,35 @@ class IndexAccumulator:
         )
 
     def scan(self, handle: TraceHandle) -> TraceIndex:
-        """Account every frame of ``handle``; index it."""
-        for frame in handle.frames:
+        """Account every frame of ``handle``; index it.
+
+        A whole file's frame directory is known before any frame is
+        decoded, so the utilization builder starts on the grid of the
+        directory's span (:func:`shift_for_span`) and cuts each record's
+        rows once, at or near the final shift.  Every frame we write
+        records the least start and the last end of its rows, so that span
+        is the records' span, and a seed no coarser than the final shift
+        changes no byte (:class:`UtilizationBuilder`).  The decoder does
+        not check directory spans, though: if the records turn out not to
+        cover the directory's span, the builder's pass is repeated
+        unseeded."""
+        frames = handle.frames
+        span = None
+        if frames and not self.frames:
+            span = (min(f.start_time for f in frames), max(f.end_time for f in frames))
+            self.builder = UtilizationBuilder(shift=shift_for_span(*span, DEFAULT_BASE_BINS))
+        for frame in frames:
             self.add_frame(
                 handle.read_frame_batch(frame.ordinal), frame.offset, frame.size,
                 frame.n_records, frame.start_time, frame.end_time,
             )
+        seeded = self.builder
+        if span is not None and (
+            seeded.t_min is None or seeded.t_min > span[0] or seeded.t_max < span[1]
+        ):
+            self.builder = UtilizationBuilder()
+            for frame in frames:
+                self.builder.add_batch(handle.read_frame_batch(frame.ordinal))
         return self.index(os.stat(handle.path).st_size, hash_file(handle.path))
 
 

@@ -159,11 +159,10 @@ def _starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _sum_runs(rows: _Rows, *key: np.ndarray) -> _Rows:
-    """Sum every run of neighbouring rows that share (lane, bin, state) —
-    or ``key``, a packed column equal exactly where those three are."""
+def _sum_runs(rows: _Rows) -> _Rows:
+    """Sum every run of neighbouring rows that share (lane, bin, state)."""
     lane, bins, state, count, busy = rows
-    starts = _starts(*(key or (lane, bins, state)))
+    starts = _starts(lane, bins, state)
     return (
         lane[starts], bins[starts], state[starts],
         np.add.reduceat(count, starts), np.add.reduceat(busy, starts),
@@ -176,11 +175,12 @@ def _aggregate(rows: _Rows) -> _Rows:
     The key is one packed int64 (:func:`~repro.query.columnar.pack_keys`)
     sorted *stably*, so rows already in order — each record's run of bins,
     a chunk aggregated before — are runs timsort merges instead of
-    re-sorting.  A key that would overflow 62 bits falls back to a lexsort
-    of the three columns.  A live publish does not come here with every
-    row it holds: :func:`_merge` sorts only the new rows and the held rows
-    they can reach."""
-    lane, bins, state, _, _ = rows
+    re-sorting.  Only the key and the two sums are permuted; lane, bin and
+    state are read at each group's first row.  A key that would overflow
+    62 bits falls back to a lexsort of the three columns.  A live publish
+    does not come here with every row it holds: :func:`_merge` sorts only
+    the new rows and the held rows they can reach."""
+    lane, bins, state, count, busy = rows
     if not len(lane):
         return rows
     packed = pack_keys((lane, bins, state))
@@ -188,8 +188,12 @@ def _aggregate(rows: _Rows) -> _Rows:
         order = np.lexsort((state, bins, lane))
         return _sum_runs(tuple(column[order] for column in rows))
     order = np.argsort(packed, kind="stable")
-    packed = packed[order]  # frees the unsorted key before the rows are permuted
-    return _sum_runs(tuple(column[order] for column in rows), packed)
+    starts = _starts(packed[order])
+    first = order[starts]
+    return (
+        lane[first], bins[first], state[first],
+        np.add.reduceat(count[order], starts), np.add.reduceat(busy[order], starts),
+    )
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -862,13 +866,22 @@ class UtilizationBuilder:
     A merge leaves the head as the finest :class:`Level` itself, which
     :meth:`build` publishes as it stands; a build with no record since the
     last one returns that one's index.
+
+    ``shift`` seeds the grid: rows are cut at it or coarser from the first
+    batch on.  The final shift is the larger of the span rule and every
+    record's :data:`_RECORD_BINS` rule, both monotone, so a seed no larger
+    than that leaves every byte as an unseeded build gives it — and saves
+    cutting rows on fine grids that only fold away.  A whole-file build
+    (:meth:`~repro.query.indexfile.IndexAccumulator.scan`) seeds it from
+    the frame directory's span; a live writer cannot know its span and
+    starts at 0.
     """
 
-    def __init__(self, *, base_bins: int = DEFAULT_BASE_BINS) -> None:
+    def __init__(self, *, base_bins: int = DEFAULT_BASE_BINS, shift: int = 0) -> None:
         self.base_bins = base_bins
         self.t_min: int | None = None
         self.t_max = 0
-        self.shift = 0
+        self.shift = shift
         #: The aggregated head at ``shift``, thread lanes then CPU lanes.
         self._heads = [_Head(_NO_ROWS), _Head(_NO_ROWS)]
         #: Loose row chunks at ``shift``, per kind; ``_loose`` counts the

@@ -80,11 +80,16 @@ def render_interactive_html(
     ticks_per_sec: float = 1e9,
     title: str | None = None,
 ) -> Path:
-    """Write the interactive viewer page for one time-space view."""
+    """Write the interactive viewer page for one time-space view.
+
+    Thread names and marker strings come from the traced program, so the
+    embedded JSON spells ``</`` as ``<\\/`` and ``<!--`` as ``\\u003c!--``
+    (the same strings to a JSON parser): no label can end the page's
+    script, or keep its end tag from ending it."""
     payload = view_payload(view, ticks_per_sec=ticks_per_sec)
     page_title = title or view.title
     html = _PAGE.replace("__TITLE__", escape(page_title)).replace(
-        "__DATA__", json.dumps(payload)
+        "__DATA__", json.dumps(payload).replace("</", "<\\/").replace("<!--", "\\u003c!--")
     )
     return atomic_write_text(path, html)
 

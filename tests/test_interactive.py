@@ -38,7 +38,9 @@ const print = value => console.log(JSON.stringify(value));
 
 function load(file, base) {
   const html = fs.readFileSync(file, "utf8");
-  const script = html.split("<script>")[1].split("</script>")[0];
+  // A script element ends at the first "</script>", as an HTML parser reads it.
+  const open = html.indexOf("<script>") + "<script>".length;
+  const script = html.slice(open, html.indexOf("</script>", open));
   const option = /<option value="([^"]*)"/.exec(html);
   const handlers = [], requests = [], pending = [];
   function element(id) {
@@ -76,6 +78,7 @@ function load(file, base) {
   vm.createContext(sandbox);
   vm.runInContext(script, sandbox);
   return { els, handlers, requests,
+    evaluate: code => vm.runInContext(code, sandbox),
     fire(id, ev, event = {}) {
       for (const [i, e, fn] of handlers) if (i === id && e === ev) fn(event);
     },
@@ -101,10 +104,10 @@ def run_node(tmp_path, driver, *args):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def sample_view():
+def sample_view(name="rank-0"):
     table = ThreadTable(
         [
-            ThreadEntry(0, 1, 1, 0, 0, 0, "rank-0"),
+            ThreadEntry(0, 1, 1, 0, 0, 0, name),
             ThreadEntry(1, 2, 2, 1, 0, 0, "rank-1"),
         ]
     )
@@ -192,6 +195,39 @@ print({ events: page.handlers.map(h => h[1]).sort(), drawn: page.els.main.log.le
         for handler in ("wheel", "mousedown", "mousemove", "dblclick", "click"):
             assert handler in out["events"]
         assert out["drawn"] > 0
+
+    #: A thread name that would end the page's script if written raw (and
+    #: one that would keep its real end tag from ending it).
+    HOSTILE = "</script><script>alert(1)</script><!--<script>"
+
+    def test_a_label_cannot_close_the_script(self, tmp_path):
+        html = render_interactive_html(sample_view(self.HOSTILE), tmp_path / "x.html").read_text()
+        plain = render_interactive_html(sample_view(), tmp_path / "p.html").read_text()
+        assert html.count("</script>") == plain.count("</script>") == 1
+        assert html.count("<!--") == plain.count("<!--")
+        # The whole page script, data and code, sits before the one end tag.
+        script = html.split("</script>")[0]
+        assert "alert(1)" in script and script.rstrip().endswith("draw();")
+
+    @needs_node
+    def test_an_escaped_label_reads_back_as_written(self, tmp_path):
+        view = sample_view(self.HOSTILE)
+        path = render_interactive_html(view, tmp_path / "x.html")
+        out = run_node(tmp_path, """
+const page = load(process.argv[2]);
+print(page.evaluate("DATA"));
+""", path)
+        assert out == json.loads(json.dumps(view_payload(view)))
+        assert any(self.HOSTILE in row["label"] for row in out["rows"])
+
+    def test_data_without_a_closing_tag_is_embedded_as_dumped(self, tmp_path):
+        from repro.viz.interactive import _PAGE
+
+        view = sample_view()
+        html = render_interactive_html(view, tmp_path / "p.html").read_text()
+        data = json.dumps(view_payload(view))
+        assert "</" not in data and "<!--" not in data
+        assert html == _PAGE.replace("__TITLE__", view.title).replace("__DATA__", data)
 
     def test_cli_interactive(self, tmp_path, capsys):
         from repro import cli

@@ -329,6 +329,121 @@ class TestChunkingAndOrder:
                 assert util.level_cells(kind, li) == exact[li]
 
 
+#: Records a SLOG file can hold (the thread table has threads 0..3 on node 0).
+file_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3_000_000),
+        st.sampled_from([0, 1, 7, 300, 5_000, 120_000, 900_000]),
+        st.integers(0, 1), st.integers(0, 3),
+        st.sampled_from([int(IntervalType.RUNNING), int(IntervalType.CLOCKPAIR), 7]),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def unseeded_index(handle):
+    """:func:`build_index`'s bytes by the live route: every frame through
+    ``add_frame`` of a fresh accumulator, whose builder starts at shift 0."""
+    from repro.query.indexfile import IndexAccumulator, hash_file
+
+    acc = IndexAccumulator()
+    for f in handle.frames:
+        acc.add_frame(
+            handle.read_frame_batch(f.ordinal), f.offset, f.size, f.n_records,
+            f.start_time, f.end_time,
+        )
+    return acc.index(handle.path.stat().st_size, hash_file(handle.path)).encode()
+
+
+class TestSeededGrid:
+    """A whole-file build starts on the grid of the frame directory's span.
+    No seed at or below the final shift changes a byte, and a directory
+    whose span its records do not cover sends the build back to shift 0."""
+
+    # No example count of their own: the nightly ci-long profile deepens them.
+    @settings(deadline=None)
+    @given(record_rows, grids, st.randoms(use_true_random=False))
+    def test_any_seed_up_to_the_final_shift_is_byte_identical(self, rows, grid, rng):
+        records = from_rows(rows)
+        rng.shuffle(records)
+        frames, rest = [], list(records)
+        while rest:
+            n = rng.choice([1, 1, 2, 5, 60])  # down to one record per frame
+            frames.append(batch_from_records(rest[:n]))
+            rest = rest[n:]
+        reference = UtilizationBuilder(base_bins=grid)
+        for batch in frames:
+            reference.add_batch(batch)
+        want = reference.build()
+        seeds = {0, want.base_shift, rng.randint(0, want.base_shift)}
+        if records:
+            # What a whole-file scan seeds from: the span of every row.
+            t0 = min(r.start for r in records)
+            t1 = max(r.end for r in records)
+            seeds.add(shift_for_span(t0, t1, grid))
+        for seed in seeds:
+            builder = UtilizationBuilder(base_bins=grid, shift=seed)
+            for batch in frames:
+                builder.add_batch(batch)
+            assert builder.build().encode() == want.encode(), seed
+
+    @settings(deadline=None)
+    @given(file_rows, st.sampled_from([256, 300, 512, 4096]))
+    def test_build_index_equals_unseeded_frame_by_frame_accounting(self, rows, frame_bytes):
+        import tempfile
+
+        records = [
+            rec(start, dura, cpu=cpu, thread=thread, itype=itype)
+            for start, dura, cpu, thread, itype in rows
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = make_slog(Path(tmp) / "run.slog", records, threads=4, frame_bytes=frame_bytes)
+            with open_trace(path, PROFILE) as handle:
+                assert build_index(handle).encode() == unseeded_index(handle)
+
+    def wide_directory(self, tmp_path):
+        """A trace whose first frame claims to start at tick 0 while its
+        records start at 10**9: the directory's span asks for a far coarser
+        grid than the records do."""
+        import dataclasses
+
+        records = [rec(10**9 + i * 100, 95, thread=i % 2) for i in range(80)]
+        path = make_slog(tmp_path / "run.slog", records, frame_bytes=512)
+        handle = open_trace(path, PROFILE)
+        want = unseeded_index(handle)
+        handle.frames[0] = dataclasses.replace(handle.frames[0], start_time=0)
+        return handle, want
+
+    def counting(self, handle):
+        reads = []
+        read = handle.read_frame_batch
+        handle.read_frame_batch = lambda ordinal: reads.append(ordinal) or read(ordinal)
+        return reads
+
+    def test_a_directory_wider_than_its_records_builds_unseeded(self, tmp_path):
+        handle, want = self.wide_directory(tmp_path)
+        with handle:
+            claimed = (handle.frames[0].start_time, handle.frames[-1].end_time)
+            seed = shift_for_span(*claimed, utilization.DEFAULT_BASE_BINS)
+            assert seed > TraceIndex.decode(want).utilization.base_shift
+            reads = self.counting(handle)
+            index = build_index(handle)
+            assert len(reads) == 2 * len(handle.frames)
+        # Only the frame table keeps the directory's claim; the utilization
+        # section is what the records give from shift 0.
+        assert index.utilization.encode() == TraceIndex.decode(want).utilization.encode()
+        assert index.t_min == 0
+
+    def test_the_pass_runs_once_when_the_spans_agree(self, tmp_path):
+        path = make_slog(tmp_path / "run.slog", sample_records(), threads=3, frame_bytes=512)
+        with open_trace(path, PROFILE) as handle:
+            reads = self.counting(handle)
+            index = build_index(handle)
+            assert sorted(reads) == [f.ordinal for f in handle.frames]
+            assert len(handle.frames) > 1
+            assert index.encode() == unseeded_index(handle)
+
+
 def reference_aggregate(rows):
     """``_aggregate`` by hand: a lexsort, then one Python pass summing the
     rows of every (lane, bin, state)."""
