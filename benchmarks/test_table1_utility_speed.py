@@ -18,7 +18,9 @@ Besides the prose rows in ``report.txt`` the run writes
 ``EXPERIMENTS.md`` quotes and a later change can be compared against.  Per
 rung it also holds the ``.uteidx`` stage (``build_index`` + ``write_index``
 over the rung's SLOG, sec/event) and the peak RSS of convert, slogmerge and
-the index build (each a fresh interpreter running the stage once).
+the index build (each a fresh interpreter running the stage once), and
+the time of one ``open_trace`` on the rung's SLOG: the first open of a
+fresh interpreter (cold) and an open after it (warm), seconds per call.
 """
 
 from __future__ import annotations
@@ -108,11 +110,16 @@ def _fresh_peak_rss_mb(stage: str, *args) -> float:
         "import re, sys\n" + stage
         + "print(re.search(r'VmHWM:\\s+(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
     )
-    done = subprocess.run(
+    return int(_fresh_stdout(code, *args)) / 1024
+
+
+def _fresh_stdout(code: str, *args) -> str:
+    """Standard output of a fresh interpreter running ``code`` over
+    ``sys.argv``."""
+    return subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, check=True,
-    )
-    return int(done.stdout) / 1024
+    ).stdout
 
 
 @pytest.mark.parametrize("rounds", ROUND_SWEEP)
@@ -161,21 +168,64 @@ def test_index_speed(benchmark, traces, workspace, rounds):
     )
 
 
+#: Fresh interpreters timed per rung for the cold open (its floor).
+COLD_OPENS = 3
+
+
+@pytest.mark.parametrize("rounds", ROUND_SWEEP)
+def test_open_speed(benchmark, traces, workspace, rounds):
+    """``open_trace`` on the SLOG ``test_slogmerge_speed`` left, seconds
+    per call: warm (this process opened it before) and cold (the first
+    open of a fresh interpreter, imports done before the timer)."""
+    _raw_paths, events = traces[rounds]
+    slog = workspace / f"t1m-{rounds}" / "out.slog"
+    assert slog.exists(), "the slogmerge rung runs first"
+
+    def do_open():
+        with open_trace(slog):
+            pass
+
+    do_open()
+    benchmark.pedantic(do_open, rounds=20, iterations=1)
+    row = _results.setdefault(events, {})
+    row["open_warm_s"] = benchmark.stats.stats.min
+    stage = (
+        "import sys, time\n"
+        "from repro.query import open_trace\n"
+        "start = time.perf_counter()\n"
+        "with open_trace(sys.argv[1]):\n"
+        "    pass\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    row["open_cold_s"] = min(
+        float(_fresh_stdout(stage, slog)) for _ in range(COLD_OPENS)
+    )
+
+
 def test_report_table1(benchmark):
     """Assemble the Table 1 rows and check the flatness claim."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     stages = ("convert", "slogmerge", "index")
-    sizes = sorted(e for e, row in _results.items() if all(s in row for s in stages))
+    sizes = sorted(
+        e for e, row in _results.items()
+        if all(s in row for s in (*stages, "open_cold_s", "open_warm_s"))
+    )
     assert len(sizes) == len(ROUND_SWEEP), "earlier sweep points missing"
     header = "# raw events          " + "".join(f"{e:>12}" for e in sizes)
     rows = [
         f"sec/event in {stage:<9}" + "".join(f"{_results[e][stage]:12.7f}" for e in sizes)
         for stage in stages
     ]
+    for temp in ("cold", "warm"):
+        rows.append(
+            f"{'ms/open_trace ' + temp:<22}"
+            + "".join(f"{_results[e][f'open_{temp}_s'] * 1e3:12.3f}" for e in sizes)
+        )
     report(
         "", "TABLE 1 — utility speed (paper: sec/event flat from 40k to 11.2M events;",
         "paper convert ~0.83e-4 s/ev, slogmerge ~2.3e-4 s/ev on a 2000 PowerPC;",
-        "the .uteidx row is ours: index build + write over the rung's SLOG)",
+        "the .uteidx row is ours: index build + write over the rung's SLOG;",
+        "so are the open_trace rows: a fresh interpreter's first open, then a warm one)",
         header, *rows,
     )
     flatness = {
@@ -197,7 +247,8 @@ def _git(*args: str) -> str:
 
 def _ladder(sizes: list[int], flatness: dict[str, float]) -> dict:
     """The ladder as data: where it ran, and per rung the raw-event count,
-    each stage's sec/event (the floor of its timed passes) and peak RSS."""
+    each stage's sec/event (the floor of its timed passes) and peak RSS,
+    and the cold and warm ``open_trace`` of the rung's SLOG (sec/call)."""
     return {
         "benchmark": "benchmarks/test_table1_utility_speed.py",
         "git_sha": _git("rev-parse", "--short=12", "HEAD"),
@@ -213,6 +264,8 @@ def _ladder(sizes: list[int], flatness: dict[str, float]) -> dict:
                 "slogmerge_peak_rss_mb": _results[e]["slogmerge_peak_rss_mb"],
                 "index_sec_per_event": _results[e]["index"],
                 "index_peak_rss_mb": _results[e]["index_peak_rss_mb"],
+                "open_cold_s": _results[e]["open_cold_s"],
+                "open_warm_s": _results[e]["open_warm_s"],
             }
             for e in sizes
         ],

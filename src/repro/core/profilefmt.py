@@ -9,10 +9,15 @@ readers verify the IDs match before decoding anything.
 
 from __future__ import annotations
 
+import functools
 import struct
+import threading
+import weakref
 import zlib
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from repro.core.fields import ATTRS, DataType, FieldSpec
 from repro.errors import FormatError, ProfileMismatchError
@@ -54,29 +59,39 @@ class RecordSpec:
 
 
 class Profile:
-    """An in-memory description profile.
+    """An in-memory description profile: an immutable value.
 
     ``version_id`` is a content hash (CRC-32 of the serialized body), so two
     profiles describing the same records agree and any structural change is
-    detected by readers.
+    detected by readers.  ``record_names`` and ``field_names`` are tuples
+    and ``specs`` a read-only mapping; the only state that changes after
+    construction is two private memo tables (present fields and compiled
+    layouts per (type, mask)), whose concurrent fills compute equal values.
+    So one instance is safely shared: :meth:`from_bytes` returns the same
+    instance for the same bytes in a process, and every reader, writer and
+    index build over one profile reuses its compiled layouts.  The
+    constructor never shares: it always makes a fresh instance with empty
+    memo tables.
     """
 
     def __init__(
         self,
-        record_names: list[str],
-        field_names: list[str],
-        specs: dict[int, RecordSpec],
+        record_names: Iterable[str],
+        field_names: Iterable[str],
+        specs: Mapping[int, RecordSpec],
     ) -> None:
-        if len(field_names) > 4096:
+        self.record_names = tuple(record_names)
+        self.field_names = tuple(field_names)
+        if len(self.field_names) > 4096:
             raise FormatError("too many field names (12-bit name index)")
-        self.record_names = list(record_names)
-        self.field_names = list(field_names)
-        self.specs = dict(specs)
+        self.specs: Mapping[int, RecordSpec] = MappingProxyType(dict(specs))
         self._field_index = {name: i for i, name in enumerate(self.field_names)}
-        self.version_id = zlib.crc32(self._body_bytes())
+        body = self._body_bytes()
+        self.version_id = zlib.crc32(body)
+        self._bytes = MAGIC + struct.pack("<I", self.version_id) + body
         # (itype, mask) -> present fields; encode/decode hit this per record,
         # so recomputing the mask filter would dominate conversion time.
-        self._fields_cache: dict[tuple[int, int], list[FieldSpec]] = {}
+        self._fields_cache: dict[tuple[int, int], tuple[FieldSpec, ...]] = {}
         # (itype, mask) -> compiled RecordLayout (repro.core.layout).
         self._layouts: dict[tuple[int, int], object] = {}
 
@@ -104,13 +119,13 @@ class Profile:
         """Name of a field spec."""
         return self.field_names[fs.name_index]
 
-    def fields_for(self, itype: int, mask: int) -> list[FieldSpec]:
+    def fields_for(self, itype: int, mask: int) -> tuple[FieldSpec, ...]:
         """The fields of ``itype`` actually present under selection ``mask``
         (memoized — this is the per-record hot path)."""
         key = (itype, mask)
         cached = self._fields_cache.get(key)
         if cached is None:
-            cached = [fs for fs in self.spec_for(itype).fields if fs.present_in(mask)]
+            cached = tuple(fs for fs in self.spec_for(itype).fields if fs.present_in(mask))
             self._fields_cache[key] = cached
         return cached
 
@@ -138,31 +153,63 @@ class Profile:
     def to_bytes(self) -> bytes:
         """The profile file's exact bytes: magic, CRC32 of the body, body.
         SLOG files and live containers embed this same framing."""
-        body = self._body_bytes()
-        return MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+        return self._bytes
 
     @classmethod
-    def from_bytes(cls, data: bytes, context: str = "profile") -> "Profile":
+    def from_bytes(cls, data: bytes | bytearray | memoryview, context: str = "profile") -> "Profile":
         """Decode and validate :meth:`to_bytes` output; ``context`` names
-        the source in error messages."""
+        the source in error messages.
+
+        Every accepted encoding is canonical (the body must re-encode to
+        itself), so equal bytes are an equal profile: the instance is
+        interned by its exact bytes and a second call with them returns the
+        first call's instance without decoding again.  The table holds its
+        entries weakly; bytes that fail to decode are never entered.
+        """
+        key = bytes(data)
+        with _INTERN_LOCK:
+            hit = _INTERNED.get(key)
+        if hit is not None:
+            return hit
+        return _intern(cls._decode(key, context))
+
+    @classmethod
+    def _decode(cls, data: bytes, context: str) -> "Profile":
         if data[:8] != MAGIC:
             raise FormatError(f"{context}: not a profile file")
+        if len(data) < 12:
+            raise FormatError(f"{context}: truncated profile header")
         (version,) = struct.unpack_from("<I", data, 8)
         body = data[12:]
         if zlib.crc32(body) != version:
             raise FormatError(f"{context}: profile checksum mismatch")
-        offset = 0
-        record_names, offset = _read_names(body, offset)
-        field_names, offset = _read_names(body, offset)
-        (n_specs,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        specs: dict[int, RecordSpec] = {}
-        for _ in range(n_specs):
-            spec, offset = RecordSpec.decode(body, offset)
-            specs[spec.record_type] = spec
-        profile = cls(record_names, field_names, specs)
-        if profile.version_id != version:  # pragma: no cover - crc covers this
-            raise ProfileMismatchError(f"{context}: version id mismatch after decode")
+        try:
+            offset = 0
+            record_names, offset = _read_names(body, offset)
+            field_names, offset = _read_names(body, offset)
+            (n_specs,) = struct.unpack_from("<H", body, offset)
+            offset += 2
+            specs: dict[int, RecordSpec] = {}
+            for _ in range(n_specs):
+                spec, offset = RecordSpec.decode(body, offset)
+                specs[spec.record_type] = spec
+            profile = cls(record_names, field_names, specs)
+        except (struct.error, ValueError, FormatError) as exc:
+            raise FormatError(f"{context}: malformed profile body ({exc})") from exc
+        if offset != len(body):
+            raise FormatError(
+                f"{context}: {len(body) - offset} trailing bytes after the last record spec"
+            )
+        if profile._bytes != data:
+            raise FormatError(f"{context}: profile body is not in canonical form")
+        for spec in profile.specs.values():
+            if spec.name_index >= len(profile.record_names) or any(
+                fs.name_index >= len(profile.field_names) for fs in spec.fields
+            ):
+                raise FormatError(
+                    f"{context}: record type {spec.record_type} names a missing "
+                    "record or field name"
+                )
         return profile
 
     def write(self, path: str | Path) -> Path:
@@ -173,7 +220,7 @@ class Profile:
 
     @classmethod
     def read(cls, path: str | Path) -> "Profile":
-        """Read and validate a profile file."""
+        """Read and validate a profile file (interned like :meth:`from_bytes`)."""
         return cls.from_bytes(Path(path).read_bytes(), str(path))
 
     def check_version(self, version_id: int, context: str = "") -> None:
@@ -185,6 +232,19 @@ class Profile:
             )
 
 
+#: Profiles by their exact file bytes: one instance per encoding per
+#: process.  Weak values, so the table never keeps a profile alive.
+_INTERNED: weakref.WeakValueDictionary[bytes, Profile] = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(profile: Profile) -> Profile:
+    """The table's instance for ``profile``'s bytes, entering ``profile``
+    when there is none (the first of two racing decodes wins)."""
+    with _INTERN_LOCK:
+        return _INTERNED.setdefault(profile.to_bytes(), profile)
+
+
 def _read_names(data: bytes, offset: int) -> tuple[list[str], int]:
     (count,) = struct.unpack_from("<H", data, offset)
     offset += 2
@@ -192,6 +252,8 @@ def _read_names(data: bytes, offset: int) -> tuple[list[str], int]:
     for _ in range(count):
         (length,) = struct.unpack_from("<H", data, offset)
         offset += 2
+        if offset + length > len(data):
+            raise FormatError(f"name of {length} bytes runs past the end of the body")
         names.append(data[offset : offset + length].decode("utf-8"))
         offset += length
     return names, offset
@@ -233,8 +295,11 @@ _RECEIVING_FNS = {"MPI_Recv", "MPI_Irecv", "MPI_Wait", "MPI_Waitall", "MPI_Sendr
 _P2P_FNS = _SENDING_FNS | {"MPI_Recv", "MPI_Irecv"}
 
 
+@functools.cache
 def standard_profile() -> Profile:
-    """Build the framework's standard description profile.
+    """The framework's standard description profile — one instance per
+    process, the very one :meth:`Profile.from_bytes` returns for its bytes
+    (so a SLOG the pipeline wrote reopens onto the layouts it compiled).
 
     Record types: Running (0), one per MPI function (1 + fn), and the user
     marker region (100).  Every record starts with the common fields; MPI
@@ -327,4 +392,4 @@ def standard_profile() -> Profile:
         "PageFault",
         [FieldSpec(f("addr"), attr=ATTRS["addr"], **u64)],
     )
-    return Profile(record_names, STANDARD_FIELD_NAMES, specs)
+    return _intern(Profile(record_names, STANDARD_FIELD_NAMES, specs))

@@ -7,7 +7,8 @@ for how it was built and how to regenerate it.
 
 Hypothesis profiles: the default settings run on every PR; the scheduled
 fuzz job selects the deeper ``ci-long`` profile with
-``--hypothesis-profile=ci-long``.
+``--hypothesis-profile=ci-long``.  A test that sets its own example count
+takes it from :func:`max_examples`, which deepens it under ``ci-long``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ from hypothesis import settings
 from repro.core.bytesource import ByteSource, FileSource, MemorySource, MmapSource
 
 settings.register_profile("ci-long", max_examples=1500, deadline=None)
+
+#: How many times its own example count a test runs under ``ci-long``.
+CI_LONG_FACTOR = 10
+
+
+def max_examples(n: int) -> int:
+    """A test's explicit example count: ``n`` under the default profile,
+    ``CI_LONG_FACTOR * n`` under ``ci-long`` (an explicit ``max_examples``
+    overrides the profile's, so a bare ``n`` would stay shallow there).
+    Read when the test module is imported, after the profile is loaded."""
+    deep = settings.default is settings.get_profile("ci-long")
+    return n * CI_LONG_FACTOR if deep else n
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 

@@ -467,7 +467,8 @@ class TestExtraKeyOrder:
 
         keyed = next(i for i, r in enumerate(records) if "markerId" in r.extra)
         itype = records[keyed].itype
-        tampered = Profile.from_bytes(PROFILE.to_bytes())  # its own layout cache
+        # Its own layout cache: the constructor never returns a shared instance.
+        tampered = Profile(PROFILE.record_names, PROFILE.field_names, PROFILE.specs)
         specs = [
             dataclasses.replace(fs, elem_len=2) if tampered.field_name(fs) == "markerId" else fs
             for fs in tampered.fields_for(itype, MASK)

@@ -6,20 +6,24 @@ structurally valid file) or (b) raise ``ReproError`` — never an uncaught
 ``struct.error`` / ``IndexError`` / ``UnicodeDecodeError``.
 """
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IntervalFileWriter, IntervalReader, standard_profile
 from repro.core.fields import MASK_ALL_PER_NODE
+from repro.core.profilefmt import MAGIC, Profile
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
-from repro.errors import ReproError
+from repro.errors import FormatError, ReproError
 from repro.tracing.events import RawEvent, dispatch_event
 from repro.tracing.hooks import HookId
 from repro.tracing.rawfile import RawFileHeader, RawTraceReader, RawTraceWriter
 from repro.utils.slog import SlogFile, SlogWriter
-from tests.conftest import byte_source
+from tests.conftest import byte_source, max_examples
 
 PROFILE = standard_profile()
 
@@ -80,7 +84,7 @@ flip_strategy = st.lists(
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max_examples(120), deadline=None)
 def test_interval_reader_never_crashes(artifacts, flips):
     path = artifacts["tmp"] / "c.ute"
     path.write_bytes(corrupt(artifacts["interval"], flips))
@@ -94,7 +98,7 @@ def test_interval_reader_never_crashes(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max_examples(120), deadline=None)
 def test_raw_reader_never_crashes(artifacts, flips):
     path = artifacts["tmp"] / "c.raw"
     path.write_bytes(corrupt(artifacts["raw"], flips))
@@ -106,7 +110,7 @@ def test_raw_reader_never_crashes(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max_examples(120), deadline=None)
 def test_slog_reader_never_crashes(artifacts, flips):
     path = artifacts["tmp"] / "c.slog"
     path.write_bytes(corrupt(artifacts["slog"], flips))
@@ -119,7 +123,7 @@ def test_slog_reader_never_crashes(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=max_examples(80), deadline=None)
 def test_validator_never_crashes(artifacts, flips):
     """The validator must *report* corruption, not die on it."""
     from repro.utils.validate import validate_interval_file
@@ -138,7 +142,7 @@ STREAMING_MODES = ("mmap", "file")
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_streaming_interval_reader_never_crashes(artifacts, flips):
     path = artifacts["tmp"] / "cs.ute"
     path.write_bytes(corrupt(artifacts["interval"], flips))
@@ -155,7 +159,7 @@ def test_streaming_interval_reader_never_crashes(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_streaming_raw_reader_never_crashes(artifacts, flips):
     path = artifacts["tmp"] / "cs.raw"
     path.write_bytes(corrupt(artifacts["raw"], flips))
@@ -169,7 +173,7 @@ def test_streaming_raw_reader_never_crashes(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_streaming_slog_reader_never_crashes(artifacts, flips):
     path = artifacts["tmp"] / "cs.slog"
     path.write_bytes(corrupt(artifacts["slog"], flips))
@@ -191,7 +195,7 @@ def test_streaming_slog_reader_never_crashes(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_recover_flipped_interval_validates_or_refuses(artifacts, flips):
     from repro.utils.recover import recover_file
 
@@ -210,7 +214,7 @@ def test_recover_flipped_interval_validates_or_refuses(artifacts, flips):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max_examples(40), deadline=None)
 def test_recover_flipped_slog_validates_or_refuses(artifacts, flips):
     from repro.utils.recover import recover_file
 
@@ -228,7 +232,7 @@ def test_recover_flipped_slog_validates_or_refuses(artifacts, flips):
 
 
 @given(cut=st.integers(min_value=1, max_value=10**6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_recover_truncated_interval_yields_record_subset(artifacts, cut):
     from repro.utils.recover import recover_file
 
@@ -252,7 +256,7 @@ def test_recover_truncated_interval_yields_record_subset(artifacts, cut):
 
 
 @given(flips=flip_strategy)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max_examples(40), deadline=None)
 def test_salvage_readers_never_crash(artifacts, flips):
     """Salvage mode holds the same contract as strict: corruption may cost
     records, but never surfaces a low-level exception (header damage still
@@ -320,3 +324,28 @@ def test_intact_wrap_trace_still_reads(tmp_path, mode):
     with RawTraceReader(path, source=byte_source(mode, path)) as reader:
         events = reader.events()
     assert events  # the surviving window reads cleanly
+
+
+# --------------------------------------------------------------------------
+# Profile bodies whose CRC matches their damage: the checksum passes, so
+# the decoder itself must refuse what it cannot read.  Whatever it accepts
+# is canonical, which is what lets a profile be interned by its bytes.
+
+
+@given(
+    flips=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), st.integers(0, 255)),
+        max_size=8,
+    ),
+    cut=st.none() | st.integers(min_value=0, max_value=2000),
+    tail=st.binary(max_size=8),
+)
+@settings(max_examples=max_examples(120), deadline=None)
+def test_profile_body_with_recomputed_crc_refuses_or_round_trips(flips, cut, tail):
+    body = corrupt(PROFILE.to_bytes()[12:], flips)[:cut] + tail
+    data = MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+    try:
+        profile = Profile.from_bytes(data)
+    except FormatError:
+        return
+    assert profile.to_bytes() == data

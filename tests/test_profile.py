@@ -1,12 +1,23 @@
 """Tests for the description profile file."""
 
+import gc
+import struct
+import threading
+import uuid
+import weakref
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import pytest
 
 from repro.core.fields import ATTRS, DataType, FieldSpec, MASK_ALL_MERGED, MASK_ALL_PER_NODE, MASK_CORE
-from repro.core.profilefmt import Profile, RecordSpec, standard_profile
+from repro.core import profilefmt
+from repro.core.profilefmt import MAGIC, Profile, RecordSpec, standard_profile
 from repro.core.records import IntervalType
 from repro.errors import FormatError, ProfileMismatchError
 from repro.tracing.hooks import MPI_FN_NAMES
+from tests.conftest import DATA_DIR
 
 
 def small_profile():
@@ -92,6 +103,141 @@ class TestProfileFile:
     def test_unknown_record_type_rejected(self):
         with pytest.raises(FormatError, match="no record type"):
             small_profile().spec_for(42)
+
+
+def framed(body: bytes) -> bytes:
+    """A profile file around ``body`` with its CRC recomputed: damage the
+    checksum cannot see."""
+    return MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def fresh_bytes() -> bytes:
+    """The bytes of a profile no other test has parsed."""
+    prof = small_profile()
+    return Profile([f"Running-{uuid.uuid4().hex}"], prof.field_names, prof.specs).to_bytes()
+
+
+class TestMalformedBody:
+    """A body whose CRC matches its damage is refused with a FormatError
+    that names the source, never a low-level exception."""
+
+    STANDARD_BODY = standard_profile().to_bytes()[12:]
+
+    @pytest.mark.parametrize("cut", [0, 1, 3, 50, 500, -1])
+    def test_truncated_body(self, cut):
+        with pytest.raises(FormatError, match="^bad.prof: "):
+            Profile.from_bytes(framed(self.STANDARD_BODY[:cut]), "bad.prof")
+
+    def test_truncated_header(self):
+        with pytest.raises(FormatError, match="truncated profile header"):
+            Profile.from_bytes(MAGIC + b"\x00\x01")
+
+    def test_bad_utf8_name(self):
+        body = bytearray(small_profile().to_bytes()[12:])
+        body[4] = 0xFF  # first byte of "Running"
+        with pytest.raises(FormatError, match="malformed profile body"):
+            Profile.from_bytes(framed(bytes(body)))
+
+    def test_trailing_bytes(self):
+        with pytest.raises(FormatError, match="3 trailing bytes"):
+            Profile.from_bytes(framed(self.STANDARD_BODY + b"xyz"))
+
+    def test_non_canonical_encoding(self):
+        prof = small_profile()
+        body = bytearray(prof.to_bytes()[12:])
+        spec_at = len(body) - len(prof.specs[0].encode())
+        body[spec_at + 7] = 1  # the reserved byte of the spec header
+        with pytest.raises(FormatError, match="not in canonical form"):
+            Profile.from_bytes(framed(bytes(body)))
+
+    def test_dangling_name_index(self):
+        prof = small_profile()
+        spec = RecordSpec(0, 0, (FieldSpec(40, dtype=DataType.UINT, elem_len=4),))
+        dangling = Profile(prof.record_names, prof.field_names, {0: spec})
+        with pytest.raises(FormatError, match="missing record or field name"):
+            Profile.from_bytes(dangling.to_bytes())
+
+    def test_cli_refuses_with_one_error_line(self, tmp_path, capsys):
+        from repro import cli
+
+        bad = tmp_path / "bad.prof"
+        bad.write_bytes(framed(self.STANDARD_BODY[:50]))
+        code = cli.main_validate([str(DATA_DIR / "good.ute"), "--profile", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("error:") == 1 and "bad.prof" in err and "Traceback" not in err
+
+
+class TestInterning:
+    """One instance per exact byte string per process."""
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_equal_bytes_give_one_instance(self, kind):
+        data = fresh_bytes()
+        first = Profile.from_bytes(data)
+        assert Profile.from_bytes(kind(data)) is first
+        assert Profile.from_bytes(kind(bytearray(data))) is first
+
+    def test_standard_profile_is_the_interned_instance(self):
+        assert standard_profile() is standard_profile()
+        assert Profile.from_bytes(standard_profile().to_bytes()) is standard_profile()
+
+    def test_a_second_open_decodes_nothing(self):
+        from repro.utils.slog import SlogFile
+
+        with SlogFile(DATA_DIR / "good.slog") as slog:
+            first = slog.profile
+        with mock.patch.object(RecordSpec, "decode", wraps=RecordSpec.decode) as decode:
+            with SlogFile(DATA_DIR / "good.slog") as slog:
+                assert slog.profile is first
+        assert decode.call_count == 0
+
+    def test_fields_are_read_only(self):
+        prof = standard_profile()
+        with pytest.raises(TypeError):
+            prof.record_names[0] = "x"
+        with pytest.raises(TypeError):
+            prof.field_names[0] = "x"
+        with pytest.raises(TypeError):
+            prof.specs[0] = prof.specs[IntervalType.RUNNING]
+        with pytest.raises(TypeError):
+            del prof.specs[IntervalType.RUNNING]
+
+    def test_threads_share_one_instance(self):
+        data = fresh_bytes()
+        barrier = threading.Barrier(8)
+
+        def parse(_):
+            barrier.wait()
+            return Profile.from_bytes(data)
+
+        with ThreadPoolExecutor(8) as pool:
+            parsed = list(pool.map(parse, range(8)))
+        assert all(p is parsed[0] for p in parsed)
+
+    def test_a_failed_parse_is_not_cached(self):
+        data = fresh_bytes()
+        with pytest.raises(FormatError):
+            Profile.from_bytes(data[:-5])  # a window too short for the body
+        assert data[:-5] not in profilefmt._INTERNED
+        assert Profile.from_bytes(data).to_bytes() == data
+
+    def test_an_unreferenced_profile_leaves_the_table(self):
+        data = fresh_bytes()
+        prof = Profile.from_bytes(data)
+        ref = weakref.ref(prof)
+        assert data in profilefmt._INTERNED
+        del prof
+        gc.collect()
+        assert ref() is None
+        assert data not in profilefmt._INTERNED
+
+    def test_the_constructor_returns_a_fresh_instance(self):
+        std = standard_profile()
+        copy = Profile(std.record_names, std.field_names, std.specs)
+        assert copy is not std
+        assert copy.to_bytes() == std.to_bytes()
+        assert copy._layouts is not std._layouts
 
 
 class TestStandardProfile:
