@@ -64,14 +64,12 @@ class Profile:
     ``version_id`` is a content hash (CRC-32 of the serialized body), so two
     profiles describing the same records agree and any structural change is
     detected by readers.  ``record_names`` and ``field_names`` are tuples
-    and ``specs`` a read-only mapping; the only state that changes after
-    construction is two private memo tables (present fields and compiled
-    layouts per (type, mask)), whose concurrent fills compute equal values.
-    So one instance is safely shared: :meth:`from_bytes` returns the same
-    instance for the same bytes in a process, and every reader, writer and
-    index build over one profile reuses its compiled layouts.  The
-    constructor never shares: it always makes a fresh instance with empty
-    memo tables.
+    and ``specs`` a read-only mapping; only two private memo tables (present
+    fields and compiled layouts per (type, mask)) fill in after
+    construction, and concurrent fills compute equal values.  So one
+    instance is safely shared: :meth:`from_bytes` returns the same instance
+    for the same bytes in a process.  The constructor always makes a fresh
+    instance with empty memo tables.
     """
 
     def __init__(
@@ -156,7 +154,9 @@ class Profile:
         return self._bytes
 
     @classmethod
-    def from_bytes(cls, data: bytes | bytearray | memoryview, context: str = "profile") -> "Profile":
+    def from_bytes(
+        cls, data: bytes | bytearray | memoryview, context: str = "profile"
+    ) -> "Profile":
         """Decode and validate :meth:`to_bytes` output; ``context`` names
         the source in error messages.
 
@@ -252,8 +252,6 @@ def _read_names(data: bytes, offset: int) -> tuple[list[str], int]:
     for _ in range(count):
         (length,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        if offset + length > len(data):
-            raise FormatError(f"name of {length} bytes runs past the end of the body")
         names.append(data[offset : offset + length].decode("utf-8"))
         offset += length
     return names, offset
