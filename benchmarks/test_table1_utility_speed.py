@@ -176,7 +176,9 @@ COLD_OPENS = 3
 def test_open_speed(benchmark, traces, workspace, rounds):
     """``open_trace`` on the SLOG ``test_slogmerge_speed`` left, seconds
     per call: warm (this process opened it before) and cold (the first
-    open of a fresh interpreter, imports done before the timer)."""
+    open of a fresh interpreter, with the SLOG reader's modules imported
+    before the timer, so the row is the open and not ``repro.utils``'s
+    package import)."""
     _raw_paths, events = traces[rounds]
     slog = workspace / f"t1m-{rounds}" / "out.slog"
     assert slog.exists(), "the slogmerge rung runs first"
@@ -192,6 +194,7 @@ def test_open_speed(benchmark, traces, workspace, rounds):
     stage = (
         "import sys, time\n"
         "from repro.query import open_trace\n"
+        "import repro.utils.slog\n"  # open_trace imports it lazily
         "start = time.perf_counter()\n"
         "with open_trace(sys.argv[1]):\n"
         "    pass\n"

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import functools
 import struct
-import threading
-import weakref
 import zlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -67,9 +65,9 @@ class Profile:
     and ``specs`` a read-only mapping; only two private memo tables (present
     fields and compiled layouts per (type, mask)) fill in after
     construction, and concurrent fills compute equal values.  So one
-    instance is safely shared: :meth:`from_bytes` returns the same instance
-    for the same bytes in a process.  The constructor always makes a fresh
-    instance with empty memo tables.
+    instance is safely shared: :func:`standard_profile` is one per process,
+    and :meth:`from_bytes` returns it for its exact bytes.  The constructor
+    always makes a fresh instance with empty memo tables.
     """
 
     def __init__(
@@ -161,20 +159,15 @@ class Profile:
         the source in error messages.
 
         Every accepted encoding is canonical (the body must re-encode to
-        itself), so equal bytes are an equal profile: the instance is
-        interned by its exact bytes and a second call with them returns the
-        first call's instance without decoding again.  The table holds its
-        entries weakly; bytes that fail to decode are never entered.
+        itself), so the standard profile's exact bytes are the standard
+        profile: they return :func:`standard_profile` without decoding, and
+        a SLOG the pipeline wrote reopens onto the layouts it compiled.  Any
+        other bytes decode to a fresh instance.
         """
-        key = bytes(data)
-        with _INTERN_LOCK:
-            hit = _INTERNED.get(key)
-        if hit is not None:
-            return hit
-        return _intern(cls._decode(key, context))
-
-    @classmethod
-    def _decode(cls, data: bytes, context: str) -> "Profile":
+        data = bytes(data)
+        standard = standard_profile()
+        if data == standard.to_bytes():
+            return standard
         if data[:8] != MAGIC:
             raise FormatError(f"{context}: not a profile file")
         if len(data) < 12:
@@ -220,7 +213,7 @@ class Profile:
 
     @classmethod
     def read(cls, path: str | Path) -> "Profile":
-        """Read and validate a profile file (interned like :meth:`from_bytes`)."""
+        """Read and validate a profile file (see :meth:`from_bytes`)."""
         return cls.from_bytes(Path(path).read_bytes(), str(path))
 
     def check_version(self, version_id: int, context: str = "") -> None:
@@ -230,19 +223,6 @@ class Profile:
                 f"profile version mismatch{' in ' + context if context else ''}: "
                 f"file used {version_id:#010x}, profile is {self.version_id:#010x}"
             )
-
-
-#: Profiles by their exact file bytes: one instance per encoding per
-#: process.  Weak values, so the table never keeps a profile alive.
-_INTERNED: weakref.WeakValueDictionary[bytes, Profile] = weakref.WeakValueDictionary()
-_INTERN_LOCK = threading.Lock()
-
-
-def _intern(profile: Profile) -> Profile:
-    """The table's instance for ``profile``'s bytes, entering ``profile``
-    when there is none (the first of two racing decodes wins)."""
-    with _INTERN_LOCK:
-        return _INTERNED.setdefault(profile.to_bytes(), profile)
 
 
 def _read_names(data: bytes, offset: int) -> tuple[list[str], int]:
@@ -390,4 +370,4 @@ def standard_profile() -> Profile:
         "PageFault",
         [FieldSpec(f("addr"), attr=ATTRS["addr"], **u64)],
     )
-    return _intern(Profile(record_names, STANDARD_FIELD_NAMES, specs))
+    return Profile(record_names, STANDARD_FIELD_NAMES, specs)

@@ -329,7 +329,8 @@ def test_intact_wrap_trace_still_reads(tmp_path, mode):
 # --------------------------------------------------------------------------
 # Profile bodies whose CRC matches their damage: the checksum passes, so
 # the decoder itself must refuse what it cannot read.  Whatever it accepts
-# is canonical, which is what lets a profile be interned by its bytes.
+# is canonical, which is what lets the standard profile's bytes stand for
+# the standard profile.
 
 
 @given(

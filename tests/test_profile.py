@@ -1,18 +1,12 @@
 """Tests for the description profile file."""
 
-import gc
 import struct
-import threading
-import uuid
-import weakref
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
 
 from repro.core.fields import ATTRS, DataType, FieldSpec, MASK_ALL_MERGED, MASK_ALL_PER_NODE, MASK_CORE
-from repro.core import profilefmt
 from repro.core.profilefmt import MAGIC, Profile, RecordSpec, standard_profile
 from repro.core.records import IntervalType
 from repro.errors import FormatError, ProfileMismatchError
@@ -111,12 +105,6 @@ def framed(body: bytes) -> bytes:
     return MAGIC + struct.pack("<I", zlib.crc32(body)) + body
 
 
-def fresh_bytes() -> bytes:
-    """The bytes of a profile no other test has parsed."""
-    prof = small_profile()
-    return Profile([f"Running-{uuid.uuid4().hex}"], prof.field_names, prof.specs).to_bytes()
-
-
 class TestMalformedBody:
     """A body whose CRC matches its damage is refused with a FormatError
     that names the source, never a low-level exception."""
@@ -168,19 +156,22 @@ class TestMalformedBody:
         assert err.count("error:") == 1 and "bad.prof" in err and "Traceback" not in err
 
 
-class TestInterning:
-    """One instance per exact byte string per process."""
+class TestSharedStandardProfile:
+    """The standard profile is one instance per process, and its exact
+    bytes parse to it."""
 
     @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
-    def test_equal_bytes_give_one_instance(self, kind):
-        data = fresh_bytes()
-        first = Profile.from_bytes(data)
-        assert Profile.from_bytes(kind(data)) is first
-        assert Profile.from_bytes(kind(bytearray(data))) is first
-
-    def test_standard_profile_is_the_interned_instance(self):
+    def test_standard_bytes_give_the_standard_instance(self, kind):
         assert standard_profile() is standard_profile()
-        assert Profile.from_bytes(standard_profile().to_bytes()) is standard_profile()
+        data = bytearray(standard_profile().to_bytes())  # not the cached object
+        assert Profile.from_bytes(kind(data)) is standard_profile()
+
+    def test_other_bytes_decode_to_a_fresh_instance(self):
+        data = small_profile().to_bytes()
+        first = Profile.from_bytes(data)
+        second = Profile.from_bytes(data)
+        assert first is not second and first is not standard_profile()
+        assert first.to_bytes() == second.to_bytes() == data
 
     def test_a_second_open_decodes_nothing(self):
         from repro.utils.slog import SlogFile
@@ -203,34 +194,11 @@ class TestInterning:
         with pytest.raises(TypeError):
             del prof.specs[IntervalType.RUNNING]
 
-    def test_threads_share_one_instance(self):
-        data = fresh_bytes()
-        barrier = threading.Barrier(8)
-
-        def parse(_):
-            barrier.wait()
-            return Profile.from_bytes(data)
-
-        with ThreadPoolExecutor(8) as pool:
-            parsed = list(pool.map(parse, range(8)))
-        assert all(p is parsed[0] for p in parsed)
-
-    def test_a_failed_parse_is_not_cached(self):
-        data = fresh_bytes()
+    def test_a_short_window_then_the_full_bytes_parse(self):
+        data = standard_profile().to_bytes()
         with pytest.raises(FormatError):
             Profile.from_bytes(data[:-5])  # a window too short for the body
-        assert data[:-5] not in profilefmt._INTERNED
-        assert Profile.from_bytes(data).to_bytes() == data
-
-    def test_an_unreferenced_profile_leaves_the_table(self):
-        data = fresh_bytes()
-        prof = Profile.from_bytes(data)
-        ref = weakref.ref(prof)
-        assert data in profilefmt._INTERNED
-        del prof
-        gc.collect()
-        assert ref() is None
-        assert data not in profilefmt._INTERNED
+        assert Profile.from_bytes(data) is standard_profile()
 
     def test_the_constructor_returns_a_fresh_instance(self):
         std = standard_profile()
