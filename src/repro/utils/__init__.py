@@ -16,28 +16,3 @@
   checker behind ``ute-validate`` and the salvage-based recovery engine
   behind ``ute-recover``.
 """
-
-from repro.utils.convert import ConvertResult, convert_traces, convert_one
-from repro.utils.merge import MergeResult, merge_interval_files
-from repro.utils.recover import RecoveryReport, recover_file
-from repro.utils.slog import SlogFile, SlogWriter, slog_from_interval_file
-from repro.utils.statlang import TableProgram, parse_program
-from repro.utils.stats import StatsTable, generate_tables, predefined_tables
-
-__all__ = [
-    "ConvertResult",
-    "convert_traces",
-    "convert_one",
-    "MergeResult",
-    "merge_interval_files",
-    "SlogFile",
-    "SlogWriter",
-    "slog_from_interval_file",
-    "TableProgram",
-    "parse_program",
-    "StatsTable",
-    "generate_tables",
-    "predefined_tables",
-    "RecoveryReport",
-    "recover_file",
-]

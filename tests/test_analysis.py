@@ -38,6 +38,7 @@ from repro.viz.jumpshot import Jumpshot
 from repro.viz.report import build_run_report
 from repro.workloads import run_pingpong, run_stencil
 
+from tests.conftest import max_examples
 from tests.test_query import make_ivl
 
 PROFILE = standard_profile()
@@ -526,7 +527,7 @@ def messages(draw):
 
 
 class TestFoldsEqualTheRecordLoops:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=max_examples(300), deadline=None)
     @given(cut_streams(pieces()), st.booleans())
     def test_spans_and_call_profile(self, stream, include_running):
         records, parts = stream
@@ -541,7 +542,7 @@ class TestFoldsEqualTheRecordLoops:
             records, PROFILE, markers=markers, include_running=include_running
         )
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=max_examples(300), deadline=None)
     @given(cut_streams(messages()))
     def test_arrow_matcher_one_batch_or_several(self, stream):
         records, parts = stream

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from benchmarks.avltree import AVLTree
+from tests.conftest import max_examples
 
 
 def test_empty_tree():
@@ -82,7 +83,7 @@ def test_invariants_under_mixed_workload():
 
 
 @given(st.lists(st.integers(), max_size=200))
-@settings(max_examples=100)
+@settings(max_examples=max_examples(100))
 def test_pop_order_matches_sorted(keys):
     tree = AVLTree()
     for k in keys:

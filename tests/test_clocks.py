@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.clocks import ClockSpec, GlobalClock, LocalClock
 from repro.cluster.engine import NS_PER_SEC
+from tests.conftest import max_examples
 
 
 def test_zero_drift_clock_is_identity_plus_offset():
@@ -45,7 +46,7 @@ def test_discrepancy_grows_linearly_with_elapsed_time():
     t1=st.integers(min_value=0, max_value=10**12),
     dt=st.integers(min_value=1, max_value=10**10),
 )
-@settings(max_examples=200)
+@settings(max_examples=max_examples(200))
 def test_local_clock_strictly_monotonic(drift, offset, t1, dt):
     clock = LocalClock(ClockSpec(offset_ns=offset, drift_ppm=drift))
     assert clock.read(t1 + dt) > clock.read(t1)
@@ -56,7 +57,7 @@ def test_local_clock_strictly_monotonic(drift, offset, t1, dt):
     wobble=st.floats(min_value=0, max_value=5),
     t=st.integers(min_value=0, max_value=10**12),
 )
-@settings(max_examples=200)
+@settings(max_examples=max_examples(200))
 def test_rate_stays_near_one(drift, wobble, t):
     clock = LocalClock(ClockSpec(drift_ppm=drift, wobble_ppm=wobble))
     rate = clock.rate_at(t)

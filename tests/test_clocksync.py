@@ -22,6 +22,7 @@ from repro.cluster.clocks import ClockSpec, LocalClock
 from repro.cluster.engine import NS_PER_SEC
 from repro.errors import MergeError
 from repro.tracing.events import dispatch_event, global_clock_event
+from tests.conftest import max_examples
 
 
 def pairs_for_clock(spec: ClockSpec, *, n=10, period_s=1.0, jitter=()):
@@ -85,7 +86,7 @@ class TestEstimators:
         assert segment_slopes(pairs) == [2.0, 1.0]
 
     @given(drift=st.floats(min_value=-100, max_value=100))
-    @settings(max_examples=50)
+    @settings(max_examples=max_examples(50))
     def test_estimators_agree_for_constant_drift(self, drift):
         pairs = pairs_for_clock(ClockSpec(drift_ppm=drift), n=8)
         r1 = rms_segment_ratio(pairs)

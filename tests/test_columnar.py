@@ -41,6 +41,7 @@ from repro.query.engine import ExecStats, execute, reference_rows, reference_sca
 from repro.query.model import accumulate, finalize, new_accumulator
 from repro.query.planner import plan_query
 
+from tests.conftest import max_examples
 from tests.test_analysis import timeline_input
 from tests.test_query import PROFILE, SALVAGEABLE, _records, make_ivl, run_cli
 
@@ -322,7 +323,7 @@ class TestExecutorParity:
         aggs=QUERY_AGGS,
         limit=st.one_of(st.none(), st.integers(min_value=0, max_value=50)),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     def test_columnar_equals_record(
         self, parity_trace, frac0, span, node, thread, itype, group, aggs, limit
     ):

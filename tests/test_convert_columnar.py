@@ -40,6 +40,7 @@ from repro.utils.convert import (
     convert_traces,
     reference_convert_one,
 )
+from tests.conftest import max_examples
 from tests.test_rawfile import _walked, _window_sizes
 
 PROFILE = standard_profile()
@@ -168,7 +169,7 @@ def traces(draw) -> list[RawEvent]:
 
 
 @given(events=traces(), frame_bytes=st.sampled_from((256, 600, 32 * 1024)))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max_examples(150), deadline=None)
 def test_columnar_writes_the_reference_bytes(tmp_path_factory, events, frame_bytes):
     tmp = tmp_path_factory.mktemp("col")
     raw = write_raw(tmp / "t.raw", events, node_id=2)

@@ -26,6 +26,7 @@ from repro.tracing.events import RawEvent
 from repro.tracing.hooks import HookId, hook_for_mpi_begin, hook_for_mpi_end
 from repro.tracing.rawfile import RawFileHeader, RawTraceWriter
 from repro.utils.convert import MarkerUnifier, convert_one
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 TID = 777
@@ -135,14 +136,14 @@ def run_convert(tmp_path, schedule: Schedule):
 
 
 @given(schedule=schedules())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_duration_conservation(tmp_path_factory, schedule):
     records = run_convert(tmp_path_factory.mktemp("p"), schedule)
     assert sum(r.duration for r in records) == schedule.on_cpu_ns
 
 
 @given(schedule=schedules())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_pieces_never_overlap_within_thread(tmp_path_factory, schedule):
     records = run_convert(tmp_path_factory.mktemp("p"), schedule)
     spans = sorted((r.start, r.end) for r in records if r.duration > 0)
@@ -151,7 +152,7 @@ def test_pieces_never_overlap_within_thread(tmp_path_factory, schedule):
 
 
 @given(schedule=schedules())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_bebits_wellformed_per_state(tmp_path_factory, schedule):
     records = run_convert(tmp_path_factory.mktemp("p"), schedule)
     open_states: set[tuple] = set()
@@ -171,7 +172,7 @@ def test_bebits_wellformed_per_state(tmp_path_factory, schedule):
 
 
 @given(schedule=schedules())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_output_end_time_ordered(tmp_path_factory, schedule):
     records = run_convert(tmp_path_factory.mktemp("p"), schedule)
     ends = [r.end for r in records]
@@ -179,7 +180,7 @@ def test_output_end_time_ordered(tmp_path_factory, schedule):
 
 
 @given(schedule=schedules())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 def test_piece_cpu_matches_dispatch(tmp_path_factory, schedule):
     records = run_convert(tmp_path_factory.mktemp("p"), schedule)
     for r in records:

@@ -14,6 +14,7 @@ from repro.difftool import DiffConfig, diff_traces, run_oracle
 from repro.difftool.oracle import Finding, OracleReport
 from repro.utils.merge import merge_interval_files
 
+from tests.conftest import max_examples
 from tests.test_convert_properties import MarkerUnifier, convert_one, schedules
 
 PROFILE = standard_profile()
@@ -126,7 +127,7 @@ class TestRoundTripProperty:
     """write -> convert -> merge(1 file) -> ute-diff original: no divergence."""
 
     @given(schedule=schedules())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=max_examples(25), deadline=None)
     def test_convert_merge_roundtrip_divergence_free(self, tmp_path_factory, schedule):
         from repro.tracing.rawfile import RawFileHeader, RawTraceReader, RawTraceWriter
 

@@ -3,6 +3,7 @@ and the stats/serve consistency regression it flushed out."""
 
 import dataclasses
 import json
+import time
 import urllib.parse
 
 import pytest
@@ -17,6 +18,7 @@ from repro.difftool import DiffConfig, diff_traces
 from repro.errors import FormatError
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.utils.slog import SlogWriter
+from repro.workloads import write_big_slog
 
 PROFILE = standard_profile()
 SEND = IntervalType.for_mpi_fn(0)
@@ -185,6 +187,21 @@ class TestDiffer:
         assert doc["a"]["records"] == doc["b"]["records"] == 30
         assert doc["config"]["time_slack"] == 0
         assert doc["first_divergence"] is None
+
+    def test_self_diff_rate_floor(self, tmp_path):
+        """``ute-diff`` is a routine CI gate only while it stays linear: a
+        40 000-record self-diff must run above 2 000 records/s, far below
+        interpreter speed but above what a pairing loop gone quadratic
+        reaches at this size."""
+        path = tmp_path / "big.slog"
+        write_big_slog(path, n_nodes=2, threads_per_node=4, n_records=40_000)
+        t0 = time.perf_counter()
+        report = diff_traces(path, path)
+        elapsed = time.perf_counter() - t0
+        assert report.identical and report.compared == 40_000
+        assert report.compared / elapsed > 2_000, (
+            f"{report.compared} records in {elapsed:.2f}s"
+        )
 
 
 class TestDiffCli:

@@ -158,3 +158,31 @@ def test_double_close_rejected(tmp_path):
 def test_events_cut_counter(tmp_path):
     _, fac, readers = run_traced(tmp_path)
     assert fac.sessions[0].events_cut == len(readers[0].events())
+
+
+def test_a_filtered_cut_costs_only_the_enable_test(tmp_path, monkeypatch):
+    """Section 2.1: filtering is cheaper than cutting because a filtered
+    event stops at the enable test — no clock read, no buffer insert."""
+    cl = Cluster(ClusterSpec(n_nodes=1, cpus_per_node=1))
+    fac = TraceFacility(
+        cl, tmp_path, TraceOptions(enabled_hooks=frozenset({int(HookId.MARKER_BEGIN)}))
+    )
+    session = fac.sessions[0]
+    calls = {"read": 0, "write": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    clock_type = type(session.node.clock)
+    monkeypatch.setattr(clock_type, "read", counted("read", clock_type.read))
+    monkeypatch.setattr(session.writer, "write", counted("write", session.writer.write))
+    assert session.cut(int(HookId.DISPATCH), 1000, 42, 0) is False
+    assert calls == {"read": 0, "write": 0}
+    assert session.events_cut == 0
+    assert session.cut(int(HookId.MARKER_BEGIN), 1000, 42, 0, (1, 0)) is True
+    assert calls == {"read": 1, "write": 1}
+    assert session.events_cut == 1
+    fac.close()

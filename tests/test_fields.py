@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.fields import ATTRS, DataType, FieldSpec, MASK_ALL_MERGED, MASK_CORE
 from repro.errors import FormatError
+from tests.conftest import max_examples
 
 
 class TestDescriptionWord:
@@ -32,7 +33,7 @@ class TestDescriptionWord:
         counter_len=st.integers(1, 4),
         vector=st.booleans(),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=max_examples(200))
     def test_roundtrip_property(self, name_index, dtype, elem_len, attr, counter_len, vector):
         fs = FieldSpec(
             name_index=name_index,
@@ -109,7 +110,7 @@ class TestValuePacking:
             fs.unpack_value(blob[:-2], 0)
 
     @given(st.text(max_size=100))
-    @settings(max_examples=100)
+    @settings(max_examples=max_examples(100))
     def test_string_roundtrip_property(self, text):
         fs = FieldSpec(
             name_index=0, dtype=DataType.CHAR, elem_len=1, vector=True, counter_len=2

@@ -28,6 +28,7 @@ from repro.query.columnar import batch_from_records
 from repro.tracing.hooks import MPI_FN_IDS
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import SlogFile, SlogWriter
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 MASK = MASK_ALL_MERGED
@@ -111,7 +112,7 @@ def split(items, cuts):
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max_examples(150), deadline=None)
 @given(
     streams(), st.integers(min_value=256, max_value=2048), st.booleans(),
     st.one_of(st.none(), st.lists(st.integers(0, 120), max_size=6)),

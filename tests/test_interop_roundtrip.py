@@ -30,6 +30,7 @@ from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.tracing.rawfile import RawFileHeader, RawTraceReader, RawTraceWriter
 from repro.utils.merge import merge_interval_files
 
+from tests.conftest import max_examples
 from tests.test_convert_properties import MarkerUnifier, convert_one, schedules
 from tests.test_interop import read_records
 
@@ -51,7 +52,7 @@ def build_trace(tmp, schedule):
 
 class TestRoundTripProperties:
     @given(schedule=schedules())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=max_examples(25), deadline=None)
     def test_export_import_divergence_free(self, tmp_path_factory, schedule):
         tmp = tmp_path_factory.mktemp("interop-rt")
         merged = build_trace(tmp, schedule)
@@ -69,7 +70,7 @@ class TestRoundTripProperties:
             assert report.identical, (name, report.as_dict())
 
     @given(schedule=schedules(), data=st.data())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=max_examples(15), deadline=None)
     def test_truncated_otf2_salvage(self, tmp_path_factory, schedule, data):
         """Any line-boundary truncation salvages into a readable file."""
         tmp = tmp_path_factory.mktemp("interop-cut")

@@ -21,6 +21,7 @@ from repro.core.reader import get_marker_string
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.errors import FormatError, ProfileMismatchError
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 MASK = MASK_ALL_PER_NODE
@@ -87,7 +88,7 @@ class TestRoundTrip:
     @given(
         durations=st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=60)
     )
-    @settings(max_examples=40)
+    @settings(max_examples=max_examples(40))
     def test_roundtrip_property(self, tmp_path_factory, durations):
         # Build end-time-ordered records from cumulative durations.
         t = 0

@@ -33,7 +33,7 @@ from repro.tracing.hooks import HookId, MPI_FN_IDS, hook_for_mpi_begin, hook_for
 from repro.tracing.rawfile import RawFileHeader, RawTraceWriter
 from repro.utils.convert import convert_traces
 from repro.utils.merge import merge_interval_files
-from tests.conftest import SOURCE_KINDS, byte_source
+from tests.conftest import SOURCE_KINDS, byte_source, max_examples
 
 #: Fixed body bytes of the test profile's record: the six common fields
 #: (4 + 8 + 8 + 2 + 2 + 2) plus the label vector's 2-byte counter.
@@ -128,7 +128,7 @@ _tails = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max_examples(300), deadline=None)
 @given(blob=st.one_of(st.builds(bytes.__add__, _records, _tails), st.binary(max_size=600)))
 @example(blob=_framed(255, False) + _framed(256, False) + _framed(4, True))
 @example(blob=_framed(10, False) + b"\x00")

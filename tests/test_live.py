@@ -11,6 +11,9 @@ writer killed between flush and publish) live in ``test_crash_safety.py``.
 import errno
 import os
 import shutil
+import statistics
+import threading
+import time
 
 import pytest
 
@@ -686,6 +689,80 @@ class TestFollowReader:
         assert list(follower.events(timeout=0.0)) == []
         follower.close()
         writer.abort()
+
+    def test_concurrent_writers_and_followers(self, tmp_path):
+        """Two writers publish six epochs each while two followers per
+        writer poll, every one on its own thread: each follower gets every
+        record exactly once, in order, ending on ``"final"``, and sees a
+        publish within a p50 of 150 ms and a p95 of 600 ms."""
+        n_epochs, followers_per_writer = 6, 2
+        paths = [tmp_path / f"run-{i}.slog" for i in range(2)]
+        writers = [live_writer(path, frame_bytes=512) for path in paths]
+        lock = threading.Lock()
+        go = threading.Event()
+        published = {}  # (file name, seq) -> publish time
+        arrivals = []  # (file name, seq, arrival time)
+        delivered = {}  # follower -> (epoch seqs, non-pseudo records, saw final)
+
+        def write(writer, path):
+            try:
+                go.wait(timeout=30.0)
+                t = 0
+                for _ in range(n_epochs):
+                    for _ in range(25):
+                        writer.write(running(t, 40))
+                        t += 100
+                    seq = writer.publish(seal=True)
+                    with lock:
+                        published[path.name, seq] = time.monotonic()
+                    time.sleep(0.05)
+            finally:
+                writer.close()
+
+        def follow(path, key):
+            seqs, records, final = [], [], False
+            with FollowReader(path, poll_interval=0.01, connect_timeout=10.0) as follower:
+                for event in follower.events(timeout=30.0):
+                    now = time.monotonic()
+                    if event.kind == "final":
+                        final = True
+                    else:
+                        seqs.append(event.seq)
+                        with lock:
+                            arrivals.append((path.name, event.seq, now))
+                    records.extend(event.records[event.n_pseudo :])
+            with lock:
+                delivered[key] = (seqs, records, final)
+
+        threads = [
+            threading.Thread(target=write, args=(w, p), daemon=True)
+            for w, p in zip(writers, paths)
+        ] + [
+            threading.Thread(target=follow, args=(p, (p.name, j)), daemon=True)
+            for p in paths for j in range(followers_per_writer)
+        ]
+        for t in threads:
+            t.start()
+        go.set()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive(), "a writer or follower hung"
+
+        assert len(delivered) == len(paths) * followers_per_writer
+        for (name, j), (seqs, records, final) in delivered.items():
+            assert final, f"{name}#{j} never saw the final event"
+            assert seqs == sorted(set(seqs)), f"{name}#{j}: {seqs}"
+            assert records == nonpseudo_records(tmp_path / name), f"{name}#{j}"
+        samples = sorted(
+            arrived - published[name, seq]
+            for name, seq, arrived in arrivals
+            if (name, seq) in published  # the last epoch may fold into "final"
+        )
+        assert len(samples) >= len(delivered) * (n_epochs - 2), samples
+        p50 = statistics.median(samples)
+        p95 = samples[int(0.95 * (len(samples) - 1))]
+        assert p50 <= 0.150, f"follow p50 {p50 * 1e3:.1f} ms over the 150 ms budget"
+        assert p95 <= 0.600, f"follow p95 {p95 * 1e3:.1f} ms over the 600 ms budget"
 
 
 class TestLiveIntervalWriter:

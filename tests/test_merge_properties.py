@@ -8,6 +8,7 @@ from repro.core.fields import MASK_ALL_PER_NODE
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.utils.merge import merge_interval_files
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 
@@ -81,7 +82,7 @@ def build_node_file(tmp_path, spec):
 
 
 @given(data=st.data(), n_nodes=st.integers(min_value=1, max_value=4))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max_examples(40), deadline=None)
 def test_merge_recovers_true_time(tmp_path_factory, data, n_nodes):
     """For any drifting clocks, the merged records land within a couple of
     ticks of the true times, in correct global order."""
@@ -116,7 +117,7 @@ def test_merge_recovers_true_time(tmp_path_factory, data, n_nodes):
 
 
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=max_examples(25), deadline=None)
 def test_merge_preserves_record_count_and_local_start(tmp_path_factory, data):
     tmp = tmp_path_factory.mktemp("mp2")
     spec = data.draw(node_file_spec(0))

@@ -31,6 +31,7 @@ from repro.serve import TraceSession
 from repro.serve import session as session_module
 from repro.serve.session import _frame_columns, _record_dicts, _record_texts
 from repro.viz.jumpshot import VIEW_KINDS
+from tests.conftest import max_examples
 from tests.test_view_golden import golden
 from tests.test_writepath_batch import record_streams
 
@@ -109,7 +110,7 @@ def test_frame_payload_is_the_per_record_recipe(sessions, name):
         assert session.frame_payload(index)["records"] == want
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max_examples(150), deadline=None)
 @given(record_streams(), st.data())
 def test_decoded_frames_of_every_record_type(records, data):
     """What the frame store caches: the decoder's batch — fixed-layout
@@ -154,7 +155,7 @@ def loose_records(draw):
     ]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max_examples(200), deadline=None)
 @given(loose_records(), st.data())
 def test_whatever_a_batch_can_hold(records, data):
     n_pseudo = data.draw(st.integers(0, len(records)))
@@ -164,7 +165,7 @@ def test_whatever_a_batch_can_hold(records, data):
 column_kinds = st.sampled_from(["<i4", "<u8", "<f8", "<f4", "object", "list"])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max_examples(200), deadline=None)
 @given(st.data())
 def test_groups_of_columns(data):
     """Batches built group by group, as the write path builds them: typed
@@ -281,7 +282,7 @@ def test_utilization_json_is_the_dumped_payload(sessions, name, kind):
         assert json.loads(text)["lanes"]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 @given(
     st.sampled_from(["good.slog", "states.slog"]), st.sampled_from(["thread", "cpu"]),
     st.integers(1, 600),

@@ -46,6 +46,7 @@ from repro.query import (
     write_index,
 )
 from repro.utils.slog import SlogWriter
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 MARKER = IntervalType.MARKER
@@ -941,7 +942,7 @@ def salvage_corpus(tmp_path_factory):
     thread=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
     node=st.one_of(st.none(), st.integers(min_value=0, max_value=2)),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=max_examples(40), deadline=None)
 def test_salvage_parity_indexed_vs_full(salvage_corpus, pick, frac0, span, thread, node):
     """Property: over damaged-but-salvageable files, an indexed query and a
     full scan render byte-identical rows (salvage reads are deterministic,

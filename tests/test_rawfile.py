@@ -8,6 +8,7 @@ from repro.errors import TraceError
 from repro.tracing.events import RawEvent, dispatch_event, global_clock_event
 from repro.tracing.hooks import HookId
 from repro.tracing.rawfile import RawFileHeader, RawTraceReader, RawTraceWriter
+from tests.conftest import max_examples
 
 
 def test_header_roundtrip():
@@ -49,7 +50,7 @@ hook_ids = st.sampled_from(
     args=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8),
     text=st.text(max_size=64),
 )
-@settings(max_examples=250)
+@settings(max_examples=max_examples(250))
 def test_event_roundtrip_property(hook, ts, tid, cpu, args, text):
     ev = RawEvent(hook, ts, tid, cpu, tuple(args), text)
     decoded, consumed = RawEvent.decode(ev.encode())
@@ -67,7 +68,7 @@ def test_event_roundtrip_property(hook, ts, tid, cpu, args, text):
         max_size=30,
     )
 )
-@settings(max_examples=50)
+@settings(max_examples=max_examples(50))
 def test_file_roundtrip_property(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("raw") / "t.raw"
     header = RawFileHeader(node_id=1, n_cpus=4, base_local_ts=0)

@@ -18,6 +18,7 @@ from repro.core.records import (
 )
 from repro.errors import FormatError
 from repro.tracing.hooks import MPI_FN_IDS
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 
@@ -69,7 +70,7 @@ class TestLengthPrefix:
             encode_length(70000)
 
     @given(st.integers(min_value=1, max_value=65535))
-    @settings(max_examples=200)
+    @settings(max_examples=max_examples(200))
     def test_roundtrip_property(self, n):
         blob = encode_length(n)
         length, offset = decode_length(blob, 0)
@@ -139,7 +140,7 @@ class TestRecordEncoding:
         cpu=st.integers(min_value=0, max_value=255),
         thread=st.integers(min_value=0, max_value=511),
     )
-    @settings(max_examples=200)
+    @settings(max_examples=max_examples(200))
     def test_roundtrip_property_all_types(self, itype, bebits, start, duration, node, cpu, thread):
         rec = IntervalRecord(itype, bebits, start, duration, node, cpu, thread)
         for mask in (MASK_CORE, MASK_ALL_PER_NODE, MASK_ALL_MERGED):

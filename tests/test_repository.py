@@ -10,7 +10,9 @@ endpoint, legacy route aliasing, background index builds, and the remote
 import json
 import os
 import socket
+import statistics
 import threading
+import time
 import urllib.parse
 
 import pytest
@@ -76,6 +78,17 @@ def _walk_all_frames(session) -> int:
     for i in range(count):
         session.frame_payload(i)
     return count
+
+
+def _full_session_bytes(root, name) -> int:
+    """Resident cache bytes of one session that has decoded every frame."""
+    repo = Repository(root, build_indexes=False)
+    session = repo.session(name)
+    _walk_all_frames(session)
+    resident = session.resident_bytes()
+    repo.close()
+    assert resident > 0
+    return resident
 
 
 def _run_in_child(fn) -> int:
@@ -239,15 +252,6 @@ class TestSessionBudget:
         repo.close()
         return root
 
-    def _full_session_bytes(self, roots) -> int:
-        repo = Repository(roots, build_indexes=False)
-        session = repo.session("d0")
-        _walk_all_frames(session)
-        resident = session.resident_bytes()
-        repo.close()
-        assert resident > 0
-        return resident
-
     def test_lru_order_and_touch(self, roots):
         repo = Repository(roots, build_indexes=False)
         for name in ("d0", "d1", "d2"):
@@ -261,7 +265,7 @@ class TestSessionBudget:
         """Four datasets walked under a budget that fits roughly one
         session's frames: cold sessions are evicted in LRU order, the
         aggregate stays within budget, and every counter is monotonic."""
-        one = self._full_session_bytes(roots)
+        one = _full_session_bytes(roots, "d0")
         repo = Repository(roots, budget_bytes=int(one * 1.5), build_indexes=False)
         names = ["d0", "d1", "d2", "d3"]
         frames = 0
@@ -302,7 +306,7 @@ class TestSessionBudget:
         repo.close()
 
     def test_pinned_session_survives_enforcement(self, roots):
-        one = self._full_session_bytes(roots)
+        one = _full_session_bytes(roots, "d0")
         repo = Repository(roots, budget_bytes=max(1, one // 2), build_indexes=False)
         session = repo.acquire("d0")
         try:
@@ -317,7 +321,7 @@ class TestSessionBudget:
         repo.close()
 
     def test_eviction_metrics_via_server(self, roots):
-        one = self._full_session_bytes(roots)
+        one = _full_session_bytes(roots, "d0")
         config = ServerConfig(port=0, memory_budget_bytes=int(one * 1.2))
         with ServerThread(Repository(roots, budget_bytes=int(one * 1.2),
                                      build_indexes=False), config) as srv:
@@ -413,6 +417,117 @@ class TestQuotas:
             assert patient.request("/api/frames").status == 200
             metrics = calm.metrics()
             assert 'ute_serve_quota_rejected_total{tenant="greedy"}' in metrics
+
+
+# ------------------------------------------------------ concurrent tenants
+
+
+class TestBudgetedLoad:
+    """Four datasets behind one daemon under a memory budget that holds
+    one and a half of them, read concurrently by one tenant each plus a
+    quota-capped one."""
+
+    NAMES = ("run-a", "run-b", "run-c", "run-d")
+    N_REQUESTS = 12
+
+    def _stream(self, client, n_frames, worker, statuses, latencies, lock):
+        """The mixed per-analyst request stream, with client-side latency."""
+        local_status, local_lat = [], []
+        try:
+            for step in range(self.N_REQUESTS):
+                slot = (worker + step) % 4
+                if slot == 0:
+                    path = f"{client.api_base}/preview"
+                elif slot == 1:
+                    path = f"{client.api_base}/frames"
+                else:
+                    path = f"{client.api_base}/frame/{(worker * 3 + step) % n_frames}"
+                t0 = time.perf_counter()
+                local_status.append(client.request(path).status)
+                local_lat.append(time.perf_counter() - t0)
+        finally:
+            client.close()
+        with lock:
+            statuses.extend(local_status)
+            latencies.extend(local_lat)
+
+    def _run(self, jobs):
+        threads = [
+            threading.Thread(target=self._stream, args=job, daemon=True) for job in jobs
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "a tenant stream hung"
+
+    def test_no_5xx_paced_quota_and_budget_held_throughout(self, tmp_path, slog_bytes):
+        root = tmp_path / "root"
+        repo = Repository(root, build_indexes=False)
+        for name in self.NAMES:
+            repo.register(name, data=slog_bytes)
+        repo.close()
+        budget = int(1.5 * _full_session_bytes(root, self.NAMES[0]))
+        repo = Repository(root, budget_bytes=budget, build_indexes=False)
+        config = ServerConfig(
+            port=0, max_concurrency=32, memory_budget_bytes=budget,
+            quota_rps=0.0, quota_overrides={"greedy": 2.0}, quota_burst=2,
+        )
+        lock = threading.Lock()
+        with ServerThread(repo, config) as srv:
+            def client(name, tenant=None):
+                return ServeClient(srv.base_url, dataset=name, use_etags=False,
+                                   tenant=tenant)
+
+            probe = client(self.NAMES[0])
+            n_frames = probe.frames()["count"]
+            probe.close()
+            assert n_frames >= 2
+            # The governor promises resident <= budget at every instant, not
+            # only at request boundaries.  Resident bytes rise only when a
+            # decoded frame lands in a cache, just before the reader's
+            # ``commit``: read them there, at every insert of the load.
+            peak = [repo.resident_bytes()]
+            commit = repo.commit
+
+            def checked_commit(nbytes):
+                peak[0] = max(peak[0], repo.resident_bytes())
+                commit(nbytes)
+
+            repo.commit = checked_commit
+            # Baseline: the same mix, four workers on one dataset.
+            base_status, base_lat = [], []
+            self._run([
+                (client(self.NAMES[0]), n_frames, w, base_status, base_lat, lock)
+                for w in range(4)
+            ])
+            # The fleet: one tenant per dataset plus a greedy one on the first.
+            multi_status, multi_lat, greedy_status, greedy_lat = [], [], [], []
+            self._run([
+                (client(name, f"tenant-{i}"), n_frames, i, multi_status, multi_lat, lock)
+                for i, name in enumerate(self.NAMES)
+            ] + [
+                (client(self.NAMES[0], "greedy"), n_frames, 7, greedy_status,
+                 greedy_lat, lock),
+            ])
+            greedy = client(self.NAMES[0], "greedy")
+            rejected = next(
+                (r for r in (greedy.request(f"{greedy.api_base}/frames")
+                             for _ in range(6)) if r.status == 429),
+                None,
+            )
+            greedy.close()
+        everything = base_status + multi_status + greedy_status
+        assert len(everything) == (2 * len(self.NAMES) + 1) * self.N_REQUESTS
+        assert [s for s in everything if s >= 500] == [], everything
+        assert set(multi_status) == {200}, multi_status
+        assert set(greedy_status) <= {200, 429}, greedy_status
+        assert 429 in greedy_status, "the quota never paced the greedy tenant"
+        assert rejected is not None and float(rejected.headers["retry-after"]) > 0
+        p50_base = statistics.median(base_lat)
+        p50_multi = statistics.median(multi_lat)
+        assert p50_multi <= max(2 * p50_base, 0.050), (p50_multi, p50_base)
+        assert peak[0] <= budget, f"resident {peak[0]}B exceeded the {budget}B budget"
 
 
 # ---------------------------------------------------------------- uploads

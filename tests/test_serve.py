@@ -317,6 +317,66 @@ class TestCapacity:
             assert response.status == 414
 
 
+class TestConcurrentLoad:
+    """Several analysts on one daemon, each a blocking client with its own
+    ETag cache, sending a mixed stream: every request answers without a
+    5xx, repeat fetches revalidate to 304, and the median stays under 1 s."""
+
+    N_CLIENTS = 4
+    N_REQUESTS = 12
+    STATS = (
+        "/api/stats?table=table%20name%3Dt%20x%3D%28%22node%22%2C%20node%29"
+        "%20y%3D%28%22c%22%2C%20dura%2C%20count%29"
+    )
+
+    def _script(self, base_url, worker, n_frames, statuses, lock):
+        client = ServeClient(base_url)
+        local = []
+        try:
+            for step in range(self.N_REQUESTS):
+                slot = (worker + step) % 6
+                if slot == 0:
+                    path = "/api/preview"
+                elif slot == 1:
+                    path = "/api/frames"
+                elif slot == 2:
+                    path = f"/api/arrows/{step % n_frames}"
+                elif slot == 3:
+                    path = self.STATS
+                else:  # the hot path: frame fetches over a small working set
+                    path = f"/api/frame/{(worker * 3 + step) % n_frames}"
+                local.append(client.request(path).status)
+        finally:
+            client.close()
+        with lock:
+            statuses.extend(local)
+
+    def test_mixed_clients_see_no_5xx(self, tmp_path):
+        path = make_slog(tmp_path / "load.slog", message_records())
+        statuses = []
+        lock = threading.Lock()
+        with ServerThread(path, ServerConfig(port=0, max_concurrency=32)) as srv:
+            n_frames = srv.session.frame_count()
+            assert n_frames >= 2
+            threads = [
+                threading.Thread(
+                    target=self._script,
+                    args=(srv.base_url, w, n_frames, statuses, lock), daemon=True,
+                )
+                for w in range(self.N_CLIENTS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive(), "a client hung"
+            p50 = srv.server.m_latency.quantile(0.5)
+        assert len(statuses) == self.N_CLIENTS * self.N_REQUESTS
+        assert [s for s in statuses if s >= 500] == [], statuses
+        assert 304 in statuses, "no repeat fetch revalidated"
+        assert p50 < 1.0, f"median latency {p50:.3f}s is pathological"
+
+
 class TestSessionAccounting:
     def test_frame_fetch_bounded_by_frame_size(self, tmp_path):
         """Serving one frame costs O(frame), not O(file)."""

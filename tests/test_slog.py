@@ -1,6 +1,10 @@
 """Tests for the SLOG format: frames, time index, preview counters,
 pseudo-interval accounting, and self-containedness."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -208,3 +212,20 @@ def test_slog_from_interval_file(tmp_path):
     slog = SlogFile(slog_path)
     assert len(slog.records()) == 50
     assert slog.node_cpus == {0: 4}
+
+
+def test_import_loads_no_pipeline_utility():
+    """Opening a SLOG needs ``repro.utils.slog`` alone: the package's
+    ``__init__`` must not pull in convert, merge, recover or the MPI layer."""
+    pipeline = ("repro.utils.convert", "repro.utils.merge", "repro.utils.recover",
+                "repro.mpi")
+    probe = (
+        "import sys; import repro.utils.slog; "
+        f"print(sorted(m for m in {pipeline!r} if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from repro.utils.statlang import (
     parse_program,
     tokenize,
 )
+from tests.conftest import max_examples
 
 PAPER_EXAMPLE = """
 table name=sample condition=(start < 2)
@@ -153,7 +154,7 @@ class TestExpressionEvaluation:
         a=st.floats(min_value=-100, max_value=100),
         b=st.floats(min_value=-100, max_value=100),
     )
-    @settings(max_examples=100)
+    @settings(max_examples=max_examples(100))
     def test_arith_matches_python(self, a, b):
         (table,) = parse_program(
             'table name=t x=("v", start + dura * start - dura) y=("c", dura, count)'

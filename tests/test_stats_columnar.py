@@ -46,6 +46,7 @@ from repro.utils.stats import (
     reference_tables,
     source_metadata,
 )
+from tests.conftest import max_examples
 
 OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "and", "or")
 CORE = ("start", "dura", "node", "cpu", "thread", "type", "bebits", "task")
@@ -178,7 +179,7 @@ def assert_parity(records, program, cuts=(), **kwargs):
 RATES = [1e9, 1e6, 2.5, 1000, 3, -7, 0, 0.0]
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=max_examples(200), deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.data())
 def test_random_programs_match_the_reference(data):
@@ -190,7 +191,7 @@ def test_random_programs_match_the_reference(data):
                   thread_table=data.draw(st.sampled_from([None, Threads()])))
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=max_examples(200), deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.data())
 def test_numeric_programs_match_the_reference(data):

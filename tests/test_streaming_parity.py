@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from repro.core import IntervalFileWriter, IntervalReader, standard_profile
 from repro.core.fields import MASK_ALL_PER_NODE
+from repro.core.frames import FrameDirectory
 from repro.core.reader import IntervalFileHandle, get_interval
 from repro.core.records import BeBits, IntervalRecord, IntervalType
 from repro.core.threadtable import ThreadEntry, ThreadTable
 from repro.utils.slog import SlogFile, SlogWriter
-from tests.conftest import byte_source
+from tests.conftest import byte_source, max_examples
 
 PROFILE = standard_profile()
 STREAMING_MODES = ("mmap", "file")
@@ -69,7 +70,7 @@ def workdir(tmp_path_factory):
 
 
 @given(raw=record_strategy)
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=max_examples(40), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_streaming_reader_matches_memory_reader(workdir, raw):
     """Property (satellite): for any record set, every streaming backend
@@ -100,7 +101,7 @@ def test_streaming_reader_matches_memory_reader(workdir, raw):
 
 
 @given(raw=record_strategy)
-@settings(max_examples=20, deadline=None,
+@settings(max_examples=max_examples(20), deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_simple_api_byte_stream_parity(workdir, raw):
     """The Figure-5 simple API returns the identical raw record bytes from
@@ -184,6 +185,26 @@ def test_frame_cache_hits_skip_fetches(workdir):
         assert (stats["hits"], stats["misses"]) == (0, 2)
         assert (stats["evictions"], stats["resident_bytes"]) == (0, 0)
         uncached.close()
+
+
+def test_frame_display_fetches_o_frame_bytes(workdir):
+    """Displaying one frame of a file-backed reader fetches the frame
+    directories plus that frame, never the records of any other frame."""
+    records = build_records(
+        [(IntervalType.RUNNING, i * 100, 50, i % 4) for i in range(3000)]
+    )
+    path = write_interval_file(workdir, records, frame_bytes=1024, frames_per_dir=8)
+    with IntervalReader(path, PROFILE, source=byte_source("file", path)) as reader:
+        _, first, last = reader.totals()
+        dir_bytes = sum(
+            FrameDirectory.encoded_size(d.n_frames) for d in reader.directories()
+        )
+        reader.source.reset_accounting()
+        frame = reader.find_frame((first + last) // 2)
+        assert reader.read_frame(frame)
+        fetched = reader.source.bytes_fetched
+    assert fetched <= frame.size + dir_bytes + 4096, (fetched, frame.size, dir_bytes)
+    assert fetched < path.stat().st_size / 10, fetched
 
 
 def test_cached_frame_returns_fresh_list(workdir):

@@ -43,6 +43,7 @@ from repro.query.utilization import (
     utilization_payload,
 )
 from repro.utils.slog import SlogWriter
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 MARKER = IntervalType.MARKER
@@ -242,7 +243,7 @@ class TestChunkingAndOrder:
     between — the sidecar bytes are the same and the cells are the
     brute-force ones."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(record_rows, grids, st.randoms(use_true_random=False))
     def test_any_chunking_and_order_is_byte_identical(self, rows, grid, rng):
         from unittest import mock
@@ -282,7 +283,7 @@ class TestChunkingAndOrder:
             for li in range(util.n_levels):
                 assert util.level_cells(kind, li) == exact[li]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(
         record_rows, grids,
         st.sampled_from(
@@ -525,7 +526,7 @@ class TestMerge:
     """``_merge`` of an aggregated head and loose chunks is the level of one
     ``_aggregate`` of both sides' rows, whatever the loose rows reach."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=max_examples(150), deadline=None)
     @given(
         st.integers(0, 2**32 - 1), st.integers(0, 300),
         st.lists(st.integers(0, 120), min_size=1, max_size=4),
@@ -609,7 +610,7 @@ class TestLazyLevels:
     already held; whichever levels were asked for before, and by how many
     threads at once, it is the chained sibling fold column for column."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=max_examples(40), deadline=None)
     @given(record_rows, grids, st.randoms(use_true_random=False))
     def test_any_request_order_equals_the_chained_fold(self, rows, grid, rng):
         records = from_rows(rows)
@@ -671,7 +672,7 @@ run_columns = st.lists(
 
 
 class TestRunCodec:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=max_examples(80), deadline=None)
     @given(run_columns)
     def test_round_trip_and_narrowest_dtypes(self, runs):
         column = np.repeat(
@@ -742,7 +743,7 @@ class TestEncoding:
         assert pos == len(data)
         assert decoded.encode() == data
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(record_rows, grids)
     def test_decode_of_encode_reproduces_level_zero(self, rows, grid):
         util = build(from_rows(rows), base_bins=grid)

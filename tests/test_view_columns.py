@@ -52,6 +52,7 @@ from repro.viz.views import (
     view_svg_string,
 )
 from repro.workloads import write_big_slog
+from tests.conftest import max_examples
 
 PROFILE = standard_profile()
 MARKER = int(IntervalType.MARKER)
@@ -187,7 +188,7 @@ def name_of(state):
 
 
 class TestQueryColumns:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=max_examples(80), deadline=None)
     @given(record_rows, grids)
     def test_dominant_is_dominant_state_of_every_cell(self, rows, grid):
         util = build(from_rows(rows), base_bins=grid)
@@ -210,7 +211,7 @@ class TestQueryColumns:
                     assert (count, busy) == (n, sum(states.values()))
                     assert top == dominant_state(states)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=max_examples(80), deadline=None)
     @given(record_rows, grids, max_bins, st.data())
     def test_the_mapping_is_the_per_lane_cell_lists(self, rows, grid, bins, data):
         util = build(from_rows(rows), base_bins=grid)
@@ -245,7 +246,7 @@ class TestQueryColumns:
 
 
 class TestHeatBars:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=max_examples(120), deadline=None)
     @given(record_rows, grids, max_bins, st.data())
     def test_lazy_bars_equal_the_merge_loop(self, rows, grid, bins, data):
         util = build(from_rows(rows), base_bins=grid)
@@ -341,7 +342,7 @@ def named_records(n):
 
 
 class TestWellFormed:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     @given(st.tuples(st.text(), st.text(), st.text(), st.text()), st.sampled_from([8, 150]))
     def test_every_kind_parses_for_any_names(self, names, n_records):
         # 8 records: sparse rows (tooltipped rects); 150: dense rows (paths).

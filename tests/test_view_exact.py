@@ -55,7 +55,7 @@ from repro.viz.views import (
     piece_view,
     view_svg_string,
 )
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, max_examples
 
 # ------------------------------------------------- the reference: builders
 # The five builder loops (and their helpers) of the commit before, verbatim
@@ -514,7 +514,7 @@ def same_model(view: TimelineView, want: TimelineView) -> None:
 
 
 class TestColumnsAgainstTheRecordLoops:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=max_examples(150), deadline=None)
     @given(record_sets(), trace_names(), st.data())
     def test_model_and_svg_equal_the_reference(self, records, names, data):
         span_end = max((r.end for r in records), default=1)

@@ -11,6 +11,9 @@ window edge, and arrows clipped by the window render as stubs instead of
 claiming delivery.
 """
 
+import statistics
+import time
+
 import pytest
 
 from repro.core import standard_profile
@@ -322,3 +325,57 @@ class TestOneWindowOnePicture:
         (slog,) = opened
         assert len(slog.frames) > DEFAULT_FRAME_CACHE
         assert slog.stats()["misses"] == len(slog.frames)
+
+
+class TestWholeRunViewScale:
+    """A whole-run view costs what its pixels cost, not what the file
+    holds: past the density threshold both whole-run views answer from the
+    utilization aggregate and decode no frame, at 1 000 records and at
+    100x that, and the 100x view takes at most twice the small one."""
+
+    AGGREGATE = ("thread", "processor")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        from repro.workloads import write_big_slog
+
+        tmp = tmp_path_factory.mktemp("view-scale")
+        out = {}
+        for n_records in (1_000, 100_000):
+            path = tmp / f"{n_records}.slog"
+            write_big_slog(path, n_nodes=2, threads_per_node=16, n_records=n_records)
+            with open_trace(path, PROFILE) as handle:
+                out[n_records] = (path, build_index(handle))
+        return out
+
+    # At the default 1 100-px width 1 000 records are ~1.1 per pixel, under
+    # the threshold (the exact drill-down); 400 px puts them past it.
+    @pytest.mark.parametrize("n_records", [1_000, 100_000])
+    def test_both_views_answer_from_the_aggregate_without_decoding(self, runs, n_records):
+        path, index = runs[n_records]
+        with Jumpshot(path) as viewer:
+            for kind in self.AGGREGATE:
+                misses = viewer.slog.stats()["misses"]
+                svg = viewer.view_svg_window(None, None, kind=kind, width=400, index=index)
+                assert svg.startswith("<svg")
+                assert viewer.last_view_aggregate, kind
+                assert viewer.slog.stats()["misses"] == misses, kind
+
+    def test_latency_at_100x_is_within_2x(self, runs):
+        def median_latency(n_records, rounds=9):
+            path, index = runs[n_records]
+            with Jumpshot(path) as viewer:
+                samples = []
+                for _ in range(rounds):
+                    t0 = time.perf_counter()
+                    viewer.view_svg_window(None, None, kind="thread", index=index)
+                    samples.append(time.perf_counter() - t0)
+                return statistics.median(samples), viewer.last_view_aggregate
+
+        small, _ = median_latency(1_000)
+        large, aggregate = median_latency(100_000)
+        assert aggregate
+        # The floor keeps scheduler noise on a sub-millisecond small view
+        # from deciding the ratio.
+        budget = 2 * max(small, 0.005)
+        assert large <= budget, f"{large * 1e3:.1f} ms at 100x vs {small * 1e3:.1f} ms"

@@ -36,6 +36,7 @@ from repro.query.columnar import (
 from repro.tracing.hooks import MPI_FN_IDS
 from repro.utils.merge import merge_interval_files
 from repro.utils.slog import PreviewBins
+from tests.conftest import max_examples
 from tests.test_framebuilder import streams
 
 PROFILE = standard_profile()
@@ -106,7 +107,7 @@ def test_every_standard_type_round_trips(mask):
     assert blob == b"".join(want) and sizes.tolist() == [len(b) for b in want]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=max_examples(120), deadline=None)
 @given(record_streams(), st.sampled_from(MASKS), st.randoms(use_true_random=False))
 def test_encoders_agree_on_every_route(records, mask, rng):
     want = reference(records, PROFILE, mask)
@@ -134,7 +135,7 @@ def test_encoders_agree_on_every_route(records, mask, rng):
     assert concat_batches(mixed).to_records() == batch.to_records()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max_examples(60), deadline=None)
 @given(record_streams(), st.sampled_from(MASKS))
 def test_rows_encode_as_their_records_do(records, mask):
     """The reference convert's route: records in emission order -> one
@@ -342,7 +343,7 @@ def encodes_as_its_records(batch, records, mask):
         assert sizes.tolist() == [len(r.encode(PROFILE, mask)) for r in records]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max_examples(200), deadline=None)
 @given(mixed_records(), st.sampled_from(MASKS), st.data())
 def test_a_batch_of_records_is_columns_that_give_them_back(records, mask, data):
     batch = batch_from_records(records)
@@ -406,7 +407,7 @@ def by_rows(records, frame_bytes, continuations):
     return by_batches([[r] for r in records], frame_bytes, continuations)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max_examples(150), deadline=None)
 @given(
     streams(), st.sampled_from([256, 2048, 32 * 1024]), st.booleans(),
     st.lists(st.integers(0, 120), max_size=6),
@@ -484,7 +485,7 @@ def tied_inputs(draw):
     ]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=max_examples(25), deadline=None)
 @given(tied_inputs())
 def test_chunked_merge_order_is_heapq_merge_order(tmp_path_factory, inputs):
     tmp_path = tmp_path_factory.mktemp("tied")
@@ -522,7 +523,7 @@ def test_chunked_merge_order_is_heapq_merge_order(tmp_path_factory, inputs):
 TICKS = st.one_of(st.integers(0, 1 << 40), st.integers(1 << 53, 1 << 61))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max_examples(200), deadline=None)
 @given(
     st.integers(0, 1 << 40), st.integers(0, 1 << 40),
     st.floats(min_value=0.9, max_value=1.1), st.lists(TICKS, min_size=1, max_size=50),
@@ -534,7 +535,7 @@ def test_linear_adjust_array_is_the_scalar_adjust(origin_global, origin_local, r
     assert got.tolist() == [adjustment.adjust(t) for t in ticks]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max_examples(200), deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1000, 1 << 30), st.floats(-2000.0, 2000.0)),
              min_size=2, max_size=8),
@@ -569,7 +570,7 @@ def _record(itype, start, end):
     return IntervalRecord(itype, BeBits.COMPLETE, start, end - start, 0, 0, 0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max_examples(150), deadline=None)
 @given(preview_rows(), st.integers(1, 60), st.integers(0, 500), st.integers(1, 100_000))
 def test_preview_columns_sum_to_the_per_record_floats(rows, bins, t0, span):
     one, many = PreviewBins(bins, t0, t0 + span), PreviewBins(bins, t0, t0 + span)
@@ -581,7 +582,7 @@ def test_preview_columns_sum_to_the_per_record_floats(rows, bins, t0, span):
         assert (counters == many.counters[itype]).all()  # ==, not approx
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max_examples(150), deadline=None)
 @given(preview_rows(), st.integers(1, 60))
 def test_doubling_preview_folds_between_the_same_rows(rows, bins):
     order = np.argsort(np.array(rows[2]), kind="stable")  # a frame's rows: by end
